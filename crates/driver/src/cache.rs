@@ -77,7 +77,25 @@ static MEMORY_BUDGET: AtomicU64 = AtomicU64::new(u64::MAX);
 /// Monotonic logical clock for LRU ordering.
 static USE_CLOCK: AtomicU64 = AtomicU64::new(0);
 
-type Slot = Arc<Mutex<Option<Arc<CompiledArtifact>>>>;
+/// A cached artifact and the disk entries known to hold it: a memory hit
+/// persists into a cache directory it has not seen (one `stat`, once per
+/// directory), so whichever session compiled the model first, every
+/// session with a cache directory leaves its entry behind.
+struct Cached {
+    artifact: Arc<CompiledArtifact>,
+    on_disk: Vec<PathBuf>,
+}
+
+impl Cached {
+    fn new(artifact: CompiledArtifact, disk: Option<&Path>) -> Cached {
+        Cached {
+            artifact: Arc::new(artifact),
+            on_disk: disk.map(Path::to_path_buf).into_iter().collect(),
+        }
+    }
+}
+
+type Slot = Arc<Mutex<Option<Cached>>>;
 
 /// One cached key: the artifact slot plus LRU bookkeeping.
 struct Entry {
@@ -152,8 +170,8 @@ fn enforce_budget(protect: Option<u128>) {
         let Ok(guard) = entry.slot.try_lock() else {
             continue;
         };
-        if let Some(artifact) = guard.as_ref() {
-            let bytes = artifact.approx_bytes();
+        if let Some(cached) = guard.as_ref() {
+            let bytes = cached.artifact.approx_bytes();
             total += bytes;
             filled.push((key, entry.last_used, bytes));
         }
@@ -198,14 +216,17 @@ pub fn disk_path(dir: &Path, key: u128) -> PathBuf {
 /// per key per process even under concurrency; losers of the race block
 /// and then share the winner's artifact.
 ///
-/// `try_disk` and `persist` are no-ops for sessions without a cache
-/// directory. A failed build leaves the slot empty (the next request
+/// `disk` is the session's entry for `key` ([`disk_path`]), `None` for
+/// sessions without a cache directory; `try_disk` reads it and `persist`
+/// writes it. The entry exists after every successful call, a memory hit
+/// included. A failed build leaves the slot empty (the next request
 /// retries) and counts nothing.
 pub fn lookup_or_build(
     key: u128,
-    try_disk: impl FnOnce() -> Option<CompiledArtifact>,
+    disk: Option<&Path>,
+    try_disk: impl FnOnce(&Path) -> Option<CompiledArtifact>,
     build: impl FnOnce() -> Result<CompiledArtifact, Diagnostic>,
-    persist: impl FnOnce(&CompiledArtifact),
+    persist: impl FnOnce(&Path, &CompiledArtifact),
 ) -> Result<(Arc<CompiledArtifact>, CacheStatus), Diagnostic> {
     let slot: Slot = {
         let mut reg = lock(registry());
@@ -214,24 +235,33 @@ pub fn lookup_or_build(
         entry.slot.clone()
     };
     let mut guard = lock(&slot);
-    if let Some(artifact) = guard.as_ref() {
+    if let Some(cached) = guard.as_mut() {
         HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok((Arc::clone(artifact), CacheStatus::Memory));
+        if let Some(path) = disk.filter(|path| !cached.on_disk.iter().any(|p| p == path)) {
+            if !path.exists() {
+                persist(path, &cached.artifact);
+            }
+            cached.on_disk.push(path.to_path_buf());
+        }
+        return Ok((Arc::clone(&cached.artifact), CacheStatus::Memory));
     }
-    if let Some(artifact) = try_disk() {
-        DISK_HITS.fetch_add(1, Ordering::Relaxed);
-        let artifact = Arc::new(artifact);
-        *guard = Some(Arc::clone(&artifact));
-        drop(guard);
-        enforce_budget(Some(key));
-        return Ok((artifact, CacheStatus::Disk));
-    }
-    let artifact = build()?;
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    persist(&artifact);
-    let artifact = Arc::new(artifact);
-    *guard = Some(Arc::clone(&artifact));
+    let (cached, status) = match disk.and_then(try_disk) {
+        Some(artifact) => {
+            DISK_HITS.fetch_add(1, Ordering::Relaxed);
+            (Cached::new(artifact, disk), CacheStatus::Disk)
+        }
+        None => {
+            let artifact = build()?;
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            if let Some(path) = disk {
+                persist(path, &artifact);
+            }
+            (Cached::new(artifact, disk), CacheStatus::Cold)
+        }
+    };
+    let artifact = Arc::clone(&cached.artifact);
+    *guard = Some(cached);
     drop(guard);
     enforce_budget(Some(key));
-    Ok((artifact, CacheStatus::Cold))
+    Ok((artifact, status))
 }

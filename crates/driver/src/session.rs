@@ -325,27 +325,21 @@ impl CompilerSession {
             .map(|dir| cache::disk_path(dir, key));
         let (artifact, status) = cache::lookup_or_build(
             key,
-            || {
-                let path = disk.as_deref()?;
-                match serial::load(path, key) {
-                    Ok(a) => self.revive(a),
-                    Err(serial::LoadError::Missing) => None,
-                    Err(serial::LoadError::Corrupt) => {
-                        // Truncated/bit-flipped/stale entry: move it
-                        // aside and fall through to a cold compile,
-                        // whose `persist` rewrites a good file.
-                        serial::quarantine(path);
-                        cache::note_quarantine();
-                        None
-                    }
+            disk.as_deref(),
+            |path| match serial::load(path, key) {
+                Ok(a) => self.revive(a),
+                Err(serial::LoadError::Missing) => None,
+                Err(serial::LoadError::Corrupt) => {
+                    // Truncated/bit-flipped/stale entry: move it
+                    // aside and fall through to a cold compile,
+                    // whose `persist` rewrites a good file.
+                    serial::quarantine(path);
+                    cache::note_quarantine();
+                    None
                 }
             },
             || build().map(|(artifact, _)| artifact),
-            |artifact| {
-                if let Some(path) = disk.as_deref() {
-                    serial::store(path, artifact);
-                }
-            },
+            serial::store,
         )?;
         Ok(Compiled {
             artifact,

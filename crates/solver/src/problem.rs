@@ -209,7 +209,7 @@ impl Default for SolverOptions {
 pub struct SolveStats {
     /// Accepted steps.
     pub steps: usize,
-    /// Rejected (error-test-failed) steps.
+    /// Rejected step attempts: error-test failures plus Newton failures.
     pub rejected: usize,
     /// Right-hand-side evaluations.
     pub fevals: usize,
@@ -219,6 +219,9 @@ pub struct SolveStats {
     pub factorizations: usize,
     /// Newton iterations (implicit solvers).
     pub newton_iters: usize,
+    /// Corrector iterations that failed to converge (implicit solvers);
+    /// each is also counted in `rejected`.
+    pub newton_failures: usize,
     /// nnz(L+U) of the current iteration-matrix factorization: the
     /// sparse factor size on the sparse path, `n²` on the dense path,
     /// zero before the first factorization. A gauge, not a counter.

@@ -31,6 +31,16 @@ fn van_der_pol_relaxation_oscillation() {
         stats.jevals,
         stats.steps
     );
+    // … and factorizations: kept across step-size nudges. Not one in three
+    // as on smoother problems — between transition layers h climbs six
+    // decades at ~25 % a step, which leaves the 30 % band every other
+    // step, and each of the ~85 rejected steps costs two.
+    assert!(
+        stats.factorizations * 5 <= stats.steps * 3,
+        "factorizations {} vs steps {}",
+        stats.factorizations,
+        stats.steps
+    );
 }
 
 #[test]
@@ -93,24 +103,23 @@ fn rk45_error_scales_with_tolerance() {
 }
 
 #[test]
-fn bdf_restart_after_integrate_to_boundary() {
-    // integrate_to must land exactly and continue cleanly from sample
-    // boundaries (history rescaling path).
+fn bdf_reports_each_requested_time_across_many_requests() {
+    // Thirty requests that no step ends on: each must report the state at
+    // the requested time (not at the internal one, which runs ahead) and
+    // leave the solver able to continue.
     let rhs = FnRhs::new(1, |_t, y: &[f64], ydot: &mut [f64]| ydot[0] = -y[0]);
     let mut solver = Bdf::new(&rhs, 0.0, &[1.0], SolverOptions::default());
-    let mut t_accumulated = 0.0;
     for step in 1..=30 {
         let t = step as f64 * 0.17;
         solver.integrate_to(t).unwrap();
-        assert!((solver.t - t).abs() < 1e-12);
-        t_accumulated = t;
+        assert!(solver.t >= t, "internal time {} short of {t}", solver.t);
+        let exact = (-t).exp();
+        assert!(
+            (solver.y()[0] - exact).abs() < 1e-5,
+            "t={t}: {} vs {exact}",
+            solver.y()[0]
+        );
     }
-    let exact = (-t_accumulated).exp();
-    assert!(
-        (solver.y()[0] - exact).abs() < 1e-4,
-        "{} vs {exact}",
-        solver.y()[0]
-    );
 }
 
 #[test]

@@ -207,7 +207,7 @@ USAGE:
   rmsc compile-report <model.rdl> [--level L] [--frontend-threads N]
                 [--cache-dir DIR]
   rmsc simulate <model.rdl> [--tend T] [--steps N] [--observe A,B,...] [--level L]
-                [--jacobian analytic|fd-colored|fd-dense]   (default fd-dense)
+                [--jacobian analytic|fd-colored|fd-dense]   (default analytic)
                 [--linear-solver dense|sparse|auto]         (default auto)
                 [--engine interp|exec|native|auto]          (default exec)
                 [--opt reroll=on|off]                       (default on)
@@ -481,7 +481,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             tend: parse_num(args, "--tend", 1.0)?,
             steps: parse_num(args, "--steps", 10)?,
             observe: parse_observe(args),
-            jacobian: parse_jacobian(args, JacobianMode::FdDense)?,
+            jacobian: parse_jacobian(args, JacobianMode::Analytic)?,
             linear_solver: parse_linear_solver(args)?,
             engine: parse_engine(args)?,
             reroll: parse_opt_reroll(args)?,
@@ -1483,13 +1483,14 @@ mod tests {
 
     #[test]
     fn jacobian_flag_parses_on_both_subcommands() {
-        // simulate defaults to dense FD; estimate defaults to colored FD.
+        // simulate defaults to the compiled tapes (what a simulator built
+        // from a Deriv artifact picks itself); estimate to colored FD.
         match parse_args(&argv("simulate m.rdl")).unwrap() {
-            Command::Simulate { jacobian, .. } => assert_eq!(jacobian, JacobianMode::FdDense),
+            Command::Simulate { jacobian, .. } => assert_eq!(jacobian, JacobianMode::Analytic),
             other => panic!("{other:?}"),
         }
-        match parse_args(&argv("simulate m.rdl --jacobian analytic")).unwrap() {
-            Command::Simulate { jacobian, .. } => assert_eq!(jacobian, JacobianMode::Analytic),
+        match parse_args(&argv("simulate m.rdl --jacobian fd-dense")).unwrap() {
+            Command::Simulate { jacobian, .. } => assert_eq!(jacobian, JacobianMode::FdDense),
             other => panic!("{other:?}"),
         }
         match parse_args(&argv("estimate m.rdl --data d --jacobian analytic")).unwrap() {
@@ -1648,14 +1649,14 @@ mod tests {
     }
 
     #[test]
-    fn simulate_with_analytic_jacobian_matches_default() {
+    fn simulate_jacobian_modes_print_the_same_table_shape() {
         let dir = std::env::temp_dir().join("rmsc_cli_jacobian");
         let model = write_model(&dir);
         let model_arg = model.display().to_string();
         let base = format!("simulate {model_arg} --tend 0.5 --steps 4 --observe DiS");
-        let dense = run(&parse_args(&argv(&base)).unwrap()).unwrap();
-        let analytic =
-            run(&parse_args(&argv(&format!("{base} --jacobian analytic"))).unwrap()).unwrap();
+        let analytic = run(&parse_args(&argv(&base)).unwrap()).unwrap();
+        let dense =
+            run(&parse_args(&argv(&format!("{base} --jacobian fd-dense"))).unwrap()).unwrap();
         let colored =
             run(&parse_args(&argv(&format!("{base} --jacobian fd-colored"))).unwrap()).unwrap();
         // Identical table shape, values within solver tolerance of each

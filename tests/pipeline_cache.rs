@@ -146,6 +146,38 @@ fn disk_cache_revives_identical_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn memory_hit_persists_into_a_cache_dir_that_lacks_the_entry() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("rms-pipeline-memhit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Someone without a cache directory compiles the model first …
+    let first = compile(Model::Network, SessionOptions::new(OptLevel::Full));
+    // … so a session with one is served from memory, and must still
+    // leave its entry behind for the next process.
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.cache_dir = Some(dir.clone());
+    let hit = compile(Model::Network, options.clone());
+    assert_eq!(hit.status, CacheStatus::Memory);
+    let written = std::fs::metadata(cached_file(&dir))
+        .unwrap()
+        .modified()
+        .unwrap();
+    // Remembered per slot: the next hit does not write again.
+    let again = compile(Model::Network, options.clone());
+    assert_eq!(again.status, CacheStatus::Memory);
+    let unchanged = std::fs::metadata(cached_file(&dir))
+        .unwrap()
+        .modified()
+        .unwrap();
+    assert_eq!(written, unchanged);
+    cache::clear_memory();
+    let revived = compile(Model::Network, options);
+    assert_eq!(revived.status, CacheStatus::Disk);
+    assert_identical(&first.artifact, &revived.artifact, "memory-hit persist");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The single serialized artifact under a cache directory.
 fn cached_file(dir: &std::path::Path) -> std::path::PathBuf {
     let mut entries: Vec<_> = std::fs::read_dir(dir)

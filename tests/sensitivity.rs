@@ -209,12 +209,19 @@ fn estimate_round_trip_analytic_and_fd_modes_agree() {
         );
     }
     // The whole point: analytic Jacobians cost O(1) ODE sweeps per LM
-    // iteration instead of O(n_params) residual evaluations.
+    // iteration instead of O(n_params) residual evaluations. Compared
+    // per Jacobian build: both fits stop inside solver noise (`ftol` /
+    // `xtol` = 1e-12 against `rtol` = 1e-6), so their iteration counts,
+    // and with them the totals, are not comparable.
     assert!(analytic.jevals > 0 && fd.jevals > 0);
+    let per_build = |fit: &rms_suite::LmResult| fit.fevals as f64 / fit.jevals as f64;
     assert!(
-        analytic.fevals < fd.fevals,
-        "analytic mode should spend fewer residual evaluations: {} vs {}",
+        per_build(&analytic) < per_build(&fd),
+        "analytic mode should spend fewer residual evaluations per Jacobian build: \
+         {}/{} vs {}/{}",
         analytic.fevals,
-        fd.fevals
+        analytic.jevals,
+        fd.fevals,
+        fd.jevals
     );
 }
