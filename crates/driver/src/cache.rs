@@ -218,9 +218,11 @@ pub fn disk_path(dir: &Path, key: u128) -> PathBuf {
 ///
 /// `disk` is the session's entry for `key` ([`disk_path`]), `None` for
 /// sessions without a cache directory; `try_disk` reads it and `persist`
-/// writes it. The entry exists after every successful call, a memory hit
-/// included. A failed build leaves the slot empty (the next request
-/// retries) and counts nothing.
+/// writes it. A successful call leaves the entry behind, a memory hit
+/// included — checked once per cache directory per process, so an entry
+/// deleted while its slot stays in memory is not written again. A failed
+/// build leaves the slot empty (the next request retries) and counts
+/// nothing.
 pub fn lookup_or_build(
     key: u128,
     disk: Option<&Path>,

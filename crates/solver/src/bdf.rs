@@ -9,6 +9,8 @@
 //! Implementation: variable-order (1–5), quasi-uniform-step backward
 //! differentiation formulas with a modified-Newton corrector; step-size
 //! changes rescale the solution history by polynomial interpolation.
+//! After `h` grows it is held for `GROWTH_HOLD` (2) accepted steps, until
+//! the corrector is back on computed history (shrinking is immediate).
 //!
 //! **Factorization reuse** (the LSODE/CVODE policy). The iteration matrix
 //! `I − γJ`, `γ = hβ`, is LU-factored and kept while `γ` stays within
@@ -67,6 +69,13 @@ const NEWTON_TOL: f64 = 0.1; // in units of the weighted error norm
 const GAMMA_DRIFT: f64 = 0.3;
 /// … and while it has served fewer than this many accepted steps.
 const FACTOR_MAX_AGE: usize = 20;
+
+/// Accepted steps `h` is held for after it grew. Growing rescales the
+/// history past its oldest node; at the 2× cap two of the corrector's five
+/// nodes come out extrapolated, and two steps put it back on computed
+/// values. Growing again before that compounds the extrapolation (×10²
+/// per rescale at order 5) until the error test collapses `h`.
+const GROWTH_HOLD: usize = 2;
 
 /// Refinement iterations for each sensitivity solve. The system is
 /// linear, so with an up-to-date factorization one pass suffices; the cap
@@ -183,6 +192,8 @@ pub struct Bdf<'a, R: OdeRhs> {
     gamma_built: Option<f64>,
     /// Accepted steps the factorization has served.
     factor_age: usize,
+    /// Accepted steps still to take before `h` may grow again.
+    growth_hold: usize,
     /// Was the cached Jacobian evaluated during the current step attempt
     /// (rather than at some earlier accepted point)?
     jac_current: bool,
@@ -219,6 +230,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             factor: Factor::None,
             gamma_built: None,
             factor_age: 0,
+            growth_hold: 0,
             jac_current: false,
             full_pattern: None,
             jac: None,
@@ -485,13 +497,20 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                     self.order += 1;
                 }
                 // Step growth, conservative.
-                let factor = if err == 0.0 {
+                let mut factor = if err == 0.0 {
                     2.0
                 } else {
                     (0.9 * err.powf(-1.0 / (k as f64 + 1.0))).clamp(0.5, 2.0)
                 };
+                if self.growth_hold > 0 {
+                    self.growth_hold -= 1;
+                    factor = factor.min(1.0);
+                }
                 if !(0.9..=1.1).contains(&factor) {
                     let new_h = (self.h * factor).min(self.options.h_max);
+                    if factor > 1.0 {
+                        self.growth_hold = GROWTH_HOLD;
+                    }
                     self.change_step(new_h, s);
                 }
                 return Ok(());
@@ -1323,6 +1342,26 @@ mod tests {
     }
 
     #[test]
+    fn growth_is_held_until_the_history_is_computed_again() {
+        // Growing h on every step compounds the extrapolation in the
+        // history rescale until the error test collapses h by decades and
+        // the climb restarts: 1532 steps and 174 rejections on this smooth
+        // decay before the hold, 241 and 5 with it.
+        let rhs = FnRhs::new(1, |_t, y: &[f64], ydot: &mut [f64]| ydot[0] = -2.5 * y[0]);
+        let options = SolverOptions {
+            rtol: 1e-9,
+            atol: 1e-12,
+            ..SolverOptions::default()
+        };
+        let (sol, stats) = solve_bdf(&rhs, 0.0, &[1.0], &[1.0], options).unwrap();
+        assert!((sol[0][0] - (-2.5f64).exp()).abs() < 1e-9, "{}", sol[0][0]);
+        assert!(
+            stats.steps <= 400 && stats.rejected <= 20,
+            "step size collapsed: {stats:?}"
+        );
+    }
+
+    #[test]
     fn sparse_jacobian_matches_dense_solution_with_fewer_fevals() {
         use crate::coloring::SparsityPattern;
         // Stiff tridiagonal chain.
@@ -1429,11 +1468,8 @@ mod tests {
             JacobianSource::AnalyticTape(&provider),
         )
         .unwrap();
-        // Two adaptive runs: they agree to the global error of this
-        // 40-stage amplifying chain (~6e-5 against a tight RK45
-        // reference at these tolerances), not to the local tolerance.
         for (a, b) in fd[0].iter().zip(&analytic[0]) {
-            assert!((a - b).abs() < 1e-4 * a.abs().max(1.0), "{a} vs {b}");
+            assert!((a - b).abs() < 1e-5 * a.abs().max(1.0), "{a} vs {b}");
         }
         assert!(an_stats.jevals >= 1);
         // Each dense-FD refresh costs n+1 fevals, each analytic refresh 1;
@@ -1600,8 +1636,6 @@ mod tests {
             rtol: 1e-9,
             atol: 1e-12,
             linear_solver: LinearSolver::Sparse,
-            // Closed-form comparison, as above.
-            sens_error_control: true,
             ..SolverOptions::default()
         };
         let (_, sensitivities, _) = solve_bdf_sensitivities(
