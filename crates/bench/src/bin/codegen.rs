@@ -25,10 +25,12 @@
 //! the reroll differential trajectory and the JSON artifact, not timings.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use rms_bench::{compile_case_native_opt, fmt_secs, parse_or_exit, run_bench, write_artifact};
-use rms_core::{ExecFrame, ExecTape, NativeKernel, OptLevel, LANES};
+use rms_bench::{
+    compile_case_native_opt, fmt_secs, parse_or_exit, run_bench, time_rhs, time_rhs_batch,
+    write_artifact,
+};
+use rms_core::{Kernel, NativeKernel, OptLevel, LANES};
 use rms_suite::{EngineMode, JacobianMode, SolverOptions, Stage, SuiteModel};
 use rms_workload::{scaled_case, TABLE1};
 
@@ -137,85 +139,13 @@ fn best_of(mut measure: impl FnMut() -> f64) -> f64 {
     (0..REPS).map(|_| measure()).fold(f64::INFINITY, f64::min)
 }
 
-/// Seconds per scalar RHS evaluation on the execution engine.
-fn time_exec(exec: &ExecTape, rates: &[f64], y: &mut [f64], ydot: &mut [f64], iters: usize) -> f64 {
-    let mut frame = ExecFrame::new();
-    best_of(|| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            exec.eval(rates, y, ydot, &mut frame);
-            // Feed a little of the output back so the work is not dead code.
-            y[0] = 0.1 + ydot[0].abs().min(1.0) * 1e-9;
-        }
-        t0.elapsed().as_secs_f64() / iters as f64
-    })
-}
-
-/// Seconds per state on the batched execution engine (`4 * LANES` states
-/// per call, the colored-FD sweep shape).
-fn time_exec_batched(exec: &ExecTape, rates: &[f64], y: &[f64], iters: usize) -> f64 {
-    let n = exec.n_species();
-    let n_states = 4 * LANES;
-    let mut ys = Vec::with_capacity(n_states * n);
-    for s in 0..n_states {
-        ys.extend(y.iter().map(|v| v + 1e-6 * s as f64));
-    }
-    let mut ydots = vec![0.0; n_states * exec.n_outputs()];
-    let mut frame = ExecFrame::new();
-    let rounds = (iters / n_states).max(1);
-    best_of(|| {
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            exec.eval_batch(rates, &ys, &mut ydots, &mut frame);
-            ys[0] = 0.1 + ydots[0].abs().min(1.0) * 1e-9;
-        }
-        t0.elapsed().as_secs_f64() / (rounds * n_states) as f64
-    })
-}
-
-/// Seconds per scalar RHS evaluation on a native kernel.
-fn time_native(
-    kernel: &NativeKernel,
-    rates: &[f64],
-    y: &mut [f64],
-    ydot: &mut [f64],
-    iters: usize,
-) -> f64 {
-    best_of(|| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            kernel.eval(rates, y, ydot);
-            y[0] = 0.1 + ydot[0].abs().min(1.0) * 1e-9;
-        }
-        t0.elapsed().as_secs_f64() / iters as f64
-    })
-}
-
-/// Seconds per state on a native batched entry point, mirroring the
-/// exec measurement shape.
-fn time_native_batched(kernel: &NativeKernel, rates: &[f64], y: &[f64], iters: usize) -> f64 {
-    let n = kernel.n_species();
-    let n_states = 4 * LANES;
-    let mut ys = Vec::with_capacity(n_states * n);
-    for s in 0..n_states {
-        ys.extend(y.iter().map(|v| v + 1e-6 * s as f64));
-    }
-    let mut ydots = vec![0.0; n_states * n];
-    let rounds = (iters / n_states).max(1);
-    best_of(|| {
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            kernel.eval_batch(rates, &ys, &mut ydots);
-            ys[0] = 0.1 + ydots[0].abs().min(1.0) * 1e-9;
-        }
-        t0.elapsed().as_secs_f64() / (rounds * n_states) as f64
-    })
-}
-
 /// A compiled case and its Codegen stage instrumentation.
 struct Compiled {
     suite: SuiteModel,
-    kernel: std::sync::Arc<NativeKernel>,
+    /// The loaded object (loop counters).
+    native: std::sync::Arc<NativeKernel>,
+    /// The same object as the solvers see it.
+    kernel: std::sync::Arc<dyn Kernel>,
     cc_secs: f64,
     source_bytes: usize,
     render_secs: f64,
@@ -232,8 +162,8 @@ fn compile(
 ) -> Result<Compiled, String> {
     let model = scaled_case(case, scale);
     let suite = compile_case_native_opt(&model, OptLevel::Full, reroll, Some(cache_dir));
-    let kernel = match suite.artifact().native.as_ref() {
-        Some(kernel) => kernel.clone(),
+    let native = match suite.artifact().native.as_ref() {
+        Some(native) => native.clone(),
         None => {
             let why = suite
                 .artifact()
@@ -254,8 +184,9 @@ fn compile(
         cc_units: metric("cc_units") as usize,
         cc_unit_max_secs: metric("cc_unit_max_seconds"),
         link_secs: metric("link_seconds"),
+        kernel: suite.kernel(EngineMode::Native).kernel,
         suite,
-        kernel,
+        native,
     })
 }
 
@@ -305,32 +236,31 @@ fn run(config: Config) -> Result<(), String> {
 
         let system = &rolled.suite.system;
         let tape = &rolled.suite.compiled.tape;
-        let exec: ExecTape = rolled
-            .suite
-            .exec
-            .clone()
-            .unwrap_or_else(|| ExecTape::compile(tape));
+        let exec = rolled.suite.kernel(EngineMode::Exec).kernel;
         let n = system.len();
         let rates = &system.rate_values;
         let y0: Vec<f64> = (0..n).map(|i| 0.1 + (i % 7) as f64 * 0.1).collect();
         let mut ydot = vec![0.0; n];
 
-        let mut y = y0.clone();
-        let exec_secs = time_exec(&exec, rates, &mut y, &mut ydot, iters);
-        let exec_batched_secs = time_exec_batched(&exec, rates, &y0, iters);
-        let mut y = y0.clone();
-        let native_secs = time_native(&rolled.kernel, rates, &mut y, &mut ydot, iters);
-        let native_batched_secs = time_native_batched(&rolled.kernel, rates, &y0, iters);
-        let mut y = y0.clone();
-        let unrolled_native_secs = time_native(&unrolled.kernel, rates, &mut y, &mut ydot, iters);
-        let unrolled_native_batched_secs = time_native_batched(&unrolled.kernel, rates, &y0, iters);
+        // Every engine through the one `Kernel` interface, best of REPS.
+        let mut scalar = |kernel: &dyn Kernel| {
+            let mut y = y0.clone();
+            best_of(|| time_rhs(kernel, rates, &mut y, &mut ydot, iters))
+        };
+        let batched = |kernel: &dyn Kernel| best_of(|| time_rhs_batch(kernel, rates, &y0, iters));
+        let exec_secs = scalar(&*exec);
+        let exec_batched_secs = batched(&*exec);
+        let native_secs = scalar(&*rolled.kernel);
+        let native_batched_secs = batched(&*rolled.kernel);
+        let unrolled_native_secs = scalar(&*unrolled.kernel);
+        let unrolled_native_batched_secs = batched(&*unrolled.kernel);
 
         let result = CaseResult {
             case,
             equations: n,
             tape_instrs: tape.len(),
-            loop_count: rolled.kernel.loop_count(),
-            rolled_instrs: rolled.kernel.rolled_instrs(),
+            loop_count: rolled.native.loop_count(),
+            rolled_instrs: rolled.native.rolled_instrs(),
             source_bytes: rolled.source_bytes,
             unrolled_source_bytes: unrolled.source_bytes,
             render_secs: rolled.render_secs,

@@ -10,14 +10,14 @@
 //! scale with a couple of iterations — enough to validate the measurement
 //! and the JSON artifact, not to produce stable timings.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use rms_bench::{compile_case_deriv, fmt_secs, parse_or_exit, run_bench, write_artifact};
-use rms_core::OptLevel;
-use rms_solver::{fd_jacobian, fd_jacobian_colored, AnalyticJacobian, FnRhs, OdeRhs};
-use rms_workload::{scaled_case, TapeJacobian, TABLE1};
+use rms_core::{DerivGroup, OptLevel};
+use rms_solver::{fd_jacobian, fd_jacobian_colored, AnalyticJacobian, OdeRhs};
+use rms_suite::EngineMode;
+use rms_workload::{scaled_case, BoundKernel, TABLE1};
 
 const USAGE: &str = "\
 jacobian — Jacobian assembly: analytic tapes vs colored vs dense FD
@@ -125,21 +125,23 @@ fn run(config: Config) -> Result<(), String> {
         // Compile through the session with the Deriv stage on: the
         // artifact carries the analytic tapes the benchmark measures.
         let suite = compile_case_deriv(&model, OptLevel::Full);
-        let (system, compiled) = (&suite.system, &suite.compiled);
-        let tapes = suite.jacobian();
-        let provider = TapeJacobian::new(&tapes, &system.rate_values);
+        let system = &suite.system;
+        // The interpreter kernel: the FD baselines difference the tape
+        // interpreter's RHS, the analytic path interprets the tape pair.
+        let choice = suite.kernel(EngineMode::Interp);
+        let provider = BoundKernel::new(&choice, &system.rate_values, DerivGroup::Jacobian);
+        let rhs = &provider;
         let n = system.len();
         let y: Vec<f64> = (0..n).map(|i| 0.2 + 0.05 * (i % 7) as f64).collect();
-        let tape = &compiled.tape;
-        let scratch = RefCell::new(Vec::new());
-        let rhs = FnRhs::new(n, |_t, yv: &[f64], ydot: &mut [f64]| {
-            tape.eval_with_scratch(&system.rate_values, yv, ydot, &mut scratch.borrow_mut());
-        });
         let mut f = vec![0.0; n];
         rhs.eval(0.0, &y, &mut f);
 
         // Analytic: one fused RHS+Jacobian tape pass per assembly.
-        let mut vals = vec![0.0; tapes.nnz()];
+        let entries = choice
+            .kernel
+            .jac_entries(DerivGroup::Jacobian)
+            .expect("compiled with the Deriv stage");
+        let mut vals = vec![0.0; entries.len()];
         let analytic_secs = time_reps(|| provider.eval_values(0.0, &y, &mut vals), iters);
 
         // Colored FD over the exact analytic pattern. Like dense below,
@@ -150,7 +152,7 @@ fn run(config: Config) -> Result<(), String> {
         let colored_secs = time_reps(
             || {
                 std::hint::black_box(fd_jacobian_colored(
-                    &rhs, 0.0, &y, &f, pattern, &colors, n_colors,
+                    rhs, 0.0, &y, &f, pattern, &colors, n_colors,
                 ));
             },
             colored_reps,
@@ -161,22 +163,22 @@ fn run(config: Config) -> Result<(), String> {
         let dense_reps = (iters / 8).max(1);
         let dense_secs = time_reps(
             || {
-                std::hint::black_box(fd_jacobian(&rhs, 0.0, &y, &f));
+                std::hint::black_box(fd_jacobian(rhs, 0.0, &y, &f));
             },
             dense_reps,
         );
 
         // Accuracy: analytic entries against one dense FD evaluation.
-        let (dense, _) = fd_jacobian(&rhs, 0.0, &y, &f);
+        let (dense, _) = fd_jacobian(rhs, 0.0, &y, &f);
         let mut max_rel_err = 0.0f64;
-        for (&(i, j), &a) in tapes.entries.iter().zip(&vals) {
+        for (&(i, j), &a) in entries.iter().zip(&vals) {
             let b = dense[(i as usize, j as usize)];
             max_rel_err = max_rel_err.max((a - b).abs() / a.abs().max(1.0));
         }
 
         println!(
             "{case:>5} {n:>6} {:>8} {n_colors:>7} | {:>10} {:>10} {:>10} | {:>8.1}x {:>8.1}x {:>10.2e}",
-            tapes.nnz(),
+            entries.len(),
             fmt_secs(analytic_secs),
             fmt_secs(colored_secs),
             fmt_secs(dense_secs),
@@ -187,7 +189,7 @@ fn run(config: Config) -> Result<(), String> {
         results.push(CaseResult {
             case,
             equations: n,
-            nnz: tapes.nnz(),
+            nnz: entries.len(),
             n_colors,
             analytic_secs,
             colored_secs,

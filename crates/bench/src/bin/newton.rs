@@ -21,9 +21,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use rms_bench::{compile_case_deriv, fmt_secs, parse_or_exit, run_bench, write_artifact};
-use rms_core::OptLevel;
+use rms_core::{DerivGroup, OptLevel};
 use rms_solver::{AnalyticJacobian, CsrMatrix, LinearSolver, Lu, SolverOptions, SparseNewton};
-use rms_workload::{scaled_case, EngineMode, JacobianMode, TapeJacobian, TABLE1};
+use rms_suite::EngineMode;
+use rms_workload::{scaled_case, BoundKernel, JacobianMode, TABLE1};
 
 const USAGE: &str = "\
 newton — BDF iteration-matrix kernels: sparse LU vs dense LU
@@ -147,8 +148,8 @@ fn run(config: Config) -> Result<(), String> {
         let suite = compile_case_deriv(&model, OptLevel::Full);
         let system = &suite.system;
         let n = system.len();
-        let tapes = suite.jacobian();
-        let provider = TapeJacobian::new(&tapes, &system.rate_values);
+        let choice = suite.kernel(EngineMode::default());
+        let provider = BoundKernel::new(&choice, &system.rate_values, DerivGroup::Jacobian);
         let pattern = provider.pattern();
 
         // One Jacobian evaluation at the initial state feeds both kernels
@@ -223,7 +224,7 @@ fn run(config: Config) -> Result<(), String> {
                     max_steps: 4_000_000,
                     ..SolverOptions::default()
                 };
-                suite.simulate_configured(&times, options, JacobianMode::Analytic, EngineMode::Exec)
+                suite.simulate_with_jacobian(&times, options, JacobianMode::Analytic)
             };
             let dense_traj =
                 solve(LinearSolver::Dense).map_err(|e| format!("case {case}: dense BDF: {e}"))?;

@@ -144,7 +144,7 @@ fn run(config: Config) -> Result<(), String> {
                 let mut ccomp = unopt.clone();
                 // A real compiler coalesces the copies VN leaves behind;
                 // forward them and re-allocate registers before timing.
-                ccomp.tape = compact_registers(&forward_copies(&result.tape));
+                ccomp.tape = compact_registers(&forward_copies(&result.tape)).into();
                 let t_ccomp = time_tape_eval(&ccomp, raw, iters);
                 println!(
                     "  C-compiler-only:   {:>9}   [{}]  ({} ops eliminated)",

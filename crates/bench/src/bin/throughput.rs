@@ -16,10 +16,12 @@
 //! the JSON artifact, not to produce stable timings.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use rms_bench::{compile_case, fmt_secs, parse_or_exit, run_bench, write_artifact};
-use rms_core::{ExecFrame, ExecTape, OptLevel, LANES};
+use rms_bench::{
+    compile_case, fmt_secs, parse_or_exit, run_bench, time_rhs, time_rhs_batch, write_artifact,
+};
+use rms_core::{OptLevel, LANES};
+use rms_suite::EngineMode;
 use rms_workload::{scaled_case, TABLE1};
 
 const USAGE: &str = "\
@@ -87,55 +89,6 @@ fn parse(args: &rms_bench::BenchArgs) -> Result<Config, String> {
     Ok(config)
 }
 
-/// Seconds per scalar RHS evaluation on the legacy interpreter.
-fn time_interp(
-    tape: &rms_core::Tape,
-    rates: &[f64],
-    y: &mut [f64],
-    ydot: &mut [f64],
-    iters: usize,
-) -> f64 {
-    let mut scratch = Vec::new();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        tape.eval_with_scratch(rates, y, ydot, &mut scratch);
-        // Feed a little of the output back so the work is not dead code.
-        y[0] = 0.1 + ydot[0].abs().min(1.0) * 1e-9;
-    }
-    t0.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Seconds per scalar RHS evaluation on the execution engine.
-fn time_exec(exec: &ExecTape, rates: &[f64], y: &mut [f64], ydot: &mut [f64], iters: usize) -> f64 {
-    let mut frame = ExecFrame::new();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        exec.eval(rates, y, ydot, &mut frame);
-        y[0] = 0.1 + ydot[0].abs().min(1.0) * 1e-9;
-    }
-    t0.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Seconds per state on the batched engine, evaluating `4 * LANES`
-/// states per call (the colored-FD sweep shape).
-fn time_batched(exec: &ExecTape, rates: &[f64], y: &[f64], iters: usize) -> f64 {
-    let n = exec.n_species();
-    let n_states = 4 * LANES;
-    let mut ys = Vec::with_capacity(n_states * n);
-    for s in 0..n_states {
-        ys.extend(y.iter().map(|v| v + 1e-6 * s as f64));
-    }
-    let mut ydots = vec![0.0; n_states * exec.n_outputs()];
-    let mut frame = ExecFrame::new();
-    let rounds = (iters / n_states).max(1);
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        exec.eval_batch(rates, &ys, &mut ydots, &mut frame);
-        ys[0] = 0.1 + ydots[0].abs().min(1.0) * 1e-9;
-    }
-    t0.elapsed().as_secs_f64() / (rounds * n_states) as f64
-}
-
 fn run(config: Config) -> Result<(), String> {
     let Config {
         smoke,
@@ -161,25 +114,28 @@ fn run(config: Config) -> Result<(), String> {
         let suite = compile_case(&model, OptLevel::Full);
         let system = &suite.system;
         let tape = &suite.compiled.tape;
-        let exec: ExecTape = suite
+        let exec_len = suite
             .exec
-            .clone()
-            .unwrap_or_else(|| ExecTape::compile(tape));
+            .as_ref()
+            .expect("every artifact is decoded")
+            .len();
+        let interp = suite.kernel(EngineMode::Interp).kernel;
+        let exec = suite.kernel(EngineMode::Exec).kernel;
         let n = system.len();
         let rates = &system.rate_values;
         let y0: Vec<f64> = (0..n).map(|i| 0.1 + (i % 7) as f64 * 0.1).collect();
         let mut ydot = vec![0.0; n];
 
         let mut y = y0.clone();
-        let interp_secs = time_interp(tape, rates, &mut y, &mut ydot, iters);
+        let interp_secs = time_rhs(&*interp, rates, &mut y, &mut ydot, iters);
         let mut y = y0.clone();
-        let exec_secs = time_exec(&exec, rates, &mut y, &mut ydot, iters);
-        let batched_secs = time_batched(&exec, rates, &y0, iters);
+        let exec_secs = time_rhs(&*exec, rates, &mut y, &mut ydot, iters);
+        let batched_secs = time_rhs_batch(&*exec, rates, &y0, iters);
 
         println!(
             "{case:>5} {n:>6} {:>8} {:>8} | {:>10} {:>10} {:>10} | {:>8.2}x {:>8.2}x",
             tape.len(),
-            exec.len(),
+            exec_len,
             fmt_secs(interp_secs),
             fmt_secs(exec_secs),
             fmt_secs(batched_secs),
@@ -190,7 +146,7 @@ fn run(config: Config) -> Result<(), String> {
             case,
             equations: n,
             tape_instrs: tape.len(),
-            exec_instrs: exec.len(),
+            exec_instrs: exec_len,
             interp_secs,
             exec_secs,
             batched_secs,

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use rms_core::{CompiledOde, OptLevel};
+use rms_core::{CompiledOde, Kernel, KernelScratch, OptLevel, LANES};
 use rms_odegen::OdeSystem;
 use rms_suite::{CacheMode, CompilerSession, SessionOptions, SuiteModel};
 use rms_workload::VulcanizationModel;
@@ -85,7 +85,6 @@ pub fn compile_case_sens(model: &VulcanizationModel, level: OptLevel) -> SuiteMo
 pub fn system_for(model: &VulcanizationModel, simplify: bool) -> OdeSystem {
     let mut options = SessionOptions::new(OptLevel::None);
     options.gen_simplify = Some(simplify);
-    options.decode = false;
     compile_with(model, options).system.clone()
 }
 
@@ -106,6 +105,44 @@ pub fn time_tape_eval(compiled: &CompiledOde, system: &OdeSystem, iters: usize) 
     }
     std::hint::black_box(&ydot);
     t0.elapsed().as_secs_f64() / iters as f64
+}
+
+/// Seconds per scalar right-hand-side evaluation of `kernel` — whichever
+/// engine it belongs to.
+pub fn time_rhs(
+    kernel: &dyn Kernel,
+    rates: &[f64],
+    y: &mut [f64],
+    ydot: &mut [f64],
+    iters: usize,
+) -> f64 {
+    let mut scratch = KernelScratch::default();
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        kernel.rhs(rates, y, ydot, &mut scratch);
+        // Feed a little of the output back so the work is not dead code.
+        y[0] = 0.1 + ydot[0].abs().min(1.0) * 1e-9;
+    }
+    t0.elapsed().as_secs_f64() / iters as f64
+}
+
+/// Seconds per state of `kernel`'s batched right-hand side, evaluating
+/// `4 * LANES` states per call (the colored-FD sweep shape).
+pub fn time_rhs_batch(kernel: &dyn Kernel, rates: &[f64], y: &[f64], iters: usize) -> f64 {
+    let n_states = 4 * LANES;
+    let mut ys = Vec::with_capacity(n_states * y.len());
+    for s in 0..n_states {
+        ys.extend(y.iter().map(|v| v + 1e-6 * s as f64));
+    }
+    let mut ydots = vec![0.0; ys.len()];
+    let mut scratch = KernelScratch::default();
+    let rounds = (iters / n_states).max(1);
+    let t0 = Instant::now();
+    for _ in 0..rounds {
+        kernel.rhs_batch(rates, &ys, &mut ydots, &mut scratch);
+        ys[0] = 0.1 + ydots[0].abs().min(1.0) * 1e-9;
+    }
+    t0.elapsed().as_secs_f64() / (rounds * n_states) as f64
 }
 
 /// Write a JSON bench artifact, refusing to clobber full-run results

@@ -28,6 +28,7 @@ pub mod emit_c;
 pub mod exec;
 pub mod expr;
 pub mod generic;
+pub mod kernel;
 pub mod native;
 pub mod pipeline;
 pub mod simplify;
@@ -49,6 +50,7 @@ pub use generic::{
     generic_compile, generic_compile_best_effort, GenericError, GenericOptions, GenericResult,
     IR_BYTES_PER_OP, PAPER_MEMORY_BUDGET,
 };
+pub use kernel::{DerivGroup, DerivTapes, Kernel, KernelScratch, TapeKernel};
 pub use native::{
     compile_and_load, compile_and_load_units, compile_kernel, compile_kernel_units,
     probe_toolchain, CompileTiming, KernelMeta, NativeError, NativeKernel, Toolchain,

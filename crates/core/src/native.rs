@@ -513,21 +513,6 @@ impl NativeKernel {
         self.rolled_instrs
     }
 
-    /// Whether `ode_jac` was loaded.
-    pub fn has_jacobian(&self) -> bool {
-        self.jac.is_some()
-    }
-
-    /// Whether `ode_sens` was loaded.
-    pub fn has_sensitivity(&self) -> bool {
-        self.sens.is_some()
-    }
-
-    /// Analytic-Jacobian nnz (0 when absent).
-    pub fn jac_nnz(&self) -> usize {
-        self.meta.jac_nnz.unwrap_or(0)
-    }
-
     /// `∂f/∂p` nnz (0 when absent).
     pub fn dfdp_nnz(&self) -> usize {
         self.meta.sens_nnz.map_or(0, |(_, d)| d)

@@ -1,6 +1,8 @@
 //! The optimizer pipeline: ODE system → (simplify → distribute → CSE) →
 //! tape, with per-stage operation statistics for the Table 1 harness.
 
+use std::sync::Arc;
+
 use rms_odegen::{OdeSystem, OpCounts};
 
 use crate::cse::{cse_forest, CseOptions};
@@ -74,6 +76,24 @@ impl std::fmt::Display for OptLevel {
     }
 }
 
+impl std::str::FromStr for OptLevel {
+    type Err = String;
+
+    /// The names users type (`--level`, a job's `"level"`), not the
+    /// pass lists [`Display`](std::fmt::Display) prints.
+    fn from_str(s: &str) -> Result<OptLevel, String> {
+        match s {
+            "none" => Ok(OptLevel::None),
+            "simplify" => Ok(OptLevel::Simplify),
+            "algebraic" => Ok(OptLevel::Algebraic),
+            "full" => Ok(OptLevel::Full),
+            other => Err(format!(
+                "unknown level '{other}' (expected none|simplify|algebraic|full)"
+            )),
+        }
+    }
+}
+
 /// Individual pass switches (for ablation studies; [`OptLevel`] covers the
 /// paper's configurations).
 #[derive(Debug, Clone, Copy, Default)]
@@ -107,8 +127,9 @@ pub struct StageCounts {
 pub struct CompiledOde {
     /// Final expression forest (for C emission and inspection).
     pub forest: ExprForest,
-    /// Executable tape.
-    pub tape: Tape,
+    /// Executable tape, shared (never copied) with the kernels built
+    /// over it.
+    pub tape: Arc<Tape>,
     /// Per-stage statistics.
     pub stages: StageCounts,
 }
@@ -266,7 +287,7 @@ pub fn optimize_traced(
     }
     CompiledOde {
         forest,
-        tape,
+        tape: Arc::new(tape),
         stages,
     }
 }

@@ -1,0 +1,280 @@
+//! Engine selection: which of an artifact's [`Kernel`]s a solve runs.
+//!
+//! [`CompiledArtifact::kernel`] is the one place an [`EngineMode`] is
+//! interpreted. Everything downstream — the simulator, the estimator, the
+//! server — holds the `Arc<dyn Kernel>` it returns and never names an
+//! engine.
+
+use std::fmt;
+use std::str::FromStr;
+use std::sync::{Arc, OnceLock};
+
+use rms_core::{
+    species_dependencies, DerivGroup, DerivTapes, ExecTape, JacobianTapes, Kernel, NativeKernel,
+    SensitivityTapes, Tape, TapeKernel,
+};
+use rms_solver::SparsityPattern;
+
+use crate::session::CompiledArtifact;
+
+/// Which evaluator a solve asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EngineMode {
+    /// The tape interpreter (`Tape::eval_with_scratch`): one operand
+    /// `match` per instruction. The oracle the other engines are tested
+    /// against.
+    Interp,
+    /// The pre-decoded execution engine ([`ExecTape`]): operands resolved
+    /// to absolute frame indices at decode time, Mul+Add fused, and
+    /// Jacobian color sweeps evaluated in SIMD-batched lanes.
+    #[default]
+    Exec,
+    /// The `dlopen`ed native kernel (the *Codegen* stage output): the
+    /// tape compiled to machine code by the system C compiler. Degrades
+    /// to [`EngineMode::Exec`] when the artifact carries no kernel (e.g.
+    /// no C toolchain on this machine).
+    Native,
+    /// Size-aware selection between [`EngineMode::Native`] and
+    /// [`EngineMode::Exec`]: native when a kernel is attached and its
+    /// code is compact enough to stay in the instruction cache (always
+    /// true for rerolled kernels), batched exec otherwise. See
+    /// [`resolve_auto`].
+    Auto,
+}
+
+impl EngineMode {
+    /// Whether a compile meant to run at this mode should include the
+    /// *Codegen* stage (`SessionOptions::native`).
+    pub fn wants_native(self) -> bool {
+        self == EngineMode::Native || self == EngineMode::Auto
+    }
+}
+
+impl FromStr for EngineMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<EngineMode, String> {
+        match s {
+            "interp" => Ok(EngineMode::Interp),
+            "exec" => Ok(EngineMode::Exec),
+            "native" => Ok(EngineMode::Native),
+            "auto" => Ok(EngineMode::Auto),
+            other => Err(format!(
+                "unknown engine '{other}' (expected interp, exec, native or auto)"
+            )),
+        }
+    }
+}
+
+impl fmt::Display for EngineMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            EngineMode::Interp => "interp",
+            EngineMode::Exec => "exec",
+            EngineMode::Native => "native",
+            EngineMode::Auto => "auto",
+        })
+    }
+}
+
+/// The instruction-count crossover for [`EngineMode::Auto`]: above this
+/// many emitted statements, an *unrolled* native kernel's straight-line
+/// code overruns the instruction cache and the SIMD-batched exec engine
+/// wins (measured on the scaled vulcanization family; see
+/// `BENCH_codegen.json`). Rerolled kernels compress the code stream by
+/// one to two orders of magnitude, so the crossover only applies to
+/// unrolled emission.
+pub const NATIVE_CROSSOVER_INSTRS: usize = 32_768;
+
+/// Resolve [`EngineMode::Auto`] for a tape of `instrs` flat instructions
+/// and an optionally attached native kernel. Returns the concrete engine
+/// plus a human-readable reason (surfaced by the CLI and reports).
+pub fn resolve_auto(instrs: usize, kernel: Option<&NativeKernel>) -> (EngineMode, String) {
+    match kernel {
+        None => (
+            EngineMode::Exec,
+            format!("auto: no native kernel attached; batched exec engine over {instrs} instructions"),
+        ),
+        Some(k) if k.loop_count() > 0 => (
+            EngineMode::Native,
+            format!(
+                "auto: native kernel rerolled into {} loops ({} instructions absorbed), compact enough for the I-cache",
+                k.loop_count(),
+                k.rolled_instrs()
+            ),
+        ),
+        Some(_) if instrs <= NATIVE_CROSSOVER_INSTRS => (
+            EngineMode::Native,
+            format!(
+                "auto: unrolled kernel ({instrs} instructions) under the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover"
+            ),
+        ),
+        Some(_) => (
+            EngineMode::Exec,
+            format!(
+                "auto: unrolled kernel ({instrs} instructions) past the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover; batched exec engine"
+            ),
+        ),
+    }
+}
+
+/// What [`CompiledArtifact::kernel`] selected.
+#[derive(Debug, Clone)]
+pub struct KernelChoice {
+    /// The kernel every solve of this run evaluates.
+    pub kernel: Arc<dyn Kernel>,
+    /// The Jacobian sparsity patterns that kernel fills.
+    pub patterns: Arc<Patterns>,
+    /// The engine that kernel belongs to (never [`EngineMode::Auto`]).
+    pub engine: EngineMode,
+    /// Why: an explicit request, the `auto` heuristic's verdict, or what
+    /// made the requested engine unavailable.
+    pub reason: String,
+    /// The requested engine could not run and `engine` stands in for it.
+    pub degraded: bool,
+}
+
+/// The Jacobian sparsity patterns of one compiled model, each built on
+/// first use and then shared by every solve over the artifact.
+#[derive(Debug)]
+pub struct Patterns {
+    tape: Arc<Tape>,
+    derivs: DerivTapes,
+    fd: OnceLock<SparsityPattern>,
+    analytic: [OnceLock<SparsityPattern>; 2],
+}
+
+impl Patterns {
+    /// The species each right-hand side reads, from a dataflow walk of
+    /// the tape: the pattern colored finite differences perturb over.
+    pub fn fd(&self) -> &SparsityPattern {
+        self.fd.get_or_init(|| {
+            SparsityPattern::new(species_dependencies(&self.tape), self.tape.n_species)
+        })
+    }
+
+    /// The exact pattern of `group`'s analytic Jacobian; `None` when the
+    /// group was not compiled.
+    pub fn analytic(&self, group: DerivGroup) -> Option<&SparsityPattern> {
+        let slot = &self.analytic[group as usize];
+        if slot.get().is_none() {
+            let rows = match group {
+                DerivGroup::Jacobian => self.derivs.jacobian.as_ref()?.pattern_rows(),
+                DerivGroup::Sensitivity => self.derivs.sensitivity.as_ref()?.pattern_rows(),
+            };
+            // A racing thread built the same pattern; either copy serves.
+            let _ = slot.set(SparsityPattern::new(rows, self.tape.n_species));
+        }
+        slot.get()
+    }
+}
+
+/// One artifact's kernels: the same model behind every engine, sharing
+/// the instruction streams the artifact holds.
+#[derive(Debug, Clone)]
+pub(crate) struct Kernels {
+    interp: Arc<dyn Kernel>,
+    exec: Arc<dyn Kernel>,
+    native: Option<Arc<dyn Kernel>>,
+    patterns: Arc<Patterns>,
+}
+
+impl Kernels {
+    pub(crate) fn new(
+        tape: &Arc<Tape>,
+        exec: &Arc<ExecTape>,
+        jacobian: &Option<Arc<JacobianTapes>>,
+        sensitivity: &Option<Arc<SensitivityTapes>>,
+        native: &Option<Arc<NativeKernel>>,
+    ) -> Kernels {
+        let derivs = DerivTapes {
+            jacobian: jacobian.clone(),
+            sensitivity: sensitivity.clone(),
+        };
+        Kernels {
+            interp: Arc::new(TapeKernel::new(tape.clone(), derivs.clone())),
+            exec: Arc::new(TapeKernel::new(exec.clone(), derivs.clone())),
+            native: native
+                .as_ref()
+                .map(|k| Arc::new(TapeKernel::new(k.clone(), derivs.clone())) as Arc<dyn Kernel>),
+            patterns: Arc::new(Patterns {
+                tape: tape.clone(),
+                derivs,
+                fd: OnceLock::new(),
+                analytic: Default::default(),
+            }),
+        }
+    }
+}
+
+impl CompiledArtifact {
+    /// The kernel a run at `mode` evaluates, the engine it belongs to and
+    /// why. Explicit modes select their own kernel; a native request on
+    /// an artifact without one degrades to exec (never an error);
+    /// [`EngineMode::Auto`] resolves through [`resolve_auto`].
+    pub fn kernel(&self, mode: EngineMode) -> KernelChoice {
+        let explicit = |kernel: &Arc<dyn Kernel>| KernelChoice {
+            kernel: kernel.clone(),
+            patterns: self.kernels.patterns.clone(),
+            engine: mode,
+            reason: format!("{mode} engine explicitly selected"),
+            degraded: false,
+        };
+        match (mode, &self.kernels.native) {
+            (EngineMode::Interp, _) => explicit(&self.kernels.interp),
+            (EngineMode::Exec, _) => explicit(&self.kernels.exec),
+            (EngineMode::Native, Some(native)) => explicit(native),
+            (EngineMode::Native, None) => KernelChoice {
+                engine: EngineMode::Exec,
+                reason: format!(
+                    "native engine unavailable: {}",
+                    self.native_diag
+                        .as_deref()
+                        .unwrap_or("no compiled kernel on this artifact")
+                ),
+                degraded: true,
+                ..explicit(&self.kernels.exec)
+            },
+            (EngineMode::Auto, _) => {
+                let instrs = self.exec.as_ref().map_or(0, |e| e.len());
+                let (engine, reason) = resolve_auto(instrs, self.native.as_deref());
+                KernelChoice {
+                    reason,
+                    ..self.kernel(engine)
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn engine_mode_parses_round_trip() {
+        for mode in [
+            EngineMode::Interp,
+            EngineMode::Exec,
+            EngineMode::Native,
+            EngineMode::Auto,
+        ] {
+            assert_eq!(mode.to_string().parse::<EngineMode>().unwrap(), mode);
+        }
+        assert!("jit".parse::<EngineMode>().is_err());
+        assert_eq!(EngineMode::default(), EngineMode::Exec);
+    }
+
+    #[test]
+    fn resolve_auto_applies_the_icache_crossover() {
+        let (small, r) = resolve_auto(100, None);
+        assert_eq!(small, EngineMode::Exec);
+        assert!(r.starts_with("auto:"), "{r}");
+        // Without a kernel the crossover is moot — even a huge model
+        // resolves to exec; kernel-bearing cases are covered end-to-end
+        // in tests/native_engine.rs (they need a C toolchain).
+        let (huge, r) = resolve_auto(NATIVE_CROSSOVER_INSTRS * 10, None);
+        assert_eq!(huge, EngineMode::Exec);
+        assert!(r.starts_with("auto:"), "{r}");
+    }
+}

@@ -43,6 +43,7 @@
 pub mod cache;
 pub mod codegen;
 pub mod diag;
+pub mod engine;
 pub mod report;
 pub mod serial;
 pub mod session;
@@ -50,6 +51,7 @@ pub mod stage;
 
 pub use cache::{CacheMode, CacheStats, CacheStatus};
 pub use diag::{Diagnostic, Diagnostics, Severity, Span};
+pub use engine::{resolve_auto, EngineMode, KernelChoice, Patterns, NATIVE_CROSSOVER_INSTRS};
 pub use report::{PipelineReport, StageRecord};
 pub use session::{Compiled, CompiledArtifact, CompilerSession, SessionOptions};
 pub use stage::Stage;

@@ -14,6 +14,7 @@
 
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 use rms_core::{
     CompiledOde, Expr, ExprForest, Instr, JacobianTapes, Operand, StageCounts, Tape, TempId,
@@ -203,7 +204,7 @@ fn parse_payload(r: &mut Reader, expected_key: u128) -> Option<DiskArtifact> {
         rates,
         compiled: CompiledOde {
             forest,
-            tape,
+            tape: Arc::new(tape),
             stages,
         },
         jacobian,

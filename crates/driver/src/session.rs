@@ -27,6 +27,7 @@ use rms_rdl::{
 
 use crate::cache::{self, CacheMode, CacheStatus};
 use crate::diag::Diagnostic;
+use crate::engine::Kernels;
 use crate::report::{PipelineReport, StageRecord};
 use crate::serial;
 use crate::stage::Stage;
@@ -50,10 +51,6 @@ pub struct SessionOptions {
     /// `∂f/∂p` sharing one register file), part of the *Deriv* stage:
     /// enables one-solve residual Jacobians in the estimator.
     pub sensitivity: bool,
-    /// Pre-decode the lowered tape into an [`ExecTape`] (the
-    /// *ExecDecode* stage). On by default: the execution engine is the
-    /// runtime default.
-    pub decode: bool,
     /// Emit C for the tape(s), compile it with the system C compiler, and
     /// `dlopen` the result (the *Codegen* stage). Codegen failures never
     /// fail the compile: the artifact carries a diagnostic instead of a
@@ -86,7 +83,7 @@ pub struct SessionOptions {
 
 impl SessionOptions {
     /// Defaults at a named level: derived pass switches, no Jacobian,
-    /// exec pre-decode on, in-memory cache, no dumps.
+    /// in-memory cache, no dumps.
     pub fn new(level: OptLevel) -> SessionOptions {
         SessionOptions {
             level,
@@ -94,7 +91,6 @@ impl SessionOptions {
             gen_simplify: None,
             deriv: false,
             sensitivity: false,
-            decode: true,
             native: false,
             reroll: true,
             frontend_threads: 0,
@@ -148,7 +144,6 @@ impl SessionOptions {
         self.effective_gen_simplify().hash(h);
         self.deriv.hash(h);
         self.sensitivity.hash(h);
-        self.decode.hash(h);
         self.native.hash(h);
         self.reroll.hash(h);
         // The frontend options cannot change the produced network (the
@@ -176,13 +171,14 @@ pub struct CompiledArtifact {
     /// Optimizer output: forest, tape, per-stage op counts.
     pub compiled: CompiledOde,
     /// Analytic sparse Jacobian tapes, when the *Deriv* stage ran.
-    pub jacobian: Option<JacobianTapes>,
+    pub jacobian: Option<Arc<JacobianTapes>>,
     /// Parameter-sensitivity tapes (RHS + Jacobian + `∂f/∂p`), when
     /// requested. Not persisted to disk; revived artifacts recompile them
     /// from the forest.
-    pub sensitivity: Option<SensitivityTapes>,
-    /// Pre-decoded execution tape, when the *ExecDecode* stage ran.
-    pub exec: Option<ExecTape>,
+    pub sensitivity: Option<Arc<SensitivityTapes>>,
+    /// Pre-decoded execution tape (the *ExecDecode* stage output). Every
+    /// artifact carries one: the execution engine is the runtime default.
+    pub exec: Option<Arc<ExecTape>>,
     /// Loaded native kernel, when the *Codegen* stage ran and succeeded.
     pub native: Option<Arc<rms_core::NativeKernel>>,
     /// Why there is no native kernel although one was requested (missing
@@ -200,6 +196,9 @@ pub struct CompiledArtifact {
     /// The equation generator's simplify switch used (needed to
     /// regenerate the system identically when reviving from disk).
     pub gen_simplify: bool,
+    /// The tapes and the native object above as [`rms_core::Kernel`]s;
+    /// selected through [`CompiledArtifact::kernel`].
+    pub(crate) kernels: Kernels,
 }
 
 impl CompiledArtifact {
@@ -546,14 +545,18 @@ impl CompilerSession {
 
         let (jacobian, sensitivity) = if self.options.deriv || self.options.sensitivity {
             let clock = Instant::now();
-            let jacobian = self
-                .options
-                .deriv
-                .then(|| compile_jacobian(&compiled.forest, Some(CseOptions::default())));
-            let sensitivity = self
-                .options
-                .sensitivity
-                .then(|| compile_sensitivity(&compiled.forest, Some(CseOptions::default())));
+            let jacobian = self.options.deriv.then(|| {
+                Arc::new(compile_jacobian(
+                    &compiled.forest,
+                    Some(CseOptions::default()),
+                ))
+            });
+            let sensitivity = self.options.sensitivity.then(|| {
+                Arc::new(compile_sensitivity(
+                    &compiled.forest,
+                    Some(CseOptions::default()),
+                ))
+            });
             let mut record = StageRecord::new(Stage::Deriv, clock.elapsed().as_secs_f64());
             if let Some(tapes) = &jacobian {
                 // Sparse-Newton symbolic analysis of I − hβJ over the exact
@@ -611,26 +614,21 @@ impl CompilerSession {
             (None, None)
         };
 
-        let exec = if self.options.decode {
-            let clock = Instant::now();
-            let exec = ExecTape::compile(&compiled.tape);
-            records.push(
-                StageRecord::new(Stage::ExecDecode, clock.elapsed().as_secs_f64())
-                    .metric("instrs", exec.len() as f64)
-                    .metric("fused", (compiled.tape.instrs.len() - exec.len()) as f64),
-            );
-            dump.offer(Stage::ExecDecode, || {
-                format!(
-                    "; exec tape: {} instrs (fused from {}), op counts {}\n",
-                    exec.len(),
-                    compiled.tape.instrs.len(),
-                    exec.op_counts()
-                )
-            });
-            Some(exec)
-        } else {
-            None
-        };
+        let clock = Instant::now();
+        let exec = Arc::new(ExecTape::compile(&compiled.tape));
+        records.push(
+            StageRecord::new(Stage::ExecDecode, clock.elapsed().as_secs_f64())
+                .metric("instrs", exec.len() as f64)
+                .metric("fused", (compiled.tape.instrs.len() - exec.len()) as f64),
+        );
+        dump.offer(Stage::ExecDecode, || {
+            format!(
+                "; exec tape: {} instrs (fused from {}), op counts {}\n",
+                exec.len(),
+                compiled.tape.instrs.len(),
+                exec.op_counts()
+            )
+        });
 
         let (native, native_diag) = if self.options.native {
             let clock = Instant::now();
@@ -646,8 +644,8 @@ impl CompilerSession {
                 crate::codegen::render_kernel(
                     name,
                     &compiled.tape,
-                    jacobian.as_ref(),
-                    sensitivity.as_ref(),
+                    jacobian.as_deref(),
+                    sensitivity.as_deref(),
                     self.options.reroll,
                     key,
                 )
@@ -691,6 +689,7 @@ impl CompilerSession {
         };
         report.finish();
 
+        let kernels = Kernels::new(&compiled.tape, &exec, &jacobian, &sensitivity, &native);
         Ok(CompiledArtifact {
             name: name.to_string(),
             network,
@@ -699,13 +698,14 @@ impl CompilerSession {
             compiled,
             jacobian,
             sensitivity,
-            exec,
+            exec: Some(exec),
             native,
             native_diag,
             warnings,
             report,
             key,
             gen_simplify,
+            kernels,
         })
     }
 
@@ -734,23 +734,20 @@ impl CompilerSession {
             },
         )
         .ok()?;
-        let jacobian = match (self.options.deriv, jacobian) {
-            (false, _) => None,
-            (true, Some(tapes)) => Some(tapes),
-            (true, None) => Some(compile_jacobian(
+        let jacobian =
+            self.options.deriv.then(|| {
+                Arc::new(jacobian.unwrap_or_else(|| {
+                    compile_jacobian(&compiled.forest, Some(CseOptions::default()))
+                }))
+            });
+        // Sensitivity tapes are never persisted; recompile on revival.
+        let sensitivity = self.options.sensitivity.then(|| {
+            Arc::new(compile_sensitivity(
                 &compiled.forest,
                 Some(CseOptions::default()),
-            )),
-        };
-        // Sensitivity tapes are never persisted; recompile on revival.
-        let sensitivity = self
-            .options
-            .sensitivity
-            .then(|| compile_sensitivity(&compiled.forest, Some(CseOptions::default())));
-        let exec = self
-            .options
-            .decode
-            .then(|| ExecTape::compile(&compiled.tape));
+            ))
+        });
+        let exec = Arc::new(ExecTape::compile(&compiled.tape));
         // Re-attach the native kernel: usually a straight dlopen of the
         // `.so` cached beside the artifact, recompiling if it is missing
         // or was quarantined.
@@ -767,8 +764,8 @@ impl CompilerSession {
                 crate::codegen::render_kernel(
                     &name,
                     &compiled.tape,
-                    jacobian.as_ref(),
-                    sensitivity.as_ref(),
+                    jacobian.as_deref(),
+                    sensitivity.as_deref(),
                     self.options.reroll,
                     key,
                 )
@@ -777,6 +774,7 @@ impl CompilerSession {
         } else {
             (None, None)
         };
+        let kernels = Kernels::new(&compiled.tape, &exec, &jacobian, &sensitivity, &native);
         Some(CompiledArtifact {
             name,
             network,
@@ -785,13 +783,14 @@ impl CompilerSession {
             compiled,
             jacobian,
             sensitivity,
-            exec,
+            exec: Some(exec),
             native,
             native_diag,
             warnings: Vec::new(),
             report,
             key,
             gen_simplify,
+            kernels,
         })
     }
 }

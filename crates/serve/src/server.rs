@@ -452,25 +452,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn parse_level(name: &str) -> Option<OptLevel> {
-    match name {
-        "none" => Some(OptLevel::None),
-        "simplify" => Some(OptLevel::Simplify),
-        "algebraic" => Some(OptLevel::Algebraic),
-        "full" => Some(OptLevel::Full),
-        _ => None,
-    }
-}
-
 /// Compile and execute one job. Every failure returns a structured
 /// [`JobError`]; deadline/panic classification happens in [`process`].
 fn run_job(inner: &Arc<Inner>, job: &Job) -> Result<Value, JobError> {
-    let level = parse_level(&job.req.level).ok_or_else(|| JobError::Invalid {
-        message: format!(
-            "unknown level '{}' (expected none|simplify|algebraic|full)",
-            job.req.level
-        ),
-    })?;
+    let level: OptLevel = job
+        .req
+        .level
+        .parse()
+        .map_err(|message| JobError::Invalid { message })?;
     let mut options = SessionOptions::new(level);
     options.deriv = true;
     options.cache_dir = inner.cache_dir.clone();

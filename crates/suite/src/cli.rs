@@ -307,11 +307,10 @@ fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
 
 fn parse_level(args: &[String]) -> Result<OptLevel, CliError> {
     match flag_value(args, "--level") {
-        None | Some("full") => Ok(OptLevel::Full),
-        Some("none") => Ok(OptLevel::None),
-        Some("simplify") => Ok(OptLevel::Simplify),
-        Some("algebraic") => Ok(OptLevel::Algebraic),
-        Some(other) => Err(usage_err(format!("unknown --level '{other}'"))),
+        None => Ok(OptLevel::Full),
+        Some(v) => v
+            .parse()
+            .map_err(|_: String| usage_err(format!("unknown --level '{v}'"))),
     }
 }
 
@@ -893,7 +892,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 LoadOptions {
                     cache_dir: cache_dir.as_deref(),
                     deriv: *jacobian == JacobianMode::Analytic,
-                    native: matches!(engine, EngineMode::Native | EngineMode::Auto),
+                    native: engine.wants_native(),
                     reroll: *reroll,
                     frontend_threads: *frontend_threads,
                     ..LoadOptions::default()
@@ -907,23 +906,17 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 ..SolverOptions::default()
             };
             let mut out = String::new();
-            // Requested native but no kernel attached: say why and run
-            // on the exec engine anyway (exit 0 — degradation, not
-            // failure).
-            if *engine == EngineMode::Native && model.artifact().native.is_none() {
-                let why = model
-                    .artifact()
-                    .native_diag
-                    .as_deref()
-                    .unwrap_or("no compiled kernel on this artifact");
-                let _ = writeln!(out, "warning: native engine unavailable: {why}");
-                let _ = writeln!(out, "warning: falling back to the exec engine");
-            }
-            // Size-aware engine selection: record which engine auto
-            // picked and why, so the choice is auditable from the output.
-            if *engine == EngineMode::Auto {
-                let (chosen, why) = model.engine_choice(*engine);
-                let _ = writeln!(out, "engine: {chosen} ({why})");
+            // The engine that runs is the artifact's choice, not the flag.
+            // A native request without a kernel says why and runs on the
+            // stand-in anyway (exit 0 — degradation, not failure); `auto`
+            // records what it picked, so the choice is auditable from the
+            // output.
+            let choice = model.kernel(*engine);
+            if choice.degraded {
+                let _ = writeln!(out, "warning: {}", choice.reason);
+                let _ = writeln!(out, "warning: falling back to the {} engine", choice.engine);
+            } else if choice.engine != *engine {
+                let _ = writeln!(out, "engine: {} ({})", choice.engine, choice.reason);
             }
             let solution = model
                 .simulate_configured(&times, options, *jacobian, *engine)

@@ -43,13 +43,14 @@ pub use rms_core::{
     compact_registers, compile_jacobian, compile_sensitivity, differentiate_forest, emit_c,
     emit_kernel, generic_compile, generic_compile_best_effort, lower, optimize,
     optimize_with_passes, probe_toolchain, species_dependencies, CompiledOde, CseOptions,
-    ExecFrame, ExecTape, Expr, ExprForest, GenericError, GenericOptions, JacobianTapes, KernelMeta,
-    KernelSpec, NativeError, NativeKernel, OptLevel, Passes, SensitivityTapes, Tape, Toolchain,
-    FMA_CONTRACTS, IR_BYTES_PER_OP, PAPER_MEMORY_BUDGET,
+    DerivGroup, ExecFrame, ExecTape, Expr, ExprForest, GenericError, GenericOptions, JacobianTapes,
+    Kernel, KernelMeta, KernelScratch, KernelSpec, NativeError, NativeKernel, OptLevel, Passes,
+    SensitivityTapes, Tape, Toolchain, FMA_CONTRACTS, IR_BYTES_PER_OP, PAPER_MEMORY_BUDGET,
 };
 pub use rms_driver::{
-    cache, CacheMode, CacheStats, CacheStatus, Compiled, CompiledArtifact, CompilerSession,
-    Diagnostic, PipelineReport, SessionOptions, Span, Stage, StageRecord,
+    cache, resolve_auto, CacheMode, CacheStats, CacheStatus, Compiled, CompiledArtifact,
+    CompilerSession, Diagnostic, EngineMode, KernelChoice, PipelineReport, SessionOptions, Span,
+    Stage, StageRecord, NATIVE_CROSSOVER_INSTRS,
 };
 pub use rms_molecule as molecule;
 pub use rms_nlopt::{bounded_fd_step, FitStatistics, LmOptions, LmResult, Residual, StopReason};
@@ -72,10 +73,7 @@ pub use rms_solver::{
     SparsityPattern, SymbolicLu,
 };
 pub use rms_workload as workload;
-pub use rms_workload::{
-    resolve_auto, EngineMode, ExecRhs, JacobianMode, NativeJacobian, NativeRhs, NativeSensitivity,
-    TapeJacobian, TapeSensitivity, TapeSimulator, NATIVE_CROSSOVER_INSTRS,
-};
+pub use rms_workload::{BoundKernel, JacobianMode, TapeSimulator};
 
 /// Any error from the end-to-end pipeline: a span-carrying diagnostic
 /// naming the [`Stage`] that rejected the model.
@@ -119,8 +117,19 @@ impl SuiteModel {
     /// and sensitivity `ode_sens` — exactly what the *Codegen* stage
     /// hands to the system C compiler (`rmsc compile --emit c`).
     pub fn emit_native_c(&self) -> String {
-        let jacobian = self.jacobian();
-        let sensitivity = self.sensitivity();
+        // All four entry points, whether or not this session compiled
+        // the derivative groups.
+        let cse = Some(CseOptions::default());
+        let jacobian = self
+            .artifact
+            .jacobian
+            .clone()
+            .unwrap_or_else(|| Arc::new(compile_jacobian(&self.compiled.forest, cse)));
+        let sensitivity = self
+            .artifact
+            .sensitivity
+            .clone()
+            .unwrap_or_else(|| Arc::new(compile_sensitivity(&self.compiled.forest, cse)));
         emit_kernel(&KernelSpec {
             name: &self.name,
             rhs: &self.compiled.tape,
@@ -133,7 +142,7 @@ impl SuiteModel {
 
     /// Simulate the system from its declared initial concentrations,
     /// returning the full state at each requested time (BDF stiff solver
-    /// with dense finite-difference Jacobians — the historic default).
+    /// with dense finite-difference Jacobians, on the default engine).
     pub fn simulate(
         &self,
         times: &[f64],
@@ -143,10 +152,7 @@ impl SuiteModel {
     }
 
     /// [`simulate`](SuiteModel::simulate) with an explicit Jacobian
-    /// source. [`JacobianMode::Analytic`] uses the artifact's cached
-    /// sparse Jacobian tapes when the session compiled them (see
-    /// [`jacobian`](SuiteModel::jacobian)). Runs on the default
-    /// execution engine ([`EngineMode::Exec`]).
+    /// source, on the default engine.
     pub fn simulate_with_jacobian(
         &self,
         times: &[f64],
@@ -157,10 +163,12 @@ impl SuiteModel {
     }
 
     /// Fully configured simulation: explicit Jacobian source *and*
-    /// right-hand-side engine. [`EngineMode::Exec`] reuses the
-    /// artifact's pre-decoded [`ExecTape`] (the pipeline's *ExecDecode*
-    /// stage) when present; [`EngineMode::Interp`] walks the legacy tape
-    /// interpreter.
+    /// engine. The engine resolves through [`CompiledArtifact::kernel`]
+    /// and the solve runs over the same [`BoundKernel`] a [`TapeSimulator`] uses, so
+    /// the two cannot disagree: [`JacobianMode::Analytic`] evaluates the
+    /// artifact's *Deriv*-stage tapes — natively on a native kernel — and
+    /// falls back to colored finite differences when the session did not
+    /// compile them.
     pub fn simulate_configured(
         &self,
         times: &[f64],
@@ -168,118 +176,12 @@ impl SuiteModel {
         mode: JacobianMode,
         engine: EngineMode,
     ) -> Result<Vec<Vec<f64>>, rms_solver::SolverError> {
-        match engine {
-            EngineMode::Exec => {
-                let decoded;
-                let exec = match &self.artifact.exec {
-                    Some(exec) => exec,
-                    None => {
-                        decoded = ExecTape::compile(&self.compiled.tape);
-                        &decoded
-                    }
-                };
-                let rhs = ExecRhs::new(exec, &self.system.rate_values);
-                self.solve_bdf_configured(&rhs, times, options, mode)
-            }
-            EngineMode::Interp => {
-                let tape = &self.compiled.tape;
-                let scratch = std::cell::RefCell::new(Vec::new());
-                let rhs =
-                    rms_solver::FnRhs::new(self.system.len(), |_t, y: &[f64], ydot: &mut [f64]| {
-                        tape.eval_with_scratch(
-                            &self.system.rate_values,
-                            y,
-                            ydot,
-                            &mut scratch.borrow_mut(),
-                        );
-                    });
-                self.solve_bdf_configured(&rhs, times, options, mode)
-            }
-            EngineMode::Native => match &self.artifact.native {
-                Some(kernel) => {
-                    let rhs = NativeRhs::new(kernel, &self.system.rate_values);
-                    self.solve_bdf_configured(&rhs, times, options, mode)
-                }
-                // Graceful degradation: no kernel on this artifact (native
-                // not requested at compile time, no toolchain, codegen
-                // failure) → the exec engine. The CLI renders
-                // `artifact.native_diag` so the fallback is visible.
-                None => self.simulate_configured(times, options, mode, EngineMode::Exec),
-            },
-            EngineMode::Auto => {
-                let (resolved, _) = self.engine_choice(EngineMode::Auto);
-                self.simulate_configured(times, options, mode, resolved)
-            }
-        }
-    }
-
-    /// Which engine a run at `engine` will actually use, with a
-    /// human-readable reason. Explicit modes resolve to themselves;
-    /// [`EngineMode::Auto`] applies the instruction-count/I-cache
-    /// crossover heuristic against the attached native kernel (see
-    /// [`resolve_auto`]).
-    pub fn engine_choice(&self, engine: EngineMode) -> (EngineMode, String) {
-        if engine != EngineMode::Auto {
-            return (engine, format!("{engine} engine explicitly selected"));
-        }
-        let instrs = self
-            .artifact
-            .exec
-            .as_ref()
-            .map_or(self.compiled.tape.len(), |e| e.len());
-        resolve_auto(instrs, self.artifact.native.as_deref())
-    }
-
-    /// Engine-generic BDF solve under a chosen Jacobian source.
-    fn solve_bdf_configured<R: OdeRhs>(
-        &self,
-        rhs: &R,
-        times: &[f64],
-        options: SolverOptions,
-        mode: JacobianMode,
-    ) -> Result<Vec<Vec<f64>>, rms_solver::SolverError> {
-        // Declared before the solve so the provider outlives the borrow
-        // the solver holds on it.
-        let tapes;
-        let provider;
-        let source = match mode {
-            JacobianMode::Analytic => {
-                tapes = self.jacobian();
-                provider = TapeJacobian::new(&tapes, &self.system.rate_values);
-                JacobianSource::AnalyticTape(&provider)
-            }
-            JacobianMode::FdColored => JacobianSource::FdColored(SparsityPattern::new(
-                species_dependencies(&self.compiled.tape),
-                self.system.len(),
-            )),
-            JacobianMode::FdDense => JacobianSource::FdDense,
-        };
+        let choice = self.artifact.kernel(engine);
+        let bound = BoundKernel::new(&choice, &self.system.rate_values, DerivGroup::Jacobian);
+        let source = bound.jacobian_source(mode);
         let (sol, _) =
-            solve_bdf_with_jacobian(rhs, 0.0, &self.system.initial, times, options, source)?;
+            solve_bdf_with_jacobian(&bound, 0.0, &self.system.initial, times, options, source)?;
         Ok(sol)
-    }
-
-    /// The analytic sparse Jacobian tapes for this model (CSE-shared
-    /// with the right-hand side). Returns the artifact's cached tapes
-    /// when the session ran the *Deriv* stage; compiles them on the fly
-    /// otherwise.
-    pub fn jacobian(&self) -> JacobianTapes {
-        match &self.artifact.jacobian {
-            Some(tapes) => tapes.clone(),
-            None => compile_jacobian(&self.compiled.forest, Some(CseOptions::default())),
-        }
-    }
-
-    /// The parameter-sensitivity tapes for this model (RHS + Jacobian +
-    /// `∂f/∂p` sharing one register file). Returns the artifact's cached
-    /// tapes when the session compiled them
-    /// ([`SessionOptions::sensitivity`]); compiles them on the fly
-    /// otherwise.
-    pub fn sensitivity(&self) -> SensitivityTapes {
-        match &self.artifact.sensitivity {
-            Some(tapes) => tapes.clone(),
-            None => compile_sensitivity(&self.compiled.forest, Some(CseOptions::default())),
-        }
     }
 
     /// Concentration index of a named species.
@@ -289,8 +191,7 @@ impl SuiteModel {
 
     /// Build a [`TapeSimulator`] measuring the summed concentration of
     /// the named species (e.g. all crosslink products). The simulator
-    /// reuses the artifact's pre-decoded execution tape and analytic
-    /// Jacobian rather than re-deriving them.
+    /// shares the artifact's kernels rather than copying them.
     pub fn simulator_for(&self, observed: &[&str]) -> TapeSimulator {
         let mut observable = vec![0.0; self.system.len()];
         for name in observed {

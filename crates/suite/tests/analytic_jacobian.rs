@@ -5,10 +5,9 @@
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    compile_model, compile_source, fd_jacobian, fd_jacobian_colored, AnalyticJacobian, FnRhs,
-    JacobianMode, OdeRhs, OptLevel, SolverOptions, SuiteModel, TapeJacobian,
+    fd_jacobian, fd_jacobian_colored, AnalyticJacobian, BoundKernel, CompilerSession, DerivGroup,
+    EngineMode, JacobianMode, OdeRhs, OptLevel, SessionOptions, SolverOptions, SuiteModel,
 };
-use std::cell::RefCell;
 
 const LEVELS: [OptLevel; 4] = [
     OptLevel::None,
@@ -17,8 +16,20 @@ const LEVELS: [OptLevel; 4] = [
     OptLevel::Full,
 ];
 
+/// A session whose artifacts carry the analytic Jacobian tapes.
+fn deriv_session(level: OptLevel) -> CompilerSession {
+    let mut options = SessionOptions::new(level);
+    options.deriv = true;
+    CompilerSession::with_options(options)
+}
+
 fn rdl_model(level: OptLevel) -> SuiteModel {
-    compile_source(VULCANIZATION_RDL, level).expect("RDL workload model compiles")
+    SuiteModel::from_artifact(
+        deriv_session(level)
+            .compile_source("<rdl>", VULCANIZATION_RDL)
+            .expect("RDL workload model compiles")
+            .artifact,
+    )
 }
 
 fn programmatic_model(level: OptLevel) -> SuiteModel {
@@ -27,7 +38,12 @@ fn programmatic_model(level: OptLevel) -> SuiteModel {
         max_chain: 3,
         neighbourhood: 1,
     });
-    compile_model(model.network, model.rates, level).expect("programmatic workload model compiles")
+    SuiteModel::from_artifact(
+        deriv_session(level)
+            .compile_network("<network>", model.network, model.rates)
+            .expect("programmatic workload model compiles")
+            .artifact,
+    )
 }
 
 /// A generic strictly positive state so every structural entry is
@@ -40,26 +56,24 @@ fn probe_state(n: usize) -> Vec<f64> {
 /// exactness of the extracted sparsity (off-pattern entries vanish).
 fn check_against_dense_fd(model: &SuiteModel, label: &str) {
     let n = model.system.len();
-    let tape = &model.compiled.tape;
-    let rates = &model.system.rate_values;
-    let scratch = RefCell::new(Vec::new());
-    let rhs = FnRhs::new(n, |_t, y: &[f64], ydot: &mut [f64]| {
-        tape.eval_with_scratch(rates, y, ydot, &mut scratch.borrow_mut());
-    });
+    // The interpreter kernel bound to the model's own rates: the RHS the
+    // finite differences perturb and the analytic provider they check.
+    let choice = model.kernel(EngineMode::Interp);
+    let provider = BoundKernel::new(&choice, &model.system.rate_values, DerivGroup::Jacobian);
+    let rhs = &provider;
 
-    let tapes = model.jacobian();
-    assert_eq!(tapes.n_species, n, "{label}");
-    let provider = TapeJacobian::new(&tapes, rates);
+    let entries = choice.kernel.jac_entries(DerivGroup::Jacobian).unwrap();
+    assert_eq!(choice.kernel.n_species(), n, "{label}");
     let y = probe_state(n);
-    let mut vals = vec![0.0; tapes.nnz()];
+    let mut vals = vec![0.0; entries.len()];
     provider.eval_values(0.0, &y, &mut vals);
 
     let mut f = vec![0.0; n];
     rhs.eval(0.0, &y, &mut f);
-    let (dense, _) = fd_jacobian(&rhs, 0.0, &y, &f);
+    let (dense, _) = fd_jacobian(rhs, 0.0, &y, &f);
 
     let mut in_pattern = vec![vec![false; n]; n];
-    for (&(i, j), &a) in tapes.entries.iter().zip(&vals) {
+    for (&(i, j), &a) in entries.iter().zip(&vals) {
         in_pattern[i as usize][j as usize] = true;
         let b = dense[(i as usize, j as usize)];
         assert!(
@@ -83,27 +97,23 @@ fn check_against_dense_fd(model: &SuiteModel, label: &str) {
 /// Analytic tape values vs colored FD over the exact analytic pattern.
 fn check_against_colored_fd(model: &SuiteModel, label: &str) {
     let n = model.system.len();
-    let tape = &model.compiled.tape;
-    let rates = &model.system.rate_values;
-    let scratch = RefCell::new(Vec::new());
-    let rhs = FnRhs::new(n, |_t, y: &[f64], ydot: &mut [f64]| {
-        tape.eval_with_scratch(rates, y, ydot, &mut scratch.borrow_mut());
-    });
+    let choice = model.kernel(EngineMode::Interp);
+    let provider = BoundKernel::new(&choice, &model.system.rate_values, DerivGroup::Jacobian);
+    let rhs = &provider;
 
-    let tapes = model.jacobian();
-    let provider = TapeJacobian::new(&tapes, rates);
+    let entries = choice.kernel.jac_entries(DerivGroup::Jacobian).unwrap();
     let y = probe_state(n);
-    let mut vals = vec![0.0; tapes.nnz()];
+    let mut vals = vec![0.0; entries.len()];
     provider.eval_values(0.0, &y, &mut vals);
 
     let pattern = provider.pattern();
     let (colors, n_colors) = pattern.color_columns();
     let mut f = vec![0.0; n];
     rhs.eval(0.0, &y, &mut f);
-    let (colored, evals) = fd_jacobian_colored(&rhs, 0.0, &y, &f, pattern, &colors, n_colors);
+    let (colored, evals) = fd_jacobian_colored(rhs, 0.0, &y, &f, pattern, &colors, n_colors);
     assert!(evals <= n, "{label}: coloring should not exceed n");
 
-    for (&(i, j), &a) in tapes.entries.iter().zip(&vals) {
+    for (&(i, j), &a) in entries.iter().zip(&vals) {
         let b = colored[(i as usize, j as usize)];
         assert!(
             (a - b).abs() <= 1e-6 * a.abs().max(1.0),

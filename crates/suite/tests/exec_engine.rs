@@ -5,12 +5,25 @@
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    compile_model, compile_source, EngineMode, ExecTape, JacobianMode, OptLevel, SolverOptions,
+    CompilerSession, EngineMode, ExecTape, JacobianMode, OptLevel, SessionOptions, SolverOptions,
     SuiteModel, FMA_CONTRACTS,
 };
 
+/// A session whose artifacts carry the analytic Jacobian tapes, so
+/// `JacobianMode::Analytic` below really runs them.
+fn deriv_session() -> CompilerSession {
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.deriv = true;
+    CompilerSession::with_options(options)
+}
+
 fn rdl_model() -> SuiteModel {
-    compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("RDL workload model compiles")
+    SuiteModel::from_artifact(
+        deriv_session()
+            .compile_source("<rdl>", VULCANIZATION_RDL)
+            .expect("RDL workload model compiles")
+            .artifact,
+    )
 }
 
 fn programmatic_model() -> SuiteModel {
@@ -19,8 +32,12 @@ fn programmatic_model() -> SuiteModel {
         max_chain: 3,
         neighbourhood: 1,
     });
-    compile_model(model.network, model.rates, OptLevel::Full)
-        .expect("programmatic workload model compiles")
+    SuiteModel::from_artifact(
+        deriv_session()
+            .compile_network("<network>", model.network, model.rates)
+            .expect("programmatic workload model compiles")
+            .artifact,
+    )
 }
 
 /// The interpreter and the execution engine must produce equivalent BDF

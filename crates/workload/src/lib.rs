@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod binding;
 pub mod expdata;
 pub mod frontier;
 pub mod rdl_model;
@@ -25,14 +26,12 @@ pub mod simulate;
 pub mod testcases;
 pub mod vulcanization;
 
+pub use binding::BoundKernel;
 pub use expdata::{synthesize, ExpDataSpec};
 pub use frontier::FrontierSpec;
 pub use rdl_model::VULCANIZATION_RDL;
 pub use rms_solver::LinearSolver;
-pub use simulate::{
-    resolve_auto, EngineMode, ExecRhs, FallbackStats, JacobianMode, NativeJacobian, NativeRhs,
-    NativeSensitivity, TapeJacobian, TapeSensitivity, TapeSimulator, NATIVE_CROSSOVER_INSTRS,
-};
+pub use simulate::{FallbackStats, JacobianMode, TapeSimulator};
 pub use testcases::{paper_case, scaled_case, Table1Reference, Table2Reference, TABLE1, TABLE2};
 pub use vulcanization::{
     generate_model, VulcanizationModel, VulcanizationSpec, RATE_NAMES, TRUE_RATES,

@@ -1,191 +1,23 @@
-//! The chemistry simulation backend: compiled ODE tape + stiff solver +
+//! The chemistry simulation backend: compiled kernel + stiff solver +
 //! observable, plugged into the parallel estimator.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use std::sync::Arc;
-
-use rms_core::{
-    species_dependencies, ExecFrame, ExecTape, JacobianTapes, NativeKernel, SensitivityTapes, Tape,
-};
+use rms_core::DerivGroup;
+use rms_driver::{CompiledArtifact, EngineMode, KernelChoice};
 use rms_parallel::Simulator;
 use rms_solver::{
-    AnalyticJacobian, Bdf, CancelToken, FnRhs, JacobianSource, LinearSolver, OdeRhs, Rk45,
-    SensitivityRhs, SolverError, SolverOptions, SparsityPattern,
+    Bdf, CancelToken, JacobianSource, LinearSolver, Rk45, SolverError, SolverOptions,
 };
 
-/// Which right-hand-side evaluator the simulator runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// The legacy tape interpreter (`Tape::eval_with_scratch`): one
-    /// operand `match` per instruction.
-    Interp,
-    /// The pre-decoded execution engine ([`ExecTape`]): operands resolved
-    /// to absolute frame indices at decode time, Mul+Add fused, and
-    /// Jacobian color sweeps evaluated in SIMD-batched lanes.
-    #[default]
-    Exec,
-    /// The `dlopen`ed native kernel (the *Codegen* stage output): the
-    /// tape compiled to machine code by the system C compiler. Falls
-    /// back to [`EngineMode::Exec`] when no kernel is attached (e.g. no
-    /// C toolchain on this machine).
-    Native,
-    /// Size-aware selection between [`EngineMode::Native`] and
-    /// [`EngineMode::Exec`]: native when a kernel is attached and its
-    /// code is compact enough to stay in the instruction cache (always
-    /// true for rerolled kernels), batched exec otherwise. Resolved per
-    /// simulator via [`resolve_auto`]; the chosen engine and the reason
-    /// are available through [`TapeSimulator::resolve_engine`].
-    Auto,
-}
-
-/// The instruction-count crossover for [`EngineMode::Auto`]: above this
-/// many emitted statements, an *unrolled* native kernel's straight-line
-/// code overruns the instruction cache and the SIMD-batched exec engine
-/// wins (measured on the scaled vulcanization family; see
-/// `BENCH_codegen.json`). Rerolled kernels compress the code stream by
-/// one to two orders of magnitude, so the crossover only applies to
-/// unrolled emission.
-pub const NATIVE_CROSSOVER_INSTRS: usize = 32_768;
-
-/// Resolve [`EngineMode::Auto`] for a tape of `instrs` flat instructions
-/// and an optionally attached native kernel. Returns the concrete engine
-/// plus a human-readable reason (surfaced by the CLI and reports).
-pub fn resolve_auto(instrs: usize, kernel: Option<&NativeKernel>) -> (EngineMode, String) {
-    match kernel {
-        None => (
-            EngineMode::Exec,
-            format!("auto: no native kernel attached; batched exec engine over {instrs} instructions"),
-        ),
-        Some(k) if k.loop_count() > 0 => (
-            EngineMode::Native,
-            format!(
-                "auto: native kernel rerolled into {} loops ({} instructions absorbed), compact enough for the I-cache",
-                k.loop_count(),
-                k.rolled_instrs()
-            ),
-        ),
-        Some(_) if instrs <= NATIVE_CROSSOVER_INSTRS => (
-            EngineMode::Native,
-            format!(
-                "auto: unrolled kernel ({instrs} instructions) under the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover"
-            ),
-        ),
-        Some(_) => (
-            EngineMode::Exec,
-            format!(
-                "auto: unrolled kernel ({instrs} instructions) past the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover; batched exec engine"
-            ),
-        ),
-    }
-}
-
-impl FromStr for EngineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EngineMode, String> {
-        match s {
-            "interp" => Ok(EngineMode::Interp),
-            "exec" => Ok(EngineMode::Exec),
-            "native" => Ok(EngineMode::Native),
-            "auto" => Ok(EngineMode::Auto),
-            other => Err(format!(
-                "unknown engine '{other}' (expected interp, exec, native or auto)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EngineMode::Interp => "interp",
-            EngineMode::Exec => "exec",
-            EngineMode::Native => "native",
-            EngineMode::Auto => "auto",
-        })
-    }
-}
-
-thread_local! {
-    /// Per-thread execution frame. The parallel estimator spawns one
-    /// scoped thread per rank inside each `objective()` call, so a rank's
-    /// frame is created once per objective evaluation and then reused
-    /// across every solver step, Newton iteration and Jacobian sweep of
-    /// that rank's simulations — the inner hot loops allocate nothing.
-    static EXEC_FRAME: RefCell<ExecFrame> = RefCell::new(ExecFrame::new());
-}
-
-/// [`OdeRhs`] adapter over a pre-decoded [`ExecTape`] bound to one
-/// rate-constant vector. Both the scalar and the batched entry points
-/// route into the execution engine; the batched one keeps all states of
-/// a colored-FD sweep in structure-of-arrays lanes.
-pub struct ExecRhs<'a> {
-    tape: &'a ExecTape,
-    rates: &'a [f64],
-}
-
-impl<'a> ExecRhs<'a> {
-    /// Bind `tape` to `rates` for the duration of a solve.
-    pub fn new(tape: &'a ExecTape, rates: &'a [f64]) -> ExecRhs<'a> {
-        ExecRhs { tape, rates }
-    }
-}
-
-impl OdeRhs for ExecRhs<'_> {
-    fn dim(&self) -> usize {
-        self.tape.n_species()
-    }
-
-    fn eval(&self, _t: f64, y: &[f64], ydot: &mut [f64]) {
-        EXEC_FRAME.with(|f| self.tape.eval(self.rates, y, ydot, &mut f.borrow_mut()));
-    }
-
-    fn eval_batch(&self, _t: f64, ys: &[f64], ydots: &mut [f64]) {
-        EXEC_FRAME.with(|f| {
-            self.tape
-                .eval_batch(self.rates, ys, ydots, &mut f.borrow_mut())
-        });
-    }
-}
-
-/// [`OdeRhs`] adapter over a `dlopen`ed [`NativeKernel`] bound to one
-/// rate-constant vector. Scalar and batched entry points both dispatch
-/// straight into the compiled machine code; no per-call scratch is
-/// needed because the kernel's registers are C locals.
-pub struct NativeRhs<'a> {
-    kernel: &'a NativeKernel,
-    rates: &'a [f64],
-}
-
-impl<'a> NativeRhs<'a> {
-    /// Bind `kernel` to `rates` for the duration of a solve.
-    pub fn new(kernel: &'a NativeKernel, rates: &'a [f64]) -> NativeRhs<'a> {
-        NativeRhs { kernel, rates }
-    }
-}
-
-impl OdeRhs for NativeRhs<'_> {
-    fn dim(&self) -> usize {
-        self.kernel.n_species()
-    }
-
-    fn eval(&self, _t: f64, y: &[f64], ydot: &mut [f64]) {
-        self.kernel.eval(self.rates, y, ydot);
-    }
-
-    fn eval_batch(&self, _t: f64, ys: &[f64], ydots: &mut [f64]) {
-        self.kernel.eval_batch(self.rates, ys, ydots);
-    }
-}
+use crate::binding::BoundKernel;
 
 /// How the BDF solver obtains its Jacobian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JacobianMode {
-    /// Compiler-emitted analytic sparse tape ([`JacobianTapes`]).
+    /// Compiler-emitted analytic sparse tapes (`rms_core::JacobianTapes`).
     Analytic,
     /// Colored finite differences over the structural sparsity.
     #[default]
@@ -219,249 +51,14 @@ impl fmt::Display for JacobianMode {
     }
 }
 
-/// [`AnalyticJacobian`] provider over a compiled [`JacobianTapes`] pair,
-/// bound to one rate-constant vector for the duration of a solve.
-pub struct TapeJacobian<'a> {
-    tapes: &'a JacobianTapes,
-    rates: &'a [f64],
-    pattern: SparsityPattern,
-    /// `(ydot, regs)` scratch reused across Newton iterations.
-    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
-}
-
-impl<'a> TapeJacobian<'a> {
-    /// Bind `tapes` to `rates` and extract the exact sparsity pattern.
-    pub fn new(tapes: &'a JacobianTapes, rates: &'a [f64]) -> TapeJacobian<'a> {
-        let pattern = SparsityPattern::new(tapes.pattern_rows(), tapes.n_species);
-        TapeJacobian {
-            tapes,
-            rates,
-            pattern,
-            scratch: RefCell::new((Vec::new(), Vec::new())),
-        }
-    }
-}
-
-impl AnalyticJacobian for TapeJacobian<'_> {
-    fn pattern(&self) -> &SparsityPattern {
-        &self.pattern
-    }
-
-    fn eval_values(&self, _t: f64, y: &[f64], vals: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (ydot, regs) = &mut *scratch;
-        ydot.resize(self.tapes.n_species, 0.0);
-        self.tapes
-            .eval_with_scratch(self.rates, y, ydot, vals, regs);
-    }
-}
-
-/// [`AnalyticJacobian`] provider over a native kernel's `ode_jac` entry
-/// point. The sparsity pattern still comes from the compiled
-/// [`JacobianTapes`] (the kernel stores values in the same tape entry
-/// order), but the evaluation runs as machine code.
-pub struct NativeJacobian<'a> {
-    kernel: &'a NativeKernel,
-    rates: &'a [f64],
-    pattern: SparsityPattern,
-    /// `ydot` scratch reused across Newton iterations.
-    scratch: RefCell<Vec<f64>>,
-}
-
-impl<'a> NativeJacobian<'a> {
-    /// Bind `kernel` (which must export `ode_jac`) to `rates`, taking the
-    /// sparsity pattern from the tapes the kernel was emitted from.
-    pub fn new(
-        kernel: &'a NativeKernel,
-        tapes: &JacobianTapes,
-        rates: &'a [f64],
-    ) -> NativeJacobian<'a> {
-        assert!(kernel.has_jacobian(), "kernel was built without ode_jac");
-        let pattern = SparsityPattern::new(tapes.pattern_rows(), tapes.n_species);
-        NativeJacobian {
-            kernel,
-            rates,
-            pattern,
-            scratch: RefCell::new(Vec::new()),
-        }
-    }
-}
-
-impl AnalyticJacobian for NativeJacobian<'_> {
-    fn pattern(&self) -> &SparsityPattern {
-        &self.pattern
-    }
-
-    fn eval_values(&self, _t: f64, y: &[f64], vals: &mut [f64]) {
-        let mut ydot = self.scratch.borrow_mut();
-        ydot.resize(self.kernel.n_species(), 0.0);
-        self.kernel.eval_rhs_jac(self.rates, y, &mut ydot, vals);
-    }
-}
-
-/// Combined [`AnalyticJacobian`] + [`SensitivityRhs`] provider over a
-/// compiled [`SensitivityTapes`] triple, bound to one rate-constant
-/// vector for the duration of a solve. The BDF solver pulls its Newton
-/// iteration matrix from the `jac` group and the forward-sensitivity
-/// forcing `∂f/∂p_k` from the `dfdp` group; all three groups share one
-/// register file and the CSE'd subexpressions of the RHS.
-pub struct TapeSensitivity<'a> {
-    tapes: &'a SensitivityTapes,
-    rates: &'a [f64],
-    pattern: SparsityPattern,
-    /// `(ydot, jac_vals, dfdp_vals, regs, last_y)` scratch reused across
-    /// steps. `last_y` is the state of the most recent rhs+jac pass:
-    /// when `∂f/∂p` is requested at the same point (the solver always
-    /// refreshes the Jacobian right before the sensitivity forcing), the
-    /// dfdp tape resumes over the already-filled register file instead
-    /// of re-running all three groups.
-    #[allow(clippy::type_complexity)]
-    scratch: RefCell<(Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>)>,
-}
-
-impl<'a> TapeSensitivity<'a> {
-    /// Bind `tapes` to `rates` and extract the Jacobian sparsity.
-    pub fn new(tapes: &'a SensitivityTapes, rates: &'a [f64]) -> TapeSensitivity<'a> {
-        let pattern = SparsityPattern::new(tapes.pattern_rows(), tapes.n_species);
-        TapeSensitivity {
-            tapes,
-            rates,
-            pattern,
-            scratch: RefCell::new(Default::default()),
-        }
-    }
-}
-
-impl AnalyticJacobian for TapeSensitivity<'_> {
-    fn pattern(&self) -> &SparsityPattern {
-        &self.pattern
-    }
-
-    fn eval_values(&self, _t: f64, y: &[f64], vals: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (ydot, _, _, regs, last_y) = &mut *scratch;
-        ydot.resize(self.tapes.n_species, 0.0);
-        self.tapes.eval_rhs_jac(self.rates, y, ydot, vals, regs);
-        last_y.clear();
-        last_y.extend_from_slice(y);
-    }
-}
-
-impl SensitivityRhs for TapeSensitivity<'_> {
-    fn n_params(&self) -> usize {
-        self.tapes.n_rates
-    }
-
-    fn eval_dfdp(&self, _t: f64, y: &[f64], out: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (ydot, jac_vals, dfdp_vals, regs, last_y) = &mut *scratch;
-        let n = self.tapes.n_species;
-        ydot.resize(n, 0.0);
-        jac_vals.resize(self.tapes.jac_nnz(), 0.0);
-        dfdp_vals.resize(self.tapes.dfdp_nnz(), 0.0);
-        if last_y.as_slice() == y {
-            // The rhs+jac groups just ran here; only the dfdp group is
-            // left to evaluate over the shared register file.
-            self.tapes.eval_dfdp_resumed(self.rates, y, dfdp_vals, regs);
-        } else {
-            self.tapes
-                .eval_all(self.rates, y, ydot, jac_vals, dfdp_vals, regs);
-            last_y.clear();
-            last_y.extend_from_slice(y);
-        }
-        // Scatter the sparse (species, rate) entries into the dense
-        // parameter-major layout the solver consumes.
-        out.fill(0.0);
-        for (e, &(i, k)) in self.tapes.dfdp_entries.iter().enumerate() {
-            out[k as usize * n + i as usize] = dfdp_vals[e];
-        }
-    }
-}
-
-/// Combined [`AnalyticJacobian`] + [`SensitivityRhs`] provider over a
-/// native kernel's `ode_sens` entry point. The pattern and the sparse
-/// `∂f/∂p` entry layout come from the compiled [`SensitivityTapes`]; the
-/// arithmetic runs as machine code. Unlike [`TapeSensitivity`] there is
-/// no register-file resume: the kernel's registers are C locals, so every
-/// call evaluates the full RHS + Jacobian + `∂f/∂p` group (still far
-/// cheaper than interpreting the same tapes).
-pub struct NativeSensitivity<'a> {
-    kernel: &'a NativeKernel,
-    tapes: &'a SensitivityTapes,
-    rates: &'a [f64],
-    pattern: SparsityPattern,
-    /// `(ydot, jac_vals, dfdp_vals)` scratch reused across steps.
-    scratch: RefCell<(Vec<f64>, Vec<f64>, Vec<f64>)>,
-}
-
-impl<'a> NativeSensitivity<'a> {
-    /// Bind `kernel` (which must export `ode_sens`) to `rates`.
-    pub fn new(
-        kernel: &'a NativeKernel,
-        tapes: &'a SensitivityTapes,
-        rates: &'a [f64],
-    ) -> NativeSensitivity<'a> {
-        assert!(
-            kernel.has_sensitivity(),
-            "kernel was built without ode_sens"
-        );
-        let pattern = SparsityPattern::new(tapes.pattern_rows(), tapes.n_species);
-        NativeSensitivity {
-            kernel,
-            tapes,
-            rates,
-            pattern,
-            scratch: RefCell::new(Default::default()),
-        }
-    }
-}
-
-impl AnalyticJacobian for NativeSensitivity<'_> {
-    fn pattern(&self) -> &SparsityPattern {
-        &self.pattern
-    }
-
-    fn eval_values(&self, _t: f64, y: &[f64], vals: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (ydot, _, dfdp_vals) = &mut *scratch;
-        ydot.resize(self.tapes.n_species, 0.0);
-        dfdp_vals.resize(self.tapes.dfdp_nnz(), 0.0);
-        self.kernel.eval_all(self.rates, y, ydot, vals, dfdp_vals);
-    }
-}
-
-impl SensitivityRhs for NativeSensitivity<'_> {
-    fn n_params(&self) -> usize {
-        self.tapes.n_rates
-    }
-
-    fn eval_dfdp(&self, _t: f64, y: &[f64], out: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let (ydot, jac_vals, dfdp_vals) = &mut *scratch;
-        let n = self.tapes.n_species;
-        ydot.resize(n, 0.0);
-        jac_vals.resize(self.tapes.jac_nnz(), 0.0);
-        dfdp_vals.resize(self.tapes.dfdp_nnz(), 0.0);
-        self.kernel
-            .eval_all(self.rates, y, ydot, jac_vals, dfdp_vals);
-        // Scatter the sparse (species, rate) entries into the dense
-        // parameter-major layout the solver consumes.
-        out.fill(0.0);
-        for (e, &(i, k)) in self.tapes.dfdp_entries.iter().enumerate() {
-            out[k as usize * n + i as usize] = dfdp_vals[e];
-        }
-    }
-}
-
 /// Simulates the measured property (a weighted sum of species
-/// concentrations — e.g. crosslink density) by integrating the compiled
-/// tape with the Gear/BDF stiff solver.
+/// concentrations — e.g. crosslink density) by integrating one of a
+/// compiled artifact's kernels with the Gear/BDF stiff solver.
 pub struct TapeSimulator {
-    /// Compiled right-hand side.
-    pub tape: Tape,
-    /// The same right-hand side pre-decoded for the execution engine
-    /// (decoded once at construction, shared by every solve).
-    exec: ExecTape,
+    /// The kernel every solve evaluates, with the engine it belongs to
+    /// and why it was selected, and the Jacobian sparsity patterns it
+    /// fills. Shared with the artifact, never copied.
+    choice: KernelChoice,
     /// Per-formulation initial concentration vectors; experiment file `i`
     /// uses `initials[i % initials.len()]`.
     pub initials: Vec<Vec<f64>>,
@@ -469,22 +66,8 @@ pub struct TapeSimulator {
     pub observable: Vec<f64>,
     /// Solver configuration.
     pub options: SolverOptions,
-    /// Jacobian sparsity extracted from the tape (colored finite
-    /// differences make Newton affordable at large species counts).
-    sparsity: SparsityPattern,
-    /// Compiler-emitted analytic Jacobian tapes, when compiled.
-    jacobian: Option<JacobianTapes>,
-    /// Compiler-emitted parameter-sensitivity tapes, when compiled:
-    /// enable one-solve residual Jacobians in the estimator.
-    sensitivity: Option<SensitivityTapes>,
     /// Which Jacobian source the BDF solver uses.
     jacobian_mode: JacobianMode,
-    /// Which right-hand-side evaluator the solvers call.
-    engine: EngineMode,
-    /// Loaded native kernel (the *Codegen* stage output).
-    /// [`EngineMode::Native`] silently degrades to the exec engine when
-    /// absent; the CLI surfaces the artifact's codegen diagnostic.
-    native: Option<Arc<NativeKernel>>,
     /// Cooperative cancellation shared with every solver this simulator
     /// builds (deadline/shutdown supervision).
     cancel: Option<CancelToken>,
@@ -508,55 +91,25 @@ pub struct FallbackStats {
 }
 
 impl TapeSimulator {
-    /// Build a simulator with one shared formulation.
-    pub fn new(tape: Tape, initial: Vec<f64>, observable: Vec<f64>) -> TapeSimulator {
-        let exec = ExecTape::compile(&tape);
-        TapeSimulator::with_exec(tape, exec, initial, observable)
+    /// Build a simulator over a compiled pipeline artifact on the default
+    /// engine. The artifact's kernels and sparsity patterns are shared,
+    /// not copied; the Jacobian source starts analytic when the *Deriv*
+    /// stage ran.
+    pub fn from_artifact(artifact: &CompiledArtifact, observable: Vec<f64>) -> TapeSimulator {
+        TapeSimulator::with_engine(artifact, observable, EngineMode::default())
     }
 
-    /// Build a simulator from a compiled pipeline artifact: reuses the
-    /// artifact's pre-decoded execution tape (the *ExecDecode* stage
-    /// output) instead of re-decoding, and attaches its analytic
-    /// Jacobian tapes when the *Deriv* stage ran.
-    pub fn from_artifact(
-        artifact: &rms_driver::CompiledArtifact,
+    /// [`from_artifact`](TapeSimulator::from_artifact) at a requested
+    /// engine; what actually runs is
+    /// [`engine_choice`](TapeSimulator::engine_choice).
+    pub fn with_engine(
+        artifact: &CompiledArtifact,
         observable: Vec<f64>,
+        engine: EngineMode,
     ) -> TapeSimulator {
-        let tape = artifact.compiled.tape.clone();
-        let exec = artifact
-            .exec
-            .clone()
-            .unwrap_or_else(|| ExecTape::compile(&tape));
-        let sim = TapeSimulator::with_exec(tape, exec, artifact.system.initial.clone(), observable);
-        let sim = match &artifact.jacobian {
-            Some(tapes) => sim.with_analytic_jacobian(tapes.clone()),
-            None => sim,
-        };
-        let sim = match &artifact.sensitivity {
-            Some(tapes) => sim.with_sensitivities(tapes.clone()),
-            None => sim,
-        };
-        match &artifact.native {
-            Some(kernel) => sim.with_native_kernel(kernel.clone()),
-            None => sim,
-        }
-    }
-
-    /// Build a simulator around an already-decoded execution tape,
-    /// skipping the redundant decode. `exec` must be the decoded form of
-    /// `tape`.
-    pub fn with_exec(
-        tape: Tape,
-        exec: ExecTape,
-        initial: Vec<f64>,
-        observable: Vec<f64>,
-    ) -> TapeSimulator {
-        let n = tape.n_species;
-        let sparsity = SparsityPattern::new(species_dependencies(&tape), n);
         TapeSimulator {
-            tape,
-            exec,
-            initials: vec![initial],
+            choice: artifact.kernel(engine),
+            initials: vec![artifact.system.initial.clone()],
             observable,
             options: SolverOptions {
                 rtol: 1e-6,
@@ -564,12 +117,10 @@ impl TapeSimulator {
                 max_steps: 2_000_000,
                 ..SolverOptions::default()
             },
-            sparsity,
-            jacobian: None,
-            sensitivity: None,
-            jacobian_mode: JacobianMode::default(),
-            engine: EngineMode::default(),
-            native: None,
+            jacobian_mode: match artifact.jacobian {
+                Some(_) => JacobianMode::Analytic,
+                None => JacobianMode::default(),
+            },
             cancel: None,
             bdf_failures: AtomicUsize::new(0),
             tightened_recoveries: AtomicUsize::new(0),
@@ -577,51 +128,17 @@ impl TapeSimulator {
         }
     }
 
-    /// Attach compiled analytic Jacobian tapes and switch to them.
-    pub fn with_analytic_jacobian(mut self, tapes: JacobianTapes) -> TapeSimulator {
-        self.jacobian = Some(tapes);
-        self.jacobian_mode = JacobianMode::Analytic;
-        self
-    }
-
-    /// Attach compiled parameter-sensitivity tapes. With tapes attached,
-    /// [`Simulator::simulate_with_sensitivities`] integrates the forward
-    /// sensitivity system alongside the state (sharing the Newton
+    /// Whether the artifact carried parameter-sensitivity tapes. With
+    /// them, [`Simulator::simulate_with_sensitivities`] integrates the
+    /// forward sensitivity system alongside the state (sharing the Newton
     /// factorization), and the parallel estimator's analytic
     /// residual-Jacobian path becomes available.
-    pub fn with_sensitivities(mut self, tapes: SensitivityTapes) -> TapeSimulator {
-        assert_eq!(
-            tapes.n_species, self.tape.n_species,
-            "sensitivity tapes compiled for a different system"
-        );
-        self.sensitivity = Some(tapes);
-        self
-    }
-
-    /// Whether parameter-sensitivity tapes are attached.
     pub fn has_sensitivities(&self) -> bool {
-        self.sensitivity.is_some()
-    }
-
-    /// Attach a `dlopen`ed native kernel, making [`EngineMode::Native`]
-    /// run compiled machine code instead of degrading to exec.
-    pub fn with_native_kernel(mut self, kernel: Arc<NativeKernel>) -> TapeSimulator {
-        assert_eq!(
-            kernel.n_species(),
-            self.tape.n_species,
-            "native kernel compiled for a different system"
-        );
-        self.native = Some(kernel);
-        self
-    }
-
-    /// The attached native kernel, if any.
-    pub fn native_kernel(&self) -> Option<&Arc<NativeKernel>> {
-        self.native.as_ref()
+        self.choice.kernel.dfdp_entries().is_some()
     }
 
     /// Select the Jacobian source. [`JacobianMode::Analytic`] falls back
-    /// to colored finite differences if no tapes are attached.
+    /// to colored finite differences if the artifact carried no tapes.
     pub fn set_jacobian_mode(&mut self, mode: JacobianMode) {
         self.jacobian_mode = mode;
     }
@@ -642,34 +159,10 @@ impl TapeSimulator {
         self.options.linear_solver
     }
 
-    /// Select the right-hand-side evaluator.
-    pub fn set_engine(&mut self, engine: EngineMode) {
-        self.engine = engine;
-    }
-
-    /// The currently selected right-hand-side evaluator.
-    pub fn engine(&self) -> EngineMode {
-        self.engine
-    }
-
-    /// The engine a solve will actually run, with a human-readable
-    /// reason. [`EngineMode::Auto`] resolves here against the attached
-    /// kernel and the tape size; explicit selections pass through.
-    pub fn resolve_engine(&self) -> (EngineMode, String) {
-        match self.engine {
-            EngineMode::Auto => resolve_auto(self.exec.len(), self.native.as_deref()),
-            mode => (mode, format!("{mode} engine explicitly selected")),
-        }
-    }
-
-    /// The concrete engine dispatched by the solver bodies.
-    fn effective_engine(&self) -> EngineMode {
-        self.resolve_engine().0
-    }
-
-    /// The pre-decoded execution-engine form of the right-hand side.
-    pub fn exec_tape(&self) -> &ExecTape {
-        &self.exec
+    /// The kernel every solve runs, the engine it belongs to and why it
+    /// was selected.
+    pub fn engine_choice(&self) -> &KernelChoice {
+        &self.choice
     }
 
     /// Attach a [`CancelToken`]: every solver built by subsequent
@@ -694,9 +187,8 @@ impl TapeSimulator {
         }
     }
 
-    /// Integrate the tape with BDF under `options`, returning the
-    /// observable at each requested time. Dispatches on the configured
-    /// [`EngineMode`] and delegates to the engine-generic body.
+    /// Integrate with BDF under `options`, returning the observable at
+    /// each requested time.
     fn integrate_bdf(
         &self,
         rate_constants: &[f64],
@@ -704,91 +196,12 @@ impl TapeSimulator {
         times: &[f64],
         options: SolverOptions,
     ) -> Result<Vec<f64>, SolverError> {
-        match self.effective_engine() {
-            EngineMode::Auto => unreachable!("auto resolves before dispatch"),
-            EngineMode::Exec => {
-                let rhs = ExecRhs::new(&self.exec, rate_constants);
-                self.integrate_bdf_with(&rhs, rate_constants, y0, times, options)
-            }
-            EngineMode::Interp => {
-                let dim = self.tape.n_species;
-                let scratch = RefCell::new(Vec::new());
-                let rhs = FnRhs::new(dim, |_t, y: &[f64], ydot: &mut [f64]| {
-                    self.tape
-                        .eval_with_scratch(rate_constants, y, ydot, &mut scratch.borrow_mut());
-                });
-                self.integrate_bdf_with(&rhs, rate_constants, y0, times, options)
-            }
-            EngineMode::Native => match &self.native {
-                Some(kernel) => {
-                    let rhs = NativeRhs::new(kernel, rate_constants);
-                    self.integrate_bdf_with(&rhs, rate_constants, y0, times, options)
-                }
-                // Graceful degradation: no kernel attached (no toolchain,
-                // codegen failure) → run the exec engine instead.
-                None => {
-                    let rhs = ExecRhs::new(&self.exec, rate_constants);
-                    self.integrate_bdf_with(&rhs, rate_constants, y0, times, options)
-                }
-            },
-        }
-    }
-
-    /// Engine-generic BDF body: build the Jacobian source and walk the
-    /// requested output times.
-    fn integrate_bdf_with<R: OdeRhs>(
-        &self,
-        rhs: &R,
-        rate_constants: &[f64],
-        y0: &[f64],
-        times: &[f64],
-        options: SolverOptions,
-    ) -> Result<Vec<f64>, SolverError> {
-        // Analytic Jacobian provider: native `ode_jac` when the native
-        // engine runs with a jacobian-bearing kernel, interpreted tapes
-        // otherwise. One enum so a single `Bdf` borrow covers both.
-        enum Provider<'a> {
-            Tape(TapeJacobian<'a>),
-            Native(NativeJacobian<'a>),
-        }
-        impl AnalyticJacobian for Provider<'_> {
-            fn pattern(&self) -> &SparsityPattern {
-                match self {
-                    Provider::Tape(p) => p.pattern(),
-                    Provider::Native(p) => p.pattern(),
-                }
-            }
-            fn eval_values(&self, t: f64, y: &[f64], vals: &mut [f64]) {
-                match self {
-                    Provider::Tape(p) => p.eval_values(t, y, vals),
-                    Provider::Native(p) => p.eval_values(t, y, vals),
-                }
-            }
-        }
-        // Declared before `solver` so the provider outlives the borrow.
-        let provider = match (self.jacobian_mode, &self.jacobian) {
-            (JacobianMode::Analytic, Some(tapes)) => Some(match &self.native {
-                Some(kernel)
-                    if self.effective_engine() == EngineMode::Native && kernel.has_jacobian() =>
-                {
-                    Provider::Native(NativeJacobian::new(kernel, tapes, rate_constants))
-                }
-                _ => Provider::Tape(TapeJacobian::new(tapes, rate_constants)),
-            }),
-            _ => None,
-        };
-        let mut solver = Bdf::new(rhs, 0.0, y0, options);
+        let bound = BoundKernel::new(&self.choice, rate_constants, DerivGroup::Jacobian);
+        let mut solver = Bdf::new(&bound, 0.0, y0, options);
         if let Some(token) = &self.cancel {
             solver.set_cancel(token.clone());
         }
-        match (&provider, self.jacobian_mode) {
-            (Some(p), _) => solver.set_jacobian_source(JacobianSource::AnalyticTape(p)),
-            (None, JacobianMode::FdDense) => {}
-            // Analytic without tapes falls back to colored FD.
-            (None, _) => {
-                solver.set_jacobian_source(JacobianSource::FdColored(self.sparsity.clone()))
-            }
-        }
+        solver.set_jacobian_source(bound.jacobian_source(self.jacobian_mode));
         let mut out = Vec::with_capacity(times.len());
         for &t in times {
             solver.integrate_to(t)?;
@@ -797,88 +210,34 @@ impl TapeSimulator {
         Ok(out)
     }
 
-    /// Sensitivity-augmented BDF solve: dispatch on the engine.
+    /// Sensitivity-augmented BDF solve: the state and every sensitivity
+    /// column `s_k = ∂y/∂p_k` advance together, reusing the shared
+    /// `I − hβJ` factorization, and the observable's derivative at each
+    /// output time is the weighted sum `Σ w_i s_k[i]`.
     fn integrate_bdf_sens(
         &self,
-        tapes: &SensitivityTapes,
         rate_constants: &[f64],
         y0: &[f64],
         times: &[f64],
         options: SolverOptions,
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>), SolverError> {
-        match self.effective_engine() {
-            EngineMode::Auto => unreachable!("auto resolves before dispatch"),
-            EngineMode::Exec => {
-                let rhs = ExecRhs::new(&self.exec, rate_constants);
-                let provider = TapeSensitivity::new(tapes, rate_constants);
-                self.integrate_bdf_sens_with(&rhs, &provider, tapes, y0, times, options)
-            }
-            EngineMode::Interp => {
-                let dim = self.tape.n_species;
-                let scratch = RefCell::new(Vec::new());
-                let rhs = FnRhs::new(dim, |_t, y: &[f64], ydot: &mut [f64]| {
-                    self.tape
-                        .eval_with_scratch(rate_constants, y, ydot, &mut scratch.borrow_mut());
-                });
-                let provider = TapeSensitivity::new(tapes, rate_constants);
-                self.integrate_bdf_sens_with(&rhs, &provider, tapes, y0, times, options)
-            }
-            EngineMode::Native => match &self.native {
-                Some(kernel) if kernel.has_sensitivity() => {
-                    let rhs = NativeRhs::new(kernel, rate_constants);
-                    let provider = NativeSensitivity::new(kernel, tapes, rate_constants);
-                    self.integrate_bdf_sens_with(&rhs, &provider, tapes, y0, times, options)
-                }
-                Some(kernel) => {
-                    // Kernel without ode_sens: native RHS, interpreted tail.
-                    let rhs = NativeRhs::new(kernel, rate_constants);
-                    let provider = TapeSensitivity::new(tapes, rate_constants);
-                    self.integrate_bdf_sens_with(&rhs, &provider, tapes, y0, times, options)
-                }
-                None => {
-                    let rhs = ExecRhs::new(&self.exec, rate_constants);
-                    let provider = TapeSensitivity::new(tapes, rate_constants);
-                    self.integrate_bdf_sens_with(&rhs, &provider, tapes, y0, times, options)
-                }
-            },
-        }
-    }
-
-    /// Engine-generic sensitivity-augmented BDF body: the state and every
-    /// sensitivity column `s_k = ∂y/∂p_k` advance together, reusing the
-    /// shared `I − hβJ` factorization, and the observable's derivative at
-    /// each output time is the weighted sum `Σ w_i s_k[i]`.
-    fn integrate_bdf_sens_with<R: OdeRhs, P: AnalyticJacobian + SensitivityRhs>(
-        &self,
-        rhs: &R,
-        provider: &P,
-        tapes: &SensitivityTapes,
-        y0: &[f64],
-        times: &[f64],
-        options: SolverOptions,
-    ) -> Result<(Vec<f64>, Vec<Vec<f64>>), SolverError> {
-        let mut solver = Bdf::new(rhs, 0.0, y0, options);
+        let bound = BoundKernel::new(&self.choice, rate_constants, DerivGroup::Sensitivity);
+        let mut solver = Bdf::new(&bound, 0.0, y0, options);
         if let Some(token) = &self.cancel {
             solver.set_cancel(token.clone());
         }
-        solver.set_jacobian_source(JacobianSource::AnalyticTape(provider));
-        solver.set_sensitivities(provider);
-        let n = rhs.dim();
-        let p = tapes.n_rates;
+        solver.set_jacobian_source(JacobianSource::AnalyticTape(&bound));
+        solver.set_sensitivities(&bound);
+        let n = y0.len();
         let mut values = Vec::with_capacity(times.len());
         let mut sens_rows = Vec::with_capacity(times.len());
         for &t in times {
             solver.integrate_to(t)?;
             values.push(self.measure(&solver.y()[..n]));
-            let s = solver.sensitivities();
-            let row: Vec<f64> = (0..p)
-                .map(|k| {
-                    self.observable
-                        .iter()
-                        .zip(&s[k * n..(k + 1) * n])
-                        .map(|(w, v)| w * v)
-                        .sum()
-                })
+            let row: Vec<f64> = solver
+                .sensitivities()
+                .chunks(n.max(1))
+                .map(|s_k| self.measure(s_k))
                 .collect();
             sens_rows.push(row);
         }
@@ -892,42 +251,8 @@ impl TapeSimulator {
         y0: &[f64],
         times: &[f64],
     ) -> Result<Vec<f64>, SolverError> {
-        match self.effective_engine() {
-            EngineMode::Auto => unreachable!("auto resolves before dispatch"),
-            EngineMode::Exec => {
-                let rhs = ExecRhs::new(&self.exec, rate_constants);
-                self.integrate_rk45_with(&rhs, y0, times)
-            }
-            EngineMode::Interp => {
-                let dim = self.tape.n_species;
-                let scratch = RefCell::new(Vec::new());
-                let rhs = FnRhs::new(dim, |_t, y: &[f64], ydot: &mut [f64]| {
-                    self.tape
-                        .eval_with_scratch(rate_constants, y, ydot, &mut scratch.borrow_mut());
-                });
-                self.integrate_rk45_with(&rhs, y0, times)
-            }
-            EngineMode::Native => match &self.native {
-                Some(kernel) => {
-                    let rhs = NativeRhs::new(kernel, rate_constants);
-                    self.integrate_rk45_with(&rhs, y0, times)
-                }
-                None => {
-                    let rhs = ExecRhs::new(&self.exec, rate_constants);
-                    self.integrate_rk45_with(&rhs, y0, times)
-                }
-            },
-        }
-    }
-
-    /// Engine-generic RK45 body (mirrors `solve_rk45`, with cancellation).
-    fn integrate_rk45_with<R: OdeRhs>(
-        &self,
-        rhs: &R,
-        y0: &[f64],
-        times: &[f64],
-    ) -> Result<Vec<f64>, SolverError> {
-        let mut solver = Rk45::new(rhs, 0.0, y0, self.options);
+        let bound = BoundKernel::new(&self.choice, rate_constants, DerivGroup::Jacobian);
+        let mut solver = Rk45::new(&bound, 0.0, y0, self.options);
         if let Some(token) = &self.cancel {
             solver.set_cancel(token.clone());
         }
@@ -940,12 +265,54 @@ impl TapeSimulator {
     }
 }
 
+/// How the BDF stages of the fallback chain ended without a solution.
+enum BdfFailure {
+    /// A deadline/shutdown cancellation is not a numerical failure:
+    /// retrying with tighter tolerances or RK45 would just burn wall
+    /// clock past the deadline, so it surfaces directly.
+    Cancelled(SolverError),
+    /// Both stages failed numerically.
+    Numerical {
+        primary: SolverError,
+        tightened: SolverError,
+    },
+}
+
+impl TapeSimulator {
+    /// The BDF stages every kind of solve shares, counted in
+    /// [`fallback_stats`](TapeSimulator::fallback_stats): the configured
+    /// tolerances, then 100× tighter error control (stiff-step rejection
+    /// cascades often pass under stricter control). The success path of
+    /// the first stage is byte-for-byte the chain-less behavior.
+    fn bdf_chain<T>(
+        &self,
+        solve: impl Fn(SolverOptions) -> Result<T, SolverError>,
+    ) -> Result<T, BdfFailure> {
+        let primary = match solve(self.options) {
+            Ok(out) => return Ok(out),
+            Err(e) if e.is_cancelled() => return Err(BdfFailure::Cancelled(e)),
+            Err(e) => e,
+        };
+        self.bdf_failures.fetch_add(1, Ordering::Relaxed);
+        let tightened = SolverOptions {
+            rtol: self.options.rtol * 1e-2,
+            atol: self.options.atol * 1e-2,
+            ..self.options
+        };
+        match solve(tightened) {
+            Ok(out) => {
+                self.tightened_recoveries.fetch_add(1, Ordering::Relaxed);
+                Ok(out)
+            }
+            Err(e) if e.is_cancelled() => Err(BdfFailure::Cancelled(e)),
+            Err(tightened) => Err(BdfFailure::Numerical { primary, tightened }),
+        }
+    }
+}
+
 impl Simulator for TapeSimulator {
-    /// Integrate with a three-stage fallback chain: BDF at the configured
-    /// tolerances, then BDF with 100× tighter error control (stiff-step
-    /// rejection cascades often pass under stricter control), then
-    /// explicit RK45. The success path of the first stage is byte-for-byte
-    /// the pre-fallback behavior; the chain only engages on failure.
+    /// Integrate with a three-stage fallback chain: the two BDF stages
+    /// (configured tolerances, then 100× tighter), then explicit RK45.
     fn simulate(
         &self,
         rate_constants: &[f64],
@@ -953,82 +320,52 @@ impl Simulator for TapeSimulator {
         times: &[f64],
     ) -> Result<Vec<f64>, String> {
         let y0 = &self.initials[file_index % self.initials.len()];
-        let primary = match self.integrate_bdf(rate_constants, y0, times, self.options) {
-            Ok(out) => return Ok(out),
-            Err(e) => e,
-        };
-        // A deadline/shutdown cancellation is not a numerical failure:
-        // retrying with tighter tolerances or RK45 would just burn wall
-        // clock past the deadline. Surface it directly.
-        if primary.is_cancelled() {
-            return Err(primary.to_string());
-        }
-        self.bdf_failures.fetch_add(1, Ordering::Relaxed);
-        let tightened_options = SolverOptions {
-            rtol: self.options.rtol * 1e-2,
-            atol: self.options.atol * 1e-2,
-            ..self.options
-        };
-        let tightened = match self.integrate_bdf(rate_constants, y0, times, tightened_options) {
-            Ok(out) => {
-                self.tightened_recoveries.fetch_add(1, Ordering::Relaxed);
-                return Ok(out);
+        match self.bdf_chain(|options| self.integrate_bdf(rate_constants, y0, times, options)) {
+            Ok(out) => Ok(out),
+            Err(BdfFailure::Cancelled(e)) => Err(e.to_string()),
+            Err(BdfFailure::Numerical { primary, tightened }) => {
+                match self.integrate_rk45(rate_constants, y0, times) {
+                    Ok(out) => {
+                        self.rk45_recoveries.fetch_add(1, Ordering::Relaxed);
+                        Ok(out)
+                    }
+                    Err(rk45) => Err(format!(
+                        "all solvers failed: BDF: {primary}; BDF (tightened): {tightened}; RK45: {rk45}"
+                    )),
+                }
             }
-            Err(e) => e,
-        };
-        if tightened.is_cancelled() {
-            return Err(tightened.to_string());
-        }
-        match self.integrate_rk45(rate_constants, y0, times) {
-            Ok(out) => {
-                self.rk45_recoveries.fetch_add(1, Ordering::Relaxed);
-                Ok(out)
-            }
-            Err(rk45) => Err(format!(
-                "all solvers failed: BDF: {primary}; BDF (tightened): {tightened}; RK45: {rk45}"
-            )),
         }
     }
 
     fn sensitivity_params(&self) -> usize {
-        match &self.sensitivity {
-            Some(tapes) => tapes.n_rates,
-            None => 0,
+        if self.has_sensitivities() {
+            self.choice.kernel.n_rates()
+        } else {
+            0
         }
     }
 
     /// One forward-sensitivity-augmented solve per call, independent of
-    /// the parameter count. The fallback chain here is two-stage (primary
-    /// BDF, then BDF with tightened tolerances): RK45 integrates no
-    /// sensitivity system, so a total failure surfaces as an error and
-    /// the estimator falls back to finite differences for this point.
+    /// the parameter count. The chain stops after its BDF stages: RK45
+    /// integrates no sensitivity system, so a total failure surfaces as
+    /// an error and the estimator falls back to finite differences for
+    /// this point.
     fn simulate_with_sensitivities(
         &self,
         rate_constants: &[f64],
         file_index: usize,
         times: &[f64],
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>), String> {
-        let tapes = self
-            .sensitivity
-            .as_ref()
-            .ok_or_else(|| "no parameter-sensitivity tapes compiled".to_string())?;
-        let y0 = &self.initials[file_index % self.initials.len()];
-        let primary = match self.integrate_bdf_sens(tapes, rate_constants, y0, times, self.options)
-        {
-            Ok(out) => return Ok(out),
-            Err(e) => e,
-        };
-        if primary.is_cancelled() {
-            return Err(primary.to_string());
+        if !self.has_sensitivities() {
+            return Err("no parameter-sensitivity tapes compiled".to_string());
         }
-        let tightened_options = SolverOptions {
-            rtol: self.options.rtol * 1e-2,
-            atol: self.options.atol * 1e-2,
-            ..self.options
-        };
-        self.integrate_bdf_sens(tapes, rate_constants, y0, times, tightened_options)
-            .map_err(|tightened| {
-                format!("sensitivity solves failed: BDF: {primary}; BDF (tightened): {tightened}")
+        let y0 = &self.initials[file_index % self.initials.len()];
+        self.bdf_chain(|options| self.integrate_bdf_sens(rate_constants, y0, times, options))
+            .map_err(|failure| match failure {
+                BdfFailure::Cancelled(e) => e.to_string(),
+                BdfFailure::Numerical { primary, tightened } => format!(
+                    "sensitivity solves failed: BDF: {primary}; BDF (tightened): {tightened}"
+                ),
             })
     }
 }
@@ -1036,27 +373,47 @@ impl Simulator for TapeSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rms_core::{optimize, OptLevel};
-    use rms_odegen::{generate, GenerateOptions};
+    use std::sync::Arc;
+
+    use rms_core::OptLevel;
+    use rms_driver::{CompilerSession, SessionOptions, Stage};
 
     use crate::vulcanization::{generate_model, VulcanizationSpec};
 
-    fn small_simulator() -> (TapeSimulator, Vec<f64>) {
+    /// The small vulcanization network compiled under `configure`d
+    /// session options, with the crosslink-density observable.
+    fn small_artifact(
+        configure: impl FnOnce(&mut SessionOptions),
+    ) -> (Arc<CompiledArtifact>, Vec<f64>) {
         let model = generate_model(VulcanizationSpec {
             sites: 3,
             max_chain: 3,
             neighbourhood: 1,
         });
-        let sys = generate(&model.network, &model.rates, GenerateOptions::default()).unwrap();
-        let compiled = optimize(&sys, OptLevel::Full);
-        let mut observable = vec![0.0; sys.len()];
-        for &x in &model.crosslink_species {
+        let crosslinks = model.crosslink_species.clone();
+        let mut options = SessionOptions::new(OptLevel::Full);
+        configure(&mut options);
+        let artifact = CompilerSession::with_options(options)
+            .compile_network("simulate-test", model.network, model.rates)
+            .unwrap()
+            .artifact;
+        let mut observable = vec![0.0; artifact.system.len()];
+        for &x in &crosslinks {
             observable[x.0 as usize] = 1.0;
         }
+        (artifact, observable)
+    }
+
+    fn simulator_with(configure: impl FnOnce(&mut SessionOptions)) -> (TapeSimulator, Vec<f64>) {
+        let (artifact, observable) = small_artifact(configure);
         (
-            TapeSimulator::new(compiled.tape, sys.initial.clone(), observable),
-            sys.rate_values.clone(),
+            TapeSimulator::from_artifact(&artifact, observable),
+            artifact.system.rate_values.clone(),
         )
+    }
+
+    fn small_simulator() -> (TapeSimulator, Vec<f64>) {
+        simulator_with(|_| {})
     }
 
     #[test]
@@ -1113,6 +470,25 @@ mod tests {
     }
 
     #[test]
+    fn sensitivity_fallback_chain_counts_its_failures() {
+        let (mut sim, rates) = small_simulator_with_sensitivities();
+        sim.options.max_steps = 1;
+        let err = sim
+            .simulate_with_sensitivities(&rates, 0, &[2.0])
+            .unwrap_err();
+        assert!(err.contains("sensitivity solves failed"), "{err}");
+        assert!(err.contains("BDF (tightened)"), "{err}");
+        let stats = sim.fallback_stats();
+        assert_eq!(stats.bdf_failures, 1);
+        assert_eq!(stats.tightened_recoveries, 0);
+        assert_eq!(stats.rk45_recoveries, 0);
+        // A healthy augmented solve leaves the counters alone.
+        sim.options.max_steps = 2_000_000;
+        sim.simulate_with_sensitivities(&rates, 0, &[0.5]).unwrap();
+        assert_eq!(sim.fallback_stats(), stats);
+    }
+
+    #[test]
     fn healthy_solves_never_engage_fallback() {
         let (sim, rates) = small_simulator();
         sim.simulate(&rates, 0, &[0.5, 1.0]).unwrap();
@@ -1120,23 +496,7 @@ mod tests {
     }
 
     fn small_simulator_with_jacobian() -> (TapeSimulator, Vec<f64>) {
-        let model = generate_model(VulcanizationSpec {
-            sites: 3,
-            max_chain: 3,
-            neighbourhood: 1,
-        });
-        let sys = generate(&model.network, &model.rates, GenerateOptions::default()).unwrap();
-        let compiled = optimize(&sys, OptLevel::Full);
-        let tapes = rms_core::compile_jacobian(&compiled.forest, Some(Default::default()));
-        let mut observable = vec![0.0; sys.len()];
-        for &x in &model.crosslink_species {
-            observable[x.0 as usize] = 1.0;
-        }
-        (
-            TapeSimulator::new(compiled.tape, sys.initial.clone(), observable)
-                .with_analytic_jacobian(tapes),
-            sys.rate_values.clone(),
-        )
+        simulator_with(|options| options.deriv = true)
     }
 
     #[test]
@@ -1178,71 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_parses_round_trip() {
-        for mode in [
-            EngineMode::Interp,
-            EngineMode::Exec,
-            EngineMode::Native,
-            EngineMode::Auto,
-        ] {
-            assert_eq!(mode.to_string().parse::<EngineMode>().unwrap(), mode);
-        }
-        assert!("jit".parse::<EngineMode>().is_err());
-        assert_eq!(EngineMode::default(), EngineMode::Exec);
-    }
-
-    #[test]
-    fn auto_engine_resolves_to_exec_without_a_kernel() {
-        let (mut sim, rates) = small_simulator();
-        sim.set_engine(EngineMode::Auto);
-        assert_eq!(sim.engine(), EngineMode::Auto);
-        let (resolved, reason) = sim.resolve_engine();
-        assert_eq!(resolved, EngineMode::Exec);
-        assert!(reason.contains("no native kernel"), "{reason}");
-        // Auto must dispatch (to exec) rather than panic.
-        let out = sim.simulate(&rates, 0, &[0.5]).unwrap();
-        assert!(out[0].is_finite());
-        // And match the explicit exec engine bitwise.
-        sim.set_engine(EngineMode::Exec);
-        assert_eq!(out, sim.simulate(&rates, 0, &[0.5]).unwrap());
-    }
-
-    #[test]
-    fn resolve_auto_applies_the_icache_crossover() {
-        let (small, r) = resolve_auto(100, None);
-        assert_eq!(small, EngineMode::Exec);
-        assert!(r.starts_with("auto:"), "{r}");
-        // Without a kernel the crossover is moot — even a huge model
-        // resolves to exec; kernel-bearing cases are covered end-to-end
-        // in tests/native_engine.rs (they need a C toolchain).
-        let (huge, r) = resolve_auto(NATIVE_CROSSOVER_INSTRS * 10, None);
-        assert_eq!(huge, EngineMode::Exec);
-        assert!(r.starts_with("auto:"), "{r}");
-    }
-
-    #[test]
-    fn engines_agree_through_the_simulator() {
-        let (mut sim, rates) = small_simulator();
-        let times = [0.2, 0.6, 1.2, 2.4];
-        assert_eq!(sim.engine(), EngineMode::Exec);
-        let exec = sim.simulate(&rates, 0, &times).unwrap();
-        sim.set_engine(EngineMode::Interp);
-        let interp = sim.simulate(&rates, 0, &times).unwrap();
-        for (t, (a, b)) in times.iter().zip(exec.iter().zip(&interp)) {
-            assert!(
-                (a - b).abs() <= 1e-6 * a.abs().max(1e-9),
-                "t={t}: exec {a} vs interp {b}"
-            );
-        }
-        // The default build does not contract FMA, so the engines run
-        // the same arithmetic and must agree bitwise.
-        if !rms_core::FMA_CONTRACTS {
-            assert_eq!(exec, interp);
-        }
-        assert_eq!(sim.fallback_stats(), FallbackStats::default());
-    }
-
-    #[test]
     fn exec_engine_runs_every_jacobian_mode() {
         let (mut sim, rates) = small_simulator_with_jacobian();
         let times = [0.5, 1.0];
@@ -1273,67 +568,25 @@ mod tests {
     }
 
     #[test]
-    fn artifact_simulator_reuses_compiled_stages() {
-        use rms_driver::{CompilerSession, SessionOptions};
-        let model = generate_model(VulcanizationSpec {
-            sites: 3,
-            max_chain: 3,
-            neighbourhood: 1,
-        });
-        let crosslinks = model.crosslink_species.clone();
-        let mut options = SessionOptions::new(OptLevel::Full);
-        options.deriv = true;
-        let compiled = CompilerSession::with_options(options)
-            .compile_network("simulate-test", model.network, model.rates)
-            .unwrap();
-        let artifact = &compiled.artifact;
-        let mut observable = vec![0.0; artifact.system.len()];
-        for &x in &crosslinks {
-            observable[x.0 as usize] = 1.0;
-        }
-        let sim = TapeSimulator::from_artifact(artifact, observable.clone());
+    fn artifact_simulator_shares_the_compiled_stages() {
+        let (artifact, observable) = small_artifact(|options| options.deriv = true);
+        let kernels_before = Arc::strong_count(artifact.exec.as_ref().expect("decoded"));
+        let sim = TapeSimulator::from_artifact(&artifact, observable);
         // The artifact carried Jacobian tapes, so the simulator starts
-        // analytic; its exec tape is the artifact's, not a re-decode.
+        // analytic; it holds the artifact's own kernel and patterns, and
+        // building it copied or re-referenced no instruction stream.
         assert_eq!(sim.jacobian_mode(), JacobianMode::Analytic);
+        let choice = artifact.kernel(EngineMode::default());
+        assert!(Arc::ptr_eq(&sim.engine_choice().kernel, &choice.kernel));
+        assert!(Arc::ptr_eq(&sim.engine_choice().patterns, &choice.patterns));
         assert_eq!(
-            sim.exec_tape().len(),
-            artifact.exec.as_ref().expect("decoded").len()
+            Arc::strong_count(artifact.exec.as_ref().expect("decoded")),
+            kernels_before
         );
-        let direct = TapeSimulator::new(
-            artifact.compiled.tape.clone(),
-            artifact.system.initial.clone(),
-            observable,
-        );
-        let times = [0.5, 1.0, 2.0];
-        let rates = &artifact.system.rate_values;
-        let a = sim.simulate(rates, 0, &times).unwrap();
-        let b = direct.simulate(rates, 0, &times).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!(
-                (x - y).abs() <= 1e-4 * x.abs().max(1e-12),
-                "artifact {x} vs direct {y}"
-            );
-        }
     }
 
     fn small_simulator_with_sensitivities() -> (TapeSimulator, Vec<f64>) {
-        let model = generate_model(VulcanizationSpec {
-            sites: 3,
-            max_chain: 3,
-            neighbourhood: 1,
-        });
-        let sys = generate(&model.network, &model.rates, GenerateOptions::default()).unwrap();
-        let compiled = optimize(&sys, OptLevel::Full);
-        let sens = rms_core::compile_sensitivity(&compiled.forest, Some(Default::default()));
-        let mut observable = vec![0.0; sys.len()];
-        for &x in &model.crosslink_species {
-            observable[x.0 as usize] = 1.0;
-        }
-        (
-            TapeSimulator::new(compiled.tape, sys.initial.clone(), observable)
-                .with_sensitivities(sens),
-            sys.rate_values.clone(),
-        )
+        simulator_with(|options| options.sensitivity = true)
     }
 
     #[test]
@@ -1375,23 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn sensitivities_run_on_both_engines() {
-        let (mut sim, rates) = small_simulator_with_sensitivities();
-        let times = [0.5, 1.0];
-        let (exec_v, exec_s) = sim.simulate_with_sensitivities(&rates, 0, &times).unwrap();
-        sim.set_engine(EngineMode::Interp);
-        let (interp_v, interp_s) = sim.simulate_with_sensitivities(&rates, 0, &times).unwrap();
-        for (a, b) in exec_v.iter().zip(&interp_v) {
-            assert!((a - b).abs() <= 1e-6 * a.abs().max(1e-9), "{a} vs {b}");
-        }
-        for (ra, rb) in exec_s.iter().zip(&interp_s) {
-            for (a, b) in ra.iter().zip(rb) {
-                assert!((a - b).abs() <= 1e-4 * a.abs().max(1e-6), "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn simulator_without_tapes_rejects_sensitivity_requests() {
         let (sim, rates) = small_simulator();
         assert_eq!(rms_parallel::Simulator::sensitivity_params(&sim), 0);
@@ -1403,26 +639,13 @@ mod tests {
 
     #[test]
     fn artifact_with_sensitivity_stage_attaches_tapes() {
-        use rms_driver::{CompilerSession, SessionOptions};
-        let model = generate_model(VulcanizationSpec {
-            sites: 3,
-            max_chain: 3,
-            neighbourhood: 1,
+        let (artifact, observable) = small_artifact(|options| {
+            options.deriv = true;
+            options.sensitivity = true;
         });
-        let crosslinks = model.crosslink_species.clone();
-        let mut options = SessionOptions::new(OptLevel::Full);
-        options.deriv = true;
-        options.sensitivity = true;
-        let compiled = CompilerSession::with_options(options)
-            .compile_network("sensitivity-test", model.network, model.rates)
-            .unwrap();
-        let artifact = &compiled.artifact;
         assert!(artifact.sensitivity.is_some());
         // Deriv-stage metrics cover the dfdp group.
-        let deriv = artifact
-            .report
-            .stage(rms_driver::Stage::Deriv)
-            .expect("Deriv ran");
+        let deriv = artifact.report.stage(Stage::Deriv).expect("Deriv ran");
         assert!(deriv
             .metrics
             .iter()
@@ -1431,11 +654,7 @@ mod tests {
             .metrics
             .iter()
             .any(|(k, v)| k == "dfdp_instrs" && *v > 0.0));
-        let mut observable = vec![0.0; artifact.system.len()];
-        for &x in &crosslinks {
-            observable[x.0 as usize] = 1.0;
-        }
-        let sim = TapeSimulator::from_artifact(artifact, observable);
+        let sim = TapeSimulator::from_artifact(&artifact, observable);
         assert!(sim.has_sensitivities());
         assert_eq!(
             rms_parallel::Simulator::sensitivity_params(&sim),

@@ -8,17 +8,23 @@ use rms_suite::workload::{
     generate_model, synthesize, ExpDataSpec, VulcanizationSpec, TRUE_RATES, VULCANIZATION_RDL,
 };
 use rms_suite::{
-    compile_model, compile_source, LmOptions, OptLevel, ParallelEstimator, ResidualJacobianMode,
+    CompilerSession, LmOptions, OptLevel, ParallelEstimator, ResidualJacobianMode, SessionOptions,
     SuiteModel, TapeSimulator,
 };
 
-/// A simulator over the model's artifact with sensitivity tapes
-/// attached and tolerances tight enough that central-difference
-/// references resolve the sensitivities rather than the adaptive
-/// solver's own noise floor.
+/// A session whose artifacts carry the parameter-sensitivity tapes.
+fn sensitivity_session() -> CompilerSession {
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.sensitivity = true;
+    CompilerSession::with_options(options)
+}
+
+/// A simulator over the model's artifact (sensitivity tapes included)
+/// with tolerances tight enough that central-difference references
+/// resolve the sensitivities rather than the adaptive solver's own noise
+/// floor.
 fn tight_simulator(model: &SuiteModel, observable: Vec<f64>) -> TapeSimulator {
-    let mut sim = TapeSimulator::from_artifact(model.artifact(), observable)
-        .with_sensitivities(model.sensitivity());
+    let mut sim = TapeSimulator::from_artifact(model.artifact(), observable);
     sim.options.rtol = 1e-10;
     sim.options.atol = 1e-13;
     sim
@@ -111,7 +117,12 @@ fn check_analytic_matches_fd(model: &SuiteModel, observable: Vec<f64>, label: &s
 
 #[test]
 fn analytic_residual_jacobian_matches_fd_on_rdl_model() {
-    let model = compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("RDL model compiles");
+    let model = SuiteModel::from_artifact(
+        sensitivity_session()
+            .compile_source("<rdl>", VULCANIZATION_RDL)
+            .expect("RDL model compiles")
+            .artifact,
+    );
     // A generic weighted observable exercising every species.
     let observable: Vec<f64> = (0..model.system.len())
         .map(|i| 0.5 + 0.1 * (i % 5) as f64)
@@ -128,8 +139,12 @@ fn analytic_residual_jacobian_matches_fd_on_programmatic_model() {
     };
     let generated = generate_model(spec);
     let crosslinks = generated.crosslink_species.clone();
-    let model = compile_model(generated.network, generated.rates, OptLevel::Full)
-        .expect("programmatic model compiles");
+    let model = SuiteModel::from_artifact(
+        sensitivity_session()
+            .compile_network("<network>", generated.network, generated.rates)
+            .expect("programmatic model compiles")
+            .artifact,
+    );
     let mut observable = vec![0.0; model.system.len()];
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
@@ -146,14 +161,17 @@ fn estimate_round_trip_analytic_and_fd_modes_agree() {
     });
     let crosslinks = generated.crosslink_species.clone();
     let (lo_all, hi_all) = generated.rates.bounds_vectors();
-    let model = compile_model(generated.network, generated.rates, OptLevel::Full)
-        .expect("programmatic model compiles");
+    let model = SuiteModel::from_artifact(
+        sensitivity_session()
+            .compile_network("<network>", generated.network, generated.rates)
+            .expect("programmatic model compiles")
+            .artifact,
+    );
     let mut observable = vec![0.0; model.system.len()];
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
     }
-    let simulator = TapeSimulator::from_artifact(model.artifact(), observable)
-        .with_sensitivities(model.sensitivity());
+    let simulator = TapeSimulator::from_artifact(model.artifact(), observable);
     let files = synthesize(
         &simulator,
         &TRUE_RATES,

@@ -4,10 +4,26 @@
 //! sources, and the factorization actually is sparse (nnz(L+U) ≪ n²).
 
 use rms_suite::{
-    compile_model, compile_source, solve_bdf_with_jacobian, ExecRhs, ExecTape, JacobianMode,
-    JacobianSource, LinearSolver, OptLevel, SolverOptions, SuiteModel, TapeJacobian,
+    solve_bdf_with_jacobian, BoundKernel, CompilerSession, DerivGroup, EngineMode, JacobianMode,
+    LinearSolver, OptLevel, SessionOptions, SolverOptions, SuiteModel,
 };
-use rms_workload::{scaled_case, EngineMode, VULCANIZATION_RDL};
+use rms_workload::{scaled_case, VulcanizationModel, VULCANIZATION_RDL};
+
+/// A session whose artifacts carry the analytic Jacobian tapes.
+fn deriv_session() -> CompilerSession {
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.deriv = true;
+    CompilerSession::with_options(options)
+}
+
+fn compile_network(model: VulcanizationModel) -> SuiteModel {
+    SuiteModel::from_artifact(
+        deriv_session()
+            .compile_network("<network>", model.network, model.rates)
+            .expect("workload models always compile")
+            .artifact,
+    )
+}
 
 /// Short horizon, tight tolerances: at loose tolerances the step
 /// controller amplifies last-bit differences between the two linear
@@ -89,15 +105,18 @@ fn assert_solvers_agree(model: &SuiteModel, label: &str, rtol: f64, atol: f64) {
 #[test]
 fn sparse_matches_dense_on_programmatic_workload() {
     let model = scaled_case(2, 100);
-    let compiled = compile_model(model.network, model.rates, OptLevel::Full)
-        .expect("workload models always compile");
+    let compiled = compile_network(model);
     assert_solvers_agree(&compiled, "scaled_case(2, 100)", 1e-11, 1e-14);
 }
 
 #[test]
 fn sparse_matches_dense_on_rdl_workload() {
-    let compiled =
-        compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("bundled RDL model compiles");
+    let compiled = SuiteModel::from_artifact(
+        deriv_session()
+            .compile_source("<rdl>", VULCANIZATION_RDL)
+            .expect("bundled RDL model compiles")
+            .artifact,
+    );
     // The RDL model's scaling underflows the step size below rtol 1e-10.
     assert_solvers_agree(&compiled, "VULCANIZATION_RDL", 1e-10, 1e-13);
 }
@@ -108,33 +127,27 @@ fn sparse_matches_dense_on_rdl_workload() {
 #[test]
 fn solver_stats_report_sparse_fill() {
     let model = scaled_case(2, 25);
-    let compiled = compile_model(model.network, model.rates, OptLevel::Full)
-        .expect("workload models always compile");
+    let compiled = compile_network(model);
     let n = compiled.system.len();
     assert!(
         n >= 300,
         "scale-25 case 2 should be a few hundred equations"
     );
 
-    let exec = compiled
-        .exec
-        .clone()
-        .unwrap_or_else(|| ExecTape::compile(&compiled.compiled.tape));
-    let rhs = ExecRhs::new(&exec, &compiled.system.rate_values);
-    let tapes = compiled.jacobian();
-    let provider = TapeJacobian::new(&tapes, &compiled.system.rate_values);
+    let choice = compiled.kernel(EngineMode::Exec);
+    let bound = BoundKernel::new(&choice, &compiled.system.rate_values, DerivGroup::Jacobian);
 
     let options = SolverOptions {
         linear_solver: LinearSolver::Sparse,
         ..SolverOptions::default()
     };
     let (sol, stats) = solve_bdf_with_jacobian(
-        &rhs,
+        &bound,
         0.0,
         &compiled.system.initial,
         &[0.01],
         options,
-        JacobianSource::AnalyticTape(&provider),
+        bound.jacobian_source(JacobianMode::Analytic),
     )
     .expect("sparse BDF solve succeeds");
 
@@ -154,12 +167,12 @@ fn solver_stats_report_sparse_fill() {
         ..SolverOptions::default()
     };
     let (_, dense_stats) = solve_bdf_with_jacobian(
-        &rhs,
+        &bound,
         0.0,
         &compiled.system.initial,
         &[0.01],
         options,
-        JacobianSource::AnalyticTape(&provider),
+        bound.jacobian_source(JacobianMode::Analytic),
     )
     .expect("dense BDF solve succeeds");
     assert_eq!(dense_stats.fill_nnz, n * n);
