@@ -13,7 +13,7 @@ use rms_core::{
     species_dependencies, DerivGroup, DerivTapes, ExecTape, JacobianTapes, Kernel, NativeKernel,
     SensitivityTapes, Tape, TapeKernel,
 };
-use rms_solver::SparsityPattern;
+use rms_solver::{ColoredPattern, NewtonPlan, SparsityPattern};
 
 use crate::session::CompiledArtifact;
 
@@ -134,22 +134,31 @@ pub struct KernelChoice {
     pub degraded: bool,
 }
 
-/// The Jacobian sparsity patterns of one compiled model, each built on
-/// first use and then shared by every solve over the artifact.
+/// The Jacobian sparsity patterns of one compiled model and what the
+/// solver derives from sparsity alone (the finite-difference coloring,
+/// the sparse-Newton plans), each built on first use and then shared by
+/// every solve over the artifact.
 #[derive(Debug)]
 pub struct Patterns {
     tape: Arc<Tape>,
     derivs: DerivTapes,
-    fd: OnceLock<SparsityPattern>,
+    fd: OnceLock<ColoredPattern>,
     analytic: [OnceLock<SparsityPattern>; 2],
+    /// `None` inside: the analysis refused the pattern (never, for the
+    /// square patterns a tape group has), and solves analyze themselves.
+    plans: [OnceLock<Option<Arc<NewtonPlan>>>; 2],
 }
 
 impl Patterns {
     /// The species each right-hand side reads, from a dataflow walk of
-    /// the tape: the pattern colored finite differences perturb over.
-    pub fn fd(&self) -> &SparsityPattern {
+    /// the tape — the pattern colored finite differences perturb over —
+    /// with its coloring.
+    pub fn fd(&self) -> &ColoredPattern {
         self.fd.get_or_init(|| {
-            SparsityPattern::new(species_dependencies(&self.tape), self.tape.n_species)
+            ColoredPattern::new(SparsityPattern::new(
+                species_dependencies(&self.tape),
+                self.tape.n_species,
+            ))
         })
     }
 
@@ -166,6 +175,22 @@ impl Patterns {
             let _ = slot.set(SparsityPattern::new(rows, self.tape.n_species));
         }
         slot.get()
+    }
+
+    /// The sparse-Newton analysis of `group`'s analytic pattern: kept
+    /// from the *Deriv* stage of a cold compile, otherwise run by the
+    /// first sparse-path solve that asks (the others wait for it and
+    /// share the result). `None` when the group was not compiled.
+    pub fn plan(&self, group: DerivGroup) -> Option<Arc<NewtonPlan>> {
+        let pattern = self.analytic(group)?;
+        self.plans[group as usize]
+            .get_or_init(|| NewtonPlan::analyze(pattern).ok().map(Arc::new))
+            .clone()
+    }
+
+    /// `group`'s plan if one exists already; never runs the analysis.
+    pub fn built_plan(&self, group: DerivGroup) -> Option<&Arc<NewtonPlan>> {
+        self.plans[group as usize].get()?.as_ref()
     }
 }
 
@@ -186,23 +211,33 @@ impl Kernels {
         jacobian: &Option<Arc<JacobianTapes>>,
         sensitivity: &Option<Arc<SensitivityTapes>>,
         native: &Option<Arc<NativeKernel>>,
+        analyzed: Option<(SparsityPattern, Arc<NewtonPlan>)>,
     ) -> Kernels {
         let derivs = DerivTapes {
             jacobian: jacobian.clone(),
             sensitivity: sensitivity.clone(),
         };
+        let patterns = Patterns {
+            tape: tape.clone(),
+            derivs: derivs.clone(),
+            fd: OnceLock::new(),
+            analytic: Default::default(),
+            plans: Default::default(),
+        };
+        // What the Deriv stage analyzed is the Jacobian group's; the locks
+        // are fresh, so both `set`s succeed.
+        if let Some((pattern, plan)) = analyzed {
+            let at = DerivGroup::Jacobian as usize;
+            let _ = patterns.analytic[at].set(pattern);
+            let _ = patterns.plans[at].set(Some(plan));
+        }
         Kernels {
             interp: Arc::new(TapeKernel::new(tape.clone(), derivs.clone())),
             exec: Arc::new(TapeKernel::new(exec.clone(), derivs.clone())),
             native: native
                 .as_ref()
                 .map(|k| Arc::new(TapeKernel::new(k.clone(), derivs.clone())) as Arc<dyn Kernel>),
-            patterns: Arc::new(Patterns {
-                tape: tape.clone(),
-                derivs,
-                fd: OnceLock::new(),
-                analytic: Default::default(),
-            }),
+            patterns: Arc::new(patterns),
         }
     }
 }

@@ -543,6 +543,7 @@ impl CompilerSession {
         records.insert(insert_at, odegen_record);
         dump.offer(Stage::Lower, || compiled.tape.to_string());
 
+        let mut analyzed = None;
         let (jacobian, sensitivity) = if self.options.deriv || self.options.sensitivity {
             let clock = Instant::now();
             let jacobian = self.options.deriv.then(|| {
@@ -559,21 +560,25 @@ impl CompilerSession {
             });
             let mut record = StageRecord::new(Stage::Deriv, clock.elapsed().as_secs_f64());
             if let Some(tapes) = &jacobian {
-                // Sparse-Newton symbolic analysis of I − hβJ over the exact
-                // compiled sparsity: the fill the stiff solver's sparse path
-                // will carry (nnz(L+U) under the fill-reducing ordering).
+                // Sparse-Newton analysis of I − hβJ over the exact compiled
+                // sparsity: the fill the stiff solver's sparse path carries
+                // (nnz(L+U) under the fill-reducing ordering). The artifact
+                // keeps the plan, so no solve over it analyzes again.
+                let clock = Instant::now();
                 let jac_pattern =
                     rms_solver::SparsityPattern::new(tapes.pattern_rows(), tapes.n_species);
-                let iter_pattern = rms_solver::iteration_matrix_pattern(&jac_pattern);
-                let lu_fill = rms_solver::SymbolicLu::analyze(&iter_pattern)
-                    .map(|sym| sym.fill_nnz())
-                    .unwrap_or(0);
+                let plan = rms_solver::NewtonPlan::analyze(&jac_pattern).ok();
                 record = record
                     .metric("nnz", tapes.entries.len() as f64)
                     .metric("rhs_instrs", tapes.rhs.instrs.len() as f64)
                     .metric("jac_instrs", tapes.jac.instrs.len() as f64)
-                    .metric("iter_nnz", iter_pattern.nnz() as f64)
-                    .metric("lu_fill_nnz", lu_fill as f64);
+                    .metric("iter_nnz", plan.as_ref().map_or(0, |p| p.iter_nnz()) as f64)
+                    .metric(
+                        "lu_fill_nnz",
+                        plan.as_ref().map_or(0, |p| p.fill_nnz()) as f64,
+                    )
+                    .metric("symbolic_seconds", clock.elapsed().as_secs_f64());
+                analyzed = plan.map(|plan| (jac_pattern, Arc::new(plan)));
             }
             if let Some(tapes) = &sensitivity {
                 record = record
@@ -689,7 +694,14 @@ impl CompilerSession {
         };
         report.finish();
 
-        let kernels = Kernels::new(&compiled.tape, &exec, &jacobian, &sensitivity, &native);
+        let kernels = Kernels::new(
+            &compiled.tape,
+            &exec,
+            &jacobian,
+            &sensitivity,
+            &native,
+            analyzed,
+        );
         Ok(CompiledArtifact {
             name: name.to_string(),
             network,
@@ -774,7 +786,15 @@ impl CompilerSession {
         } else {
             (None, None)
         };
-        let kernels = Kernels::new(&compiled.tape, &exec, &jacobian, &sensitivity, &native);
+        // A revived artifact analyzes on its first sparse-path solve, if any.
+        let kernels = Kernels::new(
+            &compiled.tape,
+            &exec,
+            &jacobian,
+            &sensitivity,
+            &native,
+            None,
+        );
         Some(CompiledArtifact {
             name,
             network,

@@ -31,14 +31,17 @@
 //! from one step. Lagrange weights sum to one, so linear invariants of
 //! the history hold through interpolation.
 
-use crate::coloring::{fd_jacobian_colored_into, SparsityPattern};
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use crate::coloring::{fd_jacobian_colored_into, ColoredPattern, SparsityPattern};
 use crate::jacobian::{fd_jacobian_into, AnalyticJacobian, FdWorkspace};
 use crate::linalg::{CsrMatrix, Lu, Matrix};
 use crate::problem::{
     error_norm, CancelToken, LinearSolver, OdeRhs, SensitivityRhs, SolveStats, SolverError,
     SolverOptions,
 };
-use crate::sparse::SparseNewton;
+use crate::sparse::{NewtonPlan, SparseNewton};
 
 /// BDF α coefficients (history weights) and β (f weight) per order.
 /// `y_{n+1} = Σ_i ALPHA[k][i] · y_{n−i} + BETA[k] · h · f(t_{n+1}, y_{n+1})`
@@ -91,6 +94,9 @@ pub enum JacobianSource<'a> {
     /// Colored finite differences over a known sparsity pattern
     /// (one RHS evaluation per color).
     FdColored(SparsityPattern),
+    /// [`FdColored`](JacobianSource::FdColored) over a pattern its owner
+    /// already colored: nothing is cloned or colored per solve.
+    FdColoredShared(&'a ColoredPattern),
     /// Dense finite differences: n RHS evaluations per refresh
     /// (the default).
     FdDense,
@@ -99,11 +105,7 @@ pub enum JacobianSource<'a> {
 /// [`JacobianSource`] after setup (coloring precomputed once).
 enum JacSource<'a> {
     Analytic(&'a dyn AnalyticJacobian),
-    Colored {
-        pattern: SparsityPattern,
-        colors: Vec<u32>,
-        n_colors: usize,
-    },
+    Colored(Cow<'a, ColoredPattern>),
     Dense,
 }
 
@@ -197,6 +199,9 @@ pub struct Bdf<'a, R: OdeRhs> {
     /// Was the cached Jacobian evaluated during the current step attempt
     /// (rather than at some earlier accepted point)?
     jac_current: bool,
+    /// Does the configured [`LinearSolver`] resolve to the sparse path
+    /// for `source`? Decided when the source is set.
+    sparse: bool,
     /// All-columns pattern synthesized when the sparse path is forced on
     /// a dense-FD Jacobian source (built once).
     full_pattern: Option<SparsityPattern>,
@@ -232,6 +237,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             factor_age: 0,
             growth_hold: 0,
             jac_current: false,
+            sparse: want_sparse(&options, y0.len(), &JacSource::Dense),
             full_pattern: None,
             jac: None,
             source: JacSource::Dense,
@@ -264,15 +270,12 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         self.source = match source {
             JacobianSource::AnalyticTape(provider) => JacSource::Analytic(provider),
             JacobianSource::FdColored(pattern) => {
-                let (colors, n_colors) = pattern.color_columns();
-                JacSource::Colored {
-                    pattern,
-                    colors,
-                    n_colors,
-                }
+                JacSource::Colored(Cow::Owned(ColoredPattern::new(pattern)))
             }
+            JacobianSource::FdColoredShared(colored) => JacSource::Colored(Cow::Borrowed(colored)),
             JacobianSource::FdDense => JacSource::Dense,
         };
+        self.sparse = want_sparse(&self.options, self.rhs.dim(), &self.source);
         self.jac = None;
         // The sparsity may have changed with the source: drop the sparse
         // kernel (and its symbolic analysis) along with the numeric factor.
@@ -604,15 +607,20 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         let n = y.len();
         match &self.source {
             JacSource::Analytic(provider) => {
-                let pattern = provider.pattern();
                 // Reuse the sparse store (the pattern never changes for a
                 // given source); build it on first refresh only.
                 if !matches!(self.jac, Some(JacStore::Sparse(_))) {
-                    let csr = CsrMatrix::from_rows(
-                        (0..pattern.n_rows()).map(|i| pattern.row(i)),
-                        pattern.n_cols(),
-                    )
-                    .expect("SparsityPattern rows are ascending and in range");
+                    let csr = match self.offered_plan() {
+                        Some(plan) => plan.jacobian_store(),
+                        None => {
+                            let pattern = provider.pattern();
+                            CsrMatrix::from_rows(
+                                (0..pattern.n_rows()).map(|i| pattern.row(i)),
+                                pattern.n_cols(),
+                            )
+                            .expect("SparsityPattern rows are ascending and in range")
+                        }
+                    };
                     self.jac = Some(JacStore::Sparse(csr));
                 }
                 let csr = match &mut self.jac {
@@ -624,14 +632,15 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                 // comparability with the FD paths.
                 self.stats.fevals += 1;
             }
-            JacSource::Colored {
-                pattern,
-                colors,
-                n_colors,
-            } => {
+            JacSource::Colored(colored) => {
                 s.f.clear();
                 s.f.resize(n, 0.0);
                 self.rhs.eval(t, y, &mut s.f);
+                let ColoredPattern {
+                    pattern,
+                    colors,
+                    n_colors,
+                } = &**colored;
                 let jac = dense_store(&mut self.jac, pattern.n_rows(), n);
                 let jac_fevals = fd_jacobian_colored_into(
                     self.rhs, t, y, &s.f, pattern, colors, *n_colors, jac, &mut s.fd,
@@ -651,31 +660,18 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         self.jac_current = true;
     }
 
-    /// Does the configured [`LinearSolver`] resolve to the sparse path for
-    /// the current Jacobian source? `Auto` requires a known sparsity (the
-    /// dense-FD source has none worth exploiting) that is big and sparse
-    /// enough to beat dense LU.
-    fn want_sparse(&self) -> bool {
-        match self.options.linear_solver {
-            LinearSolver::Dense => false,
-            LinearSolver::Sparse => true,
-            LinearSolver::Auto => {
-                let n = self.rhs.dim();
-                let jac_nnz = match &self.source {
-                    JacSource::Analytic(provider) => provider.pattern().nnz(),
-                    JacSource::Colored { pattern, .. } => pattern.nnz(),
-                    JacSource::Dense => return false,
-                };
-                // The iteration matrix adds at most the n diagonal slots.
-                n >= AUTO_MIN_DIM
-                    && (jac_nnz + n) as f64 <= AUTO_MAX_DENSITY * (n as f64) * (n as f64)
-            }
+    /// The shared analysis the Jacobian provider offers, asked for only
+    /// on the sparse path (an owner may build it on first request).
+    fn offered_plan(&self) -> Option<Arc<NewtonPlan>> {
+        match &self.source {
+            JacSource::Analytic(provider) if self.sparse => provider.plan(),
+            _ => None,
         }
     }
 
     fn build_lu(&mut self, beta: f64) -> Result<(), SolverError> {
         let scale = self.h * beta;
-        if self.want_sparse() {
+        if self.sparse {
             self.build_sparse(scale)?;
         } else {
             self.build_dense(scale)?;
@@ -717,7 +713,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         // The pattern the Jacobian store is gathered through.
         let pattern: &SparsityPattern = match &self.source {
             JacSource::Analytic(provider) => provider.pattern(),
-            JacSource::Colored { pattern, .. } => pattern,
+            JacSource::Colored(colored) => &colored.pattern,
             JacSource::Dense => {
                 // Forced sparse on a dense-FD source: treat every entry as
                 // structural. No fill advantage, but uniform semantics.
@@ -731,7 +727,14 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             }
         };
         if !matches!(self.factor, Factor::Sparse(_)) {
-            self.factor = Factor::Sparse(SparseNewton::new(pattern).map_err(singular)?);
+            let kernel = match self.offered_plan() {
+                Some(plan) => SparseNewton::from_plan(plan),
+                None => {
+                    self.stats.symbolic_analyses += 1;
+                    SparseNewton::new(pattern).map_err(singular)?
+                }
+            };
+            self.factor = Factor::Sparse(kernel);
         }
         let kernel = match &mut self.factor {
             Factor::Sparse(kernel) => kernel,
@@ -1029,6 +1032,26 @@ fn column_norm(err: &[f64], y: &[f64], n: usize, p: usize, k: usize, rtol: f64, 
         sum += (e / w) * (e / w);
     }
     (sum / n.max(1) as f64).sqrt()
+}
+
+/// Does `options.linear_solver` resolve to the sparse path for `source`
+/// on an `n`-dimensional system? `Auto` requires a known sparsity (the
+/// dense-FD source has none worth exploiting) that is big and sparse
+/// enough to beat dense LU.
+fn want_sparse(options: &SolverOptions, n: usize, source: &JacSource) -> bool {
+    match options.linear_solver {
+        LinearSolver::Dense => false,
+        LinearSolver::Sparse => true,
+        LinearSolver::Auto => {
+            let jac_nnz = match source {
+                JacSource::Analytic(provider) => provider.pattern().nnz(),
+                JacSource::Colored(colored) => colored.pattern.nnz(),
+                JacSource::Dense => return false,
+            };
+            // The iteration matrix adds at most the n diagonal slots.
+            n >= AUTO_MIN_DIM && (jac_nnz + n) as f64 <= AUTO_MAX_DENSITY * (n as f64) * (n as f64)
+        }
+    }
 }
 
 /// The dense Jacobian store, reused across refreshes (reallocated only if
@@ -1392,8 +1415,16 @@ mod tests {
                 }
             })
             .collect();
-        sparse.set_sparsity(SparsityPattern::new(rows, n));
+        let pattern = SparsityPattern::new(rows, n);
+        sparse.set_sparsity(pattern.clone());
         sparse.integrate_to(1.0).unwrap();
+        // A coloring the caller keeps is the one the solver would make.
+        let colored = ColoredPattern::new(pattern);
+        let mut shared = Bdf::new(&rhs, 0.0, &y0, options);
+        shared.set_jacobian_source(JacobianSource::FdColoredShared(&colored));
+        shared.integrate_to(1.0).unwrap();
+        assert_eq!(shared.y(), sparse.y());
+        assert_eq!(shared.stats(), sparse.stats());
         for (a, b) in dense.y().iter().zip(sparse.y()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }

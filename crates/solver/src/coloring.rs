@@ -92,6 +92,32 @@ impl SparsityPattern {
     }
 }
 
+/// A sparsity pattern with its column coloring: what colored finite
+/// differences need besides the RHS. Colored once by whoever owns the
+/// pattern and shared with every solve over it
+/// ([`JacobianSource::FdColoredShared`](crate::JacobianSource::FdColoredShared)).
+#[derive(Debug, Clone)]
+pub struct ColoredPattern {
+    /// The Jacobian sparsity.
+    pub pattern: SparsityPattern,
+    /// Color of each column.
+    pub colors: Vec<u32>,
+    /// Number of colors (= RHS evaluations per Jacobian).
+    pub n_colors: usize,
+}
+
+impl ColoredPattern {
+    /// Color `pattern`'s columns ([`SparsityPattern::color_columns`]).
+    pub fn new(pattern: SparsityPattern) -> ColoredPattern {
+        let (colors, n_colors) = pattern.color_columns();
+        ColoredPattern {
+            pattern,
+            colors,
+            n_colors,
+        }
+    }
+}
+
 /// Colored forward-difference Jacobian: perturb all same-colored columns
 /// at once and attribute each row's difference to that row's unique
 /// column of the color. Returns the (dense-storage) Jacobian and the

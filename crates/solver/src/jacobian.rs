@@ -1,9 +1,12 @@
 //! Jacobians for the implicit solvers: finite differences, and the
 //! interface through which compiler-emitted analytic Jacobians plug in.
 
+use std::sync::Arc;
+
 use crate::coloring::SparsityPattern;
 use crate::linalg::Matrix;
 use crate::problem::OdeRhs;
+use crate::sparse::NewtonPlan;
 
 /// Forward-difference perturbation step for state value `y_j`.
 ///
@@ -29,6 +32,14 @@ pub trait AnalyticJacobian {
     /// row-major order matching [`pattern`](AnalyticJacobian::pattern)
     /// (`vals.len()` equals the pattern's nnz).
     fn eval_values(&self, t: f64, y: &[f64], vals: &mut [f64]);
+
+    /// The sparse-Newton analysis of [`pattern`](AnalyticJacobian::pattern),
+    /// when the provider's owner keeps one to share between solves. Asked
+    /// for only on the sparse path; with `None` (the default) the solver
+    /// analyzes the pattern itself, once per solve.
+    fn plan(&self) -> Option<Arc<NewtonPlan>> {
+        None
+    }
 }
 
 /// Reusable scratch for the finite-difference Jacobians: stacked

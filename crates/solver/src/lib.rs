@@ -32,7 +32,9 @@ pub use adams::{solve_adams, Adams};
 pub use bdf::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, Bdf, JacobianSource, MAX_ORDER,
 };
-pub use coloring::{fd_jacobian_colored, fd_jacobian_colored_into, SparsityPattern};
+pub use coloring::{
+    fd_jacobian_colored, fd_jacobian_colored_into, ColoredPattern, SparsityPattern,
+};
 pub use jacobian::{fd_jacobian, fd_jacobian_into, fd_step, AnalyticJacobian, FdWorkspace};
 pub use linalg::{CsrMatrix, LinalgError, Lu, Matrix};
 pub use problem::{
@@ -40,4 +42,6 @@ pub use problem::{
     SolverOptions,
 };
 pub use rk45::{solve_rk45, Rk45};
-pub use sparse::{iteration_matrix_pattern, CscMatrix, SparseLu, SparseNewton, SymbolicLu};
+pub use sparse::{
+    iteration_matrix_pattern, CscMatrix, NewtonPlan, SparseLu, SparseNewton, SymbolicLu,
+};

@@ -226,6 +226,10 @@ pub struct SolveStats {
     /// sparse factor size on the sparse path, `n²` on the dense path,
     /// zero before the first factorization. A gauge, not a counter.
     pub fill_nnz: usize,
+    /// Sparse-Newton analyses (ordering + symbolic fill) this solve ran
+    /// itself: 1 on the sparse path unless its Jacobian provider offered
+    /// a shared [`NewtonPlan`](crate::NewtonPlan), 0 otherwise.
+    pub symbolic_analyses: usize,
 }
 
 /// Solver failures.

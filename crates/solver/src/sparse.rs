@@ -15,13 +15,17 @@
 //! * [`SymbolicLu`]: the symbolic half of the factorization — permutation
 //!   plus the fill patterns of L and U — computed **once** per sparsity
 //!   and reused across every numeric refactorization as `h` and `β`
-//!   change during integration;
+//!   change during integration, and across solves;
 //! * [`SparseLu`]: the numeric half — a left-looking refactorization over
 //!   the fixed pattern and column-oriented triangular solves, both
 //!   allocation-free after construction;
-//! * [`SparseNewton`]: the solver-facing bundle that assembles
-//!   `I − scale·J` directly into CSC slots from either a CSR Jacobian
-//!   (analytic tapes) or a dense store (colored finite differences).
+//! * [`NewtonPlan`]: everything about `I − scale·J` that depends on the
+//!   Jacobian's sparsity alone (assembly structure + [`SymbolicLu`]),
+//!   analyzed once per compiled model and shared by every solve over it;
+//! * [`SparseNewton`]: the solver-facing bundle, one solve's value arrays
+//!   over a plan, that assembles `I − scale·J` directly into CSC slots
+//!   from either a CSR Jacobian (analytic tapes) or a dense store
+//!   (colored finite differences).
 //!
 //! Pivoting is *structural*: elimination proceeds along the diagonal of
 //! the symmetrically permuted matrix `PAPᵀ`. The iteration matrix always
@@ -38,17 +42,25 @@ use std::sync::Arc;
 use crate::coloring::SparsityPattern;
 use crate::linalg::{CsrMatrix, LinalgError, Matrix};
 
-/// Compressed-sparse-column matrix with a fixed structure and mutable
-/// values — the assembly target for the sparse iteration matrix and the
-/// input format of [`SparseLu::refactor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CscMatrix {
+/// Where a [`CscMatrix`]'s entries sit. Shared, so that every matrix
+/// over one sparsity (each solver's assembly buffer under a
+/// [`NewtonPlan`]) owns nothing but its values.
+#[derive(Debug, PartialEq)]
+struct CscStructure {
     n_rows: usize,
     n_cols: usize,
     /// `col_ptr[j]..col_ptr[j+1]` indexes column j's entries.
     col_ptr: Vec<usize>,
     /// Row of each entry, ascending within a column.
     row_idx: Vec<u32>,
+}
+
+/// Compressed-sparse-column matrix with a fixed structure and mutable
+/// values — the assembly target for the sparse iteration matrix and the
+/// input format of [`SparseLu::refactor`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CscMatrix {
+    structure: Arc<CscStructure>,
     vals: Vec<f64>,
 }
 
@@ -71,14 +83,18 @@ impl CscMatrix {
         if row_idx.iter().any(|&r| (r as usize) >= n_rows) {
             return Err(LinalgError::MalformedPattern);
         }
-        let nnz = row_idx.len();
-        Ok(CscMatrix {
+        Ok(CscMatrix::zeros(Arc::new(CscStructure {
             n_rows,
             n_cols: col_ptr.len() - 1,
             col_ptr,
             row_idx,
-            vals: vec![0.0; nnz],
-        })
+        })))
+    }
+
+    /// All-zero values over a shared structure.
+    fn zeros(structure: Arc<CscStructure>) -> CscMatrix {
+        let vals = vec![0.0; structure.row_idx.len()];
+        CscMatrix { structure, vals }
     }
 
     /// Build from a row-oriented [`SparsityPattern`] (values zero).
@@ -105,13 +121,12 @@ impl CscMatrix {
                 next[j as usize] += 1;
             }
         }
-        CscMatrix {
+        CscMatrix::zeros(Arc::new(CscStructure {
             n_rows,
             n_cols,
             col_ptr,
             row_idx,
-            vals: vec![0.0; nnz],
-        }
+        }))
     }
 
     /// Capture the nonzeros of a dense matrix (tests and adapters).
@@ -130,23 +145,23 @@ impl CscMatrix {
             }
             col_ptr[j + 1] = row_idx.len();
         }
-        CscMatrix {
+        let structure = Arc::new(CscStructure {
             n_rows: r,
             n_cols: c,
             col_ptr,
             row_idx,
-            vals,
-        }
+        });
+        CscMatrix { structure, vals }
     }
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.structure.n_rows
     }
 
     /// Number of columns.
     pub fn n_cols(&self) -> usize {
-        self.n_cols
+        self.structure.n_cols
     }
 
     /// Number of structural nonzeros.
@@ -166,14 +181,16 @@ impl CscMatrix {
 
     /// Rows and values of column `j`.
     pub fn col(&self, j: usize) -> (&[u32], &[f64]) {
-        let span = self.col_ptr[j]..self.col_ptr[j + 1];
-        (&self.row_idx[span.clone()], &self.vals[span])
+        let s = &self.structure;
+        let span = s.col_ptr[j]..s.col_ptr[j + 1];
+        (&s.row_idx[span.clone()], &self.vals[span])
     }
 
     /// Value-slot index of entry `(i, j)`, if structurally present.
     pub fn slot(&self, i: usize, j: usize) -> Option<usize> {
-        let span = self.col_ptr[j]..self.col_ptr[j + 1];
-        self.row_idx[span.clone()]
+        let s = &self.structure;
+        let span = s.col_ptr[j]..s.col_ptr[j + 1];
+        s.row_idx[span.clone()]
             .binary_search(&(i as u32))
             .ok()
             .map(|k| span.start + k)
@@ -181,21 +198,21 @@ impl CscMatrix {
 
     /// The row-oriented sparsity of this matrix's structure.
     pub fn pattern(&self) -> SparsityPattern {
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.n_rows];
-        for j in 0..self.n_cols {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.n_rows()];
+        for j in 0..self.n_cols() {
             for &i in self.col(j).0 {
                 rows[i as usize].push(j as u32);
             }
         }
         // Column-major traversal appends each row's columns in ascending
         // order already.
-        SparsityPattern::new(rows, self.n_cols)
+        SparsityPattern::new(rows, self.n_cols())
     }
 
     /// Densify (tests and fallbacks).
     pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n_rows, self.n_cols);
-        for j in 0..self.n_cols {
+        let mut m = Matrix::zeros(self.n_rows(), self.n_cols());
+        for j in 0..self.n_cols() {
             let (rows, vals) = self.col(j);
             for (&i, &v) in rows.iter().zip(vals) {
                 m[(i as usize, j)] = v;
@@ -219,25 +236,6 @@ pub fn iteration_matrix_pattern(jac: &SparsityPattern) -> SparsityPattern {
         })
         .collect();
     SparsityPattern::new(rows, jac.n_cols())
-}
-
-/// Order-independent fingerprint of a square pattern, used to detect a
-/// cached [`SymbolicLu`] being offered for the wrong sparsity.
-fn pattern_fingerprint(pattern: &SparsityPattern) -> u64 {
-    // FNV-1a over (row, col) pairs.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(pattern.n_rows() as u64);
-    mix(pattern.n_cols() as u64);
-    for i in 0..pattern.n_rows() {
-        for &j in pattern.row(i) {
-            mix(((i as u64) << 32) | j as u64);
-        }
-    }
-    h
 }
 
 /// Minimum-degree ordering (Markowitz criterion specialized to the
@@ -323,8 +321,6 @@ pub struct SymbolicLu {
     l_idx: Vec<u32>,
     u_ptr: Vec<usize>,
     u_idx: Vec<u32>,
-    /// Fingerprint of the analyzed pattern, to validate cached reuse.
-    fingerprint: u64,
 }
 
 impl SymbolicLu {
@@ -419,7 +415,6 @@ impl SymbolicLu {
             l_idx,
             u_ptr,
             u_idx,
-            fingerprint: pattern_fingerprint(pattern),
         })
     }
 
@@ -445,13 +440,6 @@ impl SymbolicLu {
         let vals = (self.l_idx.len() + self.u_idx.len()) * size_of::<f64>();
         let work = 2 * self.n * size_of::<f64>();
         idx + ptr + perm + vals + work
-    }
-
-    /// Whether this analysis was computed for `pattern`.
-    pub fn matches(&self, pattern: &SparsityPattern) -> bool {
-        self.n == pattern.n_rows()
-            && pattern.n_rows() == pattern.n_cols()
-            && self.fingerprint == pattern_fingerprint(pattern)
     }
 }
 
@@ -670,46 +658,36 @@ fn in_factor_column(_s: &SymbolicLu, _jp: usize, _ip: usize) -> bool {
     true
 }
 
-/// Solver-facing sparse Newton kernel: owns the CSC iteration-matrix
-/// buffer `I − scale·J` over a fixed structure, precomputed scatter slot
-/// maps from the Jacobian's row-major entry order, and the numeric
-/// factorization. Created once per (pattern, solver) and reused for
-/// every refactorization.
+/// Everything about factoring `I − γJ` that depends only on the
+/// Jacobian's sparsity: the iteration matrix's CSC structure, the scatter
+/// maps into it, the CSR structure of the Jacobian store and the symbolic
+/// factorization (ordering + fill). Immutable; whoever owns the pattern
+/// analyzes once and shares the plan with every solve over it, so a plan
+/// always belongs to the pattern it is used with and needs no validation.
 #[derive(Debug)]
-pub struct SparseNewton {
-    /// `I − scale·J` assembly buffer (structure = J-pattern ∪ diagonal).
-    iter: CscMatrix,
+pub struct NewtonPlan {
+    /// Structure of `I − γJ`: the Jacobian pattern ∪ the diagonal.
+    iter: Arc<CscStructure>,
     /// CSC value slot of each Jacobian entry, in row-major entry order
     /// (the order CSR values and pattern traversal produce).
     jac_slots: Vec<u32>,
     /// CSC value slot of each diagonal entry.
     diag_slots: Vec<u32>,
-    lu: SparseLu,
+    /// The Jacobian store over the analyzed pattern, values zero.
+    jac: CsrMatrix,
+    symbolic: Arc<SymbolicLu>,
 }
 
-impl SparseNewton {
-    /// Build for a Jacobian sparsity, running symbolic analysis.
-    pub fn new(jac_pattern: &SparsityPattern) -> Result<SparseNewton, LinalgError> {
-        Self::with_symbolic(jac_pattern, None)
-    }
-
-    /// Build for a Jacobian sparsity, reusing a previously computed
-    /// symbolic analysis when it matches (e.g. one shared by every solve
-    /// of the same compiled model); a mismatched or absent one is
-    /// recomputed here.
-    pub fn with_symbolic(
-        jac_pattern: &SparsityPattern,
-        symbolic: Option<Arc<SymbolicLu>>,
-    ) -> Result<SparseNewton, LinalgError> {
+impl NewtonPlan {
+    /// Analyze a (square) Jacobian sparsity: minimum-degree ordering and
+    /// symbolic fill of `I − γJ`, plus the assembly structure around it.
+    pub fn analyze(jac_pattern: &SparsityPattern) -> Result<NewtonPlan, LinalgError> {
         let n = jac_pattern.n_rows();
         if n != jac_pattern.n_cols() {
             return Err(LinalgError::DimensionMismatch);
         }
         let iter_pattern = iteration_matrix_pattern(jac_pattern);
-        let symbolic = match symbolic {
-            Some(s) if s.matches(&iter_pattern) => s,
-            _ => Arc::new(SymbolicLu::analyze(&iter_pattern)?),
-        };
+        let symbolic = Arc::new(SymbolicLu::analyze(&iter_pattern)?);
         let iter = CscMatrix::from_pattern(&iter_pattern);
         let mut jac_slots = Vec::with_capacity(jac_pattern.nnz());
         for i in 0..n {
@@ -723,12 +701,57 @@ impl SparseNewton {
         let diag_slots = (0..n)
             .map(|i| iter.slot(i, i).expect("diagonal ensured") as u32)
             .collect();
-        Ok(SparseNewton {
-            iter,
+        Ok(NewtonPlan {
+            iter: iter.structure,
             jac_slots,
             diag_slots,
-            lu: SparseLu::new(symbolic),
+            jac: CsrMatrix::from_rows((0..n).map(|i| jac_pattern.row(i)), n)?,
+            symbolic,
         })
+    }
+
+    /// Structural nonzeros of the iteration matrix `I − γJ`.
+    pub fn iter_nnz(&self) -> usize {
+        self.iter.row_idx.len()
+    }
+
+    /// nnz(L+U) of a factorization under this plan.
+    pub fn fill_nnz(&self) -> usize {
+        self.symbolic.fill_nnz()
+    }
+
+    /// A zero-valued Jacobian store over the analyzed pattern, for
+    /// [`SparseNewton::factor_from_csr`].
+    pub fn jacobian_store(&self) -> CsrMatrix {
+        self.jac.clone()
+    }
+}
+
+/// Solver-facing sparse Newton kernel: the value arrays of one solve —
+/// the CSC iteration-matrix buffer `I − scale·J` and the numeric
+/// factorization — over a shared [`NewtonPlan`]. Created once per solver
+/// and reused for every refactorization.
+#[derive(Debug)]
+pub struct SparseNewton {
+    plan: Arc<NewtonPlan>,
+    /// `I − scale·J` assembly buffer.
+    iter: CscMatrix,
+    lu: SparseLu,
+}
+
+impl SparseNewton {
+    /// Build for a Jacobian sparsity, running the analysis here.
+    pub fn new(jac_pattern: &SparsityPattern) -> Result<SparseNewton, LinalgError> {
+        NewtonPlan::analyze(jac_pattern).map(|plan| SparseNewton::from_plan(Arc::new(plan)))
+    }
+
+    /// Allocate the value arrays of one solver over a shared plan.
+    pub fn from_plan(plan: Arc<NewtonPlan>) -> SparseNewton {
+        SparseNewton {
+            iter: CscMatrix::zeros(plan.iter.clone()),
+            lu: SparseLu::new(plan.symbolic.clone()),
+            plan,
+        }
     }
 
     /// Matrix dimension.
@@ -736,38 +759,36 @@ impl SparseNewton {
         self.iter.n_rows()
     }
 
-    /// The shared symbolic structure (for reuse by sibling solvers).
-    pub fn symbolic(&self) -> &Arc<SymbolicLu> {
-        self.lu.symbolic()
-    }
-
     /// nnz(L+U) of the factorization this kernel maintains.
     pub fn fill_nnz(&self) -> usize {
-        self.lu.symbolic().fill_nnz()
+        self.plan.fill_nnz()
     }
 
     /// Peak bytes held for the iteration matrix + factors (the sparse
-    /// counterpart of the dense path's `n²` matrix plus its LU clone).
+    /// counterpart of the dense path's `n²` matrix plus its LU clone),
+    /// the plan's share included.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
+        let plan = &self.plan;
         let iter = self.iter.nnz() * (size_of::<f64>() + size_of::<u32>())
-            + self.iter.col_ptr.len() * size_of::<usize>();
-        let slots = (self.jac_slots.len() + self.diag_slots.len()) * size_of::<u32>();
-        iter + slots + self.lu.symbolic().factor_bytes()
+            + plan.iter.col_ptr.len() * size_of::<usize>();
+        let slots = (plan.jac_slots.len() + plan.diag_slots.len()) * size_of::<u32>();
+        iter + slots + plan.symbolic.factor_bytes()
     }
 
     /// Assemble `I − scale·J` from a CSR Jacobian (values in row-major
     /// entry order, as analytic tapes emit) and refactor.
     pub fn factor_from_csr(&mut self, jac: &CsrMatrix, scale: f64) -> Result<(), LinalgError> {
-        if jac.nnz() != self.jac_slots.len() || jac.n_rows() != self.n() {
+        let plan = &self.plan;
+        if jac.nnz() != plan.jac_slots.len() || jac.n_rows() != self.n() {
             return Err(LinalgError::DimensionMismatch);
         }
         let vals = self.iter.vals_mut();
         vals.fill(0.0);
-        for (&slot, &v) in self.jac_slots.iter().zip(jac.vals()) {
+        for (&slot, &v) in plan.jac_slots.iter().zip(jac.vals()) {
             vals[slot as usize] = -scale * v;
         }
-        for &slot in &self.diag_slots {
+        for &slot in &plan.diag_slots {
             vals[slot as usize] += 1.0;
         }
         self.lu.refactor(&self.iter)
@@ -782,7 +803,8 @@ impl SparseNewton {
         pattern: &SparsityPattern,
         scale: f64,
     ) -> Result<(), LinalgError> {
-        if pattern.nnz() != self.jac_slots.len() || jac.rows() != self.n() {
+        let plan = &self.plan;
+        if pattern.nnz() != plan.jac_slots.len() || jac.rows() != self.n() {
             return Err(LinalgError::DimensionMismatch);
         }
         let vals = self.iter.vals_mut();
@@ -790,11 +812,11 @@ impl SparseNewton {
         let mut k = 0;
         for i in 0..pattern.n_rows() {
             for &j in pattern.row(i) {
-                vals[self.jac_slots[k] as usize] = -scale * jac[(i, j as usize)];
+                vals[plan.jac_slots[k] as usize] = -scale * jac[(i, j as usize)];
                 k += 1;
             }
         }
-        for &slot in &self.diag_slots {
+        for &slot in &plan.diag_slots {
             vals[slot as usize] += 1.0;
         }
         self.lu.refactor(&self.iter)
@@ -1016,17 +1038,66 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_cache_validation() {
-        let p1 = SparsityPattern::new(vec![vec![0], vec![1]], 2);
-        let p2 = SparsityPattern::new(vec![vec![0, 1], vec![0, 1]], 2);
-        let s1 = Arc::new(SymbolicLu::analyze(&iteration_matrix_pattern(&p1)).unwrap());
-        assert!(s1.matches(&iteration_matrix_pattern(&p1)));
-        assert!(!s1.matches(&iteration_matrix_pattern(&p2)));
-        // A mismatched cache is silently replaced, not misused.
-        let newton = SparseNewton::with_symbolic(&p2, Some(Arc::clone(&s1))).unwrap();
-        assert!(!Arc::ptr_eq(newton.symbolic(), &s1));
-        let newton = SparseNewton::with_symbolic(&p1, Some(Arc::clone(&s1))).unwrap();
-        assert!(Arc::ptr_eq(newton.symbolic(), &s1));
+    fn from_plan_is_new_on_values_fill_and_solution_bits() {
+        // A random sparse Jacobian, factored by a kernel that analyzed for
+        // itself and by two kernels sharing one plan.
+        let mut rng = SmallRng::seed_from_u64(11);
+        let n = 30;
+        let rows: Vec<Vec<u32>> = (0..n)
+            .map(|i| {
+                (0..n as u32)
+                    .filter(|&j| j as usize == i || rng.gen_range(0.0..1.0) < 0.1)
+                    .collect()
+            })
+            .collect();
+        let pattern = SparsityPattern::new(rows.clone(), n);
+        let mut jac = CsrMatrix::from_rows(rows.iter().map(Vec::as_slice), n).unwrap();
+        for v in jac.vals_mut() {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+
+        let plan = Arc::new(NewtonPlan::analyze(&pattern).unwrap());
+        assert_eq!(plan.jacobian_store().nnz(), pattern.nnz());
+        assert_eq!(
+            plan.iter_nnz(),
+            iteration_matrix_pattern(&pattern).nnz(),
+            "the plan's structure is the iteration matrix's"
+        );
+        let mut own = SparseNewton::new(&pattern).unwrap();
+        let mut shared = [
+            SparseNewton::from_plan(plan.clone()),
+            SparseNewton::from_plan(plan.clone()),
+        ];
+        assert!(Arc::ptr_eq(
+            &shared[0].iter.structure,
+            &shared[1].iter.structure
+        ));
+        assert!(Arc::ptr_eq(
+            shared[0].lu.symbolic(),
+            shared[1].lu.symbolic()
+        ));
+        for scale in [0.4, 0.01] {
+            own.factor_from_csr(&jac, scale).unwrap();
+            let mut x_own = b.clone();
+            own.solve_in_place(&mut x_own).unwrap();
+            for kernel in &mut shared {
+                kernel.factor_from_csr(&jac, scale).unwrap();
+                assert_eq!(kernel.iter, own.iter, "assembled values");
+                assert_eq!(kernel.fill_nnz(), own.fill_nnz());
+                assert_eq!(kernel.memory_bytes(), own.memory_bytes());
+                let mut x = b.clone();
+                kernel.solve_in_place(&mut x).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&x_own), "solution bits at scale {scale}");
+            }
+        }
+        // Not square: nothing to plan.
+        let wide = SparsityPattern::new(vec![vec![0, 1]], 2);
+        assert_eq!(
+            NewtonPlan::analyze(&wide).unwrap_err(),
+            LinalgError::DimensionMismatch
+        );
     }
 
     #[test]

@@ -235,7 +235,8 @@ given admission sequence numbers (testing only).
 
 'compile-report' (or 'compile --emit report') prints the staged
 pipeline report as JSON: per-stage wall time and artifact sizes, plus
-the optimizer's operation counts (the paper's Table 1 columns).
+the optimizer's operation counts (the paper's Table 1 columns). It
+compiles what 'simulate' compiles, the deriv stage included.
 
 --dump-ir prints one stage's intermediate representation and exits;
 STAGE is one of parse, expand, rcip, network, odegen, simplify,
@@ -267,10 +268,11 @@ sits above the ODE solver's noise floor.
 
 The --linear-solver methods factor the Newton iteration matrix
 I − hβJ: 'dense' is LU with partial pivoting; 'sparse' is a
-fill-reducing (minimum-degree) sparse LU whose symbolic analysis is
-computed once from the compiled Jacobian sparsity and reused across
-every refactorization; 'auto' picks sparse when the system is large
-and sparse enough to win (n ≥ 64, density ≤ 10%).
+fill-reducing (minimum-degree) sparse LU whose ordering and symbolic
+analysis are computed once per compiled model from its Jacobian
+sparsity and shared by every solve over it (compile-report shows the
+cost as the Deriv stage's symbolic_seconds); 'auto' picks sparse when
+the system is large and sparse enough to win (n ≥ 64, density ≤ 10%).
 
 The --engine modes: 'exec' pre-decodes the tape into the fused
 execution engine (operands resolved to frame indices, FMA
@@ -796,7 +798,8 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 LoadOptions {
                     cache_dir: cache_dir.as_deref(),
                     dump: *dump,
-                    deriv: *dump == Some(Stage::Deriv),
+                    // The report covers the compile `simulate` does.
+                    deriv: *dump == Some(Stage::Deriv) || *emit == Emit::Report,
                     sensitivity: false,
                     native: *dump == Some(Stage::Codegen),
                     reroll: *reroll,
@@ -1339,6 +1342,10 @@ mod tests {
         assert!(out.contains("\"stages\""), "{out}");
         assert!(out.contains("\"stage\":\"parse\""), "{out}");
         assert!(out.contains("\"counts\""), "{out}");
+        // The Deriv stage says what the sparse-Newton analysis found and cost.
+        assert!(out.contains("\"stage\":\"deriv\""), "{out}");
+        assert!(out.contains("\"lu_fill_nnz\""), "{out}");
+        assert!(out.contains("\"symbolic_seconds\""), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -68,9 +68,9 @@ pub use rms_rdl::{
 };
 pub use rms_solver::{
     fd_jacobian, fd_jacobian_colored, fd_step, solve_adams, solve_bdf, solve_bdf_sensitivities,
-    solve_bdf_with_jacobian, solve_rk45, AnalyticJacobian, CsrMatrix, FnRhs, JacobianSource,
-    LinearSolver, OdeRhs, SensitivityRhs, SolveStats, SolverOptions, SparseLu, SparseNewton,
-    SparsityPattern, SymbolicLu,
+    solve_bdf_with_jacobian, solve_rk45, AnalyticJacobian, Bdf, CsrMatrix, FnRhs, JacobianSource,
+    LinearSolver, NewtonPlan, OdeRhs, SensitivityRhs, SolveStats, SolverOptions, SparseLu,
+    SparseNewton, SparsityPattern, SymbolicLu,
 };
 pub use rms_workload as workload;
 pub use rms_workload::{BoundKernel, JacobianMode, TapeSimulator};

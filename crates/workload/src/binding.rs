@@ -2,10 +2,13 @@
 //! only type through which compiled models reach the solver traits.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use rms_core::{DerivGroup, Kernel, KernelScratch};
 use rms_driver::{KernelChoice, Patterns};
-use rms_solver::{AnalyticJacobian, JacobianSource, OdeRhs, SensitivityRhs, SparsityPattern};
+use rms_solver::{
+    AnalyticJacobian, JacobianSource, NewtonPlan, OdeRhs, SensitivityRhs, SparsityPattern,
+};
 
 use crate::simulate::JacobianMode;
 
@@ -55,7 +58,7 @@ impl<'a> BoundKernel<'a> {
             JacobianMode::Analytic if self.patterns.analytic(self.group).is_some() => {
                 JacobianSource::AnalyticTape(self)
             }
-            _ => JacobianSource::FdColored(self.patterns.fd().clone()),
+            _ => JacobianSource::FdColoredShared(self.patterns.fd()),
         }
     }
 }
@@ -88,6 +91,10 @@ impl AnalyticJacobian for BoundKernel<'_> {
         s.ydot.resize(y.len(), 0.0);
         self.kernel
             .rhs_jac(self.group, self.rates, y, &mut s.ydot, vals, &mut s.kernel);
+    }
+
+    fn plan(&self) -> Option<Arc<NewtonPlan>> {
+        self.patterns.plan(self.group)
     }
 }
 

@@ -1,11 +1,18 @@
 //! Cross-crate integration tests for the sparse Newton path: BDF
 //! trajectories under `--linear-solver sparse` match the dense baseline
 //! on both workload model families and both sparsity-aware Jacobian
-//! sources, and the factorization actually is sparse (nnz(L+U) ≪ n²).
+//! sources, the factorization actually is sparse (nnz(L+U) ≪ n²), and
+//! the analysis behind it runs once per compiled model: every solve over
+//! an artifact shares the artifact's `NewtonPlan`, bit for bit the one a
+//! solve would have analyzed for itself.
+
+use std::sync::{Arc, Barrier};
 
 use rms_suite::{
-    solve_bdf_with_jacobian, BoundKernel, CompilerSession, DerivGroup, EngineMode, JacobianMode,
-    LinearSolver, OptLevel, SessionOptions, SolverOptions, SuiteModel,
+    cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
+    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, DerivGroup, EngineMode,
+    JacobianMode, JacobianSource, LinearSolver, OptLevel, SessionOptions, Simulator, SolveStats,
+    SolverOptions, SparsityPattern, Stage, SuiteModel, TapeSimulator,
 };
 use rms_workload::{scaled_case, VulcanizationModel, VULCANIZATION_RDL};
 
@@ -176,4 +183,292 @@ fn solver_stats_report_sparse_fill() {
     )
     .expect("dense BDF solve succeeds");
     assert_eq!(dense_stats.fill_nnz, n * n);
+}
+
+/// Both derivative groups, compiled for this test alone (cache bypassed):
+/// a cold compile, so the *Deriv* stage's plan for the Jacobian group is
+/// on the artifact already and the sensitivity group's is not.
+fn private_session() -> CompilerSession {
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.deriv = true;
+    options.sensitivity = true;
+    options.cache = CacheMode::Bypass;
+    CompilerSession::with_options(options)
+}
+
+/// `model` as a later process meets it: compiled into a cache directory,
+/// dropped from memory and revived from disk — no plan on it until a
+/// sparse-path solve asks. `tag` keeps the directory (and so the test)
+/// to itself; callers pass models no other test in this binary compiles.
+fn revived(tag: &str, model: VulcanizationModel) -> Arc<CompiledArtifact> {
+    let dir = std::env::temp_dir().join(format!("rms-plan-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.deriv = true;
+    options.sensitivity = true;
+    options.cache_dir = Some(dir.clone());
+    let session = CompilerSession::with_options(options);
+    session
+        .compile_network(tag, model.network.clone(), model.rates.clone())
+        .expect("workload models always compile");
+    cache::clear_memory();
+    let again = session
+        .compile_network(tag, model.network, model.rates)
+        .expect("revival");
+    assert_eq!(again.status, CacheStatus::Disk);
+    let _ = std::fs::remove_dir_all(&dir);
+    let patterns = again.artifact.kernel(EngineMode::Exec).patterns;
+    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
+        assert!(patterns.built_plan(group).is_none(), "{group:?} on revival");
+    }
+    again.artifact
+}
+
+/// The same Jacobian as the [`BoundKernel`] it wraps, but a provider that
+/// keeps the default `plan()`: its solves analyze for themselves.
+struct OwnAnalysis<'a>(&'a BoundKernel<'a>);
+
+impl AnalyticJacobian for OwnAnalysis<'_> {
+    fn pattern(&self) -> &SparsityPattern {
+        self.0.pattern()
+    }
+
+    fn eval_values(&self, t: f64, y: &[f64], vals: &mut [f64]) {
+        self.0.eval_values(t, y, vals)
+    }
+}
+
+fn sparse_options() -> SolverOptions {
+    SolverOptions {
+        linear_solver: LinearSolver::Sparse,
+        ..SolverOptions::default()
+    }
+}
+
+fn bits(rows: &[Vec<f64>]) -> Vec<u64> {
+    rows.iter().flatten().map(|v| v.to_bits()).collect()
+}
+
+/// One sparse-path solve of `group` through `jacobian` (the bound kernel
+/// itself, or [`OwnAnalysis`] of it): the bits of everything it returned,
+/// and its counters.
+fn solve_group(
+    artifact: &CompiledArtifact,
+    bound: &BoundKernel<'_>,
+    jacobian: &dyn AnalyticJacobian,
+    group: DerivGroup,
+) -> (Vec<u64>, SolveStats) {
+    let y0 = &artifact.system.initial;
+    let source = JacobianSource::AnalyticTape(jacobian);
+    match group {
+        DerivGroup::Jacobian => {
+            let (states, stats) =
+                solve_bdf_with_jacobian(bound, 0.0, y0, &TIMES, sparse_options(), source)
+                    .expect("plain solve");
+            (bits(&states), stats)
+        }
+        DerivGroup::Sensitivity => {
+            let (states, sens, stats) =
+                solve_bdf_sensitivities(bound, bound, 0.0, y0, &TIMES, sparse_options(), source)
+                    .expect("augmented solve");
+            (bits(&[states, sens].concat()), stats)
+        }
+    }
+}
+
+/// The shared plan is the analysis a solve would have run: plain and
+/// sensitivity-augmented trajectories agree bit for bit with solves that
+/// analyze for themselves, and so do all counters but the new one.
+fn assert_plan_changes_no_bit(artifact: &CompiledArtifact, label: &str) {
+    let choice = artifact.kernel(EngineMode::Exec);
+    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
+        let bound = BoundKernel::new(&choice, &artifact.system.rate_values, group);
+        let (shared, shared_stats) = solve_group(artifact, &bound, &bound, group);
+        let (own, own_stats) = solve_group(artifact, &bound, &OwnAnalysis(&bound), group);
+        assert!(shared == own, "{label}/{group:?}: trajectories differ");
+        assert!(shared_stats.factorizations > 0 && shared_stats.fill_nnz > 0);
+        assert_eq!(shared_stats.symbolic_analyses, 0, "{label}/{group:?}");
+        assert_eq!(own_stats.symbolic_analyses, 1, "{label}/{group:?}");
+        assert_eq!(
+            SolveStats {
+                symbolic_analyses: 0,
+                ..own_stats
+            },
+            shared_stats,
+            "{label}/{group:?}"
+        );
+    }
+}
+
+#[test]
+fn shared_plan_changes_no_bit_of_a_trajectory() {
+    let session = private_session();
+    let model = scaled_case(2, 100);
+    let programmatic = session
+        .compile_network("<network>", model.network, model.rates)
+        .expect("workload models always compile");
+    // What the cold compile's Deriv stage analyzed is the plan the solves
+    // run on, and the report says what it cost.
+    let patterns = programmatic.artifact.kernel(EngineMode::Exec).patterns;
+    let kept = patterns
+        .built_plan(DerivGroup::Jacobian)
+        .expect("the Deriv stage keeps its analysis")
+        .clone();
+    assert!(patterns.built_plan(DerivGroup::Sensitivity).is_none());
+    let deriv = programmatic.artifact.report.stage(Stage::Deriv).unwrap();
+    let metric = |name: &str| deriv.metrics.iter().find(|(k, _)| k == name).unwrap().1;
+    assert_eq!(metric("lu_fill_nnz"), kept.fill_nnz() as f64);
+    assert_eq!(metric("iter_nnz"), kept.iter_nnz() as f64);
+    assert!(metric("symbolic_seconds") > 0.0);
+    assert_plan_changes_no_bit(&programmatic.artifact, "scaled_case(2, 100)");
+    assert!(Arc::ptr_eq(
+        &patterns.plan(DerivGroup::Jacobian).unwrap(),
+        &kept
+    ));
+    assert!(patterns.built_plan(DerivGroup::Sensitivity).is_some());
+    let rdl = session
+        .compile_source("<rdl>", VULCANIZATION_RDL)
+        .expect("bundled RDL model compiles");
+    assert_plan_changes_no_bit(&rdl.artifact, "VULCANIZATION_RDL");
+}
+
+/// Eight solves start together on an artifact that has no plan yet: one
+/// of them analyzes inside `OnceLock::get_or_init`, the others wait for
+/// it, and all eight run on that one plan without an analysis of their
+/// own. A provider outside the artifact still pays for its own.
+#[test]
+fn concurrent_solves_share_one_plan_built_once() {
+    let artifact = revived("concurrent", scaled_case(2, 30));
+    let choice = artifact.kernel(EngineMode::Exec);
+    let rates = &artifact.system.rate_values;
+    let start = Barrier::new(8);
+    let solves: Vec<_> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
+                    start.wait();
+                    let (out, stats) = solve_group(&artifact, &bound, &bound, DerivGroup::Jacobian);
+                    (bound.plan().expect("Deriv ran"), out, stats)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let built = choice
+        .patterns
+        .built_plan(DerivGroup::Jacobian)
+        .expect("the first sparse-path solve built it");
+    for (plan, out, stats) in &solves {
+        assert!(Arc::ptr_eq(plan, built));
+        assert_eq!(stats.symbolic_analyses, 0);
+        assert!(stats.factorizations > 0);
+        assert!(*out == solves[0].1, "same rates, same trajectory");
+    }
+    // Nothing asked for the other group's plan.
+    assert!(choice
+        .patterns
+        .built_plan(DerivGroup::Sensitivity)
+        .is_none());
+
+    let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
+    let own = OwnAnalysis(&bound);
+    let (_, stats) = solve_group(&artifact, &bound, &own, DerivGroup::Jacobian);
+    assert_eq!(stats.symbolic_analyses, 1);
+}
+
+/// The simulator's fallback chain binds a fresh kernel per stage; the
+/// tightened stage finds the plan the failed primary stage left.
+#[test]
+fn tightened_stage_reuses_the_primary_stages_plan() {
+    let artifact = revived("chain", scaled_case(2, 20));
+    let choice = artifact.kernel(EngineMode::Exec);
+    let observable = vec![1.0; artifact.system.len()];
+    let rates = &artifact.system.rate_values;
+
+    // Through the chain itself: starved of steps, every stage fails, and
+    // what the first one analyzed is still the artifact's plan.
+    let mut sim = TapeSimulator::from_artifact(&artifact, observable);
+    sim.set_linear_solver(LinearSolver::Sparse);
+    sim.options.max_steps = 1;
+    sim.simulate(rates, 0, &[2.0]).unwrap_err();
+    assert_eq!(sim.fallback_stats().bdf_failures, 1);
+    let plan = choice
+        .patterns
+        .built_plan(DerivGroup::Jacobian)
+        .expect("the primary stage factored once")
+        .clone();
+
+    // The two BDF stages as `bdf_chain` runs them, with their counters.
+    let primary = SolverOptions {
+        max_steps: 1,
+        ..sparse_options()
+    };
+    let tightened = SolverOptions {
+        rtol: primary.rtol * 1e-2,
+        atol: primary.atol * 1e-2,
+        ..sparse_options()
+    };
+    let outcomes = [primary, tightened].map(|options| {
+        let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
+        let mut solver = Bdf::new(&bound, 0.0, &artifact.system.initial, options);
+        solver.set_jacobian_source(bound.jacobian_source(JacobianMode::Analytic));
+        let outcome = solver.integrate_to(0.05);
+        assert!(solver.stats().factorizations > 0);
+        assert_eq!(solver.stats().symbolic_analyses, 0);
+        assert!(Arc::ptr_eq(&bound.plan().expect("Deriv ran"), &plan));
+        outcome.is_ok()
+    });
+    assert_eq!(outcomes, [false, true]);
+}
+
+/// The dense path never asks for a plan: not under `LinearSolver::Dense`
+/// on a model `Auto` would factor sparsely, and not under `Auto` on the
+/// 157-species RDL model the `rdl_fit` benchmark fits (19 % dense, above
+/// the 10 % cut-off), plain or sensitivity-augmented.
+#[test]
+fn dense_solves_never_build_a_plan() {
+    let no_plan = |artifact: &CompiledArtifact, label: &str| {
+        let patterns = artifact.kernel(EngineMode::Exec).patterns;
+        for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
+            assert!(patterns.built_plan(group).is_none(), "{label}: {group:?}");
+        }
+    };
+
+    let artifact = revived("dense", scaled_case(2, 40));
+    let mut sim = TapeSimulator::from_artifact(&artifact, vec![1.0; artifact.system.len()]);
+    sim.set_linear_solver(LinearSolver::Dense);
+    let rates = &artifact.system.rate_values;
+    sim.simulate(rates, 0, &TIMES).expect("dense solve");
+    sim.simulate_with_sensitivities(rates, 0, &TIMES)
+        .expect("dense augmented solve");
+    no_plan(&artifact, "LinearSolver::Dense");
+    // The same model does plan once it may: `Auto` takes it sparse.
+    sim.set_linear_solver(LinearSolver::Auto);
+    sim.simulate(rates, 0, &TIMES).expect("auto solve");
+    let patterns = artifact.kernel(EngineMode::Exec).patterns;
+    assert!(patterns.built_plan(DerivGroup::Jacobian).is_some());
+
+    // benchmark/src/inputs.rs::vulcanization_source(16).
+    let source = VULCANIZATION_RDL
+        .replace("for n in 2..5", "for n in 2..16")
+        .replace("forbid chain S > 5", "forbid chain S > 16")
+        .replace("limit atoms 24", "limit atoms 84")
+        .replace("limit species 400", "limit species 1280");
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.sensitivity = true;
+    options.cache = CacheMode::Bypass;
+    let artifact = CompilerSession::with_options(options)
+        .compile_source("<rdl_fit>", &source)
+        .expect("scaled RDL model compiles")
+        .artifact;
+    let n = artifact.system.len();
+    assert_eq!(n, 157);
+    let sim = TapeSimulator::from_artifact(&artifact, vec![1.0; n]);
+    assert_eq!(sim.linear_solver(), LinearSolver::Auto);
+    let rates = &artifact.system.rate_values;
+    sim.simulate(rates, 0, &TIMES).expect("auto solve");
+    sim.simulate_with_sensitivities(rates, 0, &TIMES)
+        .expect("auto augmented solve");
+    no_plan(&artifact, "Auto at 19 % density");
 }
