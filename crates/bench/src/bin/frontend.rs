@@ -1,24 +1,29 @@
 //! Network-generation (frontend) throughput: wall time to close a
-//! frontier workload's reaction network under the engine's three
-//! switches — legacy full-rescan vs per-rule frontier, string canonical
-//! keys vs interned content hashes, and 1..N worker threads. Prints a
-//! comparison table and writes a machine-readable `BENCH_frontend.json`.
+//! frontier workload's reaction network on one thread along the product
+//! path and the engine's two `oracle` reference paths — legacy full-rescan
+//! vs per-rule frontier, string canonical keys vs interned certificates.
+//! Prints a comparison table and writes a machine-readable
+//! `BENCH_frontend.json`.
 //!
 //! Every configuration must produce a bit-identical network (species
 //! order, reaction list, rates); the run aborts if any fingerprint
-//! disagrees. Speedups are reported against two anchors: the
-//! frontier+interned serial run (for thread scaling) and the legacy
-//! rescan + string-key run (the pre-frontier engine's cost profile, for
-//! the single-thread algorithmic win).
+//! disagrees. Speedups are relative to the product path.
+//!
+//! The bench is serial on purpose. Its configurations share one process,
+//! and the allocator hands a serial closure the heap the previous one
+//! freed while worker threads fault in arenas of their own, so a threaded
+//! row here would measure that, not the engine (an untimed warm-up closure
+//! gives the first timed row the same warm heap as the rest). What threads
+//! buy is read off fresh processes: the repository benchmark's `frontier`
+//! `compile_s` (EXPERIMENTS.md); that threads change nothing in the
+//! network is `tests/frontend_determinism.rs`.
 //!
 //! Usage:
-//!   frontend [--species N] [--threads LIST] [--out FILE] [--smoke] [--force]
+//!   frontend [--species N] [--out FILE] [--smoke] [--force]
 //!
-//! `--smoke` shrinks the workload for CI: a ~2000-species network and a
-//! single parallel configuration — enough to validate determinism, the
-//! prefilter and the JSON artifact, not timings. Thread scaling is only
-//! meaningful when the host exposes multiple cores; the artifact records
-//! `available_threads` so consumers can tell.
+//! `--smoke` shrinks the workload for CI: a ~2000-species network —
+//! enough to validate determinism, the prefilter and the JSON artifact,
+//! not timings.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
@@ -26,24 +31,23 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use rms_bench::{fmt_secs, parse_or_exit, run_bench, write_artifact};
+use rms_rdl::{compile_with_oracle, Oracle};
 use rms_suite::{
-    compile_with_options, expand_program, parse_rdl, CompiledModel, EngineOptions, RateTable,
-    ReactionNetwork,
+    expand_program, parse_rdl, CompiledModel, EngineOptions, RateTable, ReactionNetwork,
 };
 use rms_workload::FrontierSpec;
 
 const USAGE: &str = "\
-frontend — network-generation wall time: legacy rescan vs frontier,
-string keys vs interning, serial vs threaded closure
+frontend — network-generation wall time on one thread: legacy rescan vs
+frontier, string keys vs interned certificates
 
 USAGE:
-  frontend [--species N] [--threads LIST] [--out FILE] [--smoke] [--force]
+  frontend [--species N] [--out FILE] [--smoke] [--force]
 
   --species N    target species count for the frontier workload
                  (default 50000)
-  --threads LIST comma-separated parallel thread counts (default 2,4,8)
   --out FILE     JSON artifact path (default BENCH_frontend.json)
-  --smoke        CI preset: --species 2000 --threads 2
+  --smoke        CI preset: --species 2000
   --force        let a --smoke run overwrite a full-run JSON artifact
 ";
 
@@ -51,14 +55,13 @@ struct Config {
     smoke: bool,
     force: bool,
     species: usize,
-    threads: Vec<usize>,
     out_path: String,
 }
 
 /// One engine configuration's measured closure.
 struct Run {
     label: String,
-    options: EngineOptions,
+    oracle: Oracle,
     seconds: f64,
     species: usize,
     reactions: usize,
@@ -72,22 +75,16 @@ struct Run {
 }
 
 fn main() {
-    let args = parse_or_exit(
-        USAGE,
-        &["--species", "--threads", "--out"],
-        &["--smoke", "--force"],
-    );
+    let args = parse_or_exit(USAGE, &["--species", "--out"], &["--smoke", "--force"]);
     run_bench(USAGE, args, parse, run);
 }
 
 fn parse(args: &rms_bench::BenchArgs) -> Result<Config, String> {
     let smoke = args.switch("--smoke");
-    let default_threads: &[usize] = if smoke { &[2] } else { &[2, 4, 8] };
     let config = Config {
         smoke,
         force: args.switch("--force"),
         species: args.num("--species", if smoke { 2000 } else { 50_000 })?,
-        threads: args.num_list("--threads", default_threads)?,
         out_path: args
             .value("--out")
             .unwrap_or("BENCH_frontend.json")
@@ -95,9 +92,6 @@ fn parse(args: &rms_bench::BenchArgs) -> Result<Config, String> {
     };
     if config.species < 10 {
         return Err("--species must be at least 10".to_string());
-    }
-    if config.threads.iter().any(|&t| t < 2) {
-        return Err("--threads takes counts of at least 2 (1 is the serial anchor)".to_string());
     }
     Ok(config)
 }
@@ -127,11 +121,7 @@ fn fingerprint(network: &ReactionNetwork) -> u64 {
     h.finish()
 }
 
-fn measure(
-    program: &rms_suite::Program,
-    label: &str,
-    options: EngineOptions,
-) -> Result<Run, String> {
+fn measure(program: &rms_suite::Program, label: &str, oracle: Oracle) -> Result<Run, String> {
     let rates =
         RateTable::parse(&program.rate_source).map_err(|e| format!("{label}: rates: {e}"))?;
     let seeds = expand_program(program).map_err(|e| format!("{label}: expand: {e}"))?;
@@ -140,12 +130,18 @@ fn measure(
         network,
         rates: _,
         stats,
-    } = compile_with_options(program, rates, &seeds, &options)
-        .map_err(|e| format!("{label}: closure: {e}"))?;
+    } = compile_with_oracle(
+        program,
+        rates,
+        &seeds,
+        &EngineOptions { threads: 1 },
+        oracle,
+    )
+    .map_err(|e| format!("{label}: closure: {e}"))?;
     let seconds = t0.elapsed().as_secs_f64();
     Ok(Run {
         label: label.to_string(),
-        options,
+        oracle,
         seconds,
         species: network.species_count(),
         reactions: network.reaction_count(),
@@ -163,54 +159,25 @@ fn run(config: Config) -> Result<(), String> {
     let spec = FrontierSpec::for_species(config.species);
     let source = spec.rdl_source();
     let program = parse_rdl(&source).map_err(|e| format!("workload parse: {e}"))?;
-    let available = rms_suite::available_threads();
     println!(
-        "frontier workload: arms {} -> {} species expected, {} core(s) available",
+        "frontier workload: arms {} -> {} species expected",
         spec.arms,
-        spec.species_estimate(),
-        available
+        spec.species_estimate()
     );
 
-    let mut plan: Vec<(String, EngineOptions)> = vec![
-        (
-            "baseline-rescan".to_string(),
-            EngineOptions {
-                threads: 1,
-                intern: false,
-                legacy_rescan: true,
-            },
-        ),
-        (
-            "frontier-nointern".to_string(),
-            EngineOptions {
-                threads: 1,
-                intern: false,
-                legacy_rescan: false,
-            },
-        ),
-        (
-            "frontier-serial".to_string(),
-            EngineOptions {
-                threads: 1,
-                intern: true,
-                legacy_rescan: false,
-            },
-        ),
+    let oracle = |string_keys, legacy_rescan| Oracle {
+        string_keys,
+        legacy_rescan,
+    };
+    let plan = [
+        ("baseline-rescan", oracle(true, true)),
+        ("frontier-strings", oracle(true, false)),
+        ("frontier-serial", Oracle::default()),
     ];
-    for &t in &config.threads {
-        plan.push((
-            format!("frontier-t{t}"),
-            EngineOptions {
-                threads: t,
-                intern: true,
-                legacy_rescan: false,
-            },
-        ));
-    }
-
+    measure(&program, "warm-up", Oracle::default())?;
     let mut runs = Vec::with_capacity(plan.len());
-    for (label, options) in &plan {
-        let run = measure(&program, label, *options)?;
+    for (label, oracle) in plan {
+        let run = measure(&program, label, oracle)?;
         println!(
             "{:<20} {:>10}  {} species, {} reactions, {} canonicalizations, \
              prefilter {:.1}%, peak frontier {}",
@@ -225,8 +192,8 @@ fn run(config: Config) -> Result<(), String> {
         runs.push(run);
     }
 
-    // Hard determinism gate: every configuration, whatever its thread
-    // count or key representation, must build the identical network.
+    // Hard determinism gate: every configuration, whatever its schedule
+    // or key representation, must build the identical network.
     let reference = runs[0].fingerprint;
     let bit_identical = runs.iter().all(|r| r.fingerprint == reference);
     if !bit_identical {
@@ -256,10 +223,10 @@ fn run(config: Config) -> Result<(), String> {
         "frontier+interning vs legacy rescan (1 thread): {:.2}x",
         single_thread_speedup
     );
-    for &t in &config.threads {
-        let parallel = seconds_of(&format!("frontier-t{t}"));
-        println!("{t} threads vs serial: {:.2}x", serial / parallel);
-    }
+    println!(
+        "certificates vs string keys (1 thread): {:.2}x",
+        seconds_of("frontier-strings") / serial
+    );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -267,7 +234,6 @@ fn run(config: Config) -> Result<(), String> {
     let _ = writeln!(json, "  \"smoke\": {},", config.smoke);
     let _ = writeln!(json, "  \"target_species\": {},", config.species);
     let _ = writeln!(json, "  \"arms\": {},", spec.arms);
-    let _ = writeln!(json, "  \"available_threads\": {available},");
     let _ = writeln!(json, "  \"bit_identical\": {bit_identical},");
     let _ = writeln!(
         json,
@@ -277,13 +243,8 @@ fn run(config: Config) -> Result<(), String> {
     for (i, r) in runs.iter().enumerate() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"label\": \"{}\",", r.label);
-        let _ = writeln!(json, "      \"threads\": {},", r.options.threads);
-        let _ = writeln!(json, "      \"intern\": {},", r.options.intern);
-        let _ = writeln!(
-            json,
-            "      \"legacy_rescan\": {},",
-            r.options.legacy_rescan
-        );
+        let _ = writeln!(json, "      \"string_keys\": {},", r.oracle.string_keys);
+        let _ = writeln!(json, "      \"legacy_rescan\": {},", r.oracle.legacy_rescan);
         let _ = writeln!(json, "      \"seconds\": {:.6},", r.seconds);
         let _ = writeln!(
             json,

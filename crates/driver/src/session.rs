@@ -66,10 +66,6 @@ pub struct SessionOptions {
     /// edit / canonicalize fan-out). `0` means one per available core;
     /// `1` runs the serial path.
     pub frontend_threads: usize,
-    /// Intern canonical keys as content hashes + symbols instead of
-    /// canonical-SMILES strings during network closure. On by default;
-    /// the off switch exists for A/B benchmarking.
-    pub frontend_intern: bool,
     /// Cache participation.
     pub cache: CacheMode,
     /// On-disk cache directory (e.g. `.rms-cache/`); `None` keeps the
@@ -94,7 +90,6 @@ impl SessionOptions {
             native: false,
             reroll: true,
             frontend_threads: 0,
-            frontend_intern: true,
             cache: CacheMode::default(),
             cache_dir: None,
             dump: None,
@@ -146,13 +141,11 @@ impl SessionOptions {
         self.sensitivity.hash(h);
         self.native.hash(h);
         self.reroll.hash(h);
-        // The frontend options cannot change the produced network (the
-        // engine is bit-identical across thread counts and key
-        // representations), but they change the *reported* compile — stage
-        // metrics, warnings — so two configurations must not share a
-        // cached artifact.
+        // The thread count cannot change the produced network (the engine
+        // is bit-identical across thread counts), but it changes the
+        // *reported* compile — stage metrics — so two configurations must
+        // not share a cached artifact.
         self.frontend_threads.hash(h);
-        self.frontend_intern.hash(h);
     }
 }
 
@@ -412,8 +405,6 @@ impl CompilerSession {
         let clock = Instant::now();
         let engine_options = EngineOptions {
             threads: self.options.frontend_threads,
-            intern: self.options.frontend_intern,
-            legacy_rescan: false,
         };
         let CompiledModel {
             network,
@@ -426,6 +417,7 @@ impl CompilerSession {
                 .metric("reactions", network.reaction_count() as f64)
                 .metric("rule_applications", stats.rule_applications as f64)
                 .metric("canonicalizations", stats.canonicalizations as f64)
+                .metric("identity_slow_path", stats.identity_slow_path as f64)
                 .metric("prefilter_hit_rate", stats.prefilter_hit_rate())
                 .metric("peak_frontier", stats.peak_frontier as f64)
                 .metric("generations", stats.generations as f64)

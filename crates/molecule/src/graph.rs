@@ -77,6 +77,11 @@ impl Molecule {
             .filter_map(move |&bi| self.bonds[bi].other(idx))
     }
 
+    /// The bonds touching atom `idx` (unordered).
+    pub(crate) fn bonds_at(&self, idx: usize) -> impl Iterator<Item = &Bond> + '_ {
+        self.adjacency[idx].iter().map(move |&bi| &self.bonds[bi])
+    }
+
     /// Degree (number of explicit bonds) of atom `idx`.
     pub fn degree(&self, idx: usize) -> usize {
         self.adjacency.get(idx).map_or(0, |v| v.len())
@@ -405,7 +410,7 @@ impl Molecule {
             seen[start] = true;
             let mut queue = vec![start];
             while let Some(at) = queue.pop() {
-                for nb in self.neighbors(at).collect::<Vec<_>>() {
+                for nb in self.neighbors(at) {
                     if !seen[nb] {
                         seen[nb] = true;
                         comp.push(nb);
@@ -419,11 +424,17 @@ impl Molecule {
         out
     }
 
-    /// Split into connected-component molecules (re-indexed). Returns the
-    /// fragments in component order; a connected molecule returns a single
-    /// clone of itself.
-    pub fn split_components(&self) -> Vec<Molecule> {
+    /// Split into connected-component molecules (re-indexed), in component
+    /// order. A connected molecule is handed back without a rebuild, with
+    /// each atom's bond list put in the ascending order a rebuild leaves.
+    pub fn split_components(mut self) -> Vec<Molecule> {
         let comps = self.components();
+        if comps.len() == 1 {
+            for list in &mut self.adjacency {
+                list.sort_unstable();
+            }
+            return vec![self];
+        }
         comps
             .iter()
             .map(|comp| {
@@ -444,6 +455,14 @@ impl Molecule {
                 m
             })
             .collect()
+    }
+
+    /// Release the capacity edits left unused: for molecules kept for the
+    /// life of a network.
+    pub fn shrink_to_fit(&mut self) {
+        self.atoms.shrink_to_fit();
+        self.bonds.shrink_to_fit();
+        self.adjacency.shrink_to_fit();
     }
 
     /// Merge another molecule into this one (disjoint union), returning
@@ -637,6 +656,24 @@ mod tests {
         assert_eq!(frags[0].atom_count(), 2);
         assert_eq!(frags[1].atom_count(), 2);
         assert!(frags[0].atoms().any(|(_, a)| a.is_radical()));
+    }
+
+    #[test]
+    fn connected_split_equals_a_rebuild() {
+        // Break and re-form a bond so bond slots and per-atom bond lists
+        // are out of index order, as after a rule edit.
+        let mut m = sulfur_chain(5);
+        m.disconnect(0, 1).unwrap();
+        m.connect(0, 1, BondOrder::Single).unwrap();
+        let mut rebuilt = Molecule::new();
+        for (_, atom) in m.atoms() {
+            rebuilt.add_atom(*atom);
+        }
+        for bond in m.bonds() {
+            rebuilt.add_bond(bond.a, bond.b, bond.order).unwrap();
+        }
+        assert_ne!(m, rebuilt, "the edit left the bond lists in rebuild order");
+        assert_eq!(m.split_components(), vec![rebuilt]);
     }
 
     #[test]

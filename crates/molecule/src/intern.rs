@@ -1,23 +1,18 @@
-//! Interned molecule identity: a cheap permutation-invariant content hash
-//! plus an exact canonical certificate, replacing canonical SMILES strings
-//! as the dedup key on the network-generation hot path.
+//! Interned molecule identity: an exact canonical certificate plus a 64-bit
+//! hash of it, replacing canonical SMILES strings as the dedup key on the
+//! network-generation hot path.
 //!
-//! The rule engine produces the same fragment molecules over and over;
-//! deduplicating them through canonical SMILES means running full
-//! individualization-refinement *and* building a string for every
-//! candidate, then hashing that string. The interned path splits the work:
-//!
-//! 1. [`identify`] computes a 64-bit **invariant hash** from one
-//!    refinement fixpoint (no individualization, no strings) and, sharing
-//!    the same refinement, an **exact certificate** — the labelled graph
-//!    rewritten in canonical rank space. Only molecules whose refinement
-//!    partition is not discrete (symmetric molecules) pay for the full
-//!    individualization tie-break.
-//! 2. [`KeyTable`] interns identities into dense [`Sym`] symbols. The
-//!    hash acts as a prefilter: an empty bucket proves the molecule is
-//!    new without comparing any certificate; only hash-bucket collisions
-//!    compare certificates (almost always against the single isomorphic
-//!    occupant).
+//! 1. [`identify`] refines the atom partition once ([`crate::canon`],
+//!    O((n + m) log n)); a discrete partition — most generated fragments —
+//!    is already the canonical ranking, a symmetric molecule pays for the
+//!    individualization tie-break on top. The **certificate** is the
+//!    labelled graph rewritten in rank space and the **hash** is a fold
+//!    over it, so neither needs a string.
+//! 2. [`KeyTable`] interns identities into dense [`Sym`] symbols. An empty
+//!    hash bucket proves a molecule new without comparing a certificate;
+//!    an occupied one compares certificates (almost always against the
+//!    single isomorphic occupant). The hash saves certificate
+//!    *comparisons*, never labelling: the certificate is what it hashes.
 //!
 //! Equal certificates ⇔ isomorphic molecules ⇔ equal canonical SMILES, so
 //! a network deduplicated through a `KeyTable` is identical to one
@@ -26,7 +21,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::canon::{canonical_ranks, certificate, initial_invariants, refine_to_fixpoint};
+use crate::canon::{certificate, complete, initial_invariants, refine_to_fixpoint};
 use crate::graph::Molecule;
 
 /// Dense symbol assigned by a [`KeyTable`], in first-seen order.
@@ -36,65 +31,35 @@ pub type Sym = u32;
 /// canonical certificate. Cheap to compare, `Send` across worker threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MolIdentity {
-    /// Permutation-invariant 64-bit content hash (the prefilter key).
+    /// 64-bit hash of the certificate (the prefilter key).
     pub hash: u64,
     /// Exact canonical certificate: atom count, per-rank atom invariants,
-    /// then the bond relation in rank space. Equal iff isomorphic.
+    /// then the bond relation (orders included) in rank space. Equal iff
+    /// isomorphic.
     pub cert: Vec<u64>,
     /// Whether computing the certificate needed the individualization
     /// tie-break (the refinement partition was not discrete).
     pub slow_path: bool,
 }
 
-/// Compute a molecule's interned identity: one refinement fixpoint yields
-/// both the invariant hash and — when the partition is discrete, which it
-/// is for most generated fragments — the exact certificate. Symmetric
-/// molecules fall back to [`canonical_ranks`] for the certificate only.
+/// Compute a molecule's interned identity: one refinement yields the
+/// canonical ranking when its partition is discrete; symmetric molecules
+/// complete it by individualization.
 pub fn identify(mol: &Molecule) -> MolIdentity {
     let n = mol.atom_count();
-    if n == 0 {
-        return MolIdentity {
-            hash: 0xcbf2_9ce4_8422_2325,
-            cert: Vec::new(),
-            slow_path: false,
-        };
-    }
     let init = initial_invariants(mol);
     let (ranks, classes) = refine_to_fixpoint(mol, init.clone());
-
-    // Prefilter hash: permutation-invariant fold over the atom count, the
-    // sorted (rank, initial invariant) pairs, and the rank-space edges.
-    let mut nodes: Vec<u64> = ranks
-        .iter()
-        .zip(&init)
-        .map(|(&r, &v)| ((r as u64) << 24) | v)
-        .collect();
-    nodes.sort_unstable();
-    let edges = certificate(mol, &ranks);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ (n as u64);
-    for v in nodes
-        .iter()
-        .chain([0xa5a5_a5a5_a5a5_a5a5u64].iter())
-        .chain(&edges)
-    {
-        hash = (hash ^ v).wrapping_mul(0x1000_0000_01b3);
+    let slow_path = classes < n;
+    let ranks = complete(mol, ranks, classes);
+    let mut cert = vec![0u64; 1 + n];
+    cert[0] = n as u64;
+    for (atom, &r) in ranks.iter().enumerate() {
+        cert[1 + r as usize] = init[atom];
     }
-
-    // Exact certificate: needs discrete ranks. The refinement fixpoint is
-    // already canonical when discrete; otherwise break ties.
-    let (final_ranks, slow_path) = if classes == n {
-        (ranks, false)
-    } else {
-        (canonical_ranks(mol), true)
-    };
-    let mut cert = Vec::with_capacity(1 + n + mol.bond_count());
-    cert.push(n as u64);
-    let mut labels = vec![0u64; n];
-    for (i, &r) in final_ranks.iter().enumerate() {
-        labels[r as usize] = init[i];
-    }
-    cert.extend(labels);
-    cert.extend(certificate(mol, &final_ranks));
+    cert.extend(certificate(mol, &ranks));
+    let hash = cert.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+        (h ^ v).wrapping_mul(0x1000_0000_01b3)
+    });
     MolIdentity {
         hash,
         cert,
@@ -135,7 +100,7 @@ impl KeyTable {
     }
 
     /// Intern an identity: returns its symbol and whether it was new.
-    pub fn intern(&mut self, id: &MolIdentity) -> (Sym, bool) {
+    pub fn intern(&mut self, id: MolIdentity) -> (Sym, bool) {
         self.lookups += 1;
         let next = self.certs.len() as Sym;
         match self.buckets.entry(id.hash) {
@@ -153,7 +118,7 @@ impl KeyTable {
                 slot.insert(vec![next]);
             }
         }
-        self.certs.push(id.cert.clone());
+        self.certs.push(id.cert);
         (next, true)
     }
 }
@@ -162,6 +127,7 @@ impl KeyTable {
 mod tests {
     use super::*;
     use crate::smiles::parse_smiles;
+    use crate::{Atom, BondOrder, Element};
 
     #[test]
     fn isomorphic_molecules_share_identity() {
@@ -202,9 +168,9 @@ mod tests {
         let a = identify(&parse_smiles("CCO").unwrap());
         let b = identify(&parse_smiles("OCC").unwrap());
         let c = identify(&parse_smiles("CCS").unwrap());
-        let (sa, new_a) = t.intern(&a);
-        let (sb, new_b) = t.intern(&b);
-        let (sc, new_c) = t.intern(&c);
+        let (sa, new_a) = t.intern(a);
+        let (sb, new_b) = t.intern(b);
+        let (sc, new_c) = t.intern(c);
         assert!(new_a && !new_b && new_c);
         assert_eq!(sa, sb);
         assert_ne!(sa, sc);
@@ -214,6 +180,47 @@ mod tests {
         // collided and compared one certificate.
         assert_eq!(t.prefilter_hits, 2);
         assert_eq!(t.cert_compares, 1);
+    }
+
+    #[test]
+    fn single_and_aromatic_bonds_are_told_apart() {
+        // Two aromatic CH joined once by a single, once by an aromatic
+        // bond: both orders count one valence unit, the molecules differ.
+        let build = |order| {
+            let mut m = Molecule::new();
+            for _ in 0..2 {
+                m.add_atom(Atom::with_hydrogens(Element::C, 1).aromatic());
+            }
+            m.add_bond(0, 1, order).unwrap();
+            m
+        };
+        let (single, aromatic) = (build(BondOrder::Single), build(BondOrder::Aromatic));
+        let (a, b) = (identify(&single), identify(&aromatic));
+        assert_ne!(a.cert, b.cert);
+        assert_ne!(a.hash, b.hash);
+        assert_ne!(
+            crate::canonical_key(&single),
+            crate::canonical_key(&aromatic)
+        );
+    }
+
+    #[test]
+    fn biphenyl_survives_the_canonical_round_trip() {
+        // The inter-ring bond is single; written without its `-` it would
+        // be read back as a thirteenth aromatic bond.
+        let biphenyl = parse_smiles("c1ccccc1-c1ccccc1").unwrap();
+        let key = crate::canonical_key(&biphenyl);
+        let reparsed = parse_smiles(&key).unwrap();
+        assert_eq!(
+            reparsed
+                .bonds()
+                .filter(|b| b.order == BondOrder::Single)
+                .count(),
+            1,
+            "{key}"
+        );
+        assert_eq!(crate::canonical_key(&reparsed), key);
+        assert_eq!(identify(&reparsed), identify(&biphenyl));
     }
 
     #[test]

@@ -26,8 +26,8 @@ fn write_with_ranks(mol: &Molecule, ranks: &[u32]) -> String {
     }
     let mut out = String::new();
     let mut visited = vec![false; n];
-    // Ring-closure bookkeeping: per atom, list of (digit, order) to emit.
-    let mut ring_digits: HashMap<usize, Vec<(u8, BondOrder)>> = HashMap::new();
+    // Ring-closure bookkeeping: per atom, list of (digit, bond symbol) to emit.
+    let mut ring_digits: HashMap<usize, Vec<(u8, &'static str)>> = HashMap::new();
     let mut next_digit = 1u8;
 
     // Process each connected component, smallest-rank atom first.
@@ -78,8 +78,9 @@ fn write_with_ranks(mol: &Molecule, ranks: &[u32]) -> String {
         for (a, b, ord) in ring_bonds {
             let digit = next_digit;
             next_digit = next_digit.wrapping_add(1);
-            ring_digits.entry(a).or_default().push((digit, ord));
-            ring_digits.entry(b).or_default().push((digit, ord));
+            let symbol = bond_symbol(mol, a, b, ord);
+            ring_digits.entry(a).or_default().push((digit, symbol));
+            ring_digits.entry(b).or_default().push((digit, symbol));
         }
 
         emit_atom(
@@ -101,16 +102,14 @@ fn emit_atom(
     at: usize,
     parent: usize,
     visited: &mut [bool],
-    ring_digits: &HashMap<usize, Vec<(u8, BondOrder)>>,
+    ring_digits: &HashMap<usize, Vec<(u8, &'static str)>>,
     out: &mut String,
 ) {
     visited[at] = true;
     out.push_str(&atom_token(mol, at));
     if let Some(digits) = ring_digits.get(&at) {
-        for &(digit, ord) in digits {
-            if needs_bond_symbol(mol, at, ord) {
-                out.push_str(ord.smiles_symbol());
-            }
+        for &(digit, symbol) in digits {
+            out.push_str(symbol);
             if digit < 10 {
                 out.push(char::from(b'0' + digit));
             } else {
@@ -137,9 +136,7 @@ fn emit_atom(
         if branch {
             out.push('(');
         }
-        if needs_bond_symbol(mol, at, bond.order) || needs_bond_symbol(mol, child, bond.order) {
-            out.push_str(bond.order.smiles_symbol());
-        }
+        out.push_str(bond_symbol(mol, at, child, bond.order));
         emit_atom(mol, ranks, child, at, visited, ring_digits, out);
         if branch {
             out.push(')');
@@ -147,13 +144,16 @@ fn emit_atom(
     }
 }
 
-/// Whether the bond symbol must be written explicitly (single bonds and
-/// aromatic-between-aromatic bonds are implicit).
-fn needs_bond_symbol(mol: &Molecule, at: usize, order: BondOrder) -> bool {
-    match order {
-        BondOrder::Single => false,
-        BondOrder::Double | BondOrder::Triple => true,
-        BondOrder::Aromatic => !mol.atom(at).map(|a| a.aromatic).unwrap_or(false),
+/// The symbol to write for a bond. Between two aromatic atoms a parser
+/// reads an unmarked bond as aromatic, so there it is the *single* bond
+/// that must be spelled out (`c1ccccc1-c1ccccc1`); everywhere else single
+/// is the implicit order and an aromatic bond needs its `:`.
+fn bond_symbol(mol: &Molecule, a: usize, b: usize, order: BondOrder) -> &'static str {
+    let aromatic = |i: usize| mol.atom(i).is_ok_and(|atom| atom.aromatic);
+    match (order, aromatic(a) && aromatic(b)) {
+        (BondOrder::Single, true) => "-",
+        (BondOrder::Aromatic, true) => "",
+        _ => order.smiles_symbol(),
     }
 }
 

@@ -23,18 +23,18 @@
 //! visited in the same relative order the full scan would have used.
 //!
 //! Species dedup runs on interned identities ([`rms_molecule::intern`]):
-//! a u64 invariant-hash prefilter decides "definitely new" without any
-//! string work, and only hash-bucket collisions compare exact canonical
-//! certificates. `EngineOptions { intern: false }` falls back to canonical
-//! SMILES strings, and `legacy_rescan: true` restores the full
-//! rescan-every-generation schedule — together they reproduce the
-//! pre-frontier baseline for benchmarking and differential testing.
+//! workers compute each fragment's exact canonical certificate, and the
+//! merge looks it up by its 64-bit hash, comparing certificates only on a
+//! bucket hit. The `oracle` cargo feature adds `compile_with_oracle`,
+//! which can dedup on canonical SMILES strings instead and restore the
+//! full rescan-every-generation schedule — the pre-frontier engine, kept
+//! for differential tests and the frontend bench, not for products.
 
 use std::time::Instant;
 
 use rms_molecule::{
-    canonical_key, identify, parse_smiles, AtomPredicate, BondOrder, BondPredicate, Element,
-    Formula, KeyTable, MolIdentity, Molecule,
+    identify, parse_smiles, AtomPredicate, BondOrder, BondPredicate, Element, Formula, KeyTable,
+    MolIdentity, Molecule,
 };
 use rms_parallel::{available_threads, scoped_map};
 use rms_rcip::RateTable;
@@ -49,29 +49,24 @@ use crate::network::{Reaction, ReactionNetwork, SpeciesId};
 /// molecules held in memory at once.
 const WORK_BATCH: usize = 4096;
 
-/// Frontend execution options. The defaults are the fast path; the other
-/// combinations exist for benchmarking and differential testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Frontend execution options.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineOptions {
     /// Worker threads for rule application; `0` means one per core.
     pub threads: usize,
-    /// Dedup species through interned certificates (hash prefilter + exact
-    /// certificate) instead of canonical SMILES strings.
-    pub intern: bool,
-    /// Restore the pre-frontier schedule: every rule rescans the full
-    /// species set every generation. Combined with `intern: false` and
-    /// `threads: 1` this is the measured baseline path.
-    pub legacy_rescan: bool,
 }
 
-impl Default for EngineOptions {
-    fn default() -> EngineOptions {
-        EngineOptions {
-            threads: 0,
-            intern: true,
-            legacy_rescan: false,
-        }
-    }
+/// The engine's reference paths: slower ways to the same network, for
+/// differential tests and baselines.
+#[cfg(feature = "oracle")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Oracle {
+    /// Dedup species on canonical SMILES strings instead of interned
+    /// certificates.
+    pub string_keys: bool,
+    /// Restore the pre-frontier schedule: every rule rescans the full
+    /// species set every generation.
+    pub legacy_rescan: bool,
 }
 
 /// Metrics from one network-generation run, surfaced in the driver's
@@ -88,10 +83,12 @@ pub struct NetworkStats {
     pub growing_rules: Vec<String>,
     /// Successful rule applications (candidate product molecules built).
     pub rule_applications: u64,
-    /// Per-fragment canonical identity computations (certificates or
-    /// canonical SMILES, plus one per seed).
+    /// Per-fragment canonical identity computations, plus one per seed.
     pub canonicalizations: u64,
-    /// Interned dedup lookups (0 when interning is off).
+    /// Of those, identities whose refinement left tied atoms and needed
+    /// the individualization tie-break: symmetric molecules.
+    pub identity_slow_path: u64,
+    /// Interned dedup lookups.
     pub prefilter_lookups: u64,
     /// Lookups settled by an empty hash bucket — no certificate compared.
     pub prefilter_hits: u64,
@@ -132,33 +129,53 @@ pub struct CompiledModel {
 ///
 /// Convenience wrapper over the individually observable phases — rate
 /// evaluation ([`RateTable::parse`]), variant expansion
-/// ([`expand_program`]), and network closure ([`compile_with`]). Pipeline
-/// drivers that want per-phase timing call the phases directly.
+/// ([`expand_program`]), and network closure ([`compile_with_options`]).
+/// Pipeline drivers that want per-phase timing call the phases directly.
 pub fn compile(program: &Program) -> Result<CompiledModel> {
     let rates = RateTable::parse(&program.rate_source)?;
     let seeds = expand_program(program)?;
-    compile_with(program, rates, &seeds)
-}
-
-/// The *Network* phase alone with default [`EngineOptions`].
-pub fn compile_with(
-    program: &Program,
-    rates: RateTable,
-    seeds: &[SeedVariant],
-) -> Result<CompiledModel> {
-    compile_with_options(program, rates, seeds, &EngineOptions::default())
+    compile_with_options(program, rates, &seeds, &EngineOptions::default())
 }
 
 /// The *Network* phase alone: validate rules against an already-evaluated
 /// rate table, seed species from already-expanded variants, and apply
-/// rules to closure under the given execution options. The produced
-/// network is identical for every option combination (thread count,
-/// interning, frontier vs rescan); only the cost differs.
+/// rules to closure. The produced network is identical at every thread
+/// count; only the cost differs.
 pub fn compile_with_options(
     program: &Program,
     rates: RateTable,
     seeds: &[SeedVariant],
     options: &EngineOptions,
+) -> Result<CompiledModel> {
+    close(
+        program,
+        rates,
+        seeds,
+        options,
+        #[cfg(feature = "oracle")]
+        Oracle::default(),
+    )
+}
+
+/// [`compile_with_options`] along the given reference paths. The network
+/// is identical to the product's for every combination.
+#[cfg(feature = "oracle")]
+pub fn compile_with_oracle(
+    program: &Program,
+    rates: RateTable,
+    seeds: &[SeedVariant],
+    options: &EngineOptions,
+    oracle: Oracle,
+) -> Result<CompiledModel> {
+    close(program, rates, seeds, options, oracle)
+}
+
+fn close(
+    program: &Program,
+    rates: RateTable,
+    seeds: &[SeedVariant],
+    options: &EngineOptions,
+    #[cfg(feature = "oracle")] oracle: Oracle,
 ) -> Result<CompiledModel> {
     // Rule validation up front: rates and scope names must resolve.
     for rule in &program.rules {
@@ -191,8 +208,11 @@ pub fn compile_with_options(
         limits: program.limits,
         forbids: program.forbids.clone(),
         threads,
-        legacy: options.legacy_rescan,
-        intern: options.intern.then(InternState::default),
+        #[cfg(feature = "oracle")]
+        oracle,
+        #[cfg(feature = "oracle")]
+        string_ids: std::collections::HashMap::new(),
+        table: KeyTable::new(),
         cursors: vec![0; program.rules.len()],
         pair_caches: (0..program.rules.len())
             .map(|_| PairCache::default())
@@ -204,39 +224,22 @@ pub fn compile_with_options(
     };
 
     // Seed species from the expanded molecule declarations.
+    let mut seeded = WorkOut::default();
     for variant in seeds {
         let mol = parse_smiles(&variant.smiles).map_err(|cause| RdlError::BadSmiles {
             molecule: variant.name.clone(),
             smiles: variant.smiles.clone(),
             cause,
         })?;
-        let key = canonical_key(&mol);
-        engine.stats.canonicalizations += 1;
-        let before = engine.network.species_count();
-        let id = engine
-            .network
-            .add_species(mol, key, &variant.name, variant.initial);
-        if engine.network.species_count() > before {
-            engine.families.push(Some(variant.family.clone()));
-        } else {
-            // Duplicate seed structure: the later declaration's family
-            // wins, matching the pre-frontier engine.
-            engine.families[id.0 as usize] = Some(variant.family.clone());
-        }
+        seeded.canonicalizations += 1;
+        let ident = engine.work_ctx().identity(&mol, &mut seeded);
+        let (id, _) = engine.admit(mol, ident, &variant.name, variant.initial);
+        // A duplicate seed structure keeps the first declaration's id and
+        // the later one's family, matching the pre-frontier engine.
+        engine.families[id.0 as usize] = Some(variant.family.clone());
     }
-
-    // Prime the intern table so generated fragments identical to a seed
-    // dedup onto the seed's id.
-    if let Some(intern) = engine.intern.as_mut() {
-        for (id, sp) in engine.network.species_iter() {
-            let structure = sp.structure.as_ref().expect("seeds carry structures");
-            let (sym, is_new) = intern.table.intern(&identify(structure));
-            debug_assert_eq!((sym as usize, is_new), (id.0 as usize, true));
-            if is_new {
-                intern.sym_to_species.push(id);
-            }
-        }
-    }
+    engine.stats.canonicalizations = seeded.canonicalizations;
+    engine.stats.identity_slow_path = seeded.identity_slow_path;
 
     // Closure: apply every rule each generation until no new species or
     // reactions appear (or the generation limit is reached).
@@ -263,25 +266,14 @@ pub fn compile_with_options(
     if !engine.stats.fixpoint {
         engine.stats.growing_rules = growing;
     }
-    if let Some(intern) = &engine.intern {
-        engine.stats.prefilter_lookups = intern.table.lookups;
-        engine.stats.prefilter_hits = intern.table.prefilter_hits;
-    }
+    engine.stats.prefilter_lookups = engine.table.lookups;
+    engine.stats.prefilter_hits = engine.table.prefilter_hits;
 
     Ok(CompiledModel {
         network: engine.network,
         rates,
         stats: engine.stats,
     })
-}
-
-/// Interned dedup state: the certificate table plus the symbol → species
-/// mapping (symbols are dense and assigned in first-seen order, exactly
-/// like species ids, so the mapping is a plain `Vec`).
-#[derive(Default)]
-struct InternState {
-    table: KeyTable,
-    sym_to_species: Vec<SpeciesId>,
 }
 
 /// Cached pair-rule site selections, extended incrementally as species are
@@ -304,8 +296,15 @@ struct Engine {
     limits: Limits,
     forbids: Vec<Forbid>,
     threads: usize,
-    legacy: bool,
-    intern: Option<InternState>,
+    #[cfg(feature = "oracle")]
+    oracle: Oracle,
+    /// The string-keyed oracle's species index.
+    #[cfg(feature = "oracle")]
+    string_ids: std::collections::HashMap<String, SpeciesId>,
+    /// Interned identities of every species. Symbols and species ids are
+    /// both dense and first-seen ordered, and every species enters through
+    /// [`Engine::admit`], so a symbol *is* the species id.
+    table: KeyTable,
     /// Per-rule frontier cursor: species ids below it have been scanned.
     cursors: Vec<usize>,
     pair_caches: Vec<PairCache>,
@@ -321,7 +320,18 @@ enum SitePred {
 /// A fragment's dedup identity, computed on worker threads.
 enum FragId {
     Cert(MolIdentity),
+    #[cfg(feature = "oracle")]
     Key(String),
+}
+
+/// What a worker reads besides its work item.
+#[derive(Clone, Copy)]
+struct WorkCtx<'a> {
+    net: &'a ReactionNetwork,
+    limits: Limits,
+    forbids: &'a [Forbid],
+    #[cfg(feature = "oracle")]
+    string_keys: bool,
 }
 
 /// One product fragment ready for the merge: structure, identity, and the
@@ -344,6 +354,7 @@ struct WorkOut {
     candidates: Vec<Candidate>,
     applications: u64,
     canonicalizations: u64,
+    identity_slow_path: u64,
 }
 
 impl Engine {
@@ -359,9 +370,25 @@ impl Engine {
         }
     }
 
+    fn work_ctx(&self) -> WorkCtx<'_> {
+        WorkCtx {
+            net: &self.network,
+            limits: self.limits,
+            forbids: &self.forbids,
+            #[cfg(feature = "oracle")]
+            string_keys: self.oracle.string_keys,
+        }
+    }
+
     fn take_frontier(&mut self, ri: usize) -> (usize, usize) {
         let count = self.network.species_count();
-        let cursor = if self.legacy { 0 } else { self.cursors[ri] };
+        // The rescan schedule is the frontier schedule with amnesia.
+        #[cfg(feature = "oracle")]
+        if self.oracle.legacy_rescan {
+            self.cursors[ri] = 0;
+            self.pair_caches[ri] = PairCache::default();
+        }
+        let cursor = self.cursors[ri];
         self.cursors[ri] = count;
         self.stats.peak_frontier = self.stats.peak_frontier.max(count - cursor);
         (cursor, count)
@@ -391,15 +418,10 @@ impl Engine {
         };
         let mut changed = false;
         for batch in ids.chunks(WORK_BATCH) {
-            let outs = {
-                let net = &self.network;
-                let limits = self.limits;
-                let forbids = &self.forbids[..];
-                let interned = self.intern.is_some();
-                scoped_map(self.threads, batch, |&id| {
-                    uni_work(net, &site, rule.action, limits, forbids, interned, id)
-                })
-            };
+            let ctx = self.work_ctx();
+            let outs = scoped_map(self.threads, batch, |&id| {
+                uni_work(ctx, &site, rule.action, id)
+            });
             changed |= self.merge_outputs(rule, outs)?;
         }
         Ok(changed)
@@ -417,13 +439,8 @@ impl Engine {
         };
         let (cursor, count) = self.take_frontier(ri);
 
-        // Extend the cached site lists to cover new species. The legacy
-        // schedule recomputes them every run (matching baseline cost).
-        let mut cache = if self.legacy {
-            PairCache::default()
-        } else {
-            std::mem::take(&mut self.pair_caches[ri])
-        };
+        // Extend the cached site lists to cover new species.
+        let mut cache = std::mem::take(&mut self.pair_caches[ri]);
         let new_ids: Vec<u32> = (cache.scanned..count).map(|i| i as u32).collect();
         cache.scanned = count;
         let selections = {
@@ -467,21 +484,13 @@ impl Engine {
 
         let mut changed = false;
         for batch in pairs.chunks(WORK_BATCH) {
-            let outs = {
-                let net = &self.network;
-                let limits = self.limits;
-                let forbids = &self.forbids[..];
-                let interned = self.intern.is_some();
-                let (xs, ys) = (&cache.xs[..], &cache.ys[..]);
-                scoped_map(self.threads, batch, |&(xi, yi)| {
-                    pair_work(net, xs, ys, xi, yi, order, limits, forbids, interned)
-                })
-            };
+            let ctx = self.work_ctx();
+            let outs = scoped_map(self.threads, batch, |&(xi, yi)| {
+                pair_work(ctx, &cache.xs[xi as usize], &cache.ys[yi as usize], order)
+            });
             changed |= self.merge_outputs(rule, outs)?;
         }
-        if !self.legacy {
-            self.pair_caches[ri] = cache;
-        }
+        self.pair_caches[ri] = cache;
         Ok(changed)
     }
 
@@ -493,6 +502,7 @@ impl Engine {
         for out in outs {
             self.stats.rule_applications += out.applications;
             self.stats.canonicalizations += out.canonicalizations;
+            self.stats.identity_slow_path += out.identity_slow_path;
             for cand in out.candidates {
                 changed |= self.merge_candidate(rule, cand)?;
             }
@@ -500,41 +510,41 @@ impl Engine {
         Ok(changed)
     }
 
+    /// Resolve a molecule to its species, adding it when its identity is
+    /// new; says whether it was.
+    fn admit(
+        &mut self,
+        mol: Molecule,
+        ident: FragId,
+        name_hint: &str,
+        initial: f64,
+    ) -> (SpeciesId, bool) {
+        let next = SpeciesId(self.network.species_count() as u32);
+        let known = match ident {
+            FragId::Cert(identity) => {
+                let (sym, is_new) = self.table.intern(identity);
+                debug_assert!(!is_new || sym == next.0);
+                (!is_new).then_some(SpeciesId(sym))
+            }
+            #[cfg(feature = "oracle")]
+            FragId::Key(key) => {
+                let id = *self.string_ids.entry(key).or_insert(next);
+                (id != next).then_some(id)
+            }
+        };
+        if let Some(id) = known {
+            return (id, false);
+        }
+        self.families.push(None);
+        (self.network.add_species(mol, name_hint, initial), true)
+    }
+
     fn merge_candidate(&mut self, rule: &RuleDecl, cand: Candidate) -> Result<bool> {
         let mut product_ids = Vec::with_capacity(cand.frags.len());
         let mut new_species = false;
         for frag in cand.frags {
-            let pid = match frag.ident {
-                FragId::Cert(identity) => {
-                    let intern = self
-                        .intern
-                        .as_mut()
-                        .expect("certificate candidate without intern table");
-                    let (sym, is_new) = intern.table.intern(&identity);
-                    if is_new {
-                        let id =
-                            self.network
-                                .add_species_uncanonical(frag.mol, &frag.name_hint, 0.0);
-                        intern.sym_to_species.push(id);
-                        self.families.push(None);
-                        new_species = true;
-                        id
-                    } else {
-                        intern.sym_to_species[sym as usize]
-                    }
-                }
-                FragId::Key(key) => {
-                    let before = self.network.species_count();
-                    let id = self
-                        .network
-                        .add_species(frag.mol, key, &frag.name_hint, 0.0);
-                    if self.network.species_count() > before {
-                        self.families.push(None);
-                        new_species = true;
-                    }
-                    id
-                }
-            };
+            let (pid, is_new) = self.admit(frag.mol, frag.ident, &frag.name_hint, 0.0);
+            new_species |= is_new;
             product_ids.push(pid);
         }
         if self.network.species_count() > self.limits.max_species {
@@ -567,18 +577,10 @@ fn in_scope(families: &[Option<String>], id: SpeciesId, scope: &Scope, position:
     }
 }
 
-fn uni_work(
-    net: &ReactionNetwork,
-    site: &SitePred,
-    action: Action,
-    limits: Limits,
-    forbids: &[Forbid],
-    interned: bool,
-    id: u32,
-) -> WorkOut {
+fn uni_work(ctx: WorkCtx<'_>, site: &SitePred, action: Action, id: u32) -> WorkOut {
     let mut out = WorkOut::default();
     let sid = SpeciesId(id);
-    let Some(mol) = net.species(sid).structure.as_ref() else {
+    let Some(mol) = ctx.net.species(sid).structure.as_ref() else {
         return out;
     };
     let edits: Vec<MolEdit> = match site {
@@ -610,40 +612,29 @@ fn uni_work(
             continue;
         }
         out.applications += 1;
-        if let Some(cand) = build_candidate(product, vec![sid], limits, forbids, interned, &mut out)
-        {
+        if let Some(cand) = build_candidate(ctx, product, vec![sid], &mut out) {
             out.candidates.push(cand);
         }
     }
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn pair_work(
-    net: &ReactionNetwork,
-    xs: &[(u32, Vec<usize>)],
-    ys: &[(u32, Vec<usize>)],
-    xi: u32,
-    yi: u32,
+    ctx: WorkCtx<'_>,
+    (x, sites_x): &(u32, Vec<usize>),
+    (y, sites_y): &(u32, Vec<usize>),
     order: BondOrder,
-    limits: Limits,
-    forbids: &[Forbid],
-    interned: bool,
 ) -> WorkOut {
     let mut out = WorkOut::default();
-    let (x, sites_x) = &xs[xi as usize];
-    let (y, sites_y) = &ys[yi as usize];
-    let mol_x = net
-        .species(SpeciesId(*x))
-        .structure
-        .as_ref()
-        .expect("site cache only lists structured species");
-    let mol_y = net
-        .species(SpeciesId(*y))
-        .structure
-        .as_ref()
-        .expect("site cache only lists structured species");
-    if mol_x.atom_count() + mol_y.atom_count() > limits.max_atoms {
+    let structure = |id: u32| {
+        ctx.net
+            .species(SpeciesId(id))
+            .structure
+            .as_ref()
+            .expect("site cache only lists structured species")
+    };
+    let (mol_x, mol_y) = (structure(*x), structure(*y));
+    if mol_x.atom_count() + mol_y.atom_count() > ctx.limits.max_atoms {
         return out;
     }
     for &sx in sites_x {
@@ -659,9 +650,7 @@ fn pair_work(
             }
             out.applications += 1;
             let reactants = vec![SpeciesId(*x), SpeciesId(*y)];
-            if let Some(cand) =
-                build_candidate(merged, reactants, limits, forbids, interned, &mut out)
-            {
+            if let Some(cand) = build_candidate(ctx, merged, reactants, &mut out) {
                 out.candidates.push(cand);
             }
         }
@@ -673,27 +662,21 @@ fn pair_work(
 /// compute each fragment's dedup identity. `None` discards the whole
 /// reaction (matching the serial engine's whole-reaction filtering).
 fn build_candidate(
+    ctx: WorkCtx<'_>,
     product: Molecule,
     reactants: Vec<SpeciesId>,
-    limits: Limits,
-    forbids: &[Forbid],
-    interned: bool,
     out: &mut WorkOut,
 ) -> Option<Candidate> {
     let fragments = product.split_components();
     for frag in &fragments {
-        if frag.atom_count() > limits.max_atoms || is_forbidden(frag, forbids) {
+        if frag.atom_count() > ctx.limits.max_atoms || is_forbidden(frag, ctx.forbids) {
             return None;
         }
     }
     let mut frags = Vec::with_capacity(fragments.len());
     for frag in fragments {
         out.canonicalizations += 1;
-        let ident = if interned {
-            FragId::Cert(identify(&frag))
-        } else {
-            FragId::Key(canonical_key(&frag))
-        };
+        let ident = ctx.identity(&frag, out);
         let name_hint = format!("{}", Formula::of(&frag));
         frags.push(FragCand {
             mol: frag,
@@ -702,6 +685,19 @@ fn build_candidate(
         });
     }
     Some(Candidate { reactants, frags })
+}
+
+impl WorkCtx<'_> {
+    /// A fragment's dedup identity.
+    fn identity(self, frag: &Molecule, out: &mut WorkOut) -> FragId {
+        #[cfg(feature = "oracle")]
+        if self.string_keys {
+            return FragId::Key(rms_molecule::canonical_key(frag));
+        }
+        let identity = identify(frag);
+        out.identity_slow_path += identity.slow_path as u64;
+        FragId::Cert(identity)
+    }
 }
 
 /// Exact mirror of the [`Molecule`] edit preconditions, evaluated without
@@ -1018,7 +1014,7 @@ mod tests {
         assert_eq!(max_chain(&m, Element::O), 0);
     }
 
-    // ---- frontier / parallel / interning equivalence --------------------
+    // ---- thread-count and oracle equivalence ----------------------------
 
     /// A cascading program exercising every rule kind, scopes, forbids,
     /// and multi-generation closure.
@@ -1052,78 +1048,40 @@ mod tests {
         out
     }
 
-    fn compile_opts(src: &str, options: EngineOptions) -> Result<CompiledModel> {
+    fn compile_threads(src: &str, threads: usize) -> Result<CompiledModel> {
         let program = parse_rdl(src).unwrap();
         let rates = RateTable::parse(&program.rate_source)?;
         let seeds = expand_program(&program)?;
-        compile_with_options(&program, rates, &seeds, &options)
+        compile_with_options(&program, rates, &seeds, &EngineOptions { threads })
     }
 
+    #[cfg(feature = "oracle")]
     #[test]
-    fn frontier_matches_legacy_rescan() {
-        let baseline = compile_opts(
-            CASCADE,
-            EngineOptions {
-                threads: 1,
-                intern: false,
-                legacy_rescan: true,
-            },
-        )
-        .unwrap();
-        let frontier = compile_opts(
-            CASCADE,
-            EngineOptions {
-                threads: 1,
-                intern: true,
-                legacy_rescan: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(serialize(&baseline.network), serialize(&frontier.network));
-    }
-
-    #[test]
-    fn intern_on_off_identical() {
-        let on = compile_opts(
-            CASCADE,
-            EngineOptions {
-                threads: 1,
-                intern: true,
-                legacy_rescan: false,
-            },
-        )
-        .unwrap();
-        let off = compile_opts(
-            CASCADE,
-            EngineOptions {
-                threads: 1,
-                intern: false,
-                legacy_rescan: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(serialize(&on.network), serialize(&off.network));
+    fn oracle_paths_build_the_product_network() {
+        let program = parse_rdl(CASCADE).unwrap();
+        let product = compile_threads(CASCADE, 1).unwrap();
+        for (string_keys, legacy_rescan) in [(true, true), (true, false), (false, true)] {
+            let oracle = Oracle {
+                string_keys,
+                legacy_rescan,
+            };
+            let rates = RateTable::parse(&program.rate_source).unwrap();
+            let seeds = expand_program(&program).unwrap();
+            let options = EngineOptions { threads: 1 };
+            let model = compile_with_oracle(&program, rates, &seeds, &options, oracle).unwrap();
+            assert_eq!(
+                serialize(&model.network),
+                serialize(&product.network),
+                "{oracle:?}"
+            );
+        }
     }
 
     #[test]
     fn thread_count_does_not_change_network() {
-        let reference = compile_opts(
-            CASCADE,
-            EngineOptions {
-                threads: 1,
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
+        let reference = compile_threads(CASCADE, 1).unwrap();
         for threads in [2, 3, 8] {
-            let parallel = compile_opts(
-                CASCADE,
-                EngineOptions {
-                    threads,
-                    ..EngineOptions::default()
-                },
-            )
-            .unwrap();
+            let parallel = compile_threads(CASCADE, threads).unwrap();
             assert_eq!(
                 serialize(&reference.network),
                 serialize(&parallel.network),
@@ -1134,7 +1092,7 @@ mod tests {
 
     #[test]
     fn stats_populated_on_fixpoint() {
-        let model = compile_opts(CASCADE, EngineOptions::default()).unwrap();
+        let model = compile_threads(CASCADE, 0).unwrap();
         let stats = &model.stats;
         assert!(stats.fixpoint);
         assert!(stats.growing_rules.is_empty());
@@ -1142,6 +1100,8 @@ mod tests {
         assert_eq!(stats.generation_seconds.len(), stats.generations);
         assert!(stats.rule_applications > 0);
         assert!(stats.canonicalizations > 0);
+        // The symmetric seeds (`CS{n}C`, `CC=CC`) alone need the tie-break.
+        assert!((6..stats.canonicalizations).contains(&stats.identity_slow_path));
         assert!(stats.prefilter_lookups > 0);
         assert!(stats.prefilter_hits > 0);
         assert!(stats.prefilter_hit_rate() > 0.0);

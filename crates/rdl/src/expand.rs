@@ -29,7 +29,7 @@ pub struct Variant {
 /// molecule, tagged with the family (declared) name it expanded from.
 ///
 /// This is the artifact the *Expand* pipeline stage produces; the rule
-/// engine ([`crate::engine::compile_with`]) consumes it when seeding the
+/// engine ([`crate::engine::compile_with_options`]) consumes it when seeding the
 /// reaction network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeedVariant {

@@ -33,9 +33,9 @@ pub mod network;
 pub mod parser;
 
 pub use ast::{Action, Forbid, Limits, MoleculeDecl, Program, RuleDecl, Scope, Site};
-pub use engine::{
-    compile, compile_with, compile_with_options, CompiledModel, EngineOptions, NetworkStats,
-};
+pub use engine::{compile, compile_with_options, CompiledModel, EngineOptions, NetworkStats};
+#[cfg(feature = "oracle")]
+pub use engine::{compile_with_oracle, Oracle};
 pub use error::{RdlError, Result};
 pub use expand::{expand, expand_program, SeedVariant, Variant};
 pub use network::{Reaction, ReactionNetwork, Species, SpeciesId};

@@ -23,8 +23,6 @@ pub struct Species {
     /// The structure, when the species came from the chemistry frontend.
     /// Programmatically generated networks may omit it.
     pub structure: Option<Molecule>,
-    /// Canonical SMILES key (dedup identity) when a structure exists.
-    pub canonical: Option<String>,
     /// Initial concentration for simulation.
     pub initial_concentration: f64,
 }
@@ -48,7 +46,6 @@ pub struct Reaction {
 pub struct ReactionNetwork {
     species: Vec<Species>,
     reactions: Vec<Reaction>,
-    by_canonical: HashMap<String, SpeciesId>,
     by_name: HashMap<String, SpeciesId>,
     /// Reaction dedup index: hash of (sorted reactants, sorted products,
     /// rate) → candidate reaction indices, compared exactly on collision.
@@ -115,11 +112,6 @@ impl ReactionNetwork {
         self.by_name.get(name).copied()
     }
 
-    /// Look up a species by canonical SMILES.
-    pub fn species_by_canonical(&self, canonical: &str) -> Option<SpeciesId> {
-        self.by_canonical.get(canonical).copied()
-    }
-
     /// Add a named species without structure (programmatic networks).
     /// Returns the existing id when the name is already present.
     pub fn add_abstract_species(&mut self, name: &str, initial: f64) -> SpeciesId {
@@ -130,56 +122,23 @@ impl ReactionNetwork {
         self.species.push(Species {
             name: name.to_string(),
             structure: None,
-            canonical: None,
             initial_concentration: initial,
         });
         self.by_name.insert(name.to_string(), id);
         id
     }
 
-    /// Add a structured species, deduplicating on canonical SMILES.
-    /// `name_hint` is used when the structure is new; a numeric suffix is
-    /// appended on display-name collision.
+    /// Add a structured species under a fresh display name: `name_hint`,
+    /// with a numeric suffix on collision. The caller has established that
+    /// the structure is new — the rule engine dedups on interned
+    /// identities (`rms_molecule::KeyTable`) before a molecule gets here.
     pub fn add_species(
         &mut self,
-        structure: Molecule,
-        canonical: String,
+        mut structure: Molecule,
         name_hint: &str,
         initial: f64,
     ) -> SpeciesId {
-        if let Some(&id) = self.by_canonical.get(&canonical) {
-            return id;
-        }
-        let mut name = name_hint.to_string();
-        let mut suffix = 1;
-        while self.by_name.contains_key(&name) {
-            name = format!("{name_hint}_{suffix}");
-            suffix += 1;
-        }
-        let id = SpeciesId(self.species.len() as u32);
-        self.by_canonical.insert(canonical.clone(), id);
-        self.by_name.insert(name.clone(), id);
-        self.species.push(Species {
-            name,
-            structure: Some(structure),
-            canonical: Some(canonical),
-            initial_concentration: initial,
-        });
-        id
-    }
-
-    /// Add a structured species *without* a canonical string. The interned
-    /// frontend path dedups through `rms_molecule::KeyTable` certificates
-    /// before ever reaching the network, so computing canonical SMILES here
-    /// would be pure waste; [`ReactionNetwork::canonical_smiles`] computes
-    /// it on demand from the stored structure when a consumer (dump,
-    /// diffing tests) asks.
-    pub fn add_species_uncanonical(
-        &mut self,
-        structure: Molecule,
-        name_hint: &str,
-        initial: f64,
-    ) -> SpeciesId {
+        structure.shrink_to_fit();
         let mut name = name_hint.to_string();
         let mut suffix = 1;
         while self.by_name.contains_key(&name) {
@@ -191,21 +150,17 @@ impl ReactionNetwork {
         self.species.push(Species {
             name,
             structure: Some(structure),
-            canonical: None,
             initial_concentration: initial,
         });
         id
     }
 
-    /// Canonical SMILES for a species: the stored key when present,
-    /// otherwise computed from the structure. `None` for abstract species.
+    /// Canonical SMILES of a species' structure, computed on demand (dumps
+    /// and diffing tests ask; the engine never does). `None` for abstract
+    /// species.
     pub fn canonical_smiles(&self, id: SpeciesId) -> Option<String> {
-        let s = self.species(id);
-        match (&s.canonical, &s.structure) {
-            (Some(c), _) => Some(c.clone()),
-            (None, Some(m)) => Some(rms_molecule::canonical_key(m)),
-            (None, None) => None,
-        }
+        let structure = self.species(id).structure.as_ref()?;
+        Some(rms_molecule::canonical_key(structure))
     }
 
     /// Set a species' initial concentration.
@@ -311,24 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn structured_species_dedup_by_canonical() {
-        let mut n = ReactionNetwork::new();
-        let m1 = parse_smiles("CCO").unwrap();
-        let m2 = parse_smiles("OCC").unwrap();
-        let id1 = n.add_species(m1.clone(), canonical_key(&m1), "ethanol", 0.0);
-        let id2 = n.add_species(m2.clone(), canonical_key(&m2), "other", 0.0);
-        assert_eq!(id1, id2);
-        assert_eq!(n.species_count(), 1);
-    }
-
-    #[test]
     fn name_collisions_get_suffixes() {
         let mut n = ReactionNetwork::new();
-        let m1 = parse_smiles("CCO").unwrap();
-        let m2 = parse_smiles("CCS").unwrap();
-        n.add_species(m1.clone(), canonical_key(&m1), "mol", 0.0);
-        let id2 = n.add_species(m2.clone(), canonical_key(&m2), "mol", 0.0);
+        n.add_species(parse_smiles("CCO").unwrap(), "mol", 0.0);
+        let id2 = n.add_species(parse_smiles("CCS").unwrap(), "mol", 0.0);
         assert_eq!(n.species(id2).name, "mol_1");
+        assert_eq!(
+            n.canonical_smiles(id2).unwrap(),
+            canonical_key(&parse_smiles("SCC").unwrap())
+        );
     }
 
     #[test]

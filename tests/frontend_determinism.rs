@@ -11,9 +11,10 @@
 
 use proptest::prelude::*;
 
+use rms_rdl::{compile_with_oracle, Oracle};
 use rms_suite::{
-    compile_with_options, expand_program, parse_rdl, CompilerSession, EngineOptions, OptLevel,
-    RateTable, ReactionNetwork, SessionOptions,
+    expand_program, parse_rdl, CompilerSession, EngineOptions, OptLevel, RateTable,
+    ReactionNetwork, SessionOptions,
 };
 use rms_workload::{scaled_case, FrontierSpec, TABLE1};
 
@@ -52,11 +53,11 @@ fn render(network: &ReactionNetwork) -> String {
 
 /// Run the Network stage under one engine configuration; both the
 /// success serialization and the error text participate in equality.
-fn close(source: &str, options: EngineOptions) -> Result<String, String> {
+fn close(source: &str, (options, oracle): (EngineOptions, Oracle)) -> Result<String, String> {
     let program = parse_rdl(source).map_err(|e| e.to_string())?;
     let rates = RateTable::parse(&program.rate_source).map_err(|e| e.to_string())?;
     let seeds = expand_program(&program).map_err(|e| e.to_string())?;
-    compile_with_options(&program, rates, &seeds, &options)
+    compile_with_oracle(&program, rates, &seeds, &options, oracle)
         .map(|model| render(&model.network))
         .map_err(|e| e.to_string())
 }
@@ -64,56 +65,21 @@ fn close(source: &str, options: EngineOptions) -> Result<String, String> {
 /// The configurations under test: the PR-9 oracle (full rescan, string
 /// keys, serial) and the frontier engine at 1, 2 and 8 threads with and
 /// without interning, plus auto thread selection.
-fn configurations() -> Vec<(&'static str, EngineOptions)> {
+fn configurations() -> Vec<(&'static str, (EngineOptions, Oracle))> {
+    let config = |threads, string_keys, legacy_rescan| {
+        let oracle = Oracle {
+            string_keys,
+            legacy_rescan,
+        };
+        (EngineOptions { threads }, oracle)
+    };
     vec![
-        (
-            "legacy-rescan",
-            EngineOptions {
-                threads: 1,
-                intern: false,
-                legacy_rescan: true,
-            },
-        ),
-        (
-            "frontier-t1",
-            EngineOptions {
-                threads: 1,
-                intern: true,
-                legacy_rescan: false,
-            },
-        ),
-        (
-            "frontier-t2",
-            EngineOptions {
-                threads: 2,
-                intern: true,
-                legacy_rescan: false,
-            },
-        ),
-        (
-            "frontier-t8",
-            EngineOptions {
-                threads: 8,
-                intern: true,
-                legacy_rescan: false,
-            },
-        ),
-        (
-            "frontier-t8-nointern",
-            EngineOptions {
-                threads: 8,
-                intern: false,
-                legacy_rescan: false,
-            },
-        ),
-        (
-            "frontier-auto",
-            EngineOptions {
-                threads: 0,
-                intern: true,
-                legacy_rescan: false,
-            },
-        ),
+        ("legacy-rescan", config(1, true, true)),
+        ("frontier-t1", config(1, false, false)),
+        ("frontier-t2", config(2, false, false)),
+        ("frontier-t8", config(8, false, false)),
+        ("frontier-t8-nointern", config(8, true, false)),
+        ("frontier-auto", config(0, false, false)),
     ]
 }
 
