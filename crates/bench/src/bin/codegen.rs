@@ -1,33 +1,31 @@
 //! Native codegen backend against the execution engine: RHS evals/sec
 //! for the dlopened kernel (scalar and lane-batched) versus the decoded
-//! exec tape, at the (scaled) Table 1 case sizes, with the reroll pass
-//! both on and off. Prints a comparison table and writes a
-//! machine-readable `BENCH_codegen.json`.
+//! exec tape, at the (scaled) Table 1 case sizes. Prints a comparison
+//! table and writes a machine-readable `BENCH_codegen.json`.
 //!
-//! The straight-line (unrolled) backend removes the execution engine's
-//! per-instruction dispatch but emits code that grows linearly with the
-//! tape, so past the I-cache it loses to the batched interpreter. The
-//! reroll pass collapses runs of structurally identical reaction stanzas
-//! into data-driven C `for` loops over static stride/index tables,
-//! shrinking the kernel superlinearly while replaying the exact same
-//! rounding sequence (`-ffp-contract=off`), so trajectories stay
-//! bit-compatible with the exec engine. The benchmark measures both
-//! kernel shapes per case and integrates the largest case on the interp,
-//! exec and rerolled-native engines, asserting the crossover acceptance:
-//! at a ≥250k-instruction case the rerolled kernel must beat batched
-//! exec with a ≥5x smaller source than unrolled emission.
+//! The native backend removes the execution engine's per-instruction
+//! dispatch. Its emitter rerolls runs of structurally identical reaction
+//! stanzas into data-driven C `for` loops over static stride/index
+//! tables, so the kernel stays small enough for the I-cache at every
+//! size while replaying the exact same rounding sequence
+//! (`-ffp-contract=off`) — trajectories stay bit-compatible with the exec
+//! engine. The benchmark measures the kernel per case and integrates the
+//! largest case on the interp, exec and native engines, asserting the
+//! crossover acceptance: at a ≥250k-instruction case the kernel must
+//! have loop regions and beat batched exec, with zero trajectory
+//! deviation.
 //!
 //! Usage:
 //!   codegen [--scale K] [--cases 1,2,3] [--iters N] [--out FILE] [--smoke]
 //!
 //! `--smoke` shrinks everything for CI: the two smallest cases at a deep
 //! scale with a few iterations — enough to validate the toolchain probe,
-//! the reroll differential trajectory and the JSON artifact, not timings.
+//! the engine-agreement trajectory and the JSON artifact, not timings.
 
 use std::fmt::Write as _;
 
 use rms_bench::{
-    compile_case_native_opt, fmt_secs, parse_or_exit, run_bench, time_rhs, time_rhs_batch,
+    compile_case_native, fmt_secs, parse_or_exit, run_bench, time_rhs, time_rhs_batch,
     write_artifact,
 };
 use rms_core::{Kernel, NativeKernel, OptLevel, LANES};
@@ -35,8 +33,7 @@ use rms_suite::{EngineMode, JacobianMode, SolverOptions, Stage, SuiteModel};
 use rms_workload::{scaled_case, TABLE1};
 
 const USAGE: &str = "\
-codegen — RHS evals/sec: execution engine vs compiled native kernel,
-reroll on vs off
+codegen — RHS evals/sec: execution engine vs compiled native kernel
 
 USAGE:
   codegen [--scale K] [--cases 1,2,3] [--iters N] [--out FILE] [--smoke] [--force]
@@ -57,19 +54,16 @@ struct CaseResult {
     case: usize,
     equations: usize,
     tape_instrs: usize,
-    /// Loop regions in the rerolled kernel (0 when nothing rolled).
+    /// Loop regions in the kernel (0 when nothing rolled).
     loop_count: usize,
     /// Flat instructions absorbed into those loops.
     rolled_instrs: usize,
-    /// Rendered source size of the rerolled kernel.
+    /// Rendered source size.
     source_bytes: usize,
-    /// Rendered source size of the straight-line (reroll=off) kernel.
-    unrolled_source_bytes: usize,
     render_secs: f64,
     cc_secs: f64,
-    unrolled_cc_secs: f64,
-    /// Translation units of the rerolled build and their concurrent
-    /// compile/link split.
+    /// Translation units of the build and their concurrent compile/link
+    /// split.
     cc_units: usize,
     cc_unit_max_secs: f64,
     link_secs: f64,
@@ -77,15 +71,6 @@ struct CaseResult {
     exec_batched_secs: f64,
     native_secs: f64,
     native_batched_secs: f64,
-    unrolled_native_secs: f64,
-    unrolled_native_batched_secs: f64,
-}
-
-impl CaseResult {
-    /// Unrolled-to-rerolled source shrink factor.
-    fn size_reduction(&self) -> f64 {
-        self.unrolled_source_bytes as f64 / self.source_bytes.max(1) as f64
-    }
 }
 
 struct Config {
@@ -154,14 +139,9 @@ struct Compiled {
     link_secs: f64,
 }
 
-fn compile(
-    case: usize,
-    scale: usize,
-    reroll: bool,
-    cache_dir: &std::path::Path,
-) -> Result<Compiled, String> {
+fn compile(case: usize, scale: usize, cache_dir: &std::path::Path) -> Result<Compiled, String> {
     let model = scaled_case(case, scale);
-    let suite = compile_case_native_opt(&model, OptLevel::Full, reroll, Some(cache_dir));
+    let suite = compile_case_native(&model, OptLevel::Full, Some(cache_dir));
     let native = match suite.artifact().native.as_ref() {
         Some(native) => native.clone(),
         None => {
@@ -170,9 +150,7 @@ fn compile(
                 .native_diag
                 .as_deref()
                 .unwrap_or("unknown codegen failure");
-            return Err(format!(
-                "case {case} (reroll={reroll}): no native kernel: {why}"
-            ));
+            return Err(format!("case {case}: no native kernel: {why}"));
         }
     };
     let record = suite.report.stage(Stage::Codegen);
@@ -208,20 +186,19 @@ fn run(config: Config) -> Result<(), String> {
         toolchain.version
     );
     println!(
-        "{:>5} {:>6} {:>8} {:>6} {:>7} {:>8} {:>8} | {:>10} {:>10} {:>10} {:>10} | {:>8} {:>8}",
+        "{:>5} {:>6} {:>8} {:>6} {:>9} {:>8} | {:>10} {:>10} {:>10} {:>10} | {:>8} {:>8}",
         "case",
         "eqs",
         "instrs",
         "loops",
-        "size-x",
-        "cc:roll",
-        "cc:flat",
+        "src bytes",
+        "cc",
+        "exec",
         "exbatch",
-        "nroll",
-        "nrollb",
-        "nflatb",
-        "nrb/exb",
-        "nfb/exb"
+        "native",
+        "nbatch",
+        "n/ex",
+        "nb/exb"
     );
 
     // A fresh scratch cache per run: warm `.so` hits would skip the
@@ -231,12 +208,11 @@ fn run(config: Config) -> Result<(), String> {
 
     let mut results = Vec::new();
     for &case in &cases {
-        let rolled = compile(case, scale, true, &scratch)?;
-        let unrolled = compile(case, scale, false, &scratch)?;
+        let compiled = compile(case, scale, &scratch)?;
 
-        let system = &rolled.suite.system;
-        let tape = &rolled.suite.compiled.tape;
-        let exec = rolled.suite.kernel(EngineMode::Exec).kernel;
+        let system = &compiled.suite.system;
+        let tape = &compiled.suite.compiled.tape;
+        let exec = compiled.suite.kernel(EngineMode::Exec).kernel;
         let n = system.len();
         let rates = &system.rate_values;
         let y0: Vec<f64> = (0..n).map(|i| 0.1 + (i % 7) as f64 * 0.1).collect();
@@ -248,47 +224,35 @@ fn run(config: Config) -> Result<(), String> {
             best_of(|| time_rhs(kernel, rates, &mut y, &mut ydot, iters))
         };
         let batched = |kernel: &dyn Kernel| best_of(|| time_rhs_batch(kernel, rates, &y0, iters));
-        let exec_secs = scalar(&*exec);
-        let exec_batched_secs = batched(&*exec);
-        let native_secs = scalar(&*rolled.kernel);
-        let native_batched_secs = batched(&*rolled.kernel);
-        let unrolled_native_secs = scalar(&*unrolled.kernel);
-        let unrolled_native_batched_secs = batched(&*unrolled.kernel);
-
         let result = CaseResult {
             case,
             equations: n,
             tape_instrs: tape.len(),
-            loop_count: rolled.native.loop_count(),
-            rolled_instrs: rolled.native.rolled_instrs(),
-            source_bytes: rolled.source_bytes,
-            unrolled_source_bytes: unrolled.source_bytes,
-            render_secs: rolled.render_secs,
-            cc_secs: rolled.cc_secs,
-            unrolled_cc_secs: unrolled.cc_secs,
-            cc_units: rolled.cc_units,
-            cc_unit_max_secs: rolled.cc_unit_max_secs,
-            link_secs: rolled.link_secs,
-            exec_secs,
-            exec_batched_secs,
-            native_secs,
-            native_batched_secs,
-            unrolled_native_secs,
-            unrolled_native_batched_secs,
+            loop_count: compiled.native.loop_count(),
+            rolled_instrs: compiled.native.rolled_instrs(),
+            source_bytes: compiled.source_bytes,
+            render_secs: compiled.render_secs,
+            cc_secs: compiled.cc_secs,
+            cc_units: compiled.cc_units,
+            cc_unit_max_secs: compiled.cc_unit_max_secs,
+            link_secs: compiled.link_secs,
+            exec_secs: scalar(&*exec),
+            exec_batched_secs: batched(&*exec),
+            native_secs: scalar(&*compiled.kernel),
+            native_batched_secs: batched(&*compiled.kernel),
         };
         println!(
-            "{case:>5} {n:>6} {:>8} {:>6} {:>6.1}x {:>8} {:>8} | {:>10} {:>10} {:>10} {:>10} | {:>7.2}x {:>7.2}x",
+            "{case:>5} {n:>6} {:>8} {:>6} {:>9} {:>8} | {:>10} {:>10} {:>10} {:>10} | {:>7.2}x {:>7.2}x",
             result.tape_instrs,
             result.loop_count,
-            result.size_reduction(),
+            result.source_bytes,
             fmt_secs(result.cc_secs),
-            fmt_secs(result.unrolled_cc_secs),
+            fmt_secs(result.exec_secs),
             fmt_secs(result.exec_batched_secs),
             fmt_secs(result.native_secs),
             fmt_secs(result.native_batched_secs),
-            fmt_secs(result.unrolled_native_batched_secs),
-            result.exec_batched_secs / result.native_batched_secs,
-            result.exec_batched_secs / result.unrolled_native_batched_secs
+            result.exec_secs / result.native_secs,
+            result.exec_batched_secs / result.native_batched_secs
         );
         results.push(result);
     }
@@ -305,12 +269,12 @@ fn run(config: Config) -> Result<(), String> {
         .expect("at least one case");
 
     // Differential integration on the largest case: full BDF solves on
-    // the exec and rerolled-native engines must tell the same story.
+    // the exec and native engines must tell the same story.
     // Without FMA contraction both replay the tape's association order
     // exactly, so the deviation vs exec is expected to be 0.0; the
     // interp engine shares the flat tape and gets the 1e-12 envelope.
     let model = scaled_case(largest_case, scale);
-    let suite = compile_case_native_opt(&model, OptLevel::Full, true, Some(&scratch));
+    let suite = compile_case_native(&model, OptLevel::Full, Some(&scratch));
     let times: Vec<f64> = (1..=8).map(|i| 0.25 * i as f64).collect();
     let options = SolverOptions::default();
     let reference = suite
@@ -337,48 +301,46 @@ fn run(config: Config) -> Result<(), String> {
         .find(|r| r.case == largest_case)
         .expect("largest case measured");
     println!(
-        "\nlargest case ({} equations, {} instrs): rerolled native {:.2}x scalar exec, \
-         {:.2}x batched exec (unrolled: {:.2}x batched); kernel source {:.1}x smaller; \
-         trajectory deviation {traj_diff:.3e} vs exec, {traj_diff_interp:.3e} vs interp",
+        "\nlargest case ({} equations, {} instrs, {} loops): native {:.2}x scalar exec, \
+         {:.2}x batched exec; trajectory deviation {traj_diff:.3e} vs exec, \
+         {traj_diff_interp:.3e} vs interp",
         largest.equations,
         largest.tape_instrs,
+        largest.loop_count,
         largest.exec_secs / largest.native_secs,
-        largest.exec_batched_secs / largest.native_batched_secs,
-        largest.exec_batched_secs / largest.unrolled_native_batched_secs,
-        largest.size_reduction()
+        largest.exec_batched_secs / largest.native_batched_secs
     );
 
-    // Crossover acceptance: at a ≥250k-instruction case the rerolled
-    // kernel must (a) beat the batched exec engine where the unrolled
-    // kernel historically lost, (b) shrink the rendered source ≥5x, and
-    // (c) keep the trajectory bit-identical to exec and within 1e-12 of
-    // interp. Smoke runs skip the check — their cases are far below the
-    // crossover.
+    // Crossover acceptance: at a ≥250k-instruction case — past the size
+    // where straight-line C overran the I-cache and lost to batched exec
+    // (DESIGN.md §14) — the kernel must (a) have loop regions, (b) beat
+    // the exec engine scalar and batched, and (c) keep the trajectory
+    // bit-identical to exec and within 1e-12 of interp. Smoke runs skip
+    // the check — their cases are far below the crossover.
     if !smoke && largest.tape_instrs >= ACCEPTANCE_INSTRS {
         let batched_speedup = largest.exec_batched_secs / largest.native_batched_secs;
         let scalar_speedup = largest.exec_secs / largest.native_secs;
+        if largest.loop_count == 0 {
+            return Err(format!(
+                "crossover acceptance failed: the kernel at {} instrs has no loop regions",
+                largest.tape_instrs
+            ));
+        }
         if batched_speedup < 1.0 || scalar_speedup < 1.0 {
             return Err(format!(
-                "crossover acceptance failed: rerolled native at {} instrs is not faster than \
+                "crossover acceptance failed: native at {} instrs is not faster than \
                  exec (scalar {scalar_speedup:.3}x, batched {batched_speedup:.3}x)",
                 largest.tape_instrs
             ));
         }
-        if largest.size_reduction() < 5.0 {
-            return Err(format!(
-                "crossover acceptance failed: kernel source only {:.2}x smaller than unrolled \
-                 (need ≥5x)",
-                largest.size_reduction()
-            ));
-        }
         if traj_diff != 0.0 {
             return Err(format!(
-                "crossover acceptance failed: rerolled native deviates from exec by {traj_diff:e}"
+                "crossover acceptance failed: native deviates from exec by {traj_diff:e}"
             ));
         }
         if traj_diff_interp > 1e-12 {
             return Err(format!(
-                "crossover acceptance failed: rerolled native deviates from interp by \
+                "crossover acceptance failed: native deviates from interp by \
                  {traj_diff_interp:e}"
             ));
         }
@@ -432,23 +394,8 @@ fn render_json(
         let _ = writeln!(out, "      \"loop_count\": {},", r.loop_count);
         let _ = writeln!(out, "      \"rolled_instrs\": {},", r.rolled_instrs);
         let _ = writeln!(out, "      \"source_bytes\": {},", r.source_bytes);
-        let _ = writeln!(
-            out,
-            "      \"unrolled_source_bytes\": {},",
-            r.unrolled_source_bytes
-        );
-        let _ = writeln!(
-            out,
-            "      \"kernel_size_reduction\": {:.3},",
-            r.size_reduction()
-        );
         let _ = writeln!(out, "      \"render_seconds\": {:.6},", r.render_secs);
         let _ = writeln!(out, "      \"cc_seconds\": {:.6},", r.cc_secs);
-        let _ = writeln!(
-            out,
-            "      \"unrolled_cc_seconds\": {:.6},",
-            r.unrolled_cc_secs
-        );
         let _ = writeln!(out, "      \"cc_units\": {},", r.cc_units);
         let _ = writeln!(
             out,
@@ -478,33 +425,13 @@ fn render_json(
         );
         let _ = writeln!(
             out,
-            "      \"unrolled_native_evals_per_sec\": {:.1},",
-            1.0 / r.unrolled_native_secs
-        );
-        let _ = writeln!(
-            out,
-            "      \"unrolled_native_batched_evals_per_sec\": {:.1},",
-            1.0 / r.unrolled_native_batched_secs
-        );
-        let _ = writeln!(
-            out,
             "      \"native_speedup_vs_exec\": {:.3},",
             r.exec_secs / r.native_secs
         );
         let _ = writeln!(
             out,
-            "      \"native_batched_speedup_vs_batched_exec\": {:.3},",
+            "      \"native_batched_speedup_vs_batched_exec\": {:.3}",
             r.exec_batched_secs / r.native_batched_secs
-        );
-        let _ = writeln!(
-            out,
-            "      \"unrolled_native_speedup_vs_exec\": {:.3},",
-            r.exec_secs / r.unrolled_native_secs
-        );
-        let _ = writeln!(
-            out,
-            "      \"unrolled_native_batched_speedup_vs_batched_exec\": {:.3}",
-            r.exec_batched_secs / r.unrolled_native_batched_secs
         );
         let _ = writeln!(out, "    }}{comma}");
     }
@@ -522,16 +449,7 @@ fn render_json(
         "  \"largest_native_batched_speedup_vs_batched_exec\": {:.3},",
         largest.exec_batched_secs / largest.native_batched_secs
     );
-    let _ = writeln!(
-        out,
-        "  \"largest_unrolled_native_batched_speedup_vs_batched_exec\": {:.3},",
-        largest.exec_batched_secs / largest.unrolled_native_batched_secs
-    );
-    let _ = writeln!(
-        out,
-        "  \"largest_kernel_size_reduction\": {:.3},",
-        largest.size_reduction()
-    );
+    let _ = writeln!(out, "  \"largest_loop_count\": {},", largest.loop_count);
     let _ = writeln!(out, "  \"largest_trajectory_deviation\": {traj_diff:.3e},");
     let _ = writeln!(
         out,

@@ -44,27 +44,18 @@ pub fn compile_case_deriv(model: &VulcanizationModel, level: OptLevel) -> SuiteM
 
 /// [`compile_case`] with the *Codegen* stage on: the artifact carries
 /// the compiled-and-dlopened native kernel when a C toolchain is
-/// available, and a fallback diagnostic (`native_diag`) otherwise.
-pub fn compile_case_native(model: &VulcanizationModel, level: OptLevel) -> SuiteModel {
-    compile_case_native_opt(model, level, true, None)
-}
-
-/// [`compile_case_native`] with the reroll pass switched explicitly (the
-/// CLI's `--opt reroll=on|off`). `reroll: false` emits the historic
-/// straight-line (unrolled) kernel; the flag is part of the cache key,
-/// so the two variants never share an artifact. A `cache_dir` pins the
-/// `.so` location — benches pass a fresh scratch directory so every
-/// compile is cold and the reported render/cc metrics are real (a warm
-/// shared cache loads the kernel without rendering and reports zeros).
-pub fn compile_case_native_opt(
+/// available, and a fallback diagnostic (`native_diag`) otherwise. A
+/// `cache_dir` pins the `.so` location — benches pass a fresh scratch
+/// directory so every compile is cold and the reported render/cc metrics
+/// are real (a warm shared cache loads the kernel without rendering and
+/// reports zeros).
+pub fn compile_case_native(
     model: &VulcanizationModel,
     level: OptLevel,
-    reroll: bool,
     cache_dir: Option<&std::path::Path>,
 ) -> SuiteModel {
     let mut options = SessionOptions::new(level);
     options.native = true;
-    options.reroll = reroll;
     options.cache_dir = cache_dir.map(std::path::Path::to_path_buf);
     compile_with(model, options)
 }

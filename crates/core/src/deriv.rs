@@ -23,8 +23,7 @@ use std::collections::{BTreeSet, HashMap};
 use crate::cse::{cse_forest, CseOptions};
 use crate::expr::{Coeff, Expr, ExprForest, TempId};
 use crate::tape::{
-    compact_registers_multi, compact_registers_pair, lower_split, lower_split_multi, reroll,
-    RerollOptions, RolledTape, Tape,
+    compact_registers_multi, compact_registers_pair, lower_split, lower_split_multi, Tape,
 };
 
 /// The compiler's full output for an implicit solver: the RHS tape plus
@@ -75,65 +74,6 @@ impl JacobianTapes {
     ) {
         self.rhs.eval_with_scratch(rates, y, ydot, regs);
         self.jac.eval_with_scratch(rates, y, vals, regs);
-    }
-
-    /// Reroll both tapes of the group into loop-structured views. The
-    /// register file stays shared: each view replays its flat tape
-    /// trip-by-trip, so the Jacobian view still reads every register the
-    /// RHS view wrote.
-    pub fn reroll(&self, opts: &RerollOptions) -> JacobianRolled {
-        JacobianRolled {
-            rhs: reroll(&self.rhs, opts),
-            jac: reroll(&self.jac, opts),
-        }
-    }
-}
-
-/// Loop-structured views over a [`JacobianTapes`] pair, produced by
-/// [`JacobianTapes::reroll`].
-#[derive(Debug, Clone)]
-pub struct JacobianRolled {
-    /// Rolled view of the RHS tape.
-    pub rhs: RolledTape,
-    /// Rolled view of the Jacobian tape.
-    pub jac: RolledTape,
-}
-
-impl JacobianRolled {
-    /// Total loop regions across the group.
-    pub fn loop_count(&self) -> usize {
-        self.rhs.loop_count() + self.jac.loop_count()
-    }
-
-    /// Total flat instructions absorbed into loop regions.
-    pub fn rerolled_instrs(&self) -> usize {
-        self.rhs.rerolled_instrs() + self.jac.rerolled_instrs()
-    }
-
-    /// Check both views against their tapes.
-    pub fn validate(&self, tapes: &JacobianTapes) -> Result<(), String> {
-        self.rhs.validate(&tapes.rhs)?;
-        self.jac.validate(&tapes.jac)
-    }
-
-    /// Evaluate the group through the rolled views — the loop-walking
-    /// analog of [`JacobianTapes::eval_with_scratch`], bit-identical to
-    /// it by construction.
-    pub fn eval_with_scratch(
-        &self,
-        tapes: &JacobianTapes,
-        rates: &[f64],
-        y: &[f64],
-        ydot: &mut [f64],
-        vals: &mut [f64],
-        regs: &mut Vec<f64>,
-    ) {
-        tapes
-            .rhs
-            .eval_rolled_with_scratch(&self.rhs, rates, y, ydot, regs);
-        tapes
-            .jac
-            .eval_rolled_with_scratch(&self.jac, rates, y, vals, regs);
     }
 }
 
@@ -320,72 +260,6 @@ impl SensitivityTapes {
         regs: &mut Vec<f64>,
     ) {
         self.dfdp.eval_with_scratch(rates, y, dfdp_vals, regs);
-    }
-
-    /// Reroll all three tapes of the group into loop-structured views
-    /// over the shared register file.
-    pub fn reroll(&self, opts: &RerollOptions) -> SensitivityRolled {
-        SensitivityRolled {
-            rhs: reroll(&self.rhs, opts),
-            jac: reroll(&self.jac, opts),
-            dfdp: reroll(&self.dfdp, opts),
-        }
-    }
-}
-
-/// Loop-structured views over a [`SensitivityTapes`] triple, produced by
-/// [`SensitivityTapes::reroll`].
-#[derive(Debug, Clone)]
-pub struct SensitivityRolled {
-    /// Rolled view of the RHS tape.
-    pub rhs: RolledTape,
-    /// Rolled view of the state-Jacobian tape.
-    pub jac: RolledTape,
-    /// Rolled view of the parameter-gradient tape.
-    pub dfdp: RolledTape,
-}
-
-impl SensitivityRolled {
-    /// Total loop regions across the group.
-    pub fn loop_count(&self) -> usize {
-        self.rhs.loop_count() + self.jac.loop_count() + self.dfdp.loop_count()
-    }
-
-    /// Total flat instructions absorbed into loop regions.
-    pub fn rerolled_instrs(&self) -> usize {
-        self.rhs.rerolled_instrs() + self.jac.rerolled_instrs() + self.dfdp.rerolled_instrs()
-    }
-
-    /// Check all three views against their tapes.
-    pub fn validate(&self, tapes: &SensitivityTapes) -> Result<(), String> {
-        self.rhs.validate(&tapes.rhs)?;
-        self.jac.validate(&tapes.jac)?;
-        self.dfdp.validate(&tapes.dfdp)
-    }
-
-    /// Evaluate all three tapes through the rolled views — the
-    /// loop-walking analog of [`SensitivityTapes::eval_all`],
-    /// bit-identical to it by construction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_all(
-        &self,
-        tapes: &SensitivityTapes,
-        rates: &[f64],
-        y: &[f64],
-        ydot: &mut [f64],
-        jac_vals: &mut [f64],
-        dfdp_vals: &mut [f64],
-        regs: &mut Vec<f64>,
-    ) {
-        tapes
-            .rhs
-            .eval_rolled_with_scratch(&self.rhs, rates, y, ydot, regs);
-        tapes
-            .jac
-            .eval_rolled_with_scratch(&self.jac, rates, y, jac_vals, regs);
-        tapes
-            .dfdp
-            .eval_rolled_with_scratch(&self.dfdp, rates, y, dfdp_vals, regs);
     }
 }
 
@@ -666,7 +540,7 @@ fn diff_rate(expr: &Expr, r: u32, temp_map: &[TempId], pmap: &HashMap<(u32, u32)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::lower;
+    use crate::tape::{lower, reroll, RerollOptions};
 
     fn term(c: f64, rate: u32, species: &[u32]) -> Expr {
         let mut f = vec![Expr::Rate(rate)];
@@ -997,15 +871,41 @@ mod tests {
         }
     }
 
+    /// Aggressive thresholds so even short stanzas roll.
+    fn loose() -> RerollOptions {
+        RerollOptions {
+            max_body: 64,
+            min_trips: 2,
+            min_savings: 1,
+        }
+    }
+
+    /// Walk a register-sharing tape group through its rolled views, in
+    /// order over one register file; returns the loop regions walked.
+    fn eval_group_rolled(
+        group: &mut [(&Tape, &mut [f64])],
+        rates: &[f64],
+        y: &[f64],
+        regs: &mut Vec<f64>,
+    ) -> usize {
+        let mut loops = 0;
+        for (tape, out) in group.iter_mut() {
+            let view = reroll(tape, &loose());
+            assert_eq!(view.validate(tape), Ok(()));
+            loops += view.loop_count();
+            tape.eval_rolled_with_scratch(&view, rates, y, out, regs);
+        }
+        loops
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn rolled_jacobian_group_is_bit_identical() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        let opts = RerollOptions {
-            max_body: 64,
-            min_trips: 2,
-            min_savings: 1,
-        };
         let mut rng = SmallRng::seed_from_u64(5);
         for round in 0..15 {
             let n = rng.gen_range(3..7);
@@ -1022,8 +922,6 @@ mod tests {
                 n,
             );
             let tapes = compile_jacobian(&f, Some(CseOptions::default()));
-            let rolled = tapes.reroll(&opts);
-            assert_eq!(rolled.validate(&tapes), Ok(()));
             let rates: Vec<f64> = (0..8).map(|_| rng.gen_range(0.1..2.0)).collect();
             let y: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..2.0)).collect();
             let mut ydot = vec![0.0; n];
@@ -1032,9 +930,12 @@ mod tests {
             tapes.eval_with_scratch(&rates, &y, &mut ydot, &mut vals, &mut regs);
             let mut ydot_r = vec![0.0; n];
             let mut vals_r = vec![0.0; tapes.nnz()];
-            let mut regs_r = Vec::new();
-            rolled.eval_with_scratch(&tapes, &rates, &y, &mut ydot_r, &mut vals_r, &mut regs_r);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            eval_group_rolled(
+                &mut [(&tapes.rhs, &mut ydot_r), (&tapes.jac, &mut vals_r)],
+                &rates,
+                &y,
+                &mut Vec::new(),
+            );
             assert_eq!(bits(&ydot), bits(&ydot_r), "round {round}: rhs diverged");
             assert_eq!(bits(&vals), bits(&vals_r), "round {round}: jac diverged");
         }
@@ -1042,11 +943,6 @@ mod tests {
 
     #[test]
     fn rolled_sensitivity_group_is_bit_identical_and_compresses() {
-        let opts = RerollOptions {
-            max_body: 64,
-            min_trips: 2,
-            min_savings: 1,
-        };
         // A regular chain: every stanza has the same shape, so the group
         // should actually produce loops, not just validate trivially.
         let n = 12usize;
@@ -1063,13 +959,6 @@ mod tests {
             n,
         );
         let tapes = compile_sensitivity(&f, Some(CseOptions::default()));
-        let rolled = tapes.reroll(&opts);
-        assert_eq!(rolled.validate(&tapes), Ok(()));
-        assert!(
-            rolled.loop_count() > 0,
-            "regular sensitivity group should reroll"
-        );
-        assert!(rolled.rerolled_instrs() > 0);
         let rates: Vec<f64> = (0..8).map(|k| 0.2 + 0.1 * k as f64).collect();
         let y: Vec<f64> = (0..n).map(|s| 0.4 + 0.05 * s as f64).collect();
         let mut ydot = vec![0.0; n];
@@ -1087,17 +976,17 @@ mod tests {
         let mut ydot_r = vec![0.0; n];
         let mut jac_r = vec![0.0; tapes.jac_nnz()];
         let mut dfdp_r = vec![0.0; tapes.dfdp_nnz()];
-        let mut regs_r = Vec::new();
-        rolled.eval_all(
-            &tapes,
+        let loops = eval_group_rolled(
+            &mut [
+                (&tapes.rhs, &mut ydot_r),
+                (&tapes.jac, &mut jac_r),
+                (&tapes.dfdp, &mut dfdp_r),
+            ],
             &rates,
             &y,
-            &mut ydot_r,
-            &mut jac_r,
-            &mut dfdp_r,
-            &mut regs_r,
+            &mut Vec::new(),
         );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(loops > 0, "regular sensitivity group should reroll");
         assert_eq!(bits(&ydot), bits(&ydot_r));
         assert_eq!(bits(&jac_vals), bits(&jac_r));
         assert_eq!(bits(&dfdp_vals), bits(&dfdp_r));

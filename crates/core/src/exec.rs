@@ -97,62 +97,12 @@ pub const FMA_CONTRACTS: bool = cfg!(target_feature = "fma");
 
 static NEXT_TAPE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// How one index field of a rolled loop body varies across trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecIdx {
-    /// Same as the template in every trip.
-    Fix,
-    /// `template + stride * trip`.
-    Aff(i32),
-    /// `tables[offset + trip]` — an interned per-trip index table.
-    Tab(u32),
-}
-
-/// One instruction of a rolled loop body: the trip-0 template plus a
-/// per-field variation pattern (`[dst_or_idx, a, b, c]`; unused trailing
-/// fields are `Fix`).
-type RolledExecInstr = (ExecInstr, [ExecIdx; 4]);
-
-/// One element of a rolled execution walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecSeg {
-    /// `instrs[start..start + len]`, executed once.
-    Straight { start: u32, len: u32 },
-    /// `bodies[body_off..body_off + body_len]`, executed `trips` times
-    /// with per-trip field resolution.
-    Loop {
-        body_off: u32,
-        body_len: u32,
-        trips: u32,
-    },
-}
-
 /// A [`Tape`] decoded for execution: branch-free operand fetch, fused
 /// superinstructions, and a batched structure-of-arrays evaluator.
-///
-/// With [`ExecTape::compile_rolled`] the post-fusion stream is rerolled:
-/// runs of shape-identical instructions collapse into loop segments whose
-/// bodies are stored once, with per-iteration offset tables (interned and
-/// deduplicated) for the varying frame indices. Execution replays the
-/// exact flat instruction sequence trip by trip, so rolled and flat
-/// evaluation are bit-identical; what changes is the memory footprint of
-/// the decoded program, which for large mechanisms drops from one record
-/// per flat instruction to one per *distinct* stanza plus index tables.
 #[derive(Debug, Clone)]
 pub struct ExecTape {
-    /// Straight-line instructions. For a flat tape this is the whole
-    /// program; for a rolled tape, only the inter-loop segments.
+    /// The decoded, fused instruction stream.
     instrs: Vec<ExecInstr>,
-    /// Rolled loop bodies (templates + field patterns), all loops
-    /// concatenated; empty for flat tapes.
-    bodies: Vec<RolledExecInstr>,
-    /// Execution order. Empty means "flat": run `instrs` start to end.
-    segments: Vec<ExecSeg>,
-    /// Interned per-trip index tables (shared across loops and fields).
-    tables: Vec<u32>,
-    /// Executed instructions per evaluation (the flat post-fusion count,
-    /// loop bodies weighted by their trip counts).
-    exec_len: usize,
     /// Pooled literal constants, in frame order.
     consts: Vec<f64>,
     /// Total frame length: `n_rates + n_species + consts.len() + n_regs`.
@@ -181,65 +131,15 @@ impl ExecTape {
         fuse(decoded)
     }
 
-    /// Decode without the fusion peephole (reference engine for tests
-    /// and for isolating the decode-only speedup in benchmarks).
-    pub fn compile_unfused(tape: &Tape) -> ExecTape {
-        decode(tape, tape.n_species)
-    }
-
-    /// Decode, fuse, then reroll: runs of shape-identical (post-fusion)
-    /// instructions become loop segments with per-trip offset tables.
-    /// Bit-identical to [`ExecTape::compile`] — fusion happens before
-    /// rerolling, so superinstructions roll like any other shape.
-    pub fn compile_rolled(tape: &Tape, opts: &crate::tape::RerollOptions) -> ExecTape {
-        ExecTape::compile_with_outputs_rolled(tape, tape.n_species, opts)
-    }
-
-    /// Rolled decode for tapes with a non-default output arity (the
-    /// secondary tape of a Jacobian or sensitivity group).
-    pub fn compile_with_outputs_rolled(
-        tape: &Tape,
-        n_outputs: usize,
-        opts: &crate::tape::RerollOptions,
-    ) -> ExecTape {
-        roll(fuse(decode(tape, n_outputs)), opts)
-    }
-
-    /// Instructions executed per evaluation (the flat post-fusion count;
-    /// rolled loop bodies are weighted by their trip counts). Fusion
-    /// shrinks this below the source tape's length.
+    /// Instructions executed per evaluation. Fusion shrinks this below
+    /// the source tape's length.
     pub fn len(&self) -> usize {
-        self.exec_len
+        self.instrs.len()
     }
 
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
-        self.exec_len == 0
-    }
-
-    /// Whether the program carries rolled loop segments.
-    pub fn is_rolled(&self) -> bool {
-        !self.segments.is_empty()
-    }
-
-    /// Number of rolled loop segments.
-    pub fn loop_count(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| matches!(s, ExecSeg::Loop { .. }))
-            .count()
-    }
-
-    /// Decoded instruction *records* held in memory: straight
-    /// instructions plus one template per loop-body position. For flat
-    /// tapes this equals [`ExecTape::len`]; rerolling shrinks it.
-    pub fn stored_len(&self) -> usize {
-        self.instrs.len() + self.bodies.len()
-    }
-
-    /// Entries in the interned per-trip index tables.
-    pub fn table_len(&self) -> usize {
-        self.tables.len()
+        self.instrs.is_empty()
     }
 
     /// The decoded instruction stream.
@@ -273,31 +173,18 @@ impl ExecTape {
     /// `Copy`/`Store` are free.
     pub fn op_counts(&self) -> OpCounts {
         let mut counts = OpCounts::default();
-        let mut count = |instr: &ExecInstr, weight: usize| match instr {
-            ExecInstr::Mul { .. } => counts.mults += weight,
-            ExecInstr::Add { .. } | ExecInstr::Sub { .. } | ExecInstr::Neg { .. } => {
-                counts.adds += weight
-            }
-            ExecInstr::MulAdd { .. } | ExecInstr::MulSub { .. } | ExecInstr::SubMul { .. } => {
-                counts.mults += weight;
-                counts.adds += weight;
-            }
-            ExecInstr::StoreNeg { .. } => counts.adds += weight,
-            ExecInstr::Copy { .. } | ExecInstr::Store { .. } => {}
-        };
         for instr in &self.instrs {
-            count(instr, 1);
-        }
-        for seg in &self.segments {
-            if let ExecSeg::Loop {
-                body_off,
-                body_len,
-                trips,
-            } = *seg
-            {
-                for (tmpl, _) in &self.bodies[body_off as usize..(body_off + body_len) as usize] {
-                    count(tmpl, trips as usize);
+            match instr {
+                ExecInstr::Mul { .. } => counts.mults += 1,
+                ExecInstr::Add { .. } | ExecInstr::Sub { .. } | ExecInstr::Neg { .. } => {
+                    counts.adds += 1
                 }
+                ExecInstr::MulAdd { .. } | ExecInstr::MulSub { .. } | ExecInstr::SubMul { .. } => {
+                    counts.mults += 1;
+                    counts.adds += 1;
+                }
+                ExecInstr::StoreNeg { .. } => counts.adds += 1,
+                ExecInstr::Copy { .. } | ExecInstr::Store { .. } => {}
             }
         }
         counts
@@ -346,32 +233,8 @@ impl ExecTape {
         let f = &mut frame.data[..];
         f[..self.n_rates].copy_from_slice(rates);
         f[self.n_rates..self.n_rates + self.n_species].copy_from_slice(y);
-        if self.segments.is_empty() {
-            for instr in &self.instrs {
-                step_scalar(*instr, f, ydot);
-            }
-            return;
-        }
-        for seg in &self.segments {
-            match *seg {
-                ExecSeg::Straight { start, len } => {
-                    for instr in &self.instrs[start as usize..(start + len) as usize] {
-                        step_scalar(*instr, f, ydot);
-                    }
-                }
-                ExecSeg::Loop {
-                    body_off,
-                    body_len,
-                    trips,
-                } => {
-                    let body = &self.bodies[body_off as usize..(body_off + body_len) as usize];
-                    for t in 0..trips {
-                        for &(tmpl, fields) in body {
-                            step_scalar(resolve_exec(tmpl, &fields, t, &self.tables), f, ydot);
-                        }
-                    }
-                }
-            }
+        for instr in &self.instrs {
+            step_scalar(*instr, f, ydot);
         }
     }
 
@@ -428,32 +291,8 @@ impl ExecTape {
     /// batch frame. The fixed-width inner loops are the autovectorization
     /// target: every operation is a straight-line map over `[f64; LANES]`.
     fn run_lanes(&self, batch: &mut [f64], out: &mut [f64]) {
-        if self.segments.is_empty() {
-            for instr in &self.instrs {
-                step_lanes(*instr, batch, out);
-            }
-            return;
-        }
-        for seg in &self.segments {
-            match *seg {
-                ExecSeg::Straight { start, len } => {
-                    for instr in &self.instrs[start as usize..(start + len) as usize] {
-                        step_lanes(*instr, batch, out);
-                    }
-                }
-                ExecSeg::Loop {
-                    body_off,
-                    body_len,
-                    trips,
-                } => {
-                    let body = &self.bodies[body_off as usize..(body_off + body_len) as usize];
-                    for t in 0..trips {
-                        for &(tmpl, fields) in body {
-                            step_lanes(resolve_exec(tmpl, &fields, t, &self.tables), batch, out);
-                        }
-                    }
-                }
-            }
+        for instr in &self.instrs {
+            step_lanes(*instr, batch, out);
         }
     }
 }
@@ -573,219 +412,6 @@ fn step_lanes(instr: ExecInstr, batch: &mut [f64], out: &mut [f64]) {
     }
 }
 
-/// Resolve trip `t` of a rolled body instruction: patch each varying
-/// field from its pattern (affine stride or interned table).
-#[inline(always)]
-fn resolve_exec(tmpl: ExecInstr, fields: &[ExecIdx; 4], t: u32, tables: &[u32]) -> ExecInstr {
-    let mut instr = tmpl;
-    for (k, pat) in fields.iter().enumerate() {
-        match *pat {
-            ExecIdx::Fix => {}
-            ExecIdx::Aff(stride) => {
-                let base = get_field(&instr, k) as i64;
-                set_field(&mut instr, k, (base + stride as i64 * t as i64) as u32);
-            }
-            ExecIdx::Tab(off) => set_field(&mut instr, k, tables[(off + t) as usize]),
-        }
-    }
-    instr
-}
-
-/// Number of index fields of an instruction (destination/store index
-/// plus operands).
-fn field_count(i: &ExecInstr) -> usize {
-    match i {
-        ExecInstr::MulAdd { .. } | ExecInstr::MulSub { .. } | ExecInstr::SubMul { .. } => 4,
-        ExecInstr::Add { .. } | ExecInstr::Sub { .. } | ExecInstr::Mul { .. } => 3,
-        ExecInstr::Neg { .. }
-        | ExecInstr::Copy { .. }
-        | ExecInstr::Store { .. }
-        | ExecInstr::StoreNeg { .. } => 2,
-    }
-}
-
-/// Field `k` of an instruction: 0 is the destination (or store index),
-/// 1..=3 the operands in order.
-#[inline(always)]
-fn get_field(i: &ExecInstr, k: usize) -> u32 {
-    match (*i, k) {
-        (
-            ExecInstr::Add { dst, .. }
-            | ExecInstr::Sub { dst, .. }
-            | ExecInstr::Mul { dst, .. }
-            | ExecInstr::MulAdd { dst, .. }
-            | ExecInstr::MulSub { dst, .. }
-            | ExecInstr::SubMul { dst, .. }
-            | ExecInstr::Neg { dst, .. }
-            | ExecInstr::Copy { dst, .. },
-            0,
-        ) => dst,
-        (ExecInstr::Store { idx, .. } | ExecInstr::StoreNeg { idx, .. }, 0) => idx,
-        (
-            ExecInstr::Add { a, .. }
-            | ExecInstr::Sub { a, .. }
-            | ExecInstr::Mul { a, .. }
-            | ExecInstr::MulAdd { a, .. }
-            | ExecInstr::MulSub { a, .. }
-            | ExecInstr::SubMul { a, .. }
-            | ExecInstr::Neg { a, .. }
-            | ExecInstr::Copy { a, .. }
-            | ExecInstr::Store { a, .. }
-            | ExecInstr::StoreNeg { a, .. },
-            1,
-        ) => a,
-        (
-            ExecInstr::Add { b, .. }
-            | ExecInstr::Sub { b, .. }
-            | ExecInstr::Mul { b, .. }
-            | ExecInstr::MulAdd { b, .. }
-            | ExecInstr::MulSub { b, .. }
-            | ExecInstr::SubMul { b, .. },
-            2,
-        ) => b,
-        (
-            ExecInstr::MulAdd { c, .. } | ExecInstr::MulSub { c, .. } | ExecInstr::SubMul { c, .. },
-            3,
-        ) => c,
-        _ => unreachable!("field index out of range"),
-    }
-}
-
-/// Rewrite field `k` of an instruction.
-#[inline(always)]
-fn set_field(i: &mut ExecInstr, k: usize, v: u32) {
-    match (i, k) {
-        (
-            ExecInstr::Add { dst, .. }
-            | ExecInstr::Sub { dst, .. }
-            | ExecInstr::Mul { dst, .. }
-            | ExecInstr::MulAdd { dst, .. }
-            | ExecInstr::MulSub { dst, .. }
-            | ExecInstr::SubMul { dst, .. }
-            | ExecInstr::Neg { dst, .. }
-            | ExecInstr::Copy { dst, .. },
-            0,
-        ) => *dst = v,
-        (ExecInstr::Store { idx, .. } | ExecInstr::StoreNeg { idx, .. }, 0) => *idx = v,
-        (
-            ExecInstr::Add { a, .. }
-            | ExecInstr::Sub { a, .. }
-            | ExecInstr::Mul { a, .. }
-            | ExecInstr::MulAdd { a, .. }
-            | ExecInstr::MulSub { a, .. }
-            | ExecInstr::SubMul { a, .. }
-            | ExecInstr::Neg { a, .. }
-            | ExecInstr::Copy { a, .. }
-            | ExecInstr::Store { a, .. }
-            | ExecInstr::StoreNeg { a, .. },
-            1,
-        ) => *a = v,
-        (
-            ExecInstr::Add { b, .. }
-            | ExecInstr::Sub { b, .. }
-            | ExecInstr::Mul { b, .. }
-            | ExecInstr::MulAdd { b, .. }
-            | ExecInstr::MulSub { b, .. }
-            | ExecInstr::SubMul { b, .. },
-            2,
-        ) => *b = v,
-        (
-            ExecInstr::MulAdd { c, .. } | ExecInstr::MulSub { c, .. } | ExecInstr::SubMul { c, .. },
-            3,
-        ) => *c = v,
-        _ => unreachable!("field index out of range"),
-    }
-}
-
-/// Structural shape of an instruction for run detection: the opcode
-/// alone, since every field is a frame index expressible as a table.
-fn exec_shape(i: &ExecInstr) -> u64 {
-    match i {
-        ExecInstr::Add { .. } => 1,
-        ExecInstr::Sub { .. } => 2,
-        ExecInstr::Mul { .. } => 3,
-        ExecInstr::MulAdd { .. } => 4,
-        ExecInstr::MulSub { .. } => 5,
-        ExecInstr::SubMul { .. } => 6,
-        ExecInstr::Neg { .. } => 7,
-        ExecInstr::Copy { .. } => 8,
-        ExecInstr::Store { .. } => 9,
-        ExecInstr::StoreNeg { .. } => 10,
-    }
-}
-
-/// Reroll the fused stream: detect shape-identical runs, classify each
-/// body field as fixed/affine/table (tables interned and deduplicated),
-/// and rebuild the program as segments. The flat stream is dropped for
-/// loop regions — only templates, patterns and tables remain.
-fn roll(tape: ExecTape, opts: &crate::tape::RerollOptions) -> ExecTape {
-    let shapes: Vec<u64> = tape.instrs.iter().map(exec_shape).collect();
-    let loops = crate::tape::detect_runs(&shapes, opts);
-    if loops.is_empty() {
-        return tape;
-    }
-    let flat = &tape.instrs;
-    let mut instrs: Vec<ExecInstr> = Vec::new();
-    let mut bodies: Vec<RolledExecInstr> = Vec::new();
-    let mut segments: Vec<ExecSeg> = Vec::new();
-    let mut tables: Vec<u32> = Vec::new();
-    let mut interned: std::collections::HashMap<Vec<u32>, u32> = std::collections::HashMap::new();
-    let mut at = 0usize;
-    let straight = |instrs: &mut Vec<ExecInstr>,
-                    segments: &mut Vec<ExecSeg>,
-                    range: std::ops::Range<usize>| {
-        if !range.is_empty() {
-            segments.push(ExecSeg::Straight {
-                start: instrs.len() as u32,
-                len: range.len() as u32,
-            });
-            instrs.extend_from_slice(&flat[range]);
-        }
-    };
-    for lp in &loops {
-        straight(&mut instrs, &mut segments, at..lp.start);
-        let body_off = bodies.len() as u32;
-        for p in 0..lp.body_len {
-            let tmpl = flat[lp.start + p];
-            let mut fields = [ExecIdx::Fix; 4];
-            for (k, field) in fields.iter_mut().enumerate().take(field_count(&tmpl)) {
-                let vals: Vec<u32> = (0..lp.trips)
-                    .map(|t| get_field(&flat[lp.start + t * lp.body_len + p], k))
-                    .collect();
-                if vals.iter().all(|&v| v == vals[0]) {
-                    continue;
-                }
-                let stride = vals[1] as i64 - vals[0] as i64;
-                if vals.windows(2).all(|w| w[1] as i64 - w[0] as i64 == stride) {
-                    *field = ExecIdx::Aff(stride as i32);
-                } else {
-                    let off = *interned.entry(vals.clone()).or_insert_with(|| {
-                        let off = tables.len() as u32;
-                        tables.extend_from_slice(&vals);
-                        off
-                    });
-                    *field = ExecIdx::Tab(off);
-                }
-            }
-            bodies.push((tmpl, fields));
-        }
-        segments.push(ExecSeg::Loop {
-            body_off,
-            body_len: lp.body_len as u32,
-            trips: lp.trips as u32,
-        });
-        at = lp.end();
-    }
-    straight(&mut instrs, &mut segments, at..flat.len());
-    ExecTape {
-        instrs,
-        bodies,
-        segments,
-        tables,
-        ..tape
-    }
-}
-
 /// Reusable evaluation scratch for an [`ExecTape`]: the unified scalar
 /// frame, the lane-major batch frame, and the batched output staging
 /// buffer. Binding is lazy and keyed by tape identity, so one frame can
@@ -874,13 +500,8 @@ fn decode(tape: &Tape, n_outputs: usize) -> ExecTape {
             Instr::Store { idx, a } => ExecInstr::Store { idx, a: resolve(a) },
         })
         .collect();
-    let exec_len = instrs.len();
     ExecTape {
         instrs,
-        bodies: Vec::new(),
-        segments: Vec::new(),
-        tables: Vec::new(),
-        exec_len,
         frame_len: reg_base as usize + tape.n_regs,
         consts,
         n_species: tape.n_species,
@@ -998,10 +619,8 @@ fn fuse(tape: ExecTape) -> ExecTape {
             }
         }
     }
-    let exec_len = out.len();
     ExecTape {
         instrs: out,
-        exec_len,
         ..tape
     }
 }
@@ -1347,147 +966,6 @@ mod tests {
                 tape.op_counts(),
                 "op_counts diverged after {name}"
             );
-        }
-    }
-
-    /// A forest of structurally identical reaction stanzas — the shape
-    /// the reroll pass exists for.
-    fn stanza_forest(n_eq: usize) -> ExprForest {
-        forest(
-            (0..n_eq)
-                .map(|i| {
-                    let i = i as u32;
-                    Expr::sum(vec![
-                        term(1.0, i % 8, &[i % 5, (i + 1) % 5]),
-                        term(-1.0, (i + 3) % 8, &[(i + 2) % 5]),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    fn loose() -> crate::tape::RerollOptions {
-        crate::tape::RerollOptions {
-            max_body: 64,
-            min_trips: 2,
-            min_savings: 1,
-        }
-    }
-
-    fn assert_rolled_matches_flat(tape: &Tape, rates: &[f64], y: &[f64]) {
-        let flat = ExecTape::compile(tape);
-        let rolled = ExecTape::compile_rolled(tape, &loose());
-        assert_eq!(rolled.len(), flat.len(), "executed count must not change");
-        assert_eq!(rolled.op_counts(), flat.op_counts());
-        let mut frame = ExecFrame::new();
-        let n = tape.n_species;
-        let mut want = vec![0.0; n];
-        flat.eval(rates, y, &mut want, &mut frame);
-        let mut got = vec![0.0; n];
-        rolled.eval(rates, y, &mut got, &mut frame);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&want), bits(&got), "scalar rolled exec diverged");
-        let n_states = LANES + 3;
-        let ys: Vec<f64> = (0..n_states).flat_map(|_| y.iter().copied()).collect();
-        let mut flat_out = vec![0.0; n_states * n];
-        let mut rolled_out = vec![0.0; n_states * n];
-        flat.eval_batch(rates, &ys, &mut flat_out, &mut frame);
-        rolled.eval_batch(rates, &ys, &mut rolled_out, &mut frame);
-        assert_eq!(
-            bits(&flat_out),
-            bits(&rolled_out),
-            "batched rolled exec diverged"
-        );
-    }
-
-    #[test]
-    fn rolled_exec_compresses_stanza_runs() {
-        let tape = crate::tape::compact_registers(&lower(&stanza_forest(24)));
-        let rolled = ExecTape::compile_rolled(&tape, &loose());
-        assert!(rolled.is_rolled(), "stanza tape should produce loops");
-        assert!(rolled.loop_count() >= 1);
-        assert!(
-            rolled.stored_len() < rolled.len() / 2,
-            "stored {} vs executed {}: expected >2x compression",
-            rolled.stored_len(),
-            rolled.len()
-        );
-        let rates: Vec<f64> = (0..8).map(|k| 0.3 + 0.2 * k as f64).collect();
-        let y: Vec<f64> = (0..tape.n_species).map(|s| 0.5 + 0.1 * s as f64).collect();
-        assert_rolled_matches_flat(&tape, &rates, &y);
-    }
-
-    #[test]
-    fn rolled_exec_degenerates_to_flat_on_irregular_tapes() {
-        let f = forest(vec![
-            Expr::sum(vec![term(2.0, 0, &[0, 1]), term(-1.0, 1, &[2])]),
-            term(-3.0, 2, &[1, 1]),
-            term(1.0, 0, &[0]),
-        ]);
-        let tape = lower(&f);
-        let rolled = ExecTape::compile_rolled(
-            &tape,
-            &crate::tape::RerollOptions {
-                max_body: 64,
-                min_trips: 2,
-                min_savings: 1000,
-            },
-        );
-        assert!(!rolled.is_rolled());
-        assert_eq!(rolled.loop_count(), 0);
-        assert_eq!(rolled.stored_len(), rolled.len());
-        assert_rolled_matches_flat(
-            &tape,
-            &[1.1, 2.2, 3.3, 0.0, 0.0, 0.0, 0.0, 0.0],
-            &[0.5, 0.7, 0.9],
-        );
-    }
-
-    #[test]
-    fn rolled_exec_preserves_fusion_inside_bodies() {
-        // Each stanza fuses Mul+Add -> MulAdd before rolling; the rolled
-        // bodies must carry the fused opcodes.
-        let tape = crate::tape::compact_registers(&lower(&stanza_forest(16)));
-        let flat = ExecTape::compile(&tape);
-        let has_fused = flat
-            .instrs()
-            .iter()
-            .any(|i| matches!(i, ExecInstr::MulAdd { .. } | ExecInstr::SubMul { .. }));
-        assert!(has_fused, "stanza forest should fuse");
-        let rolled = ExecTape::compile_rolled(&tape, &loose());
-        assert!(rolled.is_rolled());
-        assert_eq!(rolled.op_counts(), flat.op_counts());
-    }
-
-    #[test]
-    fn rolled_exec_is_bit_identical_on_random_forests() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(11);
-        for trial in 0..30 {
-            let n_eq = 4 + (trial % 6);
-            let f = forest(
-                (0..n_eq)
-                    .map(|_| {
-                        Expr::sum(
-                            (0..rng.gen_range(1..6))
-                                .map(|_| {
-                                    let sp: Vec<u32> = (0..rng.gen_range(1..4))
-                                        .map(|_| rng.gen_range(0..n_eq as u32))
-                                        .collect();
-                                    term(rng.gen_range(1..3) as f64, rng.gen_range(0..3), &sp)
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            );
-            let tape = crate::tape::compact_registers(&lower(&f));
-            let rates: Vec<f64> = (0..8).map(|_| rng.gen_range(0.1..2.0)).collect();
-            let y: Vec<f64> = (0..tape.n_species)
-                .map(|_| rng.gen_range(0.1..2.0))
-                .collect();
-            assert_rolled_matches_flat(&tape, &rates, &y);
         }
     }
 }

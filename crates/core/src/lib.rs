@@ -37,12 +37,11 @@ pub mod tape;
 pub use cse::{cse_forest, CseOptions};
 pub use deriv::{
     compile_jacobian, compile_sensitivity, differentiate_forest, differentiate_forest_sensitivity,
-    JacobianRolled, JacobianTapes, SensitivityRolled, SensitivityTapes,
+    JacobianTapes, SensitivityTapes,
 };
 pub use distopt::{distribute_expr, distribute_forest};
 pub use emit_c::{
-    c_f64, emit_c, emit_kernel, emit_kernel_units, EmitOptions, EmittedKernel, KernelSpec,
-    RolledViews, KERNEL_ABI_VERSION, KERNEL_LANES,
+    c_f64, emit_c, emit_kernel, EmittedKernel, KernelSpec, KERNEL_ABI_VERSION, KERNEL_LANES,
 };
 pub use exec::{ExecFrame, ExecInstr, ExecTape, FMA_CONTRACTS, LANES};
 pub use expr::{Coeff, Expr, ExprForest, TempId};
@@ -52,8 +51,8 @@ pub use generic::{
 };
 pub use kernel::{DerivGroup, DerivTapes, Kernel, KernelScratch, TapeKernel};
 pub use native::{
-    compile_and_load, compile_and_load_units, compile_kernel, compile_kernel_units,
-    probe_toolchain, CompileTiming, KernelMeta, NativeError, NativeKernel, Toolchain,
+    compile_and_load, compile_kernel, probe_toolchain, CompileTiming, KernelMeta, NativeError,
+    NativeKernel, Toolchain,
 };
 pub use pipeline::{
     optimize, optimize_traced, optimize_with_passes, CompiledOde, OptLevel, PassEvent, PassTrace,

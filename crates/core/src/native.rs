@@ -1,11 +1,12 @@
 //! Native kernel compilation and loading.
 //!
-//! Takes the C source produced by [`emit_kernel`](crate::emit_c::emit_kernel),
-//! hands it to the platform C compiler (`$CC`, falling back to `cc`, `gcc`,
-//! `clang`) as `-O2 -fPIC -shared -ffp-contract=off`, and `dlopen`s the
-//! resulting shared object behind the safe [`NativeKernel`] wrapper. This is
-//! the last mile of the paper's pipeline: the optimized forest executing as
-//! real machine code rather than an interpreted tape.
+//! Takes the translation units produced by
+//! [`emit_kernel`](crate::emit_c::emit_kernel), hands them to the platform
+//! C compiler (`$CC`, falling back to `cc`, `gcc`, `clang`) as `-O2 -fPIC
+//! -shared -ffp-contract=off`, and `dlopen`s the resulting shared object
+//! behind the safe [`NativeKernel`] wrapper. This is the last mile of the
+//! paper's pipeline: the optimized forest executing as real machine code
+//! rather than an interpreted tape.
 //!
 //! Every kernel object exports its artifact fingerprint and dimensions
 //! (`rms_key`, `rms_n_species`, …); [`NativeKernel::load`] validates them
@@ -102,19 +103,6 @@ pub fn probe_toolchain() -> Result<Toolchain, NativeError> {
     )))
 }
 
-/// Compile `source` to a shared object at `out_so`.
-///
-/// The source is kept next to the object as `<out_so>.c` for inspection;
-/// the object is built to a process-unique temporary and renamed into
-/// place, so concurrent builders of the same key race benignly.
-pub fn compile_kernel(
-    source: &str,
-    out_so: &Path,
-    toolchain: &Toolchain,
-) -> Result<(), NativeError> {
-    compile_kernel_units(std::slice::from_ref(&source.to_string()), out_so, toolchain).map(|_| ())
-}
-
 /// Wall-clock breakdown of a (possibly multi-unit) kernel build, for the
 /// driver's pipeline report.
 #[derive(Debug, Clone, Default)]
@@ -170,14 +158,14 @@ fn run_cc(toolchain: &Toolchain, args: &[&std::ffi::OsStr]) -> Result<(), Native
 
 /// Compile one or more translation units to a shared object at `out_so`.
 ///
-/// A single unit takes the historic compile-and-link-in-one path. With
+/// A single unit compiles and links in one compiler invocation. With
 /// several units, each `cc -c` runs on its own thread — chunked kernels
 /// are embarrassingly parallel to compile — followed by a single
 /// `cc -shared` link. Sources stay next to the object (`<out_so>.c` or
 /// `<out_so>.u<i>.c`) for inspection; the object is built at a
 /// process-unique temporary and renamed into place, so concurrent
 /// builders of the same key race benignly.
-pub fn compile_kernel_units(
+pub fn compile_kernel(
     units: &[String],
     out_so: &Path,
     toolchain: &Toolchain,
@@ -423,7 +411,7 @@ impl NativeKernel {
             let sens_jac_nnz = read_i64("rms_sens_jac_nnz")?;
             let dfdp_nnz = read_i64("rms_dfdp_nnz")?;
             // ABI v2 objects always export the reroll counters (0 when
-            // the kernel was emitted fully unrolled).
+            // no tape of the kernel had a repeating stanza run).
             let loop_count = read_i64("rms_loop_count")?.max(0) as usize;
             let rolled_instrs = read_i64("rms_rolled_instrs")?.max(0) as usize;
 
@@ -502,8 +490,8 @@ impl NativeKernel {
         &self.path
     }
 
-    /// Loop regions the object's kernel was rendered with (0 when emitted
-    /// fully unrolled).
+    /// Loop regions the object's kernel was rendered with (0 when it is
+    /// straight-line code throughout).
     pub fn loop_count(&self) -> usize {
         self.loop_count
     }
@@ -595,25 +583,9 @@ impl Drop for NativeKernel {
     }
 }
 
-/// Probe the toolchain, compile `source` to `out_so`, and load it.
-pub fn compile_and_load(
-    source: &str,
-    out_so: &Path,
-    meta: &KernelMeta,
-) -> Result<NativeKernel, NativeError> {
-    if !cfg!(unix) {
-        return Err(NativeError::Unsupported(
-            "native kernels are only implemented for unix".to_string(),
-        ));
-    }
-    let toolchain = probe_toolchain()?;
-    compile_kernel(source, out_so, &toolchain)?;
-    NativeKernel::load(out_so, meta)
-}
-
 /// Probe the toolchain, compile the translation units (concurrently when
 /// there are several) to `out_so`, and load the linked object.
-pub fn compile_and_load_units(
+pub fn compile_and_load(
     units: &[String],
     out_so: &Path,
     meta: &KernelMeta,
@@ -624,17 +596,17 @@ pub fn compile_and_load_units(
         ));
     }
     let toolchain = probe_toolchain()?;
-    let timing = compile_kernel_units(units, out_so, &toolchain)?;
+    let timing = compile_kernel(units, out_so, &toolchain)?;
     Ok((NativeKernel::load(out_so, meta)?, timing))
 }
 
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::deriv::{compile_jacobian, compile_sensitivity};
-    use crate::emit_c::{emit_kernel, KernelSpec};
+    use crate::deriv::{compile_jacobian, compile_sensitivity, JacobianTapes, SensitivityTapes};
+    use crate::emit_c::{emit_kernel, EmittedKernel, KernelSpec};
     use crate::expr::{Expr, ExprForest};
-    use crate::tape::lower;
+    use crate::tape::{lower, reroll, RerollOptions, Tape};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -669,79 +641,112 @@ mod tests {
         }
     }
 
+    /// A forest lowered to everything a full kernel needs.
+    struct Model {
+        tape: Tape,
+        jt: JacobianTapes,
+        st: SensitivityTapes,
+    }
+
+    impl Model {
+        fn new(forest: &ExprForest) -> Model {
+            Model {
+                tape: lower(forest),
+                jt: compile_jacobian(forest, None),
+                st: compile_sensitivity(forest, None),
+            }
+        }
+
+        fn emit(&self, name: &str, key: u128, max_units: usize) -> EmittedKernel {
+            emit_kernel(
+                &KernelSpec {
+                    name,
+                    rhs: &self.tape,
+                    jacobian: Some(&self.jt),
+                    sensitivity: Some(&self.st),
+                    key,
+                },
+                max_units,
+            )
+        }
+
+        fn meta(&self, key: u128) -> KernelMeta {
+            KernelMeta {
+                key,
+                n_species: self.tape.n_species,
+                n_rates: self.tape.n_rates,
+                jac_nnz: Some(self.jt.nnz()),
+                sens_nnz: Some((self.st.jac_nnz(), self.st.dfdp_nnz())),
+            }
+        }
+
+        /// Every entry point of `kernel` against the interpreted tapes,
+        /// bit for bit; the batched one at each of `batch_sizes` states.
+        fn assert_matches_interpreter(&self, kernel: &NativeKernel, batch_sizes: &[usize]) {
+            let (tape, jt, st) = (&self.tape, &self.jt, &self.st);
+            let n = tape.n_species;
+            let rates: Vec<f64> = (0..tape.n_rates).map(|i| 0.3 + 0.17 * i as f64).collect();
+            let y: Vec<f64> = (0..n).map(|i| 0.05 + 0.011 * i as f64).collect();
+            let mut regs = Vec::new();
+            let mut want = vec![0.0; n];
+            tape.eval_with_scratch(&rates, &y, &mut want, &mut regs);
+            let mut got = vec![0.0; n];
+            kernel.eval(&rates, &y, &mut got);
+            assert_eq!(want, got, "scalar rhs must be bit-identical");
+
+            // Batched: whole lane blocks and the scalar tail.
+            for &n_states in batch_sizes {
+                let ys: Vec<f64> = (0..n_states * n)
+                    .map(|i| 0.02 + 0.003 * (i % 37) as f64)
+                    .collect();
+                let mut ydots = vec![0.0; ys.len()];
+                kernel.eval_batch(&rates, &ys, &mut ydots);
+                for s in 0..n_states {
+                    tape.eval_with_scratch(&rates, &ys[s * n..(s + 1) * n], &mut want, &mut regs);
+                    assert_eq!(
+                        &ydots[s * n..(s + 1) * n],
+                        &want[..],
+                        "state {s} of {n_states}"
+                    );
+                }
+            }
+
+            // Jacobian and sensitivity groups.
+            let mut ydot_a = vec![0.0; n];
+            let mut vals_a = vec![0.0; jt.nnz()];
+            jt.eval_with_scratch(&rates, &y, &mut ydot_a, &mut vals_a, &mut regs);
+            let mut ydot_b = vec![0.0; n];
+            let mut vals_b = vec![0.0; jt.nnz()];
+            kernel.eval_rhs_jac(&rates, &y, &mut ydot_b, &mut vals_b);
+            assert_eq!(vals_a, vals_b);
+            assert_eq!(ydot_a, ydot_b);
+
+            let mut jv_a = vec![0.0; st.jac_nnz()];
+            let mut dv_a = vec![0.0; st.dfdp_nnz()];
+            st.eval_all(&rates, &y, &mut ydot_a, &mut jv_a, &mut dv_a, &mut regs);
+            let mut jv_b = vec![0.0; st.jac_nnz()];
+            let mut dv_b = vec![0.0; st.dfdp_nnz()];
+            kernel.eval_all(&rates, &y, &mut ydot_b, &mut jv_b, &mut dv_b);
+            assert_eq!(jv_a, jv_b);
+            assert_eq!(dv_a, dv_b);
+            assert_eq!(ydot_a, ydot_b);
+        }
+    }
+
     #[test]
     fn compiles_loads_and_matches_interpreter() {
         let Some(_) = skip_without_toolchain() else {
             return;
         };
-        let forest = toy_forest();
-        let tape = lower(&forest);
-        let jt = compile_jacobian(&forest, None);
-        let st = compile_sensitivity(&forest, None);
+        let model = Model::new(&toy_forest());
         let key = 0x1234_5678_9abc_def0_1122_3344_5566_7788u128;
-        let src = emit_kernel(&KernelSpec {
-            name: "toy",
-            rhs: &tape,
-            jacobian: Some(&jt),
-            sensitivity: Some(&st),
-            rolled: None,
-            key,
-        });
-        let meta = KernelMeta {
-            key,
-            n_species: 3,
-            n_rates: 2,
-            jac_nnz: Some(jt.nnz()),
-            sens_nnz: Some((st.jac_nnz(), st.dfdp_nnz())),
-        };
+        let emitted = model.emit("toy", key, 1);
         let dir = tmpdir("roundtrip");
         let so = dir.join("toy.so");
-        let kernel = compile_and_load(&src, &so, &meta).expect("compile+load");
-
-        let rates = [2.5, 0.75];
-        let y = [1.0, 0.25, 0.125];
-        let mut want = [0.0; 3];
-        let mut regs = Vec::new();
-        tape.eval_with_scratch(&rates, &y, &mut want, &mut regs);
-        let mut got = [0.0; 3];
-        kernel.eval(&rates, &y, &mut got);
-        assert_eq!(want, got, "scalar rhs must be bit-identical");
-
-        // Batched: 11 states (one vector block + scalar tail).
-        let n_states = 11;
-        let mut ys = Vec::new();
-        for s in 0..n_states {
-            for j in 0..3 {
-                ys.push(0.1 + 0.3 * s as f64 + 0.07 * j as f64);
-            }
-        }
-        let mut ydots = vec![0.0; ys.len()];
-        kernel.eval_batch(&rates, &ys, &mut ydots);
-        for s in 0..n_states {
-            let mut want = [0.0; 3];
-            tape.eval_with_scratch(&rates, &ys[s * 3..s * 3 + 3], &mut want, &mut regs);
-            assert_eq!(&ydots[s * 3..s * 3 + 3], &want, "state {s}");
-        }
-
-        // Jacobian + sensitivity agree with the interpreted tapes.
-        let mut ydot_a = [0.0; 3];
-        let mut vals_a = vec![0.0; jt.nnz()];
-        jt.eval_with_scratch(&rates, &y, &mut ydot_a, &mut vals_a, &mut regs);
-        let mut ydot_b = [0.0; 3];
-        let mut vals_b = vec![0.0; jt.nnz()];
-        kernel.eval_rhs_jac(&rates, &y, &mut ydot_b, &mut vals_b);
-        assert_eq!(vals_a, vals_b);
-        assert_eq!(ydot_a, ydot_b);
-
-        let mut jv_a = vec![0.0; st.jac_nnz()];
-        let mut dv_a = vec![0.0; st.dfdp_nnz()];
-        st.eval_all(&rates, &y, &mut ydot_a, &mut jv_a, &mut dv_a, &mut regs);
-        let mut jv_b = vec![0.0; st.jac_nnz()];
-        let mut dv_b = vec![0.0; st.dfdp_nnz()];
-        kernel.eval_all(&rates, &y, &mut ydot_b, &mut jv_b, &mut dv_b);
-        assert_eq!(jv_a, jv_b);
-        assert_eq!(dv_a, dv_b);
-
+        let (kernel, _) =
+            compile_and_load(&emitted.units, &so, &model.meta(key)).expect("compile+load");
+        // 11 states: one vector block + scalar tail.
+        model.assert_matches_interpreter(&kernel, &[11]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -750,17 +755,18 @@ mod tests {
         let Some(_) = skip_without_toolchain() else {
             return;
         };
-        let forest = toy_forest();
-        let tape = lower(&forest);
+        let tape = lower(&toy_forest());
         let key = 42u128;
-        let src = emit_kernel(&KernelSpec {
-            name: "toy",
-            rhs: &tape,
-            jacobian: None,
-            sensitivity: None,
-            rolled: None,
-            key,
-        });
+        let emitted = emit_kernel(
+            &KernelSpec {
+                name: "toy",
+                rhs: &tape,
+                jacobian: None,
+                sensitivity: None,
+                key,
+            },
+            1,
+        );
         let meta = KernelMeta {
             key,
             n_species: 3,
@@ -770,7 +776,7 @@ mod tests {
         };
         let dir = tmpdir("stale");
         let so = dir.join("toy.so");
-        compile_and_load(&src, &so, &meta).expect("compile+load");
+        compile_and_load(&emitted.units, &so, &meta).expect("compile+load");
 
         // Wrong fingerprint → Mismatch (stale object for a different model).
         let wrong = KernelMeta { key: 43, ..meta };
@@ -796,13 +802,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn term(c: f64, rate: u32, species: &[u32]) -> Expr {
+        let mut f = vec![Expr::Rate(rate)];
+        f.extend(species.iter().map(|&s| Expr::Species(s)));
+        Expr::prod(c, f)
+    }
+
     /// Structurally identical reaction stanzas — the reroll pass's target.
     fn stanza_forest(n_eq: usize) -> ExprForest {
-        let term = |c: f64, rate: u32, species: &[u32]| {
-            let mut f = vec![Expr::Rate(rate)];
-            f.extend(species.iter().map(|&s| Expr::Species(s)));
-            Expr::prod(c, f)
-        };
         let rhs = (0..n_eq)
             .map(|i| {
                 let i = i as u32;
@@ -822,103 +829,94 @@ mod tests {
 
     #[test]
     fn rolled_multiunit_kernel_matches_interpreter_bitwise() {
-        use crate::emit_c::{emit_kernel_units, EmitOptions, RolledViews};
-        use crate::tape::{reroll, RerollOptions};
         let Some(toolchain) = skip_without_toolchain() else {
             return;
         };
-        let forest = stanza_forest(96);
-        let tape = lower(&forest);
-        let jt = compile_jacobian(&forest, None);
-        let st = compile_sensitivity(&forest, None);
-        let opts = RerollOptions {
-            max_body: 64,
-            min_trips: 2,
-            min_savings: 1,
-        };
-        let rolled = reroll(&tape, &opts);
-        assert!(rolled.loop_count() > 0, "stanza forest must reroll");
-        let jr = jt.reroll(&opts);
-        let sr = st.reroll(&opts);
+        let model = Model::new(&stanza_forest(96));
         let key = 0xfeed_0000_0000_0000_0000_0000_0000_beefu128;
-        let emitted = emit_kernel_units(
-            &KernelSpec {
-                name: "stanzas",
-                rhs: &tape,
-                jacobian: Some(&jt),
-                sensitivity: Some(&st),
-                rolled: Some(RolledViews {
-                    rhs: &rolled,
-                    jacobian: Some(&jr),
-                    sensitivity: Some(&sr),
-                }),
-                key,
-            },
-            &EmitOptions { units: 3 },
-        );
+        let emitted = model.emit("stanzas", key, 3);
         assert!(emitted.units.len() > 1, "expected a multi-unit build");
-        let meta = KernelMeta {
-            key,
-            n_species: tape.n_species,
-            n_rates: tape.n_rates,
-            jac_nnz: Some(jt.nnz()),
-            sens_nnz: Some((st.jac_nnz(), st.dfdp_nnz())),
-        };
         let dir = tmpdir("rolled");
         let so = dir.join("stanzas.so");
-        let timing = compile_kernel_units(&emitted.units, &so, &toolchain).expect("compile units");
+        let timing = compile_kernel(&emitted.units, &so, &toolchain).expect("compile units");
         assert_eq!(timing.unit_seconds.len(), emitted.units.len());
         assert!(
             timing.link_seconds > 0.0,
             "multi-unit builds link separately"
         );
-        let kernel = NativeKernel::load(&so, &meta).expect("load");
+        let kernel = NativeKernel::load(&so, &model.meta(key)).expect("load");
         assert_eq!(kernel.loop_count(), emitted.loop_count);
         assert_eq!(kernel.rolled_instrs(), emitted.rolled_instrs);
-        assert!(kernel.loop_count() > 0);
+        assert!(kernel.loop_count() > 0, "stanza forest must reroll");
+        // 13 states: the rolled lane kernel + scalar tail.
+        model.assert_matches_interpreter(&kernel, &[13]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        let n = tape.n_species;
-        let rates: Vec<f64> = (0..tape.n_rates).map(|i| 0.3 + 0.17 * i as f64).collect();
-        let y: Vec<f64> = (0..n).map(|i| 0.05 + 0.011 * i as f64).collect();
-        let mut regs = Vec::new();
-        let mut want = vec![0.0; n];
-        tape.eval_with_scratch(&rates, &y, &mut want, &mut regs);
-        let mut got = vec![0.0; n];
-        kernel.eval(&rates, &y, &mut got);
-        assert_eq!(want, got, "rolled scalar rhs must be bit-identical");
-
-        // Batched (exercises the rolled lane kernel + scalar tail).
-        let n_states = 13;
-        let ys: Vec<f64> = (0..n_states * n)
-            .map(|i| 0.02 + 0.003 * (i % 37) as f64)
+    /// Equations that share no run of shapes: term counts, species counts
+    /// and coefficient classes (1, −1, other) drawn from a seeded stream.
+    fn irregular_forest(n_eq: usize, seed: u64) -> ExprForest {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n_species = n_eq.max(6) as u32;
+        let rhs = (0..n_eq)
+            .map(|_| {
+                Expr::sum(
+                    (0..rng.gen_range(1..6))
+                        .map(|_| {
+                            let species: Vec<u32> = (0..rng.gen_range(1..4))
+                                .map(|_| rng.gen_range(0..n_species))
+                                .collect();
+                            let c = [1.0, -1.0, 2.5, -0.75][rng.gen_range(0..4)];
+                            term(c, rng.gen_range(0..8), &species)
+                        })
+                        .collect(),
+                )
+            })
             .collect();
-        let mut ydots = vec![0.0; ys.len()];
-        kernel.eval_batch(&rates, &ys, &mut ydots);
-        for s in 0..n_states {
-            tape.eval_with_scratch(&rates, &ys[s * n..(s + 1) * n], &mut want, &mut regs);
-            assert_eq!(&ydots[s * n..(s + 1) * n], &want[..], "state {s}");
+        ExprForest {
+            temps: vec![],
+            rhs,
+            n_species: n_species as usize,
+            n_rates: 8,
         }
+    }
 
-        // Rolled Jacobian and sensitivity groups, bit-for-bit.
-        let mut ydot_a = vec![0.0; n];
-        let mut vals_a = vec![0.0; jt.nnz()];
-        jt.eval_with_scratch(&rates, &y, &mut ydot_a, &mut vals_a, &mut regs);
-        let mut ydot_b = vec![0.0; n];
-        let mut vals_b = vec![0.0; jt.nnz()];
-        kernel.eval_rhs_jac(&rates, &y, &mut ydot_b, &mut vals_b);
-        assert_eq!(vals_a, vals_b);
-        assert_eq!(ydot_a, ydot_b);
-
-        let mut jv_a = vec![0.0; st.jac_nnz()];
-        let mut dv_a = vec![0.0; st.dfdp_nnz()];
-        st.eval_all(&rates, &y, &mut ydot_a, &mut jv_a, &mut dv_a, &mut regs);
-        let mut jv_b = vec![0.0; st.jac_nnz()];
-        let mut dv_b = vec![0.0; st.dfdp_nnz()];
-        kernel.eval_all(&rates, &y, &mut ydot_b, &mut jv_b, &mut dv_b);
-        assert_eq!(jv_a, jv_b);
-        assert_eq!(dv_a, dv_b);
-        assert_eq!(ydot_a, ydot_b);
-
+    /// The shapes the locals and spill-planned emission forms used to
+    /// serve: tapes in which nothing repeats, one small enough for a
+    /// single chunk function per member, one whose groups span several
+    /// chunk functions and two translation units.
+    #[test]
+    fn loop_free_kernels_match_interpreter_bitwise() {
+        let Some(_) = skip_without_toolchain() else {
+            return;
+        };
+        let dir = tmpdir("loopfree");
+        for (tag, n_eq, seed, max_units) in [("small", 14, 3u64, 1), ("large", 60, 5, 2)] {
+            let model = Model::new(&irregular_forest(n_eq, seed));
+            let len = model.tape.len();
+            assert_eq!(
+                reroll(&model.tape, &RerollOptions::default()).loop_count(),
+                0,
+                "{tag}: the forest is meant to be irregular"
+            );
+            let key = 0xabcd_0000 + n_eq as u128;
+            let emitted = model.emit(tag, key, max_units);
+            assert_eq!(emitted.units.len(), max_units, "{tag}");
+            if max_units == 1 {
+                assert!(len <= 256, "{tag}: {len} instructions");
+                assert!(!emitted.units[0].contains("rms_ode_rhs_k1("));
+            } else {
+                assert!(len > 512, "{tag}: {len} instructions");
+                assert!(emitted.units.concat().contains("rms_ode_rhs_k2("));
+            }
+            let so = dir.join(format!("{tag}.so"));
+            let (kernel, _) =
+                compile_and_load(&emitted.units, &so, &model.meta(key)).expect("compile+load");
+            assert_eq!(kernel.loop_count(), emitted.loop_count);
+            model.assert_matches_interpreter(&kernel, &[1, 7, 8, 9]);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -129,6 +129,28 @@ impl std::fmt::Display for Tape {
     }
 }
 
+/// Execute one instruction against the register file: the operand fetch
+/// and opcode dispatch shared by the flat and the loop-walking evaluator.
+#[inline(always)]
+fn step(instr: &Instr, rates: &[f64], y: &[f64], ydot: &mut [f64], regs: &mut [f64]) {
+    let fetch = |regs: &[f64], op: Operand| -> f64 {
+        match op {
+            Operand::Reg(r) => regs[r as usize],
+            Operand::Species(i) => y[i as usize],
+            Operand::Rate(i) => rates[i as usize],
+            Operand::Const(v) => v,
+        }
+    };
+    match *instr {
+        Instr::Add { dst, a, b } => regs[dst as usize] = fetch(regs, a) + fetch(regs, b),
+        Instr::Sub { dst, a, b } => regs[dst as usize] = fetch(regs, a) - fetch(regs, b),
+        Instr::Mul { dst, a, b } => regs[dst as usize] = fetch(regs, a) * fetch(regs, b),
+        Instr::Neg { dst, a } => regs[dst as usize] = -fetch(regs, a),
+        Instr::Copy { dst, a } => regs[dst as usize] = fetch(regs, a),
+        Instr::Store { idx, a } => ydot[idx as usize] = fetch(regs, a),
+    }
+}
+
 impl Tape {
     /// Evaluate the tape: reads `rates` and `y`, writes `ydot`, using the
     /// caller-provided scratch register file (resized as needed so the
@@ -143,23 +165,8 @@ impl Tape {
         if regs.len() < self.n_regs {
             regs.resize(self.n_regs, 0.0);
         }
-        let fetch = |regs: &[f64], op: Operand| -> f64 {
-            match op {
-                Operand::Reg(r) => regs[r as usize],
-                Operand::Species(i) => y[i as usize],
-                Operand::Rate(i) => rates[i as usize],
-                Operand::Const(v) => v,
-            }
-        };
         for instr in &self.instrs {
-            match *instr {
-                Instr::Add { dst, a, b } => regs[dst as usize] = fetch(regs, a) + fetch(regs, b),
-                Instr::Sub { dst, a, b } => regs[dst as usize] = fetch(regs, a) - fetch(regs, b),
-                Instr::Mul { dst, a, b } => regs[dst as usize] = fetch(regs, a) * fetch(regs, b),
-                Instr::Neg { dst, a } => regs[dst as usize] = -fetch(regs, a),
-                Instr::Copy { dst, a } => regs[dst as usize] = fetch(regs, a),
-                Instr::Store { idx, a } => ydot[idx as usize] = fetch(regs, a),
-            }
+            step(instr, rates, y, ydot, regs);
         }
     }
 
@@ -1001,14 +1008,6 @@ pub enum RolledSegment {
 }
 
 impl RolledTape {
-    /// The degenerate view: no loops, everything straight.
-    pub fn straight(len: usize) -> RolledTape {
-        RolledTape {
-            len,
-            loops: Vec::new(),
-        }
-    }
-
     /// Number of loop regions.
     pub fn loop_count(&self) -> usize {
         self.loops.len()
@@ -1097,55 +1096,6 @@ impl RolledTape {
             at = lp.end();
         }
         Ok(())
-    }
-
-    /// Human-readable listing of the rolled structure (dump format): loop
-    /// headers with slot patterns, straight ranges elided to counts.
-    pub fn render(&self, tape: &Tape) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "; rolled: {} loops, {} of {} instrs rerolled ({} emitted)",
-            self.loop_count(),
-            self.rerolled_instrs(),
-            self.len,
-            self.rolled_len()
-        );
-        for seg in self.segments() {
-            match seg {
-                RolledSegment::Straight { start, len } => {
-                    let _ = writeln!(out, "straight {start}..{} ({len} instrs)", start + len);
-                }
-                RolledSegment::Loop(lp) => {
-                    let _ = writeln!(
-                        out,
-                        "loop @{} trips={} body={} {{",
-                        lp.start, lp.trips, lp.body_len
-                    );
-                    let patterns = loop_slot_patterns(tape, &lp);
-                    for (p, pats) in patterns.iter().enumerate() {
-                        let tags: Vec<String> = pats
-                            .iter()
-                            .map(|sp| match sp {
-                                SlotPattern::Fixed => "fix".to_string(),
-                                SlotPattern::Affine { stride } => format!("aff{stride:+}"),
-                                SlotPattern::Table(_) => "tab".to_string(),
-                                SlotPattern::ConstTable(_) => "ctab".to_string(),
-                            })
-                            .collect();
-                        let _ = writeln!(
-                            out,
-                            "  {}   ; [{}]",
-                            tape.instrs[lp.start + p],
-                            tags.join(",")
-                        );
-                    }
-                    let _ = writeln!(out, "}}");
-                }
-            }
-        }
-        out
     }
 }
 
@@ -1300,9 +1250,8 @@ pub fn resolve_instr(template: &Instr, patterns: &[SlotPattern], t: usize) -> In
 /// Greedy run detection over a shape-key sequence. At each position the
 /// candidate body lengths `1..=max_body` compete on savings
 /// (`(trips - 1) * body_len`); the winner becomes a loop and the scan
-/// resumes past it. Shared by the tape-level pass and the exec engine's
-/// post-fusion reroll (which runs over fused superinstruction shapes).
-pub(crate) fn detect_runs(shapes: &[u64], opts: &RerollOptions) -> Vec<TapeLoop> {
+/// resumes past it.
+fn detect_runs(shapes: &[u64], opts: &RerollOptions) -> Vec<TapeLoop> {
     let n = shapes.len();
     let mut loops = Vec::new();
     let mut s = 0usize;
@@ -1375,27 +1324,11 @@ impl Tape {
         if regs.len() < self.n_regs {
             regs.resize(self.n_regs, 0.0);
         }
-        let fetch = |regs: &[f64], op: Operand| -> f64 {
-            match op {
-                Operand::Reg(r) => regs[r as usize],
-                Operand::Species(i) => y[i as usize],
-                Operand::Rate(i) => rates[i as usize],
-                Operand::Const(v) => v,
-            }
-        };
-        let step = |regs: &mut [f64], ydot: &mut [f64], instr: &Instr| match *instr {
-            Instr::Add { dst, a, b } => regs[dst as usize] = fetch(regs, a) + fetch(regs, b),
-            Instr::Sub { dst, a, b } => regs[dst as usize] = fetch(regs, a) - fetch(regs, b),
-            Instr::Mul { dst, a, b } => regs[dst as usize] = fetch(regs, a) * fetch(regs, b),
-            Instr::Neg { dst, a } => regs[dst as usize] = -fetch(regs, a),
-            Instr::Copy { dst, a } => regs[dst as usize] = fetch(regs, a),
-            Instr::Store { idx, a } => ydot[idx as usize] = fetch(regs, a),
-        };
         for seg in rolled.segments() {
             match seg {
                 RolledSegment::Straight { start, len } => {
                     for instr in &self.instrs[start..start + len] {
-                        step(regs, ydot, instr);
+                        step(instr, rates, y, ydot, regs);
                     }
                 }
                 RolledSegment::Loop(lp) => {
@@ -1403,7 +1336,7 @@ impl Tape {
                     for t in 0..lp.trips {
                         for (p, pats) in patterns.iter().enumerate() {
                             let instr = resolve_instr(&self.instrs[lp.start + p], pats, t);
-                            step(regs, ydot, &instr);
+                            step(&instr, rates, y, ydot, regs);
                         }
                     }
                 }
@@ -2219,7 +2152,10 @@ mod tests {
         };
         assert!(bad.validate(&tape).unwrap_err().contains("does not match"));
 
-        let stale = RolledTape::straight(3);
+        let stale = RolledTape {
+            len: 3,
+            loops: Vec::new(),
+        };
         assert!(stale.validate(&tape).unwrap_err().contains("built for"));
     }
 
@@ -2262,15 +2198,5 @@ mod tests {
                 "rolled interpreter diverged on trial {trial}"
             );
         }
-    }
-
-    #[test]
-    fn rolled_render_lists_loops_and_patterns() {
-        let tape = stanza_tape();
-        let rolled = reroll(&tape, &loose());
-        let dump = rolled.render(&tape);
-        assert!(dump.contains("; rolled: 1 loops"));
-        assert!(dump.contains("loop @0 trips=6 body=2"));
-        assert!(dump.contains("tab"));
     }
 }

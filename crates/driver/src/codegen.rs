@@ -37,15 +37,16 @@ pub struct CodegenOutcome {
     pub cc_seconds: f64,
     /// Rendered source size (0 when a cached object loaded).
     pub source_bytes: usize,
-    /// Translation units the source was split into (1 = historic
-    /// single-TU build; 0 when a cached object loaded).
+    /// Translation units the source was split into (0 when a cached
+    /// object loaded).
     pub cc_units: usize,
     /// Per-unit compile wall-times. Units compile concurrently, so the
     /// build's compile wall-clock is the maximum, not the sum.
     pub cc_unit_seconds: Vec<f64>,
     /// Seconds in the final link (0 for single-unit or cached builds).
     pub link_seconds: f64,
-    /// Loop regions the reroll pass rendered into the kernel.
+    /// Loop regions the emitter rendered into the kernel (0 when no tape
+    /// had a repeating stanza run).
     pub loop_count: usize,
     /// Flat instructions absorbed into rendered loops.
     pub rolled_instrs: usize,
@@ -55,33 +56,24 @@ pub struct CodegenOutcome {
     pub quarantined: bool,
 }
 
-/// Render the native kernel source for an artifact: reroll the tape
-/// groups into loop regions (when enabled), size the translation-unit
-/// split to the kernel, and emit.
+/// What separates the translation units of a multi-unit kernel wherever
+/// they are printed as one text (`--dump-ir codegen`, `compile --emit c`).
+pub const UNIT_BREAK: &str = "\n/* ---------------- unit break ---------------- */\n";
+
+/// Render the native kernel source for an artifact, sizing the
+/// translation-unit split to the kernel (the emitter rerolls the tapes
+/// itself).
 ///
 /// Unit count scales with emitted work and is capped by the host's core
-/// count: small kernels keep the historic single-TU build, huge ones
+/// count: small kernels build as a single translation unit, huge ones
 /// split so their chunks compile concurrently.
 pub fn render_kernel(
     name: &str,
     tape: &rms_core::Tape,
     jacobian: Option<&rms_core::JacobianTapes>,
     sensitivity: Option<&rms_core::SensitivityTapes>,
-    reroll: bool,
     key: u128,
 ) -> EmittedKernel {
-    use rms_core::{emit_kernel_units, EmitOptions, KernelSpec, RerollOptions, RolledViews};
-    let opts = RerollOptions::default();
-    let rolled_rhs = reroll.then(|| rms_core::reroll(tape, &opts));
-    let rolled_jac = reroll.then(|| jacobian.map(|j| j.reroll(&opts))).flatten();
-    let rolled_sens = reroll
-        .then(|| sensitivity.map(|s| s.reroll(&opts)))
-        .flatten();
-    let rolled = rolled_rhs.as_ref().map(|rhs| RolledViews {
-        rhs,
-        jacobian: rolled_jac.as_ref(),
-        sensitivity: rolled_sens.as_ref(),
-    });
     let total = tape.instrs.len()
         + jacobian.map_or(0, |j| j.rhs.instrs.len() + j.jac.instrs.len())
         + sensitivity.map_or(0, |s| {
@@ -89,16 +81,15 @@ pub fn render_kernel(
         });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let units = (total / 16_384).clamp(1, cores.min(8));
-    emit_kernel_units(
-        &KernelSpec {
+    rms_core::emit_kernel(
+        &rms_core::KernelSpec {
             name,
             rhs: tape,
             jacobian,
             sensitivity,
-            rolled,
             key,
         },
-        &EmitOptions { units },
+        units,
     )
 }
 
@@ -161,7 +152,7 @@ pub fn build_kernel(
     outcome.loop_count = emitted.loop_count;
     outcome.rolled_instrs = emitted.rolled_instrs;
     let clock = Instant::now();
-    match native::compile_and_load_units(&emitted.units, path, meta) {
+    match native::compile_and_load(&emitted.units, path, meta) {
         Ok((kernel, timing)) => {
             outcome.cc_seconds = clock.elapsed().as_secs_f64();
             outcome.cc_unit_seconds = timing.unit_seconds;

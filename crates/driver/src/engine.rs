@@ -37,7 +37,7 @@ pub enum EngineMode {
     /// Size-aware selection between [`EngineMode::Native`] and
     /// [`EngineMode::Exec`]: native when a kernel is attached and its
     /// code is compact enough to stay in the instruction cache (always
-    /// true for rerolled kernels), batched exec otherwise. See
+    /// true for a kernel with loop regions), batched exec otherwise. See
     /// [`resolve_auto`].
     Auto,
 }
@@ -78,12 +78,12 @@ impl fmt::Display for EngineMode {
 }
 
 /// The instruction-count crossover for [`EngineMode::Auto`]: above this
-/// many emitted statements, an *unrolled* native kernel's straight-line
-/// code overruns the instruction cache and the SIMD-batched exec engine
-/// wins (measured on the scaled vulcanization family; see
-/// `BENCH_codegen.json`). Rerolled kernels compress the code stream by
-/// one to two orders of magnitude, so the crossover only applies to
-/// unrolled emission.
+/// many emitted statements, a native kernel *without loop regions* is
+/// straight-line code that overruns the instruction cache, and the
+/// SIMD-batched exec engine wins (measured on the scaled vulcanization
+/// family before the emitter rerolled). A kernel whose tapes rerolled
+/// compresses the code stream by one to two orders of magnitude, so the
+/// crossover only applies when `rms_loop_count` is 0.
 pub const NATIVE_CROSSOVER_INSTRS: usize = 32_768;
 
 /// Resolve [`EngineMode::Auto`] for a tape of `instrs` flat instructions
@@ -106,13 +106,13 @@ pub fn resolve_auto(instrs: usize, kernel: Option<&NativeKernel>) -> (EngineMode
         Some(_) if instrs <= NATIVE_CROSSOVER_INSTRS => (
             EngineMode::Native,
             format!(
-                "auto: unrolled kernel ({instrs} instructions) under the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover"
+                "auto: kernel without loop regions ({instrs} instructions) under the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover"
             ),
         ),
         Some(_) => (
             EngineMode::Exec,
             format!(
-                "auto: unrolled kernel ({instrs} instructions) past the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover; batched exec engine"
+                "auto: kernel without loop regions ({instrs} instructions) past the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover; batched exec engine"
             ),
         ),
     }

@@ -56,12 +56,6 @@ pub struct SessionOptions {
     /// fail the compile: the artifact carries a diagnostic instead of a
     /// kernel and callers fall back to the exec engine.
     pub native: bool,
-    /// Reroll repeated reaction stanzas into data-driven loop regions
-    /// before emitting native code (`--opt reroll=on|off`). On by
-    /// default; affects only the rendered kernel (loops replay the exact
-    /// flat instruction sequence, so results stay bit-identical), but is
-    /// part of the cache key because it changes the emitted object.
-    pub reroll: bool,
     /// Worker threads for the frontend's network-closure stage (match /
     /// edit / canonicalize fan-out). `0` means one per available core;
     /// `1` runs the serial path.
@@ -88,7 +82,6 @@ impl SessionOptions {
             deriv: false,
             sensitivity: false,
             native: false,
-            reroll: true,
             frontend_threads: 0,
             cache: CacheMode::default(),
             cache_dir: None,
@@ -140,7 +133,6 @@ impl SessionOptions {
         self.deriv.hash(h);
         self.sensitivity.hash(h);
         self.native.hash(h);
-        self.reroll.hash(h);
         // The thread count cannot change the produced network (the engine
         // is bit-identical across thread counts), but it changes the
         // *reported* compile — stage metrics — so two configurations must
@@ -643,15 +635,12 @@ impl CompilerSession {
                     &compiled.tape,
                     jacobian.as_deref(),
                     sensitivity.as_deref(),
-                    self.options.reroll,
                     key,
                 )
             };
             let outcome = crate::codegen::build_kernel(&path, &meta, render);
             dump.offer(Stage::Codegen, || {
-                render()
-                    .units
-                    .join("\n/* ---------------- unit break ---------------- */\n")
+                render().units.join(crate::codegen::UNIT_BREAK)
             });
             records.push(
                 StageRecord::new(Stage::Codegen, clock.elapsed().as_secs_f64())
@@ -770,7 +759,6 @@ impl CompilerSession {
                     &compiled.tape,
                     jacobian.as_deref(),
                     sensitivity.as_deref(),
-                    self.options.reroll,
                     key,
                 )
             });

@@ -27,8 +27,6 @@ pub enum Command {
         emit: Emit,
         /// Print this stage's IR instead of the `--emit` artifact.
         dump: Option<Stage>,
-        /// Reroll repeated tape stanzas into loop regions before codegen.
-        reroll: bool,
         /// Worker threads for network closure (0 = one per core).
         frontend_threads: usize,
         /// On-disk artifact cache directory.
@@ -52,8 +50,6 @@ pub enum Command {
         linear_solver: LinearSolver,
         /// Right-hand-side evaluator.
         engine: EngineMode,
-        /// Reroll repeated tape stanzas into loop regions before codegen.
-        reroll: bool,
         /// Worker threads for network closure (0 = one per core).
         frontend_threads: usize,
         /// On-disk artifact cache directory.
@@ -202,7 +198,7 @@ rmsc — Reaction Modeling Suite driver
 USAGE:
   rmsc compile  <model.rdl> [--level none|simplify|algebraic|full]
                 [--emit network|odes|c|stats|conservation|report]
-                [--dump-ir STAGE] [--opt reroll=on|off]
+                [--dump-ir STAGE]
                 [--frontend-threads N] [--cache-dir DIR]
   rmsc compile-report <model.rdl> [--level L] [--frontend-threads N]
                 [--cache-dir DIR]
@@ -210,7 +206,6 @@ USAGE:
                 [--jacobian analytic|fd-colored|fd-dense]   (default analytic)
                 [--linear-solver dense|sparse|auto]         (default auto)
                 [--engine interp|exec|native|auto]          (default exec)
-                [--opt reroll=on|off]                       (default on)
                 [--frontend-threads N] [--cache-dir DIR]
   rmsc synthesize <model.rdl> --observe A,B,... --out DIR [--files N] [--records N] [--tend T]
   rmsc estimate <model.rdl> --data DIR --observe A,B,... [--workers N]
@@ -282,17 +277,12 @@ builds a shared object with the system C compiler (honoring $CC),
 caches it by content address in --cache-dir, and dlopens it. When no
 toolchain is available the run degrades to 'exec' with a printed
 diagnostic rather than failing. 'auto' picks between exec and native
-by kernel shape: rerolled (loop-structured) kernels always win, flat
-kernels win only below the I-cache crossover (~32k instructions), and
-a missing kernel falls back to exec; the chosen engine and the reason
+by kernel shape: a kernel with loop regions (runs of structurally
+identical per-reaction stanzas, which codegen renders as data-driven C
+loops over static stride/index tables) always wins, a kernel without
+any wins only below the I-cache crossover (~32k instructions), and a
+missing kernel falls back to exec; the chosen engine and the reason
 are printed before the table.
-
---opt reroll=off disables the tape reroll pass, so codegen emits the
-historic straight-line (unrolled) kernel; 'on' (the default) detects
-runs of structurally identical per-reaction stanzas and collapses them
-into data-driven C loops over static stride/index tables — the same
-trajectory bit for bit, from a far smaller kernel. The setting is part
-of the artifact cache key.
 
 'compile --emit c' prints the complete native kernel source: the
 specialized scalar ode_rhs, the batched ode_rhs_batch, the analytic
@@ -335,28 +325,6 @@ fn parse_engine(args: &[String]) -> Result<EngineMode, CliError> {
         None => Ok(EngineMode::default()),
         Some(v) => v.parse().map_err(|e: String| usage_err(e)),
     }
-}
-
-/// Parse `--opt reroll=on|off` (repeatable; last occurrence wins).
-/// Returns whether the reroll pass is enabled — the default is on.
-fn parse_opt_reroll(args: &[String]) -> Result<bool, CliError> {
-    let mut reroll = true;
-    for (i, a) in args.iter().enumerate() {
-        if a != "--opt" {
-            continue;
-        }
-        match args.get(i + 1).map(String::as_str) {
-            Some("reroll=on") => reroll = true,
-            Some("reroll=off") => reroll = false,
-            Some(other) => {
-                return Err(usage_err(format!(
-                    "unknown --opt '{other}' (expected reroll=on or reroll=off)"
-                )))
-            }
-            None => return Err(usage_err("--opt requires a value (reroll=on|off)")),
-        }
-    }
-    Ok(reroll)
 }
 
 fn parse_observe(args: &[String]) -> Vec<String> {
@@ -425,7 +393,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         "--level",
                         "--emit",
                         "--dump-ir",
-                        "--opt",
                         "--frontend-threads",
                         "--cache-dir",
                     ],
@@ -443,7 +410,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 Some(other) => return Err(usage_err(format!("unknown --emit '{other}'"))),
             },
             dump: parse_dump(args)?,
-            reroll: parse_opt_reroll(args)?,
             frontend_threads: parse_num(args, "--frontend-threads", 0)?,
             cache_dir: parse_cache_dir(args),
         }),
@@ -455,7 +421,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             level: parse_level(args)?,
             emit: Emit::Report,
             dump: None,
-            reroll: true,
             frontend_threads: parse_num(args, "--frontend-threads", 0)?,
             cache_dir: parse_cache_dir(args),
         }),
@@ -471,7 +436,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         "--jacobian",
                         "--linear-solver",
                         "--engine",
-                        "--opt",
                         "--frontend-threads",
                         "--cache-dir",
                     ],
@@ -485,7 +449,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             jacobian: parse_jacobian(args, JacobianMode::Analytic)?,
             linear_solver: parse_linear_solver(args)?,
             engine: parse_engine(args)?,
-            reroll: parse_opt_reroll(args)?,
             frontend_threads: parse_num(args, "--frontend-threads", 0)?,
             cache_dir: parse_cache_dir(args),
         }),
@@ -655,6 +618,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 }
 
 /// Everything the CLI can ask of a compile beyond the level.
+#[derive(Default)]
 struct LoadOptions<'a> {
     cache_dir: Option<&'a Path>,
     dump: Option<Stage>,
@@ -669,26 +633,9 @@ struct LoadOptions<'a> {
     /// `--engine auto`). Codegen failures never fail the compile — the
     /// artifact carries a diagnostic instead.
     native: bool,
-    /// Reroll repeated tape stanzas into loop regions before codegen
-    /// (`--opt reroll=on|off`; on by default).
-    reroll: bool,
     /// Worker threads for the network-closure stage
     /// (`--frontend-threads N`; 0 = one per available core).
     frontend_threads: usize,
-}
-
-impl Default for LoadOptions<'_> {
-    fn default() -> Self {
-        LoadOptions {
-            cache_dir: None,
-            dump: None,
-            deriv: false,
-            sensitivity: false,
-            native: false,
-            reroll: true,
-            frontend_threads: 0,
-        }
-    }
 }
 
 /// Compile `path` through a [`CompilerSession`]. A missing or unreadable
@@ -708,7 +655,6 @@ fn load_model(
     session.deriv = opts.deriv;
     session.sensitivity = opts.sensitivity;
     session.native = opts.native;
-    session.reroll = opts.reroll;
     session.frontend_threads = opts.frontend_threads;
     let compiled = CompilerSession::with_options(session)
         .compile_source(&filename, &source)
@@ -788,7 +734,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             level,
             emit,
             dump,
-            reroll,
             frontend_threads,
             cache_dir,
         } => {
@@ -802,7 +747,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                     deriv: *dump == Some(Stage::Deriv) || *emit == Emit::Report,
                     sensitivity: false,
                     native: *dump == Some(Stage::Codegen),
-                    reroll: *reroll,
                     frontend_threads: *frontend_threads,
                 },
             )?;
@@ -885,7 +829,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             jacobian,
             linear_solver,
             engine,
-            reroll,
             frontend_threads,
             cache_dir,
         } => {
@@ -896,7 +839,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                     cache_dir: cache_dir.as_deref(),
                     deriv: *jacobian == JacobianMode::Analytic,
                     native: engine.wants_native(),
-                    reroll: *reroll,
                     frontend_threads: *frontend_threads,
                     ..LoadOptions::default()
                 },
@@ -1222,7 +1164,6 @@ mod tests {
                 level: OptLevel::Algebraic,
                 emit: Emit::C,
                 dump: None,
-                reroll: true,
                 frontend_threads: 0,
                 cache_dir: None,
             }
@@ -1236,7 +1177,6 @@ mod tests {
                 level: OptLevel::Full,
                 emit: Emit::Report,
                 dump: None,
-                reroll: true,
                 frontend_threads: 0,
                 cache_dir: Some(PathBuf::from(".rms-cache")),
             }
@@ -1460,10 +1400,6 @@ mod tests {
             "estimate m.rdl --data d --jacobian sparse",
             // ... and bad --engine values.
             "simulate m.rdl --engine jit",
-            // ... and bad --opt values.
-            "simulate m.rdl --opt reroll=maybe",
-            "compile m.rdl --opt unroll=off",
-            "compile m.rdl --opt",
             // ... and bad --linear-solver values.
             "simulate m.rdl --linear-solver cholesky",
             "estimate m.rdl --data d --linear-solver qr",
@@ -1591,24 +1527,16 @@ mod tests {
     }
 
     #[test]
-    fn opt_reroll_flag_parses_on_compile_and_simulate() {
-        // Defaults to on everywhere.
-        match parse_args(&argv("simulate m.rdl")).unwrap() {
-            Command::Simulate { reroll, .. } => assert!(reroll),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("simulate m.rdl --opt reroll=off")).unwrap() {
-            Command::Simulate { reroll, .. } => assert!(!reroll),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("compile m.rdl --opt reroll=off")).unwrap() {
-            Command::Compile { reroll, .. } => assert!(!reroll),
-            other => panic!("{other:?}"),
-        }
-        // Repeated: the last occurrence wins.
-        match parse_args(&argv("compile m.rdl --opt reroll=off --opt reroll=on")).unwrap() {
-            Command::Compile { reroll, .. } => assert!(reroll),
-            other => panic!("{other:?}"),
+    fn opt_reroll_flag_is_a_usage_error() {
+        // The flag went with the emission forms it selected; like any
+        // unknown option it is refused, not silently ignored.
+        for bad in [
+            "simulate m.rdl --opt reroll=off",
+            "compile m.rdl --opt reroll=on",
+        ] {
+            let error = parse_args(&argv(bad)).unwrap_err();
+            assert!(matches!(error, CliError::Usage(_)), "{bad}: {error:?}");
+            assert_eq!(error.exit_code(), 2, "{bad}");
         }
     }
 

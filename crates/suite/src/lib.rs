@@ -114,8 +114,13 @@ impl SuiteModel {
 
     /// Emit the complete native kernel source for this model: scalar
     /// `ode_rhs`, batched `ode_rhs_batch`, analytic-Jacobian `ode_jac`
-    /// and sensitivity `ode_sens` — exactly what the *Codegen* stage
-    /// hands to the system C compiler (`rmsc compile --emit c`).
+    /// and sensitivity `ode_sens` (`rmsc compile --emit c`). It is
+    /// rendered by the function the *Codegen* stage renders with, so for
+    /// an artifact compiled with both derivative groups this is exactly
+    /// the source that stage hands to the system C compiler; several
+    /// translation units are joined by [`UNIT_BREAK`].
+    ///
+    /// [`UNIT_BREAK`]: rms_driver::codegen::UNIT_BREAK
     pub fn emit_native_c(&self) -> String {
         // All four entry points, whether or not this session compiled
         // the derivative groups.
@@ -130,14 +135,15 @@ impl SuiteModel {
             .sensitivity
             .clone()
             .unwrap_or_else(|| Arc::new(compile_sensitivity(&self.compiled.forest, cse)));
-        emit_kernel(&KernelSpec {
-            name: &self.name,
-            rhs: &self.compiled.tape,
-            jacobian: Some(&jacobian),
-            sensitivity: Some(&sensitivity),
-            rolled: None,
-            key: self.key,
-        })
+        rms_driver::codegen::render_kernel(
+            &self.name,
+            &self.compiled.tape,
+            Some(&jacobian),
+            Some(&sensitivity),
+            self.key,
+        )
+        .units
+        .join(rms_driver::codegen::UNIT_BREAK)
     }
 
     /// Simulate the system from its declared initial concentrations,

@@ -287,3 +287,38 @@ fn emit_c_prints_the_kernel_source() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `emit_native_c` (what `rmsc compile --emit c` prints) and the Codegen
+/// stage render through one function: for an artifact that carries both
+/// derivative groups, the library's text is the file the stage left
+/// beside the object it compiled.
+#[test]
+fn emit_native_c_is_the_source_the_codegen_stage_compiled() {
+    let _guard = lock();
+    if let Err(e) = probe_toolchain() {
+        eprintln!("SKIP: emit-vs-codegen source test: {e}");
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("rms-native-emit-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.native = true;
+    options.deriv = true;
+    options.sensitivity = true;
+    options.cache_dir = Some(dir.clone());
+    let artifact = CompilerSession::with_options(options)
+        .compile_source("vulcanization.rdl", VULCANIZATION_RDL)
+        .expect("rdl model compiles")
+        .artifact;
+    assert!(
+        artifact.native.is_some(),
+        "codegen produced no kernel: {:?}",
+        artifact.native_diag
+    );
+    let on_disk = std::fs::read_to_string(dir.join(format!("{:032x}.so.c", artifact.key)))
+        .expect("the Codegen stage keeps its source beside the object");
+    assert!(on_disk.contains("void ode_sens("));
+    assert_eq!(SuiteModel::from_artifact(artifact).emit_native_c(), on_disk);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

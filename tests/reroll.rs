@@ -1,16 +1,17 @@
-//! Differential tests for the tape reroll pass: a rerolled compile must
-//! be observationally indistinguishable from an unrolled one.
+//! Tests for the tape reroll pass: a kernel the emitter rerolled must be
+//! observationally indistinguishable from the flat tape it was built
+//! from.
 //!
 //! Rerolling is a pure compression of the flat tape — loop regions replay
 //! the *same* instructions in the *same* order with payloads resolved
-//! from stride/index tables — so the trajectories of `--opt reroll=on`
-//! and `--opt reroll=off` compiles must agree **bitwise** on every
-//! engine, for both workload families (RDL source and generated
-//! network), at all four optimization levels. The property test below
-//! pins the stronger invariant the engine tests rest on: the rolled view
-//! is a lossless encoding of the flat tape (every trip of every loop
-//! resolves back to the original instruction), which also means rerolling
-//! can never change `op_counts`-weighted semantics.
+//! from stride/index tables — so the native kernel (loops where stanzas
+//! repeat, straight statements where they do not), the exec engine and
+//! the interpreter must produce the **same bits** from one artifact, for
+//! every workload family at all four optimization levels. The property
+//! test below pins the stronger invariant the engine test rests on: the
+//! rolled view is a lossless encoding of the flat tape (every trip of
+//! every loop resolves back to the original instruction), which also
+//! means rerolling can never change `op_counts`-weighted semantics.
 //!
 //! Tests that need a C compiler probe for one first and skip — visibly,
 //! on stderr — when the host has none.
@@ -26,7 +27,7 @@ use rms_core::{
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, OptLevel,
-    SessionOptions, SolverOptions, SuiteModel,
+    SessionOptions, SolverOptions, SuiteModel, FMA_CONTRACTS,
 };
 
 /// The in-memory artifact cache is process-wide; serialize the engine
@@ -44,25 +45,21 @@ const LEVELS: [OptLevel; 4] = [
     OptLevel::Full,
 ];
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Family {
+    /// `models/vulcanization.rdl`: stanza runs at every level.
     RdlSource,
+    /// A generated network: stanza runs at every level.
     Network,
+    /// `models/quickstart.rdl`: 11 species, nothing for the pass to find
+    /// once the optimizer has run — the loop-free side of the emitter.
+    Quickstart,
 }
 
-/// Compile one workload family with the Codegen stage enabled and the
-/// reroll pass switched per `reroll` (the `--opt reroll=on|off` knob).
-/// The flag is part of the content-addressed key, so the two variants
-/// never share a cached artifact or kernel.
-fn compile_native(
-    family: Family,
-    level: OptLevel,
-    reroll: bool,
-    dir: &std::path::Path,
-) -> Arc<CompiledArtifact> {
+/// Compile one workload family with the Codegen stage enabled.
+fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc<CompiledArtifact> {
     let mut options = SessionOptions::new(level);
     options.native = true;
-    options.reroll = reroll;
     options.cache_dir = Some(dir.to_path_buf());
     let session = CompilerSession::with_options(options);
     let compiled = match family {
@@ -79,6 +76,9 @@ fn compile_native(
                 .compile_network("vulcanization-reroll", m.network, m.rates)
                 .expect("network model compiles")
         }
+        Family::Quickstart => session
+            .compile_source("quickstart.rdl", include_str!("../models/quickstart.rdl"))
+            .expect("quickstart model compiles"),
     };
     compiled.artifact
 }
@@ -107,75 +107,57 @@ fn deviation(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
 }
 
 #[test]
-fn rerolled_and_unrolled_compiles_are_bit_identical_on_every_engine() {
+fn interp_exec_and_native_trajectories_of_one_artifact_agree_exactly() {
     let _guard = lock();
     if let Err(e) = probe_toolchain() {
-        eprintln!("SKIP: reroll differential test: {e}");
+        eprintln!("SKIP: engine agreement test: {e}");
         return;
     }
     let dir = std::env::temp_dir().join(format!("rms-reroll-diff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut any_rolled = false;
-    for family in [Family::RdlSource, Family::Network] {
+    // The exec engine's fused multiply-adds round once on FMA builds.
+    let slack = if FMA_CONTRACTS { 1e-12 } else { 0.0 };
+    let (mut any_rolled, mut any_loop_free) = (false, false);
+    for family in [Family::RdlSource, Family::Network, Family::Quickstart] {
         for level in LEVELS {
-            let on = compile_native(family, level, true, &dir);
-            let off = compile_native(family, level, false, &dir);
-            let on_kernel = on.native.as_ref().unwrap_or_else(|| {
+            let artifact = compile_native(family, level, &dir);
+            let kernel = artifact.native.as_ref().unwrap_or_else(|| {
                 panic!(
-                    "{level}: rerolled codegen produced no kernel: {:?}",
-                    on.native_diag
+                    "{family:?}/{level}: codegen produced no kernel: {:?}",
+                    artifact.native_diag
                 )
             });
-            let off_kernel = off.native.as_ref().unwrap_or_else(|| {
-                panic!(
-                    "{level}: unrolled codegen produced no kernel: {:?}",
-                    off.native_diag
-                )
-            });
-            // reroll=off must emit the historic straight-line kernel.
-            assert_eq!(
-                off_kernel.loop_count(),
-                0,
-                "{level}: unrolled kernel has loops"
-            );
-            assert_eq!(off_kernel.rolled_instrs(), 0);
-            any_rolled |= on_kernel.loop_count() > 0;
+            // These compiles carry no derivative groups, so the counter
+            // describes the one scalar group the solves below run.
+            any_rolled |= kernel.loop_count() > 0;
+            any_loop_free |= kernel.loop_count() == 0;
 
-            for engine in [EngineMode::Interp, EngineMode::Exec, EngineMode::Native] {
-                let a = trajectory(&on, engine);
-                let b = trajectory(&off, engine);
-                // Same engine, same flat semantics: rerolling may change
-                // the *shape* of the generated code but never a bit of
-                // the trajectory.
-                let d = deviation(&a, &b);
-                assert!(
-                    d == 0.0,
-                    "{level}/{engine}: rerolled vs unrolled deviates by {d:e}"
-                );
-            }
-            // Cross-engine agreement for the rerolled compile (the
-            // unrolled one is covered by tests/native_engine.rs): the
-            // kernel replays the tape's exact rounding sequence with
-            // -ffp-contract=off, so only contraction-happy toolchains
-            // need the 1e-12 slack.
-            let native = trajectory(&on, EngineMode::Native);
-            let exec = trajectory(&on, EngineMode::Exec);
-            let interp = trajectory(&on, EngineMode::Interp);
-            let d = deviation(&native, &exec);
-            assert!(
-                d <= 1e-12,
-                "{level}: rerolled native vs exec deviates by {d:e}"
-            );
+            // The interpreter walks the flat tape; the kernel replays it
+            // through whatever loops the emitter found, compiled with
+            // -ffp-contract=off: the same rounding sequence, so not a
+            // bit of the trajectory may move.
+            let interp = trajectory(&artifact, EngineMode::Interp);
+            let native = trajectory(&artifact, EngineMode::Native);
+            let exec = trajectory(&artifact, EngineMode::Exec);
             let d = deviation(&native, &interp);
             assert!(
-                d <= 1e-12,
-                "{level}: rerolled native vs interp deviates by {d:e}"
+                d == 0.0,
+                "{family:?}/{level}: native vs interp deviates by {d:e}"
+            );
+            let d = deviation(&exec, &interp);
+            assert!(
+                d <= slack,
+                "{family:?}/{level}: exec vs interp deviates by {d:e}"
             );
         }
     }
     assert!(
         any_rolled,
-        "no workload/level combination rerolled — the differential test is vacuous"
+        "no workload/level combination rerolled — the loop side of the emitter went untested"
+    );
+    assert!(
+        any_loop_free,
+        "every kernel had loops — the straight-statement side of the emitter went untested"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
