@@ -1,9 +1,11 @@
-//! Shared helpers for the benchmark harnesses reproducing the paper's
-//! tables and figures.
+//! Shared helpers for the `table1`/`table2` binaries and the criterion
+//! benches reproducing the paper's tables. Everything else the repository
+//! measures comes from the standalone `benchmark/` package
+//! (`BENCHMARK.json`).
 
 use std::time::Instant;
 
-use rms_core::{CompiledOde, Kernel, KernelScratch, OptLevel, LANES};
+use rms_core::{CompiledOde, OptLevel};
 use rms_odegen::OdeSystem;
 use rms_suite::{CacheMode, CompilerSession, SessionOptions, SuiteModel};
 use rms_workload::VulcanizationModel;
@@ -34,42 +36,6 @@ pub fn compile_case_cold(model: &VulcanizationModel, level: OptLevel) -> SuiteMo
     compile_with(model, options)
 }
 
-/// [`compile_case`] with the *Deriv* stage on: the artifact carries the
-/// analytic sparse Jacobian tapes.
-pub fn compile_case_deriv(model: &VulcanizationModel, level: OptLevel) -> SuiteModel {
-    let mut options = SessionOptions::new(level);
-    options.deriv = true;
-    compile_with(model, options)
-}
-
-/// [`compile_case`] with the *Codegen* stage on: the artifact carries
-/// the compiled-and-dlopened native kernel when a C toolchain is
-/// available, and a fallback diagnostic (`native_diag`) otherwise. A
-/// `cache_dir` pins the `.so` location — benches pass a fresh scratch
-/// directory so every compile is cold and the reported render/cc metrics
-/// are real (a warm shared cache loads the kernel without rendering and
-/// reports zeros).
-pub fn compile_case_native(
-    model: &VulcanizationModel,
-    level: OptLevel,
-    cache_dir: Option<&std::path::Path>,
-) -> SuiteModel {
-    let mut options = SessionOptions::new(level);
-    options.native = true;
-    options.cache_dir = cache_dir.map(std::path::Path::to_path_buf);
-    compile_with(model, options)
-}
-
-/// [`compile_case`] with the *Deriv* stage and the parameter-sensitivity
-/// tapes on: the artifact carries both the analytic sparse Jacobian and
-/// the `∂f/∂p` tapes the sensitivity-augmented BDF integration needs.
-pub fn compile_case_sens(model: &VulcanizationModel, level: OptLevel) -> SuiteModel {
-    let mut options = SessionOptions::new(level);
-    options.deriv = true;
-    options.sensitivity = true;
-    compile_with(model, options)
-}
-
 /// Build the (un)merged ODE system for a model through the session: a
 /// passes-off pipeline (equation generation plus bare lowering) with the
 /// generator's §3.1 merging switched explicitly.
@@ -96,63 +62,6 @@ pub fn time_tape_eval(compiled: &CompiledOde, system: &OdeSystem, iters: usize) 
     }
     std::hint::black_box(&ydot);
     t0.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Seconds per scalar right-hand-side evaluation of `kernel` — whichever
-/// engine it belongs to.
-pub fn time_rhs(
-    kernel: &dyn Kernel,
-    rates: &[f64],
-    y: &mut [f64],
-    ydot: &mut [f64],
-    iters: usize,
-) -> f64 {
-    let mut scratch = KernelScratch::default();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        kernel.rhs(rates, y, ydot, &mut scratch);
-        // Feed a little of the output back so the work is not dead code.
-        y[0] = 0.1 + ydot[0].abs().min(1.0) * 1e-9;
-    }
-    t0.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Seconds per state of `kernel`'s batched right-hand side, evaluating
-/// `4 * LANES` states per call (the colored-FD sweep shape).
-pub fn time_rhs_batch(kernel: &dyn Kernel, rates: &[f64], y: &[f64], iters: usize) -> f64 {
-    let n_states = 4 * LANES;
-    let mut ys = Vec::with_capacity(n_states * y.len());
-    for s in 0..n_states {
-        ys.extend(y.iter().map(|v| v + 1e-6 * s as f64));
-    }
-    let mut ydots = vec![0.0; ys.len()];
-    let mut scratch = KernelScratch::default();
-    let rounds = (iters / n_states).max(1);
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        kernel.rhs_batch(rates, &ys, &mut ydots, &mut scratch);
-        ys[0] = 0.1 + ydots[0].abs().min(1.0) * 1e-9;
-    }
-    t0.elapsed().as_secs_f64() / (rounds * n_states) as f64
-}
-
-/// Write a JSON bench artifact, refusing to clobber full-run results
-/// with smoke output. A smoke run may freely overwrite a smoke artifact
-/// (the JSON carries `"smoke": true`) or create a fresh file, but
-/// replacing a full run requires `--force` — committed artifacts have
-/// been silently downgraded by CI presets before.
-pub fn write_artifact(path: &str, json: &str, smoke: bool, force: bool) -> Result<(), String> {
-    if smoke && !force {
-        if let Ok(existing) = std::fs::read_to_string(path) {
-            if !existing.contains("\"smoke\": true") && !existing.contains("\"smoke\":true") {
-                return Err(format!(
-                    "{path} holds full-run results; refusing to overwrite with --smoke \
-                     output (re-run with --force to override, or --out elsewhere)"
-                ));
-            }
-        }
-    }
-    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Pretty seconds.
@@ -336,30 +245,6 @@ mod tests {
         assert!(args.help);
         let args = BenchArgs::parse(&argv("--help"), &[], &[]).unwrap();
         assert!(args.help);
-    }
-
-    #[test]
-    fn smoke_artifact_guard() {
-        let dir = std::env::temp_dir().join(format!("rms-bench-guard-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        let path = path.to_str().unwrap();
-
-        // A fresh path accepts smoke output.
-        write_artifact(path, "{\"smoke\": true}\n", true, false).unwrap();
-        // Smoke-over-smoke is fine.
-        write_artifact(path, "{\"smoke\": true}\n", true, false).unwrap();
-        // A full run may overwrite anything.
-        write_artifact(path, "{\"smoke\": false}\n", false, false).unwrap();
-        // Smoke-over-full is refused ...
-        let err = write_artifact(path, "{\"smoke\": true}\n", true, false).unwrap_err();
-        assert!(err.contains("refusing"), "{err}");
-        assert!(std::fs::read_to_string(path).unwrap().contains("false"));
-        // ... unless forced.
-        write_artifact(path, "{\"smoke\": true}\n", true, true).unwrap();
-        assert!(std::fs::read_to_string(path).unwrap().contains("true"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

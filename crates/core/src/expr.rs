@@ -332,26 +332,6 @@ impl ExprForest {
             .map(Expr::node_count)
             .sum()
     }
-
-    /// Substitute every temporary by its definition, producing a
-    /// temporary-free forest (the inverse of CSE; used when re-optimizing).
-    pub fn inline_temps(&self) -> ExprForest {
-        let mut bodies: Vec<Expr> = Vec::with_capacity(self.temps.len());
-        for t in &self.temps {
-            let inlined = substitute_temps(t, &bodies);
-            bodies.push(inlined);
-        }
-        ExprForest {
-            temps: Vec::new(),
-            rhs: self
-                .rhs
-                .iter()
-                .map(|e| substitute_temps(e, &bodies))
-                .collect(),
-            n_species: self.n_species,
-            n_rates: self.n_rates,
-        }
-    }
 }
 
 /// Human-readable IR listing: one `tN = …` line per temporary followed by
@@ -365,28 +345,6 @@ impl fmt::Display for ExprForest {
             writeln!(f, "dy{i}/dt = {rhs}")?;
         }
         Ok(())
-    }
-}
-
-/// Replace `Temp(i)` references by `bodies[i]` (which must already be
-/// temp-free).
-fn substitute_temps(expr: &Expr, bodies: &[Expr]) -> Expr {
-    match expr {
-        Expr::Temp(t) => bodies[t.0 as usize].clone(),
-        Expr::Prod(c, factors) => Expr::prod(
-            c.0,
-            factors
-                .iter()
-                .map(|f| substitute_temps(f, bodies))
-                .collect(),
-        ),
-        Expr::Sum(children) => Expr::sum(
-            children
-                .iter()
-                .map(|c| substitute_temps(c, bodies))
-                .collect(),
-        ),
-        atom => atom.clone(),
     }
 }
 

@@ -116,13 +116,6 @@ pub struct CompileTiming {
     pub link_seconds: f64,
 }
 
-impl CompileTiming {
-    /// Longest single unit compile.
-    pub fn max_unit_seconds(&self) -> f64 {
-        self.unit_seconds.iter().copied().fold(0.0, f64::max)
-    }
-}
-
 /// Invoke the C compiler once, retrying without `-march=native` for
 /// compilers that reject it.
 ///

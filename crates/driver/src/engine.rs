@@ -83,7 +83,11 @@ impl fmt::Display for EngineMode {
 /// SIMD-batched exec engine wins (measured on the scaled vulcanization
 /// family before the emitter rerolled). A kernel whose tapes rerolled
 /// compresses the code stream by one to two orders of magnitude, so the
-/// crossover only applies when `rms_loop_count` is 0.
+/// crossover only applies when `rms_loop_count` is 0. The last
+/// native-against-exec table (Table 1 cases 1–5 at 1/24: 5.6× scalar and
+/// 3.9× batched exec at 258k instructions in 40 loops) is in
+/// EXPERIMENTS.md, "Codegen: one kernel emitter, one exec decode
+/// (PR 17)"; no benchmark workload runs the native engine.
 pub const NATIVE_CROSSOVER_INSTRS: usize = 32_768;
 
 /// Resolve [`EngineMode::Auto`] for a tape of `instrs` flat instructions

@@ -3,7 +3,7 @@
 //! tape.
 //!
 //! Every pipeline entry point in the workspace — `rms_suite`'s
-//! `compile_source`, the workload generators, the bench bins, the
+//! `compile_source`, the workload generators, `rms-serve`, the
 //! parallel estimator's model setup — routes through [`CompilerSession`];
 //! there is exactly one way to run the pipeline. Each stage consumes and
 //! produces typed artifacts, records wall time and artifact sizes into a

@@ -63,6 +63,27 @@ impl From<std::io::Error> for DataFileError {
     }
 }
 
+/// Why a `<t, value>` record cannot follow the ones already in a file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BadRecord {
+    /// The time is NaN, infinite or negative.
+    Time,
+    /// The value is NaN or infinite.
+    Value,
+    /// The time does not exceed the previous record's.
+    NotAscending,
+}
+
+impl std::fmt::Display for BadRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            BadRecord::Time => "time must be finite and non-negative",
+            BadRecord::Value => "value must be finite",
+            BadRecord::NotAscending => "times must be strictly ascending",
+        })
+    }
+}
+
 impl ExperimentFile {
     /// Number of records.
     pub fn len(&self) -> usize {
@@ -72,6 +93,26 @@ impl ExperimentFile {
     /// Whether the file has no records.
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
+    }
+
+    /// Append one record. The record rule lives here and nowhere else —
+    /// times finite, non-negative and strictly ascending, values finite —
+    /// so the text parser and inline (JSON) files cannot drift apart: a
+    /// NaN compares false to everything and would otherwise pass an
+    /// ordering check and reach the fit as a NaN residual.
+    pub fn push(&mut self, t: f64, v: f64) -> Result<(), BadRecord> {
+        if !t.is_finite() || t < 0.0 {
+            return Err(BadRecord::Time);
+        }
+        if !v.is_finite() {
+            return Err(BadRecord::Value);
+        }
+        if self.times.last().is_some_and(|&last| t <= last) {
+            return Err(BadRecord::NotAscending);
+        }
+        self.times.push(t);
+        self.values.push(v);
+        Ok(())
     }
 
     /// Parse the text format.
@@ -106,13 +147,13 @@ impl ExperimentFile {
                 line: i + 1,
                 message: format!("bad value '{v_str}'"),
             })?;
-            if let Some(&last) = file.times.last() {
-                if t <= last {
-                    return Err(DataFileError::NonMonotonicTime { line: i + 1 });
-                }
-            }
-            file.times.push(t);
-            file.values.push(v);
+            file.push(t, v).map_err(|bad| match bad {
+                BadRecord::NotAscending => DataFileError::NonMonotonicTime { line: i + 1 },
+                BadRecord::Time | BadRecord::Value => DataFileError::Parse {
+                    line: i + 1,
+                    message: format!("{bad}, found '{line}'"),
+                },
+            })?;
         }
         Ok(file)
     }
@@ -193,6 +234,16 @@ mod tests {
             ExperimentFile::parse("x", "abc 1\n"),
             Err(DataFileError::Parse { .. })
         ));
+        // `"nan".parse::<f64>()` succeeds, and NaN passes any ordering test.
+        for bad in ["nan 1.0", "inf 1.0", "-1 1.0", "0.5 nan"] {
+            assert!(
+                matches!(
+                    ExperimentFile::parse("x", &format!("0 1\n{bad}\n")),
+                    Err(DataFileError::Parse { line: 2, .. })
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

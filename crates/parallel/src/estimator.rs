@@ -485,11 +485,6 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
         }
     }
 
-    /// Number of data files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &EstimatorConfig {
         &self.config

@@ -110,11 +110,6 @@ impl FaultPlan {
         self.stall_files.insert(file, delay);
         self
     }
-
-    /// Number of files with scripted errors.
-    pub fn faulty_file_count(&self) -> usize {
-        self.file_faults.len()
-    }
 }
 
 /// A [`Simulator`] wrapper that injects the faults scripted in a

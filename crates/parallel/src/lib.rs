@@ -33,7 +33,7 @@ pub mod loadbalance;
 pub mod pool;
 
 pub use comm::{run_cluster, run_cluster_with, CommConfig, CommError, Communicator, RankPanic};
-pub use datafile::{DataFileError, ExperimentFile};
+pub use datafile::{BadRecord, DataFileError, ExperimentFile};
 pub use estimator::{
     EstimatorConfig, EstimatorError, FailurePolicy, FileFailure, HealthReport, ObjectiveOutput,
     ParallelEstimator, ResidualJacobianMode, RetryPolicy, Simulator,

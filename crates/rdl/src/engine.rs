@@ -28,7 +28,8 @@
 //! bucket hit. The `oracle` cargo feature adds `compile_with_oracle`,
 //! which can dedup on canonical SMILES strings instead and restore the
 //! full rescan-every-generation schedule — the pre-frontier engine, kept
-//! for differential tests and the frontend bench, not for products.
+//! for differential tests (`tests/frontend_determinism.rs`), not for
+//! products.
 
 use std::time::Instant;
 

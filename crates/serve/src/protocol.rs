@@ -14,6 +14,8 @@
 //! structured — a [`JobError`] kind plus a message — so clients can
 //! dispatch on failure class without parsing prose.
 
+use rms_parallel::ExperimentFile;
+
 use crate::json::{self, obj, Value};
 
 /// What a job asks the pipeline to do.
@@ -29,9 +31,11 @@ pub enum JobKind {
     /// against inline experiment files, returning the objective norm and
     /// the estimator's health report.
     Estimate {
-        /// Inline experiment files: `(label, times, values)`.
-        files: Vec<(String, Vec<f64>, Vec<f64>)>,
-        /// SPMD ranks for the objective evaluation.
+        /// Inline experiment files, every record admitted through
+        /// [`ExperimentFile::push`] — the rule data files on disk obey.
+        files: Vec<ExperimentFile>,
+        /// SPMD ranks requested for the objective evaluation; the
+        /// server runs at most one per file.
         workers: usize,
     },
 }
@@ -156,7 +160,15 @@ impl JobRequest {
                             "file {i}: 'times' and 'values' must be equal-length and non-empty"
                         )));
                     }
-                    files.push((label, times, values));
+                    let mut file = ExperimentFile {
+                        label,
+                        ..ExperimentFile::default()
+                    };
+                    for (k, (&t, &value)) in times.iter().zip(&values).enumerate() {
+                        file.push(t, value)
+                            .map_err(|bad| invalid(format!("file {i}, record {k}: {bad}")))?;
+                    }
+                    files.push(file);
                 }
                 let workers = v
                     .get("workers")
@@ -328,7 +340,8 @@ mod tests {
             JobKind::Estimate { files, workers } => {
                 assert_eq!(workers, 3);
                 assert_eq!(files.len(), 1);
-                assert_eq!(files[0].0, "a");
+                assert_eq!(files[0].label, "a");
+                assert_eq!(files[0].times, [0.1, 0.2]);
             }
             other => panic!("wrong kind: {other:?}"),
         }
@@ -344,6 +357,8 @@ mod tests {
             r#"{"id":"x","source":"s","times":[0.5],"deadline_ms":-3}"#,
             r#"{"id":"x","source":"s","kind":"teleport"}"#,
             r#"{"id":"x","source":"s","kind":"estimate","files":[]}"#,
+            r#"{"id":"x","source":"s","kind":"estimate","files":[{"times":[0.5,0.2],"values":[1,1]}]}"#,
+            r#"{"id":"x","source":"s","kind":"estimate","files":[{"times":[-0.1,0.2],"values":[1,1]}]}"#,
         ] {
             let err = JobRequest::parse(bad).unwrap_err();
             assert_eq!(err.kind(), "invalid", "{bad}");

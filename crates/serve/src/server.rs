@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 
 use rms_driver::{cache, CompilerSession, OptLevel, SessionOptions};
 use rms_parallel::{
-    EstimatorConfig, EstimatorError, ExperimentFile, FailurePolicy, FaultPlan, FaultySimulator,
-    ParallelEstimator, RetryPolicy, Simulator,
+    EstimatorConfig, EstimatorError, FailurePolicy, FaultPlan, FaultySimulator, ParallelEstimator,
+    RetryPolicy, Simulator,
 };
 use rms_solver::CancelToken;
 use rms_workload::TapeSimulator;
@@ -531,21 +531,18 @@ fn execute<S: Simulator>(
             Ok(Executed::Simulated { values, retries })
         }
         JobKind::Estimate { files, workers } => {
-            let files: Vec<ExperimentFile> = files
-                .iter()
-                .map(|(label, times, values)| ExperimentFile {
-                    label: label.clone(),
-                    times: times.clone(),
-                    values: values.clone(),
-                })
-                .collect();
             let config = EstimatorConfig {
                 dynamic_lb: true,
                 retry: inner.retry,
                 on_failure: FailurePolicy::Penalize,
                 ..EstimatorConfig::default()
             };
-            let estimator = ParallelEstimator::with_config(simulator, files, *workers, config);
+            // A rank beyond the file count gets an empty schedule and the
+            // result does not depend on the rank count, but every rank is
+            // an OS thread: `workers` is outside input, the file count is
+            // what it can usefully be.
+            let ranks = (*workers).min(files.len());
+            let estimator = ParallelEstimator::with_config(simulator, files.clone(), ranks, config);
             let out = estimator.objective(rates).map_err(|e| match e {
                 EstimatorError::RankPanic(p) => JobError::Panicked {
                     message: p.to_string(),

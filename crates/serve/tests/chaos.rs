@@ -293,26 +293,23 @@ fn graceful_drain_completes_every_admitted_job() {
 
 #[test]
 fn estimate_jobs_report_objective_and_health() {
-    let source = model("estimate");
+    let source = model("estimate").replace('\n', " ").replace('"', "\\\"");
+    // Two files each; `workers` and the first file's times vary.
+    let line = |id: &str, workers: u64, times: &str| {
+        format!(
+            r#"{{"id":"{id}","tenant":"acme","kind":"estimate","source":"{source}","workers":{workers},"files":[{{"label":"f0","times":{times},"values":[1.0,1.2]}},{{"label":"f1","times":[0.3,0.6],"values":[0.9,1.1]}}]}}"#
+        )
+    };
     let server = Server::start(ServerConfig::default());
     let (tx, rx) = channel();
-    let req = JobRequest {
-        id: "e0".to_string(),
-        tenant: "acme".to_string(),
-        source,
-        observe: Vec::new(),
-        kind: JobKind::Estimate {
-            files: vec![
-                ("f0".to_string(), vec![0.2, 0.5], vec![1.0, 1.2]),
-                ("f1".to_string(), vec![0.3, 0.6], vec![0.9, 1.1]),
-            ],
-            workers: 2,
-        },
-        deadline_ms: None,
-        level: "full".to_string(),
-    };
-    server.submit(req, tx).unwrap();
-    server.drain();
+    server.submit_line(&line("e0", 2, "[0.2,0.5]"), &tx);
+    // A rank is an OS thread: a million requested over two files must run
+    // as two, with the same result.
+    server.submit_line(&line("many", 1_000_000, "[0.2,0.5]"), &tx);
+    // Descending times never reach a worker (where `Penalize` would turn
+    // the solver's refusal into a successful result).
+    server.submit_line(&line("descending", 2, "[0.5,0.2]"), &tx);
+    let stats = server.drain();
 
     let evs = events(&rx);
     let ev = terminal(&evs, "e0");
@@ -323,6 +320,12 @@ fn estimate_jobs_report_objective_and_health() {
     let health = field(ev, "health");
     assert_eq!(health.get("healthy").and_then(Value::as_bool), Some(true));
     assert_eq!(health.get("file_failures").and_then(Value::as_u64), Some(0));
+
+    let many = terminal(&evs, "many");
+    assert_eq!(str_field(many, "event"), "result");
+    assert_eq!(field(many, "objective").as_f64(), Some(objective));
+    assert_eq!(error_kind(terminal(&evs, "descending")), "invalid");
+    assert_eq!(stats.admitted, 2);
 }
 
 #[test]

@@ -428,19 +428,6 @@ impl SymbolicLu {
     pub fn fill_nnz(&self) -> usize {
         self.l_idx.len() + self.u_idx.len()
     }
-
-    /// Bytes held by a numeric factorization over this structure
-    /// (indices + pointers + values + work vector) — the sparse
-    /// counterpart of the dense path's `n² × 8` iteration-matrix bytes.
-    pub fn factor_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let idx = (self.l_idx.len() + self.u_idx.len()) * size_of::<u32>();
-        let ptr = (self.l_ptr.len() + self.u_ptr.len()) * size_of::<usize>();
-        let perm = 2 * self.n * size_of::<u32>();
-        let vals = (self.l_idx.len() + self.u_idx.len()) * size_of::<f64>();
-        let work = 2 * self.n * size_of::<f64>();
-        idx + ptr + perm + vals + work
-    }
 }
 
 /// The numeric half of a sparse LU: values of L and U over a shared
@@ -764,18 +751,6 @@ impl SparseNewton {
         self.plan.fill_nnz()
     }
 
-    /// Peak bytes held for the iteration matrix + factors (the sparse
-    /// counterpart of the dense path's `n²` matrix plus its LU clone),
-    /// the plan's share included.
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let plan = &self.plan;
-        let iter = self.iter.nnz() * (size_of::<f64>() + size_of::<u32>())
-            + plan.iter.col_ptr.len() * size_of::<usize>();
-        let slots = (plan.jac_slots.len() + plan.diag_slots.len()) * size_of::<u32>();
-        iter + slots + plan.symbolic.factor_bytes()
-    }
-
     /// Assemble `I − scale·J` from a CSR Jacobian (values in row-major
     /// entry order, as analytic tapes emit) and refactor.
     pub fn factor_from_csr(&mut self, jac: &CsrMatrix, scale: f64) -> Result<(), LinalgError> {
@@ -1034,7 +1009,6 @@ mod tests {
             assert_eq!(a, b, "CSR and dense assembly must agree bitwise");
         }
         assert!(newton.fill_nnz() <= n * n);
-        assert!(newton.memory_bytes() > 0);
     }
 
     #[test]
@@ -1085,7 +1059,6 @@ mod tests {
                 kernel.factor_from_csr(&jac, scale).unwrap();
                 assert_eq!(kernel.iter, own.iter, "assembled values");
                 assert_eq!(kernel.fill_nnz(), own.fill_nnz());
-                assert_eq!(kernel.memory_bytes(), own.memory_bytes());
                 let mut x = b.clone();
                 kernel.solve_in_place(&mut x).unwrap();
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

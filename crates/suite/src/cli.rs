@@ -211,7 +211,7 @@ USAGE:
   rmsc estimate <model.rdl> --data DIR --observe A,B,... [--workers N]
                 [--collective-timeout SECS] [--max-retries N]
                 [--on-solver-failure penalize|abort]
-                [--jacobian analytic|fd-colored|fd-dense]   (default fd-colored)
+                [--jacobian analytic|fd-colored|fd-dense]   (default analytic)
                 [--residual-jacobian analytic|fd]           (default analytic)
                 [--fd-step REL]                             (default sqrt(solver rtol))
                 [--linear-solver dense|sparse|auto]         (default auto)
@@ -306,9 +306,11 @@ fn parse_level(args: &[String]) -> Result<OptLevel, CliError> {
     }
 }
 
-fn parse_jacobian(args: &[String], default: JacobianMode) -> Result<JacobianMode, CliError> {
+/// `--jacobian`, for `simulate` and `estimate` alike: the analytic tapes
+/// unless asked otherwise — what `rms-serve` and the benchmark run.
+fn parse_jacobian(args: &[String]) -> Result<JacobianMode, CliError> {
     match flag_value(args, "--jacobian") {
-        None => Ok(default),
+        None => Ok(JacobianMode::Analytic),
         Some(v) => v.parse().map_err(|e: String| usage_err(e)),
     }
 }
@@ -446,7 +448,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             tend: parse_num(args, "--tend", 1.0)?,
             steps: parse_num(args, "--steps", 10)?,
             observe: parse_observe(args),
-            jacobian: parse_jacobian(args, JacobianMode::Analytic)?,
+            jacobian: parse_jacobian(args)?,
             linear_solver: parse_linear_solver(args)?,
             engine: parse_engine(args)?,
             frontend_threads: parse_num(args, "--frontend-threads", 0)?,
@@ -536,7 +538,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 collective_timeout,
                 max_retries: parse_num(args, "--max-retries", 1)?,
                 on_failure,
-                jacobian: parse_jacobian(args, JacobianMode::FdColored)?,
+                jacobian: parse_jacobian(args)?,
                 residual_jacobian,
                 fd_step,
                 linear_solver: parse_linear_solver(args)?,
@@ -1340,7 +1342,7 @@ mod tests {
                 collective_timeout: Some(2.5),
                 max_retries: 4,
                 on_failure: FailurePolicy::Abort,
-                jacobian: JacobianMode::FdColored,
+                jacobian: JacobianMode::Analytic,
                 linear_solver: LinearSolver::Auto,
                 frontend_threads: 0,
                 cache_dir: None,
@@ -1348,7 +1350,7 @@ mod tests {
                 fd_step: None,
             }
         );
-        // Defaults: 2 workers, no deadline, 1 retry, penalize.
+        // Defaults: 2 workers, no deadline, 1 retry, penalize, analytic.
         let cmd = parse_args(&argv("estimate m.rdl --data d")).unwrap();
         assert_eq!(
             cmd,
@@ -1360,7 +1362,7 @@ mod tests {
                 collective_timeout: None,
                 max_retries: 1,
                 on_failure: FailurePolicy::Penalize,
-                jacobian: JacobianMode::FdColored,
+                jacobian: JacobianMode::Analytic,
                 linear_solver: LinearSolver::Auto,
                 frontend_threads: 0,
                 cache_dir: None,

@@ -117,7 +117,7 @@ fn interp_exec_and_native_trajectories_of_one_artifact_agree_exactly() {
     let _ = std::fs::remove_dir_all(&dir);
     // The exec engine's fused multiply-adds round once on FMA builds.
     let slack = if FMA_CONTRACTS { 1e-12 } else { 0.0 };
-    let (mut any_rolled, mut any_loop_free) = (false, false);
+    let mut any_loop_free = false;
     for family in [Family::RdlSource, Family::Network, Family::Quickstart] {
         for level in LEVELS {
             let artifact = compile_native(family, level, &dir);
@@ -128,9 +128,17 @@ fn interp_exec_and_native_trajectories_of_one_artifact_agree_exactly() {
                 )
             });
             // These compiles carry no derivative groups, so the counter
-            // describes the one scalar group the solves below run.
-            any_rolled |= kernel.loop_count() > 0;
-            any_loop_free |= kernel.loop_count() == 0;
+            // describes the one scalar group the solves below run. The
+            // two vulcanization families repeat reaction stanzas at every
+            // level, even at this toy scale: a kernel of theirs without
+            // loop regions means the emitter's loop side went away.
+            match family {
+                Family::RdlSource | Family::Network => assert!(
+                    kernel.loop_count() > 0,
+                    "{family:?}/{level}: reroll found no loops"
+                ),
+                Family::Quickstart => any_loop_free |= kernel.loop_count() == 0,
+            }
 
             // The interpreter walks the flat tape; the kernel replays it
             // through whatever loops the emitter found, compiled with
@@ -151,10 +159,6 @@ fn interp_exec_and_native_trajectories_of_one_artifact_agree_exactly() {
             );
         }
     }
-    assert!(
-        any_rolled,
-        "no workload/level combination rerolled — the loop side of the emitter went untested"
-    );
     assert!(
         any_loop_free,
         "every kernel had loops — the straight-statement side of the emitter went untested"
