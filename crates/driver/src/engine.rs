@@ -140,8 +140,9 @@ pub struct KernelChoice {
 
 /// The Jacobian sparsity patterns of one compiled model and what the
 /// solver derives from sparsity alone (the finite-difference coloring,
-/// the sparse-Newton plans), each built on first use and then shared by
-/// every solve over the artifact.
+/// the sparse-Newton plan of each pattern, which `LinearSolver::Auto`
+/// decides from), each built on first use and then shared by every solve
+/// over the artifact.
 #[derive(Debug)]
 pub struct Patterns {
     tape: Arc<Tape>,
@@ -149,14 +150,15 @@ pub struct Patterns {
     fd: OnceLock<ColoredPattern>,
     analytic: [OnceLock<SparsityPattern>; 2],
     /// `None` inside: the analysis refused the pattern (never, for the
-    /// square patterns a tape group has), and solves analyze themselves.
+    /// square patterns a tape group has); `Auto` solves then go dense.
     plans: [OnceLock<Option<Arc<NewtonPlan>>>; 2],
 }
 
 impl Patterns {
     /// The species each right-hand side reads, from a dataflow walk of
     /// the tape — the pattern colored finite differences perturb over —
-    /// with its coloring.
+    /// with its coloring; its plan lives beside the coloring
+    /// ([`ColoredPattern::plan`]).
     pub fn fd(&self) -> &ColoredPattern {
         self.fd.get_or_init(|| {
             ColoredPattern::new(SparsityPattern::new(
@@ -183,8 +185,9 @@ impl Patterns {
 
     /// The sparse-Newton analysis of `group`'s analytic pattern: kept
     /// from the *Deriv* stage of a cold compile, otherwise run by the
-    /// first sparse-path solve that asks (the others wait for it and
-    /// share the result). `None` when the group was not compiled.
+    /// first solve that asks — any whose linear solver is not `Dense` —
+    /// while the others wait for it and share the result. `None` when
+    /// the group was not compiled.
     pub fn plan(&self, group: DerivGroup) -> Option<Arc<NewtonPlan>> {
         let pattern = self.analytic(group)?;
         self.plans[group as usize]

@@ -552,14 +552,19 @@ impl CompilerSession {
                 let jac_pattern =
                     rms_solver::SparsityPattern::new(tapes.pattern_rows(), tapes.n_species);
                 let plan = rms_solver::NewtonPlan::analyze(&jac_pattern).ok();
+                let of_plan = |f: fn(&rms_solver::NewtonPlan) -> f64| plan.as_ref().map_or(0.0, f);
                 record = record
                     .metric("nnz", tapes.entries.len() as f64)
                     .metric("rhs_instrs", tapes.rhs.instrs.len() as f64)
                     .metric("jac_instrs", tapes.jac.instrs.len() as f64)
-                    .metric("iter_nnz", plan.as_ref().map_or(0, |p| p.iter_nnz()) as f64)
+                    .metric("iter_nnz", of_plan(|p| p.iter_nnz() as f64))
+                    .metric("lu_fill_nnz", of_plan(|p| p.fill_nnz() as f64))
+                    // What `LinearSolver::Auto` decides from, and its verdict.
+                    .metric("lu_factor_macs", of_plan(|p| p.factor_macs() as f64))
+                    .metric("dense_factor_macs", of_plan(|p| p.dense_factor_macs()))
                     .metric(
-                        "lu_fill_nnz",
-                        plan.as_ref().map_or(0, |p| p.fill_nnz()) as f64,
+                        "sparse_newton",
+                        of_plan(|p| f64::from(u8::from(p.prefers_sparse()))),
                     )
                     .metric("symbolic_seconds", clock.elapsed().as_secs_f64());
                 analyzed = plan.map(|plan| (jac_pattern, Arc::new(plan)));

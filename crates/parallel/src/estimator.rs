@@ -3,11 +3,14 @@
 //! The objective function distributes the experimental data files over
 //! the ranks (block distribution, or the previous call's LPT schedule
 //! when dynamic load balancing is on), solves the ODE system for each
-//! assigned file's time grid, accumulates `simulated − experimental`
-//! differences into a local error vector, and `MPI_Allreduce`-sums the
-//! local vectors into the global error vector every rank receives. The
-//! per-file solve times are reduced the same way and feed the next call's
-//! schedule.
+//! assigned file's time grid, writes its `simulated − experimental`
+//! differences into that file's slot of a local vector, and
+//! `MPI_Allreduce`-sums the local vectors; every rank then adds the file
+//! slots up, in file order, into the global error vector. A slot is
+//! written by one rank only, so the reduction adds exact zeros to it and
+//! the result is the same to the bit under any schedule and any rank
+//! count. The per-file solve times are reduced the same way and feed the
+//! next call's schedule.
 //!
 //! On top of the paper's design this estimator adds **graceful
 //! degradation**: generated ODE systems routinely hit stiffness
@@ -22,9 +25,8 @@
 //! poisoned-collective events) to its [`ObjectiveOutput`], and the
 //! estimator accumulates a cumulative report across the whole fit.
 //!
-//! When no failures occur, the error vectors are **bit-identical** to the
-//! non-hardened implementation: the fault handling is pure overhead-free
-//! control flow on the failure path.
+//! When no failures occur, the fault handling is pure overhead-free
+//! control flow: nothing on the success path knows it is there.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -405,6 +407,17 @@ impl From<CommError> for EstimatorError {
     }
 }
 
+/// Add up consecutive `len`-long per-file slots, in file order.
+fn sum_slots(slots: &[f64], len: usize) -> Vec<f64> {
+    let mut total = vec![0.0; len];
+    for slot in slots.chunks(len.max(1)) {
+        for (t, v) in total.iter_mut().zip(slot) {
+            *t += v;
+        }
+    }
+    total
+}
+
 /// One objective-function evaluation's outputs.
 #[derive(Debug, Clone)]
 pub struct ObjectiveOutput {
@@ -555,13 +568,18 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
         let per_rank = run_cluster_with(self.n_ranks, comm_config, |comm| {
             let rank_started = Instant::now();
             let my_tasks = &schedule[comm.rank()];
-            let mut error_vector = vec![0.0; self.max_records];
+            // One slot per file, written by the one rank the file is
+            // scheduled on: the reduction adds exact zeros to it, and the
+            // slots are summed in file order afterwards, so no bit of the
+            // result depends on the schedule or the rank count.
+            let mut slots = vec![0.0; n_files * self.max_records];
             let mut local_time = vec![0.0; n_files];
             let mut failures: Vec<FileFailure> = Vec::new();
             let mut retries = 0;
             let mut recovered = 0;
             for &file_idx in my_tasks {
                 let file = &self.files[file_idx];
+                let error_vector = &mut slots[file_idx * self.max_records..][..self.max_records];
                 let t0 = Instant::now();
                 let (attempts, outcome) =
                     self.simulate_with_retry(rate_constants, file_idx, &mut retries);
@@ -599,7 +617,7 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
             // All ranks participate in the reductions even on failure, so
             // the collective stays synchronized; a panicked peer poisons
             // these reduces instead of deadlocking us.
-            let global_error = comm.all_reduce_sum(&error_vector)?;
+            let global_error = sum_slots(&comm.all_reduce_sum(&slots)?, self.max_records);
             let global_time = comm.all_reduce_sum(&local_time)?;
             Ok::<RankOutput, CommError>(RankOutput {
                 global_error,
@@ -676,10 +694,10 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
     /// [`objective`](ParallelEstimator::objective): build the residual
     /// Jacobian `∂(error_vector)/∂p` from each file's forward
     /// sensitivities. Each rank runs one sensitivity-augmented solve per
-    /// assigned file, accumulates `∂(simulated − experimental)_r/∂p_k`
-    /// into a local row-major `max_records × n_params` matrix, and the
-    /// local matrices are `MPI_Allreduce`-summed exactly like the error
-    /// vectors. A file that exhausts its retries aborts under
+    /// assigned file and writes `∂(simulated − experimental)_r/∂p_k` into
+    /// that file's row-major `max_records × n_params` slot; the slots are
+    /// `MPI_Allreduce`-summed and then added up in file order, exactly
+    /// like the error vectors. A file that exhausts its retries aborts under
     /// [`FailurePolicy::Abort`]; under [`FailurePolicy::Penalize`] it
     /// contributes zeros — the exact derivative of its constant penalty
     /// residual.
@@ -691,7 +709,8 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
         };
         let per_rank = run_cluster_with(self.n_ranks, comm_config, |comm| {
             let my_tasks = &schedule[comm.rank()];
-            let mut jac = vec![0.0; self.max_records * n_params];
+            let slot_len = self.max_records * n_params;
+            let mut slots = vec![0.0; self.files.len() * slot_len];
             let mut failures: Vec<FileFailure> = Vec::new();
             let mut retries = 0;
             for &file_idx in my_tasks {
@@ -717,6 +736,7 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
                 };
                 match outcome {
                     Ok((_values, sens)) => {
+                        let jac = &mut slots[file_idx * slot_len..][..slot_len];
                         for (r, row) in sens.iter().take(file.len()).enumerate() {
                             for (k, dv) in row.iter().take(n_params).enumerate() {
                                 jac[r * n_params + k] += dv;
@@ -734,7 +754,7 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
                     }
                 }
             }
-            let global = comm.all_reduce_sum(&jac)?;
+            let global = sum_slots(&comm.all_reduce_sum(&slots)?, slot_len);
             Ok::<(Vec<f64>, Vec<FileFailure>, usize), CommError>((global, failures, retries))
         });
 

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use crate::coloring::{fd_jacobian_colored_into, ColoredPattern, SparsityPattern};
 use crate::jacobian::{fd_jacobian_into, AnalyticJacobian, FdWorkspace};
-use crate::linalg::{CsrMatrix, Lu, Matrix};
+use crate::linalg::{CsrMatrix, LinalgError, Lu, Matrix};
 use crate::problem::{
     error_norm, CancelToken, LinearSolver, OdeRhs, SensitivityRhs, SolveStats, SolverError,
     SolverOptions,
@@ -109,6 +109,17 @@ enum JacSource<'a> {
     Dense,
 }
 
+impl JacSource<'_> {
+    /// The sparsity the source knows its Jacobian to have, if any.
+    fn pattern(&self) -> Option<&SparsityPattern> {
+        match self {
+            JacSource::Analytic(provider) => Some(provider.pattern()),
+            JacSource::Colored(colored) => Some(&colored.pattern),
+            JacSource::Dense => None,
+        }
+    }
+}
+
 /// The cached Jacobian, in whichever storage its source produces.
 enum JacStore {
     Dense(Matrix),
@@ -125,11 +136,6 @@ enum Factor {
     Dense(Lu),
     Sparse(SparseNewton),
 }
-
-/// `Auto` picks the sparse path only for systems at least this large …
-const AUTO_MIN_DIM: usize = 64;
-/// … whose iteration matrix is at most this dense (nnz/n²).
-const AUTO_MAX_DENSITY: f64 = 0.10;
 
 /// Reusable buffers for the step loop. Everything the corrector touches
 /// per iteration lives here, so Newton iterations (and whole solves, once
@@ -200,8 +206,12 @@ pub struct Bdf<'a, R: OdeRhs> {
     /// (rather than at some earlier accepted point)?
     jac_current: bool,
     /// Does the configured [`LinearSolver`] resolve to the sparse path
-    /// for `source`? Decided when the source is set.
+    /// for `source`? Decided when the source is set; `Auto` goes back on
+    /// it, for the rest of the solve, if a diagonal pivot comes out zero.
     sparse: bool,
+    /// The analysis the sparse path factors under: the pattern owner's,
+    /// asked for once when the source is set, or this solve's own.
+    plan: Option<Arc<NewtonPlan>>,
     /// All-columns pattern synthesized when the sparse path is forced on
     /// a dense-FD Jacobian source (built once).
     full_pattern: Option<SparsityPattern>,
@@ -223,7 +233,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
     /// Initialize at `(t0, y0)`.
     pub fn new(rhs: &'a R, t0: f64, y0: &[f64], options: SolverOptions) -> Bdf<'a, R> {
         assert_eq!(y0.len(), rhs.dim(), "y0 length must equal system dimension");
-        Bdf {
+        let mut solver = Bdf {
             rhs,
             options,
             t: t0,
@@ -237,7 +247,8 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             factor_age: 0,
             growth_hold: 0,
             jac_current: false,
-            sparse: want_sparse(&options, y0.len(), &JacSource::Dense),
+            sparse: false,
+            plan: None,
             full_pattern: None,
             jac: None,
             source: JacSource::Dense,
@@ -245,7 +256,9 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             stats: SolveStats::default(),
             scratch: Scratch::default(),
             cancel: None,
-        }
+        };
+        solver.decide_linear_solver();
+        solver
     }
 
     /// Attach a [`CancelToken`]; once it fires, `integrate_to` returns
@@ -275,7 +288,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             JacobianSource::FdColoredShared(colored) => JacSource::Colored(Cow::Borrowed(colored)),
             JacobianSource::FdDense => JacSource::Dense,
         };
-        self.sparse = want_sparse(&self.options, self.rhs.dim(), &self.source);
+        self.decide_linear_solver();
         self.jac = None;
         // The sparsity may have changed with the source: drop the sparse
         // kernel (and its symbolic analysis) along with the numeric factor.
@@ -610,7 +623,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                 // Reuse the sparse store (the pattern never changes for a
                 // given source); build it on first refresh only.
                 if !matches!(self.jac, Some(JacStore::Sparse(_))) {
-                    let csr = match self.offered_plan() {
+                    let csr = match &self.plan {
                         Some(plan) => plan.jacobian_store(),
                         None => {
                             let pattern = provider.pattern();
@@ -640,6 +653,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                     pattern,
                     colors,
                     n_colors,
+                    ..
                 } = &**colored;
                 let jac = dense_store(&mut self.jac, pattern.n_rows(), n);
                 let jac_fevals = fd_jacobian_colored_into(
@@ -660,29 +674,58 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         self.jac_current = true;
     }
 
-    /// The shared analysis the Jacobian provider offers, asked for only
-    /// on the sparse path (an owner may build it on first request).
-    fn offered_plan(&self) -> Option<Arc<NewtonPlan>> {
-        match &self.source {
-            JacSource::Analytic(provider) if self.sparse => provider.plan(),
-            _ => None,
-        }
+    /// Resolve the configured [`LinearSolver`] for the source just set.
+    /// Anything but `Dense` asks the pattern's owner for its analysis,
+    /// once. `Auto` decides from the plan ([`NewtonPlan::prefers_sparse`])
+    /// and so analyzes here when the owner keeps none; it goes dense when
+    /// the fill is not worth it, when the analysis refuses the pattern and
+    /// when there is no pattern to analyze (dense finite differences).
+    fn decide_linear_solver(&mut self) {
+        let solver = self.options.linear_solver;
+        self.plan = match &self.source {
+            _ if solver == LinearSolver::Dense => None,
+            JacSource::Analytic(provider) => provider.plan(),
+            JacSource::Colored(Cow::Borrowed(colored)) => colored.plan(),
+            JacSource::Colored(Cow::Owned(_)) | JacSource::Dense => None,
+        };
+        self.sparse = match solver {
+            LinearSolver::Dense => false,
+            LinearSolver::Sparse => true,
+            LinearSolver::Auto => {
+                if let (None, Some(pattern)) = (&self.plan, self.source.pattern()) {
+                    self.plan = analyze_here(pattern, &mut self.stats).ok();
+                }
+                self.plan.as_ref().is_some_and(|plan| plan.prefers_sparse())
+            }
+        };
     }
 
     fn build_lu(&mut self, beta: f64) -> Result<(), SolverError> {
         let scale = self.h * beta;
-        if self.sparse {
-            self.build_sparse(scale)?;
+        let built = if self.sparse {
+            match self.build_sparse(scale) {
+                // The sparse kernel pivots on the diagonal only, the dense
+                // LU partially: a zero pivot there need not be one here.
+                // `Auto` chose the kernel, so `Auto` takes it back.
+                Err(LinalgError::Singular(_))
+                    if self.options.linear_solver == LinearSolver::Auto =>
+                {
+                    self.sparse = false;
+                    self.build_dense(scale)
+                }
+                other => other,
+            }
         } else {
-            self.build_dense(scale)?;
-        }
+            self.build_dense(scale)
+        };
+        built.map_err(|_| SolverError::SingularIterationMatrix { t: self.t })?;
         self.stats.factorizations += 1;
         self.gamma_built = Some(scale);
         self.factor_age = 0;
         Ok(())
     }
 
-    fn build_dense(&mut self, scale: f64) -> Result<(), SolverError> {
+    fn build_dense(&mut self, scale: f64) -> Result<(), LinalgError> {
         let m = match self.jac.as_ref().expect("jacobian refreshed") {
             JacStore::Dense(jac) => {
                 let n = jac.rows();
@@ -699,22 +742,18 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             JacStore::Sparse(csr) => csr.assemble_iteration_matrix(scale),
         };
         let n = m.rows();
-        let lu = Lu::factor(&m).map_err(|_| SolverError::SingularIterationMatrix { t: self.t })?;
-        self.factor = Factor::Dense(lu);
+        self.factor = Factor::Dense(Lu::factor(&m)?);
         self.stats.fill_nnz = n * n;
         Ok(())
     }
 
     /// Refactor `I − scale·J` on the sparse path, creating the persistent
-    /// kernel (minimum-degree ordering + symbolic analysis) on first use.
-    fn build_sparse(&mut self, scale: f64) -> Result<(), SolverError> {
-        let t = self.t;
-        let singular = |_| SolverError::SingularIterationMatrix { t };
+    /// kernel over the plan on first use.
+    fn build_sparse(&mut self, scale: f64) -> Result<(), LinalgError> {
         // The pattern the Jacobian store is gathered through.
-        let pattern: &SparsityPattern = match &self.source {
-            JacSource::Analytic(provider) => provider.pattern(),
-            JacSource::Colored(colored) => &colored.pattern,
-            JacSource::Dense => {
+        let pattern: &SparsityPattern = match self.source.pattern() {
+            Some(pattern) => pattern,
+            None => {
                 // Forced sparse on a dense-FD source: treat every entry as
                 // structural. No fill advantage, but uniform semantics.
                 let n = self.rhs.dim();
@@ -727,24 +766,20 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             }
         };
         if !matches!(self.factor, Factor::Sparse(_)) {
-            let kernel = match self.offered_plan() {
-                Some(plan) => SparseNewton::from_plan(plan),
-                None => {
-                    self.stats.symbolic_analyses += 1;
-                    SparseNewton::new(pattern).map_err(singular)?
-                }
+            let plan = match &self.plan {
+                Some(plan) => plan.clone(),
+                // Explicit `Sparse` over a pattern nobody keeps a plan for.
+                None => analyze_here(pattern, &mut self.stats)?,
             };
-            self.factor = Factor::Sparse(kernel);
+            self.factor = Factor::Sparse(SparseNewton::from_plan(plan));
         }
         let kernel = match &mut self.factor {
             Factor::Sparse(kernel) => kernel,
             _ => unreachable!("just stored"),
         };
         match self.jac.as_ref().expect("jacobian refreshed") {
-            JacStore::Sparse(csr) => kernel.factor_from_csr(csr, scale).map_err(singular)?,
-            JacStore::Dense(jac) => kernel
-                .factor_from_dense(jac, pattern, scale)
-                .map_err(singular)?,
+            JacStore::Sparse(csr) => kernel.factor_from_csr(csr, scale)?,
+            JacStore::Dense(jac) => kernel.factor_from_dense(jac, pattern, scale)?,
         }
         self.stats.fill_nnz = kernel.fill_nnz();
         Ok(())
@@ -1034,24 +1069,13 @@ fn column_norm(err: &[f64], y: &[f64], n: usize, p: usize, k: usize, rtol: f64, 
     (sum / n.max(1) as f64).sqrt()
 }
 
-/// Does `options.linear_solver` resolve to the sparse path for `source`
-/// on an `n`-dimensional system? `Auto` requires a known sparsity (the
-/// dense-FD source has none worth exploiting) that is big and sparse
-/// enough to beat dense LU.
-fn want_sparse(options: &SolverOptions, n: usize, source: &JacSource) -> bool {
-    match options.linear_solver {
-        LinearSolver::Dense => false,
-        LinearSolver::Sparse => true,
-        LinearSolver::Auto => {
-            let jac_nnz = match source {
-                JacSource::Analytic(provider) => provider.pattern().nnz(),
-                JacSource::Colored(colored) => colored.pattern.nnz(),
-                JacSource::Dense => return false,
-            };
-            // The iteration matrix adds at most the n diagonal slots.
-            n >= AUTO_MIN_DIM && (jac_nnz + n) as f64 <= AUTO_MAX_DENSITY * (n as f64) * (n as f64)
-        }
-    }
+/// Analyze `pattern` for this solve alone, counted in `stats`.
+fn analyze_here(
+    pattern: &SparsityPattern,
+    stats: &mut SolveStats,
+) -> Result<Arc<NewtonPlan>, LinalgError> {
+    stats.symbolic_analyses += 1;
+    NewtonPlan::analyze(pattern).map(Arc::new)
 }
 
 /// The dense Jacobian store, reused across refreshes (reallocated only if
@@ -1384,38 +1408,43 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sparse_jacobian_matches_dense_solution_with_fewer_fevals() {
-        use crate::coloring::SparsityPattern;
-        // Stiff tridiagonal chain.
-        let n = 40;
-        let rhs = FnRhs::new(n, move |_t, y: &[f64], ydot: &mut [f64]| {
+    /// Stiff lower-bidiagonal chain, started with all mass on species 0.
+    fn chain_rhs(n: usize) -> FnRhs<impl Fn(f64, &[f64], &mut [f64])> {
+        FnRhs::new(n, move |_t, y: &[f64], ydot: &mut [f64]| {
             ydot[0] = -1e3 * y[0];
             for i in 1..y.len() {
                 ydot[i] = 1e3 * y[i - 1] - (1.0 + i as f64) * y[i];
             }
-        });
-        let y0: Vec<f64> = std::iter::once(1.0)
-            .chain(std::iter::repeat(0.0))
-            .take(n)
+        })
+    }
+
+    fn chain_start(n: usize) -> Vec<f64> {
+        let mut y0 = vec![0.0; n];
+        y0[0] = 1.0;
+        y0
+    }
+
+    /// The chain's Jacobian sparsity.
+    fn chain_pattern(n: usize) -> SparsityPattern {
+        let rows = (0..n as u32)
+            .map(|i| if i == 0 { vec![0] } else { vec![i - 1, i] })
             .collect();
+        SparsityPattern::new(rows, n)
+    }
+
+    #[test]
+    fn sparse_jacobian_matches_dense_solution_with_fewer_fevals() {
+        let n = 40;
+        let (rhs, y0, pattern) = (chain_rhs(n), chain_start(n), chain_pattern(n));
+        // One linear solver throughout: this compares Jacobian sources.
         let options = SolverOptions {
             max_steps: 100_000,
+            linear_solver: LinearSolver::Dense,
             ..SolverOptions::default()
         };
         let mut dense = Bdf::new(&rhs, 0.0, &y0, options);
         dense.integrate_to(1.0).unwrap();
         let mut sparse = Bdf::new(&rhs, 0.0, &y0, options);
-        let rows = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    vec![0u32]
-                } else {
-                    vec![i as u32 - 1, i as u32]
-                }
-            })
-            .collect();
-        let pattern = SparsityPattern::new(rows, n);
         sparse.set_sparsity(pattern.clone());
         sparse.integrate_to(1.0).unwrap();
         // A coloring the caller keeps is the one the solver would make.
@@ -1425,6 +1454,7 @@ mod tests {
         shared.integrate_to(1.0).unwrap();
         assert_eq!(shared.y(), sparse.y());
         assert_eq!(shared.stats(), sparse.stats());
+        assert!(colored.built_plan().is_none(), "Dense never plans");
         for (a, b) in dense.y().iter().zip(sparse.y()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -1439,9 +1469,140 @@ mod tests {
     }
 
     #[test]
+    fn auto_decides_from_the_plan_beside_the_coloring() {
+        // The chain refactors in 39 multiply-adds (the divisions of a
+        // bidiagonal L) against 40³/3 densely: `Auto` takes it sparse, on
+        // the solve's own analysis and on the pattern owner's alike.
+        let n = 40;
+        let (rhs, y0, pattern) = (chain_rhs(n), chain_start(n), chain_pattern(n));
+        let options = SolverOptions {
+            max_steps: 100_000,
+            ..SolverOptions::default()
+        };
+        assert_eq!(options.linear_solver, LinearSolver::Auto);
+        let mut owned = Bdf::new(&rhs, 0.0, &y0, options);
+        owned.set_sparsity(pattern.clone());
+        owned.integrate_to(1.0).unwrap();
+        assert_eq!(owned.stats().symbolic_analyses, 1);
+        assert_eq!(owned.stats().fill_nnz, 2 * n - 1);
+
+        let colored = ColoredPattern::new(pattern);
+        assert!(colored.built_plan().is_none());
+        let mut shared = Bdf::new(&rhs, 0.0, &y0, options);
+        shared.set_jacobian_source(JacobianSource::FdColoredShared(&colored));
+        shared.integrate_to(1.0).unwrap();
+        assert_eq!(colored.built_plan().unwrap().factor_macs(), 39);
+        assert_eq!(shared.y(), owned.y());
+        assert_eq!(
+            shared.stats(),
+            SolveStats {
+                symbolic_analyses: 0,
+                ..owned.stats()
+            }
+        );
+
+        // A source with no sparsity has nothing to plan from.
+        let mut fd_dense = Bdf::new(&rhs, 0.0, &y0, options);
+        fd_dense.integrate_to(1.0).unwrap();
+        assert_eq!(fd_dense.stats().symbolic_analyses, 0);
+        assert_eq!(fd_dense.stats().fill_nnz, n * n);
+    }
+
+    /// `y' = Jy` whose first iteration matrix has a zero leading pivot
+    /// without being singular: species 0 and 1 couple through
+    /// `[[2, 1], [1, 0]]`, so at `γ = h_init·β₁ = ½` their block of
+    /// `I − γJ` is `[[0, −½], [−½, 1]]`. The other species decay on their
+    /// own; they are there so that `Auto` has a reason to go sparse (the
+    /// bare 2×2 is two multiply-adds either way and stays dense).
+    struct ZeroPivot {
+        pattern: SparsityPattern,
+    }
+
+    impl ZeroPivot {
+        const N: usize = 10;
+
+        fn new() -> ZeroPivot {
+            let rows = (0..ZeroPivot::N as u32)
+                .map(|i| if i < 2 { vec![0, 1] } else { vec![i] })
+                .collect();
+            ZeroPivot {
+                pattern: SparsityPattern::new(rows, ZeroPivot::N),
+            }
+        }
+
+        fn rhs() -> FnRhs<impl Fn(f64, &[f64], &mut [f64])> {
+            FnRhs::new(ZeroPivot::N, |_t, y: &[f64], ydot: &mut [f64]| {
+                ydot[0] = 2.0 * y[0] + y[1];
+                ydot[1] = y[0];
+                for i in 2..y.len() {
+                    ydot[i] = -y[i];
+                }
+            })
+        }
+
+        fn solve(
+            &self,
+            linear_solver: LinearSolver,
+        ) -> Result<(Vec<f64>, SolveStats), SolverError> {
+            let options = SolverOptions {
+                h_init: Some(0.5),
+                linear_solver,
+                ..SolverOptions::default()
+            };
+            let y0 = vec![1.0; ZeroPivot::N];
+            let source = JacobianSource::AnalyticTape(self);
+            solve_bdf_with_jacobian(&ZeroPivot::rhs(), 0.0, &y0, &[1.0], options, source)
+                .map(|(mut states, stats)| (states.remove(0), stats))
+        }
+    }
+
+    impl AnalyticJacobian for ZeroPivot {
+        fn pattern(&self) -> &SparsityPattern {
+            &self.pattern
+        }
+
+        fn eval_values(&self, _t: f64, _y: &[f64], vals: &mut [f64]) {
+            vals[..4].copy_from_slice(&[2.0, 1.0, 1.0, 0.0]);
+            vals[4..].fill(-1.0);
+        }
+    }
+
+    #[test]
+    fn auto_falls_back_to_dense_on_a_zero_diagonal_pivot() {
+        let system = ZeroPivot::new();
+        let n = ZeroPivot::N;
+        // Diagonal pivoting cannot factor the first matrix ...
+        assert_eq!(
+            system.solve(LinearSolver::Sparse).unwrap_err(),
+            SolverError::SingularIterationMatrix { t: 0.0 }
+        );
+        // ... partial pivoting can, and `Auto`, having planned the sparse
+        // path, factors that matrix densely and stays dense.
+        let (dense, dense_stats) = system.solve(LinearSolver::Dense).unwrap();
+        let plan = NewtonPlan::analyze(&system.pattern).unwrap();
+        assert!(plan.prefers_sparse(), "{} macs", plan.factor_macs());
+        let (auto, auto_stats) = system.solve(LinearSolver::Auto).unwrap();
+        assert_eq!(auto, dense);
+        assert_eq!(auto_stats.symbolic_analyses, 1);
+        assert_eq!(auto_stats.fill_nnz, n * n);
+        assert_eq!(
+            dense_stats,
+            SolveStats {
+                symbolic_analyses: 0,
+                ..auto_stats
+            }
+        );
+        // The coupled pair grows along e^{(1+√2)t}; the rest decay.
+        assert!(
+            auto[0] > 5.0 && (auto[2] - (-1.0f64).exp()).abs() < 1e-4,
+            "{auto:?}"
+        );
+    }
+
+    #[test]
     fn analytic_jacobian_matches_fd_with_fewer_fevals() {
-        // Same stiff tridiagonal chain, but with the exact Jacobian
-        // supplied through the AnalyticTape source.
+        // The same stiff chain, but with the exact Jacobian supplied
+        // through the AnalyticTape source.
         struct ChainJac {
             pattern: SparsityPattern,
         }
@@ -1462,31 +1623,13 @@ mod tests {
             }
         }
         let n = 40;
-        let rhs = FnRhs::new(n, move |_t, y: &[f64], ydot: &mut [f64]| {
-            ydot[0] = -1e3 * y[0];
-            for i in 1..y.len() {
-                ydot[i] = 1e3 * y[i - 1] - (1.0 + i as f64) * y[i];
-            }
-        });
-        let y0: Vec<f64> = std::iter::once(1.0)
-            .chain(std::iter::repeat(0.0))
-            .take(n)
-            .collect();
+        let (rhs, y0) = (chain_rhs(n), chain_start(n));
         let options = SolverOptions {
             max_steps: 100_000,
             ..SolverOptions::default()
         };
-        let rows: Vec<Vec<u32>> = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    vec![0u32]
-                } else {
-                    vec![i as u32 - 1, i as u32]
-                }
-            })
-            .collect();
         let provider = ChainJac {
-            pattern: SparsityPattern::new(rows, n),
+            pattern: chain_pattern(n),
         };
         let times = [1.0];
         let (fd, fd_stats) = solve_bdf(&rhs, 0.0, &y0, &times, options).unwrap();

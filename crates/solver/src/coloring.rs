@@ -8,9 +8,12 @@
 //! to the number of colors — typically a small constant for reaction
 //! networks.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::jacobian::{fd_step, FdWorkspace};
 use crate::linalg::Matrix;
 use crate::problem::OdeRhs;
+use crate::sparse::NewtonPlan;
 
 /// The Jacobian sparsity pattern: `rows[i]` lists the columns (species)
 /// with possibly-nonzero entries in row `i`, sorted ascending.
@@ -92,9 +95,11 @@ impl SparsityPattern {
     }
 }
 
-/// A sparsity pattern with its column coloring: what colored finite
-/// differences need besides the RHS. Colored once by whoever owns the
-/// pattern and shared with every solve over it
+/// A sparsity pattern with what the solver derives from it alone: the
+/// column coloring colored finite differences perturb by, and the
+/// sparse-Newton analysis of `I − γJ` over it. Colored once by whoever
+/// owns the pattern, analyzed on first request, and shared with every
+/// solve over it
 /// ([`JacobianSource::FdColoredShared`](crate::JacobianSource::FdColoredShared)).
 #[derive(Debug, Clone)]
 pub struct ColoredPattern {
@@ -104,6 +109,8 @@ pub struct ColoredPattern {
     pub colors: Vec<u32>,
     /// Number of colors (= RHS evaluations per Jacobian).
     pub n_colors: usize,
+    /// `None` inside: the analysis refused the pattern (it is not square).
+    plan: OnceLock<Option<Arc<NewtonPlan>>>,
 }
 
 impl ColoredPattern {
@@ -114,7 +121,21 @@ impl ColoredPattern {
             pattern,
             colors,
             n_colors,
+            plan: OnceLock::new(),
         }
+    }
+
+    /// The sparse-Newton analysis of the pattern, run by the first solve
+    /// that asks (the others wait for it and share the result).
+    pub fn plan(&self) -> Option<Arc<NewtonPlan>> {
+        self.plan
+            .get_or_init(|| NewtonPlan::analyze(&self.pattern).ok().map(Arc::new))
+            .clone()
+    }
+
+    /// The plan if one exists already; never runs the analysis.
+    pub fn built_plan(&self) -> Option<&Arc<NewtonPlan>> {
+        self.plan.get()?.as_ref()
     }
 }
 

@@ -35,8 +35,10 @@ pub trait AnalyticJacobian {
 
     /// The sparse-Newton analysis of [`pattern`](AnalyticJacobian::pattern),
     /// when the provider's owner keeps one to share between solves. Asked
-    /// for only on the sparse path; with `None` (the default) the solver
-    /// analyzes the pattern itself, once per solve.
+    /// for once per solve unless the linear solver is
+    /// [`Dense`](crate::LinearSolver::Dense) — `Auto` decides from it;
+    /// with `None` (the default) the solver analyzes the pattern itself,
+    /// once per solve.
     fn plan(&self) -> Option<Arc<NewtonPlan>> {
         None
     }

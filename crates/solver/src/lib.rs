@@ -44,4 +44,5 @@ pub use problem::{
 pub use rk45::{solve_rk45, Rk45};
 pub use sparse::{
     iteration_matrix_pattern, CscMatrix, NewtonPlan, SparseLu, SparseNewton, SymbolicLu,
+    SPARSE_COST_PER_MAC,
 };

@@ -131,9 +131,15 @@ pub enum LinearSolver {
     /// the static sparsity, numeric refactorizations touch only
     /// nnz(L+U) entries.
     Sparse,
-    /// Pick sparse when a sparsity pattern is available and the
-    /// iteration matrix is large and sparse enough to win
-    /// (`n ≥ 64` and density ≤ 10%); dense otherwise.
+    /// Decide from the symbolic factorization of the Jacobian source's
+    /// sparsity: sparse when one refactorization over its fill costs
+    /// fewer multiply-adds, weighted by the measured
+    /// [`SPARSE_COST_PER_MAC`](crate::SPARSE_COST_PER_MAC), than the
+    /// `n³/3` of a dense LU
+    /// ([`NewtonPlan::prefers_sparse`](crate::NewtonPlan::prefers_sparse));
+    /// dense otherwise, and for a source with no sparsity (dense finite
+    /// differences). Should a diagonal pivot of the sparse kernel come
+    /// out zero, the rest of the solve factors densely.
     #[default]
     Auto,
 }
@@ -227,8 +233,10 @@ pub struct SolveStats {
     /// zero before the first factorization. A gauge, not a counter.
     pub fill_nnz: usize,
     /// Sparse-Newton analyses (ordering + symbolic fill) this solve ran
-    /// itself: 1 on the sparse path unless its Jacobian provider offered
-    /// a shared [`NewtonPlan`](crate::NewtonPlan), 0 otherwise.
+    /// itself: 0 when the pattern's owner shared its
+    /// [`NewtonPlan`](crate::NewtonPlan), under [`LinearSolver::Dense`],
+    /// and under [`LinearSolver::Auto`] on dense finite differences; 1
+    /// otherwise.
     pub symbolic_analyses: usize,
 }
 

@@ -321,6 +321,8 @@ pub struct SymbolicLu {
     l_idx: Vec<u32>,
     u_ptr: Vec<usize>,
     u_idx: Vec<u32>,
+    /// [`factor_macs`](SymbolicLu::factor_macs), counted once here.
+    factor_macs: u64,
 }
 
 impl SymbolicLu {
@@ -407,6 +409,16 @@ impl SymbolicLu {
             }
             lowers.clear();
         }
+        // One left-looking refactorization over this fill: column j takes
+        // an axpy over L(:,k) for every strictly-upper entry k of U(:,j)
+        // (the diagonal is stored last), then divides L(:,j) by the pivot.
+        let l_len = |k: usize| (l_ptr[k + 1] - l_ptr[k]) as u64;
+        let factor_macs = (0..n)
+            .map(|j| {
+                let uppers = &u_idx[u_ptr[j]..u_ptr[j + 1] - 1];
+                uppers.iter().map(|&k| l_len(k as usize)).sum::<u64>() + l_len(j)
+            })
+            .sum();
         Ok(SymbolicLu {
             n,
             perm,
@@ -415,6 +427,7 @@ impl SymbolicLu {
             l_idx,
             u_ptr,
             u_idx,
+            factor_macs,
         })
     }
 
@@ -423,10 +436,23 @@ impl SymbolicLu {
         self.n
     }
 
+    /// The elimination order: entry `k` is the original index pivoted on
+    /// at step `k`.
+    pub fn order(&self) -> &[u32] {
+        &self.perm
+    }
+
     /// Structural nonzeros of `L + U` (fill-in included; the unit
     /// diagonal of L is not stored and not counted).
     pub fn fill_nnz(&self) -> usize {
         self.l_idx.len() + self.u_idx.len()
+    }
+
+    /// Multiply-adds of one numeric refactorization over this structure:
+    /// `Σ_j (Σ_{k ∈ U(:,j), k < j} |L(:,k)| + |L(:,j)|)`, the pivot
+    /// divisions counted as one each. `≈ n³/3` when the fill is complete.
+    pub fn factor_macs(&self) -> u64 {
+        self.factor_macs
     }
 }
 
@@ -645,6 +671,15 @@ fn in_factor_column(_s: &SymbolicLu, _jp: usize, _ip: usize) -> bool {
     true
 }
 
+/// Per-multiply-add cost of [`SparseLu::refactor`] relative to the dense
+/// [`Lu::factor`](crate::linalg::Lu::factor): the sparse kernel scatters
+/// through index arrays where the dense one streams rows. Measured, not
+/// derived: `cargo test --release -p rms-solver -- --ignored calibrate
+/// --nocapture` prints ns/MAC of both kernels on the repository's models
+/// and their ratio (EXPERIMENTS.md, "PR 20", has the recorded run). The
+/// one constant behind [`NewtonPlan::prefers_sparse`].
+pub const SPARSE_COST_PER_MAC: f64 = 3.8;
+
 /// Everything about factoring `I − γJ` that depends only on the
 /// Jacobian's sparsity: the iteration matrix's CSC structure, the scatter
 /// maps into it, the CSR structure of the Jacobian store and the symbolic
@@ -705,6 +740,24 @@ impl NewtonPlan {
     /// nnz(L+U) of a factorization under this plan.
     pub fn fill_nnz(&self) -> usize {
         self.symbolic.fill_nnz()
+    }
+
+    /// Multiply-adds of one numeric refactorization under this plan
+    /// ([`SymbolicLu::factor_macs`]).
+    pub fn factor_macs(&self) -> u64 {
+        self.symbolic.factor_macs()
+    }
+
+    /// Multiply-adds of the dense LU of the same matrix, `n³/3`.
+    pub fn dense_factor_macs(&self) -> f64 {
+        (self.symbolic.n as f64).powi(3) / 3.0
+    }
+
+    /// What [`LinearSolver::Auto`](crate::LinearSolver::Auto) decides
+    /// from: does refactoring over this plan's fill cost less than a dense
+    /// LU, at [`SPARSE_COST_PER_MAC`] dense multiply-adds per sparse one?
+    pub fn prefers_sparse(&self) -> bool {
+        SPARSE_COST_PER_MAC * (self.factor_macs() as f64) < self.dense_factor_macs()
     }
 
     /// A zero-valued Jacobian store over the analyzed pattern, for

@@ -1,7 +1,9 @@
 //! Property tests: the fill-reducing sparse LU agrees with the dense
 //! LU baseline on random sparse systems across the density range the
-//! auto heuristic spans (1–50% occupancy), and the two paths agree on
-//! singularity.
+//! auto decision spans (1–50% occupancy), the two paths agree on
+//! singularity, and the multiply-add count that decision reads off the
+//! symbolic factorization is the count of a dense elimination's
+//! structurally nonzero operations.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -52,8 +54,52 @@ fn dense_solve(rows: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     Ok(x)
 }
 
+/// Multiply-adds of a right-looking dense elimination of `rows` along
+/// `order`, counting only operations on structural nonzeros (fill
+/// included): one division per entry below each pivot, one update per
+/// (below-pivot, right-of-pivot) pair.
+fn brute_force_macs(rows: &[Vec<f64>], order: &[u32]) -> u64 {
+    let n = rows.len();
+    let mut nz: Vec<Vec<bool>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| i == j || rows[order[i] as usize][order[j] as usize] != 0.0)
+                .collect()
+        })
+        .collect();
+    let mut macs = 0;
+    for k in 0..n {
+        let (pivot_rows, below) = nz.split_at_mut(k + 1);
+        let right: Vec<usize> = (k + 1..n).filter(|&j| pivot_rows[k][j]).collect();
+        for row in below.iter_mut().filter(|row| row[k]) {
+            macs += 1 + right.len() as u64;
+            for &j in &right {
+                row[j] = true;
+            }
+        }
+    }
+    macs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `factor_macs` is a walk over the fill's index arrays; it must count
+    /// what an elimination in the same order actually performs.
+    #[test]
+    fn factor_macs_counts_the_structural_operations(
+        (n, density, seed) in (1usize..40, 0.01f64..0.50, 0u64..u64::MAX),
+    ) {
+        let rows = random_system(n, density, seed);
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let pattern = CscMatrix::from_dense(&Matrix::from_rows(&refs)).pattern();
+        let symbolic = SymbolicLu::analyze(&pattern).expect("square pattern");
+        prop_assert_eq!(
+            symbolic.factor_macs(),
+            brute_force_macs(&rows, symbolic.order()),
+            "n={}, density={:.2}", n, density
+        );
+    }
 
     /// Sparse and dense solutions agree to 1e-12 relative across the
     /// 1–50% density range.

@@ -266,8 +266,12 @@ I − hβJ: 'dense' is LU with partial pivoting; 'sparse' is a
 fill-reducing (minimum-degree) sparse LU whose ordering and symbolic
 analysis are computed once per compiled model from its Jacobian
 sparsity and shared by every solve over it (compile-report shows the
-cost as the Deriv stage's symbolic_seconds); 'auto' picks sparse when
-the system is large and sparse enough to win (n ≥ 64, density ≤ 10%).
+cost as the Deriv stage's symbolic_seconds); 'auto' decides from that
+analysis: sparse when one refactorization over its fill costs fewer
+multiply-adds than the n³/3 of a dense LU (compile-report shows both
+counts and the verdict as lu_factor_macs, dense_factor_macs and
+sparse_newton), falling back to dense for the rest of a solve whose
+sparse factorization meets a zero pivot on the diagonal.
 
 The --engine modes: 'exec' pre-decodes the tape into the fused
 execution engine (operands resolved to frame indices, FMA
@@ -1284,10 +1288,18 @@ mod tests {
         assert!(out.contains("\"stages\""), "{out}");
         assert!(out.contains("\"stage\":\"parse\""), "{out}");
         assert!(out.contains("\"counts\""), "{out}");
-        // The Deriv stage says what the sparse-Newton analysis found and cost.
+        // The Deriv stage says what the sparse-Newton analysis found and
+        // cost, and which way `--linear-solver auto` will go on it.
         assert!(out.contains("\"stage\":\"deriv\""), "{out}");
-        assert!(out.contains("\"lu_fill_nnz\""), "{out}");
-        assert!(out.contains("\"symbolic_seconds\""), "{out}");
+        for metric in [
+            "lu_fill_nnz",
+            "lu_factor_macs",
+            "dense_factor_macs",
+            "sparse_newton",
+            "symbolic_seconds",
+        ] {
+            assert!(out.contains(&format!("\"{metric}\"")), "{metric}: {out}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -70,7 +70,7 @@ pub use rms_solver::{
     fd_jacobian, fd_jacobian_colored, fd_step, solve_adams, solve_bdf, solve_bdf_sensitivities,
     solve_bdf_with_jacobian, solve_rk45, AnalyticJacobian, Bdf, CsrMatrix, FnRhs, JacobianSource,
     LinearSolver, NewtonPlan, OdeRhs, SensitivityRhs, SolveStats, SolverOptions, SparseLu,
-    SparseNewton, SparsityPattern, SymbolicLu,
+    SparseNewton, SparsityPattern, SymbolicLu, SPARSE_COST_PER_MAC,
 };
 pub use rms_workload as workload;
 pub use rms_workload::{BoundKernel, JacobianMode, TapeSimulator};

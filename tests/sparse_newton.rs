@@ -4,15 +4,17 @@
 //! sources, the factorization actually is sparse (nnz(L+U) ≪ n²), and
 //! the analysis behind it runs once per compiled model: every solve over
 //! an artifact shares the artifact's `NewtonPlan`, bit for bit the one a
-//! solve would have analyzed for itself.
+//! solve would have analyzed for itself — and that plan's multiply-add
+//! count is what `LinearSolver::Auto` chooses dense or sparse from.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 use rms_suite::{
     cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
-    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, DerivGroup, EngineMode,
-    JacobianMode, JacobianSource, LinearSolver, OptLevel, SessionOptions, Simulator, SolveStats,
-    SolverOptions, SparsityPattern, Stage, SuiteModel, TapeSimulator,
+    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, DerivGroup, EngineMode, FnRhs,
+    JacobianMode, JacobianSource, LinearSolver, NewtonPlan, OptLevel, SessionOptions, Simulator,
+    SolveStats, SolverOptions, SparsityPattern, Stage, SuiteModel, TapeSimulator,
+    SPARSE_COST_PER_MAC,
 };
 use rms_workload::{scaled_case, VulcanizationModel, VULCANIZATION_RDL};
 
@@ -128,6 +130,51 @@ fn sparse_matches_dense_on_rdl_workload() {
     assert_solvers_agree(&compiled, "VULCANIZATION_RDL", 1e-10, 1e-13);
 }
 
+/// The 157-species model the `rdl_fit` benchmark fits
+/// (benchmark/src/inputs.rs::vulcanization_source(16)), compiled as that
+/// workload compiles it: both derivative groups, cold.
+fn rdl_fit_model() -> SuiteModel {
+    let source = VULCANIZATION_RDL
+        .replace("for n in 2..5", "for n in 2..16")
+        .replace("forbid chain S > 5", "forbid chain S > 16")
+        .replace("limit atoms 24", "limit atoms 84")
+        .replace("limit species 400", "limit species 1280");
+    let model = SuiteModel::from_artifact(
+        private_session()
+            .compile_source("<rdl_fit>", &source)
+            .expect("scaled RDL model compiles")
+            .artifact,
+    );
+    assert_eq!(model.system.len(), 157);
+    model
+}
+
+/// The model `Auto` used to factor densely on a density guess: its sparse
+/// and dense trajectories agree like the others', and so do its
+/// sensitivity-augmented ones.
+#[test]
+fn sparse_matches_dense_on_rdl_fit_model() {
+    let model = rdl_fit_model();
+    // Sixteen sulfur ranks: the step size underflows below rtol 1e-9.
+    assert_solvers_agree(&model, "rdl_fit", 1e-9, 1e-12);
+
+    let augmented = |linear_solver| {
+        let mut sim = TapeSimulator::from_artifact(model.artifact(), vec![1.0; model.system.len()]);
+        sim.options = tight(linear_solver, 1e-9, 1e-12);
+        sim.simulate_with_sensitivities(&model.system.rate_values, 0, &TIMES)
+            .unwrap_or_else(|e| panic!("{linear_solver}: augmented solve failed: {e}"))
+    };
+    let (dense_values, dense_sens) = augmented(LinearSolver::Dense);
+    let (sparse_values, sparse_sens) = augmented(LinearSolver::Sparse);
+    let diff = rel_diff(&[dense_values], &[sparse_values]);
+    assert!(diff <= 1e-12, "observable deviates by {diff:.3e}");
+    // The bound `bdf::tests::sensitivity_with_sparse_factorization` holds
+    // its sparse-path sensitivities to.
+    let diff = rel_diff(&dense_sens, &sparse_sens);
+    assert!(diff <= 1e-5, "sensitivities deviate by {diff:.3e}");
+    assert!(sparse_sens.iter().flatten().any(|v| v.abs() > 1e-6));
+}
+
 /// On a scale-25 Table 1 case the factorization the solver reports is
 /// genuinely sparse: nnz(L+U) stays far below the n² a dense LU carries,
 /// and the run actually factors through the sparse kernel.
@@ -196,11 +243,19 @@ fn private_session() -> CompilerSession {
     CompilerSession::with_options(options)
 }
 
+/// The in-memory artifact cache is process-wide: whoever clears it, or
+/// counts on a hit in it, holds this meanwhile.
+fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
+    static CACHE_LOCK: Mutex<()> = Mutex::new(());
+    CACHE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// `model` as a later process meets it: compiled into a cache directory,
 /// dropped from memory and revived from disk — no plan on it until a
 /// sparse-path solve asks. `tag` keeps the directory (and so the test)
 /// to itself; callers pass models no other test in this binary compiles.
 fn revived(tag: &str, model: VulcanizationModel) -> Arc<CompiledArtifact> {
+    let _cache = cache_lock();
     let dir = std::env::temp_dir().join(format!("rms-plan-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut options = SessionOptions::new(OptLevel::Full);
@@ -249,31 +304,66 @@ fn bits(rows: &[Vec<f64>]) -> Vec<u64> {
     rows.iter().flatten().map(|v| v.to_bits()).collect()
 }
 
+/// One solve over `group` as `TapeSimulator` makes it — plain for the
+/// Jacobian group, sensitivity-augmented for the other: the bits of
+/// everything it returned, and its counters.
+fn solve_with(
+    artifact: &CompiledArtifact,
+    bound: &BoundKernel<'_>,
+    source: JacobianSource<'_>,
+    options: SolverOptions,
+    group: DerivGroup,
+) -> (Vec<u64>, SolveStats) {
+    let y0 = &artifact.system.initial;
+    match group {
+        DerivGroup::Jacobian => {
+            let (states, stats) = solve_bdf_with_jacobian(bound, 0.0, y0, &TIMES, options, source)
+                .expect("plain solve");
+            (bits(&states), stats)
+        }
+        DerivGroup::Sensitivity => {
+            let (states, sens, stats) =
+                solve_bdf_sensitivities(bound, bound, 0.0, y0, &TIMES, options, source)
+                    .expect("augmented solve");
+            (bits(&[states, sens].concat()), stats)
+        }
+    }
+}
+
 /// One sparse-path solve of `group` through `jacobian` (the bound kernel
-/// itself, or [`OwnAnalysis`] of it): the bits of everything it returned,
-/// and its counters.
+/// itself, or [`OwnAnalysis`] of it).
 fn solve_group(
     artifact: &CompiledArtifact,
     bound: &BoundKernel<'_>,
     jacobian: &dyn AnalyticJacobian,
     group: DerivGroup,
 ) -> (Vec<u64>, SolveStats) {
-    let y0 = &artifact.system.initial;
     let source = JacobianSource::AnalyticTape(jacobian);
-    match group {
-        DerivGroup::Jacobian => {
-            let (states, stats) =
-                solve_bdf_with_jacobian(bound, 0.0, y0, &TIMES, sparse_options(), source)
-                    .expect("plain solve");
-            (bits(&states), stats)
-        }
-        DerivGroup::Sensitivity => {
-            let (states, sens, stats) =
-                solve_bdf_sensitivities(bound, bound, 0.0, y0, &TIMES, sparse_options(), source)
-                    .expect("augmented solve");
-            (bits(&[states, sens].concat()), stats)
-        }
-    }
+    solve_with(artifact, bound, source, sparse_options(), group)
+}
+
+/// The counters of a solve over `group` with the Jacobian source `mode`
+/// selects, at the simulator's tolerances.
+fn solve_stats(
+    artifact: &CompiledArtifact,
+    group: DerivGroup,
+    mode: JacobianMode,
+    linear_solver: LinearSolver,
+) -> SolveStats {
+    let choice = artifact.kernel(EngineMode::Exec);
+    let bound = BoundKernel::new(&choice, &artifact.system.rate_values, group);
+    let options = SolverOptions {
+        linear_solver,
+        ..SolverOptions::default()
+    };
+    solve_with(
+        artifact,
+        &bound,
+        bound.jacobian_source(mode),
+        options,
+        group,
+    )
+    .1
 }
 
 /// The shared plan is the analysis a solve would have run: plain and
@@ -422,10 +512,11 @@ fn tightened_stage_reuses_the_primary_stages_plan() {
     assert_eq!(outcomes, [false, true]);
 }
 
-/// The dense path never asks for a plan: not under `LinearSolver::Dense`
-/// on a model `Auto` would factor sparsely, and not under `Auto` on the
-/// 157-species RDL model the `rdl_fit` benchmark fits (19 % dense, above
-/// the 10 % cut-off), plain or sensitivity-augmented.
+/// `LinearSolver::Dense` never asks for a plan, not even on a model `Auto`
+/// factors sparsely. `Auto` always does, and on the 157-species model of
+/// the `rdl_fit` benchmark — 19 % dense, which a density rule would send
+/// to dense LU — the plan says sparse: 79,833 multiply-adds over a fill
+/// of 5,549 against 157³/3, plain or sensitivity-augmented.
 #[test]
 fn dense_solves_never_build_a_plan() {
     let no_plan = |artifact: &CompiledArtifact, label: &str| {
@@ -449,26 +540,165 @@ fn dense_solves_never_build_a_plan() {
     let patterns = artifact.kernel(EngineMode::Exec).patterns;
     assert!(patterns.built_plan(DerivGroup::Jacobian).is_some());
 
-    // benchmark/src/inputs.rs::vulcanization_source(16).
-    let source = VULCANIZATION_RDL
-        .replace("for n in 2..5", "for n in 2..16")
-        .replace("forbid chain S > 5", "forbid chain S > 16")
-        .replace("limit atoms 24", "limit atoms 84")
-        .replace("limit species 400", "limit species 1280");
-    let mut options = SessionOptions::new(OptLevel::Full);
-    options.sensitivity = true;
-    options.cache = CacheMode::Bypass;
-    let artifact = CompilerSession::with_options(options)
-        .compile_source("<rdl_fit>", &source)
-        .expect("scaled RDL model compiles")
-        .artifact;
-    let n = artifact.system.len();
-    assert_eq!(n, 157);
-    let sim = TapeSimulator::from_artifact(&artifact, vec![1.0; n]);
+    let model = rdl_fit_model();
+    let artifact = model.artifact();
+    let patterns = artifact.kernel(EngineMode::Exec).patterns;
+    // The Deriv stage of the cold compile planned the Jacobian group.
+    let kept = patterns.built_plan(DerivGroup::Jacobian).unwrap().clone();
+    assert!(patterns.built_plan(DerivGroup::Sensitivity).is_none());
+    let sim = TapeSimulator::from_artifact(artifact, vec![1.0; artifact.system.len()]);
     assert_eq!(sim.linear_solver(), LinearSolver::Auto);
     let rates = &artifact.system.rate_values;
     sim.simulate(rates, 0, &TIMES).expect("auto solve");
     sim.simulate_with_sensitivities(rates, 0, &TIMES)
         .expect("auto augmented solve");
-    no_plan(&artifact, "Auto at 19 % density");
+    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
+        let plan = patterns.built_plan(group).expect("Auto plans").clone();
+        assert_eq!((plan.fill_nnz(), plan.factor_macs()), (5_549, 79_833));
+        for _ in 0..2 {
+            let stats = solve_stats(artifact, group, JacobianMode::Analytic, LinearSolver::Auto);
+            assert_eq!(stats.fill_nnz, 5_549, "{group:?}");
+            assert_eq!(stats.symbolic_analyses, 0, "{group:?}");
+        }
+        // Planned once: later solves found the plan the first one left.
+        assert!(Arc::ptr_eq(patterns.built_plan(group).unwrap(), &plan));
+    }
+    assert!(Arc::ptr_eq(
+        patterns.built_plan(DerivGroup::Jacobian).unwrap(),
+        &kept
+    ));
+}
+
+/// No solve over an artifact analyzes for itself, whichever way the
+/// linear solver is chosen or chooses, whatever the artifact's history:
+/// the plans belong to the artifact's patterns (one per derivative group,
+/// one beside the finite-difference coloring).
+#[test]
+fn artifact_backed_solves_never_analyze() {
+    let model = scaled_case(2, 125);
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.deriv = true;
+    options.sensitivity = true;
+    let session = CompilerSession::with_options(options);
+    let (cold, hit) = {
+        let _cache = cache_lock();
+        let compile = || {
+            session
+                .compile_network("never-analyze", model.network.clone(), model.rates.clone())
+                .expect("workload models always compile")
+        };
+        let (cold, hit) = (compile(), compile());
+        assert_eq!(hit.status, CacheStatus::Memory);
+        (cold.artifact, hit.artifact)
+    };
+    let revived = revived("never-analyze", scaled_case(2, 150));
+    for (label, artifact) in [("cold", &cold), ("memory hit", &hit), ("revived", &revived)] {
+        for solver in [
+            LinearSolver::Dense,
+            LinearSolver::Auto,
+            LinearSolver::Sparse,
+        ] {
+            for (group, mode) in [
+                (DerivGroup::Jacobian, JacobianMode::Analytic),
+                (DerivGroup::Jacobian, JacobianMode::FdColored),
+                (DerivGroup::Sensitivity, JacobianMode::Analytic),
+            ] {
+                let stats = solve_stats(artifact, group, mode, solver);
+                assert!(stats.factorizations > 0);
+                assert_eq!(
+                    stats.symbolic_analyses, 0,
+                    "{label}/{solver}/{group:?}/{mode}"
+                );
+            }
+            if solver == LinearSolver::Dense && label == "revived" {
+                let patterns = artifact.kernel(EngineMode::Exec).patterns;
+                assert!(patterns.built_plan(DerivGroup::Jacobian).is_none());
+                assert!(patterns.built_plan(DerivGroup::Sensitivity).is_none());
+                assert!(patterns.fd().built_plan().is_none());
+            }
+        }
+    }
+}
+
+/// `Auto` reads its decision off the plan: sparse when one refactorization
+/// over the fill costs fewer multiply-adds (at `SPARSE_COST_PER_MAC` dense
+/// ones each) than the n³/3 of a dense LU. Every model here that costs
+/// time is far from the crossover — the verdict is the same at half and
+/// at twice the constant — and the solver does what the plan says.
+#[test]
+fn auto_decides_from_the_plans_multiply_adds() {
+    let jacobian_plan = |model: &SuiteModel| {
+        let patterns = model.kernel(EngineMode::Exec).patterns;
+        let plan = patterns.plan(DerivGroup::Jacobian).expect("Deriv ran");
+        let stats = solve_stats(
+            model.artifact(),
+            DerivGroup::Jacobian,
+            JacobianMode::Analytic,
+            LinearSolver::Auto,
+        );
+        (plan, stats.fill_nnz)
+    };
+    let rdl = SuiteModel::from_artifact(
+        deriv_session()
+            .compile_source("<rdl>", VULCANIZATION_RDL)
+            .expect("bundled RDL model compiles")
+            .artifact,
+    );
+    assert_eq!(rdl.system.len(), 47);
+
+    // A fully coupled system: the fill is n² whatever the order.
+    let n = 64;
+    let coupled = SparsityPattern::new(vec![(0..n as u32).collect(); n], n);
+    let coupled_plan = Arc::new(NewtonPlan::analyze(&coupled).unwrap());
+    assert_eq!(coupled_plan.fill_nnz(), n * n);
+    assert_eq!(
+        coupled_plan.factor_macs() as usize,
+        (n - 1) * n * (n + 1) / 3
+    );
+    let mixing = FnRhs::new(n, |_t, y: &[f64], ydot: &mut [f64]| {
+        let mean = y.iter().sum::<f64>() / y.len() as f64;
+        for (d, v) in ydot.iter_mut().zip(y) {
+            *d = mean - v;
+        }
+    });
+    let y0: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let (_, coupled_stats) = solve_bdf_with_jacobian(
+        &mixing,
+        0.0,
+        &y0,
+        &[1.0],
+        SolverOptions::default(),
+        JacobianSource::FdColored(coupled),
+    )
+    .expect("coupled solve");
+
+    let table = [
+        ("vulcanization.rdl", jacobian_plan(&rdl), true),
+        ("rdl_fit", jacobian_plan(&rdl_fit_model()), true),
+        (
+            "scaled_case(2, 40)",
+            jacobian_plan(&compile_network(scaled_case(2, 40))),
+            true,
+        ),
+        (
+            "fully coupled",
+            (coupled_plan, coupled_stats.fill_nnz),
+            false,
+        ),
+    ];
+    for (label, (plan, solved_fill), sparse) in table {
+        assert_eq!(plan.prefers_sparse(), sparse, "{label}");
+        let (macs, dense) = (plan.factor_macs() as f64, plan.dense_factor_macs());
+        for scale in [0.5, 2.0] {
+            assert_eq!(
+                scale * SPARSE_COST_PER_MAC * macs < dense,
+                sparse,
+                "{label}: {macs} sparse against {dense} dense multiply-adds \
+                 is on a knife edge at {scale} x the constant"
+            );
+        }
+        let n = (3.0 * dense).cbrt().round() as usize;
+        let expected_fill = if sparse { plan.fill_nnz() } else { n * n };
+        assert_eq!(solved_fill, expected_fill, "{label}: the solver's path");
+    }
 }
