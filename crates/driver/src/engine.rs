@@ -140,18 +140,37 @@ pub struct KernelChoice {
 
 /// The Jacobian sparsity patterns of one compiled model and what the
 /// solver derives from sparsity alone (the finite-difference coloring,
-/// the sparse-Newton plan of each pattern, which `LinearSolver::Auto`
-/// decides from), each built on first use and then shared by every solve
-/// over the artifact.
+/// the sparse-Newton plan of the analytic pattern, which
+/// `LinearSolver::Auto` decides from), each built on first use and then
+/// shared by every solve over the artifact.
 #[derive(Debug)]
 pub struct Patterns {
     tape: Arc<Tape>,
     derivs: DerivTapes,
     fd: OnceLock<ColoredPattern>,
     analytic: [OnceLock<SparsityPattern>; 2],
+    /// Both groups were compiled and list the same Jacobian entries (they
+    /// differentiate one forest): the first pattern and plan slot serves
+    /// both.
+    shared: bool,
+    /// The elimination order a disk entry carried for the plan in
+    /// [`ordered_slot`](Patterns::ordered_slot).
+    stored_order: Option<Vec<u32>>,
     /// `None` inside: the analysis refused the pattern (never, for the
     /// square patterns a tape group has); `Auto` solves then go dense.
     plans: [OnceLock<Option<Arc<NewtonPlan>>>; 2],
+}
+
+/// What an artifact knows of its sparse-Newton plan when its kernels are
+/// put together.
+pub(crate) enum Planned {
+    /// Nothing: the first solve that asks analyzes.
+    No,
+    /// The *Deriv* stage of a cold compile analyzed the Jacobian group.
+    Analyzed(SparsityPattern, Arc<NewtonPlan>),
+    /// The disk entry carried the elimination order; the plan is the
+    /// symbolic fill under it.
+    Order(Vec<u32>),
 }
 
 impl Patterns {
@@ -171,11 +190,13 @@ impl Patterns {
     /// The exact pattern of `group`'s analytic Jacobian; `None` when the
     /// group was not compiled.
     pub fn analytic(&self, group: DerivGroup) -> Option<&SparsityPattern> {
-        let slot = &self.analytic[group as usize];
+        let at = self.slot(group);
+        let slot = &self.analytic[at];
         if slot.get().is_none() {
-            let rows = match group {
-                DerivGroup::Jacobian => self.derivs.jacobian.as_ref()?.pattern_rows(),
-                DerivGroup::Sensitivity => self.derivs.sensitivity.as_ref()?.pattern_rows(),
+            let rows = if at == DerivGroup::Jacobian as usize {
+                self.derivs.jacobian.as_ref()?.pattern_rows()
+            } else {
+                self.derivs.sensitivity.as_ref()?.pattern_rows()
             };
             // A racing thread built the same pattern; either copy serves.
             let _ = slot.set(SparsityPattern::new(rows, self.tape.n_species));
@@ -183,21 +204,58 @@ impl Patterns {
         slot.get()
     }
 
+    /// Where `group`'s pattern and plan are kept: one slot for both groups
+    /// when their patterns are the same, so a model solved plain and
+    /// augmented is analyzed once.
+    fn slot(&self, group: DerivGroup) -> usize {
+        if self.shared {
+            0
+        } else {
+            group as usize
+        }
+    }
+
+    /// The slot an entry's stored order belongs to: the Jacobian group's
+    /// when it was compiled (the one the *Deriv* stage analyzes), else the
+    /// sensitivity group's.
+    fn ordered_slot(&self) -> usize {
+        usize::from(self.derivs.jacobian.is_none())
+    }
+
     /// The sparse-Newton analysis of `group`'s analytic pattern: kept
-    /// from the *Deriv* stage of a cold compile, otherwise run by the
+    /// from the *Deriv* stage of a cold compile, or the symbolic fill
+    /// under the order a revived entry carried, otherwise run by the
     /// first solve that asks — any whose linear solver is not `Dense` —
     /// while the others wait for it and share the result. `None` when
     /// the group was not compiled.
     pub fn plan(&self, group: DerivGroup) -> Option<Arc<NewtonPlan>> {
         let pattern = self.analytic(group)?;
-        self.plans[group as usize]
-            .get_or_init(|| NewtonPlan::analyze(pattern).ok().map(Arc::new))
+        let slot = self.slot(group);
+        self.plans[slot]
+            .get_or_init(|| {
+                let stored = self.stored_order.as_deref();
+                stored
+                    .filter(|_| slot == self.ordered_slot())
+                    .and_then(|order| NewtonPlan::with_order(pattern, order).ok())
+                    .or_else(|| NewtonPlan::analyze(pattern).ok())
+                    .map(Arc::new)
+            })
             .clone()
     }
 
     /// `group`'s plan if one exists already; never runs the analysis.
     pub fn built_plan(&self, group: DerivGroup) -> Option<&Arc<NewtonPlan>> {
-        self.plans[group as usize].get()?.as_ref()
+        self.plans[self.slot(group)].get()?.as_ref()
+    }
+
+    /// The elimination order a disk entry of this artifact carries: the
+    /// built plan's, or the one it was revived with while no solve has
+    /// asked for the plan yet.
+    pub(crate) fn order(&self) -> Option<&[u32]> {
+        match self.plans[self.ordered_slot()].get() {
+            Some(plan) => plan.as_deref().map(NewtonPlan::order),
+            None => self.stored_order.as_deref(),
+        }
     }
 }
 
@@ -218,25 +276,35 @@ impl Kernels {
         jacobian: &Option<Arc<JacobianTapes>>,
         sensitivity: &Option<Arc<SensitivityTapes>>,
         native: &Option<Arc<NativeKernel>>,
-        analyzed: Option<(SparsityPattern, Arc<NewtonPlan>)>,
+        planned: Planned,
     ) -> Kernels {
         let derivs = DerivTapes {
             jacobian: jacobian.clone(),
             sensitivity: sensitivity.clone(),
         };
-        let patterns = Patterns {
+        let shared = match (jacobian, sensitivity) {
+            (Some(j), Some(s)) => j.entries == s.jac_entries,
+            _ => false,
+        };
+        let mut patterns = Patterns {
             tape: tape.clone(),
             derivs: derivs.clone(),
             fd: OnceLock::new(),
             analytic: Default::default(),
+            shared,
+            stored_order: None,
             plans: Default::default(),
         };
-        // What the Deriv stage analyzed is the Jacobian group's; the locks
-        // are fresh, so both `set`s succeed.
-        if let Some((pattern, plan)) = analyzed {
-            let at = DerivGroup::Jacobian as usize;
-            let _ = patterns.analytic[at].set(pattern);
-            let _ = patterns.plans[at].set(Some(plan));
+        match planned {
+            Planned::No => {}
+            // The Jacobian group's; the locks are fresh, so both `set`s
+            // succeed.
+            Planned::Analyzed(pattern, plan) => {
+                let at = DerivGroup::Jacobian as usize;
+                let _ = patterns.analytic[at].set(pattern);
+                let _ = patterns.plans[at].set(Some(plan));
+            }
+            Planned::Order(order) => patterns.stored_order = Some(order),
         }
         Kernels {
             interp: Arc::new(TapeKernel::new(tape.clone(), derivs.clone())),
@@ -246,6 +314,11 @@ impl Kernels {
                 .map(|k| Arc::new(TapeKernel::new(k.clone(), derivs.clone())) as Arc<dyn Kernel>),
             patterns: Arc::new(patterns),
         }
+    }
+
+    /// The artifact's patterns and what is planned over them.
+    pub(crate) fn patterns(&self) -> &Patterns {
+        &self.patterns
     }
 }
 

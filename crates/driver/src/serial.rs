@@ -5,30 +5,42 @@
 //! parse problem, version skew, or key mismatch is treated as a miss and
 //! the model recompiles cold.
 //!
-//! What is stored: network topology (names/initials/reactions — molecule
-//! structures are intentionally dropped), the rate table, the optimized
-//! forest + tape + stage counts, the optional Jacobian tapes, and the
-//! pipeline report. The ODE system is *not* stored — it regenerates
-//! deterministically from network + rates, and the optional exec tape
-//! re-decodes from the stored tape.
+//! An entry holds what a solve over the artifact needs, so that reviving
+//! it derives nothing: network topology (names/initials/reactions —
+//! molecule structures are intentionally dropped), the rate table, the
+//! optimized forest + tape + stage counts, every derivative group the
+//! request compiled (the Jacobian pair and the sensitivity triple, each
+//! validated on load as one program over its shared register file), the
+//! elimination order of the sparse-Newton plan (the plan itself is the
+//! symbolic fill under that order, rebuilt on first use), the compile's
+//! warnings, and the pipeline report. The ODE system is *not* stored — it
+//! regenerates deterministically from network + rates — and the exec
+//! tape re-decodes from the stored tape.
+//!
+//! Every length read from the file is checked against the bytes that are
+//! left before anything is allocated for it, so no input — truncated,
+//! bit-flipped, or crafted with a matching checksum — makes a load panic,
+//! hang, or allocate more than a small multiple of the file's size.
 
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
 use rms_core::{
-    CompiledOde, Expr, ExprForest, Instr, JacobianTapes, Operand, StageCounts, Tape, TempId,
+    CompiledOde, Expr, ExprForest, Instr, JacobianTapes, Operand, SensitivityTapes, StageCounts,
+    Tape, TempId,
 };
 use rms_odegen::OpCounts;
 use rms_rcip::{RateId, RateTable};
 use rms_rdl::{Reaction, ReactionNetwork, SpeciesId};
 
+use crate::diag::Diagnostic;
 use crate::report::{PipelineReport, StageRecord};
 use crate::session::CompiledArtifact;
 use crate::stage::Stage;
 
 const MAGIC: &[u8; 4] = b"RMSC";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Why a disk-cache load failed. The caller's policy differs: a missing
 /// entry is an ordinary miss, while a corrupt one should be quarantined
@@ -43,15 +55,20 @@ pub enum LoadError {
     Corrupt,
 }
 
-/// FNV-1a 64-bit over `bytes`: cheap, dependency-free integrity check
-/// for the payload (this is corruption detection, not authentication).
+/// FNV-1a 64-bit over `bytes` taken as little-endian 8-byte words (the
+/// tail zero-padded, the length folded in last): cheap, dependency-free
+/// integrity check for the payload (this is corruption detection, not
+/// authentication). Each step is a bijection of the state, so any change
+/// confined to one word — every single-byte flip — changes the sum.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let words = bytes.chunks_exact(8);
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let h = words
+        .map(|w| u64::from_le_bytes(w.try_into().expect("chunks of 8")))
+        .fold(0xcbf2_9ce4_8422_2325, step);
+    step(step(h, u64::from_le_bytes(tail)), bytes.len() as u64)
 }
 
 /// Move a corrupt cache entry aside (same directory, `.corrupt` suffix)
@@ -79,6 +96,14 @@ pub struct DiskArtifact {
     pub compiled: CompiledOde,
     /// Jacobian tapes, when the original compile ran *Deriv*.
     pub jacobian: Option<JacobianTapes>,
+    /// Sensitivity tapes, when the original compile was asked for them.
+    pub sensitivity: Option<SensitivityTapes>,
+    /// Elimination order of the sparse-Newton plan over the analytic
+    /// Jacobian pattern, when the artifact had one: a permutation of
+    /// `0..n_species`.
+    pub order: Option<Vec<u32>>,
+    /// The original compile's warnings.
+    pub warnings: Vec<Diagnostic>,
     /// The original compile's report.
     pub report: PipelineReport,
     /// Content address (verified against the requested key on load).
@@ -100,20 +125,22 @@ pub fn store(path: &Path, artifact: &CompiledArtifact) {
     write_forest(&mut w, &artifact.compiled.forest);
     write_tape(&mut w, &artifact.compiled.tape);
     write_stage_counts(&mut w, &artifact.compiled.stages);
-    match &artifact.jacobian {
-        None => w.u8(0),
-        Some(j) => {
-            w.u8(1);
-            write_tape(&mut w, &j.rhs);
-            write_tape(&mut w, &j.jac);
-            w.usize(j.entries.len());
-            for &(r, c) in &j.entries {
-                w.u32(r);
-                w.u32(c);
-            }
-            w.usize(j.n_species);
-        }
-    }
+    w.opt(artifact.jacobian.as_deref(), |w, j| {
+        write_group(w, &j.rhs, &[(&j.jac, &j.entries[..])]);
+    });
+    w.opt(artifact.sensitivity.as_deref(), |w, s| {
+        let derivs = [(&s.jac, &s.jac_entries[..]), (&s.dfdp, &s.dfdp_entries[..])];
+        write_group(w, &s.rhs, &derivs);
+    });
+    let order = artifact.kernels.patterns().order();
+    w.opt(order, |w, order| w.u32s(order.iter().copied()));
+    w.seq(&artifact.warnings, |w, warning| {
+        w.str(warning.stage.name());
+        w.str(&warning.message);
+        // Line 0 is "no span" (`Diagnostic::with_span` drops it).
+        w.usize(warning.span.map_or(0, |s| s.line));
+        w.usize(warning.span.map_or(0, |s| s.column));
+    });
     write_report(&mut w, &artifact.report);
 
     // Header: magic + version + payload checksum. The checksum turns a
@@ -142,18 +169,17 @@ pub fn store(path: &Path, artifact: &CompiledArtifact) {
 /// fails any format, checksum, version, key, or structural check.
 pub fn load(path: &Path, expected_key: u128) -> Result<DiskArtifact, LoadError> {
     let buf = std::fs::read(path).map_err(|_| LoadError::Missing)?;
-    let mut r = Reader { buf: &buf, at: 0 };
-    let header_ok = (|| {
-        if r.bytes(4)? != MAGIC || r.u32()? != VERSION {
-            return None;
-        }
-        let checksum = r.u64()?;
-        (checksum == fnv1a64(&buf[r.at..])).then_some(())
-    })();
-    if header_ok.is_none() {
-        return Err(LoadError::Corrupt);
+    decode(&buf, expected_key).ok_or(LoadError::Corrupt)
+}
+
+/// [`load`] on the bytes of an entry: header (magic, version, payload
+/// checksum), then the payload.
+pub fn decode(buf: &[u8], expected_key: u128) -> Option<DiskArtifact> {
+    let mut r = Reader { buf, at: 0 };
+    if r.bytes(4)? != MAGIC || r.u32()? != VERSION || r.u64()? != fnv1a64(&buf[r.at..]) {
+        return None;
     }
-    parse_payload(&mut r, expected_key).ok_or(LoadError::Corrupt)
+    parse_payload(&mut r, expected_key)
 }
 
 /// Parse the checksummed payload (everything after the header).
@@ -170,30 +196,38 @@ fn parse_payload(r: &mut Reader, expected_key: u128) -> Option<DiskArtifact> {
     let tape = read_tape(r)?;
     tape.validate().ok()?;
     let stages = read_stage_counts(r)?;
-    let jacobian = match r.u8()? {
-        0 => None,
-        1 => {
-            let rhs = read_tape(r)?;
-            let jac = read_tape(r)?;
-            let n = r.usize()?;
-            let mut entries = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                entries.push((r.u32()?, r.u32()?));
-            }
-            let n_species = r.usize()?;
-            // The Jacobian pair shares one register file: `jac` reads
-            // registers `rhs` wrote and stores one slot per nonzero, so
-            // the tapes only validate as a program, not individually.
-            rms_core::validate_program(&[(&rhs, n_species), (&jac, entries.len())]).ok()?;
-            Some(JacobianTapes {
-                rhs,
-                jac,
-                entries,
-                n_species,
-            })
-        }
-        _ => return None,
-    };
+    let jacobian = r.opt(|r| {
+        let (rhs, [(jac, entries)]) = read_group(r, &tape)?;
+        let n_species = rhs.n_species;
+        Some(JacobianTapes {
+            rhs,
+            jac,
+            entries,
+            n_species,
+        })
+    })?;
+    let sensitivity = r.opt(|r| {
+        let (rhs, [(jac, jac_entries), (dfdp, dfdp_entries)]) = read_group(r, &tape)?;
+        let (n_species, n_rates) = (rhs.n_species, rhs.n_rates);
+        Some(SensitivityTapes {
+            rhs,
+            jac,
+            dfdp,
+            jac_entries,
+            dfdp_entries,
+            n_species,
+            n_rates,
+        })
+    })?;
+    let order = r.opt(|r| {
+        r.u32s()
+            .filter(|order| rms_solver::is_permutation(order, tape.n_species))
+    })?;
+    let warnings = r.seq(32, |r| {
+        let stage: Stage = r.str()?.parse().ok()?;
+        let warning = Diagnostic::warning(stage, r.str()?);
+        Some(warning.with_span(r.usize()?, r.usize()?))
+    })?;
     let report = read_report(r)?;
     if r.at != r.buf.len() {
         return None;
@@ -208,6 +242,9 @@ fn parse_payload(r: &mut Reader, expected_key: u128) -> Option<DiskArtifact> {
             stages,
         },
         jacobian,
+        sensitivity,
+        order,
+        warnings,
         report,
         key,
         gen_simplify,
@@ -249,6 +286,38 @@ impl Writer {
     fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.bytes(s.as_bytes());
+    }
+    /// A one-byte variant tag and the index it carries.
+    fn tagged(&mut self, tag: u8, index: u32) {
+        self.u8(tag);
+        self.u32(index);
+    }
+    /// A length-prefixed array, one bulk run of little-endian words.
+    fn u32s(&mut self, v: impl ExactSizeIterator<Item = u32>) {
+        self.usize(v.len());
+        v.for_each(|x| self.u32(x));
+    }
+    /// An entry list as the `u32` array `[row₀, col₀, row₁, col₁, …]`.
+    fn pairs(&mut self, v: &[(u32, u32)]) {
+        self.usize(2 * v.len());
+        for &(i, j) in v {
+            self.u32(i);
+            self.u32(j);
+        }
+    }
+    /// A presence byte, then the value if there is one.
+    fn opt<T: ?Sized>(&mut self, v: Option<&T>, write: impl FnOnce(&mut Writer, &T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            write(self, v);
+        }
+    }
+    /// A count, then every item.
+    fn seq<T>(&mut self, items: &[T], write: impl Fn(&mut Writer, &T)) {
+        self.usize(items.len());
+        for item in items {
+            write(self, item);
+        }
     }
 }
 
@@ -296,6 +365,48 @@ impl Reader<'_> {
         let n = self.usize()?;
         String::from_utf8(self.bytes(n)?.to_vec()).ok()
     }
+    /// An element count, refused unless the bytes that are left can hold
+    /// that many elements of at least `min_bytes` each — so a caller may
+    /// allocate for the count it gets.
+    fn count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = self.usize()?;
+        (n.checked_mul(min_bytes)? <= self.buf.len() - self.at).then_some(n)
+    }
+    /// A size a tape or forest declares (registers, species, rates): the
+    /// evaluators allocate that much, and an entry that really has that
+    /// many of anything is longer than the number.
+    fn dim(&mut self) -> Option<usize> {
+        self.usize().filter(|&n| n <= self.buf.len())
+    }
+    fn u32s(&mut self) -> Option<Vec<u32>> {
+        let n = self.count(4)?;
+        let word = |w: &[u8]| u32::from_le_bytes(w.try_into().expect("chunks of 4"));
+        Some(self.bytes(4 * n)?.chunks_exact(4).map(word).collect())
+    }
+    fn pairs(&mut self) -> Option<Entries> {
+        let flat = self.u32s()?;
+        (flat.len() % 2 == 0).then(|| flat.chunks_exact(2).map(|p| (p[0], p[1])).collect())
+    }
+    fn opt<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        if self.bool()? {
+            read(self).map(Some)
+        } else {
+            Some(None)
+        }
+    }
+    /// [`count`](Reader::count) items, each through `read`.
+    fn seq<T>(
+        &mut self,
+        min_bytes: usize,
+        mut read: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = self.count(min_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Some(out)
+    }
 }
 
 // ---- composites -------------------------------------------------------
@@ -308,14 +419,8 @@ fn write_network(w: &mut Writer, network: &ReactionNetwork) {
     }
     w.usize(network.reaction_count());
     for reaction in network.reactions() {
-        w.usize(reaction.reactants.len());
-        for id in &reaction.reactants {
-            w.u32(id.0);
-        }
-        w.usize(reaction.products.len());
-        for id in &reaction.products {
-            w.u32(id.0);
-        }
+        w.u32s(reaction.reactants.iter().map(|id| id.0));
+        w.u32s(reaction.products.iter().map(|id| id.0));
         w.str(&reaction.rate);
         w.str(&reaction.rule);
     }
@@ -323,7 +428,7 @@ fn write_network(w: &mut Writer, network: &ReactionNetwork) {
 
 fn read_network(r: &mut Reader) -> Option<ReactionNetwork> {
     let mut network = ReactionNetwork::new();
-    let n_species = r.usize()?;
+    let n_species = r.count(16)?;
     for i in 0..n_species {
         let name = r.str()?;
         let initial = r.f64()?;
@@ -332,33 +437,17 @@ fn read_network(r: &mut Reader) -> Option<ReactionNetwork> {
             return None; // duplicate name: ids would shift
         }
     }
-    let n_reactions = r.usize()?;
-    for _ in 0..n_reactions {
-        let n = r.usize()?;
-        let mut reactants = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let id = r.u32()?;
-            if id as usize >= n_species {
-                return None;
-            }
-            reactants.push(SpeciesId(id));
-        }
-        let n = r.usize()?;
-        let mut products = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let id = r.u32()?;
-            if id as usize >= n_species {
-                return None;
-            }
-            products.push(SpeciesId(id));
-        }
-        let rate = r.str()?;
-        let rule = r.str()?;
+    let side = |r: &mut Reader| -> Option<Vec<SpeciesId>> {
+        let ids = r.u32s()?;
+        let known = ids.iter().all(|&id| (id as usize) < n_species);
+        known.then(|| ids.into_iter().map(SpeciesId).collect())
+    };
+    for _ in 0..r.count(32)? {
         network.add_reaction_event(Reaction {
-            reactants,
-            products,
-            rate,
-            rule,
+            reactants: side(r)?,
+            products: side(r)?,
+            rate: r.str()?,
+            rule: r.str()?,
         });
     }
     Some(network)
@@ -372,21 +461,16 @@ fn write_rates(w: &mut Writer, rates: &RateTable) {
     }
     w.usize(rates.distinct_count());
     for id in 0..rates.distinct_count() {
-        match rates.bounds(RateId(id as u32)) {
-            None => w.u8(0),
-            Some(b) => {
-                w.u8(1);
-                w.f64(b.lo);
-                w.f64(b.hi);
-            }
-        }
+        w.opt(rates.bounds(RateId(id as u32)).as_ref(), |w, b| {
+            w.f64(b.lo);
+            w.f64(b.hi);
+        });
     }
 }
 
 fn read_rates(r: &mut Reader) -> Option<RateTable> {
     let mut rates = RateTable::default();
-    let n = r.usize()?;
-    for _ in 0..n {
+    for _ in 0..r.count(16)? {
         let name = r.str()?;
         let value = r.f64()?;
         rates.define(&name, value).ok()?;
@@ -396,14 +480,8 @@ fn read_rates(r: &mut Reader) -> Option<RateTable> {
         return None;
     }
     for id in 0..distinct {
-        match r.u8()? {
-            0 => {}
-            1 => {
-                let lo = r.f64()?;
-                let hi = r.f64()?;
-                rates.set_bounds(RateId(id as u32), lo, hi).ok()?;
-            }
-            _ => return None,
+        if let Some((lo, hi)) = r.opt(|r| Some((r.f64()?, r.f64()?)))? {
+            rates.set_bounds(RateId(id as u32), lo, hi).ok()?;
         }
     }
     Some(rates)
@@ -415,32 +493,17 @@ fn write_expr(w: &mut Writer, expr: &Expr) {
             w.u8(0);
             w.f64(c.0);
         }
-        Expr::Rate(i) => {
-            w.u8(1);
-            w.u32(*i);
-        }
-        Expr::Species(i) => {
-            w.u8(2);
-            w.u32(*i);
-        }
-        Expr::Temp(t) => {
-            w.u8(3);
-            w.u32(t.0);
-        }
+        Expr::Rate(i) => w.tagged(1, *i),
+        Expr::Species(i) => w.tagged(2, *i),
+        Expr::Temp(t) => w.tagged(3, t.0),
         Expr::Prod(c, factors) => {
             w.u8(4);
             w.f64(c.0);
-            w.usize(factors.len());
-            for f in factors {
-                write_expr(w, f);
-            }
+            w.seq(factors, write_expr);
         }
         Expr::Sum(children) => {
             w.u8(5);
-            w.usize(children.len());
-            for c in children {
-                write_expr(w, c);
-            }
+            w.seq(children, write_expr);
         }
     }
 }
@@ -449,82 +512,41 @@ fn read_expr(r: &mut Reader, depth: usize) -> Option<Expr> {
     if depth > 512 {
         return None; // corrupt nesting; real forests are shallow
     }
+    let child = |r: &mut Reader| read_expr(r, depth + 1);
     Some(match r.u8()? {
         0 => Expr::constant(r.f64()?),
         1 => Expr::Rate(r.u32()?),
         2 => Expr::Species(r.u32()?),
         3 => Expr::Temp(TempId(r.u32()?)),
-        4 => {
-            let c = r.f64()?;
-            let n = r.usize()?;
-            let mut factors = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                factors.push(read_expr(r, depth + 1)?);
-            }
-            // Bypass the smart constructor: the stored tree is already
-            // canonical; re-normalizing must not alter it.
-            Expr::Prod(rms_core::Coeff(c), factors)
-        }
-        5 => {
-            let n = r.usize()?;
-            let mut children = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                children.push(read_expr(r, depth + 1)?);
-            }
-            Expr::Sum(children)
-        }
+        // Bypass the smart constructor: the stored tree is already
+        // canonical; re-normalizing must not alter it.
+        4 => Expr::Prod(rms_core::Coeff(r.f64()?), r.seq(5, child)?),
+        5 => Expr::Sum(r.seq(5, child)?),
         _ => return None,
     })
 }
 
 fn write_forest(w: &mut Writer, forest: &ExprForest) {
-    w.usize(forest.temps.len());
-    for t in &forest.temps {
-        write_expr(w, t);
-    }
-    w.usize(forest.rhs.len());
-    for e in &forest.rhs {
-        write_expr(w, e);
-    }
+    w.seq(&forest.temps, write_expr);
+    w.seq(&forest.rhs, write_expr);
     w.usize(forest.n_species);
     w.usize(forest.n_rates);
 }
 
 fn read_forest(r: &mut Reader) -> Option<ExprForest> {
-    let n = r.usize()?;
-    let mut temps = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        temps.push(read_expr(r, 0)?);
-    }
-    let n = r.usize()?;
-    let mut rhs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        rhs.push(read_expr(r, 0)?);
-    }
-    let n_species = r.usize()?;
-    let n_rates = r.usize()?;
     Some(ExprForest {
-        temps,
-        rhs,
-        n_species,
-        n_rates,
+        temps: r.seq(5, |r| read_expr(r, 0))?,
+        rhs: r.seq(5, |r| read_expr(r, 0))?,
+        n_species: r.dim()?,
+        n_rates: r.dim()?,
     })
 }
 
 fn write_operand(w: &mut Writer, op: &Operand) {
     match op {
-        Operand::Reg(i) => {
-            w.u8(0);
-            w.u32(*i);
-        }
-        Operand::Species(i) => {
-            w.u8(1);
-            w.u32(*i);
-        }
-        Operand::Rate(i) => {
-            w.u8(2);
-            w.u32(*i);
-        }
+        Operand::Reg(i) => w.tagged(0, *i),
+        Operand::Species(i) => w.tagged(1, *i),
+        Operand::Rate(i) => w.tagged(2, *i),
         Operand::Const(v) => {
             w.u8(3);
             w.f64(*v);
@@ -543,91 +565,89 @@ fn read_operand(r: &mut Reader) -> Option<Operand> {
 }
 
 fn write_tape(w: &mut Writer, tape: &Tape) {
-    w.usize(tape.instrs.len());
-    for instr in &tape.instrs {
-        match instr {
-            Instr::Add { dst, a, b } => {
-                w.u8(0);
-                w.u32(*dst);
-                write_operand(w, a);
-                write_operand(w, b);
-            }
-            Instr::Sub { dst, a, b } => {
-                w.u8(1);
-                w.u32(*dst);
-                write_operand(w, a);
-                write_operand(w, b);
-            }
-            Instr::Mul { dst, a, b } => {
-                w.u8(2);
-                w.u32(*dst);
-                write_operand(w, a);
-                write_operand(w, b);
-            }
-            Instr::Neg { dst, a } => {
-                w.u8(3);
-                w.u32(*dst);
-                write_operand(w, a);
-            }
-            Instr::Copy { dst, a } => {
-                w.u8(4);
-                w.u32(*dst);
-                write_operand(w, a);
-            }
-            Instr::Store { idx, a } => {
-                w.u8(5);
-                w.u32(*idx);
-                write_operand(w, a);
-            }
+    w.seq(&tape.instrs, |w, instr| {
+        let (tag, dst, a, b) = match *instr {
+            Instr::Add { dst, a, b } => (0, dst, a, Some(b)),
+            Instr::Sub { dst, a, b } => (1, dst, a, Some(b)),
+            Instr::Mul { dst, a, b } => (2, dst, a, Some(b)),
+            Instr::Neg { dst, a } => (3, dst, a, None),
+            Instr::Copy { dst, a } => (4, dst, a, None),
+            Instr::Store { idx, a } => (5, idx, a, None),
+        };
+        w.tagged(tag, dst);
+        write_operand(w, &a);
+        if let Some(b) = b {
+            write_operand(w, &b);
         }
-    }
+    });
     w.usize(tape.n_regs);
     w.usize(tape.n_species);
     w.usize(tape.n_rates);
 }
 
 fn read_tape(r: &mut Reader) -> Option<Tape> {
-    let n = r.usize()?;
-    let mut instrs = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let tag = r.u8()?;
-        instrs.push(match tag {
-            0..=2 => {
-                let dst = r.u32()?;
-                let a = read_operand(r)?;
-                let b = read_operand(r)?;
-                match tag {
-                    0 => Instr::Add { dst, a, b },
-                    1 => Instr::Sub { dst, a, b },
-                    _ => Instr::Mul { dst, a, b },
-                }
-            }
-            3 => Instr::Neg {
-                dst: r.u32()?,
-                a: read_operand(r)?,
-            },
-            4 => Instr::Copy {
-                dst: r.u32()?,
-                a: read_operand(r)?,
-            },
-            5 => Instr::Store {
-                idx: r.u32()?,
-                a: read_operand(r)?,
-            },
+    let instrs = r.seq(10, |r| {
+        let (tag, dst, a) = (r.u8()?, r.u32()?, read_operand(r)?);
+        let mut b = || read_operand(r);
+        Some(match tag {
+            0 => Instr::Add { dst, a, b: b()? },
+            1 => Instr::Sub { dst, a, b: b()? },
+            2 => Instr::Mul { dst, a, b: b()? },
+            3 => Instr::Neg { dst, a },
+            4 => Instr::Copy { dst, a },
+            5 => Instr::Store { idx: dst, a },
             _ => return None,
-        });
-    }
-    let n_regs = r.usize()?;
-    let n_species = r.usize()?;
-    let n_rates = r.usize()?;
-    // No standalone validation here: a secondary Jacobian tape is only
-    // well-formed as part of a multi-tape program (see `load`).
+        })
+    })?;
+    // No standalone validation here: a derivative tape is only
+    // well-formed as part of its group's program (see `read_group`).
     Some(Tape {
         instrs,
-        n_regs,
-        n_species,
-        n_rates,
+        n_regs: r.dim()?,
+        n_species: r.dim()?,
+        n_rates: r.dim()?,
     })
+}
+
+/// Where a derivative tape's outputs land: one `(row, column)` each.
+type Entries = Vec<(u32, u32)>;
+
+/// One derivative group: tapes that run back to back on one register
+/// file — the RHS, then each derivative tape with the `(row, column)` its
+/// outputs land at. The Jacobian pair and the sensitivity triple are both
+/// this, with one and two derivative tapes.
+fn write_group(w: &mut Writer, rhs: &Tape, derivs: &[(&Tape, &[(u32, u32)])]) {
+    write_tape(w, rhs);
+    for (tape, entries) in derivs {
+        write_tape(w, tape);
+        w.pairs(entries);
+    }
+}
+
+/// Read a group of `N` derivative tapes compiled beside `main` (the same
+/// species and rates). The first differentiates by species, any further
+/// one by rate constants; entries are row-major, strictly ascending and
+/// in range, and the tapes validate as one program — a derivative tape
+/// reads registers the RHS wrote and stores one slot per entry.
+fn read_group<const N: usize>(r: &mut Reader, main: &Tape) -> Option<(Tape, [(Tape, Entries); N])> {
+    let rhs = read_tape(r)?;
+    if (rhs.n_species, rhs.n_rates) != (main.n_species, main.n_rates) {
+        return None;
+    }
+    let mut derivs = Vec::with_capacity(N);
+    for k in 0..N {
+        let (tape, entries) = (read_tape(r)?, r.pairs()?);
+        let n_cols = if k == 0 { rhs.n_species } else { rhs.n_rates };
+        let in_range = |&(i, j): &(u32, u32)| (i as usize) < rhs.n_species && (j as usize) < n_cols;
+        if !entries.windows(2).all(|w| w[0] < w[1]) || !entries.iter().all(in_range) {
+            return None;
+        }
+        derivs.push((tape, entries));
+    }
+    let mut program = vec![(&rhs, rhs.n_species)];
+    program.extend(derivs.iter().map(|(tape, entries)| (tape, entries.len())));
+    rms_core::validate_program(&program).ok()?;
+    Some((rhs, derivs.try_into().ok()?))
 }
 
 fn write_counts(w: &mut Writer, c: OpCounts) {
@@ -668,52 +688,32 @@ fn write_report(w: &mut Writer, report: &PipelineReport) {
     w.usize(report.rates);
     w.f64(report.total_seconds);
     write_stage_counts(w, &report.counts);
-    w.usize(report.stages.len());
-    for rec in &report.stages {
+    w.seq(&report.stages, |w, rec| {
         w.str(rec.stage.name());
         w.f64(rec.seconds);
-        w.usize(rec.metrics.len());
-        for (name, value) in &rec.metrics {
+        w.seq(&rec.metrics, |w, (name, value)| {
             w.str(name);
             w.f64(*value);
-        }
-    }
+        });
+    });
 }
 
 fn read_report(r: &mut Reader) -> Option<PipelineReport> {
-    let model = r.str()?;
-    let level = r.str()?;
-    let species = r.usize()?;
-    let reactions = r.usize()?;
-    let rates = r.usize()?;
-    let total_seconds = r.f64()?;
-    let counts = read_stage_counts(r)?;
-    let n = r.usize()?;
-    let mut stages = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        let stage: Stage = r.str()?.parse().ok()?;
-        let seconds = r.f64()?;
-        let m = r.usize()?;
-        let mut metrics = Vec::with_capacity(m.min(64));
-        for _ in 0..m {
-            let name = r.str()?;
-            let value = r.f64()?;
-            metrics.push((name, value));
-        }
-        stages.push(StageRecord {
-            stage,
-            seconds,
-            metrics,
-        });
-    }
+    // Fields in stored order: a struct literal evaluates as written.
     Some(PipelineReport {
-        model,
-        level,
-        species,
-        reactions,
-        rates,
-        stages,
-        counts,
-        total_seconds,
+        model: r.str()?,
+        level: r.str()?,
+        species: r.usize()?,
+        reactions: r.usize()?,
+        rates: r.usize()?,
+        total_seconds: r.f64()?,
+        counts: read_stage_counts(r)?,
+        stages: r.seq(24, |r| {
+            Some(StageRecord {
+                stage: r.str()?.parse().ok()?,
+                seconds: r.f64()?,
+                metrics: r.seq(16, |r| Some((r.str()?, r.f64()?)))?,
+            })
+        })?,
     })
 }

@@ -27,7 +27,7 @@ use rms_rdl::{
 
 use crate::cache::{self, CacheMode, CacheStatus};
 use crate::diag::Diagnostic;
-use crate::engine::Kernels;
+use crate::engine::{Kernels, Planned};
 use crate::report::{PipelineReport, StageRecord};
 use crate::serial;
 use crate::stage::Stage;
@@ -158,8 +158,8 @@ pub struct CompiledArtifact {
     /// Analytic sparse Jacobian tapes, when the *Deriv* stage ran.
     pub jacobian: Option<Arc<JacobianTapes>>,
     /// Parameter-sensitivity tapes (RHS + Jacobian + `∂f/∂p`), when
-    /// requested. Not persisted to disk; revived artifacts recompile them
-    /// from the forest.
+    /// requested. Persisted beside the Jacobian tapes: a revived artifact
+    /// reads every derivative group it was compiled with.
     pub sensitivity: Option<Arc<SensitivityTapes>>,
     /// Pre-decoded execution tape (the *ExecDecode* stage output). Every
     /// artifact carries one: the execution engine is the runtime default.
@@ -172,7 +172,7 @@ pub struct CompiledArtifact {
     pub native_diag: Option<String>,
     /// Non-fatal diagnostics from the compile (e.g. the closure hit
     /// `max_generations` while rules were still producing new species).
-    /// Not persisted; revived artifacts carry none.
+    /// Persisted: a revived artifact repeats what its cold compile said.
     pub warnings: Vec<Diagnostic>,
     /// Per-stage instrumentation of the compile that built this artifact.
     pub report: PipelineReport,
@@ -181,8 +181,10 @@ pub struct CompiledArtifact {
     /// The equation generator's simplify switch used (needed to
     /// regenerate the system identically when reviving from disk).
     pub gen_simplify: bool,
-    /// The tapes and the native object above as [`rms_core::Kernel`]s;
-    /// selected through [`CompiledArtifact::kernel`].
+    /// The tapes and the native object above as [`rms_core::Kernel`]s,
+    /// selected through [`CompiledArtifact::kernel`], with the sparsity
+    /// patterns they fill and the sparse-Newton plan over them (a disk
+    /// entry persists the plan's elimination order, not the plan).
     pub(crate) kernels: Kernels,
 }
 
@@ -310,13 +312,14 @@ impl CompilerSession {
         let (artifact, status) = cache::lookup_or_build(
             key,
             disk.as_deref(),
-            |path| match serial::load(path, key) {
-                Ok(a) => self.revive(a),
+            |path| match serial::load(path, key).and_then(|a| self.revive(a)) {
+                Ok(artifact) => Some(artifact),
                 Err(serial::LoadError::Missing) => None,
                 Err(serial::LoadError::Corrupt) => {
-                    // Truncated/bit-flipped/stale entry: move it
-                    // aside and fall through to a cold compile,
-                    // whose `persist` rewrites a good file.
+                    // Truncated/bit-flipped/stale entry, or one that
+                    // lacks what this request compiles: move it aside
+                    // and fall through to a cold compile, whose
+                    // `persist` rewrites a good file.
                     serial::quarantine(path);
                     cache::note_quarantine();
                     None
@@ -333,18 +336,16 @@ impl CompilerSession {
     }
 
     /// The 128-bit content address of a compile request: model content
-    /// (via `seed`) plus every compilation-relevant option. Built from
-    /// two passes of the std hasher with distinct domain prefixes.
-    fn fingerprint(&self, seed: impl Fn(&mut DefaultHasher)) -> u128 {
-        let mut halves = [0u64; 2];
-        for (i, half) in halves.iter_mut().enumerate() {
-            let mut h = DefaultHasher::new();
-            (0x9e37_79b9_97f4_a7c1_u64 ^ (i as u64)).hash(&mut h);
-            seed(&mut h);
-            self.options.hash_into(&mut h);
-            *half = h.finish();
+    /// (via `seed`) plus every compilation-relevant option, walked once
+    /// into two std hashers with distinct domain prefixes.
+    fn fingerprint(&self, seed: impl FnOnce(&mut TwoLanes)) -> u128 {
+        let mut h = TwoLanes([DefaultHasher::new(), DefaultHasher::new()]);
+        for (i, lane) in h.0.iter_mut().enumerate() {
+            (0x9e37_79b9_97f4_a7c1_u64 ^ (i as u64)).hash(lane);
         }
-        ((halves[0] as u128) << 64) | halves[1] as u128
+        seed(&mut h);
+        self.options.hash_into(&mut h);
+        ((h.0[0].finish() as u128) << 64) | h.0[1].finish() as u128
     }
 
     /// Frontend stages: Parse → Expand → Rcip → Network, then the shared
@@ -527,7 +528,7 @@ impl CompilerSession {
         records.insert(insert_at, odegen_record);
         dump.offer(Stage::Lower, || compiled.tape.to_string());
 
-        let mut analyzed = None;
+        let mut planned = Planned::No;
         let (jacobian, sensitivity) = if self.options.deriv || self.options.sensitivity {
             let clock = Instant::now();
             let jacobian = self.options.deriv.then(|| {
@@ -567,7 +568,9 @@ impl CompilerSession {
                         of_plan(|p| f64::from(u8::from(p.prefers_sparse()))),
                     )
                     .metric("symbolic_seconds", clock.elapsed().as_secs_f64());
-                analyzed = plan.map(|plan| (jac_pattern, Arc::new(plan)));
+                if let Some(plan) = plan {
+                    planned = Planned::Analyzed(jac_pattern, Arc::new(plan));
+                }
             }
             if let Some(tapes) = &sensitivity {
                 record = record
@@ -686,7 +689,7 @@ impl CompilerSession {
             &jacobian,
             &sensitivity,
             &native,
-            analyzed,
+            planned,
         );
         Ok(CompiledArtifact {
             name: name.to_string(),
@@ -708,43 +711,34 @@ impl CompilerSession {
     }
 
     /// Finish reviving a disk-loaded artifact: regenerate the ODE system
-    /// (not serialized), and rebuild the optional request-dependent
-    /// artifacts. Returns `None` (a cache miss) if anything disagrees.
-    fn revive(&self, partial: serial::DiskArtifact) -> Option<CompiledArtifact> {
+    /// (not serialized), re-decode the exec tape and re-attach the native
+    /// kernel. Nothing is derived: an entry that lacks a derivative group
+    /// this request compiles, or disagrees with it otherwise, is corrupt.
+    fn revive(&self, partial: serial::DiskArtifact) -> Result<CompiledArtifact, serial::LoadError> {
         let serial::DiskArtifact {
             name,
             network,
             rates,
             compiled,
             jacobian,
+            sensitivity,
+            order,
+            warnings,
             report,
             key,
             gen_simplify,
         } = partial;
-        if gen_simplify != self.options.effective_gen_simplify() {
-            return None;
-        }
-        let system = generate(
-            &network,
-            &rates,
-            GenerateOptions {
-                simplify: gen_simplify,
-            },
-        )
-        .ok()?;
-        let jacobian =
-            self.options.deriv.then(|| {
-                Arc::new(jacobian.unwrap_or_else(|| {
-                    compile_jacobian(&compiled.forest, Some(CseOptions::default()))
-                }))
-            });
-        // Sensitivity tapes are never persisted; recompile on revival.
-        let sensitivity = self.options.sensitivity.then(|| {
-            Arc::new(compile_sensitivity(
-                &compiled.forest,
-                Some(CseOptions::default()),
-            ))
-        });
+        let as_requested = gen_simplify == self.options.effective_gen_simplify()
+            && jacobian.is_some() == self.options.deriv
+            && sensitivity.is_some() == self.options.sensitivity;
+        let simplify = gen_simplify;
+        let system = generate(&network, &rates, GenerateOptions { simplify })
+            .ok()
+            .filter(|system| as_requested && system.len() == compiled.tape.n_species)
+            .filter(|system| system.n_rates == compiled.tape.n_rates)
+            .ok_or(serial::LoadError::Corrupt)?;
+        let jacobian = jacobian.map(Arc::new);
+        let sensitivity = sensitivity.map(Arc::new);
         let exec = Arc::new(ExecTape::compile(&compiled.tape));
         // Re-attach the native kernel: usually a straight dlopen of the
         // `.so` cached beside the artifact, recompiling if it is missing
@@ -771,16 +765,15 @@ impl CompilerSession {
         } else {
             (None, None)
         };
-        // A revived artifact analyzes on its first sparse-path solve, if any.
         let kernels = Kernels::new(
             &compiled.tape,
             &exec,
             &jacobian,
             &sensitivity,
             &native,
-            None,
+            order.map_or(Planned::No, Planned::Order),
         );
-        Some(CompiledArtifact {
+        Ok(CompiledArtifact {
             name,
             network,
             rates,
@@ -791,12 +784,30 @@ impl CompilerSession {
             exec: Some(exec),
             native,
             native_diag,
-            warnings: Vec::new(),
+            warnings,
             report,
             key,
             gen_simplify,
             kernels,
         })
+    }
+}
+
+/// Two std hashers fed the same bytes: one walk of the model content
+/// gives both halves of the 128-bit key. Every `Hash` impl reaches a
+/// `Hasher` through `write` (the integer and `str` methods default to it,
+/// and `DefaultHasher` overrides them to the same bytes), so each lane
+/// ends where a hasher walked alone would.
+struct TwoLanes([DefaultHasher; 2]);
+
+impl Hasher for TwoLanes {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0[0].write(bytes);
+        self.0[1].write(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("the lanes finish separately, in `fingerprint`")
     }
 }
 

@@ -478,14 +478,20 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
     }
 
     /// Create an estimator with explicit fault-tolerance configuration.
+    ///
+    /// `n_ranks` is clamped to `1..=files.len()`: a rank beyond the file
+    /// count gets an empty schedule and the result does not depend on the
+    /// rank count, but every rank is an OS thread, and the count is
+    /// outside input (`rmsc estimate --workers`, a served job's
+    /// `"workers"`).
     pub fn with_config(
         simulator: &'a S,
         files: Vec<ExperimentFile>,
         n_ranks: usize,
         config: EstimatorConfig,
     ) -> ParallelEstimator<'a, S> {
-        assert!(n_ranks > 0, "need at least one rank");
         assert!(!files.is_empty(), "need at least one data file");
+        let n_ranks = n_ranks.clamp(1, files.len());
         let max_records = files.iter().map(ExperimentFile::len).max().unwrap_or(0);
         ParallelEstimator {
             simulator,
@@ -510,7 +516,7 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
             (Some(times), true) => lpt_schedule(times, self.n_ranks),
             _ => block_schedule(self.files.len(), self.n_ranks),
         }
-        .expect("n_ranks > 0 enforced at construction")
+        .expect("n_ranks >= 1 after the clamp at construction")
     }
 
     /// Per-file solve times recorded by the most recent objective call.

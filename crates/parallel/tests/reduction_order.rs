@@ -103,3 +103,23 @@ fn error_vector_and_jacobian_ignore_schedule_and_rank_count() {
         }
     }
 }
+
+/// The rank count is outside input (`rmsc estimate --workers`, a served
+/// job's `"workers"`): the estimator starts one thread per rank, so it
+/// clamps the request to what the files can use.
+#[test]
+fn rank_count_is_clamped_to_the_file_count() {
+    let params = [1.1, 0.7];
+    let four = ParallelEstimator::new(&Decay, files(), 4, true);
+    let error = bits(&four.objective(&params).unwrap().error_vector);
+    let jacobian = bits(&four.objective_jacobian(&params).unwrap());
+    for (asked, ranks) in [(64, 4), (usize::MAX, 4), (4, 4), (3, 3), (0, 1)] {
+        let estimator = ParallelEstimator::new(&Decay, files(), asked, true);
+        assert_eq!(estimator.current_schedule().len(), ranks, "asked {asked}");
+        let out = estimator.objective(&params).unwrap();
+        assert_eq!(out.health.per_rank_wall.len(), ranks, "asked {asked}");
+        assert_eq!(bits(&out.error_vector), error, "asked {asked}");
+        let jac = estimator.objective_jacobian(&params).unwrap();
+        assert_eq!(bits(&jac), jacobian, "asked {asked}");
+    }
+}

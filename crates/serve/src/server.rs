@@ -537,12 +537,10 @@ fn execute<S: Simulator>(
                 on_failure: FailurePolicy::Penalize,
                 ..EstimatorConfig::default()
             };
-            // A rank beyond the file count gets an empty schedule and the
-            // result does not depend on the rank count, but every rank is
-            // an OS thread: `workers` is outside input, the file count is
-            // what it can usefully be.
-            let ranks = (*workers).min(files.len());
-            let estimator = ParallelEstimator::with_config(simulator, files.clone(), ranks, config);
+            // `workers` is outside input; the estimator clamps it to the
+            // file count.
+            let estimator =
+                ParallelEstimator::with_config(simulator, files.clone(), *workers, config);
             let out = estimator.objective(rates).map_err(|e| match e {
                 EstimatorError::RankPanic(p) => JobError::Panicked {
                     message: p.to_string(),

@@ -43,6 +43,6 @@ pub use problem::{
 };
 pub use rk45::{solve_rk45, Rk45};
 pub use sparse::{
-    iteration_matrix_pattern, CscMatrix, NewtonPlan, SparseLu, SparseNewton, SymbolicLu,
-    SPARSE_COST_PER_MAC,
+    is_permutation, iteration_matrix_pattern, orderings_computed_on_this_thread, CscMatrix,
+    NewtonPlan, SparseLu, SparseNewton, SymbolicLu, SPARSE_COST_PER_MAC,
 };

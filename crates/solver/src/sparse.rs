@@ -34,7 +34,7 @@
 //! operates in; an exactly zero (or non-finite) pivot is reported as
 //! [`LinalgError::Singular`] just like the dense path.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -238,12 +238,37 @@ pub fn iteration_matrix_pattern(jac: &SparsityPattern) -> SparsityPattern {
     SparsityPattern::new(rows, jac.n_cols())
 }
 
+thread_local! {
+    /// Minimum-degree orderings computed on this thread.
+    static ORDERINGS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many minimum-degree orderings the calling thread has computed so
+/// far. For tests that assert a path runs none (a plan rebuilt from a
+/// stored order); per thread, so concurrent tests do not disturb it.
+#[doc(hidden)]
+pub fn orderings_computed_on_this_thread() -> usize {
+    ORDERINGS.with(Cell::get)
+}
+
+/// Whether `order` lists every index of `0..n` exactly once — what
+/// [`SymbolicLu::with_order`] accepts as an elimination order.
+pub fn is_permutation(order: &[u32], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    order.len() == n
+        && order.iter().all(|&v| {
+            seen.get_mut(v as usize)
+                .is_some_and(|s| !std::mem::replace(s, true))
+        })
+}
+
 /// Minimum-degree ordering (Markowitz criterion specialized to the
 /// symmetrized pattern, Tinney scheme 2): repeatedly eliminate the
 /// vertex of least degree in the elimination graph of `A + Aᵀ`, turning
 /// its neighborhood into a clique. Ties break on the lower index, so the
 /// ordering is deterministic.
 fn minimum_degree(pattern: &SparsityPattern) -> Vec<u32> {
+    ORDERINGS.with(|c| c.set(c.get() + 1));
     let n = pattern.n_rows();
     debug_assert_eq!(n, pattern.n_cols());
     // Symmetrized adjacency, no self-loops.
@@ -333,11 +358,28 @@ impl SymbolicLu {
     /// missing diagonals are filled in structurally and simply factor to
     /// zero pivots at numeric time.
     pub fn analyze(pattern: &SparsityPattern) -> Result<SymbolicLu, LinalgError> {
+        if pattern.n_rows() != pattern.n_cols() {
+            return Err(LinalgError::DimensionMismatch);
+        }
+        SymbolicLu::with_order(pattern, minimum_degree(pattern))
+    }
+
+    /// [`analyze`](SymbolicLu::analyze) under an elimination order chosen
+    /// earlier (the [`order`](SymbolicLu::order) of a previous analysis of
+    /// this pattern, typically read back from a cache): the fill patterns
+    /// alone, no ordering pass. Any permutation of `0..n` is a valid order
+    /// — a poor one only costs fill — and anything else is refused.
+    pub fn with_order(
+        pattern: &SparsityPattern,
+        perm: Vec<u32>,
+    ) -> Result<SymbolicLu, LinalgError> {
         let n = pattern.n_rows();
         if n != pattern.n_cols() {
             return Err(LinalgError::DimensionMismatch);
         }
-        let perm = minimum_degree(pattern);
+        if !is_permutation(&perm, n) {
+            return Err(LinalgError::MalformedPattern);
+        }
         let mut perm_inv = vec![0u32; n];
         for (k, &p) in perm.iter().enumerate() {
             perm_inv[p as usize] = k as u32;
@@ -704,12 +746,32 @@ impl NewtonPlan {
     /// Analyze a (square) Jacobian sparsity: minimum-degree ordering and
     /// symbolic fill of `I − γJ`, plus the assembly structure around it.
     pub fn analyze(jac_pattern: &SparsityPattern) -> Result<NewtonPlan, LinalgError> {
+        NewtonPlan::build(jac_pattern, SymbolicLu::analyze)
+    }
+
+    /// The plan [`analyze`](NewtonPlan::analyze) builds, under the
+    /// [`order`](NewtonPlan::order) an earlier analysis of this pattern
+    /// chose: symbolic fill and assembly structure, no ordering pass.
+    /// Refuses an `order` that is not a permutation of `0..n`.
+    pub fn with_order(
+        jac_pattern: &SparsityPattern,
+        order: &[u32],
+    ) -> Result<NewtonPlan, LinalgError> {
+        NewtonPlan::build(jac_pattern, |iter| {
+            SymbolicLu::with_order(iter, order.to_vec())
+        })
+    }
+
+    fn build(
+        jac_pattern: &SparsityPattern,
+        symbolic: impl FnOnce(&SparsityPattern) -> Result<SymbolicLu, LinalgError>,
+    ) -> Result<NewtonPlan, LinalgError> {
         let n = jac_pattern.n_rows();
         if n != jac_pattern.n_cols() {
             return Err(LinalgError::DimensionMismatch);
         }
         let iter_pattern = iteration_matrix_pattern(jac_pattern);
-        let symbolic = Arc::new(SymbolicLu::analyze(&iter_pattern)?);
+        let symbolic = Arc::new(symbolic(&iter_pattern)?);
         let iter = CscMatrix::from_pattern(&iter_pattern);
         let mut jac_slots = Vec::with_capacity(jac_pattern.nnz());
         for i in 0..n {
@@ -730,6 +792,13 @@ impl NewtonPlan {
             jac: CsrMatrix::from_rows((0..n).map(|i| jac_pattern.row(i)), n)?,
             symbolic,
         })
+    }
+
+    /// The elimination order the plan factors under
+    /// ([`SymbolicLu::order`]): with the pattern, all it takes to rebuild
+    /// this plan through [`with_order`](NewtonPlan::with_order).
+    pub fn order(&self) -> &[u32] {
+        self.symbolic.order()
     }
 
     /// Structural nonzeros of the iteration matrix `I − γJ`.
@@ -1124,6 +1193,58 @@ mod tests {
             NewtonPlan::analyze(&wide).unwrap_err(),
             LinalgError::DimensionMismatch
         );
+    }
+
+    #[test]
+    fn a_plan_rebuilt_from_its_order_is_the_analyzed_plan_without_an_ordering_pass() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let n = 40;
+        let rows: Vec<Vec<u32>> = (0..n)
+            .map(|i| {
+                (0..n as u32)
+                    .filter(|&j| j as usize == i || rng.gen_range(0.0..1.0) < 0.08)
+                    .collect()
+            })
+            .collect();
+        let pattern = SparsityPattern::new(rows, n);
+        let analyzed = NewtonPlan::analyze(&pattern).unwrap();
+        let before = orderings_computed_on_this_thread();
+        let rebuilt = NewtonPlan::with_order(&pattern, analyzed.order()).unwrap();
+        assert_eq!(orderings_computed_on_this_thread(), before);
+        let s = |p: &NewtonPlan| {
+            let s = &p.symbolic;
+            (
+                s.perm.clone(),
+                s.perm_inv.clone(),
+                s.l_ptr.clone(),
+                s.l_idx.clone(),
+                s.u_ptr.clone(),
+                s.u_idx.clone(),
+                s.factor_macs,
+            )
+        };
+        assert_eq!(s(&rebuilt), s(&analyzed));
+        assert_eq!(rebuilt.iter, analyzed.iter);
+        assert_eq!(rebuilt.jac_slots, analyzed.jac_slots);
+        assert_eq!(rebuilt.diag_slots, analyzed.diag_slots);
+        // Any permutation factors (the natural order, with more fill) …
+        let natural: Vec<u32> = (0..n as u32).collect();
+        let worse = NewtonPlan::with_order(&pattern, &natural).unwrap();
+        assert!(worse.fill_nnz() >= analyzed.fill_nnz());
+        // … and nothing else is an order.
+        for bad in [
+            &natural[1..],
+            &[natural.as_slice(), &[0]].concat(),
+            &vec![0; n],
+            &(1..=n as u32).collect::<Vec<_>>(),
+        ] {
+            assert!(!is_permutation(bad, n));
+            assert_eq!(
+                NewtonPlan::with_order(&pattern, bad).unwrap_err(),
+                LinalgError::MalformedPattern
+            );
+        }
+        assert!(is_permutation(&[], 0));
     }
 
     #[test]

@@ -1235,19 +1235,24 @@ mod tests {
         let data_arg = data_dir.display().to_string();
 
         let out = run(&parse_args(&argv(&format!(
-            "synthesize {model_arg} --out {data_arg} --files 2 --records 20 --tend 0.5"
+            "synthesize {model_arg} --out {data_arg} --files 4 --records 20 --tend 0.5"
         )))
         .unwrap())
         .unwrap();
-        assert_eq!(out.lines().count(), 2, "{out}");
+        assert_eq!(out.lines().count(), 4, "{out}");
 
-        let out = run(&parse_args(&argv(&format!(
-            "estimate {model_arg} --data {data_arg} --workers 2"
-        )))
-        .unwrap())
-        .unwrap();
+        let estimate = |workers: usize| {
+            run(&parse_args(&argv(&format!(
+                "estimate {model_arg} --data {data_arg} --workers {workers}"
+            )))
+            .unwrap())
+            .unwrap()
+        };
+        let out = estimate(4);
         assert!(out.contains("K_sc"), "{out}");
         assert!(out.contains("final cost"), "{out}");
+        // More workers than files is four ranks again, not 64 threads.
+        assert_eq!(estimate(64), out);
 
         std::fs::remove_dir_all(&dir).ok();
     }

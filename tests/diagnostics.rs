@@ -85,19 +85,20 @@ fn diagnostics_are_consistent_across_subcommands() {
     assert_eq!(stderr(&report), stderr(&compile));
 }
 
+/// One generation is not enough to close a cascading scission over a
+/// four-sulfur chain.
+const CAPPED: &str = "rate K_sc = 2;\n\
+    molecule Sx = \"CSSSSC\" init 1.0;\n\
+    rule scission { site bond S ~ S order single; action disconnect; rate K_sc; }\n\
+    limit generations 1;\n";
+
 #[test]
 fn generation_cap_warning_renders_span_and_exits_zero() {
     // One generation is not enough to close a cascading scission over a
     // four-sulfur chain: the compile succeeds (exit 0, artifact emitted)
     // but carries a warning naming the cap and the still-growing rule,
     // anchored at the `limit generations` statement.
-    let path = fixture(
-        "capped.rdl",
-        "rate K_sc = 2;\n\
-         molecule Sx = \"CSSSSC\" init 1.0;\n\
-         rule scission { site bond S ~ S order single; action disconnect; rate K_sc; }\n\
-         limit generations 1;\n",
-    );
+    let path = fixture("capped.rdl", CAPPED);
     let path = path.display().to_string();
     let out = rmsc(&["compile", &path, "--emit", "stats"]);
     assert_eq!(out.status.code(), Some(0));
@@ -112,6 +113,27 @@ fn generation_cap_warning_renders_span_and_exits_zero() {
          | ^\n"
     );
     assert_eq!(stderr(&out), expected);
+}
+
+#[test]
+fn generation_cap_warning_repeats_on_a_cache_hit() {
+    // The second `simulate --cache-dir` serves the same truncated network
+    // from the disk entry; it must say so in the same words.
+    let path = fixture("capped_cached.rdl", CAPPED);
+    let cache = path.with_extension("cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let (path, cache) = (path.display().to_string(), cache.display().to_string());
+    let run = || rmsc(&["simulate", &path, "--cache-dir", &cache]);
+    let (first, second) = (run(), run());
+    assert_eq!(first.status.code(), Some(0));
+    assert!(
+        stderr(&first).starts_with("warning[network]: network closure stopped"),
+        "{}",
+        stderr(&first)
+    );
+    assert_eq!(stderr(&second), stderr(&first));
+    assert_eq!(second.stdout, first.stdout);
+    assert_eq!(second.status.code(), Some(0));
 }
 
 #[test]

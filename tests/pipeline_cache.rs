@@ -2,15 +2,19 @@
 //! must be *behaviorally* identical to a cold one — same tape, same
 //! operation counts, same BDF trajectory — at every optimization level
 //! and for both workload model kinds (RDL source and the programmatic
-//! network generator). Plus invalidation, disk revival, and the report's
-//! Table 1 op-count fidelity.
+//! network generator). Plus invalidation, disk revival — which reads
+//! every derivative group, the plan's elimination order and the warnings
+//! back, and derives nothing — and the report's Table 1 op-count fidelity.
 
 use std::sync::{Arc, Mutex};
 
+use rms_solver::orderings_computed_on_this_thread;
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    cache, generate, optimize, CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession,
-    GenerateOptions, OptLevel, SessionOptions, SolverOptions, Stage, SuiteModel,
+    cache, generate, optimize, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel,
+    CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, DerivGroup, EngineMode,
+    GenerateOptions, JacobianMode, OptLevel, SessionOptions, SolveStats, SolverOptions, Stage,
+    SuiteModel,
 };
 
 /// The in-memory cache is process-wide and one test clears it; serialize
@@ -20,6 +24,13 @@ static CACHE_LOCK: Mutex<()> = Mutex::new(());
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     CACHE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
+
+/// A cascading scission that one generation cannot close: compiles, with
+/// a warning anchored at the `limit` statement.
+const CAPPED_RDL: &str = "rate K_sc = 2;\n\
+    molecule Sx = \"CSSSSC\" init 1.0;\n\
+    rule scission { site bond S ~ S order single; action disconnect; rate K_sc; }\n\
+    limit generations 1;\n";
 
 const LEVELS: [OptLevel; 4] = [
     OptLevel::None,
@@ -62,6 +73,32 @@ fn trajectory(artifact: &Arc<CompiledArtifact>) -> Vec<Vec<f64>> {
         .expect("short solve succeeds")
 }
 
+/// One solve over `group` at the default options (`LinearSolver::Auto`,
+/// the analytic Jacobian): plain for the Jacobian group,
+/// sensitivity-augmented for the other. The bits of everything it
+/// returned, and its counters.
+fn solve(artifact: &CompiledArtifact, group: DerivGroup) -> (Vec<u64>, SolveStats) {
+    let choice = artifact.kernel(EngineMode::Exec);
+    let bound = BoundKernel::new(&choice, &artifact.system.rate_values, group);
+    let (y0, times) = (&artifact.system.initial, [0.02, 0.05]);
+    let (options, source) = (
+        SolverOptions::default(),
+        bound.jacobian_source(JacobianMode::Analytic),
+    );
+    let (rows, stats) = match group {
+        DerivGroup::Jacobian => {
+            solve_bdf_with_jacobian(&bound, 0.0, y0, &times, options, source).expect("plain solve")
+        }
+        DerivGroup::Sensitivity => {
+            let (states, sens, stats) =
+                solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &times, options, source)
+                    .expect("augmented solve");
+            ([states, sens].concat(), stats)
+        }
+    };
+    (rows.iter().flatten().map(|v| v.to_bits()).collect(), stats)
+}
+
 fn assert_identical(cold: &Arc<CompiledArtifact>, hit: &Arc<CompiledArtifact>, label: &str) {
     // Same lowered tape, instruction for instruction.
     assert_eq!(
@@ -72,8 +109,58 @@ fn assert_identical(cold: &Arc<CompiledArtifact>, hit: &Arc<CompiledArtifact>, l
     // Same Table 1 operation counts at every optimizer stage.
     assert_eq!(cold.compiled.stages, hit.compiled.stages, "{label}");
     assert_eq!(cold.report.counts, hit.report.counts, "{label}");
-    // Same dynamics: the BDF trajectories are bit-identical because the
-    // solver runs the same instructions on the same initial state.
+    assert_eq!(cold.warnings, hit.warnings, "{label}");
+    // Same derivative groups: every tape, every entry list.
+    let jacobian = |a: &CompiledArtifact| {
+        a.jacobian
+            .as_deref()
+            .map(|j| (j.rhs.to_string(), j.jac.to_string(), j.entries.clone()))
+    };
+    assert!(jacobian(cold) == jacobian(hit), "{label}: Jacobian tapes");
+    let sensitivity = |a: &CompiledArtifact| {
+        a.sensitivity.as_deref().map(|s| {
+            let tapes = [&s.rhs, &s.jac, &s.dfdp].map(|t| t.to_string());
+            let entries = (s.jac_entries.clone(), s.dfdp_entries.clone());
+            (tapes, entries, s.n_species, s.n_rates)
+        })
+    };
+    assert!(
+        sensitivity(cold) == sensitivity(hit),
+        "{label}: sensitivity tapes"
+    );
+    // Same first solve of each compiled group, to the bit and to the
+    // counter: neither artifact analyzes in a solve — the cold compile's
+    // Deriv stage did, a revived entry carries that order — and the plan
+    // either way is one plan for both groups, with the same fill.
+    let groups = [
+        cold.jacobian.as_ref().map(|_| DerivGroup::Jacobian),
+        cold.sensitivity.as_ref().map(|_| DerivGroup::Sensitivity),
+    ];
+    let ordered = orderings_computed_on_this_thread();
+    for group in groups.into_iter().flatten() {
+        let (cold_bits, cold_stats) = solve(cold, group);
+        let (hit_bits, hit_stats) = solve(hit, group);
+        assert!(cold_bits == hit_bits, "{label}: {group:?} trajectories");
+        assert_eq!(cold_stats, hit_stats, "{label}: {group:?}");
+        assert_eq!(cold_stats.symbolic_analyses, 0, "{label}: {group:?}");
+    }
+    if cold.jacobian.is_some() {
+        assert_eq!(orderings_computed_on_this_thread(), ordered, "{label}");
+        let plans = [cold, hit].map(|a| {
+            let patterns = a.kernel(EngineMode::Exec).patterns;
+            let plan = patterns.plan(DerivGroup::Jacobian).expect("Deriv ran");
+            if a.sensitivity.is_some() {
+                let other = patterns.plan(DerivGroup::Sensitivity).unwrap();
+                assert!(Arc::ptr_eq(&plan, &other), "{label}: one plan, both groups");
+            }
+            plan
+        });
+        let shape = |p: &rms_suite::NewtonPlan| (p.fill_nnz(), p.factor_macs(), p.order().to_vec());
+        assert!(shape(&plans[0]) == shape(&plans[1]), "{label}: plans");
+    }
+    // Same dynamics through the simulator front door: the BDF
+    // trajectories are bit-identical because the solver runs the same
+    // instructions on the same initial state.
     assert_eq!(trajectory(cold), trajectory(hit), "{label}: trajectories");
 }
 
@@ -99,6 +186,26 @@ fn cache_hits_reproduce_cold_compiles_at_every_level() {
             assert_identical(&cold.artifact, &hit.artifact, &label);
         }
     }
+}
+
+/// The content address is two std hashers over one walk of the model; it
+/// must stay the address two separate walks gave (recorded at 8bddc5b),
+/// or every cache directory in the field goes cold.
+#[test]
+fn cache_keys_are_the_ones_two_separate_walks_gave() {
+    let _guard = lock();
+    let source = CompilerSession::new(OptLevel::Full)
+        .compile_source("x.rdl", CAPPED_RDL)
+        .expect("capped model compiles");
+    assert_eq!(source.artifact.key, 0xa2f0a2304c5fce570bee1875e061f8d1);
+    let network = compile(Model::Network, SessionOptions::new(OptLevel::Full));
+    assert_eq!(network.artifact.key, 0x161473105a2808ade2189a7a84b21dce);
+    let mut options = SessionOptions::new(OptLevel::Algebraic);
+    options.deriv = true;
+    options.sensitivity = true;
+    options.frontend_threads = 2;
+    let network = compile(Model::Network, options);
+    assert_eq!(network.artifact.key, 0x09056a426caab7c4a27be41cde9fcfc0);
 }
 
 #[test]
@@ -129,20 +236,63 @@ fn source_and_option_changes_invalidate_the_cache() {
 fn disk_cache_revives_identical_artifacts() {
     let _guard = lock();
     let dir = std::env::temp_dir().join(format!("rms-pipeline-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Plain, and with every derivative group a request can compile.
+    for (model, derivs) in [
+        (Model::Network, false),
+        (Model::Network, true),
+        (Model::RdlSource, true),
+    ] {
+        let mut options = SessionOptions::new(OptLevel::Full);
+        options.cache_dir = Some(dir.clone());
+        options.deriv = derivs;
+        options.sensitivity = derivs;
+
+        // A cold build is what persists to disk, so start from an empty
+        // memory layer (another test may have already cached this model).
+        cache::clear_memory();
+        let first = compile(model, options.clone());
+        assert_eq!(first.status, CacheStatus::Cold);
+        // Drop the in-memory layer: the next compile must come back
+        // through deserialization, not a rebuild.
+        cache::clear_memory();
+        let revived = compile(model, options);
+        assert_eq!(revived.status, CacheStatus::Disk);
+        assert_eq!(revived.artifact.sensitivity.is_some(), derivs);
+        let label = format!("disk, derivative groups: {derivs}");
+        assert_identical(&first.artifact, &revived.artifact, &label);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache hit repeats what the cold compile warned about: the closure
+/// below stops at its generation cap, and the second compile — which
+/// serves the same truncated network — must say so too.
+#[test]
+fn revived_artifacts_repeat_their_warnings() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("rms-cache-warnings-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut options = SessionOptions::new(OptLevel::Full);
     options.cache_dir = Some(dir.clone());
-
-    // A cold build is what persists to disk, so start from an empty
-    // memory layer (another test may have already cached this model).
-    cache::clear_memory();
-    let first = compile(Model::Network, options.clone());
-    assert_eq!(first.status, CacheStatus::Cold);
-    // Drop the in-memory layer: the next compile must come back through
-    // deserialization, not a rebuild.
-    cache::clear_memory();
-    let revived = compile(Model::Network, options);
+    let session = CompilerSession::with_options(options);
+    let compile = || {
+        cache::clear_memory();
+        session
+            .compile_source("capped.rdl", CAPPED_RDL)
+            .expect("capped model compiles")
+    };
+    let cold = compile();
+    assert_eq!(cold.status, CacheStatus::Cold);
+    let [warning] = &cold.artifact.warnings[..] else {
+        panic!("one warning expected: {:?}", cold.artifact.warnings);
+    };
+    assert_eq!(warning.stage, Stage::Network);
+    assert!(warning.message.contains("generation cap"), "{warning}");
+    assert!(warning.span.is_some(), "the cap's source position");
+    let revived = compile();
     assert_eq!(revived.status, CacheStatus::Disk);
-    assert_identical(&first.artifact, &revived.artifact, "disk");
+    assert_eq!(revived.artifact.warnings, cold.artifact.warnings);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

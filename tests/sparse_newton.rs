@@ -5,10 +5,14 @@
 //! the analysis behind it runs once per compiled model: every solve over
 //! an artifact shares the artifact's `NewtonPlan`, bit for bit the one a
 //! solve would have analyzed for itself — and that plan's multiply-add
-//! count is what `LinearSolver::Auto` chooses dense or sparse from.
+//! count is what `LinearSolver::Auto` chooses dense or sparse from. Both
+//! derivative groups list the same Jacobian entries, so they share one
+//! plan; a revived artifact rebuilds it from the elimination order its
+//! disk entry carries, without an ordering pass.
 
 use std::sync::{Arc, Barrier, Mutex};
 
+use rms_solver::orderings_computed_on_this_thread;
 use rms_suite::{
     cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
     CacheMode, CacheStatus, CompiledArtifact, CompilerSession, DerivGroup, EngineMode, FnRhs,
@@ -234,7 +238,7 @@ fn solver_stats_report_sparse_fill() {
 
 /// Both derivative groups, compiled for this test alone (cache bypassed):
 /// a cold compile, so the *Deriv* stage's plan for the Jacobian group is
-/// on the artifact already and the sensitivity group's is not.
+/// on the artifact already — and is the sensitivity group's too.
 fn private_session() -> CompilerSession {
     let mut options = SessionOptions::new(OptLevel::Full);
     options.deriv = true;
@@ -252,7 +256,8 @@ fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// `model` as a later process meets it: compiled into a cache directory,
 /// dropped from memory and revived from disk — no plan on it until a
-/// sparse-path solve asks. `tag` keeps the directory (and so the test)
+/// sparse-path solve asks (and then the symbolic fill under the stored
+/// order, not an analysis). `tag` keeps the directory (and so the test)
 /// to itself; callers pass models no other test in this binary compiles.
 fn revived(tag: &str, model: VulcanizationModel) -> Arc<CompiledArtifact> {
     let _cache = cache_lock();
@@ -404,18 +409,17 @@ fn shared_plan_changes_no_bit_of_a_trajectory() {
         .built_plan(DerivGroup::Jacobian)
         .expect("the Deriv stage keeps its analysis")
         .clone();
-    assert!(patterns.built_plan(DerivGroup::Sensitivity).is_none());
+    let shared = patterns.built_plan(DerivGroup::Sensitivity);
+    assert!(Arc::ptr_eq(shared.expect("one plan, both groups"), &kept));
     let deriv = programmatic.artifact.report.stage(Stage::Deriv).unwrap();
     let metric = |name: &str| deriv.metrics.iter().find(|(k, _)| k == name).unwrap().1;
     assert_eq!(metric("lu_fill_nnz"), kept.fill_nnz() as f64);
     assert_eq!(metric("iter_nnz"), kept.iter_nnz() as f64);
     assert!(metric("symbolic_seconds") > 0.0);
     assert_plan_changes_no_bit(&programmatic.artifact, "scaled_case(2, 100)");
-    assert!(Arc::ptr_eq(
-        &patterns.plan(DerivGroup::Jacobian).unwrap(),
-        &kept
-    ));
-    assert!(patterns.built_plan(DerivGroup::Sensitivity).is_some());
+    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
+        assert!(Arc::ptr_eq(&patterns.plan(group).unwrap(), &kept));
+    }
     let rdl = session
         .compile_source("<rdl>", VULCANIZATION_RDL)
         .expect("bundled RDL model compiles");
@@ -423,7 +427,7 @@ fn shared_plan_changes_no_bit_of_a_trajectory() {
 }
 
 /// Eight solves start together on an artifact that has no plan yet: one
-/// of them analyzes inside `OnceLock::get_or_init`, the others wait for
+/// of them builds it inside `OnceLock::get_or_init`, the others wait for
 /// it, and all eight run on that one plan without an analysis of their
 /// own. A provider outside the artifact still pays for its own.
 #[test]
@@ -455,11 +459,9 @@ fn concurrent_solves_share_one_plan_built_once() {
         assert!(stats.factorizations > 0);
         assert!(*out == solves[0].1, "same rates, same trajectory");
     }
-    // Nothing asked for the other group's plan.
-    assert!(choice
-        .patterns
-        .built_plan(DerivGroup::Sensitivity)
-        .is_none());
+    // The other group's pattern is the same, and so is its plan.
+    let other = choice.patterns.built_plan(DerivGroup::Sensitivity);
+    assert!(Arc::ptr_eq(other.expect("one plan, both groups"), built));
 
     let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
     let own = OwnAnalysis(&bound);
@@ -545,7 +547,6 @@ fn dense_solves_never_build_a_plan() {
     let patterns = artifact.kernel(EngineMode::Exec).patterns;
     // The Deriv stage of the cold compile planned the Jacobian group.
     let kept = patterns.built_plan(DerivGroup::Jacobian).unwrap().clone();
-    assert!(patterns.built_plan(DerivGroup::Sensitivity).is_none());
     let sim = TapeSimulator::from_artifact(artifact, vec![1.0; artifact.system.len()]);
     assert_eq!(sim.linear_solver(), LinearSolver::Auto);
     let rates = &artifact.system.rate_values;
@@ -571,8 +572,10 @@ fn dense_solves_never_build_a_plan() {
 
 /// No solve over an artifact analyzes for itself, whichever way the
 /// linear solver is chosen or chooses, whatever the artifact's history:
-/// the plans belong to the artifact's patterns (one per derivative group,
-/// one beside the finite-difference coloring).
+/// the plans belong to the artifact's patterns (one for the derivative
+/// groups, one beside the finite-difference coloring). And no solve
+/// through the analytic pattern orders it either: the cold compile did,
+/// and a revived artifact carries that order.
 #[test]
 fn artifact_backed_solves_never_analyze() {
     let model = scaled_case(2, 125);
@@ -603,7 +606,12 @@ fn artifact_backed_solves_never_analyze() {
                 (DerivGroup::Jacobian, JacobianMode::FdColored),
                 (DerivGroup::Sensitivity, JacobianMode::Analytic),
             ] {
+                let ordered = orderings_computed_on_this_thread();
                 let stats = solve_stats(artifact, group, mode, solver);
+                if mode == JacobianMode::Analytic {
+                    let ran = orderings_computed_on_this_thread() - ordered;
+                    assert_eq!(ran, 0, "{label}/{solver}/{group:?}: minimum-degree passes");
+                }
                 assert!(stats.factorizations > 0);
                 assert_eq!(
                     stats.symbolic_analyses, 0,
