@@ -17,14 +17,17 @@
 //! `∂t_k/∂y_j` for the species in its support, and the chain rule
 //! threads through `Temp` references. This keeps the derivative IR
 //! proportional to the optimized — not the flattened — RHS size.
+//!
+//! It is also *sparse* forward mode: one bottom-up walk of an
+//! expression returns every nonzero partial at once (`Wrt::gradient`),
+//! so differentiating costs O(nodes in + nodes out) — what it emits —
+//! instead of one walk of the whole tree per variable it depends on.
 
-use std::collections::{BTreeSet, HashMap};
+use std::time::Instant;
 
 use crate::cse::{cse_forest, CseOptions};
 use crate::expr::{Coeff, Expr, ExprForest, TempId};
-use crate::tape::{
-    compact_registers_multi, compact_registers_pair, lower_split, lower_split_multi, Tape,
-};
+use crate::tape::{compact_registers_multi, lower_split_multi, Tape};
 
 /// The compiler's full output for an implicit solver: the RHS tape plus
 /// a CSE-shared analytic Jacobian tape over one register file.
@@ -77,39 +80,143 @@ impl JacobianTapes {
     }
 }
 
-/// Differentiate a forest: returns a combined forest whose first
-/// `n_species` outputs are the (temp-renumbered) right-hand sides and
-/// whose remaining outputs are the structurally nonzero Jacobian
-/// entries, plus the `(row, col)` index of each entry.
+/// `(row, column)` index of each output of one derivative group.
+type Entries = Vec<(u32, u32)>;
+
+/// The atom kind a derivative group differentiates with respect to. The
+/// other kind is a constant of that group: states do not depend on the
+/// rate constants here (that coupling is the `J·s` term the sensitivity
+/// ODE adds back).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wrt {
+    /// `∂/∂y_j`: the state Jacobian.
+    Species,
+    /// `∂/∂p_k` with the rate constants as the parameters.
+    Rate,
+}
+
+/// Nonzero partials of one expression as `(variable, ∂expr/∂variable)`,
+/// ascending by variable — exactly the variables the expression
+/// structurally depends on.
+type Gradient = Vec<(u32, Expr)>;
+
+impl Wrt {
+    /// Sparse forward-mode gradient of `expr` in one bottom-up walk.
+    ///
+    /// `expr` is in the input temp-id space and the partials in the
+    /// output space: value temps go through `temp_map`, and the partials
+    /// of `Temp(t)` are the derivative temporaries already emitted for
+    /// it, `dtemps[t]` (ascending variable; absent = identically zero).
+    ///
+    /// Every partial is built by the smart constructors from the same
+    /// terms in the same order as a per-variable walk of the tree would
+    /// hand them: a `Sum` contributes its children's partials in child
+    /// order, a `Prod` one product-rule term `c · f_k' · Π_{l≠k} f_l` per
+    /// factor in factor order, and the terms it skips are exactly the
+    /// identically-zero ones, which `Expr::sum` folds away anyway. So
+    /// term order, constant folding and the structural-sparsity test do
+    /// not depend on how the walk is scheduled.
+    fn gradient(self, expr: &Expr, temp_map: &[TempId], dtemps: &[Vec<(u32, TempId)>]) -> Gradient {
+        visit();
+        match (self, expr) {
+            (Wrt::Species, Expr::Species(i)) | (Wrt::Rate, Expr::Rate(i)) => {
+                vec![(*i, Expr::constant(1.0))]
+            }
+            (_, Expr::Const(_) | Expr::Species(_) | Expr::Rate(_)) => Vec::new(),
+            (_, Expr::Temp(t)) => dtemps[t.0 as usize]
+                .iter()
+                .map(|&(j, d)| (j, Expr::Temp(d)))
+                .collect(),
+            (_, Expr::Sum(children)) => bucket_by_variable(
+                children
+                    .iter()
+                    .flat_map(|c| self.gradient(c, temp_map, dtemps))
+                    .collect(),
+            ),
+            (_, Expr::Prod(Coeff(c), factors)) => {
+                let partials: Vec<Gradient> = factors
+                    .iter()
+                    .map(|f| self.gradient(f, temp_map, dtemps))
+                    .collect();
+                if partials.iter().all(Vec::is_empty) {
+                    return Vec::new();
+                }
+                let values: Vec<Expr> = factors
+                    .iter()
+                    .map(|f| remap_temp_ids(f, temp_map))
+                    .collect();
+                let mut terms = Vec::new();
+                for (k, dfk) in partials.into_iter().enumerate() {
+                    for (j, dk) in dfk {
+                        let mut fs = Vec::with_capacity(factors.len());
+                        fs.push(dk);
+                        fs.extend(values[..k].iter().cloned());
+                        fs.extend(values[k + 1..].iter().cloned());
+                        terms.push((j, Expr::prod(*c, fs)));
+                    }
+                }
+                bucket_by_variable(terms)
+            }
+        }
+    }
+}
+
+/// Close a node's gradient: `(variable, term)` contributions in
+/// emission order become one `Expr::sum` per variable, ascending. The
+/// sort is stable, so each variable's terms keep the order they were
+/// pushed in; sums that fold to zero (a zero coefficient, constants
+/// that cancel) are structural zeros and drop out.
+fn bucket_by_variable(mut terms: Vec<(u32, Expr)>) -> Gradient {
+    terms.sort_by_key(|&(j, _)| j);
+    let mut out = Vec::new();
+    let mut terms = terms.into_iter().peekable();
+    while let Some((j, first)) = terms.next() {
+        let mut bucket = vec![first];
+        while let Some((_, term)) = terms.next_if(|&(k, _)| k == j) {
+            bucket.push(term);
+        }
+        let d = Expr::sum(bucket);
+        if !is_zero(&d) {
+            out.push((j, d));
+        }
+    }
+    out
+}
+
+/// Differentiate a forest once per group of `groups`: returns a combined
+/// forest whose outputs are, in order, the (temp-renumbered) right-hand
+/// sides and then each group's structurally nonzero entries, plus each
+/// group's `(row, variable)` index list.
 ///
-/// Entries are emitted row-major, columns ascending. An entry appears
+/// Entries are emitted row-major, variables ascending. An entry appears
 /// iff the derivative is not *identically* zero after constant folding —
 /// exact structural sparsity, conservative against value cancellation.
-pub fn differentiate_forest(forest: &ExprForest) -> (ExprForest, Vec<(u32, u32)>) {
+fn differentiate(forest: &ExprForest, groups: &[Wrt]) -> (ExprForest, Vec<Entries>) {
     let m = forest.temps.len();
-    // Species support of every temp, transitively through temp refs
-    // (temps are in emission order: bodies only reference earlier temps).
-    let mut temp_support: Vec<BTreeSet<u32>> = Vec::with_capacity(m);
-    for body in &forest.temps {
-        let s = support(body, &temp_support);
-        temp_support.push(s);
-    }
     // Output-space temps: each input temp, immediately followed by its
-    // derivative temps, so write-before-read order is preserved.
+    // derivative temps group by group, so write-before-read order is
+    // preserved (temps are in emission order: bodies only reference
+    // earlier temps).
     let mut new_temps: Vec<Expr> = Vec::new();
     let mut temp_map: Vec<TempId> = Vec::with_capacity(m);
-    let mut dmap: HashMap<(u32, u32), TempId> = HashMap::new();
-    for (k, body) in forest.temps.iter().enumerate() {
+    // `dtemps[g][k]`: the derivative temps emitted for input temp `k` in
+    // group `g`, ascending by variable.
+    let mut dtemps: Vec<Vec<Vec<(u32, TempId)>>> = vec![Vec::with_capacity(m); groups.len()];
+    for body in &forest.temps {
         let id = TempId(new_temps.len() as u32);
         new_temps.push(remap_temp_ids(body, &temp_map));
         temp_map.push(id);
-        for &j in &temp_support[k] {
-            let d = diff(body, j, &temp_map, &dmap);
-            if !is_zero(&d) {
-                let did = TempId(new_temps.len() as u32);
-                new_temps.push(d);
-                dmap.insert((k as u32, j), did);
-            }
+        for (wrt, dtemps) in groups.iter().zip(&mut dtemps) {
+            let emitted = wrt
+                .gradient(body, &temp_map, dtemps)
+                .into_iter()
+                .map(|(j, d)| {
+                    let did = TempId(new_temps.len() as u32);
+                    new_temps.push(d);
+                    (j, did)
+                })
+                .collect();
+            dtemps.push(emitted);
         }
     }
     let mut rhs: Vec<Expr> = forest
@@ -117,15 +224,16 @@ pub fn differentiate_forest(forest: &ExprForest) -> (ExprForest, Vec<(u32, u32)>
         .iter()
         .map(|e| remap_temp_ids(e, &temp_map))
         .collect();
-    let mut entries: Vec<(u32, u32)> = Vec::new();
-    for (i, e) in forest.rhs.iter().enumerate() {
-        for j in support(e, &temp_support) {
-            let d = diff(e, j, &temp_map, &dmap);
-            if !is_zero(&d) {
-                entries.push((i as u32, j));
+    let mut entries: Vec<Entries> = Vec::with_capacity(groups.len());
+    for (wrt, dtemps) in groups.iter().zip(&dtemps) {
+        let mut group = Vec::new();
+        for (i, e) in forest.rhs.iter().enumerate() {
+            for (j, d) in wrt.gradient(e, &temp_map, dtemps) {
+                group.push((i as u32, j));
                 rhs.push(d);
             }
         }
+        entries.push(group);
     }
     (
         ExprForest {
@@ -138,6 +246,70 @@ pub fn differentiate_forest(forest: &ExprForest) -> (ExprForest, Vec<(u32, u32)>
     )
 }
 
+/// Differentiate a forest with respect to the state: returns a combined
+/// forest whose first `n_species` outputs are the (temp-renumbered)
+/// right-hand sides and whose remaining outputs are the structurally
+/// nonzero Jacobian entries, plus the `(row, col)` index of each entry.
+pub fn differentiate_forest(forest: &ExprForest) -> (ExprForest, Entries) {
+    let (combined, entries) = differentiate(forest, &[Wrt::Species]);
+    let [entries]: [Entries; 1] = entries.try_into().expect("one list per group");
+    (combined, entries)
+}
+
+/// Differentiate a forest with respect to both the state *and* the rate
+/// constants: returns a combined forest whose outputs are, in order, the
+/// (temp-renumbered) right-hand sides, the structurally nonzero state-
+/// Jacobian entries, and the structurally nonzero `∂f/∂p` entries, plus
+/// the index lists of both entry groups.
+pub fn differentiate_forest_sensitivity(forest: &ExprForest) -> (ExprForest, Entries, Entries) {
+    let (combined, entries) = differentiate(forest, &[Wrt::Species, Wrt::Rate]);
+    let [jac_entries, dfdp_entries]: [Entries; 2] = entries.try_into().expect("one list per group");
+    (combined, jac_entries, dfdp_entries)
+}
+
+/// Where one or more `compile_*_timed` calls spent their wall time,
+/// accumulated across calls: the *Deriv* stage record's split.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct DerivTimes {
+    /// Symbolic differentiation of the forest.
+    pub diff_seconds: f64,
+    /// Re-CSE of the combined RHS + derivative forest.
+    pub cse_seconds: f64,
+    /// Split lowering and joint register compaction.
+    pub lower_seconds: f64,
+}
+
+/// Differentiate, re-CSE and lower `forest` into one register-sharing
+/// tape per output group: the RHS tape, then one per entry of `groups`.
+fn compile_groups(
+    forest: &ExprForest,
+    cse: Option<CseOptions>,
+    groups: &[Wrt],
+    times: &mut DerivTimes,
+) -> (Vec<Tape>, Vec<Entries>) {
+    let mut clock = Instant::now();
+    let mut lap = |seconds: &mut f64| {
+        *seconds += clock.elapsed().as_secs_f64();
+        clock = Instant::now();
+    };
+    let (mut combined, entries) = differentiate(forest, groups);
+    lap(&mut times.diff_seconds);
+    if let Some(options) = cse {
+        // The assignment frees the pre-CSE forest — by far the largest
+        // value of the stage — before any tape is built.
+        combined = cse_forest(&combined, options);
+    }
+    lap(&mut times.cse_seconds);
+    let counts: Vec<usize> = std::iter::once(forest.n_species)
+        .chain(entries.iter().map(Vec::len))
+        .collect();
+    let tapes = lower_split_multi(&combined, &counts);
+    drop(combined);
+    let tapes = compact_registers_multi(&tapes.iter().collect::<Vec<_>>());
+    lap(&mut times.lower_seconds);
+    (tapes, entries)
+}
+
 /// Compile a forest into RHS + analytic-Jacobian tapes.
 ///
 /// With `cse` set, the combined forest is re-CSE'd so subexpressions are
@@ -145,13 +317,18 @@ pub fn differentiate_forest(forest: &ExprForest) -> (ExprForest, Vec<(u32, u32)>
 /// places each temporary on the first tape that needs it and compacts
 /// one register file across both.
 pub fn compile_jacobian(forest: &ExprForest, cse: Option<CseOptions>) -> JacobianTapes {
-    let (combined, entries) = differentiate_forest(forest);
-    let combined = match cse {
-        Some(options) => cse_forest(&combined, options),
-        None => combined,
-    };
-    let (rhs, jac) = lower_split(&combined, forest.n_species);
-    let (rhs, jac) = compact_registers_pair(&rhs, &jac);
+    compile_jacobian_timed(forest, cse, &mut DerivTimes::default())
+}
+
+/// [`compile_jacobian`], adding the time of each phase to `times`.
+pub fn compile_jacobian_timed(
+    forest: &ExprForest,
+    cse: Option<CseOptions>,
+    times: &mut DerivTimes,
+) -> JacobianTapes {
+    let (tapes, entries) = compile_groups(forest, cse, &[Wrt::Species], times);
+    let [rhs, jac]: [Tape; 2] = tapes.try_into().expect("RHS tape + one per group");
+    let [entries]: [Entries; 1] = entries.try_into().expect("one list per group");
     JacobianTapes {
         rhs,
         jac,
@@ -263,88 +440,6 @@ impl SensitivityTapes {
     }
 }
 
-/// Differentiate a forest with respect to both the state *and* the rate
-/// constants: returns a combined forest whose outputs are, in order, the
-/// (temp-renumbered) right-hand sides, the structurally nonzero state-
-/// Jacobian entries, and the structurally nonzero `∂f/∂p` entries, plus
-/// the index lists of both entry groups.
-#[allow(clippy::type_complexity)]
-pub fn differentiate_forest_sensitivity(
-    forest: &ExprForest,
-) -> (ExprForest, Vec<(u32, u32)>, Vec<(u32, u32)>) {
-    let m = forest.temps.len();
-    // Species and rate support of every temp, transitively.
-    let mut temp_support: Vec<BTreeSet<u32>> = Vec::with_capacity(m);
-    let mut temp_rates: Vec<BTreeSet<u32>> = Vec::with_capacity(m);
-    for body in &forest.temps {
-        temp_support.push(support(body, &temp_support));
-        temp_rates.push(rate_support(body, &temp_rates));
-    }
-    // Output-space temps: each input temp, immediately followed by its
-    // state-derivative temps, then its rate-derivative temps, so
-    // write-before-read order is preserved.
-    let mut new_temps: Vec<Expr> = Vec::new();
-    let mut temp_map: Vec<TempId> = Vec::with_capacity(m);
-    let mut dmap: HashMap<(u32, u32), TempId> = HashMap::new();
-    let mut pmap: HashMap<(u32, u32), TempId> = HashMap::new();
-    for (k, body) in forest.temps.iter().enumerate() {
-        let id = TempId(new_temps.len() as u32);
-        new_temps.push(remap_temp_ids(body, &temp_map));
-        temp_map.push(id);
-        for &j in &temp_support[k] {
-            let d = diff(body, j, &temp_map, &dmap);
-            if !is_zero(&d) {
-                let did = TempId(new_temps.len() as u32);
-                new_temps.push(d);
-                dmap.insert((k as u32, j), did);
-            }
-        }
-        for &r in &temp_rates[k] {
-            let d = diff_rate(body, r, &temp_map, &pmap);
-            if !is_zero(&d) {
-                let did = TempId(new_temps.len() as u32);
-                new_temps.push(d);
-                pmap.insert((k as u32, r), did);
-            }
-        }
-    }
-    let mut rhs: Vec<Expr> = forest
-        .rhs
-        .iter()
-        .map(|e| remap_temp_ids(e, &temp_map))
-        .collect();
-    let mut jac_entries: Vec<(u32, u32)> = Vec::new();
-    for (i, e) in forest.rhs.iter().enumerate() {
-        for j in support(e, &temp_support) {
-            let d = diff(e, j, &temp_map, &dmap);
-            if !is_zero(&d) {
-                jac_entries.push((i as u32, j));
-                rhs.push(d);
-            }
-        }
-    }
-    let mut dfdp_entries: Vec<(u32, u32)> = Vec::new();
-    for (i, e) in forest.rhs.iter().enumerate() {
-        for r in rate_support(e, &temp_rates) {
-            let d = diff_rate(e, r, &temp_map, &pmap);
-            if !is_zero(&d) {
-                dfdp_entries.push((i as u32, r));
-                rhs.push(d);
-            }
-        }
-    }
-    (
-        ExprForest {
-            temps: new_temps,
-            rhs,
-            n_species: forest.n_species,
-            n_rates: forest.n_rates,
-        },
-        jac_entries,
-        dfdp_entries,
-    )
-}
-
 /// Compile a forest into RHS + state-Jacobian + `∂f/∂p` tapes for
 /// forward sensitivity analysis.
 ///
@@ -353,17 +448,18 @@ pub fn differentiate_forest_sensitivity(
 /// each temporary on the first tape that needs it and compacts one
 /// register file across the triple.
 pub fn compile_sensitivity(forest: &ExprForest, cse: Option<CseOptions>) -> SensitivityTapes {
-    let (combined, jac_entries, dfdp_entries) = differentiate_forest_sensitivity(forest);
-    let combined = match cse {
-        Some(options) => cse_forest(&combined, options),
-        None => combined,
-    };
-    let counts = [forest.n_species, jac_entries.len(), dfdp_entries.len()];
-    let tapes = lower_split_multi(&combined, &counts);
-    let mut tapes = compact_registers_multi(&[&tapes[0], &tapes[1], &tapes[2]]);
-    let dfdp = tapes.pop().expect("three tapes");
-    let jac = tapes.pop().expect("three tapes");
-    let rhs = tapes.pop().expect("three tapes");
+    compile_sensitivity_timed(forest, cse, &mut DerivTimes::default())
+}
+
+/// [`compile_sensitivity`], adding the time of each phase to `times`.
+pub fn compile_sensitivity_timed(
+    forest: &ExprForest,
+    cse: Option<CseOptions>,
+    times: &mut DerivTimes,
+) -> SensitivityTapes {
+    let (tapes, entries) = compile_groups(forest, cse, &[Wrt::Species, Wrt::Rate], times);
+    let [rhs, jac, dfdp]: [Tape; 3] = tapes.try_into().expect("RHS tape + one per group");
+    let [jac_entries, dfdp_entries]: [Entries; 2] = entries.try_into().expect("one list per group");
     SensitivityTapes {
         rhs,
         jac,
@@ -379,64 +475,25 @@ fn is_zero(e: &Expr) -> bool {
     matches!(e, Expr::Const(Coeff(v)) if *v == 0.0)
 }
 
-/// Species a value depends on (through temp references).
-fn support(expr: &Expr, temp_support: &[BTreeSet<u32>]) -> BTreeSet<u32> {
-    let mut out = BTreeSet::new();
-    collect_support(expr, temp_support, &mut out);
-    out
+#[cfg(test)]
+thread_local! {
+    /// Nodes visited by [`Wrt::gradient`] and [`remap_temp_ids`] on this
+    /// thread: the work measure of the linear-work test.
+    static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-fn collect_support(expr: &Expr, temp_support: &[BTreeSet<u32>], out: &mut BTreeSet<u32>) {
-    match expr {
-        Expr::Species(i) => {
-            out.insert(*i);
-        }
-        Expr::Temp(t) => out.extend(temp_support[t.0 as usize].iter().copied()),
-        Expr::Prod(_, factors) => {
-            for f in factors {
-                collect_support(f, temp_support, out);
-            }
-        }
-        Expr::Sum(children) => {
-            for c in children {
-                collect_support(c, temp_support, out);
-            }
-        }
-        Expr::Const(_) | Expr::Rate(_) => {}
-    }
-}
-
-/// Rate constants a value depends on (through temp references).
-fn rate_support(expr: &Expr, temp_rates: &[BTreeSet<u32>]) -> BTreeSet<u32> {
-    let mut out = BTreeSet::new();
-    collect_rate_support(expr, temp_rates, &mut out);
-    out
-}
-
-fn collect_rate_support(expr: &Expr, temp_rates: &[BTreeSet<u32>], out: &mut BTreeSet<u32>) {
-    match expr {
-        Expr::Rate(r) => {
-            out.insert(*r);
-        }
-        Expr::Temp(t) => out.extend(temp_rates[t.0 as usize].iter().copied()),
-        Expr::Prod(_, factors) => {
-            for f in factors {
-                collect_rate_support(f, temp_rates, out);
-            }
-        }
-        Expr::Sum(children) => {
-            for c in children {
-                collect_rate_support(c, temp_rates, out);
-            }
-        }
-        Expr::Const(_) | Expr::Species(_) => {}
-    }
+/// Count one node visit (test builds only).
+#[inline(always)]
+fn visit() {
+    #[cfg(test)]
+    VISITS.with(|v| v.set(v.get() + 1));
 }
 
 /// Renumber `Temp` references from the input forest's id space to the
 /// output's. The map is monotone, so canonical child ordering survives a
 /// structural rebuild.
 fn remap_temp_ids(expr: &Expr, temp_map: &[TempId]) -> Expr {
+    visit();
     match expr {
         Expr::Temp(t) => Expr::Temp(temp_map[t.0 as usize]),
         Expr::Prod(c, factors) => Expr::Prod(
@@ -456,84 +513,284 @@ fn remap_temp_ids(expr: &Expr, temp_map: &[TempId]) -> Expr {
     }
 }
 
-/// `∂expr/∂y_j` with `expr` in the input temp-id space and the result in
-/// the output space: value temps go through `temp_map`, derivatives of
-/// temps resolve to the already-emitted temporaries in `dmap` (absent =
-/// identically zero).
-fn diff(expr: &Expr, j: u32, temp_map: &[TempId], dmap: &HashMap<(u32, u32), TempId>) -> Expr {
-    match expr {
-        Expr::Const(_) | Expr::Rate(_) => Expr::constant(0.0),
-        Expr::Species(i) => Expr::constant(if *i == j { 1.0 } else { 0.0 }),
-        Expr::Temp(t) => match dmap.get(&(t.0, j)) {
-            Some(&d) => Expr::Temp(d),
-            None => Expr::constant(0.0),
-        },
-        Expr::Prod(Coeff(c), factors) => {
-            // Product rule: Σ_k c · f_k' · Π_{l≠k} f_l.
-            let mut terms = Vec::new();
-            for (k, fk) in factors.iter().enumerate() {
-                let dk = diff(fk, j, temp_map, dmap);
-                if is_zero(&dk) {
-                    continue;
-                }
-                let mut fs = Vec::with_capacity(factors.len());
-                fs.push(dk);
-                for (l, fl) in factors.iter().enumerate() {
-                    if l != k {
-                        fs.push(remap_temp_ids(fl, temp_map));
-                    }
-                }
-                terms.push(Expr::prod(*c, fs));
-            }
-            Expr::sum(terms)
-        }
-        Expr::Sum(children) => Expr::sum(
-            children
-                .iter()
-                .map(|c| diff(c, j, temp_map, dmap))
-                .collect(),
-        ),
-    }
-}
+/// The per-variable walkers the sparse gradient replaced, kept verbatim
+/// as the reference the property test compares it against: one full walk
+/// of an expression per variable in its support.
+#[cfg(test)]
+mod oracle {
+    use std::collections::{BTreeSet, HashMap};
 
-/// `∂expr/∂p_r` (rate constant `r`) with `expr` in the input temp-id
-/// space and the result in the output space: value temps go through
-/// `temp_map`, derivatives of temps resolve through `pmap` (absent =
-/// identically zero). Mirrors [`diff`] with the roles of `Species` and
-/// `Rate` atoms exchanged: states do not depend on the parameters here
-/// (that coupling is the `J·s` term the sensitivity ODE adds back).
-fn diff_rate(expr: &Expr, r: u32, temp_map: &[TempId], pmap: &HashMap<(u32, u32), TempId>) -> Expr {
-    match expr {
-        Expr::Const(_) | Expr::Species(_) => Expr::constant(0.0),
-        Expr::Rate(i) => Expr::constant(if *i == r { 1.0 } else { 0.0 }),
-        Expr::Temp(t) => match pmap.get(&(t.0, r)) {
-            Some(&d) => Expr::Temp(d),
-            None => Expr::constant(0.0),
-        },
-        Expr::Prod(Coeff(c), factors) => {
-            let mut terms = Vec::new();
-            for (k, fk) in factors.iter().enumerate() {
-                let dk = diff_rate(fk, r, temp_map, pmap);
-                if is_zero(&dk) {
-                    continue;
-                }
-                let mut fs = Vec::with_capacity(factors.len());
-                fs.push(dk);
-                for (l, fl) in factors.iter().enumerate() {
-                    if l != k {
-                        fs.push(remap_temp_ids(fl, temp_map));
-                    }
-                }
-                terms.push(Expr::prod(*c, fs));
-            }
-            Expr::sum(terms)
+    use super::{is_zero, remap_temp_ids};
+    use crate::expr::{Coeff, Expr, ExprForest, TempId};
+
+    pub fn differentiate_forest(forest: &ExprForest) -> (ExprForest, Vec<(u32, u32)>) {
+        let m = forest.temps.len();
+        // Species support of every temp, transitively through temp refs
+        // (temps are in emission order: bodies only reference earlier temps).
+        let mut temp_support: Vec<BTreeSet<u32>> = Vec::with_capacity(m);
+        for body in &forest.temps {
+            let s = support(body, &temp_support);
+            temp_support.push(s);
         }
-        Expr::Sum(children) => Expr::sum(
-            children
-                .iter()
-                .map(|c| diff_rate(c, r, temp_map, pmap))
-                .collect(),
-        ),
+        // Output-space temps: each input temp, immediately followed by its
+        // derivative temps, so write-before-read order is preserved.
+        let mut new_temps: Vec<Expr> = Vec::new();
+        let mut temp_map: Vec<TempId> = Vec::with_capacity(m);
+        let mut dmap: HashMap<(u32, u32), TempId> = HashMap::new();
+        for (k, body) in forest.temps.iter().enumerate() {
+            let id = TempId(new_temps.len() as u32);
+            new_temps.push(remap_temp_ids(body, &temp_map));
+            temp_map.push(id);
+            for &j in &temp_support[k] {
+                let d = diff(body, j, &temp_map, &dmap);
+                if !is_zero(&d) {
+                    let did = TempId(new_temps.len() as u32);
+                    new_temps.push(d);
+                    dmap.insert((k as u32, j), did);
+                }
+            }
+        }
+        let mut rhs: Vec<Expr> = forest
+            .rhs
+            .iter()
+            .map(|e| remap_temp_ids(e, &temp_map))
+            .collect();
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        for (i, e) in forest.rhs.iter().enumerate() {
+            for j in support(e, &temp_support) {
+                let d = diff(e, j, &temp_map, &dmap);
+                if !is_zero(&d) {
+                    entries.push((i as u32, j));
+                    rhs.push(d);
+                }
+            }
+        }
+        (
+            ExprForest {
+                temps: new_temps,
+                rhs,
+                n_species: forest.n_species,
+                n_rates: forest.n_rates,
+            },
+            entries,
+        )
+    }
+
+    #[allow(clippy::type_complexity)]
+    pub fn differentiate_forest_sensitivity(
+        forest: &ExprForest,
+    ) -> (ExprForest, Vec<(u32, u32)>, Vec<(u32, u32)>) {
+        let m = forest.temps.len();
+        // Species and rate support of every temp, transitively.
+        let mut temp_support: Vec<BTreeSet<u32>> = Vec::with_capacity(m);
+        let mut temp_rates: Vec<BTreeSet<u32>> = Vec::with_capacity(m);
+        for body in &forest.temps {
+            temp_support.push(support(body, &temp_support));
+            temp_rates.push(rate_support(body, &temp_rates));
+        }
+        // Output-space temps: each input temp, immediately followed by its
+        // state-derivative temps, then its rate-derivative temps, so
+        // write-before-read order is preserved.
+        let mut new_temps: Vec<Expr> = Vec::new();
+        let mut temp_map: Vec<TempId> = Vec::with_capacity(m);
+        let mut dmap: HashMap<(u32, u32), TempId> = HashMap::new();
+        let mut pmap: HashMap<(u32, u32), TempId> = HashMap::new();
+        for (k, body) in forest.temps.iter().enumerate() {
+            let id = TempId(new_temps.len() as u32);
+            new_temps.push(remap_temp_ids(body, &temp_map));
+            temp_map.push(id);
+            for &j in &temp_support[k] {
+                let d = diff(body, j, &temp_map, &dmap);
+                if !is_zero(&d) {
+                    let did = TempId(new_temps.len() as u32);
+                    new_temps.push(d);
+                    dmap.insert((k as u32, j), did);
+                }
+            }
+            for &r in &temp_rates[k] {
+                let d = diff_rate(body, r, &temp_map, &pmap);
+                if !is_zero(&d) {
+                    let did = TempId(new_temps.len() as u32);
+                    new_temps.push(d);
+                    pmap.insert((k as u32, r), did);
+                }
+            }
+        }
+        let mut rhs: Vec<Expr> = forest
+            .rhs
+            .iter()
+            .map(|e| remap_temp_ids(e, &temp_map))
+            .collect();
+        let mut jac_entries: Vec<(u32, u32)> = Vec::new();
+        for (i, e) in forest.rhs.iter().enumerate() {
+            for j in support(e, &temp_support) {
+                let d = diff(e, j, &temp_map, &dmap);
+                if !is_zero(&d) {
+                    jac_entries.push((i as u32, j));
+                    rhs.push(d);
+                }
+            }
+        }
+        let mut dfdp_entries: Vec<(u32, u32)> = Vec::new();
+        for (i, e) in forest.rhs.iter().enumerate() {
+            for r in rate_support(e, &temp_rates) {
+                let d = diff_rate(e, r, &temp_map, &pmap);
+                if !is_zero(&d) {
+                    dfdp_entries.push((i as u32, r));
+                    rhs.push(d);
+                }
+            }
+        }
+        (
+            ExprForest {
+                temps: new_temps,
+                rhs,
+                n_species: forest.n_species,
+                n_rates: forest.n_rates,
+            },
+            jac_entries,
+            dfdp_entries,
+        )
+    }
+
+    /// Species a value depends on (through temp references).
+    fn support(expr: &Expr, temp_support: &[BTreeSet<u32>]) -> BTreeSet<u32> {
+        let mut out = BTreeSet::new();
+        collect_support(expr, temp_support, &mut out);
+        out
+    }
+
+    fn collect_support(expr: &Expr, temp_support: &[BTreeSet<u32>], out: &mut BTreeSet<u32>) {
+        match expr {
+            Expr::Species(i) => {
+                out.insert(*i);
+            }
+            Expr::Temp(t) => out.extend(temp_support[t.0 as usize].iter().copied()),
+            Expr::Prod(_, factors) => {
+                for f in factors {
+                    collect_support(f, temp_support, out);
+                }
+            }
+            Expr::Sum(children) => {
+                for c in children {
+                    collect_support(c, temp_support, out);
+                }
+            }
+            Expr::Const(_) | Expr::Rate(_) => {}
+        }
+    }
+
+    /// Rate constants a value depends on (through temp references).
+    fn rate_support(expr: &Expr, temp_rates: &[BTreeSet<u32>]) -> BTreeSet<u32> {
+        let mut out = BTreeSet::new();
+        collect_rate_support(expr, temp_rates, &mut out);
+        out
+    }
+
+    fn collect_rate_support(expr: &Expr, temp_rates: &[BTreeSet<u32>], out: &mut BTreeSet<u32>) {
+        match expr {
+            Expr::Rate(r) => {
+                out.insert(*r);
+            }
+            Expr::Temp(t) => out.extend(temp_rates[t.0 as usize].iter().copied()),
+            Expr::Prod(_, factors) => {
+                for f in factors {
+                    collect_rate_support(f, temp_rates, out);
+                }
+            }
+            Expr::Sum(children) => {
+                for c in children {
+                    collect_rate_support(c, temp_rates, out);
+                }
+            }
+            Expr::Const(_) | Expr::Species(_) => {}
+        }
+    }
+
+    /// `∂expr/∂y_j` with `expr` in the input temp-id space and the result in
+    /// the output space: value temps go through `temp_map`, derivatives of
+    /// temps resolve to the already-emitted temporaries in `dmap` (absent =
+    /// identically zero).
+    fn diff(expr: &Expr, j: u32, temp_map: &[TempId], dmap: &HashMap<(u32, u32), TempId>) -> Expr {
+        match expr {
+            Expr::Const(_) | Expr::Rate(_) => Expr::constant(0.0),
+            Expr::Species(i) => Expr::constant(if *i == j { 1.0 } else { 0.0 }),
+            Expr::Temp(t) => match dmap.get(&(t.0, j)) {
+                Some(&d) => Expr::Temp(d),
+                None => Expr::constant(0.0),
+            },
+            Expr::Prod(Coeff(c), factors) => {
+                // Product rule: Σ_k c · f_k' · Π_{l≠k} f_l.
+                let mut terms = Vec::new();
+                for (k, fk) in factors.iter().enumerate() {
+                    let dk = diff(fk, j, temp_map, dmap);
+                    if is_zero(&dk) {
+                        continue;
+                    }
+                    let mut fs = Vec::with_capacity(factors.len());
+                    fs.push(dk);
+                    for (l, fl) in factors.iter().enumerate() {
+                        if l != k {
+                            fs.push(remap_temp_ids(fl, temp_map));
+                        }
+                    }
+                    terms.push(Expr::prod(*c, fs));
+                }
+                Expr::sum(terms)
+            }
+            Expr::Sum(children) => Expr::sum(
+                children
+                    .iter()
+                    .map(|c| diff(c, j, temp_map, dmap))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// `∂expr/∂p_r` (rate constant `r`) with `expr` in the input temp-id
+    /// space and the result in the output space: value temps go through
+    /// `temp_map`, derivatives of temps resolve through `pmap` (absent =
+    /// identically zero). Mirrors [`diff`] with the roles of `Species` and
+    /// `Rate` atoms exchanged: states do not depend on the parameters here
+    /// (that coupling is the `J·s` term the sensitivity ODE adds back).
+    fn diff_rate(
+        expr: &Expr,
+        r: u32,
+        temp_map: &[TempId],
+        pmap: &HashMap<(u32, u32), TempId>,
+    ) -> Expr {
+        match expr {
+            Expr::Const(_) | Expr::Species(_) => Expr::constant(0.0),
+            Expr::Rate(i) => Expr::constant(if *i == r { 1.0 } else { 0.0 }),
+            Expr::Temp(t) => match pmap.get(&(t.0, r)) {
+                Some(&d) => Expr::Temp(d),
+                None => Expr::constant(0.0),
+            },
+            Expr::Prod(Coeff(c), factors) => {
+                let mut terms = Vec::new();
+                for (k, fk) in factors.iter().enumerate() {
+                    let dk = diff_rate(fk, r, temp_map, pmap);
+                    if is_zero(&dk) {
+                        continue;
+                    }
+                    let mut fs = Vec::with_capacity(factors.len());
+                    fs.push(dk);
+                    for (l, fl) in factors.iter().enumerate() {
+                        if l != k {
+                            fs.push(remap_temp_ids(fl, temp_map));
+                        }
+                    }
+                    terms.push(Expr::prod(*c, fs));
+                }
+                Expr::sum(terms)
+            }
+            Expr::Sum(children) => Expr::sum(
+                children
+                    .iter()
+                    .map(|c| diff_rate(c, r, temp_map, pmap))
+                    .collect(),
+            ),
+        }
     }
 }
 
@@ -990,6 +1247,140 @@ mod tests {
         assert_eq!(bits(&ydot), bits(&ydot_r));
         assert_eq!(bits(&jac_vals), bits(&jac_r));
         assert_eq!(bits(&dfdp_vals), bits(&dfdp_r));
+    }
+
+    /// A random tree over `n` species, 4 rates and the first `temps`
+    /// temporaries — half the nodes through the smart constructors, half
+    /// raw, so non-canonical shapes (a `Sum` under a `Sum`, constants as
+    /// factors, zero and negative-zero coefficients) occur too.
+    fn random_expr(rng: &mut rand::rngs::SmallRng, depth: u32, n: u32, temps: u32) -> Expr {
+        use rand::Rng;
+        // Mostly inexact in binary, so the order constants fold in shows.
+        const COEFFS: [f64; 8] = [1.0, -1.0, 0.1, 1.7, -0.3, 0.0, -0.0, 1e-3];
+        let pick = if depth == 0 {
+            rng.gen_range(0..4)
+        } else {
+            rng.gen_range(0..8)
+        };
+        let children = |rng: &mut rand::rngs::SmallRng| -> Vec<Expr> {
+            (0..rng.gen_range(2..5))
+                .map(|_| random_expr(rng, depth - 1, n, temps))
+                .collect()
+        };
+        match pick {
+            0 => Expr::constant(COEFFS[rng.gen_range(0..COEFFS.len())]),
+            1 => Expr::Rate(rng.gen_range(0..4)),
+            3 if temps > 0 => Expr::Temp(TempId(rng.gen_range(0..temps))),
+            2 | 3 => Expr::Species(rng.gen_range(0..n)),
+            4 | 5 => {
+                let c = COEFFS[rng.gen_range(0..COEFFS.len())];
+                let mut factors = children(rng);
+                // Repeated species: the power rule.
+                if rng.gen_bool(0.3) {
+                    factors.push(factors[0].clone());
+                }
+                if pick == 4 {
+                    Expr::prod(c, factors)
+                } else {
+                    Expr::Prod(Coeff(c), factors)
+                }
+            }
+            6 => Expr::sum(children(rng)),
+            _ => Expr::Sum(children(rng)),
+        }
+    }
+
+    #[test]
+    fn sparse_gradient_equals_the_per_variable_walkers() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(22);
+        let mut entries_seen = 0;
+        for round in 0..400 {
+            let n = rng.gen_range(2..7);
+            // Temps reference earlier temps.
+            let temps: Vec<Expr> = (0..rng.gen_range(0..6))
+                .map(|k| random_expr(&mut rng, 2, n, k))
+                .collect();
+            let mut rhs: Vec<Expr> = (0..n)
+                .map(|_| random_expr(&mut rng, 3, n, temps.len() as u32))
+                .collect();
+            // Like terms: their partials are constants, folded in child order.
+            let (j, r) = (rng.gen_range(0..n), rng.gen_range(0..4));
+            let like_terms = [0.1, 1.7, -0.3, 1e-3]
+                .iter()
+                .flat_map(|&c| [Expr::Species(j), Expr::Rate(r)].map(|v| Expr::prod(c, vec![v])))
+                .chain(rhs.pop())
+                .collect();
+            rhs.push(Expr::Sum(like_terms));
+            let f = ExprForest {
+                temps,
+                rhs,
+                n_species: n as usize,
+                n_rates: 4,
+            };
+            // `Debug` rather than `==`: it tells `-0.0` from `0.0`.
+            assert_eq!(
+                format!("{:?}", differentiate_forest(&f)),
+                format!("{:?}", oracle::differentiate_forest(&f)),
+                "round {round}: state group differs on {f:?}"
+            );
+            let both = differentiate_forest_sensitivity(&f);
+            assert_eq!(
+                format!("{both:?}"),
+                format!("{:?}", oracle::differentiate_forest_sensitivity(&f)),
+                "round {round}: sensitivity groups differ on {f:?}"
+            );
+            entries_seen += both.1.len() + both.2.len();
+        }
+        assert!(
+            entries_seen > 2_000,
+            "generator went degenerate: {entries_seen}"
+        );
+    }
+
+    /// A radical hub at family size `n`: the temp `t0 = Σ y_i` over the
+    /// family, every family member consumed by the hub species `y_n`, and
+    /// the hub's own equation — `n` bimolecular products over the family
+    /// plus one over the temp, so its support is all `n + 1` species
+    /// while each species appears in O(1) of its terms. (With the temp as
+    /// a factor of every product the *output* would be Θ(n²) nodes, for
+    /// any differentiator.)
+    fn hub_forest(n: u32) -> ExprForest {
+        let family_sum = Expr::sum((0..n).map(Expr::Species).collect());
+        let mut rhs: Vec<Expr> = (0..n).map(|i| term(-1.0, i % 8, &[i, n])).collect();
+        let mut hub: Vec<Expr> = (0..n)
+            .map(|i| term(1.0, i % 8, &[i, (i + 1) % n]))
+            .collect();
+        hub.push(Expr::prod(
+            -1.0,
+            vec![Expr::Rate(0), Expr::Species(n), Expr::Temp(TempId(0))],
+        ));
+        rhs.push(Expr::sum(hub));
+        ExprForest {
+            temps: vec![family_sum],
+            rhs,
+            n_species: n as usize + 1,
+            n_rates: 8,
+        }
+    }
+
+    #[test]
+    fn differentiation_work_is_linear_in_input_plus_output() {
+        for n in [2_000, 4_000] {
+            let f = hub_forest(n);
+            VISITS.with(|v| v.set(0));
+            let (combined, jac_entries, dfdp_entries) = differentiate_forest_sensitivity(&f);
+            let visits = VISITS.with(|v| v.get());
+            // The hub row is dense, every other row has two entries.
+            assert_eq!(jac_entries.len(), 3 * n as usize + 1);
+            assert_eq!(dfdp_entries.len(), n as usize + 8);
+            let nodes = (f.node_count() + combined.node_count()) as u64;
+            assert!(
+                visits <= 4 * nodes,
+                "n = {n}: {visits} node visits for {nodes} nodes in + out"
+            );
+        }
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub mod tape;
 
 pub use cse::{cse_forest, CseOptions};
 pub use deriv::{
-    compile_jacobian, compile_sensitivity, differentiate_forest, differentiate_forest_sensitivity,
-    JacobianTapes, SensitivityTapes,
+    compile_jacobian, compile_jacobian_timed, compile_sensitivity, compile_sensitivity_timed,
+    differentiate_forest, differentiate_forest_sensitivity, DerivTimes, JacobianTapes,
+    SensitivityTapes,
 };
 pub use distopt::{distribute_expr, distribute_forest};
 pub use emit_c::{

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rms_core::{
-    compile_jacobian, compile_sensitivity, optimize_traced, CompiledOde, CseOptions, ExecTape,
-    JacobianTapes, OptLevel, PassTrace, Passes, SensitivityTapes,
+    compile_jacobian_timed, compile_sensitivity_timed, optimize_traced, CompiledOde, CseOptions,
+    DerivTimes, ExecTape, JacobianTapes, OptLevel, PassTrace, Passes, SensitivityTapes,
 };
 use rms_odegen::{generate, GenerateOptions, OdeSystem};
 use rms_rcip::RateTable;
@@ -530,20 +530,28 @@ impl CompilerSession {
 
         let mut planned = Planned::No;
         let (jacobian, sensitivity) = if self.options.deriv || self.options.sensitivity {
-            let clock = Instant::now();
+            let stage_clock = Instant::now();
+            let mut times = DerivTimes::default();
             let jacobian = self.options.deriv.then(|| {
-                Arc::new(compile_jacobian(
+                Arc::new(compile_jacobian_timed(
                     &compiled.forest,
                     Some(CseOptions::default()),
+                    &mut times,
                 ))
             });
             let sensitivity = self.options.sensitivity.then(|| {
-                Arc::new(compile_sensitivity(
+                Arc::new(compile_sensitivity_timed(
                     &compiled.forest,
                     Some(CseOptions::default()),
+                    &mut times,
                 ))
             });
-            let mut record = StageRecord::new(Stage::Deriv, clock.elapsed().as_secs_f64());
+            // Where the stage went, summed over the groups compiled; with
+            // `symbolic_seconds` below the split accounts for `seconds`.
+            let mut record = StageRecord::new(Stage::Deriv, 0.0)
+                .metric("diff_seconds", times.diff_seconds)
+                .metric("cse_seconds", times.cse_seconds)
+                .metric("lower_seconds", times.lower_seconds);
             if let Some(tapes) = &jacobian {
                 // Sparse-Newton analysis of I − hβJ over the exact compiled
                 // sparsity: the fill the stiff solver's sparse path carries
@@ -579,6 +587,7 @@ impl CompilerSession {
                     .metric("sens_rhs_instrs", tapes.rhs.instrs.len() as f64)
                     .metric("sens_jac_instrs", tapes.jac.instrs.len() as f64);
             }
+            record.seconds = stage_clock.elapsed().as_secs_f64();
             // Deriv sits between Cse and Lower in the stage order.
             let at = records
                 .iter()

@@ -102,6 +102,38 @@ fn changed_source_and_options_miss() {
 }
 
 #[test]
+fn deriv_record_splits_its_seconds() {
+    let mut opts = SessionOptions::new(OptLevel::Full);
+    opts.deriv = true;
+    opts.sensitivity = true;
+    opts.cache = CacheMode::Bypass;
+    let compiled = CompilerSession::with_options(opts)
+        .compile_source("m.rdl", &salted("derivsplit"))
+        .unwrap();
+    let deriv = compiled.artifact.report.stage(Stage::Deriv).unwrap();
+    // Differentiation, re-CSE and lowering (summed over both groups) and
+    // the sparse-Newton analysis are disjoint intervals inside the stage.
+    let split: f64 = [
+        "diff_seconds",
+        "cse_seconds",
+        "lower_seconds",
+        "symbolic_seconds",
+    ]
+    .iter()
+    .map(|name| {
+        let value = deriv.get(name).unwrap_or_else(|| panic!("no {name}"));
+        assert!(value > 0.0, "{name} = {value}");
+        value
+    })
+    .sum();
+    assert!(
+        split <= deriv.seconds,
+        "split {split} s exceeds the stage's {} s",
+        deriv.seconds
+    );
+}
+
+#[test]
 fn bypass_always_compiles_cold() {
     let mut opts = SessionOptions::new(OptLevel::Full);
     opts.cache = CacheMode::Bypass;

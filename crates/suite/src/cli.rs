@@ -1302,6 +1302,9 @@ mod tests {
             "dense_factor_macs",
             "sparse_newton",
             "symbolic_seconds",
+            "diff_seconds",
+            "cse_seconds",
+            "lower_seconds",
         ] {
             assert!(out.contains(&format!("\"{metric}\"")), "{metric}: {out}");
         }
