@@ -92,6 +92,10 @@ pub struct LmResult {
     pub fevals: usize,
     /// Jacobian evaluations.
     pub jevals: usize,
+    /// Of `fevals`, the residual evaluations [`Residual::jacobian`]
+    /// reported spending on those Jacobians; the rest are the initial
+    /// point and the trial steps.
+    pub jacobian_fevals: usize,
     /// Why iteration stopped.
     pub stop: StopReason,
 }
@@ -130,6 +134,7 @@ pub fn optimize<R: Residual>(
     let mut r = vec![0.0; m];
     let mut fevals = 0usize;
     let mut jevals = 0usize;
+    let mut jacobian_fevals = 0usize;
     residual
         .eval(&p, &mut r)
         .map_err(NloptError::InitialEvalFailed)?;
@@ -149,7 +154,10 @@ pub fn optimize<R: Residual>(
         // (O(1) solves), else the bound-aware FD default (one eval per
         // parameter, never stepping outside [lo, hi]).
         match residual.jacobian(&p, &r, lo, hi, options.fd_step, jac.data_mut()) {
-            Ok(evals) => fevals += evals,
+            Ok(evals) => {
+                fevals += evals;
+                jacobian_fevals += evals;
+            }
             Err(_) => {
                 // Can't linearize here; treat as a failed step region.
                 lambda *= 10.0;
@@ -287,6 +295,7 @@ pub fn optimize<R: Residual>(
         iterations,
         fevals,
         jevals,
+        jacobian_fevals,
         stop,
     })
 }
@@ -555,6 +564,7 @@ mod tests {
             result.fevals,
             result.iterations
         );
+        assert_eq!(result.jacobian_fevals, 0);
     }
 
     #[test]

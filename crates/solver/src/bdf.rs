@@ -23,6 +23,17 @@
 //! first refreshes the Jacobian and refactors at the *same* `h`; only a
 //! failure on a current matrix cuts the step to `h/4` at order 1.
 //!
+//! **Termination** (CVODE's `crate` / CVODES's `crateS`). The solver
+//! carries two estimates of the lagged iteration's contraction per pass,
+//! one for the state corrector and one for the sensitivity refinement:
+//! `1` after every refactorization, `max(RATE_DECAY · rate, ‖δ_m‖/‖δ_{m−1}‖)`
+//! after every second or later pass. Both loops stop on the same test,
+//! `is_converged`: `‖δ‖ · min(1, max(rate, |1 − lag|)) < NEWTON_TOL` — the
+//! last correction times the share of it the next pass would still find,
+//! the share never taken below what a drifted `γ` is known to leave
+//! behind. From the third pass on, a correction more than
+//! `DIVERGENCE_RATIO` times the previous one ends the loop as a failure.
+//!
 //! **Interpolated outputs.** [`Bdf::integrate_to`] never clamps `h` onto
 //! the requested time: it steps until the internal time [`Bdf::t`] has
 //! passed it and answers [`Bdf::y`] / [`Bdf::sensitivities`] from the
@@ -67,6 +78,12 @@ pub const MAX_ORDER: usize = 5;
 
 const NEWTON_MAX_ITERS: usize = 8;
 const NEWTON_TOL: f64 = 0.1; // in units of the weighted error norm
+/// A measured contraction ratio replaces the estimate at once when it is
+/// worse; a better one pulls it down by at most this factor per pass.
+const RATE_DECAY: f64 = 0.3;
+/// From the third pass on, a correction that grew by more than this over
+/// the previous one is divergence, not slow convergence.
+const DIVERGENCE_RATIO: f64 = 2.0;
 
 /// The factorization is reused while `|γ/γ_built − 1|` stays within this.
 const GAMMA_DRIFT: f64 = 0.3;
@@ -200,6 +217,12 @@ pub struct Bdf<'a, R: OdeRhs> {
     gamma_built: Option<f64>,
     /// Accepted steps the factorization has served.
     factor_age: usize,
+    /// Contraction per pass of the state corrector under the kept
+    /// factorization, as last measured; `1.0` until it has been.
+    newton_rate: f64,
+    /// The same for the sensitivity refinement, whose residual is formed
+    /// with a fresh Jacobian at every step.
+    sens_rate: f64,
     /// Accepted steps still to take before `h` may grow again.
     growth_hold: usize,
     /// Was the cached Jacobian evaluated during the current step attempt
@@ -245,6 +268,8 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             factor: Factor::None,
             gamma_built: None,
             factor_age: 0,
+            newton_rate: 1.0,
+            sens_rate: 1.0,
             growth_hold: 0,
             jac_current: false,
             sparse: false,
@@ -428,7 +453,8 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             s.residual.clear();
             s.residual.resize(n, 0.0);
             let mut converged = false;
-            for _ in 0..NEWTON_MAX_ITERS {
+            let mut prev_norm = f64::NAN;
+            for pass in 0..NEWTON_MAX_ITERS {
                 self.rhs.eval(t_next, &s.y[..n], &mut s.f);
                 self.stats.fevals += 1;
                 for j in 0..n {
@@ -446,10 +472,17 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                     s.y[j] -= s.delta[j];
                 }
                 let norm = error_norm(&s.delta, &s.y[..n], self.options.rtol, self.options.atol);
-                if norm < NEWTON_TOL {
+                if pass > 0 {
+                    self.newton_rate = (RATE_DECAY * self.newton_rate).max(norm / prev_norm);
+                }
+                if is_converged(norm, self.newton_rate, lag) {
                     converged = true;
                     break;
                 }
+                if pass >= 2 && norm > DIVERGENCE_RATIO * prev_norm {
+                    break;
+                }
+                prev_norm = norm;
             }
 
             if !converged {
@@ -722,6 +755,9 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         self.stats.factorizations += 1;
         self.gamma_built = Some(scale);
         self.factor_age = 0;
+        // A new matrix voids what was measured on the old one.
+        self.newton_rate = 1.0;
+        self.sens_rate = 1.0;
         Ok(())
     }
 
@@ -905,21 +941,23 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         s.delta
             .extend((0..n * p).map(|i| s.sens_x[i] - hb * s.jv[i] - s.sens_b[i]));
         self.solve_factor_multi_in_place(&mut s.delta, p)?;
+        self.stats.sens_refinements += 1;
         for i in 0..n * p {
             s.delta[i] *= lag;
             s.sens_x[i] -= s.delta[i];
         }
-        // Columns whose correction was already negligible are done; the
-        // rest are compacted into an `n × q` block and refined further,
-        // so the continued iteration pays only for the stragglers.
+        // Columns the shared test passes are done; the rest are compacted
+        // into an `n × q` block and refined further, so the continued
+        // iteration pays only for the stragglers. (A NaN norm fails the
+        // test: the continued iteration, or its refactor-and-solve
+        // fallback, deals with it.)
         s.active.clear();
+        let mut prev_norm = 0.0f64;
         for k in 0..p {
             let norm = column_norm(&s.delta, &s.sens_x, n, p, k, rtol, atol);
-            // A NaN norm keeps the column active: the continued
-            // iteration (or its refactor-and-solve fallback) deals
-            // with it.
-            if norm.is_nan() || norm >= NEWTON_TOL {
+            if !is_converged(norm, self.sens_rate, lag) {
                 s.active.push(k);
+                prev_norm = prev_norm.max(norm);
             }
         }
         if !s.active.is_empty() {
@@ -935,24 +973,27 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                 }
             }
             let mut converged = false;
-            for _ in 1..SENS_MAX_ITERS {
+            for pass in 1..SENS_MAX_ITERS {
                 self.jac_matvec_multi(&s.sens_xq, q, &mut s.jv);
                 s.delta.clear();
                 s.delta
                     .extend((0..n * q).map(|i| s.sens_xq[i] - hb * s.jv[i] - s.sens_bq[i]));
                 self.solve_factor_multi_in_place(&mut s.delta, q)?;
+                self.stats.sens_refinements += 1;
                 for i in 0..n * q {
                     s.delta[i] *= lag;
                     s.sens_xq[i] -= s.delta[i];
                 }
                 let norm = max_column_norm(&s.delta, &s.sens_xq, n, q, rtol, atol);
-                if norm < NEWTON_TOL {
+                self.sens_rate = (RATE_DECAY * self.sens_rate).max(norm / prev_norm);
+                if is_converged(norm, self.sens_rate, lag) {
                     converged = true;
                     break;
                 }
-                if !norm.is_finite() {
+                if !norm.is_finite() || (pass >= 2 && norm > DIVERGENCE_RATIO * prev_norm) {
                     break;
                 }
+                prev_norm = norm;
             }
             if !converged {
                 // Refinement stalled on a stale factorization: rebuild it
@@ -1007,6 +1048,17 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         self.change_step(new_h, s);
         Ok(true)
     }
+}
+
+/// The convergence test of the state corrector and the sensitivity
+/// refinement: the last correction's norm, times the share of it the next
+/// pass would still find, against [`NEWTON_TOL`]. That share is the
+/// measured contraction `rate`, capped at one and floored by
+/// `|1 − lag| = |γ/γ_built − 1| / (1 + γ/γ_built)` — what the scaled
+/// lagged iteration leaves of a stiff mode's error per pass whatever was
+/// measured before `γ` moved, and zero on a current matrix.
+fn is_converged(norm: f64, rate: f64, lag: f64) -> bool {
+    norm * rate.max((1.0 - lag).abs()).min(1.0) < NEWTON_TOL
 }
 
 /// Lagrange weights of the polynomial through the history nodes
@@ -1406,6 +1458,72 @@ mod tests {
             stats.steps <= 400 && stats.rejected <= 20,
             "step size collapsed: {stats:?}"
         );
+    }
+
+    #[test]
+    fn a_growing_corrector_stops_at_the_third_pass_and_recovers_through_the_refresh() {
+        // y' = λ(t)·(y − m(t)) + cos t rides m(t) = 2 + sin t whatever λ
+        // is: mildly repelled (λ = 1) up to T, stiffly attracted
+        // (λ = −10³) after it, where m also moves up by 10⁻⁵ — a
+        // predictor error some thirty times the tolerance. Nothing
+        // refreshes the Jacobian read at t = 0 while Newton converges,
+        // so the first corrector past T runs on 1 − γ where 1 + 10³γ is
+        // due: a Jacobian of the wrong sign, every pass multiplying the
+        // correction by ≈ −10³γ, far from anything `newton_rate` has seen.
+        const T: f64 = 1.0;
+        fn lambda(t: f64) -> f64 {
+            if t < T {
+                1.0
+            } else {
+                -1e3
+            }
+        }
+        let manifold = |t: f64| 2.0 + t.sin() + if t < T { 0.0 } else { 1e-5 };
+        struct Switch {
+            pattern: SparsityPattern,
+            refreshed_past_t: std::cell::Cell<bool>,
+        }
+        impl AnalyticJacobian for Switch {
+            fn pattern(&self) -> &SparsityPattern {
+                &self.pattern
+            }
+            fn eval_values(&self, t: f64, _y: &[f64], vals: &mut [f64]) {
+                vals[0] = lambda(t);
+                if t >= T {
+                    self.refreshed_past_t.set(true);
+                }
+            }
+        }
+        let jac = Switch {
+            pattern: SparsityPattern::new(vec![vec![0]], 1),
+            refreshed_past_t: std::cell::Cell::new(false),
+        };
+        // Corrector passes past T on the Jacobian from before it.
+        let stale_passes = std::cell::Cell::new(0);
+        let rhs = FnRhs::new(1, |t, y: &[f64], ydot: &mut [f64]| {
+            ydot[0] = lambda(t) * (y[0] - manifold(t)) + t.cos();
+            if t >= T && !jac.refreshed_past_t.get() {
+                stale_passes.set(stale_passes.get() + 1);
+            }
+        });
+        let (sol, stats) = solve_bdf_with_jacobian(
+            &rhs,
+            0.0,
+            &[2.0],
+            &[0.9, 1.5],
+            SolverOptions::default(),
+            JacobianSource::AnalyticTape(&jac),
+        )
+        .unwrap();
+        // Pass two grew without being judged, pass three grew and was;
+        // the remaining five of `NEWTON_MAX_ITERS` were not spent.
+        assert_eq!(stale_passes.get(), 3, "{stats:?}");
+        // The failure refreshed the Jacobian at the same h — its second
+        // and last evaluation — and nothing failed to converge after it.
+        assert_eq!((stats.newton_failures, stats.jevals), (1, 2), "{stats:?}");
+        for (got, t) in sol.iter().zip([0.9, 1.5]) {
+            assert!((got[0] - manifold(t)).abs() < 1e-5, "t={t}: {}", got[0]);
+        }
     }
 
     /// Stiff lower-bidiagonal chain, started with all mass on species 0.

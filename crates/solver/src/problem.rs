@@ -217,7 +217,12 @@ pub struct SolveStats {
     pub steps: usize,
     /// Rejected step attempts: error-test failures plus Newton failures.
     pub rejected: usize,
-    /// Right-hand-side evaluations.
+    /// Right-hand-side evaluations, and what is counted as one: every
+    /// [`newton_iters`](SolveStats::newton_iters) pass, plus one per
+    /// Jacobian refresh (the refresh's base point on the
+    /// finite-difference sources, which also add their difference
+    /// columns; the tape evaluation on the analytic source) and one per
+    /// `∂f/∂p` evaluation of a sensitivity-augmented step.
     pub fevals: usize,
     /// Jacobian evaluations (implicit solvers).
     pub jevals: usize,
@@ -225,6 +230,9 @@ pub struct SolveStats {
     pub factorizations: usize,
     /// Newton iterations (implicit solvers).
     pub newton_iters: usize,
+    /// Blocked refinement passes of the sensitivity systems, each over
+    /// however many columns were still unconverged; 0 on a plain solve.
+    pub sens_refinements: usize,
     /// Corrector iterations that failed to converge (implicit solvers);
     /// each is also counted in `rejected`.
     pub newton_failures: usize,
