@@ -23,6 +23,7 @@
 //! so differentiating costs O(nodes in + nodes out) — what it emits —
 //! instead of one walk of the whole tree per variable it depends on.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::cse::{cse_forest, CseOptions};
@@ -277,6 +278,8 @@ pub struct DerivTimes {
     pub cse_seconds: f64,
     /// Split lowering and joint register compaction.
     pub lower_seconds: f64,
+    /// Differentiate → CSE → lower passes timed: one per group compiled.
+    pub passes: usize,
 }
 
 /// Differentiate, re-CSE and lower `forest` into one register-sharing
@@ -292,6 +295,7 @@ fn compile_groups(
         *seconds += clock.elapsed().as_secs_f64();
         clock = Instant::now();
     };
+    times.passes += 1;
     let (mut combined, entries) = differentiate(forest, groups);
     lap(&mut times.diff_seconds);
     if let Some(options) = cse {
@@ -337,35 +341,25 @@ pub fn compile_jacobian_timed(
     }
 }
 
-/// The compiler's full output for a forward-sensitivity solver: the RHS,
-/// the state Jacobian `∂f/∂y`, and the parameter gradient `∂f/∂p` (with
-/// the kinetic rate constants as the parameters), three tapes over one
-/// register file. The parameter tape runs *last*, so an implicit solver
-/// that only wants a Jacobian refresh can stop after the first two.
+/// The compiler's full output for a forward-sensitivity solver: the
+/// Jacobian pair extended by the parameter gradient `∂f/∂p` (with the
+/// kinetic rate constants as the parameters), three tapes over one
+/// register file. The parameter tape runs *last*, so a solve that only
+/// wants a Jacobian refresh runs [`state`](SensitivityTapes::state) and
+/// stops there — it is the artifact's one analytic Jacobian, whether or
+/// not a solve goes on to the tail.
 #[derive(Debug, Clone)]
 pub struct SensitivityTapes {
-    /// RHS program: `ydot[i] = f_i(y)`.
-    pub rhs: Tape,
-    /// State-Jacobian program; output `e` is `∂f_i/∂y_j` for
-    /// `jac_entries[e] = (i, j)`. Runs right after [`rhs`] on the same
-    /// scratch file.
-    ///
-    /// [`rhs`]: SensitivityTapes::rhs
-    pub jac: Tape,
+    /// RHS + state Jacobian `∂f/∂y`, the head of the group.
+    pub state: Arc<JacobianTapes>,
     /// Parameter-gradient program; output `e` is `∂f_i/∂p_k` for
     /// `dfdp_entries[e] = (i, k)` with `p_k` the `k`-th rate constant.
-    /// Runs right after [`jac`] on the same scratch file.
-    ///
-    /// [`jac`]: SensitivityTapes::jac
+    /// Runs right after [`state`](SensitivityTapes::state) on the same
+    /// scratch file.
     pub dfdp: Tape,
-    /// `(row, column)` of each state-Jacobian output, row-major with
-    /// columns ascending — the exact structural sparsity.
-    pub jac_entries: Vec<(u32, u32)>,
     /// `(species row, rate index)` of each parameter-gradient output,
     /// row-major with rate indices ascending within a row.
     pub dfdp_entries: Vec<(u32, u32)>,
-    /// State dimension.
-    pub n_species: usize,
     /// Parameter count (rate constants).
     pub n_rates: usize,
 }
@@ -373,7 +367,7 @@ pub struct SensitivityTapes {
 impl SensitivityTapes {
     /// Structural nonzeros of the state Jacobian.
     pub fn jac_nnz(&self) -> usize {
-        self.jac_entries.len()
+        self.state.nnz()
     }
 
     /// Structural nonzeros of `∂f/∂p`.
@@ -381,19 +375,9 @@ impl SensitivityTapes {
         self.dfdp_entries.len()
     }
 
-    /// Per-row column lists of the state Jacobian (the shape
-    /// `SparsityPattern::new` takes).
-    pub fn pattern_rows(&self) -> Vec<Vec<u32>> {
-        let mut rows = vec![Vec::new(); self.n_species];
-        for &(i, j) in &self.jac_entries {
-            rows[i as usize].push(j);
-        }
-        rows
-    }
-
     /// Evaluate the RHS and state-Jacobian tapes only (what an implicit
     /// solver's Jacobian refresh needs): `ydot` receives the RHS,
-    /// `jac_vals` the Jacobian nonzeros in `jac_entries` order.
+    /// `jac_vals` the Jacobian nonzeros in entry order.
     pub fn eval_rhs_jac(
         &self,
         rates: &[f64],
@@ -402,8 +386,7 @@ impl SensitivityTapes {
         jac_vals: &mut [f64],
         regs: &mut Vec<f64>,
     ) {
-        self.rhs.eval_with_scratch(rates, y, ydot, regs);
-        self.jac.eval_with_scratch(rates, y, jac_vals, regs);
+        self.state.eval_with_scratch(rates, y, ydot, jac_vals, regs);
     }
 
     /// Evaluate all three tapes: additionally fills `dfdp_vals` with the
@@ -419,16 +402,15 @@ impl SensitivityTapes {
         dfdp_vals: &mut [f64],
         regs: &mut Vec<f64>,
     ) {
-        self.rhs.eval_with_scratch(rates, y, ydot, regs);
-        self.jac.eval_with_scratch(rates, y, jac_vals, regs);
-        self.dfdp.eval_with_scratch(rates, y, dfdp_vals, regs);
+        self.eval_rhs_jac(rates, y, ydot, jac_vals, regs);
+        self.eval_dfdp_resumed(rates, y, dfdp_vals, regs);
     }
 
     /// Resume an [`eval_rhs_jac`](SensitivityTapes::eval_rhs_jac) pass:
     /// evaluate only the `dfdp` tape over the register file that pass
     /// filled. The caller must guarantee `regs` comes from an
     /// `eval_rhs_jac`/`eval_all` call at the same `(rates, y)` — the
-    /// dfdp group reads subexpressions those groups computed.
+    /// dfdp tape reads subexpressions the head of the group computed.
     pub fn eval_dfdp_resumed(
         &self,
         rates: &[f64],
@@ -459,15 +441,45 @@ pub fn compile_sensitivity_timed(
 ) -> SensitivityTapes {
     let (tapes, entries) = compile_groups(forest, cse, &[Wrt::Species, Wrt::Rate], times);
     let [rhs, jac, dfdp]: [Tape; 3] = tapes.try_into().expect("RHS tape + one per group");
-    let [jac_entries, dfdp_entries]: [Entries; 2] = entries.try_into().expect("one list per group");
+    let [entries, dfdp_entries]: [Entries; 2] = entries.try_into().expect("one list per group");
     SensitivityTapes {
-        rhs,
-        jac,
+        state: Arc::new(JacobianTapes {
+            rhs,
+            jac,
+            entries,
+            n_species: forest.n_species,
+        }),
         dfdp,
-        jac_entries,
         dfdp_entries,
-        n_species: forest.n_species,
         n_rates: forest.n_rates,
+    }
+}
+
+/// The Deriv stage's output for one artifact: one register-sharing tape
+/// group, with or without the `∂f/∂p` tail.
+#[derive(Debug, Clone)]
+pub enum DerivTapes {
+    /// RHS + `∂f/∂y`.
+    Jacobian(Arc<JacobianTapes>),
+    /// RHS + `∂f/∂y` + `∂f/∂p`.
+    Sensitivity(Arc<SensitivityTapes>),
+}
+
+impl DerivTapes {
+    /// The RHS + `∂f/∂y` pair every group starts with.
+    pub fn state(&self) -> &Arc<JacobianTapes> {
+        match self {
+            DerivTapes::Jacobian(tapes) => tapes,
+            DerivTapes::Sensitivity(tapes) => &tapes.state,
+        }
+    }
+
+    /// The group with its `∂f/∂p` tail, when it was compiled with one.
+    pub fn sensitivity(&self) -> Option<&Arc<SensitivityTapes>> {
+        match self {
+            DerivTapes::Jacobian(_) => None,
+            DerivTapes::Sensitivity(tapes) => Some(tapes),
+        }
     }
 }
 
@@ -1035,7 +1047,7 @@ mod tests {
             2,
         );
         let tapes = compile_sensitivity(&f, None);
-        assert_eq!(tapes.jac_entries, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+        assert_eq!(tapes.state.entries, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
         assert_eq!(tapes.dfdp_entries, vec![(0, 0), (1, 0), (1, 1)]);
         let rates = [2.0, 3.0];
         let y = [5.0, 7.0];
@@ -1123,8 +1135,8 @@ mod tests {
                 );
             }
             // Shared register file across the triple.
-            assert_eq!(tapes.rhs.n_regs, tapes.jac.n_regs);
-            assert_eq!(tapes.rhs.n_regs, tapes.dfdp.n_regs);
+            assert_eq!(tapes.state.rhs.n_regs, tapes.state.jac.n_regs);
+            assert_eq!(tapes.state.rhs.n_regs, tapes.dfdp.n_regs);
         }
     }
 
@@ -1235,8 +1247,8 @@ mod tests {
         let mut dfdp_r = vec![0.0; tapes.dfdp_nnz()];
         let loops = eval_group_rolled(
             &mut [
-                (&tapes.rhs, &mut ydot_r),
-                (&tapes.jac, &mut jac_r),
+                (&tapes.state.rhs, &mut ydot_r),
+                (&tapes.state.jac, &mut jac_r),
                 (&tapes.dfdp, &mut dfdp_r),
             ],
             &rates,

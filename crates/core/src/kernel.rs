@@ -3,32 +3,19 @@
 //! Whatever evaluates a compiled model — the tape interpreter, the
 //! pre-decoded execution engine or a `dlopen`ed native object — meets the
 //! solvers as a [`Kernel`]: the right-hand side (scalar and batched), the
-//! analytic Jacobian and the parameter gradient `∂f/∂p`. The derivative
-//! groups are always the Deriv stage's tapes ([`DerivTapes`]): they define
-//! the entry order, and a kernel that carries machine code for a group
+//! analytic Jacobian and the parameter gradient `∂f/∂p`. The derivatives
+//! are always the Deriv stage's one tape group ([`DerivTapes`]): it defines
+//! the entry order, and a kernel that carries machine code for it
 //! evaluates it natively instead of interpreting it.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::deriv::{JacobianTapes, SensitivityTapes};
+use crate::deriv::{DerivTapes, SensitivityTapes};
 use crate::exec::{ExecFrame, ExecTape};
 use crate::native::NativeKernel;
 use crate::tape::Tape;
-
-/// Which compiled derivative group a solve takes its Jacobian from. The
-/// groups are CSE'd separately (the sensitivity group also shares
-/// subexpressions with `∂f/∂p`), so their Jacobian values can differ in
-/// the last bits: a solve picks one group and stays on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DerivGroup {
-    /// RHS + `∂f/∂y` ([`JacobianTapes`]): a plain implicit solve.
-    Jacobian,
-    /// RHS + `∂f/∂y` + `∂f/∂p` ([`SensitivityTapes`]): a
-    /// sensitivity-augmented solve.
-    Sensitivity,
-}
 
 /// Evaluation scratch of one kernel bound to one rate vector. The caller
 /// owns it (one per solve), so nothing a kernel leaves behind for its
@@ -37,16 +24,15 @@ pub enum DerivGroup {
 pub struct KernelScratch {
     /// Register file of the interpreted RHS tape.
     regs: Vec<f64>,
-    /// Register file shared by the tapes of the derivative group in use.
-    /// Apart from `regs`: the RHS calls between a Jacobian refresh and
-    /// the `∂f/∂p` that resumes over it must not disturb it.
+    /// Register file shared by the tapes of the derivative group. Apart
+    /// from `regs`: the RHS calls between a Jacobian refresh and the
+    /// `∂f/∂p` that resumes over it must not disturb it.
     group_regs: Vec<f64>,
-    /// The state at which `group_regs` holds the sensitivity group's RHS
-    /// and Jacobian registers; empty when it holds none.
+    /// The state at which `group_regs` holds the group's RHS and Jacobian
+    /// registers; empty when it holds none.
     filled_at: Vec<f64>,
-    /// Outputs a call had to compute but was not asked for (the RHS and
-    /// Jacobian of a `∂f/∂p` request that ran its whole group, the
-    /// `∂f/∂p` of a native sensitivity-group Jacobian).
+    /// Outputs a call had to compute but was not asked for: the RHS and
+    /// Jacobian of a `∂f/∂p` request that ran its whole group.
     ydot: Vec<f64>,
     spare: Vec<f64>,
 }
@@ -72,67 +58,52 @@ pub trait Kernel: Send + Sync + fmt::Debug {
         }
     }
 
-    /// The derivative tape groups this kernel was built from. They fix
-    /// the entry orders below, and the provided `rhs_jac`/`dfdp`
-    /// interpret them.
-    fn derivs(&self) -> &DerivTapes;
+    /// The derivative tape group this kernel was built from; `None` when
+    /// the Deriv stage did not run. It fixes the entry orders below, and
+    /// the provided `rhs_jac`/`dfdp` interpret it.
+    fn derivs(&self) -> Option<&DerivTapes>;
 
-    /// `(row, column)` of each value [`rhs_jac`](Kernel::rhs_jac) writes
-    /// for `group`, row-major with columns ascending; `None` when the
-    /// group was not compiled.
-    fn jac_entries(&self, group: DerivGroup) -> Option<&[(u32, u32)]> {
-        let derivs = self.derivs();
-        match group {
-            DerivGroup::Jacobian => derivs.jacobian.as_ref().map(|t| &t.entries[..]),
-            DerivGroup::Sensitivity => derivs.sensitivity.as_ref().map(|t| &t.jac_entries[..]),
-        }
+    /// `(row, column)` of each value [`rhs_jac`](Kernel::rhs_jac) writes,
+    /// row-major with columns ascending; `None` when no derivative group
+    /// was compiled.
+    fn jac_entries(&self) -> Option<&[(u32, u32)]> {
+        Some(&self.derivs()?.state().entries)
     }
 
     /// `(species, rate)` of each value [`dfdp`](Kernel::dfdp) writes;
-    /// `None` when the sensitivity group was not compiled.
+    /// `None` when the group was compiled without its `∂f/∂p` tail.
     fn dfdp_entries(&self) -> Option<&[(u32, u32)]> {
-        let tapes = self.derivs().sensitivity.as_ref()?;
-        Some(&tapes.dfdp_entries)
+        Some(&self.derivs()?.sensitivity()?.dfdp_entries)
     }
 
-    /// `ydot = f(y)` and the Jacobian nonzeros of `group` into `vals`.
-    /// Panics when the group was not compiled.
+    /// `ydot = f(y)` and the Jacobian nonzeros into `vals`. Panics when
+    /// no derivative group was compiled.
     fn rhs_jac(
         &self,
-        group: DerivGroup,
         rates: &[f64],
         y: &[f64],
         ydot: &mut [f64],
         vals: &mut [f64],
         s: &mut KernelScratch,
     ) {
+        self.derivs()
+            .expect("no analytic Jacobian tapes compiled")
+            .state()
+            .eval_with_scratch(rates, y, ydot, vals, &mut s.group_regs);
         s.filled_at.clear();
-        match group {
-            DerivGroup::Jacobian => self
-                .derivs()
-                .jacobian
-                .as_deref()
-                .expect("no analytic Jacobian tapes compiled")
-                .eval_with_scratch(rates, y, ydot, vals, &mut s.group_regs),
-            DerivGroup::Sensitivity => {
-                let tapes = self.derivs().sensitivity();
-                tapes.eval_rhs_jac(rates, y, ydot, vals, &mut s.group_regs);
-                s.filled_at.extend_from_slice(y);
-            }
-        }
+        s.filled_at.extend_from_slice(y);
     }
 
     /// The `∂f/∂p` nonzeros at `y` into `vals`. Asked at the state the
-    /// last sensitivity-group [`rhs_jac`](Kernel::rhs_jac) ran on, only
-    /// the `∂f/∂p` tape runs, over the registers that call filled;
-    /// anywhere else the whole group does. Panics when the group was not
-    /// compiled.
+    /// last [`rhs_jac`](Kernel::rhs_jac) ran on, only the `∂f/∂p` tape
+    /// runs, over the registers that call filled; anywhere else the whole
+    /// group does. Panics when the tail was not compiled.
     fn dfdp(&self, rates: &[f64], y: &[f64], vals: &mut [f64], s: &mut KernelScratch) {
-        let tapes = self.derivs().sensitivity();
+        let tapes = sensitivity(self.derivs());
         if s.filled_at.as_slice() == y {
             return tapes.eval_dfdp_resumed(rates, y, vals, &mut s.group_regs);
         }
-        s.ydot.resize(tapes.n_species, 0.0);
+        s.ydot.resize(y.len(), 0.0);
         s.spare.resize(tapes.jac_nnz(), 0.0);
         tapes.eval_all(rates, y, &mut s.ydot, &mut s.spare, vals, &mut s.group_regs);
         s.filled_at.clear();
@@ -140,21 +111,10 @@ pub trait Kernel: Send + Sync + fmt::Debug {
     }
 }
 
-/// The Deriv stage's output, shared by every kernel of one artifact.
-#[derive(Debug, Clone, Default)]
-pub struct DerivTapes {
-    /// RHS + Jacobian, when compiled.
-    pub jacobian: Option<Arc<JacobianTapes>>,
-    /// RHS + Jacobian + `∂f/∂p`, when compiled.
-    pub sensitivity: Option<Arc<SensitivityTapes>>,
-}
-
-impl DerivTapes {
-    fn sensitivity(&self) -> &SensitivityTapes {
-        self.sensitivity
-            .as_deref()
-            .expect("no parameter-sensitivity tapes compiled")
-    }
+fn sensitivity(derivs: Option<&DerivTapes>) -> &SensitivityTapes {
+    derivs
+        .and_then(DerivTapes::sensitivity)
+        .expect("no parameter-sensitivity tapes compiled")
 }
 
 /// A [`Kernel`] whose right-hand side is evaluated by `R` — the tape
@@ -165,13 +125,13 @@ impl DerivTapes {
 #[derive(Debug)]
 pub struct TapeKernel<R> {
     rhs: Arc<R>,
-    derivs: DerivTapes,
+    derivs: Option<DerivTapes>,
 }
 
 impl<R> TapeKernel<R> {
-    /// Pair a right-hand-side evaluator with the derivative groups
+    /// Pair a right-hand-side evaluator with the derivative group
     /// compiled from the same forest.
-    pub fn new(rhs: Arc<R>, derivs: DerivTapes) -> TapeKernel<R> {
+    pub fn new(rhs: Arc<R>, derivs: Option<DerivTapes>) -> TapeKernel<R> {
         TapeKernel { rhs, derivs }
     }
 }
@@ -190,8 +150,8 @@ impl Kernel for TapeKernel<Tape> {
             .eval_with_scratch(rates, y, ydot, &mut scratch.regs);
     }
 
-    fn derivs(&self) -> &DerivTapes {
-        &self.derivs
+    fn derivs(&self) -> Option<&DerivTapes> {
+        self.derivs.as_ref()
     }
 }
 
@@ -223,14 +183,14 @@ impl Kernel for TapeKernel<ExecTape> {
         EXEC_FRAME.with(|f| self.rhs.eval_batch(rates, ys, ydots, &mut f.borrow_mut()));
     }
 
-    fn derivs(&self) -> &DerivTapes {
-        &self.derivs
+    fn derivs(&self) -> Option<&DerivTapes> {
+        self.derivs.as_ref()
     }
 }
 
 /// Machine code throughout: an object is always emitted from (and
-/// validated on load against) every group its artifact compiled, so a
-/// group that exists is exported. Its registers are C locals — there is
+/// validated on load against) the group its artifact compiled, so what
+/// exists is exported. Its registers live in the object — there is
 /// nothing to resume over, and every `∂f/∂p` request runs all of
 /// `ode_sens`.
 impl Kernel for TapeKernel<NativeKernel> {
@@ -250,32 +210,25 @@ impl Kernel for TapeKernel<NativeKernel> {
         self.rhs.eval_batch(rates, ys, ydots);
     }
 
-    fn derivs(&self) -> &DerivTapes {
-        &self.derivs
+    fn derivs(&self) -> Option<&DerivTapes> {
+        self.derivs.as_ref()
     }
 
     fn rhs_jac(
         &self,
-        group: DerivGroup,
         rates: &[f64],
         y: &[f64],
         ydot: &mut [f64],
         vals: &mut [f64],
-        s: &mut KernelScratch,
+        _: &mut KernelScratch,
     ) {
-        match group {
-            DerivGroup::Jacobian => self.rhs.eval_rhs_jac(rates, y, ydot, vals),
-            DerivGroup::Sensitivity => {
-                // `ode_sens` always writes `∂f/∂p` too; park it.
-                s.spare.resize(self.rhs.dfdp_nnz(), 0.0);
-                self.rhs.eval_all(rates, y, ydot, vals, &mut s.spare);
-            }
-        }
+        self.rhs.eval_rhs_jac(rates, y, ydot, vals);
     }
 
     fn dfdp(&self, rates: &[f64], y: &[f64], vals: &mut [f64], s: &mut KernelScratch) {
         s.ydot.resize(y.len(), 0.0);
-        s.spare.resize(self.derivs.sensitivity().jac_nnz(), 0.0);
+        s.spare
+            .resize(sensitivity(self.derivs.as_ref()).jac_nnz(), 0.0);
         self.rhs.eval_all(rates, y, &mut s.ydot, &mut s.spare, vals);
     }
 }

@@ -37,7 +37,7 @@ pub mod tape;
 pub use cse::{cse_forest, CseOptions};
 pub use deriv::{
     compile_jacobian, compile_jacobian_timed, compile_sensitivity, compile_sensitivity_timed,
-    differentiate_forest, differentiate_forest_sensitivity, DerivTimes, JacobianTapes,
+    differentiate_forest, differentiate_forest_sensitivity, DerivTapes, DerivTimes, JacobianTapes,
     SensitivityTapes,
 };
 pub use distopt::{distribute_expr, distribute_forest};
@@ -50,7 +50,7 @@ pub use generic::{
     generic_compile, generic_compile_best_effort, GenericError, GenericOptions, GenericResult,
     IR_BYTES_PER_OP, PAPER_MEMORY_BUDGET,
 };
-pub use kernel::{DerivGroup, DerivTapes, Kernel, KernelScratch, TapeKernel};
+pub use kernel::{Kernel, KernelScratch, TapeKernel};
 pub use native::{
     compile_and_load, compile_kernel, probe_toolchain, CompileTiming, KernelMeta, NativeError,
     NativeKernel, Toolchain,

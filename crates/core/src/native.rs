@@ -265,8 +265,9 @@ pub struct KernelMeta {
     pub n_rates: usize,
     /// Analytic-Jacobian nnz when `ode_jac` is expected.
     pub jac_nnz: Option<usize>,
-    /// `(jac_nnz, dfdp_nnz)` when `ode_sens` is expected.
-    pub sens_nnz: Option<(usize, usize)>,
+    /// `∂f/∂p` nnz when `ode_sens` (which also writes the Jacobian
+    /// `ode_jac` writes) is expected.
+    pub dfdp_nnz: Option<usize>,
 }
 
 type RhsFn = unsafe extern "C" fn(*const f64, *const f64, *mut f64);
@@ -401,7 +402,6 @@ impl NativeKernel {
                 )));
             }
             let jac_nnz = read_i64("rms_jac_nnz")?;
-            let sens_jac_nnz = read_i64("rms_sens_jac_nnz")?;
             let dfdp_nnz = read_i64("rms_dfdp_nnz")?;
             // ABI v2 objects always export the reroll counters (0 when
             // no tape of the kernel had a repeating stanza run).
@@ -423,12 +423,12 @@ impl NativeKernel {
                     })
                 }
             };
-            let sens = match expect.sens_nnz {
+            let sens = match expect.dfdp_nnz {
                 None => None,
-                Some((jn, dn)) => {
-                    if sens_jac_nnz != jn as i64 || dfdp_nnz != dn as i64 {
+                Some(n) => {
+                    if jac.is_none() || dfdp_nnz != n as i64 {
                         return Err(NativeError::Mismatch(format!(
-                            "sensitivity nnz ({sens_jac_nnz}, {dfdp_nnz}), expected ({jn}, {dn})"
+                            "sensitivity nnz {dfdp_nnz}, expected {n} after a Jacobian"
                         )));
                     }
                     Some(unsafe {
@@ -494,11 +494,6 @@ impl NativeKernel {
         self.rolled_instrs
     }
 
-    /// `∂f/∂p` nnz (0 when absent).
-    pub fn dfdp_nnz(&self) -> usize {
-        self.meta.sens_nnz.map_or(0, |(_, d)| d)
-    }
-
     /// Evaluate the RHS for one state.
     pub fn eval(&self, rates: &[f64], y: &[f64], ydot: &mut [f64]) {
         assert_eq!(rates.len(), self.meta.n_rates);
@@ -549,12 +544,11 @@ impl NativeKernel {
         dfdp_vals: &mut [f64],
     ) {
         let sens = self.sens.expect("kernel has no ode_sens");
-        let (jn, dn) = self.meta.sens_nnz.unwrap_or((0, 0));
         assert_eq!(rates.len(), self.meta.n_rates);
         assert_eq!(y.len(), self.meta.n_species);
         assert_eq!(ydot.len(), self.meta.n_species);
-        assert_eq!(jac_vals.len(), jn);
-        assert_eq!(dfdp_vals.len(), dn);
+        assert_eq!(jac_vals.len(), self.meta.jac_nnz.unwrap_or(0));
+        assert_eq!(dfdp_vals.len(), self.meta.dfdp_nnz.unwrap_or(0));
         unsafe {
             sens(
                 rates.as_ptr(),
@@ -596,7 +590,7 @@ pub fn compile_and_load(
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::deriv::{compile_jacobian, compile_sensitivity, JacobianTapes, SensitivityTapes};
+    use crate::deriv::{compile_sensitivity, DerivTapes};
     use crate::emit_c::{emit_kernel, EmittedKernel, KernelSpec};
     use crate::expr::{Expr, ExprForest};
     use crate::tape::{lower, reroll, RerollOptions, Tape};
@@ -637,16 +631,14 @@ mod tests {
     /// A forest lowered to everything a full kernel needs.
     struct Model {
         tape: Tape,
-        jt: JacobianTapes,
-        st: SensitivityTapes,
+        derivs: DerivTapes,
     }
 
     impl Model {
         fn new(forest: &ExprForest) -> Model {
             Model {
                 tape: lower(forest),
-                jt: compile_jacobian(forest, None),
-                st: compile_sensitivity(forest, None),
+                derivs: DerivTapes::Sensitivity(compile_sensitivity(forest, None).into()),
             }
         }
 
@@ -655,8 +647,7 @@ mod tests {
                 &KernelSpec {
                     name,
                     rhs: &self.tape,
-                    jacobian: Some(&self.jt),
-                    sensitivity: Some(&self.st),
+                    derivs: Some(&self.derivs),
                     key,
                 },
                 max_units,
@@ -668,15 +659,16 @@ mod tests {
                 key,
                 n_species: self.tape.n_species,
                 n_rates: self.tape.n_rates,
-                jac_nnz: Some(self.jt.nnz()),
-                sens_nnz: Some((self.st.jac_nnz(), self.st.dfdp_nnz())),
+                jac_nnz: Some(self.derivs.state().nnz()),
+                dfdp_nnz: self.derivs.sensitivity().map(|st| st.dfdp_nnz()),
             }
         }
 
         /// Every entry point of `kernel` against the interpreted tapes,
         /// bit for bit; the batched one at each of `batch_sizes` states.
         fn assert_matches_interpreter(&self, kernel: &NativeKernel, batch_sizes: &[usize]) {
-            let (tape, jt, st) = (&self.tape, &self.jt, &self.st);
+            let (tape, jt) = (&self.tape, self.derivs.state());
+            let st = self.derivs.sensitivity().expect("compiled with the tail");
             let n = tape.n_species;
             let rates: Vec<f64> = (0..tape.n_rates).map(|i| 0.3 + 0.17 * i as f64).collect();
             let y: Vec<f64> = (0..n).map(|i| 0.05 + 0.011 * i as f64).collect();
@@ -754,8 +746,7 @@ mod tests {
             &KernelSpec {
                 name: "toy",
                 rhs: &tape,
-                jacobian: None,
-                sensitivity: None,
+                derivs: None,
                 key,
             },
             1,
@@ -765,7 +756,7 @@ mod tests {
             n_species: 3,
             n_rates: 2,
             jac_nnz: None,
-            sens_nnz: None,
+            dfdp_nnz: None,
         };
         let dir = tmpdir("stale");
         let so = dir.join("toy.so");

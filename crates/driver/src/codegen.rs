@@ -70,23 +70,22 @@ pub const UNIT_BREAK: &str = "\n/* ---------------- unit break ---------------- 
 pub fn render_kernel(
     name: &str,
     tape: &rms_core::Tape,
-    jacobian: Option<&rms_core::JacobianTapes>,
-    sensitivity: Option<&rms_core::SensitivityTapes>,
+    derivs: Option<&rms_core::DerivTapes>,
     key: u128,
 ) -> EmittedKernel {
-    let total = tape.instrs.len()
-        + jacobian.map_or(0, |j| j.rhs.instrs.len() + j.jac.instrs.len())
-        + sensitivity.map_or(0, |s| {
-            s.rhs.instrs.len() + s.jac.instrs.len() + s.dfdp.instrs.len()
-        });
+    let group = |d: &rms_core::DerivTapes| {
+        let state = d.state();
+        let tail = d.sensitivity().map_or(0, |s| s.dfdp.instrs.len());
+        state.rhs.instrs.len() + state.jac.instrs.len() + tail
+    };
+    let total = tape.instrs.len() + derivs.map_or(0, group);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let units = (total / 16_384).clamp(1, cores.min(8));
     rms_core::emit_kernel(
         &rms_core::KernelSpec {
             name,
             rhs: tape,
-            jacobian,
-            sensitivity,
+            derivs,
             key,
         },
         units,

@@ -10,10 +10,10 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use rms_core::{
-    species_dependencies, DerivGroup, DerivTapes, ExecTape, JacobianTapes, Kernel, NativeKernel,
-    SensitivityTapes, Tape, TapeKernel,
+    species_dependencies, DerivTapes, ExecTape, JacobianTapes, Kernel, NativeKernel, Tape,
+    TapeKernel,
 };
-use rms_solver::{ColoredPattern, NewtonPlan, SparsityPattern};
+use rms_solver::{ColoredPattern, NewtonPlan, PlannedPattern, SparsityPattern};
 
 use crate::session::CompiledArtifact;
 
@@ -146,19 +146,12 @@ pub struct KernelChoice {
 #[derive(Debug)]
 pub struct Patterns {
     tape: Arc<Tape>,
-    derivs: DerivTapes,
+    /// The analytic Jacobian's tapes, when the *Deriv* stage ran.
+    jacobian: Option<Arc<JacobianTapes>>,
     fd: OnceLock<ColoredPattern>,
-    analytic: [OnceLock<SparsityPattern>; 2],
-    /// Both groups were compiled and list the same Jacobian entries (they
-    /// differentiate one forest): the first pattern and plan slot serves
-    /// both.
-    shared: bool,
-    /// The elimination order a disk entry carried for the plan in
-    /// [`ordered_slot`](Patterns::ordered_slot).
+    analytic: OnceLock<PlannedPattern>,
+    /// The elimination order a disk entry carried for the analytic plan.
     stored_order: Option<Vec<u32>>,
-    /// `None` inside: the analysis refused the pattern (never, for the
-    /// square patterns a tape group has); `Auto` solves then go dense.
-    plans: [OnceLock<Option<Arc<NewtonPlan>>>; 2],
 }
 
 /// What an artifact knows of its sparse-Newton plan when its kernels are
@@ -166,8 +159,8 @@ pub struct Patterns {
 pub(crate) enum Planned {
     /// Nothing: the first solve that asks analyzes.
     No,
-    /// The *Deriv* stage of a cold compile analyzed the Jacobian group.
-    Analyzed(SparsityPattern, Arc<NewtonPlan>),
+    /// The *Deriv* stage of a cold compile analyzed the Jacobian.
+    Analyzed(PlannedPattern),
     /// The disk entry carried the elimination order; the plan is the
     /// symbolic fill under it.
     Order(Vec<u32>),
@@ -176,8 +169,7 @@ pub(crate) enum Planned {
 impl Patterns {
     /// The species each right-hand side reads, from a dataflow walk of
     /// the tape — the pattern colored finite differences perturb over —
-    /// with its coloring; its plan lives beside the coloring
-    /// ([`ColoredPattern::plan`]).
+    /// with its coloring and, on request, its plan.
     pub fn fd(&self) -> &ColoredPattern {
         self.fd.get_or_init(|| {
             ColoredPattern::new(SparsityPattern::new(
@@ -187,73 +179,45 @@ impl Patterns {
         })
     }
 
-    /// The exact pattern of `group`'s analytic Jacobian; `None` when the
-    /// group was not compiled.
-    pub fn analytic(&self, group: DerivGroup) -> Option<&SparsityPattern> {
-        let at = self.slot(group);
-        let slot = &self.analytic[at];
-        if slot.get().is_none() {
-            let rows = if at == DerivGroup::Jacobian as usize {
-                self.derivs.jacobian.as_ref()?.pattern_rows()
-            } else {
-                self.derivs.sensitivity.as_ref()?.pattern_rows()
-            };
-            // A racing thread built the same pattern; either copy serves.
-            let _ = slot.set(SparsityPattern::new(rows, self.tape.n_species));
-        }
-        slot.get()
+    fn planned(&self) -> Option<&PlannedPattern> {
+        let tapes = self.jacobian.as_ref()?;
+        Some(self.analytic.get_or_init(|| {
+            PlannedPattern::new(SparsityPattern::new(tapes.pattern_rows(), tapes.n_species))
+        }))
     }
 
-    /// Where `group`'s pattern and plan are kept: one slot for both groups
-    /// when their patterns are the same, so a model solved plain and
-    /// augmented is analyzed once.
-    fn slot(&self, group: DerivGroup) -> usize {
-        if self.shared {
-            0
-        } else {
-            group as usize
-        }
+    /// The exact pattern of the analytic Jacobian; `None` when the
+    /// *Deriv* stage did not run.
+    pub fn analytic(&self) -> Option<&SparsityPattern> {
+        self.planned().map(PlannedPattern::pattern)
     }
 
-    /// The slot an entry's stored order belongs to: the Jacobian group's
-    /// when it was compiled (the one the *Deriv* stage analyzes), else the
-    /// sensitivity group's.
-    fn ordered_slot(&self) -> usize {
-        usize::from(self.derivs.jacobian.is_none())
+    /// The sparse-Newton analysis of the analytic pattern: kept from the
+    /// *Deriv* stage of a cold compile, or the symbolic fill under the
+    /// order a revived entry carried, otherwise run by the first solve
+    /// that asks — any whose linear solver is not `Dense` — while the
+    /// others wait for it and share the result. `None` when the *Deriv*
+    /// stage did not run.
+    pub fn plan(&self) -> Option<Arc<NewtonPlan>> {
+        self.planned()?.plan_with(|pattern| {
+            let stored = self.stored_order.as_deref();
+            stored
+                .and_then(|order| NewtonPlan::with_order(pattern, order).ok())
+                .map_or_else(|| NewtonPlan::analyze(pattern), Ok)
+        })
     }
 
-    /// The sparse-Newton analysis of `group`'s analytic pattern: kept
-    /// from the *Deriv* stage of a cold compile, or the symbolic fill
-    /// under the order a revived entry carried, otherwise run by the
-    /// first solve that asks — any whose linear solver is not `Dense` —
-    /// while the others wait for it and share the result. `None` when
-    /// the group was not compiled.
-    pub fn plan(&self, group: DerivGroup) -> Option<Arc<NewtonPlan>> {
-        let pattern = self.analytic(group)?;
-        let slot = self.slot(group);
-        self.plans[slot]
-            .get_or_init(|| {
-                let stored = self.stored_order.as_deref();
-                stored
-                    .filter(|_| slot == self.ordered_slot())
-                    .and_then(|order| NewtonPlan::with_order(pattern, order).ok())
-                    .or_else(|| NewtonPlan::analyze(pattern).ok())
-                    .map(Arc::new)
-            })
-            .clone()
-    }
-
-    /// `group`'s plan if one exists already; never runs the analysis.
-    pub fn built_plan(&self, group: DerivGroup) -> Option<&Arc<NewtonPlan>> {
-        self.plans[self.slot(group)].get()?.as_ref()
+    /// The analytic plan if one exists already; never runs the analysis.
+    pub fn built_plan(&self) -> Option<&Arc<NewtonPlan>> {
+        self.analytic.get()?.built_plan()
     }
 
     /// The elimination order a disk entry of this artifact carries: the
     /// built plan's, or the one it was revived with while no solve has
     /// asked for the plan yet.
     pub(crate) fn order(&self) -> Option<&[u32]> {
-        match self.plans[self.ordered_slot()].get() {
-            Some(plan) => plan.as_deref().map(NewtonPlan::order),
+        match self.built_plan() {
+            Some(plan) => Some(plan.order()),
             None => self.stored_order.as_deref(),
         }
     }
@@ -273,39 +237,22 @@ impl Kernels {
     pub(crate) fn new(
         tape: &Arc<Tape>,
         exec: &Arc<ExecTape>,
-        jacobian: &Option<Arc<JacobianTapes>>,
-        sensitivity: &Option<Arc<SensitivityTapes>>,
+        derivs: &Option<DerivTapes>,
         native: &Option<Arc<NativeKernel>>,
         planned: Planned,
     ) -> Kernels {
-        let derivs = DerivTapes {
-            jacobian: jacobian.clone(),
-            sensitivity: sensitivity.clone(),
+        let (analytic, stored_order) = match planned {
+            Planned::No => (OnceLock::new(), None),
+            Planned::Analyzed(pattern) => (pattern.into(), None),
+            Planned::Order(order) => (OnceLock::new(), Some(order)),
         };
-        let shared = match (jacobian, sensitivity) {
-            (Some(j), Some(s)) => j.entries == s.jac_entries,
-            _ => false,
-        };
-        let mut patterns = Patterns {
+        let patterns = Patterns {
             tape: tape.clone(),
-            derivs: derivs.clone(),
+            jacobian: derivs.as_ref().map(|d| d.state().clone()),
             fd: OnceLock::new(),
-            analytic: Default::default(),
-            shared,
-            stored_order: None,
-            plans: Default::default(),
+            analytic,
+            stored_order,
         };
-        match planned {
-            Planned::No => {}
-            // The Jacobian group's; the locks are fresh, so both `set`s
-            // succeed.
-            Planned::Analyzed(pattern, plan) => {
-                let at = DerivGroup::Jacobian as usize;
-                let _ = patterns.analytic[at].set(pattern);
-                let _ = patterns.plans[at].set(Some(plan));
-            }
-            Planned::Order(order) => patterns.stored_order = Some(order),
-        }
         Kernels {
             interp: Arc::new(TapeKernel::new(tape.clone(), derivs.clone())),
             exec: Arc::new(TapeKernel::new(exec.clone(), derivs.clone())),

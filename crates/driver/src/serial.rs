@@ -8,10 +8,10 @@
 //! An entry holds what a solve over the artifact needs, so that reviving
 //! it derives nothing: network topology (names/initials/reactions —
 //! molecule structures are intentionally dropped), the rate table, the
-//! optimized forest + tape + stage counts, every derivative group the
-//! request compiled (the Jacobian pair and the sensitivity triple, each
-//! validated on load as one program over its shared register file), the
-//! elimination order of the sparse-Newton plan (the plan itself is the
+//! optimized forest + tape + stage counts, the derivative group the
+//! request compiled (the Jacobian pair, then the `∂f/∂p` tail if it has
+//! one, validated on load as one program over the shared register file),
+//! the elimination order of the sparse-Newton plan (the plan itself is the
 //! symbolic fill under that order, rebuilt on first use), the compile's
 //! warnings, and the pipeline report. The ODE system is *not* stored — it
 //! regenerates deterministically from network + rates — and the exec
@@ -27,8 +27,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use rms_core::{
-    CompiledOde, Expr, ExprForest, Instr, JacobianTapes, Operand, SensitivityTapes, StageCounts,
-    Tape, TempId,
+    CompiledOde, DerivTapes, Expr, ExprForest, Instr, JacobianTapes, Operand, SensitivityTapes,
+    StageCounts, Tape, TempId,
 };
 use rms_odegen::OpCounts;
 use rms_rcip::{RateId, RateTable};
@@ -40,7 +40,7 @@ use crate::session::CompiledArtifact;
 use crate::stage::Stage;
 
 const MAGIC: &[u8; 4] = b"RMSC";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Why a disk-cache load failed. The caller's policy differs: a missing
 /// entry is an ordinary miss, while a corrupt one should be quarantined
@@ -94,10 +94,8 @@ pub struct DiskArtifact {
     pub rates: RateTable,
     /// Optimizer output.
     pub compiled: CompiledOde,
-    /// Jacobian tapes, when the original compile ran *Deriv*.
-    pub jacobian: Option<JacobianTapes>,
-    /// Sensitivity tapes, when the original compile was asked for them.
-    pub sensitivity: Option<SensitivityTapes>,
+    /// The derivative group, when the original compile ran *Deriv*.
+    pub derivs: Option<DerivTapes>,
     /// Elimination order of the sparse-Newton plan over the analytic
     /// Jacobian pattern, when the artifact had one: a permutation of
     /// `0..n_species`.
@@ -125,12 +123,8 @@ pub fn store(path: &Path, artifact: &CompiledArtifact) {
     write_forest(&mut w, &artifact.compiled.forest);
     write_tape(&mut w, &artifact.compiled.tape);
     write_stage_counts(&mut w, &artifact.compiled.stages);
-    w.opt(artifact.jacobian.as_deref(), |w, j| {
-        write_group(w, &j.rhs, &[(&j.jac, &j.entries[..])]);
-    });
-    w.opt(artifact.sensitivity.as_deref(), |w, s| {
-        let derivs = [(&s.jac, &s.jac_entries[..]), (&s.dfdp, &s.dfdp_entries[..])];
-        write_group(w, &s.rhs, &derivs);
+    w.opt(artifact.jacobian.as_deref(), |w, state| {
+        write_group(w, state, artifact.sensitivity.as_deref());
     });
     let order = artifact.kernels.patterns().order();
     w.opt(order, |w, order| w.u32s(order.iter().copied()));
@@ -196,29 +190,7 @@ fn parse_payload(r: &mut Reader, expected_key: u128) -> Option<DiskArtifact> {
     let tape = read_tape(r)?;
     tape.validate().ok()?;
     let stages = read_stage_counts(r)?;
-    let jacobian = r.opt(|r| {
-        let (rhs, [(jac, entries)]) = read_group(r, &tape)?;
-        let n_species = rhs.n_species;
-        Some(JacobianTapes {
-            rhs,
-            jac,
-            entries,
-            n_species,
-        })
-    })?;
-    let sensitivity = r.opt(|r| {
-        let (rhs, [(jac, jac_entries), (dfdp, dfdp_entries)]) = read_group(r, &tape)?;
-        let (n_species, n_rates) = (rhs.n_species, rhs.n_rates);
-        Some(SensitivityTapes {
-            rhs,
-            jac,
-            dfdp,
-            jac_entries,
-            dfdp_entries,
-            n_species,
-            n_rates,
-        })
-    })?;
+    let derivs = r.opt(|r| read_group(r, &tape))?;
     let order = r.opt(|r| {
         r.u32s()
             .filter(|order| rms_solver::is_permutation(order, tape.n_species))
@@ -241,8 +213,7 @@ fn parse_payload(r: &mut Reader, expected_key: u128) -> Option<DiskArtifact> {
             tape: Arc::new(tape),
             stages,
         },
-        jacobian,
-        sensitivity,
+        derivs,
         order,
         warnings,
         report,
@@ -612,42 +583,58 @@ fn read_tape(r: &mut Reader) -> Option<Tape> {
 /// Where a derivative tape's outputs land: one `(row, column)` each.
 type Entries = Vec<(u32, u32)>;
 
-/// One derivative group: tapes that run back to back on one register
-/// file — the RHS, then each derivative tape with the `(row, column)` its
-/// outputs land at. The Jacobian pair and the sensitivity triple are both
-/// this, with one and two derivative tapes.
-fn write_group(w: &mut Writer, rhs: &Tape, derivs: &[(&Tape, &[(u32, u32)])]) {
-    write_tape(w, rhs);
-    for (tape, entries) in derivs {
-        write_tape(w, tape);
-        w.pairs(entries);
-    }
+/// The derivative group: tapes that run back to back on one register
+/// file — the RHS and the Jacobian tape with the `(row, column)` its
+/// outputs land at, then, behind a presence byte, the `∂f/∂p` tape with
+/// its `(row, rate)` list.
+fn write_group(w: &mut Writer, state: &JacobianTapes, tail: Option<&SensitivityTapes>) {
+    write_tape(w, &state.rhs);
+    write_tape(w, &state.jac);
+    w.pairs(&state.entries);
+    w.opt(tail, |w, tail| {
+        write_tape(w, &tail.dfdp);
+        w.pairs(&tail.dfdp_entries);
+    });
 }
 
-/// Read a group of `N` derivative tapes compiled beside `main` (the same
-/// species and rates). The first differentiates by species, any further
-/// one by rate constants; entries are row-major, strictly ascending and
-/// in range, and the tapes validate as one program — a derivative tape
-/// reads registers the RHS wrote and stores one slot per entry.
-fn read_group<const N: usize>(r: &mut Reader, main: &Tape) -> Option<(Tape, [(Tape, Entries); N])> {
+/// Read the group compiled beside `main` (the same species and rates).
+/// Entries are row-major, strictly ascending and in range, and the tapes
+/// validate as one program — a derivative tape reads registers the
+/// earlier ones wrote and stores one slot per entry.
+fn read_group(r: &mut Reader, main: &Tape) -> Option<DerivTapes> {
     let rhs = read_tape(r)?;
-    if (rhs.n_species, rhs.n_rates) != (main.n_species, main.n_rates) {
+    let (n_species, n_rates) = (rhs.n_species, rhs.n_rates);
+    if (n_species, n_rates) != (main.n_species, main.n_rates) {
         return None;
     }
-    let mut derivs = Vec::with_capacity(N);
-    for k in 0..N {
+    // A derivative tape and its entry list, differentiating by `n_cols`
+    // variables.
+    let deriv = |r: &mut Reader, n_cols: usize| {
         let (tape, entries) = (read_tape(r)?, r.pairs()?);
-        let n_cols = if k == 0 { rhs.n_species } else { rhs.n_rates };
-        let in_range = |&(i, j): &(u32, u32)| (i as usize) < rhs.n_species && (j as usize) < n_cols;
-        if !entries.windows(2).all(|w| w[0] < w[1]) || !entries.iter().all(in_range) {
-            return None;
-        }
-        derivs.push((tape, entries));
-    }
-    let mut program = vec![(&rhs, rhs.n_species)];
-    program.extend(derivs.iter().map(|(tape, entries)| (tape, entries.len())));
+        let in_range = |&(i, j): &(u32, u32)| (i as usize) < n_species && (j as usize) < n_cols;
+        let ordered = entries.windows(2).all(|w| w[0] < w[1]);
+        (ordered && entries.iter().all(in_range)).then_some((tape, entries))
+    };
+    let (jac, entries) = deriv(r, n_species)?;
+    let tail = r.opt(|r| deriv(r, n_rates))?;
+    let mut program = vec![(&rhs, n_species), (&jac, entries.len())];
+    program.extend(tail.iter().map(|(dfdp, list)| (dfdp, list.len())));
     rms_core::validate_program(&program).ok()?;
-    Some((rhs, derivs.try_into().ok()?))
+    let state = Arc::new(JacobianTapes {
+        rhs,
+        jac,
+        entries,
+        n_species,
+    });
+    Some(match tail {
+        None => DerivTapes::Jacobian(state),
+        Some((dfdp, dfdp_entries)) => DerivTapes::Sensitivity(Arc::new(SensitivityTapes {
+            state,
+            dfdp,
+            dfdp_entries,
+            n_rates,
+        })),
+    })
 }
 
 fn write_counts(w: &mut Writer, c: OpCounts) {

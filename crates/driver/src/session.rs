@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use rms_core::{
     compile_jacobian_timed, compile_sensitivity_timed, optimize_traced, CompiledOde, CseOptions,
-    DerivTimes, ExecTape, JacobianTapes, OptLevel, PassTrace, Passes, SensitivityTapes,
+    DerivTapes, DerivTimes, ExecTape, JacobianTapes, OptLevel, PassTrace, Passes, SensitivityTapes,
 };
 use rms_odegen::{generate, GenerateOptions, OdeSystem};
 use rms_rcip::RateTable;
@@ -47,9 +47,10 @@ pub struct SessionOptions {
     /// Also compile the analytic sparse Jacobian tapes (the *Deriv*
     /// stage).
     pub deriv: bool,
-    /// Also compile the parameter-sensitivity tapes (RHS + Jacobian +
-    /// `∂f/∂p` sharing one register file), part of the *Deriv* stage:
-    /// enables one-solve residual Jacobians in the estimator.
+    /// Extend the Jacobian tapes by the parameter-sensitivity tail
+    /// (`∂f/∂p`, sharing their register file), part of the *Deriv* stage:
+    /// enables one-solve residual Jacobians in the estimator. Implies
+    /// [`deriv`](SessionOptions::deriv).
     pub sensitivity: bool,
     /// Emit C for the tape(s), compile it with the system C compiler, and
     /// `dlopen` the result (the *Codegen* stage). Codegen failures never
@@ -157,9 +158,10 @@ pub struct CompiledArtifact {
     pub compiled: CompiledOde,
     /// Analytic sparse Jacobian tapes, when the *Deriv* stage ran.
     pub jacobian: Option<Arc<JacobianTapes>>,
-    /// Parameter-sensitivity tapes (RHS + Jacobian + `∂f/∂p`), when
-    /// requested. Persisted beside the Jacobian tapes: a revived artifact
-    /// reads every derivative group it was compiled with.
+    /// The Jacobian tapes with their `∂f/∂p` tail, when requested: its
+    /// [`state`](SensitivityTapes::state) *is* `jacobian` (the same
+    /// allocation), so a plain and a sensitivity-augmented solve read one
+    /// Jacobian.
     pub sensitivity: Option<Arc<SensitivityTapes>>,
     /// Pre-decoded execution tape (the *ExecDecode* stage output). Every
     /// artifact carries one: the execution engine is the runtime default.
@@ -203,10 +205,7 @@ impl CompiledArtifact {
             total += tape(&j.rhs) + tape(&j.jac) + 8 * j.entries.len() as u64;
         }
         if let Some(s) = &self.sensitivity {
-            total += tape(&s.rhs)
-                + tape(&s.jac)
-                + tape(&s.dfdp)
-                + 8 * (s.jac_entries.len() + s.dfdp_entries.len()) as u64;
+            total += tape(&s.dfdp) + 8 * s.dfdp_entries.len() as u64;
         }
         if let Some(exec) = &self.exec {
             total += INSTR * exec.len() as u64;
@@ -529,63 +528,56 @@ impl CompilerSession {
         dump.offer(Stage::Lower, || compiled.tape.to_string());
 
         let mut planned = Planned::No;
-        let (jacobian, sensitivity) = if self.options.deriv || self.options.sensitivity {
+        let derivs = (self.options.deriv || self.options.sensitivity).then(|| {
             let stage_clock = Instant::now();
             let mut times = DerivTimes::default();
-            let jacobian = self.options.deriv.then(|| {
-                Arc::new(compile_jacobian_timed(
-                    &compiled.forest,
-                    Some(CseOptions::default()),
-                    &mut times,
-                ))
-            });
-            let sensitivity = self.options.sensitivity.then(|| {
-                Arc::new(compile_sensitivity_timed(
-                    &compiled.forest,
-                    Some(CseOptions::default()),
-                    &mut times,
-                ))
-            });
-            // Where the stage went, summed over the groups compiled; with
-            // `symbolic_seconds` below the split accounts for `seconds`.
+            let cse = Some(CseOptions::default());
+            // One register-sharing group per request: the Jacobian pair,
+            // with the `∂f/∂p` tail when sensitivities were asked for.
+            let derivs = if self.options.sensitivity {
+                let tapes = compile_sensitivity_timed(&compiled.forest, cse, &mut times);
+                DerivTapes::Sensitivity(Arc::new(tapes))
+            } else {
+                let tapes = compile_jacobian_timed(&compiled.forest, cse, &mut times);
+                DerivTapes::Jacobian(Arc::new(tapes))
+            };
+            let tapes = derivs.state();
+            // Sparse-Newton analysis of I − hβJ over the exact compiled
+            // sparsity: the fill the stiff solver's sparse path carries
+            // (nnz(L+U) under the fill-reducing ordering). The artifact
+            // keeps the plan, so no solve over it analyzes again.
+            let clock = Instant::now();
+            let pattern = rms_solver::PlannedPattern::new(rms_solver::SparsityPattern::new(
+                tapes.pattern_rows(),
+                tapes.n_species,
+            ));
+            let plan = pattern.plan();
+            let of_plan = |f: fn(&rms_solver::NewtonPlan) -> f64| plan.as_deref().map_or(0.0, f);
+            // `passes` and where they went; with `symbolic_seconds` the
+            // split accounts for `seconds`.
             let mut record = StageRecord::new(Stage::Deriv, 0.0)
+                .metric("passes", times.passes as f64)
                 .metric("diff_seconds", times.diff_seconds)
                 .metric("cse_seconds", times.cse_seconds)
-                .metric("lower_seconds", times.lower_seconds);
-            if let Some(tapes) = &jacobian {
-                // Sparse-Newton analysis of I − hβJ over the exact compiled
-                // sparsity: the fill the stiff solver's sparse path carries
-                // (nnz(L+U) under the fill-reducing ordering). The artifact
-                // keeps the plan, so no solve over it analyzes again.
-                let clock = Instant::now();
-                let jac_pattern =
-                    rms_solver::SparsityPattern::new(tapes.pattern_rows(), tapes.n_species);
-                let plan = rms_solver::NewtonPlan::analyze(&jac_pattern).ok();
-                let of_plan = |f: fn(&rms_solver::NewtonPlan) -> f64| plan.as_ref().map_or(0.0, f);
+                .metric("lower_seconds", times.lower_seconds)
+                .metric("nnz", tapes.entries.len() as f64)
+                .metric("rhs_instrs", tapes.rhs.instrs.len() as f64)
+                .metric("jac_instrs", tapes.jac.instrs.len() as f64)
+                .metric("iter_nnz", of_plan(|p| p.iter_nnz() as f64))
+                .metric("lu_fill_nnz", of_plan(|p| p.fill_nnz() as f64))
+                // What `LinearSolver::Auto` decides from, and its verdict.
+                .metric("lu_factor_macs", of_plan(|p| p.factor_macs() as f64))
+                .metric("dense_factor_macs", of_plan(|p| p.dense_factor_macs()))
+                .metric(
+                    "sparse_newton",
+                    of_plan(|p| f64::from(u8::from(p.prefers_sparse()))),
+                )
+                .metric("symbolic_seconds", clock.elapsed().as_secs_f64());
+            planned = Planned::Analyzed(pattern);
+            if let Some(tail) = derivs.sensitivity() {
                 record = record
-                    .metric("nnz", tapes.entries.len() as f64)
-                    .metric("rhs_instrs", tapes.rhs.instrs.len() as f64)
-                    .metric("jac_instrs", tapes.jac.instrs.len() as f64)
-                    .metric("iter_nnz", of_plan(|p| p.iter_nnz() as f64))
-                    .metric("lu_fill_nnz", of_plan(|p| p.fill_nnz() as f64))
-                    // What `LinearSolver::Auto` decides from, and its verdict.
-                    .metric("lu_factor_macs", of_plan(|p| p.factor_macs() as f64))
-                    .metric("dense_factor_macs", of_plan(|p| p.dense_factor_macs()))
-                    .metric(
-                        "sparse_newton",
-                        of_plan(|p| f64::from(u8::from(p.prefers_sparse()))),
-                    )
-                    .metric("symbolic_seconds", clock.elapsed().as_secs_f64());
-                if let Some(plan) = plan {
-                    planned = Planned::Analyzed(jac_pattern, Arc::new(plan));
-                }
-            }
-            if let Some(tapes) = &sensitivity {
-                record = record
-                    .metric("dfdp_nnz", tapes.dfdp_entries.len() as f64)
-                    .metric("dfdp_instrs", tapes.dfdp.instrs.len() as f64)
-                    .metric("sens_rhs_instrs", tapes.rhs.instrs.len() as f64)
-                    .metric("sens_jac_instrs", tapes.jac.instrs.len() as f64);
+                    .metric("dfdp_nnz", tail.dfdp_entries.len() as f64)
+                    .metric("dfdp_instrs", tail.dfdp.instrs.len() as f64);
             }
             record.seconds = stage_clock.elapsed().as_secs_f64();
             // Deriv sits between Cse and Lower in the stage order.
@@ -595,30 +587,25 @@ impl CompilerSession {
                 .unwrap_or(records.len());
             records.insert(at, record);
             dump.offer(Stage::Deriv, || {
-                let mut out = String::new();
-                if let Some(tapes) = &jacobian {
-                    out.push_str(&format!(
-                        "; jacobian: {} nonzero entries {:?}\n; shared rhs tape:\n{}",
-                        tapes.entries.len(),
-                        tapes.entries,
-                        tapes.rhs
-                    ));
-                    out.push_str(&format!("; jac tape:\n{}", tapes.jac));
-                }
-                if let Some(tapes) = &sensitivity {
+                let mut out = format!(
+                    "; jacobian: {} nonzero entries {:?}\n; shared rhs tape:\n{}; jac tape:\n{}",
+                    tapes.entries.len(),
+                    tapes.entries,
+                    tapes.rhs,
+                    tapes.jac
+                );
+                if let Some(tail) = derivs.sensitivity() {
                     out.push_str(&format!(
                         "; dfdp: {} nonzero (species, rate) entries {:?}\n; dfdp tape:\n{}",
-                        tapes.dfdp_entries.len(),
-                        tapes.dfdp_entries,
-                        tapes.dfdp
+                        tail.dfdp_entries.len(),
+                        tail.dfdp_entries,
+                        tail.dfdp
                     ));
                 }
                 out
             });
-            (jacobian, sensitivity)
-        } else {
-            (None, None)
-        };
+            derivs
+        });
 
         let clock = Instant::now();
         let exec = Arc::new(ExecTape::compile(&compiled.tape));
@@ -638,26 +625,11 @@ impl CompilerSession {
 
         let (native, native_diag) = if self.options.native {
             let clock = Instant::now();
-            let meta = rms_core::KernelMeta {
-                key,
-                n_species: compiled.tape.n_species,
-                n_rates: compiled.tape.n_rates,
-                jac_nnz: jacobian.as_ref().map(|j| j.nnz()),
-                sens_nnz: sensitivity.as_ref().map(|s| (s.jac_nnz(), s.dfdp_nnz())),
-            };
-            let path = crate::codegen::kernel_path(self.options.cache_dir.as_deref(), key);
-            let render = || {
-                crate::codegen::render_kernel(
-                    name,
-                    &compiled.tape,
-                    jacobian.as_deref(),
-                    sensitivity.as_deref(),
-                    key,
-                )
-            };
-            let outcome = crate::codegen::build_kernel(&path, &meta, render);
+            let outcome = self.native_kernel(name, &compiled.tape, derivs.as_ref(), key);
             dump.offer(Stage::Codegen, || {
-                render().units.join(crate::codegen::UNIT_BREAK)
+                crate::codegen::render_kernel(name, &compiled.tape, derivs.as_ref(), key)
+                    .units
+                    .join(crate::codegen::UNIT_BREAK)
             });
             records.push(
                 StageRecord::new(Stage::Codegen, clock.elapsed().as_secs_f64())
@@ -692,14 +664,8 @@ impl CompilerSession {
         };
         report.finish();
 
-        let kernels = Kernels::new(
-            &compiled.tape,
-            &exec,
-            &jacobian,
-            &sensitivity,
-            &native,
-            planned,
-        );
+        let kernels = Kernels::new(&compiled.tape, &exec, &derivs, &native, planned);
+        let (jacobian, sensitivity) = views(derivs);
         Ok(CompiledArtifact {
             name: name.to_string(),
             network,
@@ -721,67 +687,45 @@ impl CompilerSession {
 
     /// Finish reviving a disk-loaded artifact: regenerate the ODE system
     /// (not serialized), re-decode the exec tape and re-attach the native
-    /// kernel. Nothing is derived: an entry that lacks a derivative group
-    /// this request compiles, or disagrees with it otherwise, is corrupt.
+    /// kernel. Nothing is derived: an entry whose derivative group is not
+    /// the one this request compiles, or that disagrees with it otherwise,
+    /// is corrupt.
     fn revive(&self, partial: serial::DiskArtifact) -> Result<CompiledArtifact, serial::LoadError> {
         let serial::DiskArtifact {
             name,
             network,
             rates,
             compiled,
-            jacobian,
-            sensitivity,
+            derivs,
             order,
             warnings,
             report,
             key,
             gen_simplify,
         } = partial;
+        let tail = derivs.as_ref().and_then(DerivTapes::sensitivity);
         let as_requested = gen_simplify == self.options.effective_gen_simplify()
-            && jacobian.is_some() == self.options.deriv
-            && sensitivity.is_some() == self.options.sensitivity;
+            && derivs.is_some() == (self.options.deriv || self.options.sensitivity)
+            && tail.is_some() == self.options.sensitivity;
         let simplify = gen_simplify;
         let system = generate(&network, &rates, GenerateOptions { simplify })
             .ok()
             .filter(|system| as_requested && system.len() == compiled.tape.n_species)
             .filter(|system| system.n_rates == compiled.tape.n_rates)
             .ok_or(serial::LoadError::Corrupt)?;
-        let jacobian = jacobian.map(Arc::new);
-        let sensitivity = sensitivity.map(Arc::new);
         let exec = Arc::new(ExecTape::compile(&compiled.tape));
         // Re-attach the native kernel: usually a straight dlopen of the
         // `.so` cached beside the artifact, recompiling if it is missing
         // or was quarantined.
         let (native, native_diag) = if self.options.native {
-            let meta = rms_core::KernelMeta {
-                key,
-                n_species: compiled.tape.n_species,
-                n_rates: compiled.tape.n_rates,
-                jac_nnz: jacobian.as_ref().map(|j| j.nnz()),
-                sens_nnz: sensitivity.as_ref().map(|s| (s.jac_nnz(), s.dfdp_nnz())),
-            };
-            let path = crate::codegen::kernel_path(self.options.cache_dir.as_deref(), key);
-            let outcome = crate::codegen::build_kernel(&path, &meta, || {
-                crate::codegen::render_kernel(
-                    &name,
-                    &compiled.tape,
-                    jacobian.as_deref(),
-                    sensitivity.as_deref(),
-                    key,
-                )
-            });
+            let outcome = self.native_kernel(&name, &compiled.tape, derivs.as_ref(), key);
             (outcome.kernel, outcome.diag)
         } else {
             (None, None)
         };
-        let kernels = Kernels::new(
-            &compiled.tape,
-            &exec,
-            &jacobian,
-            &sensitivity,
-            &native,
-            order.map_or(Planned::No, Planned::Order),
-        );
+        let planned = order.map_or(Planned::No, Planned::Order);
+        let kernels = Kernels::new(&compiled.tape, &exec, &derivs, &native, planned);
+        let (jacobian, sensitivity) = views(derivs);
         Ok(CompiledArtifact {
             name,
             network,
@@ -800,6 +744,38 @@ impl CompilerSession {
             kernels,
         })
     }
+
+    /// The *Codegen* stage proper: load the object cached for `key`, or
+    /// render the kernel source and compile it.
+    fn native_kernel(
+        &self,
+        name: &str,
+        tape: &rms_core::Tape,
+        derivs: Option<&DerivTapes>,
+        key: u128,
+    ) -> crate::codegen::CodegenOutcome {
+        let meta = rms_core::KernelMeta {
+            key,
+            n_species: tape.n_species,
+            n_rates: tape.n_rates,
+            jac_nnz: derivs.map(|d| d.state().nnz()),
+            dfdp_nnz: derivs
+                .and_then(DerivTapes::sensitivity)
+                .map(|s| s.dfdp_nnz()),
+        };
+        let path = crate::codegen::kernel_path(self.options.cache_dir.as_deref(), key);
+        crate::codegen::build_kernel(&path, &meta, || {
+            crate::codegen::render_kernel(name, tape, derivs, key)
+        })
+    }
+}
+
+/// The artifact's two public views of its one derivative group.
+fn views(
+    derivs: Option<DerivTapes>,
+) -> (Option<Arc<JacobianTapes>>, Option<Arc<SensitivityTapes>>) {
+    let tail = derivs.as_ref().and_then(DerivTapes::sensitivity).cloned();
+    (derivs.map(|d| d.state().clone()), tail)
 }
 
 /// Two std hashers fed the same bytes: one walk of the model content

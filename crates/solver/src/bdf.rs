@@ -131,7 +131,7 @@ impl JacSource<'_> {
     fn pattern(&self) -> Option<&SparsityPattern> {
         match self {
             JacSource::Analytic(provider) => Some(provider.pattern()),
-            JacSource::Colored(colored) => Some(&colored.pattern),
+            JacSource::Colored(colored) => Some(colored.pattern.pattern()),
             JacSource::Dense => None,
         }
     }
@@ -686,8 +686,8 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                     pattern,
                     colors,
                     n_colors,
-                    ..
                 } = &**colored;
+                let pattern = pattern.pattern();
                 let jac = dense_store(&mut self.jac, pattern.n_rows(), n);
                 let jac_fevals = fd_jacobian_colored_into(
                     self.rhs, t, y, &s.f, pattern, colors, *n_colors, jac, &mut s.fd,
@@ -718,7 +718,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         self.plan = match &self.source {
             _ if solver == LinearSolver::Dense => None,
             JacSource::Analytic(provider) => provider.plan(),
-            JacSource::Colored(Cow::Borrowed(colored)) => colored.plan(),
+            JacSource::Colored(Cow::Borrowed(colored)) => colored.pattern.plan(),
             JacSource::Colored(Cow::Owned(_)) | JacSource::Dense => None,
         };
         self.sparse = match solver {
@@ -1572,7 +1572,7 @@ mod tests {
         shared.integrate_to(1.0).unwrap();
         assert_eq!(shared.y(), sparse.y());
         assert_eq!(shared.stats(), sparse.stats());
-        assert!(colored.built_plan().is_none(), "Dense never plans");
+        assert!(colored.pattern.built_plan().is_none(), "Dense never plans");
         for (a, b) in dense.y().iter().zip(sparse.y()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
@@ -1605,11 +1605,11 @@ mod tests {
         assert_eq!(owned.stats().fill_nnz, 2 * n - 1);
 
         let colored = ColoredPattern::new(pattern);
-        assert!(colored.built_plan().is_none());
+        assert!(colored.pattern.built_plan().is_none());
         let mut shared = Bdf::new(&rhs, 0.0, &y0, options);
         shared.set_jacobian_source(JacobianSource::FdColoredShared(&colored));
         shared.integrate_to(1.0).unwrap();
-        assert_eq!(colored.built_plan().unwrap().factor_macs(), 39);
+        assert_eq!(colored.pattern.built_plan().unwrap().factor_macs(), 39);
         assert_eq!(shared.y(), owned.y());
         assert_eq!(
             shared.stats(),

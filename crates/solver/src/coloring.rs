@@ -8,12 +8,10 @@
 //! to the number of colors — typically a small constant for reaction
 //! networks.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::jacobian::{fd_step, FdWorkspace};
 use crate::linalg::Matrix;
 use crate::problem::OdeRhs;
-use crate::sparse::NewtonPlan;
+use crate::sparse::PlannedPattern;
 
 /// The Jacobian sparsity pattern: `rows[i]` lists the columns (species)
 /// with possibly-nonzero entries in row `i`, sorted ascending.
@@ -103,14 +101,12 @@ impl SparsityPattern {
 /// ([`JacobianSource::FdColoredShared`](crate::JacobianSource::FdColoredShared)).
 #[derive(Debug, Clone)]
 pub struct ColoredPattern {
-    /// The Jacobian sparsity.
-    pub pattern: SparsityPattern,
+    /// The Jacobian sparsity, and the plan over it once a solve asked.
+    pub pattern: PlannedPattern,
     /// Color of each column.
     pub colors: Vec<u32>,
     /// Number of colors (= RHS evaluations per Jacobian).
     pub n_colors: usize,
-    /// `None` inside: the analysis refused the pattern (it is not square).
-    plan: OnceLock<Option<Arc<NewtonPlan>>>,
 }
 
 impl ColoredPattern {
@@ -118,24 +114,10 @@ impl ColoredPattern {
     pub fn new(pattern: SparsityPattern) -> ColoredPattern {
         let (colors, n_colors) = pattern.color_columns();
         ColoredPattern {
-            pattern,
+            pattern: PlannedPattern::new(pattern),
             colors,
             n_colors,
-            plan: OnceLock::new(),
         }
-    }
-
-    /// The sparse-Newton analysis of the pattern, run by the first solve
-    /// that asks (the others wait for it and share the result).
-    pub fn plan(&self) -> Option<Arc<NewtonPlan>> {
-        self.plan
-            .get_or_init(|| NewtonPlan::analyze(&self.pattern).ok().map(Arc::new))
-            .clone()
-    }
-
-    /// The plan if one exists already; never runs the analysis.
-    pub fn built_plan(&self) -> Option<&Arc<NewtonPlan>> {
-        self.plan.get()?.as_ref()
     }
 }
 

@@ -44,5 +44,5 @@ pub use problem::{
 pub use rk45::{solve_rk45, Rk45};
 pub use sparse::{
     is_permutation, iteration_matrix_pattern, orderings_computed_on_this_thread, CscMatrix,
-    NewtonPlan, SparseLu, SparseNewton, SymbolicLu, SPARSE_COST_PER_MAC,
+    NewtonPlan, PlannedPattern, SparseLu, SparseNewton, SymbolicLu, SPARSE_COST_PER_MAC,
 };

@@ -22,6 +22,7 @@
 //! * [`NewtonPlan`]: everything about `I − scale·J` that depends on the
 //!   Jacobian's sparsity alone (assembly structure + [`SymbolicLu`]),
 //!   analyzed once per compiled model and shared by every solve over it;
+//! * [`PlannedPattern`]: a pattern with its plan, built on first request;
 //! * [`SparseNewton`]: the solver-facing bundle, one solve's value arrays
 //!   over a plan, that assembles `I − scale·J` directly into CSC slots
 //!   from either a CSR Jacobian (analytic tapes) or a dense store
@@ -37,7 +38,7 @@
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::coloring::SparsityPattern;
 use crate::linalg::{CsrMatrix, LinalgError, Matrix};
@@ -833,6 +834,54 @@ impl NewtonPlan {
     /// [`SparseNewton::factor_from_csr`].
     pub fn jacobian_store(&self) -> CsrMatrix {
         self.jac.clone()
+    }
+}
+
+/// A Jacobian sparsity pattern and the sparse-Newton analysis of
+/// `I − γJ` over it: analyzed by the first solve that asks, while the
+/// others wait for it, and shared with every solve over the pattern from
+/// then on.
+#[derive(Debug, Clone)]
+pub struct PlannedPattern {
+    pattern: SparsityPattern,
+    /// `None` inside: the analysis refused the pattern (it is not square).
+    plan: OnceLock<Option<Arc<NewtonPlan>>>,
+}
+
+impl PlannedPattern {
+    /// `pattern`, not analyzed yet.
+    pub fn new(pattern: SparsityPattern) -> PlannedPattern {
+        PlannedPattern {
+            pattern,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// The Jacobian sparsity.
+    pub fn pattern(&self) -> &SparsityPattern {
+        &self.pattern
+    }
+
+    /// The plan, through [`NewtonPlan::analyze`] when there is none yet.
+    pub fn plan(&self) -> Option<Arc<NewtonPlan>> {
+        self.plan_with(NewtonPlan::analyze)
+    }
+
+    /// The plan, through `analyze` when there is none yet — for an owner
+    /// that knows a cheaper way to the same plan, such as the elimination
+    /// order of an earlier analysis ([`NewtonPlan::with_order`]).
+    pub fn plan_with(
+        &self,
+        analyze: impl FnOnce(&SparsityPattern) -> Result<NewtonPlan, LinalgError>,
+    ) -> Option<Arc<NewtonPlan>> {
+        self.plan
+            .get_or_init(|| analyze(&self.pattern).ok().map(Arc::new))
+            .clone()
+    }
+
+    /// The plan if one exists already; never runs the analysis.
+    pub fn built_plan(&self) -> Option<&Arc<NewtonPlan>> {
+        self.plan.get()?.as_ref()
     }
 }
 

@@ -12,13 +12,15 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rms_core::{DerivGroup, OptLevel};
+use rms_core::OptLevel;
 use rms_driver::{CacheMode, CompiledArtifact, CompilerSession, EngineMode, SessionOptions};
 use rms_solver::{
     solve_bdf_with_jacobian, AnalyticJacobian, CsrMatrix, Lu, NewtonPlan, SolverOptions,
     SparseNewton, SparsityPattern, SPARSE_COST_PER_MAC,
 };
-use rms_workload::{scaled_case, BoundKernel, JacobianMode, VULCANIZATION_RDL};
+use rms_workload::{
+    scaled_case, vulcanization_source, BoundKernel, JacobianMode, VULCANIZATION_RDL,
+};
 
 /// A model's plan and its Jacobian at a state from its trajectory.
 struct Case {
@@ -39,7 +41,7 @@ fn session() -> CompilerSession {
 /// kernel skips their updates).
 fn compiled(label: &'static str, artifact: &CompiledArtifact) -> Case {
     let choice = artifact.kernel(EngineMode::Exec);
-    let bound = BoundKernel::new(&choice, &artifact.system.rate_values, DerivGroup::Jacobian);
+    let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let (states, _) = solve_bdf_with_jacobian(
         &bound,
         0.0,
@@ -97,16 +99,9 @@ fn calibrate_sparse_cost_per_mac() {
     let vulcanization = session
         .compile_source("vulcanization.rdl", VULCANIZATION_RDL)
         .expect("bundled RDL model compiles");
-    // benchmark/src/inputs.rs::vulcanization_source(16), the `rdl_fit` model.
+    // The `rdl_fit` model.
     let rdl_fit = session
-        .compile_source(
-            "rdl_fit",
-            &VULCANIZATION_RDL
-                .replace("for n in 2..5", "for n in 2..16")
-                .replace("forbid chain S > 5", "forbid chain S > 16")
-                .replace("limit atoms 24", "limit atoms 84")
-                .replace("limit species 400", "limit species 1280"),
-        )
+        .compile_source("rdl_fit", &vulcanization_source(16))
         .expect("scaled RDL model compiles");
     let table1 = scaled_case(2, 40);
     let table1 = session

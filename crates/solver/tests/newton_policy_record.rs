@@ -8,13 +8,13 @@
 //! cargo test --release -p rms-solver -- --ignored newton_policy_record --nocapture
 //! ```
 
-use rms_core::{DerivGroup, OptLevel};
+use rms_core::OptLevel;
 use rms_driver::{CacheMode, CompiledArtifact, CompilerSession, EngineMode, SessionOptions};
 use rms_solver::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, FnRhs, OdeRhs, SolveStats,
     SolverOptions,
 };
-use rms_workload::{scaled_case, BoundKernel, JacobianMode, VULCANIZATION_RDL};
+use rms_workload::{decay_chain, scaled_case, BoundKernel, JacobianMode, VULCANIZATION_RDL};
 
 fn row(label: &str, stats: SolveStats) {
     println!(
@@ -35,20 +35,20 @@ fn closure(label: &str, rhs: &impl OdeRhs, y0: &[f64], tend: f64) {
     row(label, stats);
 }
 
-/// A compiled model to `t = 1` as the simulator solves it: plain over the
-/// Jacobian group, then sensitivity-augmented over the other.
+/// A compiled model to `t = 1` as the simulator solves it: plain, then
+/// sensitivity-augmented.
 fn compiled(label: &str, artifact: &CompiledArtifact) {
     let choice = artifact.kernel(EngineMode::Exec);
     let (y0, rates) = (&artifact.system.initial, &artifact.system.rate_values);
     let options = SolverOptions::default();
 
-    let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
+    let bound = BoundKernel::new(&choice, rates);
     let source = bound.jacobian_source(JacobianMode::Analytic);
     let (_, stats) = solve_bdf_with_jacobian(&bound, 0.0, y0, &[1.0], options, source)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     row(label, stats);
 
-    let bound = BoundKernel::new(&choice, rates, DerivGroup::Sensitivity);
+    let bound = BoundKernel::new(&choice, rates);
     let source = bound.jacobian_source(JacobianMode::Analytic);
     let (_, _, stats) = solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &[1.0], options, source)
         .unwrap_or_else(|e| panic!("{label}, augmented: {e}"));
@@ -89,16 +89,7 @@ fn newton_policy_record() {
     );
 
     // tests/newton_policy.rs's chain: thirty species, rates over five decades.
-    let n = 30;
-    let rate = |i: usize| 10f64.powf(5.0 * i as f64 / (n - 1) as f64 - 1.0);
-    let chain = FnRhs::new(n, |_t, y: &[f64], ydot: &mut [f64]| {
-        ydot[0] = -rate(0) * y[0];
-        for i in 1..y.len() {
-            ydot[i] = rate(i - 1) * y[i - 1] - rate(i) * y[i];
-        }
-    });
-    let mut y0 = vec![0.0; n];
-    y0[0] = 1.0;
+    let (chain, y0) = decay_chain(30);
     closure("linear chain n = 30, t = 10", &chain, &y0, 10.0);
 
     let mut options = SessionOptions::new(OptLevel::Full);

@@ -350,18 +350,21 @@ fn parse_dump(args: &[String]) -> Result<Option<Stage>, CliError> {
     }
 }
 
-/// Reject any `--flag` not in `known` so a typo'd option is a usage
-/// error instead of being silently ignored.
-fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), CliError> {
-    if let Some(bad) = args
-        .iter()
-        .filter(|a| a.starts_with("--"))
-        .find(|a| !known.contains(&a.as_str()))
-    {
-        return Err(usage_err(format!(
-            "unknown option '{bad}' (expected one of: {})",
-            known.join(", ")
-        )));
+/// Reject any `--flag` not in `known`, and any known one without a value
+/// (at the end of the line, or followed by another `--flag`): every flag
+/// of every subcommand takes one, and a typo'd or half-typed option is a
+/// usage error instead of being silently ignored.
+fn check_flags(args: &[String], known: &[&str]) -> Result<(), CliError> {
+    for (i, flag) in args.iter().enumerate().filter(|(_, a)| a.starts_with("--")) {
+        if !known.contains(&flag.as_str()) {
+            return Err(usage_err(format!(
+                "unknown option '{flag}' (expected one of: {})",
+                known.join(", ")
+            )));
+        }
+        if args.get(i + 1).is_none_or(|next| next.starts_with("--")) {
+            return Err(usage_err(format!("option '{flag}' takes a value")));
+        }
     }
     Ok(())
 }
@@ -393,7 +396,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "compile" => Ok(Command::Compile {
             input: {
-                reject_unknown_flags(
+                check_flags(
                     args,
                     &[
                         "--level",
@@ -421,7 +424,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }),
         "compile-report" => Ok(Command::Compile {
             input: {
-                reject_unknown_flags(args, &["--level", "--frontend-threads", "--cache-dir"])?;
+                check_flags(args, &["--level", "--frontend-threads", "--cache-dir"])?;
                 input(1)?
             },
             level: parse_level(args)?,
@@ -432,7 +435,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }),
         "simulate" => Ok(Command::Simulate {
             input: {
-                reject_unknown_flags(
+                check_flags(
                     args,
                     &[
                         "--level",
@@ -460,7 +463,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }),
         "synthesize" => Ok(Command::Synthesize {
             input: {
-                reject_unknown_flags(
+                check_flags(
                     args,
                     &["--observe", "--out", "--files", "--records", "--tend"],
                 )?;
@@ -475,7 +478,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             tend: parse_num(args, "--tend", 2.0)?,
         }),
         "estimate" => {
-            reject_unknown_flags(
+            check_flags(
                 args,
                 &[
                     "--data",
@@ -551,7 +554,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "serve" => {
-            reject_unknown_flags(
+            check_flags(
                 args,
                 &[
                     "--workers",
@@ -1141,6 +1144,31 @@ mod tests {
             parse_args(&argv("serve --workers 0")),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_a_usage_error_in_every_subcommand() {
+        for (line, flag) in [
+            ("compile m.rdl --emit c --level", "--level"),
+            ("compile-report m.rdl --cache-dir", "--cache-dir"),
+            ("simulate m.rdl --steps 2 --tend", "--tend"),
+            ("synthesize m.rdl --out d --records", "--records"),
+            ("estimate m.rdl --data d --workers", "--workers"),
+            ("serve --queue-capacity 8 --deadline-ms", "--deadline-ms"),
+            // Not only in last position: the next flag is not a value.
+            ("simulate m.rdl --tend --steps 2", "--tend"),
+            ("estimate m.rdl --data --observe A", "--data"),
+        ] {
+            match parse_args(&argv(line)) {
+                Err(CliError::Usage(message)) => {
+                    assert_eq!(message, format!("option '{flag}' takes a value"), "{line}")
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+        // A negative number is a value, whatever the subcommand then
+        // makes of it.
+        assert!(parse_args(&argv("simulate m.rdl --tend -1")).is_ok());
     }
 
     const MODEL: &str = r#"

@@ -43,7 +43,7 @@ pub use rms_core::{
     compact_registers, compile_jacobian, compile_sensitivity, differentiate_forest, emit_c,
     emit_kernel, generic_compile, generic_compile_best_effort, lower, optimize,
     optimize_with_passes, probe_toolchain, species_dependencies, CompiledOde, CseOptions,
-    DerivGroup, ExecFrame, ExecTape, Expr, ExprForest, GenericError, GenericOptions, JacobianTapes,
+    DerivTapes, ExecFrame, ExecTape, Expr, ExprForest, GenericError, GenericOptions, JacobianTapes,
     Kernel, KernelMeta, KernelScratch, KernelSpec, NativeError, NativeKernel, OptLevel, Passes,
     SensitivityTapes, Tape, Toolchain, FMA_CONTRACTS, IR_BYTES_PER_OP, PAPER_MEMORY_BUDGET,
 };
@@ -116,34 +116,22 @@ impl SuiteModel {
     /// `ode_rhs`, batched `ode_rhs_batch`, analytic-Jacobian `ode_jac`
     /// and sensitivity `ode_sens` (`rmsc compile --emit c`). It is
     /// rendered by the function the *Codegen* stage renders with, so for
-    /// an artifact compiled with both derivative groups this is exactly
+    /// an artifact compiled with the sensitivity tail this is exactly
     /// the source that stage hands to the system C compiler; several
     /// translation units are joined by [`UNIT_BREAK`].
     ///
     /// [`UNIT_BREAK`]: rms_driver::codegen::UNIT_BREAK
     pub fn emit_native_c(&self) -> String {
         // All four entry points, whether or not this session compiled
-        // the derivative groups.
-        let cse = Some(CseOptions::default());
-        let jacobian = self
-            .artifact
-            .jacobian
-            .clone()
-            .unwrap_or_else(|| Arc::new(compile_jacobian(&self.compiled.forest, cse)));
-        let sensitivity = self
-            .artifact
-            .sensitivity
-            .clone()
-            .unwrap_or_else(|| Arc::new(compile_sensitivity(&self.compiled.forest, cse)));
-        rms_driver::codegen::render_kernel(
-            &self.name,
-            &self.compiled.tape,
-            Some(&jacobian),
-            Some(&sensitivity),
-            self.key,
-        )
-        .units
-        .join(rms_driver::codegen::UNIT_BREAK)
+        // the derivative group with its tail.
+        let sensitivity = self.artifact.sensitivity.clone().unwrap_or_else(|| {
+            let cse = Some(CseOptions::default());
+            Arc::new(compile_sensitivity(&self.compiled.forest, cse))
+        });
+        let derivs = DerivTapes::Sensitivity(sensitivity);
+        rms_driver::codegen::render_kernel(&self.name, &self.compiled.tape, Some(&derivs), self.key)
+            .units
+            .join(rms_driver::codegen::UNIT_BREAK)
     }
 
     /// Simulate the system from its declared initial concentrations,
@@ -183,7 +171,7 @@ impl SuiteModel {
         engine: EngineMode,
     ) -> Result<Vec<Vec<f64>>, rms_solver::SolverError> {
         let choice = self.artifact.kernel(engine);
-        let bound = BoundKernel::new(&choice, &self.system.rate_values, DerivGroup::Jacobian);
+        let bound = BoundKernel::new(&choice, &self.system.rate_values);
         let source = bound.jacobian_source(mode);
         let (sol, _) =
             solve_bdf_with_jacobian(&bound, 0.0, &self.system.initial, times, options, source)?;

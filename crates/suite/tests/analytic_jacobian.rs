@@ -5,8 +5,8 @@
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    fd_jacobian, fd_jacobian_colored, AnalyticJacobian, BoundKernel, CompilerSession, DerivGroup,
-    EngineMode, JacobianMode, OdeRhs, OptLevel, SessionOptions, SolverOptions, SuiteModel,
+    fd_jacobian, fd_jacobian_colored, AnalyticJacobian, BoundKernel, CompilerSession, EngineMode,
+    JacobianMode, OdeRhs, OptLevel, SessionOptions, SolverOptions, SuiteModel,
 };
 
 const LEVELS: [OptLevel; 4] = [
@@ -59,10 +59,10 @@ fn check_against_dense_fd(model: &SuiteModel, label: &str) {
     // The interpreter kernel bound to the model's own rates: the RHS the
     // finite differences perturb and the analytic provider they check.
     let choice = model.kernel(EngineMode::Interp);
-    let provider = BoundKernel::new(&choice, &model.system.rate_values, DerivGroup::Jacobian);
+    let provider = BoundKernel::new(&choice, &model.system.rate_values);
     let rhs = &provider;
 
-    let entries = choice.kernel.jac_entries(DerivGroup::Jacobian).unwrap();
+    let entries = choice.kernel.jac_entries().unwrap();
     assert_eq!(choice.kernel.n_species(), n, "{label}");
     let y = probe_state(n);
     let mut vals = vec![0.0; entries.len()];
@@ -98,10 +98,10 @@ fn check_against_dense_fd(model: &SuiteModel, label: &str) {
 fn check_against_colored_fd(model: &SuiteModel, label: &str) {
     let n = model.system.len();
     let choice = model.kernel(EngineMode::Interp);
-    let provider = BoundKernel::new(&choice, &model.system.rate_values, DerivGroup::Jacobian);
+    let provider = BoundKernel::new(&choice, &model.system.rate_values);
     let rhs = &provider;
 
-    let entries = choice.kernel.jac_entries(DerivGroup::Jacobian).unwrap();
+    let entries = choice.kernel.jac_entries().unwrap();
     let y = probe_state(n);
     let mut vals = vec![0.0; entries.len()];
     provider.eval_values(0.0, &y, &mut vals);

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use rms_core::{DerivGroup, Kernel, KernelScratch};
+use rms_core::{Kernel, KernelScratch};
 use rms_driver::{KernelChoice, Patterns};
 use rms_solver::{
     AnalyticJacobian, JacobianSource, NewtonPlan, OdeRhs, SensitivityRhs, SparsityPattern,
@@ -20,8 +20,6 @@ use crate::simulate::JacobianMode;
 pub struct BoundKernel<'a> {
     kernel: &'a dyn Kernel,
     rates: &'a [f64],
-    /// The derivative group this solve's Jacobian comes from.
-    group: DerivGroup,
     patterns: &'a Patterns,
     scratch: RefCell<Scratch>,
 }
@@ -36,14 +34,11 @@ struct Scratch {
 }
 
 impl<'a> BoundKernel<'a> {
-    /// Bind the chosen kernel to `rates`. A sensitivity-augmented solve
-    /// binds [`DerivGroup::Sensitivity`], every other solve
-    /// [`DerivGroup::Jacobian`].
-    pub fn new(choice: &'a KernelChoice, rates: &'a [f64], group: DerivGroup) -> BoundKernel<'a> {
+    /// Bind the chosen kernel to `rates`.
+    pub fn new(choice: &'a KernelChoice, rates: &'a [f64]) -> BoundKernel<'a> {
         BoundKernel {
             kernel: &*choice.kernel,
             rates,
-            group,
             patterns: &choice.patterns,
             scratch: RefCell::default(),
         }
@@ -51,11 +46,11 @@ impl<'a> BoundKernel<'a> {
 
     /// The solver's Jacobian source under `mode`.
     /// [`JacobianMode::Analytic`] falls back to colored finite differences
-    /// when the artifact was compiled without the group's tapes.
+    /// when the artifact was compiled without derivative tapes.
     pub fn jacobian_source(&self, mode: JacobianMode) -> JacobianSource<'_> {
         match mode {
             JacobianMode::FdDense => JacobianSource::FdDense,
-            JacobianMode::Analytic if self.patterns.analytic(self.group).is_some() => {
+            JacobianMode::Analytic if self.patterns.analytic().is_some() => {
                 JacobianSource::AnalyticTape(self)
             }
             _ => JacobianSource::FdColoredShared(self.patterns.fd()),
@@ -82,19 +77,19 @@ impl OdeRhs for BoundKernel<'_> {
 impl AnalyticJacobian for BoundKernel<'_> {
     fn pattern(&self) -> &SparsityPattern {
         self.patterns
-            .analytic(self.group)
-            .expect("analytic source only offered when the group is compiled")
+            .analytic()
+            .expect("analytic source only offered when the tapes are compiled")
     }
 
     fn eval_values(&self, _t: f64, y: &[f64], vals: &mut [f64]) {
         let s = &mut *self.scratch.borrow_mut();
         s.ydot.resize(y.len(), 0.0);
         self.kernel
-            .rhs_jac(self.group, self.rates, y, &mut s.ydot, vals, &mut s.kernel);
+            .rhs_jac(self.rates, y, &mut s.ydot, vals, &mut s.kernel);
     }
 
     fn plan(&self) -> Option<Arc<NewtonPlan>> {
-        self.patterns.plan(self.group)
+        self.patterns.plan()
     }
 }
 

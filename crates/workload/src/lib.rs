@@ -29,10 +29,12 @@ pub mod vulcanization;
 pub use binding::BoundKernel;
 pub use expdata::{synthesize, ExpDataSpec};
 pub use frontier::FrontierSpec;
-pub use rdl_model::VULCANIZATION_RDL;
+pub use rdl_model::{vulcanization_source, VULCANIZATION_RDL};
 pub use rms_solver::LinearSolver;
 pub use simulate::{FallbackStats, JacobianMode, TapeSimulator};
-pub use testcases::{paper_case, scaled_case, Table1Reference, Table2Reference, TABLE1, TABLE2};
+pub use testcases::{
+    decay_chain, paper_case, scaled_case, Table1Reference, Table2Reference, TABLE1, TABLE2,
+};
 pub use vulcanization::{
     generate_model, VulcanizationModel, VulcanizationSpec, RATE_NAMES, TRUE_RATES,
 };

@@ -72,10 +72,54 @@ limit generations 4;
 forbid chain S > 5;
 "#;
 
+/// [`VULCANIZATION_RDL`] with polysulfide chains `2..=max_chain` and its
+/// generation limits scaled to match; rates as declared. At 16 it is the
+/// 157-species model the `rdl_fit` benchmark workload fits (which keeps
+/// its own copy of this function, `benchmark/src/inputs.rs`).
+pub fn vulcanization_source(max_chain: usize) -> String {
+    let replaced = [
+        ("for n in 2..5", format!("for n in 2..{max_chain}")),
+        (
+            "forbid chain S > 5",
+            format!("forbid chain S > {max_chain}"),
+        ),
+        (
+            "limit atoms 24",
+            format!("limit atoms {}", 24 * max_chain / 5 + 8),
+        ),
+        (
+            "limit species 400",
+            format!("limit species {}", 400 * max_chain / 5),
+        ),
+    ];
+    let mut source = VULCANIZATION_RDL.to_string();
+    for (from, to) in replaced {
+        assert!(
+            source.contains(from),
+            "VULCANIZATION_RDL no longer contains '{from}'"
+        );
+        source = source.replace(from, &to);
+    }
+    source
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rms_rdl::{compile, parse_rdl};
+
+    #[test]
+    fn vulcanization_source_scales_every_limit() {
+        let s = vulcanization_source(16);
+        for scaled in [
+            "for n in 2..16",
+            "forbid chain S > 16",
+            "limit atoms 84",
+            "limit species 1280",
+        ] {
+            assert!(s.contains(scaled), "missing '{scaled}'");
+        }
+    }
 
     #[test]
     fn rdl_model_compiles_to_a_real_network() {

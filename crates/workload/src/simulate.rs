@@ -5,7 +5,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rms_core::DerivGroup;
 use rms_driver::{CompiledArtifact, EngineMode, KernelChoice};
 use rms_parallel::Simulator;
 use rms_solver::{
@@ -196,7 +195,7 @@ impl TapeSimulator {
         times: &[f64],
         options: SolverOptions,
     ) -> Result<Vec<f64>, SolverError> {
-        let bound = BoundKernel::new(&self.choice, rate_constants, DerivGroup::Jacobian);
+        let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Bdf::new(&bound, 0.0, y0, options);
         if let Some(token) = &self.cancel {
             solver.set_cancel(token.clone());
@@ -221,7 +220,7 @@ impl TapeSimulator {
         times: &[f64],
         options: SolverOptions,
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>), SolverError> {
-        let bound = BoundKernel::new(&self.choice, rate_constants, DerivGroup::Sensitivity);
+        let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Bdf::new(&bound, 0.0, y0, options);
         if let Some(token) = &self.cancel {
             solver.set_cancel(token.clone());
@@ -251,7 +250,7 @@ impl TapeSimulator {
         y0: &[f64],
         times: &[f64],
     ) -> Result<Vec<f64>, SolverError> {
-        let bound = BoundKernel::new(&self.choice, rate_constants, DerivGroup::Jacobian);
+        let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Rk45::new(&bound, 0.0, y0, self.options);
         if let Some(token) = &self.cancel {
             solver.set_cancel(token.clone());

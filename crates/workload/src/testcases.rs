@@ -153,6 +153,22 @@ pub fn scaled_case(case: usize, factor: usize) -> VulcanizationModel {
     generate_model(VulcanizationSpec::for_equation_count(target))
 }
 
+/// A linear stiff problem beside the compiled ones: `n` (≥ 2) species
+/// decaying into one another, rate constants spread over five decades,
+/// all mass on the first. Returns the right-hand side and `y(0)`.
+pub fn decay_chain(n: usize) -> (impl rms_solver::OdeRhs, Vec<f64>) {
+    let rate = move |i: usize| 10f64.powf(5.0 * i as f64 / (n - 1) as f64 - 1.0);
+    let rhs = rms_solver::FnRhs::new(n, move |_t, y: &[f64], ydot: &mut [f64]| {
+        ydot[0] = -rate(0) * y[0];
+        for i in 1..y.len() {
+            ydot[i] = rate(i - 1) * y[i - 1] - rate(i) * y[i];
+        }
+    });
+    let mut y0 = vec![0.0; n];
+    y0[0] = 1.0;
+    (rhs, y0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,8 +40,9 @@ unsafe impl GlobalAlloc for Watched {
 static ALLOCATOR: Watched = Watched;
 
 /// Five species, one reaction family, a closure that stops at its
-/// generation cap: an entry with every section — both derivative groups,
-/// the plan's elimination order, a span-carrying warning — in ~3 KB.
+/// generation cap: an entry with every section — the derivative group
+/// with its optional tail, the plan's elimination order, a span-carrying
+/// warning — in ~2 KB.
 const MODEL: &str = "rate K_sc = 2;\n\
     molecule Sx = \"CSSSSC\" init 1.0;\n\
     rule scission { site bond S ~ S order single; action disconnect; rate K_sc; }\n\
@@ -80,14 +81,11 @@ fn decode(bytes: &[u8], key: u128) -> (Option<serial::DiskArtifact>, usize) {
 fn assert_well_formed(artifact: serial::DiskArtifact, what: &str) {
     let n = artifact.compiled.tape.n_species;
     artifact.compiled.tape.validate().expect(what);
-    let j = artifact.jacobian.expect(what);
-    rms_core::validate_program(&[(&j.rhs, n), (&j.jac, j.entries.len())]).expect(what);
-    let s = artifact.sensitivity.expect(what);
-    let program = [
-        (&s.rhs, n),
-        (&s.jac, s.jac_entries.len()),
-        (&s.dfdp, s.dfdp_entries.len()),
-    ];
+    let derivs = artifact.derivs.expect(what);
+    let state = derivs.state();
+    let mut program = vec![(&state.rhs, n), (&state.jac, state.entries.len())];
+    let tail = derivs.sensitivity();
+    program.extend(tail.map(|s| (&s.dfdp, s.dfdp_entries.len())));
     rms_core::validate_program(&program).expect(what);
     let order = artifact.order.expect(what);
     assert!(rms_solver::is_permutation(&order, n), "{what}");
@@ -116,9 +114,23 @@ fn no_stored_byte_can_do_worse_than_a_cold_compile() {
     let intact = serial::decode(&good, key).expect("the entry decodes");
     assert_eq!(intact.warnings, cold.artifact.warnings);
     assert_eq!(intact.warnings.len(), 1);
+    // Where the optional tail's `∂f/∂p` entry list sits in the entry: a
+    // count, then `(row, rate)` pairs of little-endian `u32`s.
+    let tail = intact.derivs.as_ref().and_then(|d| d.sensitivity());
+    let dfdp_entries = &tail.expect("compiled with the tail").dfdp_entries;
+    let mut list = (2 * dfdp_entries.len() as u64).to_le_bytes().to_vec();
+    for &(row, rate) in dfdp_entries {
+        list.extend(row.to_le_bytes());
+        list.extend(rate.to_le_bytes());
+    }
+    let tail_at = (HEADER..good.len() - list.len())
+        .find(|&at| good[at..].starts_with(&list))
+        .expect("the tail's entry list is in the entry");
+    let in_tail = |at: usize| (tail_at..tail_at + list.len()).contains(&at);
     assert_well_formed(intact, "the entry as stored");
     // Every byte of a small entry; a larger one is sampled.
     let stride = good.len() / 4_000 + 1;
+    assert_eq!(stride, 1, "the tail is visited byte by byte");
     // What the session makes of a refused entry: quarantine, a cold
     // compile, a good entry in its place.
     let assert_recovers = |bad: &[u8], what: &str| {
@@ -141,6 +153,13 @@ fn no_stored_byte_can_do_worse_than_a_cold_compile() {
             assert_recovers(&good[..len], &what);
         }
     }
+    // An entry of the layout before this one — each derivative group in a
+    // section of its own — is refused on its version, whatever follows.
+    let mut bytes = good.clone();
+    assert_eq!(bytes[4..8], 4u32.to_le_bytes());
+    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+    assert!(decode(&bytes, key).0.is_none(), "version 3");
+    assert_recovers(&bytes, "version 3");
     let mut bytes = good.clone();
     for at in (0..good.len()).step_by(stride) {
         for mask in [0x01, 0x80] {
@@ -158,7 +177,7 @@ fn no_stored_byte_can_do_worse_than_a_cold_compile() {
     // parsers meet them: refused, or an artifact whose every program
     // validates and whose stored order is a permutation — which the
     // session (one case in 64) revives or recompiles, but survives.
-    let (mut refused, mut accepted) = (0, 0);
+    let (mut refused, mut accepted, mut refused_in_tail) = (0, 0, 0);
     for at in (HEADER..good.len()).step_by(stride) {
         for mask in [0x01, 0x80] {
             let what = format!("byte {at} ^ {mask:#x}, re-stamped");
@@ -172,7 +191,10 @@ fn no_stored_byte_can_do_worse_than_a_cold_compile() {
                 bytes.len()
             );
             match decoded {
-                None => refused += 1,
+                None => {
+                    refused += 1;
+                    refused_in_tail += usize::from(in_tail(at));
+                }
                 Some(artifact) => {
                     accepted += 1;
                     assert_well_formed(artifact, &what);
@@ -191,5 +213,8 @@ fn no_stored_byte_can_do_worse_than_a_cold_compile() {
         refused > 0 && accepted > 0,
         "{refused} refused, {accepted} accepted"
     );
+    // The tail's structure is checked like the rest: an entry out of
+    // range or out of order is refused, not revived.
+    assert!(refused_in_tail > 0, "no flip inside the tail was refused");
     let _ = std::fs::remove_dir_all(&dir);
 }

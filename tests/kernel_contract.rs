@@ -1,6 +1,6 @@
 //! The `Kernel` contract, checked on every implementation against the
-//! tape interpreter: right-hand side (scalar and batched), both Jacobian
-//! groups, and `∂f/∂p` on its resume path and off it. Plus the selection
+//! tape interpreter: right-hand side (scalar and batched), the Jacobian,
+//! and `∂f/∂p` on its resume path and off it. Plus the selection
 //! contract: whoever asks an artifact for an engine — `SuiteModel` or a
 //! `TapeSimulator` — gets the same kernel for the same reason, and
 //! integrates to the same numbers over it.
@@ -9,9 +9,8 @@ use std::sync::Arc;
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    probe_toolchain, CompiledArtifact, CompilerSession, DerivGroup, EngineMode, JacobianMode,
-    Kernel, KernelScratch, OptLevel, SessionOptions, Simulator, SuiteModel, TapeSimulator,
-    FMA_CONTRACTS,
+    probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, Kernel,
+    KernelScratch, OptLevel, SessionOptions, Simulator, SuiteModel, TapeSimulator, FMA_CONTRACTS,
 };
 
 const MODES: [EngineMode; 4] = [
@@ -21,7 +20,7 @@ const MODES: [EngineMode; 4] = [
     EngineMode::Auto,
 ];
 
-/// Both workload families with the Jacobian and sensitivity groups — and
+/// Both workload families with the derivative group and its tail — and
 /// a native kernel when this machine has a C toolchain (without one the
 /// native contract is skipped, as in `tests/native_engine.rs`, and the
 /// selection contract covers the degradation instead).
@@ -95,11 +94,11 @@ struct Outputs {
     /// `rhs_batch` over 1, 7, 8 and 9 stacked states (below, at and past
     /// the exec engine's lane count).
     batches: Vec<Vec<f64>>,
-    /// `(ydot, values)` per derivative group.
-    jac: Vec<(Vec<f64>, Vec<f64>)>,
+    /// `(ydot, values)` of `rhs_jac`.
+    jac: (Vec<f64>, Vec<f64>),
     dfdp_resumed: Vec<f64>,
     dfdp_elsewhere: Vec<f64>,
-    dfdp_after_other_group: Vec<f64>,
+    dfdp_resumed_elsewhere: Vec<f64>,
     dfdp_cold: Vec<f64>,
 }
 
@@ -119,14 +118,11 @@ fn evaluate(kernel: &dyn Kernel, rates: &[f64]) -> Outputs {
         out.batches.push(ydots);
     }
     let (here, there) = (state(n, 1), state(n, 2));
-    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
-        let nnz = kernel.jac_entries(group).expect("group compiled").len();
-        let (mut ydot, mut vals) = (vec![0.0; n], vec![0.0; nnz]);
-        kernel.rhs_jac(group, rates, &here, &mut ydot, &mut vals, &mut scratch);
-        out.jac.push((ydot, vals));
-    }
-    // The scratch now holds the sensitivity group's registers at `here`:
-    // the first request resumes over them, the second cannot.
+    let nnz_jac = kernel.jac_entries().expect("group compiled").len();
+    out.jac = (vec![0.0; n], vec![0.0; nnz_jac]);
+    kernel.rhs_jac(rates, &here, &mut out.jac.0, &mut out.jac.1, &mut scratch);
+    // The scratch now holds the group's registers at `here`: the first
+    // request resumes over them, the second cannot.
     let nnz = kernel.dfdp_entries().expect("sensitivity compiled").len();
     out.dfdp_resumed = vec![0.0; nnz];
     kernel.dfdp(rates, &here, &mut out.dfdp_resumed, &mut scratch);
@@ -134,22 +130,12 @@ fn evaluate(kernel: &dyn Kernel, rates: &[f64]) -> Outputs {
     kernel.rhs(rates, &there, &mut vec![0.0; n], &mut scratch);
     out.dfdp_elsewhere = vec![0.0; nnz];
     kernel.dfdp(rates, &there, &mut out.dfdp_elsewhere, &mut scratch);
-    // The other group's registers at the same state are not resumable.
-    let nnz_jac = kernel
-        .jac_entries(DerivGroup::Jacobian)
-        .expect("compiled")
-        .len();
+    // Any Jacobian refresh is resumable — a plain solve's and an
+    // augmented one's are the same call.
     let (mut ydot, mut vals) = (vec![0.0; n], vec![0.0; nnz_jac]);
-    kernel.rhs_jac(
-        DerivGroup::Jacobian,
-        rates,
-        &there,
-        &mut ydot,
-        &mut vals,
-        &mut scratch,
-    );
-    out.dfdp_after_other_group = vec![0.0; nnz];
-    kernel.dfdp(rates, &there, &mut out.dfdp_after_other_group, &mut scratch);
+    kernel.rhs_jac(rates, &there, &mut ydot, &mut vals, &mut scratch);
+    out.dfdp_resumed_elsewhere = vec![0.0; nnz];
+    kernel.dfdp(rates, &there, &mut out.dfdp_resumed_elsewhere, &mut scratch);
     // And with nothing to resume over at all.
     out.dfdp_cold = vec![0.0; nnz];
     kernel.dfdp(
@@ -177,8 +163,8 @@ fn every_kernel_matches_the_interpreter() {
         }
         assert_eq!(oracle.dfdp_resumed, oracle.dfdp_cold, "{label}: resume");
         assert_eq!(
-            oracle.dfdp_after_other_group, oracle.dfdp_elsewhere,
-            "{label}: resumed over the wrong group's registers"
+            oracle.dfdp_resumed_elsewhere, oracle.dfdp_elsewhere,
+            "{label}: resume after a second refresh"
         );
         assert_ne!(
             oracle.dfdp_resumed, oracle.dfdp_elsewhere,
@@ -202,10 +188,8 @@ fn every_kernel_matches_the_interpreter() {
             for (g, w) in got.batches.iter().zip(&oracle.batches) {
                 assert_same(g, w, &what("rhs_batch"));
             }
-            for (g, w) in got.jac.iter().zip(&oracle.jac) {
-                assert_same(&g.0, &w.0, &what("rhs_jac ydot"));
-                assert_same(&g.1, &w.1, &what("rhs_jac values"));
-            }
+            assert_same(&got.jac.0, &oracle.jac.0, &what("rhs_jac ydot"));
+            assert_same(&got.jac.1, &oracle.jac.1, &what("rhs_jac values"));
             assert_same(
                 &got.dfdp_resumed,
                 &oracle.dfdp_resumed,
@@ -217,9 +201,9 @@ fn every_kernel_matches_the_interpreter() {
                 &what("dfdp elsewhere"),
             );
             assert_same(
-                &got.dfdp_after_other_group,
-                &oracle.dfdp_after_other_group,
-                &what("dfdp after the other group"),
+                &got.dfdp_resumed_elsewhere,
+                &oracle.dfdp_resumed_elsewhere,
+                &what("dfdp resumed elsewhere"),
             );
             assert_same(&got.dfdp_cold, &oracle.dfdp_cold, &what("dfdp cold"));
         }

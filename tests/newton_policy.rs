@@ -14,22 +14,17 @@ use std::sync::OnceLock;
 use rand::{Rng, SeedableRng};
 use rms_suite::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel, CacheMode,
-    CompilerSession, DerivGroup, EngineMode, FnRhs, JacobianMode, OptLevel, SessionOptions,
-    SolveStats, SolverOptions, SuiteModel,
+    CompilerSession, EngineMode, JacobianMode, OptLevel, SessionOptions, SolveStats, SolverOptions,
+    SuiteModel,
 };
-use rms_workload::VULCANIZATION_RDL;
+use rms_workload::{decay_chain, vulcanization_source};
 
-/// The 157-species model the `rdl_fit` benchmark fits
-/// (benchmark/src/inputs.rs::vulcanization_source(16)) with both
-/// derivative groups, compiled once for this file.
+/// The 157-species model the `rdl_fit` benchmark fits, with the
+/// sensitivity tail, compiled once for this file.
 fn rdl_fit_model() -> &'static SuiteModel {
     static MODEL: OnceLock<SuiteModel> = OnceLock::new();
     MODEL.get_or_init(|| {
-        let source = VULCANIZATION_RDL
-            .replace("for n in 2..5", "for n in 2..16")
-            .replace("forbid chain S > 5", "forbid chain S > 16")
-            .replace("limit atoms 24", "limit atoms 84")
-            .replace("limit species 400", "limit species 1280");
+        let source = vulcanization_source(16);
         let mut options = SessionOptions::new(OptLevel::Full);
         options.deriv = true;
         options.sensitivity = true;
@@ -58,13 +53,20 @@ struct Solve {
     stats: SolveStats,
 }
 
-/// One solve as `TapeSimulator` makes it — plain over the Jacobian group,
-/// sensitivity-augmented over the other — at `rtol` and `atol = rtol/10³`
+/// Which solve of the model: the state alone, or the state with every
+/// sensitivity column beside it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Plain,
+    Augmented,
+}
+
+/// One solve as `TapeSimulator` makes it, at `rtol` and `atol = rtol/10³`
 /// (the simulator's pair at `rtol = 10⁻⁶`).
-fn solve(group: DerivGroup, rtol: f64) -> Solve {
+fn solve(kind: Kind, rtol: f64) -> Solve {
     let model = rdl_fit_model();
     let choice = model.kernel(EngineMode::Exec);
-    let bound = BoundKernel::new(&choice, &model.system.rate_values, group);
+    let bound = BoundKernel::new(&choice, &model.system.rate_values);
     let options = SolverOptions {
         rtol,
         atol: rtol * 1e-3,
@@ -72,13 +74,13 @@ fn solve(group: DerivGroup, rtol: f64) -> Solve {
     };
     let source = bound.jacobian_source(JacobianMode::Analytic);
     let (y0, times) = (&model.system.initial, times());
-    let (states, sens, stats) = match group {
-        DerivGroup::Jacobian => {
+    let (states, sens, stats) = match kind {
+        Kind::Plain => {
             let (states, stats) = solve_bdf_with_jacobian(&bound, 0.0, y0, &times, options, source)
                 .expect("plain solve");
             (states, Vec::new(), stats)
         }
-        DerivGroup::Sensitivity => {
+        Kind::Augmented => {
             solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &times, options, source)
                 .expect("augmented solve")
         }
@@ -147,14 +149,14 @@ fn observables_stay_inside_the_tolerance_of_a_tight_reference() {
     let n = rdl_fit_model().system.len();
     let rtol = SolverOptions::default().rtol;
     assert_eq!(rtol, 1e-6);
-    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
-        let (got, reference) = (solve(group, rtol), solve(group, 1e-9));
+    for kind in [Kind::Plain, Kind::Augmented] {
+        let (got, reference) = (solve(kind, rtol), solve(kind, 1e-9));
         let state_err = worst_series_error(&got.states, &reference.states, n);
         assert!(
             state_err < rtol,
-            "{group:?}: observables off by {state_err:.2e} of their series' maximum"
+            "{kind:?}: observables off by {state_err:.2e} of their series' maximum"
         );
-        if group == DerivGroup::Sensitivity {
+        if kind == Kind::Augmented {
             let sens_err = worst_series_error(&got.sens, &reference.sens, n);
             assert!(
                 sens_err < 5.0 * rtol,
@@ -169,12 +171,12 @@ fn a_second_pass_is_the_exception_on_the_fitted_model() {
     // Per accepted step: 1.83 corrector passes on the plain solve, 1.66
     // and 1.84 refinement passes on the augmented one (confirming every
     // pass with another, as the parent did: 2.27, 2.04 and 2.21).
-    let plain = solve(DerivGroup::Jacobian, 1e-6).stats;
+    let plain = solve(Kind::Plain, 1e-6).stats;
     assert!(
         plain.newton_iters < 2 * plain.steps && plain.sens_refinements == 0,
         "{plain:?}"
     );
-    let augmented = solve(DerivGroup::Sensitivity, 1e-6).stats;
+    let augmented = solve(Kind::Augmented, 1e-6).stats;
     assert!(
         augmented.newton_iters < 2 * augmented.steps
             && augmented.sens_refinements < 2 * augmented.steps,
@@ -191,16 +193,7 @@ fn a_linear_chain_pays_a_second_pass_only_to_warm_up() {
     // drifted from the built one — and a rejected attempt's passes buy
     // no step. (191 passes against a bound of 228; confirming every first
     // pass with a second, as the parent did, 233 against 227.)
-    let n = 30;
-    let rate = |i: usize| 10f64.powf(5.0 * i as f64 / (n - 1) as f64 - 1.0);
-    let rhs = FnRhs::new(n, |_t, y: &[f64], ydot: &mut [f64]| {
-        ydot[0] = -rate(0) * y[0];
-        for i in 1..y.len() {
-            ydot[i] = rate(i - 1) * y[i - 1] - rate(i) * y[i];
-        }
-    });
-    let mut y0 = vec![0.0; n];
-    y0[0] = 1.0;
+    let (rhs, y0) = decay_chain(30);
     let (sol, stats) = solve_bdf(&rhs, 0.0, &y0, &[10.0], SolverOptions::default()).unwrap();
     let mass: f64 = sol[0].iter().sum();
     assert!(mass > 0.0 && mass < 1.0, "the last species drains: {mass}");
@@ -216,7 +209,7 @@ fn two_threads_solve_the_same_inputs_to_the_same_bits() {
         let rows = solve.states.iter().chain(&solve.sens);
         rows.flatten().map(|v| v.to_bits()).collect()
     };
-    let run = || solve(DerivGroup::Sensitivity, 1e-6);
+    let run = || solve(Kind::Augmented, 1e-6);
     let (a, b) = std::thread::scope(|scope| {
         let (a, b) = (scope.spawn(run), scope.spawn(run));
         (a.join().unwrap(), b.join().unwrap())

@@ -3,7 +3,7 @@
 //! operation counts, same BDF trajectory — at every optimization level
 //! and for both workload model kinds (RDL source and the programmatic
 //! network generator). Plus invalidation, disk revival — which reads
-//! every derivative group, the plan's elimination order and the warnings
+//! the derivative group, the plan's elimination order and the warnings
 //! back, and derives nothing — and the report's Table 1 op-count fidelity.
 
 use std::sync::{Arc, Mutex};
@@ -12,7 +12,7 @@ use rms_solver::orderings_computed_on_this_thread;
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     cache, generate, optimize, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel,
-    CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, DerivGroup, EngineMode,
+    CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, EngineMode,
     GenerateOptions, JacobianMode, OptLevel, SessionOptions, SolveStats, SolverOptions, Stage,
     SuiteModel,
 };
@@ -73,28 +73,24 @@ fn trajectory(artifact: &Arc<CompiledArtifact>) -> Vec<Vec<f64>> {
         .expect("short solve succeeds")
 }
 
-/// One solve over `group` at the default options (`LinearSolver::Auto`,
-/// the analytic Jacobian): plain for the Jacobian group,
-/// sensitivity-augmented for the other. The bits of everything it
+/// One solve at the default options (`LinearSolver::Auto`, the analytic
+/// Jacobian), plain or sensitivity-`augmented`. The bits of everything it
 /// returned, and its counters.
-fn solve(artifact: &CompiledArtifact, group: DerivGroup) -> (Vec<u64>, SolveStats) {
+fn solve(artifact: &CompiledArtifact, augmented: bool) -> (Vec<u64>, SolveStats) {
     let choice = artifact.kernel(EngineMode::Exec);
-    let bound = BoundKernel::new(&choice, &artifact.system.rate_values, group);
+    let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let (y0, times) = (&artifact.system.initial, [0.02, 0.05]);
     let (options, source) = (
         SolverOptions::default(),
         bound.jacobian_source(JacobianMode::Analytic),
     );
-    let (rows, stats) = match group {
-        DerivGroup::Jacobian => {
-            solve_bdf_with_jacobian(&bound, 0.0, y0, &times, options, source).expect("plain solve")
-        }
-        DerivGroup::Sensitivity => {
-            let (states, sens, stats) =
-                solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &times, options, source)
-                    .expect("augmented solve");
-            ([states, sens].concat(), stats)
-        }
+    let (rows, stats) = if augmented {
+        let (states, sens, stats) =
+            solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &times, options, source)
+                .expect("augmented solve");
+        ([states, sens].concat(), stats)
+    } else {
+        solve_bdf_with_jacobian(&bound, 0.0, y0, &times, options, source).expect("plain solve")
     };
     (rows.iter().flatten().map(|v| v.to_bits()).collect(), stats)
 }
@@ -110,50 +106,45 @@ fn assert_identical(cold: &Arc<CompiledArtifact>, hit: &Arc<CompiledArtifact>, l
     assert_eq!(cold.compiled.stages, hit.compiled.stages, "{label}");
     assert_eq!(cold.report.counts, hit.report.counts, "{label}");
     assert_eq!(cold.warnings, hit.warnings, "{label}");
-    // Same derivative groups: every tape, every entry list.
+    // The same derivative group: every tape, every entry list, and the
+    // tail hanging off the Jacobian pair the artifact shows as `jacobian`.
     let jacobian = |a: &CompiledArtifact| {
-        a.jacobian
-            .as_deref()
-            .map(|j| (j.rhs.to_string(), j.jac.to_string(), j.entries.clone()))
-    };
-    assert!(jacobian(cold) == jacobian(hit), "{label}: Jacobian tapes");
-    let sensitivity = |a: &CompiledArtifact| {
-        a.sensitivity.as_deref().map(|s| {
-            let tapes = [&s.rhs, &s.jac, &s.dfdp].map(|t| t.to_string());
-            let entries = (s.jac_entries.clone(), s.dfdp_entries.clone());
-            (tapes, entries, s.n_species, s.n_rates)
+        a.jacobian.as_deref().map(|j| {
+            let tapes = [&j.rhs, &j.jac].map(|t| t.to_string());
+            (tapes, j.entries.clone(), j.n_species)
         })
     };
-    assert!(
-        sensitivity(cold) == sensitivity(hit),
-        "{label}: sensitivity tapes"
-    );
-    // Same first solve of each compiled group, to the bit and to the
-    // counter: neither artifact analyzes in a solve — the cold compile's
-    // Deriv stage did, a revived entry carries that order — and the plan
-    // either way is one plan for both groups, with the same fill.
-    let groups = [
-        cold.jacobian.as_ref().map(|_| DerivGroup::Jacobian),
-        cold.sensitivity.as_ref().map(|_| DerivGroup::Sensitivity),
+    assert!(jacobian(cold) == jacobian(hit), "{label}: Jacobian tapes");
+    let tail = |a: &CompiledArtifact| {
+        a.sensitivity.as_deref().map(|s| {
+            let head = a.jacobian.as_ref().expect("sensitivity implies deriv");
+            assert!(Arc::ptr_eq(head, &s.state), "{label}: one group");
+            (s.dfdp.to_string(), s.dfdp_entries.clone(), s.n_rates)
+        })
+    };
+    assert!(tail(cold) == tail(hit), "{label}: sensitivity tail");
+    // Same first solve of each kind the group serves, to the bit and to
+    // the counter: neither artifact analyzes in a solve — the cold
+    // compile's Deriv stage did, a revived entry carries that order — and
+    // the plan either way has the same fill.
+    let kinds = [
+        cold.jacobian.as_ref().map(|_| false),
+        cold.sensitivity.as_ref().map(|_| true),
     ];
     let ordered = orderings_computed_on_this_thread();
-    for group in groups.into_iter().flatten() {
-        let (cold_bits, cold_stats) = solve(cold, group);
-        let (hit_bits, hit_stats) = solve(hit, group);
-        assert!(cold_bits == hit_bits, "{label}: {group:?} trajectories");
-        assert_eq!(cold_stats, hit_stats, "{label}: {group:?}");
-        assert_eq!(cold_stats.symbolic_analyses, 0, "{label}: {group:?}");
+    for augmented in kinds.into_iter().flatten() {
+        let (cold_bits, cold_stats) = solve(cold, augmented);
+        let (hit_bits, hit_stats) = solve(hit, augmented);
+        let kind = if augmented { "augmented" } else { "plain" };
+        assert!(cold_bits == hit_bits, "{label}: {kind} trajectories");
+        assert_eq!(cold_stats, hit_stats, "{label}: {kind}");
+        assert_eq!(cold_stats.symbolic_analyses, 0, "{label}: {kind}");
     }
     if cold.jacobian.is_some() {
         assert_eq!(orderings_computed_on_this_thread(), ordered, "{label}");
         let plans = [cold, hit].map(|a| {
             let patterns = a.kernel(EngineMode::Exec).patterns;
-            let plan = patterns.plan(DerivGroup::Jacobian).expect("Deriv ran");
-            if a.sensitivity.is_some() {
-                let other = patterns.plan(DerivGroup::Sensitivity).unwrap();
-                assert!(Arc::ptr_eq(&plan, &other), "{label}: one plan, both groups");
-            }
-            plan
+            patterns.plan().expect("Deriv ran")
         });
         let shape = |p: &rms_suite::NewtonPlan| (p.fill_nnz(), p.factor_macs(), p.order().to_vec());
         assert!(shape(&plans[0]) == shape(&plans[1]), "{label}: plans");
@@ -237,16 +228,18 @@ fn disk_cache_revives_identical_artifacts() {
     let _guard = lock();
     let dir = std::env::temp_dir().join(format!("rms-pipeline-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // Plain, and with every derivative group a request can compile.
-    for (model, derivs) in [
-        (Model::Network, false),
-        (Model::Network, true),
-        (Model::RdlSource, true),
+    // Plain, and every way a request can ask for derivatives.
+    for (model, deriv, sensitivity) in [
+        (Model::Network, false, false),
+        (Model::Network, true, false),
+        (Model::Network, false, true),
+        (Model::Network, true, true),
+        (Model::RdlSource, true, true),
     ] {
         let mut options = SessionOptions::new(OptLevel::Full);
         options.cache_dir = Some(dir.clone());
-        options.deriv = derivs;
-        options.sensitivity = derivs;
+        options.deriv = deriv;
+        options.sensitivity = sensitivity;
 
         // A cold build is what persists to disk, so start from an empty
         // memory layer (another test may have already cached this model).
@@ -258,8 +251,9 @@ fn disk_cache_revives_identical_artifacts() {
         cache::clear_memory();
         let revived = compile(model, options);
         assert_eq!(revived.status, CacheStatus::Disk);
-        assert_eq!(revived.artifact.sensitivity.is_some(), derivs);
-        let label = format!("disk, derivative groups: {derivs}");
+        assert_eq!(revived.artifact.jacobian.is_some(), deriv || sensitivity);
+        assert_eq!(revived.artifact.sensitivity.is_some(), sensitivity);
+        let label = format!("disk, deriv: {deriv}, sensitivity: {sensitivity}");
         assert_identical(&first.artifact, &revived.artifact, &label);
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,8 +5,8 @@
 //! the analysis behind it runs once per compiled model: every solve over
 //! an artifact shares the artifact's `NewtonPlan`, bit for bit the one a
 //! solve would have analyzed for itself — and that plan's multiply-add
-//! count is what `LinearSolver::Auto` chooses dense or sparse from. Both
-//! derivative groups list the same Jacobian entries, so they share one
+//! count is what `LinearSolver::Auto` chooses dense or sparse from. Plain
+//! and sensitivity-augmented solves read one Jacobian, so there is one
 //! plan; a revived artifact rebuilds it from the elimination order its
 //! disk entry carries, without an ordering pass.
 
@@ -15,12 +15,11 @@ use std::sync::{Arc, Barrier, Mutex};
 use rms_solver::orderings_computed_on_this_thread;
 use rms_suite::{
     cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
-    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, DerivGroup, EngineMode, FnRhs,
-    JacobianMode, JacobianSource, LinearSolver, NewtonPlan, OptLevel, SessionOptions, Simulator,
-    SolveStats, SolverOptions, SparsityPattern, Stage, SuiteModel, TapeSimulator,
-    SPARSE_COST_PER_MAC,
+    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, EngineMode, FnRhs, JacobianMode,
+    JacobianSource, LinearSolver, NewtonPlan, OptLevel, SessionOptions, Simulator, SolveStats,
+    SolverOptions, SparsityPattern, Stage, SuiteModel, TapeSimulator, SPARSE_COST_PER_MAC,
 };
-use rms_workload::{scaled_case, VulcanizationModel, VULCANIZATION_RDL};
+use rms_workload::{scaled_case, vulcanization_source, VulcanizationModel, VULCANIZATION_RDL};
 
 /// A session whose artifacts carry the analytic Jacobian tapes.
 fn deriv_session() -> CompilerSession {
@@ -134,18 +133,12 @@ fn sparse_matches_dense_on_rdl_workload() {
     assert_solvers_agree(&compiled, "VULCANIZATION_RDL", 1e-10, 1e-13);
 }
 
-/// The 157-species model the `rdl_fit` benchmark fits
-/// (benchmark/src/inputs.rs::vulcanization_source(16)), compiled as that
-/// workload compiles it: both derivative groups, cold.
+/// The 157-species model the `rdl_fit` benchmark fits, compiled as that
+/// workload compiles it: with the sensitivity tail, cold.
 fn rdl_fit_model() -> SuiteModel {
-    let source = VULCANIZATION_RDL
-        .replace("for n in 2..5", "for n in 2..16")
-        .replace("forbid chain S > 5", "forbid chain S > 16")
-        .replace("limit atoms 24", "limit atoms 84")
-        .replace("limit species 400", "limit species 1280");
     let model = SuiteModel::from_artifact(
         private_session()
-            .compile_source("<rdl_fit>", &source)
+            .compile_source("<rdl_fit>", &vulcanization_source(16))
             .expect("scaled RDL model compiles")
             .artifact,
     );
@@ -193,7 +186,7 @@ fn solver_stats_report_sparse_fill() {
     );
 
     let choice = compiled.kernel(EngineMode::Exec);
-    let bound = BoundKernel::new(&choice, &compiled.system.rate_values, DerivGroup::Jacobian);
+    let bound = BoundKernel::new(&choice, &compiled.system.rate_values);
 
     let options = SolverOptions {
         linear_solver: LinearSolver::Sparse,
@@ -236,9 +229,9 @@ fn solver_stats_report_sparse_fill() {
     assert_eq!(dense_stats.fill_nnz, n * n);
 }
 
-/// Both derivative groups, compiled for this test alone (cache bypassed):
-/// a cold compile, so the *Deriv* stage's plan for the Jacobian group is
-/// on the artifact already — and is the sensitivity group's too.
+/// The derivative group with its tail, compiled for this test alone
+/// (cache bypassed): a cold compile, so the *Deriv* stage's plan is on
+/// the artifact already.
 fn private_session() -> CompilerSession {
     let mut options = SessionOptions::new(OptLevel::Full);
     options.deriv = true;
@@ -278,9 +271,7 @@ fn revived(tag: &str, model: VulcanizationModel) -> Arc<CompiledArtifact> {
     assert_eq!(again.status, CacheStatus::Disk);
     let _ = std::fs::remove_dir_all(&dir);
     let patterns = again.artifact.kernel(EngineMode::Exec).patterns;
-    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
-        assert!(patterns.built_plan(group).is_none(), "{group:?} on revival");
-    }
+    assert!(patterns.built_plan().is_none(), "a plan on revival");
     again.artifact
 }
 
@@ -309,24 +300,33 @@ fn bits(rows: &[Vec<f64>]) -> Vec<u64> {
     rows.iter().flatten().map(|v| v.to_bits()).collect()
 }
 
-/// One solve over `group` as `TapeSimulator` makes it — plain for the
-/// Jacobian group, sensitivity-augmented for the other: the bits of
+/// Which solve `TapeSimulator` makes: the state alone, or the state with
+/// every sensitivity column beside it.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Plain,
+    Augmented,
+}
+
+const KINDS: [Kind; 2] = [Kind::Plain, Kind::Augmented];
+
+/// One solve of `kind` as `TapeSimulator` makes it: the bits of
 /// everything it returned, and its counters.
 fn solve_with(
     artifact: &CompiledArtifact,
     bound: &BoundKernel<'_>,
     source: JacobianSource<'_>,
     options: SolverOptions,
-    group: DerivGroup,
+    kind: Kind,
 ) -> (Vec<u64>, SolveStats) {
     let y0 = &artifact.system.initial;
-    match group {
-        DerivGroup::Jacobian => {
+    match kind {
+        Kind::Plain => {
             let (states, stats) = solve_bdf_with_jacobian(bound, 0.0, y0, &TIMES, options, source)
                 .expect("plain solve");
             (bits(&states), stats)
         }
-        DerivGroup::Sensitivity => {
+        Kind::Augmented => {
             let (states, sens, stats) =
                 solve_bdf_sensitivities(bound, bound, 0.0, y0, &TIMES, options, source)
                     .expect("augmented solve");
@@ -335,40 +335,33 @@ fn solve_with(
     }
 }
 
-/// One sparse-path solve of `group` through `jacobian` (the bound kernel
+/// One sparse-path solve of `kind` through `jacobian` (the bound kernel
 /// itself, or [`OwnAnalysis`] of it).
-fn solve_group(
+fn solve_sparse(
     artifact: &CompiledArtifact,
     bound: &BoundKernel<'_>,
     jacobian: &dyn AnalyticJacobian,
-    group: DerivGroup,
+    kind: Kind,
 ) -> (Vec<u64>, SolveStats) {
     let source = JacobianSource::AnalyticTape(jacobian);
-    solve_with(artifact, bound, source, sparse_options(), group)
+    solve_with(artifact, bound, source, sparse_options(), kind)
 }
 
-/// The counters of a solve over `group` with the Jacobian source `mode`
+/// The counters of a solve of `kind` with the Jacobian source `mode`
 /// selects, at the simulator's tolerances.
 fn solve_stats(
     artifact: &CompiledArtifact,
-    group: DerivGroup,
+    kind: Kind,
     mode: JacobianMode,
     linear_solver: LinearSolver,
 ) -> SolveStats {
     let choice = artifact.kernel(EngineMode::Exec);
-    let bound = BoundKernel::new(&choice, &artifact.system.rate_values, group);
+    let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let options = SolverOptions {
         linear_solver,
         ..SolverOptions::default()
     };
-    solve_with(
-        artifact,
-        &bound,
-        bound.jacobian_source(mode),
-        options,
-        group,
-    )
-    .1
+    solve_with(artifact, &bound, bound.jacobian_source(mode), options, kind).1
 }
 
 /// The shared plan is the analysis a solve would have run: plain and
@@ -376,21 +369,21 @@ fn solve_stats(
 /// analyze for themselves, and so do all counters but the new one.
 fn assert_plan_changes_no_bit(artifact: &CompiledArtifact, label: &str) {
     let choice = artifact.kernel(EngineMode::Exec);
-    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
-        let bound = BoundKernel::new(&choice, &artifact.system.rate_values, group);
-        let (shared, shared_stats) = solve_group(artifact, &bound, &bound, group);
-        let (own, own_stats) = solve_group(artifact, &bound, &OwnAnalysis(&bound), group);
-        assert!(shared == own, "{label}/{group:?}: trajectories differ");
+    for kind in KINDS {
+        let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
+        let (shared, shared_stats) = solve_sparse(artifact, &bound, &bound, kind);
+        let (own, own_stats) = solve_sparse(artifact, &bound, &OwnAnalysis(&bound), kind);
+        assert!(shared == own, "{label}/{kind:?}: trajectories differ");
         assert!(shared_stats.factorizations > 0 && shared_stats.fill_nnz > 0);
-        assert_eq!(shared_stats.symbolic_analyses, 0, "{label}/{group:?}");
-        assert_eq!(own_stats.symbolic_analyses, 1, "{label}/{group:?}");
+        assert_eq!(shared_stats.symbolic_analyses, 0, "{label}/{kind:?}");
+        assert_eq!(own_stats.symbolic_analyses, 1, "{label}/{kind:?}");
         assert_eq!(
             SolveStats {
                 symbolic_analyses: 0,
                 ..own_stats
             },
             shared_stats,
-            "{label}/{group:?}"
+            "{label}/{kind:?}"
         );
     }
 }
@@ -406,20 +399,16 @@ fn shared_plan_changes_no_bit_of_a_trajectory() {
     // run on, and the report says what it cost.
     let patterns = programmatic.artifact.kernel(EngineMode::Exec).patterns;
     let kept = patterns
-        .built_plan(DerivGroup::Jacobian)
+        .built_plan()
         .expect("the Deriv stage keeps its analysis")
         .clone();
-    let shared = patterns.built_plan(DerivGroup::Sensitivity);
-    assert!(Arc::ptr_eq(shared.expect("one plan, both groups"), &kept));
     let deriv = programmatic.artifact.report.stage(Stage::Deriv).unwrap();
     let metric = |name: &str| deriv.metrics.iter().find(|(k, _)| k == name).unwrap().1;
     assert_eq!(metric("lu_fill_nnz"), kept.fill_nnz() as f64);
     assert_eq!(metric("iter_nnz"), kept.iter_nnz() as f64);
     assert!(metric("symbolic_seconds") > 0.0);
     assert_plan_changes_no_bit(&programmatic.artifact, "scaled_case(2, 100)");
-    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
-        assert!(Arc::ptr_eq(&patterns.plan(group).unwrap(), &kept));
-    }
+    assert!(Arc::ptr_eq(&patterns.plan().unwrap(), &kept));
     let rdl = session
         .compile_source("<rdl>", VULCANIZATION_RDL)
         .expect("bundled RDL model compiles");
@@ -440,9 +429,9 @@ fn concurrent_solves_share_one_plan_built_once() {
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 scope.spawn(|| {
-                    let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
+                    let bound = BoundKernel::new(&choice, rates);
                     start.wait();
-                    let (out, stats) = solve_group(&artifact, &bound, &bound, DerivGroup::Jacobian);
+                    let (out, stats) = solve_sparse(&artifact, &bound, &bound, Kind::Plain);
                     (bound.plan().expect("Deriv ran"), out, stats)
                 })
             })
@@ -451,7 +440,7 @@ fn concurrent_solves_share_one_plan_built_once() {
     });
     let built = choice
         .patterns
-        .built_plan(DerivGroup::Jacobian)
+        .built_plan()
         .expect("the first sparse-path solve built it");
     for (plan, out, stats) in &solves {
         assert!(Arc::ptr_eq(plan, built));
@@ -459,13 +448,14 @@ fn concurrent_solves_share_one_plan_built_once() {
         assert!(stats.factorizations > 0);
         assert!(*out == solves[0].1, "same rates, same trajectory");
     }
-    // The other group's pattern is the same, and so is its plan.
-    let other = choice.patterns.built_plan(DerivGroup::Sensitivity);
-    assert!(Arc::ptr_eq(other.expect("one plan, both groups"), built));
+    // An augmented solve finds the same plan.
+    let bound = BoundKernel::new(&choice, rates);
+    let (_, stats) = solve_sparse(&artifact, &bound, &bound, Kind::Augmented);
+    assert_eq!(stats.symbolic_analyses, 0);
+    assert!(Arc::ptr_eq(&bound.plan().expect("Deriv ran"), built));
 
-    let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
     let own = OwnAnalysis(&bound);
-    let (_, stats) = solve_group(&artifact, &bound, &own, DerivGroup::Jacobian);
+    let (_, stats) = solve_sparse(&artifact, &bound, &own, Kind::Plain);
     assert_eq!(stats.symbolic_analyses, 1);
 }
 
@@ -487,7 +477,7 @@ fn tightened_stage_reuses_the_primary_stages_plan() {
     assert_eq!(sim.fallback_stats().bdf_failures, 1);
     let plan = choice
         .patterns
-        .built_plan(DerivGroup::Jacobian)
+        .built_plan()
         .expect("the primary stage factored once")
         .clone();
 
@@ -502,7 +492,7 @@ fn tightened_stage_reuses_the_primary_stages_plan() {
         ..sparse_options()
     };
     let outcomes = [primary, tightened].map(|options| {
-        let bound = BoundKernel::new(&choice, rates, DerivGroup::Jacobian);
+        let bound = BoundKernel::new(&choice, rates);
         let mut solver = Bdf::new(&bound, 0.0, &artifact.system.initial, options);
         solver.set_jacobian_source(bound.jacobian_source(JacobianMode::Analytic));
         let outcome = solver.integrate_to(0.05);
@@ -523,9 +513,7 @@ fn tightened_stage_reuses_the_primary_stages_plan() {
 fn dense_solves_never_build_a_plan() {
     let no_plan = |artifact: &CompiledArtifact, label: &str| {
         let patterns = artifact.kernel(EngineMode::Exec).patterns;
-        for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
-            assert!(patterns.built_plan(group).is_none(), "{label}: {group:?}");
-        }
+        assert!(patterns.built_plan().is_none(), "{label}");
     };
 
     let artifact = revived("dense", scaled_case(2, 40));
@@ -540,40 +528,35 @@ fn dense_solves_never_build_a_plan() {
     sim.set_linear_solver(LinearSolver::Auto);
     sim.simulate(rates, 0, &TIMES).expect("auto solve");
     let patterns = artifact.kernel(EngineMode::Exec).patterns;
-    assert!(patterns.built_plan(DerivGroup::Jacobian).is_some());
+    assert!(patterns.built_plan().is_some());
 
     let model = rdl_fit_model();
     let artifact = model.artifact();
     let patterns = artifact.kernel(EngineMode::Exec).patterns;
-    // The Deriv stage of the cold compile planned the Jacobian group.
-    let kept = patterns.built_plan(DerivGroup::Jacobian).unwrap().clone();
+    // The Deriv stage of the cold compile planned the Jacobian.
+    let kept = patterns.built_plan().unwrap().clone();
     let sim = TapeSimulator::from_artifact(artifact, vec![1.0; artifact.system.len()]);
     assert_eq!(sim.linear_solver(), LinearSolver::Auto);
     let rates = &artifact.system.rate_values;
     sim.simulate(rates, 0, &TIMES).expect("auto solve");
     sim.simulate_with_sensitivities(rates, 0, &TIMES)
         .expect("auto augmented solve");
-    for group in [DerivGroup::Jacobian, DerivGroup::Sensitivity] {
-        let plan = patterns.built_plan(group).expect("Auto plans").clone();
-        assert_eq!((plan.fill_nnz(), plan.factor_macs()), (5_549, 79_833));
+    assert_eq!((kept.fill_nnz(), kept.factor_macs()), (5_549, 79_833));
+    for kind in KINDS {
         for _ in 0..2 {
-            let stats = solve_stats(artifact, group, JacobianMode::Analytic, LinearSolver::Auto);
-            assert_eq!(stats.fill_nnz, 5_549, "{group:?}");
-            assert_eq!(stats.symbolic_analyses, 0, "{group:?}");
+            let stats = solve_stats(artifact, kind, JacobianMode::Analytic, LinearSolver::Auto);
+            assert_eq!(stats.fill_nnz, 5_549, "{kind:?}");
+            assert_eq!(stats.symbolic_analyses, 0, "{kind:?}");
         }
-        // Planned once: later solves found the plan the first one left.
-        assert!(Arc::ptr_eq(patterns.built_plan(group).unwrap(), &plan));
     }
-    assert!(Arc::ptr_eq(
-        patterns.built_plan(DerivGroup::Jacobian).unwrap(),
-        &kept
-    ));
+    // Planned once: every solve found the plan the compile left.
+    assert!(Arc::ptr_eq(patterns.built_plan().unwrap(), &kept));
 }
 
 /// No solve over an artifact analyzes for itself, whichever way the
 /// linear solver is chosen or chooses, whatever the artifact's history:
-/// the plans belong to the artifact's patterns (one for the derivative
-/// groups, one beside the finite-difference coloring). And no solve
+/// the plans belong to the artifact's patterns (one for the analytic
+/// Jacobian, one beside the finite-difference coloring). And no solve
 /// through the analytic pattern orders it either: the cold compile did,
 /// and a revived artifact carries that order.
 #[test]
@@ -601,28 +584,27 @@ fn artifact_backed_solves_never_analyze() {
             LinearSolver::Auto,
             LinearSolver::Sparse,
         ] {
-            for (group, mode) in [
-                (DerivGroup::Jacobian, JacobianMode::Analytic),
-                (DerivGroup::Jacobian, JacobianMode::FdColored),
-                (DerivGroup::Sensitivity, JacobianMode::Analytic),
+            for (kind, mode) in [
+                (Kind::Plain, JacobianMode::Analytic),
+                (Kind::Plain, JacobianMode::FdColored),
+                (Kind::Augmented, JacobianMode::Analytic),
             ] {
                 let ordered = orderings_computed_on_this_thread();
-                let stats = solve_stats(artifact, group, mode, solver);
+                let stats = solve_stats(artifact, kind, mode, solver);
                 if mode == JacobianMode::Analytic {
                     let ran = orderings_computed_on_this_thread() - ordered;
-                    assert_eq!(ran, 0, "{label}/{solver}/{group:?}: minimum-degree passes");
+                    assert_eq!(ran, 0, "{label}/{solver}/{kind:?}: minimum-degree passes");
                 }
                 assert!(stats.factorizations > 0);
                 assert_eq!(
                     stats.symbolic_analyses, 0,
-                    "{label}/{solver}/{group:?}/{mode}"
+                    "{label}/{solver}/{kind:?}/{mode}"
                 );
             }
             if solver == LinearSolver::Dense && label == "revived" {
                 let patterns = artifact.kernel(EngineMode::Exec).patterns;
-                assert!(patterns.built_plan(DerivGroup::Jacobian).is_none());
-                assert!(patterns.built_plan(DerivGroup::Sensitivity).is_none());
-                assert!(patterns.fd().built_plan().is_none());
+                assert!(patterns.built_plan().is_none());
+                assert!(patterns.fd().pattern.built_plan().is_none());
             }
         }
     }
@@ -637,10 +619,10 @@ fn artifact_backed_solves_never_analyze() {
 fn auto_decides_from_the_plans_multiply_adds() {
     let jacobian_plan = |model: &SuiteModel| {
         let patterns = model.kernel(EngineMode::Exec).patterns;
-        let plan = patterns.plan(DerivGroup::Jacobian).expect("Deriv ran");
+        let plan = patterns.plan().expect("Deriv ran");
         let stats = solve_stats(
             model.artifact(),
-            DerivGroup::Jacobian,
+            Kind::Plain,
             JacobianMode::Analytic,
             LinearSolver::Auto,
         );
