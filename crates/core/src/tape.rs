@@ -206,7 +206,7 @@ impl Tape {
     /// below `n_species`, and no dead `Copy` (a copy whose destination is
     /// never read). Returns a description of the first violation.
     ///
-    /// For a [`lower_split`] pair sharing one register file, use
+    /// For [`lower_split_multi`] tapes sharing one register file, use
     /// [`validate_program`], which carries the written-register set across
     /// tapes and checks each tape against its own output arity.
     pub fn validate(&self) -> Result<(), String> {
@@ -215,7 +215,7 @@ impl Tape {
 }
 
 /// Validate tapes that execute back-to-back on one shared register file
-/// (the [`lower_split`] contract). Each entry pairs a tape with its
+/// (the [`lower_split_multi`] contract). Each entry pairs a tape with its
 /// output arity (the exclusive upper bound on its `Store` indices — a
 /// secondary Jacobian tape stores one slot per nonzero, not per species).
 /// Register writes in earlier tapes satisfy reads in later ones.
@@ -638,31 +638,13 @@ pub fn lower(forest: &ExprForest) -> Tape {
     b.tape
 }
 
-/// Lower a combined forest into **two** tapes sharing one register file:
-/// a primary tape computing `rhs[..n_primary]` (stored at indices
-/// `0..n_primary`) and a secondary tape computing the remaining outputs
-/// (store indices rebased to start at 0).
-///
-/// Temporaries are placed on the tape that first needs them: everything
-/// reachable from the primary outputs lowers into the primary tape, so
-/// the secondary tape can read those registers for free when it runs
-/// right after the primary on the same scratch file — this is how the
-/// Jacobian tape reuses the RHS tape's subexpressions. Temporaries
-/// referenced by no output are skipped entirely.
-pub fn lower_split(forest: &ExprForest, n_primary: usize) -> (Tape, Tape) {
-    let mut tapes = lower_split_multi(forest, &[n_primary, forest.rhs.len() - n_primary]);
-    let second = tapes.pop().expect("two groups");
-    let first = tapes.pop().expect("two groups");
-    (first, second)
-}
-
-/// [`lower_split`] generalized to any number of back-to-back output
-/// groups over one register file: `counts[g]` outputs go to group `g`
-/// (store indices rebased to 0 within each group). Temporaries are
-/// placed on the earliest tape whose outputs reach them, so every later
-/// tape reads the registers of everything that ran before it. This is
-/// how the sensitivity tape `∂f/∂p` reuses the subexpressions of both
-/// the RHS and the Jacobian tapes.
+/// Lower a combined forest into back-to-back tapes over one register
+/// file: `counts[g]` outputs go to group `g` (store indices rebased to 0
+/// within each group). Temporaries are placed on the earliest tape whose
+/// outputs reach them, so every later tape reads the registers of
+/// everything that ran before it — this is how the Jacobian tape reuses
+/// the RHS tape's subexpressions, and the sensitivity tape `∂f/∂p` those
+/// of both. Temporaries referenced by no output are skipped entirely.
 pub fn lower_split_multi(forest: &ExprForest, counts: &[usize]) -> Vec<Tape> {
     assert_eq!(
         counts.iter().sum::<usize>(),
@@ -769,24 +751,13 @@ fn collect_temp_refs(expr: &Expr, out: &mut Vec<u32>) {
     }
 }
 
-/// Jointly compact the registers of two tapes that execute back-to-back
-/// on one scratch file ([`lower_split`] output): liveness flows across
-/// the boundary, so values the second tape still needs keep their slots
+/// Jointly compact the registers of tapes executing back-to-back on one
+/// scratch file ([`lower_split_multi`] output): liveness flows across
+/// every boundary, so values a later tape still needs keep their slots
 /// while everything else is reused.
 ///
-/// Requires copy-free input (true of [`lower_split`]) so the instruction
-/// count — and with it the split point — is preserved.
-pub fn compact_registers_pair(first: &Tape, second: &Tape) -> (Tape, Tape) {
-    let mut tapes = compact_registers_multi(&[first, second]);
-    let second_out = tapes.pop().expect("two tapes");
-    let first_out = tapes.pop().expect("two tapes");
-    (first_out, second_out)
-}
-
-/// [`compact_registers_pair`] for any number of tapes executing
-/// back-to-back on one scratch file ([`lower_split_multi`] output):
-/// liveness flows across every boundary, so values a later tape still
-/// needs keep their slots while everything else is reused.
+/// Requires copy-free input (true of [`lower_split_multi`]) so the
+/// instruction counts — and with them the split points — are preserved.
 pub fn compact_registers_multi(tapes: &[&Tape]) -> Vec<Tape> {
     debug_assert!(
         tapes
@@ -1871,8 +1842,9 @@ mod tests {
             n_rates: 2,
         };
         let mono = lower(&f);
-        let (first, second) = lower_split(&f, 2);
-        let (first, second) = compact_registers_pair(&first, &second);
+        let tapes = lower_split_multi(&f, &[2, 2]);
+        let tapes = compact_registers_multi(&[&tapes[0], &tapes[1]]);
+        let (first, second) = (&tapes[0], &tapes[1]);
         assert_eq!(first.n_regs, second.n_regs);
         // t0's product must not be recomputed by the secondary tape.
         assert_eq!(
@@ -1907,8 +1879,10 @@ mod tests {
             n_species: 2,
             n_rates: 2,
         };
-        let (first, second) = lower_split(&f, 1);
-        let total = first.op_counts().total() + second.op_counts().total();
+        let total: usize = lower_split_multi(&f, &[1, 1])
+            .iter()
+            .map(|tape| tape.op_counts().total())
+            .sum();
         // 2 muls for t0, 1 mul for the 2* scaling; the dead temp's 2 muls
         // must not appear.
         assert_eq!(total, 3);

@@ -44,6 +44,7 @@ pub mod cache;
 pub mod codegen;
 pub mod diag;
 pub mod engine;
+pub mod json;
 pub mod report;
 pub mod serial;
 pub mod session;

@@ -9,6 +9,7 @@
 use rms_core::StageCounts;
 use rms_odegen::OpCounts;
 
+use crate::json::{obj, Value};
 use crate::stage::Stage;
 
 /// One stage's observation: wall time plus ordered named metrics
@@ -81,88 +82,44 @@ impl PipelineReport {
         self.total_seconds = self.stages.iter().map(|r| r.seconds).sum();
     }
 
-    /// Serialize to a JSON object (hand-rolled; the workspace carries no
-    /// serde).
+    /// Serialize to a JSON object: `stages` in execution order, each
+    /// record's metrics beside its `stage` and `seconds`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        push_str_field(&mut out, "model", &self.model);
-        out.push(',');
-        push_str_field(&mut out, "level", &self.level);
-        out.push_str(&format!(
-            ",\"species\":{},\"reactions\":{},\"rates\":{}",
-            self.species, self.reactions, self.rates
-        ));
-        out.push_str(&format!(",\"total_seconds\":{:.9}", self.total_seconds));
-        out.push_str(",\"counts\":{");
-        push_counts(&mut out, "input", self.counts.input);
-        out.push(',');
-        push_counts(&mut out, "after_simplify", self.counts.after_simplify);
-        out.push(',');
-        push_counts(&mut out, "after_distribute", self.counts.after_distribute);
-        out.push(',');
-        push_counts(&mut out, "after_cse", self.counts.after_cse);
-        out.push(',');
-        push_counts(&mut out, "tape", self.counts.tape);
-        out.push_str("},\"stages\":[");
-        for (i, rec) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_str_field(&mut out, "stage", rec.stage.name());
-            out.push_str(&format!(",\"seconds\":{:.9}", rec.seconds));
-            for (name, value) in &rec.metrics {
-                out.push(',');
-                out.push_str(&format!("{}:{}", json_string(name), json_number(*value)));
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn push_counts(out: &mut String, name: &str, counts: OpCounts) {
-    out.push_str(&format!(
-        "{}:{{\"mults\":{},\"adds\":{},\"total\":{}}}",
-        json_string(name),
-        counts.mults,
-        counts.adds,
-        counts.total()
-    ));
-}
-
-fn push_str_field(out: &mut String, name: &str, value: &str) {
-    out.push_str(&format!("{}:{}", json_string(name), json_string(value)));
-}
-
-/// JSON string literal with escaping.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a metric value: integral values without a fraction, others with
-/// enough digits to round-trip timings.
-fn json_number(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.9}")
+        let counts = |c: OpCounts| {
+            obj([
+                ("mults", c.mults.into()),
+                ("adds", c.adds.into()),
+                ("total", c.total().into()),
+            ])
+        };
+        let stages = self.stages.iter().map(|rec| {
+            let metrics = rec.metrics.iter().map(|(k, v)| (k.clone(), (*v).into()));
+            let head = [
+                ("stage".to_string(), rec.stage.name().into()),
+                ("seconds".to_string(), rec.seconds.into()),
+            ];
+            Value::Obj(head.into_iter().chain(metrics).collect())
+        });
+        obj([
+            ("model", self.model.as_str().into()),
+            ("level", self.level.as_str().into()),
+            ("species", self.species.into()),
+            ("reactions", self.reactions.into()),
+            ("rates", self.rates.into()),
+            ("total_seconds", self.total_seconds.into()),
+            (
+                "counts",
+                obj([
+                    ("input", counts(self.counts.input)),
+                    ("after_simplify", counts(self.counts.after_simplify)),
+                    ("after_distribute", counts(self.counts.after_distribute)),
+                    ("after_cse", counts(self.counts.after_cse)),
+                    ("tape", counts(self.counts.tape)),
+                ]),
+            ),
+            ("stages", Value::Arr(stages.collect())),
+        ])
+        .to_json()
     }
 }
 
@@ -201,7 +158,7 @@ mod tests {
         let json = sample().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"model\":\"m\\\"x\\\"\""));
-        assert!(json.contains("\"input\":{\"mults\":10,\"adds\":5,\"total\":15}"));
+        assert!(json.contains("\"input\":{\"adds\":5,\"mults\":10,\"total\":15}"));
         assert!(json.contains("\"stage\":\"parse\""));
         assert!(json.contains("\"molecules\":2"));
     }

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use rms_core::{
     compile_jacobian_timed, compile_sensitivity_timed, optimize_traced, CompiledOde, CseOptions,
-    DerivTapes, DerivTimes, ExecTape, JacobianTapes, OptLevel, PassTrace, Passes, SensitivityTapes,
+    DerivTapes, DerivTimes, ExecTape, JacobianTapes, OptLevel, PassTrace, SensitivityTapes,
 };
 use rms_odegen::{generate, GenerateOptions, OdeSystem};
 use rms_rcip::RateTable;
@@ -38,10 +38,8 @@ use crate::stage::Stage;
 pub struct SessionOptions {
     /// Named optimization level.
     pub level: OptLevel,
-    /// Explicit pass switches overriding `level.passes()` (ablations).
-    pub passes: Option<Passes>,
     /// Override the equation generator's on-the-fly §3.1 merging. The
-    /// default follows the effective simplify pass switch (off only at
+    /// default follows the level's simplify pass switch (off only at
     /// [`OptLevel::None`], Table 1's baseline).
     pub gen_simplify: Option<bool>,
     /// Also compile the analytic sparse Jacobian tapes (the *Deriv*
@@ -78,7 +76,6 @@ impl SessionOptions {
     pub fn new(level: OptLevel) -> SessionOptions {
         SessionOptions {
             level,
-            passes: None,
             gen_simplify: None,
             deriv: false,
             sensitivity: false,
@@ -90,33 +87,15 @@ impl SessionOptions {
         }
     }
 
-    /// The pass switches actually run.
-    pub fn effective_passes(&self) -> Passes {
-        self.passes.unwrap_or_else(|| self.level.passes())
-    }
-
     /// The equation generator's simplify switch actually used.
     pub fn effective_gen_simplify(&self) -> bool {
         self.gen_simplify
-            .unwrap_or_else(|| self.effective_passes().simplify)
-    }
-
-    /// Display name of the configuration (the report's `level` field).
-    pub fn level_name(&self) -> String {
-        match self.passes {
-            None => self.level.to_string(),
-            Some(p) => format!(
-                "custom(simplify={},distribute={},cse={})",
-                p.simplify,
-                p.distribute,
-                p.cse.is_some()
-            ),
-        }
+            .unwrap_or_else(|| self.level.passes().simplify)
     }
 
     /// Hash every compilation-relevant option into `h`.
     fn hash_into(&self, h: &mut impl Hasher) {
-        let passes = self.effective_passes();
+        let passes = self.level.passes();
         passes.simplify.hash(h);
         passes.distribute.hash(h);
         match passes.cse {
@@ -487,7 +466,7 @@ impl CompilerSession {
         } else {
             PassTrace::default()
         };
-        let compiled = optimize_traced(&system, self.options.effective_passes(), Some(&mut trace));
+        let compiled = optimize_traced(&system, self.options.level.passes(), Some(&mut trace));
         for event in trace.events {
             let stage = match event.pass {
                 // Forest construction is bookkeeping of the generator's
@@ -654,7 +633,7 @@ impl CompilerSession {
 
         let mut report = PipelineReport {
             model: name.to_string(),
-            level: self.options.level_name(),
+            level: self.options.level.to_string(),
             species: network.species_count(),
             reactions: network.reaction_count(),
             rates: rates.distinct_count(),

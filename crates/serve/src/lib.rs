@@ -28,7 +28,7 @@
 //!
 //! The wire protocol is line-delimited JSON in both directions (see
 //! [`protocol`]); no HTTP stack, no serde — [`json`] is a small strict
-//! parser/writer. Chaos testing hooks in via
+//! parser into `rms-driver`'s JSON value. Chaos testing hooks in via
 //! [`ServerConfig::faults`]: a deterministic
 //! [`FaultPlan`](rms_parallel::FaultPlan) keyed by admission sequence
 //! number injects panics and stalls into chosen jobs.

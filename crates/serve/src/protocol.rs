@@ -14,6 +14,7 @@
 //! structured — a [`JobError`] kind plus a message — so clients can
 //! dispatch on failure class without parsing prose.
 
+use rms_driver::OptLevel;
 use rms_parallel::ExperimentFile;
 
 use crate::json::{self, obj, Value};
@@ -55,8 +56,9 @@ pub struct JobRequest {
     pub kind: JobKind,
     /// Per-job deadline in milliseconds; `None` = no deadline.
     pub deadline_ms: Option<u64>,
-    /// Optimization level name (`none|simplify|algebraic|full`).
-    pub level: String,
+    /// Optimization level (`"level"`: `none|simplify|algebraic|full`,
+    /// default `full`).
+    pub level: OptLevel,
 }
 
 impl JobRequest {
@@ -84,7 +86,8 @@ impl JobRequest {
             .get("level")
             .and_then(Value::as_str)
             .unwrap_or("full")
-            .to_string();
+            .parse()
+            .map_err(invalid)?;
         let observe = match v.get("observe") {
             None => Vec::new(),
             Some(o) => o
@@ -319,7 +322,7 @@ mod tests {
         .unwrap();
         assert_eq!(req.id, "j1");
         assert_eq!(req.tenant, "default");
-        assert_eq!(req.level, "full");
+        assert_eq!(req.level, OptLevel::Full);
         assert_eq!(
             req.kind,
             JobKind::Simulate {
@@ -356,6 +359,7 @@ mod tests {
             r#"{"id":"x","source":"s","times":[2.0,1.0]}"#,
             r#"{"id":"x","source":"s","times":[0.5],"deadline_ms":-3}"#,
             r#"{"id":"x","source":"s","kind":"teleport"}"#,
+            r#"{"id":"x","source":"s","times":[0.5],"level":"turbo"}"#,
             r#"{"id":"x","source":"s","kind":"estimate","files":[]}"#,
             r#"{"id":"x","source":"s","kind":"estimate","files":[{"times":[0.5,0.2],"values":[1,1]}]}"#,
             r#"{"id":"x","source":"s","kind":"estimate","files":[{"times":[-0.1,0.2],"values":[1,1]}]}"#,

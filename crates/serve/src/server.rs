@@ -20,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rms_driver::{cache, CompilerSession, OptLevel, SessionOptions};
+use rms_driver::{cache, CompilerSession, SessionOptions};
 use rms_parallel::{
     EstimatorConfig, EstimatorError, FailurePolicy, FaultPlan, FaultySimulator, ParallelEstimator,
     RetryPolicy, Simulator,
@@ -455,12 +455,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Compile and execute one job. Every failure returns a structured
 /// [`JobError`]; deadline/panic classification happens in [`process`].
 fn run_job(inner: &Arc<Inner>, job: &Job) -> Result<Value, JobError> {
-    let level: OptLevel = job
-        .req
-        .level
-        .parse()
-        .map_err(|message| JobError::Invalid { message })?;
-    let mut options = SessionOptions::new(level);
+    let mut options = SessionOptions::new(job.req.level);
     options.deriv = true;
     options.cache_dir = inner.cache_dir.clone();
     // Same source + same options → same content address: concurrent

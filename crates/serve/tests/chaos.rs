@@ -12,6 +12,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
+use rms_driver::OptLevel;
 use rms_parallel::{FaultPlan, RetryPolicy};
 use rms_serve::json::{self, Value};
 use rms_serve::{serve_lines, JobKind, JobRequest, Server, ServerConfig};
@@ -42,7 +43,7 @@ fn simulate_request(id: &str, tenant: &str, source: &str, deadline_ms: Option<u6
             times: vec![0.2, 0.5],
         },
         deadline_ms,
-        level: "full".to_string(),
+        level: OptLevel::Full,
     }
 }
 
@@ -381,7 +382,12 @@ fn line_transport_streams_structured_events_for_a_mixed_batch() {
         r#"{{"id":"g2","source":"{}","times":[0.5],"observe":["NoSuchSpecies"]}}"#,
         source.replace('"', "\\\"")
     );
-    let input = format!("{good}\n{invalid_json}\n{bad_species}\n");
+    // An unknown level is refused at admission like any malformed field.
+    let bad_level = format!(
+        r#"{{"id":"g3","source":"{}","times":[0.5],"level":"turbo"}}"#,
+        source.replace('"', "\\\"")
+    );
+    let input = format!("{good}\n{invalid_json}\n{bad_species}\n{bad_level}\n");
 
     let mut out: Vec<u8> = Vec::new();
     let stats =
@@ -394,6 +400,10 @@ fn line_transport_streams_structured_events_for_a_mixed_batch() {
         .collect();
     assert_eq!(str_field(terminal(&evs, "g1"), "event"), "result");
     assert_eq!(error_kind(terminal(&evs, "g2")), "invalid");
+    assert_eq!(error_kind(terminal(&evs, "g3")), "invalid");
+    assert!(!evs
+        .iter()
+        .any(|e| str_field(e, "event") == "accepted" && str_field(e, "id") == "g3"));
     // The unparseable line still produced a structured error (empty id).
     assert!(evs
         .iter()
@@ -402,7 +412,7 @@ fn line_transport_streams_structured_events_for_a_mixed_batch() {
     let last = evs.last().unwrap();
     assert_eq!(str_field(last, "event"), "drained");
     // g1 and g2 were both admitted (the unknown species only surfaces
-    // in the worker); the unparseable line never was.
+    // in the worker); the unparseable line and g3 never were.
     assert_eq!(field(last, "admitted").as_u64(), Some(2));
     assert_eq!(stats.succeeded, 1);
 }

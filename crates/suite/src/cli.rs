@@ -1,12 +1,16 @@
 //! The `rmsc` command-line driver: compile, inspect, simulate, and fit
 //! RDL models from the shell. All logic lives here (pure functions over
 //! parsed arguments) so it is unit-testable; `src/bin/rmsc.rs` is a thin
-//! wrapper.
+//! wrapper. Each subcommand's flags are declared once, in the
+//! `SUBCOMMANDS` table: it parses and validates an argument vector, and
+//! renders `rmsc help` and README's flag tables.
 
+use std::any::Any;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Duration;
 
-use rms_nlopt::FitStatistics;
+use rms_nlopt::{FitStatistics, FnResidual};
 use rms_parallel::{EstimatorConfig, ExperimentFile, FailurePolicy, RetryPolicy};
 
 use crate::{
@@ -14,112 +18,78 @@ use crate::{
     ParallelEstimator, ResidualJacobianMode, SessionOptions, SolverOptions, Stage, SuiteModel,
 };
 
-/// A parsed CLI invocation.
+/// A parsed CLI invocation. A field holds its flag's value, or the
+/// flag's default (`input` is the operand); `rmsc help` says what each
+/// flag means.
+#[allow(missing_docs)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Compile an RDL file and print one of its artifacts.
+    /// `rmsc compile` (and `compile-report`, which is `--emit report`):
+    /// compile an RDL file and print one of its artifacts.
     Compile {
-        /// RDL source path.
         input: PathBuf,
-        /// Optimization level.
         level: OptLevel,
-        /// What to print.
         emit: Emit,
-        /// Print this stage's IR instead of the `--emit` artifact.
+        /// `--dump-ir`: print this stage's IR instead of `emit`.
         dump: Option<Stage>,
-        /// Worker threads for network closure (0 = one per core).
         frontend_threads: usize,
-        /// On-disk artifact cache directory.
         cache_dir: Option<PathBuf>,
     },
-    /// Integrate the model and print a concentration table.
+    /// `rmsc simulate`: integrate the model and print a concentration
+    /// table (`observe` empty: every species).
     Simulate {
-        /// RDL source path.
         input: PathBuf,
-        /// Optimization level.
         level: OptLevel,
-        /// Final time.
         tend: f64,
-        /// Number of equally spaced output rows.
         steps: usize,
-        /// Species to print (empty = all).
         observe: Vec<String>,
-        /// Jacobian source for the BDF solver.
         jacobian: JacobianMode,
-        /// Direct method for the Newton iteration matrix.
         linear_solver: LinearSolver,
-        /// Right-hand-side evaluator.
         engine: EngineMode,
-        /// Worker threads for network closure (0 = one per core).
         frontend_threads: usize,
-        /// On-disk artifact cache directory.
         cache_dir: Option<PathBuf>,
     },
-    /// Synthesize experiment files from the model's nominal kinetics.
+    /// `rmsc synthesize`: write experiment files from the model's nominal
+    /// kinetics.
     Synthesize {
-        /// RDL source path.
         input: PathBuf,
-        /// Species whose summed concentration is the measured property.
         observe: Vec<String>,
-        /// Output directory for `formulation_XX.dat`.
         out_dir: PathBuf,
-        /// Number of files.
         files: usize,
-        /// Records per file.
         records: usize,
-        /// Cure horizon.
         tend: f64,
     },
-    /// Fit the model's bounded rate constants to experiment files.
+    /// `rmsc estimate`: fit the model's bounded rate constants to
+    /// experiment files.
     Estimate {
-        /// RDL source path.
         input: PathBuf,
-        /// Directory of `.dat` files.
         data_dir: PathBuf,
-        /// Observed species (summed).
         observe: Vec<String>,
-        /// Worker ranks.
         workers: usize,
-        /// Deadline (seconds) for each collective; `None` waits forever.
+        /// Seconds; `None` waits forever.
         collective_timeout: Option<f64>,
-        /// Retry budget for failing simulations.
         max_retries: usize,
-        /// Penalize or abort on a permanently failing file.
         on_failure: FailurePolicy,
-        /// Jacobian source for the BDF solver in each simulation.
         jacobian: JacobianMode,
-        /// How the optimizer builds the residual Jacobian `∂r/∂p`.
         residual_jacobian: ResidualJacobianMode,
-        /// Relative finite-difference step for the residual Jacobian and
-        /// the fit statistics; `None` derives it from the solver
-        /// tolerance (`√rtol`).
+        /// `None` derives the step from the solver tolerance (`√rtol`).
         fd_step: Option<f64>,
-        /// Direct method for the Newton iteration matrix.
         linear_solver: LinearSolver,
-        /// Worker threads for network closure (0 = one per core).
         frontend_threads: usize,
-        /// On-disk artifact cache directory.
         cache_dir: Option<PathBuf>,
     },
-    /// Run the line-delimited JSON job server on stdin/stdout.
+    /// `rmsc serve`: run the line-delimited JSON job server on
+    /// stdin/stdout.
     Serve {
-        /// Worker threads executing jobs.
         workers: usize,
-        /// Admission-queue bound (full queue rejects immediately).
         queue_capacity: usize,
-        /// On-disk artifact cache directory shared by all jobs.
         cache_dir: Option<PathBuf>,
-        /// In-memory artifact cache budget in MiB.
         memory_budget_mb: Option<u64>,
-        /// Retry budget for transient solver failures.
         max_retries: usize,
-        /// Base delay (ms) of the exponential retry backoff.
         retry_base_ms: u64,
-        /// Default deadline (ms) for jobs that carry none.
         deadline_ms: Option<u64>,
-        /// Chaos: admission sequence numbers whose jobs panic.
         chaos_panic: Vec<usize>,
-        /// Chaos: `(sequence, ms)` stalls injected into jobs.
+        /// `(sequence, ms)` pairs.
         chaos_stall: Vec<(usize, u64)>,
     },
     /// Print usage.
@@ -142,6 +112,22 @@ pub enum Emit {
     Conservation,
     /// The staged pipeline report as JSON.
     Report,
+}
+
+impl FromStr for Emit {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Emit, String> {
+        Ok(match s {
+            "network" => Emit::Network,
+            "odes" => Emit::Odes,
+            "c" => Emit::C,
+            "stats" => Emit::Stats,
+            "conservation" => Emit::Conservation,
+            "report" => Emit::Report,
+            other => return Err(format!("unknown --emit '{other}'")),
+        })
+    }
 }
 
 /// CLI errors, split by phase so the binary can exit with the
@@ -191,481 +177,391 @@ fn usage_err(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-rmsc — Reaction Modeling Suite driver
+/// One declared flag; every flag takes a value.
+struct Flag {
+    name: &'static str,
+    /// Placeholder for the value: `N`, `DIR`, or the choices.
+    value: &'static str,
+    /// The value an absent flag stands for, as text — or, for a flag
+    /// read with [`Args::opt`], a word for what absence means (`none`,
+    /// `all`, `√rtol`, [`REQUIRED`]).
+    default: &'static str,
+    meaning: &'static str,
+}
 
-USAGE:
-  rmsc compile  <model.rdl> [--level none|simplify|algebraic|full]
-                [--emit network|odes|c|stats|conservation|report]
-                [--dump-ir STAGE]
-                [--frontend-threads N] [--cache-dir DIR]
-  rmsc compile-report <model.rdl> [--level L] [--frontend-threads N]
-                [--cache-dir DIR]
-  rmsc simulate <model.rdl> [--tend T] [--steps N] [--observe A,B,...] [--level L]
-                [--jacobian analytic|fd-colored|fd-dense]   (default analytic)
-                [--linear-solver dense|sparse|auto]         (default auto)
-                [--engine interp|exec|native|auto]          (default exec)
-                [--frontend-threads N] [--cache-dir DIR]
-  rmsc synthesize <model.rdl> --observe A,B,... --out DIR [--files N] [--records N] [--tend T]
-  rmsc estimate <model.rdl> --data DIR --observe A,B,... [--workers N]
-                [--collective-timeout SECS] [--max-retries N]
-                [--on-solver-failure penalize|abort]
-                [--jacobian analytic|fd-colored|fd-dense]   (default analytic)
-                [--residual-jacobian analytic|fd]           (default analytic)
-                [--fd-step REL]                             (default sqrt(solver rtol))
-                [--linear-solver dense|sparse|auto]         (default auto)
-                [--frontend-threads N] [--cache-dir DIR]
-  rmsc serve    [--workers N] [--queue-capacity N] [--cache-dir DIR]
-                [--memory-budget-mb N] [--max-retries N] [--retry-base-ms MS]
-                [--deadline-ms MS]
-                [--chaos-panic SEQ,SEQ,...] [--chaos-stall SEQ:MS,SEQ:MS,...]
-  rmsc help
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    default: &'static str,
+    meaning: &'static str,
+) -> Flag {
+    Flag {
+        name,
+        value,
+        default,
+        meaning,
+    }
+}
 
-'serve' reads one JSON job request per line from stdin and streams
-JSON events (accepted, result, error, drained) to stdout; see
-DESIGN.md §12 for the protocol and failure model. The --chaos-*
-flags deterministically inject panics/stalls into the jobs with the
-given admission sequence numbers (testing only).
+impl Flag {
+    fn synopsis(&self) -> String {
+        format!("{} {}", self.name, self.value)
+    }
+}
 
-'compile-report' (or 'compile --emit report') prints the staged
-pipeline report as JSON: per-stage wall time and artifact sizes, plus
-the optimizer's operation counts (the paper's Table 1 columns). It
-compiles what 'simulate' compiles, the deriv stage included.
+const REQUIRED: &str = "required";
 
---dump-ir prints one stage's intermediate representation and exits;
-STAGE is one of parse, expand, rcip, network, odegen, simplify,
-distribute, cse, deriv, lower, exec-decode, codegen.
+/// One subcommand: its operand, then its flags in synopsis order.
+struct Subcommand {
+    name: &'static str,
+    operand: Option<&'static str>,
+    flags: &'static [Flag],
+}
 
---frontend-threads sets the worker-thread count for the network-closure
-stage (rule matching, graph edits, canonicalization); 0 or omitted uses
-one thread per available core, 1 runs the serial path. The generated
-network is bit-identical at every thread count — the flag trades wall
-time only.
+const MODEL: Option<&str> = Some("<model.rdl>");
+#[rustfmt::skip]
+const LEVEL: Flag = flag("--level", "none|simplify|algebraic|full", "full", "optimization level");
+#[rustfmt::skip]
+const FRONTEND_THREADS: Flag = flag("--frontend-threads", "N", "0", "network-closure threads; 0: one per core");
+const CACHE_DIR: Flag = flag("--cache-dir", "DIR", "none", "on-disk artifact cache");
+#[rustfmt::skip]
+const JACOBIAN: Flag = flag("--jacobian", "analytic|fd-colored|fd-dense", "analytic", "Jacobian source of the BDF solver");
+#[rustfmt::skip]
+const LINEAR_SOLVER: Flag = flag("--linear-solver", "dense|sparse|auto", "auto", "how the Newton matrix is factored");
 
---cache-dir enables the on-disk artifact cache: recompiles of an
-unchanged model at the same options are served from DIR.
+/// Every subcommand but `help`: what [`parse_args`] accepts, what
+/// [`usage`] lists and what README's flag tables show. One flag a line.
+#[rustfmt::skip]
+static SUBCOMMANDS: [Subcommand; 6] = [
+    Subcommand { name: "compile", operand: MODEL, flags: &[
+        LEVEL,
+        flag("--emit", "network|odes|c|stats|conservation|report", "stats", "what to print"),
+        flag("--dump-ir", "STAGE", "none", "print this stage's IR instead, and exit"),
+        FRONTEND_THREADS,
+        CACHE_DIR,
+    ] },
+    Subcommand { name: "compile-report", operand: MODEL, flags: &[
+        LEVEL,
+        FRONTEND_THREADS,
+        CACHE_DIR,
+    ] },
+    Subcommand { name: "simulate", operand: MODEL, flags: &[
+        flag("--tend", "T", "1", "final time"),
+        flag("--steps", "N", "10", "output rows, equally spaced"),
+        flag("--observe", "A,B,...", "all", "species to print"),
+        LEVEL,
+        JACOBIAN,
+        LINEAR_SOLVER,
+        flag("--engine", "interp|exec|native|auto", "exec", "right-hand-side evaluator"),
+        FRONTEND_THREADS,
+        CACHE_DIR,
+    ] },
+    Subcommand { name: "synthesize", operand: MODEL, flags: &[
+        flag("--observe", "A,B,...", "all", "species summed into the measured property"),
+        flag("--out", "DIR", REQUIRED, "directory for the formulation_XX.dat files"),
+        flag("--files", "N", "16", "experiment files"),
+        flag("--records", "N", "200", "records per file"),
+        flag("--tend", "T", "2", "cure horizon"),
+    ] },
+    Subcommand { name: "estimate", operand: MODEL, flags: &[
+        flag("--data", "DIR", REQUIRED, "directory of .dat files"),
+        flag("--observe", "A,B,...", "all", "species summed into the observable"),
+        flag("--workers", "N", "2", "ranks of the thread-backed SPMD cluster"),
+        flag("--collective-timeout", "SECS", "none", "deadline per collective"),
+        flag("--max-retries", "N", "1", "re-attempts of a failing per-file simulation"),
+        flag("--on-solver-failure", "penalize|abort", "penalize", "what a file that keeps failing does"),
+        JACOBIAN,
+        flag("--residual-jacobian", "analytic|fd", "analytic", "how the optimizer builds ∂r/∂p"),
+        flag("--fd-step", "REL", "√rtol", "relative finite-difference step"),
+        LINEAR_SOLVER,
+        FRONTEND_THREADS,
+        CACHE_DIR,
+    ] },
+    Subcommand { name: "serve", operand: None, flags: &[
+        flag("--workers", "N", "2", "worker threads executing jobs"),
+        flag("--queue-capacity", "N", "32", "admission-queue bound"),
+        CACHE_DIR,
+        flag("--memory-budget-mb", "N", "none", "in-memory artifact cache budget (LRU)"),
+        flag("--max-retries", "N", "1", "retries of a transient solver failure"),
+        flag("--retry-base-ms", "MS", "0", "base delay of the exponential retry backoff"),
+        flag("--deadline-ms", "MS", "none", "deadline of a job that carries none"),
+        flag("--chaos-panic", "SEQ,SEQ,...", "none", "admitted jobs that panic (testing)"),
+        flag("--chaos-stall", "SEQ:MS,SEQ:MS,...", "none", "stalls injected into jobs (testing)"),
+    ] },
+];
 
-The --jacobian modes: 'analytic' runs the compiler-emitted sparse
-Jacobian tapes (exact derivatives, CSE-shared with the RHS tape);
-'fd-colored' uses colored finite differences over the structural
-sparsity; 'fd-dense' perturbs every state variable.
+/// Usage text: the synopsis rendered from `SUBCOMMANDS` — every flag
+/// with its default and meaning — then the longer explanations.
+pub fn usage() -> String {
+    use std::fmt::Write;
+    let widest = |cell: fn(&Flag) -> String| {
+        let cells = SUBCOMMANDS.iter().flat_map(|sub| sub.flags).map(cell);
+        cells.map(|c| c.chars().count()).max().unwrap_or(0)
+    };
+    let (width, dwidth) = (widest(Flag::synopsis), widest(|f| f.default.into()));
+    let mut out = String::from("rmsc — Reaction Modeling Suite driver\n\nUSAGE:\n");
+    for sub in &SUBCOMMANDS {
+        let operand = sub.operand.map_or(String::new(), |o| format!(" {o}"));
+        let _ = writeln!(out, "  rmsc {}{operand}", sub.name);
+        for f in sub.flags {
+            let (synopsis, default) = (f.synopsis(), f.default);
+            let _ = writeln!(
+                out,
+                "      {synopsis:<width$}  {default:<dwidth$}  {}",
+                f.meaning
+            );
+        }
+    }
+    out + "  rmsc help\n\n" + NOTES
+}
 
-The --residual-jacobian modes select how the optimizer obtains the
-residual Jacobian ∂r/∂p: 'analytic' integrates the forward sensitivity
-ODEs alongside each simulation (one augmented solve per file per
-Jacobian, independent of the parameter count, falling back to finite
-differences when sensitivities are unavailable); 'fd' re-solves every
-file once per parameter with a bound-aware forward difference.
---fd-step sets the relative finite-difference step used by the 'fd'
-mode, the fallback path, and the fit statistics; the default √rtol
-sits above the ODE solver's noise floor.
+/// What one line per flag cannot say; README.md says it at length.
+const NOTES: &str = "\
+'serve' reads one JSON job request per stdin line and streams events
+(accepted, result, error, drained) to stdout (DESIGN.md §12). The
+--chaos-* flags inject panics/stalls into the jobs with those admission
+sequence numbers (testing only).
 
-The --linear-solver methods factor the Newton iteration matrix
-I − hβJ: 'dense' is LU with partial pivoting; 'sparse' is a
-fill-reducing (minimum-degree) sparse LU whose ordering and symbolic
-analysis are computed once per compiled model from its Jacobian
-sparsity and shared by every solve over it (compile-report shows the
-cost as the Deriv stage's symbolic_seconds); 'auto' decides from that
-analysis: sparse when one refactorization over its fill costs fewer
-multiply-adds than the n³/3 of a dense LU (compile-report shows both
-counts and the verdict as lu_factor_macs, dense_factor_macs and
-sparse_newton), falling back to dense for the rest of a solve whose
-sparse factorization meets a zero pivot on the diagonal.
+'compile-report' ('compile --emit report') prints the pipeline report
+as JSON: per-stage wall time, artifact sizes and the optimizer's
+operation counts (Table 1), for the compile 'simulate' does. 'compile
+--emit c' prints the kernel source the native engine compiles.
 
-The --engine modes: 'exec' pre-decodes the tape into the fused
-execution engine (operands resolved to frame indices, FMA
-superinstructions, SIMD-batched Jacobian sweeps); 'interp' walks the
-legacy tape interpreter; 'native' compiles the optimized tape to C,
-builds a shared object with the system C compiler (honoring $CC),
-caches it by content address in --cache-dir, and dlopens it. When no
-toolchain is available the run degrades to 'exec' with a printed
-diagnostic rather than failing. 'auto' picks between exec and native
-by kernel shape: a kernel with loop regions (runs of structurally
-identical per-reaction stanzas, which codegen renders as data-driven C
-loops over static stride/index tables) always wins, a kernel without
-any wins only below the I-cache crossover (~32k instructions), and a
-missing kernel falls back to exec; the chosen engine and the reason
-are printed before the table.
+--dump-ir STAGE is one of parse, expand, rcip, network, odegen,
+simplify, distribute, cse, deriv, lower, exec-decode, codegen.
 
-'compile --emit c' prints the complete native kernel source: the
-specialized scalar ode_rhs, the batched ode_rhs_batch, the analytic
-Jacobian ode_jac and the sensitivity tail ode_sens — exactly what
-the native engine hands to the C compiler.
+--jacobian: 'analytic' runs the compiler-emitted sparse Jacobian tapes,
+'fd-colored' colored finite differences over their sparsity, 'fd-dense'
+perturbs every state variable.
+
+--residual-jacobian: 'analytic' integrates the forward sensitivities
+with each solve (one augmented solve per file, falling back to finite
+differences), 'fd' re-solves every file once per parameter. --fd-step
+is the step of 'fd', of that fallback and of the fit statistics.
+
+--linear-solver factors I − hβJ: 'dense' by LU with partial pivoting,
+'sparse' by a minimum-degree sparse LU analyzed once per compiled
+model, 'auto' sparse when that costs fewer multiply-adds than the n³/3
+of a dense LU (compile-report: lu_factor_macs, dense_factor_macs,
+sparse_newton), dense after a zero diagonal pivot.
+
+--engine: 'exec' runs the pre-decoded fused engine, 'interp' the tape
+interpreter, 'native' C built with the system compiler ($CC), cached in
+--cache-dir and dlopened — without a toolchain it warns and runs
+'exec'. 'auto' picks native for a kernel with loop regions or under the
+~32k-instruction I-cache crossover, else exec, and prints its choice.
 ";
 
-fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// An argument vector checked against one subcommand's declaration:
+/// its operand and each flag's value as given.
+struct Args<'a> {
+    sub: &'static Subcommand,
+    /// Empty for `serve`, which takes none.
+    operand: &'a str,
+    /// Parallel to `sub.flags`; `None` where a flag is absent.
+    given: Vec<Option<&'a str>>,
 }
 
-fn parse_level(args: &[String]) -> Result<OptLevel, CliError> {
-    match flag_value(args, "--level") {
-        None => Ok(OptLevel::Full),
-        Some(v) => v
-            .parse()
-            .map_err(|_: String| usage_err(format!("unknown --level '{v}'"))),
-    }
-}
-
-/// `--jacobian`, for `simulate` and `estimate` alike: the analytic tapes
-/// unless asked otherwise — what `rms-serve` and the benchmark run.
-fn parse_jacobian(args: &[String]) -> Result<JacobianMode, CliError> {
-    match flag_value(args, "--jacobian") {
-        None => Ok(JacobianMode::Analytic),
-        Some(v) => v.parse().map_err(|e: String| usage_err(e)),
-    }
-}
-
-fn parse_linear_solver(args: &[String]) -> Result<LinearSolver, CliError> {
-    match flag_value(args, "--linear-solver") {
-        None => Ok(LinearSolver::default()),
-        Some(v) => v.parse().map_err(|e: String| usage_err(e)),
-    }
-}
-
-fn parse_engine(args: &[String]) -> Result<EngineMode, CliError> {
-    match flag_value(args, "--engine") {
-        None => Ok(EngineMode::default()),
-        Some(v) => v.parse().map_err(|e: String| usage_err(e)),
-    }
-}
-
-fn parse_observe(args: &[String]) -> Vec<String> {
-    flag_value(args, "--observe")
-        .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
-        .unwrap_or_default()
-}
-
-fn parse_cache_dir(args: &[String]) -> Option<PathBuf> {
-    flag_value(args, "--cache-dir").map(PathBuf::from)
-}
-
-fn parse_dump(args: &[String]) -> Result<Option<Stage>, CliError> {
-    match flag_value(args, "--dump-ir") {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(usage_err),
-    }
-}
-
-/// Reject any `--flag` not in `known`, and any known one without a value
-/// (at the end of the line, or followed by another `--flag`): every flag
-/// of every subcommand takes one, and a typo'd or half-typed option is a
-/// usage error instead of being silently ignored.
-fn check_flags(args: &[String], known: &[&str]) -> Result<(), CliError> {
-    for (i, flag) in args.iter().enumerate().filter(|(_, a)| a.starts_with("--")) {
-        if !known.contains(&flag.as_str()) {
-            return Err(usage_err(format!(
-                "unknown option '{flag}' (expected one of: {})",
-                known.join(", ")
-            )));
+impl<'a> Args<'a> {
+    /// Accept the operand and declared flags, each once and with its
+    /// value; any other word is a usage error rather than ignored.
+    fn walk(sub: &'static Subcommand, args: &'a [String]) -> Result<Args<'a>, CliError> {
+        let mut given = vec![None; sub.flags.len()];
+        let mut operand = None;
+        let mut words = args.iter().map(String::as_str);
+        while let Some(word) = words.next() {
+            if let Some(i) = sub.flags.iter().position(|f| f.name == word) {
+                // A negative number is a value; the next flag is not.
+                let value = words.next().filter(|v| !v.starts_with("--"));
+                let value =
+                    value.ok_or_else(|| usage_err(format!("option '{word}' takes a value")))?;
+                if given[i].replace(value).is_some() {
+                    return Err(usage_err(format!("option '{word}' is given twice")));
+                }
+            } else if word.starts_with("--") {
+                let names: Vec<&str> = sub.flags.iter().map(|f| f.name).collect();
+                let expected = names.join(", ");
+                return Err(usage_err(format!(
+                    "unknown option '{word}' (expected one of: {expected})"
+                )));
+            } else if sub.operand.is_some() && operand.is_none() {
+                operand = Some(word);
+            } else {
+                return Err(usage_err(format!("unexpected argument '{word}'")));
+            }
         }
-        if args.get(i + 1).is_none_or(|next| next.starts_with("--")) {
-            return Err(usage_err(format!("option '{flag}' takes a value")));
+        if sub.operand.is_some() && operand.is_none() {
+            return Err(usage_err("expected a model file path"));
+        }
+        Ok(Args {
+            sub,
+            operand: operand.unwrap_or_default(),
+            given,
+        })
+    }
+
+    fn lookup(&self, name: &str) -> (&'static Flag, Option<&'a str>) {
+        let i = self.sub.flags.iter().position(|f| f.name == name);
+        let i = i.expect("parse_args reads only declared flags");
+        (&self.sub.flags[i], self.given[i])
+    }
+
+    /// The flag's value, or its declared default when absent.
+    fn get<T: FromStr<Err: 'static>>(&self, name: &str) -> Result<T, CliError> {
+        let (flag, given) = self.lookup(name);
+        parse(flag, given.unwrap_or(flag.default))
+    }
+
+    /// The flag's value; `None` when absent.
+    fn opt<T: FromStr<Err: 'static>>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let (flag, given) = self.lookup(name);
+        given.map(|v| parse(flag, v)).transpose()
+    }
+
+    /// A flag declared [`REQUIRED`].
+    fn required<T: FromStr<Err: 'static>>(&self, name: &str) -> Result<T, CliError> {
+        let (flag, _) = self.lookup(name);
+        self.opt(name)?
+            .ok_or_else(|| usage_err(format!("{} requires {}", self.sub.name, flag.synopsis())))
+    }
+
+    /// A comma-separated list (`A,B,...`, items trimmed); empty when absent.
+    fn list<T: FromStr<Err: 'static>>(&self, name: &str) -> Result<Vec<T>, CliError> {
+        let (flag, given) = self.lookup(name);
+        let items = given.map_or(Vec::new(), |v| v.split(',').collect());
+        items.iter().map(|item| parse(flag, item.trim())).collect()
+    }
+
+    /// A positive, finite number, when given.
+    fn positive(&self, name: &str) -> Result<Option<f64>, CliError> {
+        match self.opt::<f64>(name)? {
+            Some(x) if !(x.is_finite() && x > 0.0) => Err(usage_err(format!(
+                "{name} must be a positive number, got '{x}'"
+            ))),
+            x => Ok(x),
         }
     }
-    Ok(())
+
+    fn workers(&self) -> Result<usize, CliError> {
+        match self.get("--workers")? {
+            0 => Err(usage_err("--workers must be at least 1")),
+            n => Ok(n),
+        }
+    }
 }
 
-fn parse_num<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, CliError> {
-    match flag_value(args, key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_err(format!("{key} takes a number, got '{v}'"))),
+/// Parse one flag value. The workspace's enums say what they accept in
+/// a `String` error, which passes through unchanged; any other failure
+/// (a number) is reported against the flag's placeholder.
+fn parse<T: FromStr<Err: 'static>>(flag: &Flag, text: &str) -> Result<T, CliError> {
+    text.parse().map_err(|e: T::Err| {
+        usage_err(match (&e as &dyn Any).downcast_ref::<String>() {
+            Some(own) => own.clone(),
+            None => format!("{} takes {}, got '{text}'", flag.name, flag.value),
+        })
+    })
+}
+
+/// One `SEQ:MS` item of `--chaos-stall`.
+struct Stall(usize, u64);
+
+impl FromStr for Stall {
+    type Err = Box<dyn std::error::Error>;
+
+    fn from_str(s: &str) -> Result<Stall, Self::Err> {
+        let (seq, ms) = s.split_once(':').ok_or("no ':'")?;
+        Ok(Stall(seq.trim().parse()?, ms.trim().parse()?))
     }
 }
 
 /// Parse an argument vector (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let Some(sub) = args.first() else {
+    let Some(name) = args.first() else {
         return Ok(Command::Help);
     };
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    if name == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(Command::Help);
     }
-    let input = |idx: usize| -> Result<PathBuf, CliError> {
-        args.get(idx)
-            .filter(|a| !a.starts_with("--"))
-            .map(PathBuf::from)
-            .ok_or_else(|| usage_err("expected a model file path"))
-    };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "compile" => Ok(Command::Compile {
-            input: {
-                check_flags(
-                    args,
-                    &[
-                        "--level",
-                        "--emit",
-                        "--dump-ir",
-                        "--frontend-threads",
-                        "--cache-dir",
-                    ],
-                )?;
-                input(1)?
-            },
-            level: parse_level(args)?,
-            emit: match flag_value(args, "--emit") {
-                None | Some("stats") => Emit::Stats,
-                Some("network") => Emit::Network,
-                Some("odes") => Emit::Odes,
-                Some("c") => Emit::C,
-                Some("conservation") => Emit::Conservation,
-                Some("report") => Emit::Report,
-                Some(other) => return Err(usage_err(format!("unknown --emit '{other}'"))),
-            },
-            dump: parse_dump(args)?,
-            frontend_threads: parse_num(args, "--frontend-threads", 0)?,
-            cache_dir: parse_cache_dir(args),
-        }),
-        "compile-report" => Ok(Command::Compile {
-            input: {
-                check_flags(args, &["--level", "--frontend-threads", "--cache-dir"])?;
-                input(1)?
-            },
-            level: parse_level(args)?,
+    let sub = SUBCOMMANDS.iter().find(|sub| sub.name == name);
+    let sub = sub.ok_or_else(|| usage_err(format!("unknown subcommand '{name}'\n{}", usage())))?;
+    let a = Args::walk(sub, &args[1..])?;
+    Ok(match sub.name {
+        "compile" => Command::Compile {
+            input: a.operand.into(),
+            level: a.get("--level")?,
+            emit: a.get("--emit")?,
+            dump: a.opt("--dump-ir")?,
+            frontend_threads: a.get("--frontend-threads")?,
+            cache_dir: a.opt("--cache-dir")?,
+        },
+        "compile-report" => Command::Compile {
+            input: a.operand.into(),
+            level: a.get("--level")?,
             emit: Emit::Report,
             dump: None,
-            frontend_threads: parse_num(args, "--frontend-threads", 0)?,
-            cache_dir: parse_cache_dir(args),
-        }),
-        "simulate" => Ok(Command::Simulate {
-            input: {
-                check_flags(
-                    args,
-                    &[
-                        "--level",
-                        "--tend",
-                        "--steps",
-                        "--observe",
-                        "--jacobian",
-                        "--linear-solver",
-                        "--engine",
-                        "--frontend-threads",
-                        "--cache-dir",
-                    ],
-                )?;
-                input(1)?
-            },
-            level: parse_level(args)?,
-            tend: parse_num(args, "--tend", 1.0)?,
-            steps: parse_num(args, "--steps", 10)?,
-            observe: parse_observe(args),
-            jacobian: parse_jacobian(args)?,
-            linear_solver: parse_linear_solver(args)?,
-            engine: parse_engine(args)?,
-            frontend_threads: parse_num(args, "--frontend-threads", 0)?,
-            cache_dir: parse_cache_dir(args),
-        }),
-        "synthesize" => Ok(Command::Synthesize {
-            input: {
-                check_flags(
-                    args,
-                    &["--observe", "--out", "--files", "--records", "--tend"],
-                )?;
-                input(1)?
-            },
-            observe: parse_observe(args),
-            out_dir: flag_value(args, "--out")
-                .map(PathBuf::from)
-                .ok_or_else(|| usage_err("synthesize requires --out DIR"))?,
-            files: parse_num(args, "--files", 16)?,
-            records: parse_num(args, "--records", 200)?,
-            tend: parse_num(args, "--tend", 2.0)?,
-        }),
-        "estimate" => {
-            check_flags(
-                args,
-                &[
-                    "--data",
-                    "--observe",
-                    "--workers",
-                    "--collective-timeout",
-                    "--max-retries",
-                    "--on-solver-failure",
-                    "--jacobian",
-                    "--residual-jacobian",
-                    "--fd-step",
-                    "--linear-solver",
-                    "--frontend-threads",
-                    "--cache-dir",
-                ],
-            )?;
-            let workers = parse_num(args, "--workers", 2)?;
-            if workers == 0 {
-                return Err(usage_err("--workers must be at least 1"));
-            }
-            let collective_timeout = match flag_value(args, "--collective-timeout") {
-                None => None,
-                Some(v) => {
-                    let secs: f64 = v.parse().map_err(|_| {
-                        usage_err(format!("--collective-timeout takes seconds, got '{v}'"))
-                    })?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(usage_err(format!(
-                            "--collective-timeout must be a positive number of seconds, got '{v}'"
-                        )));
-                    }
-                    Some(secs)
-                }
-            };
-            let on_failure = match flag_value(args, "--on-solver-failure") {
-                None => FailurePolicy::Penalize,
-                Some(v) => v.parse().map_err(|e: String| usage_err(e))?,
-            };
-            let residual_jacobian = match flag_value(args, "--residual-jacobian") {
-                None => ResidualJacobianMode::default(),
-                Some(v) => v.parse().map_err(|e: String| usage_err(e))?,
-            };
-            let fd_step = match flag_value(args, "--fd-step") {
-                None => None,
-                Some(v) => {
-                    let step: f64 = v
-                        .parse()
-                        .map_err(|_| usage_err(format!("--fd-step takes a number, got '{v}'")))?;
-                    if !step.is_finite() || step <= 0.0 {
-                        return Err(usage_err(format!(
-                            "--fd-step must be a positive relative step, got '{v}'"
-                        )));
-                    }
-                    Some(step)
-                }
-            };
-            Ok(Command::Estimate {
-                input: input(1)?,
-                data_dir: flag_value(args, "--data")
-                    .map(PathBuf::from)
-                    .ok_or_else(|| usage_err("estimate requires --data DIR"))?,
-                observe: parse_observe(args),
-                workers,
-                collective_timeout,
-                max_retries: parse_num(args, "--max-retries", 1)?,
-                on_failure,
-                jacobian: parse_jacobian(args)?,
-                residual_jacobian,
-                fd_step,
-                linear_solver: parse_linear_solver(args)?,
-                frontend_threads: parse_num(args, "--frontend-threads", 0)?,
-                cache_dir: parse_cache_dir(args),
-            })
-        }
-        "serve" => {
-            check_flags(
-                args,
-                &[
-                    "--workers",
-                    "--queue-capacity",
-                    "--cache-dir",
-                    "--memory-budget-mb",
-                    "--max-retries",
-                    "--retry-base-ms",
-                    "--deadline-ms",
-                    "--chaos-panic",
-                    "--chaos-stall",
-                ],
-            )?;
-            let workers = parse_num(args, "--workers", 2)?;
-            if workers == 0 {
-                return Err(usage_err("--workers must be at least 1"));
-            }
-            let chaos_panic = match flag_value(args, "--chaos-panic") {
-                None => Vec::new(),
-                Some(list) => list
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().map_err(|_| {
-                            usage_err(format!("--chaos-panic takes sequence numbers, got '{s}'"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-            let chaos_stall = match flag_value(args, "--chaos-stall") {
-                None => Vec::new(),
-                Some(list) => list
-                    .split(',')
-                    .map(|pair| {
-                        pair.split_once(':')
-                            .and_then(|(seq, ms)| {
-                                Some((seq.trim().parse().ok()?, ms.trim().parse().ok()?))
-                            })
-                            .ok_or_else(|| {
-                                usage_err(format!("--chaos-stall takes SEQ:MS pairs, got '{pair}'"))
-                            })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
-            Ok(Command::Serve {
-                workers,
-                queue_capacity: parse_num(args, "--queue-capacity", 32)?,
-                cache_dir: parse_cache_dir(args),
-                memory_budget_mb: flag_value(args, "--memory-budget-mb")
-                    .map(|v| {
-                        v.parse().map_err(|_| {
-                            usage_err(format!("--memory-budget-mb takes a number, got '{v}'"))
-                        })
-                    })
-                    .transpose()?,
-                max_retries: parse_num(args, "--max-retries", 1)?,
-                retry_base_ms: parse_num(args, "--retry-base-ms", 0)?,
-                deadline_ms: flag_value(args, "--deadline-ms")
-                    .map(|v| {
-                        v.parse().map_err(|_| {
-                            usage_err(format!("--deadline-ms takes milliseconds, got '{v}'"))
-                        })
-                    })
-                    .transpose()?,
-                chaos_panic,
-                chaos_stall,
-            })
-        }
-        other => Err(usage_err(format!("unknown subcommand '{other}'\n{USAGE}"))),
-    }
-}
-
-/// Everything the CLI can ask of a compile beyond the level.
-#[derive(Default)]
-struct LoadOptions<'a> {
-    cache_dir: Option<&'a Path>,
-    dump: Option<Stage>,
-    /// Run the *Deriv* stage so the artifact carries the analytic
-    /// Jacobian tapes (set when `--jacobian analytic` will use them).
-    deriv: bool,
-    /// Also compile the parameter-sensitivity tapes (set when
-    /// `--residual-jacobian analytic` will consume them).
-    sensitivity: bool,
-    /// Run the *Codegen* stage: emit C, invoke the system compiler and
-    /// attach the dlopened kernel (set when `--engine native` or
-    /// `--engine auto`). Codegen failures never fail the compile — the
-    /// artifact carries a diagnostic instead.
-    native: bool,
-    /// Worker threads for the network-closure stage
-    /// (`--frontend-threads N`; 0 = one per available core).
-    frontend_threads: usize,
+            frontend_threads: a.get("--frontend-threads")?,
+            cache_dir: a.opt("--cache-dir")?,
+        },
+        "simulate" => Command::Simulate {
+            input: a.operand.into(),
+            level: a.get("--level")?,
+            tend: a.get("--tend")?,
+            steps: a.get("--steps")?,
+            observe: a.list("--observe")?,
+            jacobian: a.get("--jacobian")?,
+            linear_solver: a.get("--linear-solver")?,
+            engine: a.get("--engine")?,
+            frontend_threads: a.get("--frontend-threads")?,
+            cache_dir: a.opt("--cache-dir")?,
+        },
+        "synthesize" => Command::Synthesize {
+            input: a.operand.into(),
+            observe: a.list("--observe")?,
+            out_dir: a.required("--out")?,
+            files: a.get("--files")?,
+            records: a.get("--records")?,
+            tend: a.get("--tend")?,
+        },
+        "estimate" => Command::Estimate {
+            input: a.operand.into(),
+            data_dir: a.required("--data")?,
+            observe: a.list("--observe")?,
+            workers: a.workers()?,
+            collective_timeout: a.positive("--collective-timeout")?,
+            max_retries: a.get("--max-retries")?,
+            on_failure: a.get("--on-solver-failure")?,
+            jacobian: a.get("--jacobian")?,
+            residual_jacobian: a.get("--residual-jacobian")?,
+            fd_step: a.positive("--fd-step")?,
+            linear_solver: a.get("--linear-solver")?,
+            frontend_threads: a.get("--frontend-threads")?,
+            cache_dir: a.opt("--cache-dir")?,
+        },
+        "serve" => Command::Serve {
+            workers: a.workers()?,
+            queue_capacity: a.get("--queue-capacity")?,
+            cache_dir: a.opt("--cache-dir")?,
+            memory_budget_mb: a.opt("--memory-budget-mb")?,
+            max_retries: a.get("--max-retries")?,
+            retry_base_ms: a.get("--retry-base-ms")?,
+            deadline_ms: a.opt("--deadline-ms")?,
+            chaos_panic: a.list("--chaos-panic")?,
+            chaos_stall: (a.list("--chaos-stall")?.into_iter())
+                .map(|Stall(seq, ms)| (seq, ms))
+                .collect(),
+        },
+        other => unreachable!("subcommand '{other}' is declared but not parsed"),
+    })
 }
 
 /// Compile `path` through a [`CompilerSession`]. A missing or unreadable
 /// file is a runtime failure (exit 1); a model the compiler rejects is a
 /// rendered, span-annotated diagnostic (exit 2).
-fn load_model(
-    path: &Path,
-    level: OptLevel,
-    opts: LoadOptions,
-) -> Result<(SuiteModel, Option<String>), CliError> {
+fn load_model(path: &Path, opts: SessionOptions) -> Result<(SuiteModel, Option<String>), CliError> {
     let source = std::fs::read_to_string(path)
         .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
     let filename = path.display().to_string();
-    let mut session = SessionOptions::new(level);
-    session.cache_dir = opts.cache_dir.map(Path::to_path_buf);
-    session.dump = opts.dump;
-    session.deriv = opts.deriv;
-    session.sensitivity = opts.sensitivity;
-    session.native = opts.native;
-    session.frontend_threads = opts.frontend_threads;
-    let compiled = CompilerSession::with_options(session)
+    let compiled = CompilerSession::with_options(opts)
         .compile_source(&filename, &source)
         .map_err(|d| CliError::Diagnostic(d.render(&filename, &source)))?;
     // Warnings (e.g. closure stopped at the generation cap while rules
@@ -695,7 +591,7 @@ fn observable_or_all(model: &SuiteModel, observe: &[String]) -> Result<Vec<f64>,
 pub fn run(command: &Command) -> Result<String, CliError> {
     use std::fmt::Write;
     match command {
-        Command::Help => Ok(USAGE.to_string()),
+        Command::Help => Ok(usage()),
         // Streams events to stdout directly (the one command whose
         // output is unbounded and interactive); returns nothing.
         Command::Serve {
@@ -709,18 +605,14 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             chaos_panic,
             chaos_stall,
         } => {
-            let faults = if chaos_panic.is_empty() && chaos_stall.is_empty() {
-                None
-            } else {
-                let mut plan = rms_parallel::FaultPlan::new();
-                for &seq in chaos_panic {
-                    plan = plan.panic_file(seq);
-                }
-                for &(seq, ms) in chaos_stall {
-                    plan = plan.stall_file(seq, Duration::from_millis(ms));
-                }
-                Some(plan)
-            };
+            let mut plan = rms_parallel::FaultPlan::new();
+            for &seq in chaos_panic {
+                plan = plan.panic_file(seq);
+            }
+            for &(seq, ms) in chaos_stall {
+                plan = plan.stall_file(seq, Duration::from_millis(ms));
+            }
+            let faults = (!chaos_panic.is_empty() || !chaos_stall.is_empty()).then_some(plan);
             let config = rms_serve::ServerConfig {
                 workers: *workers,
                 queue_capacity: *queue_capacity,
@@ -748,15 +640,14 @@ pub fn run(command: &Command) -> Result<String, CliError> {
         } => {
             let (model, dumped) = load_model(
                 input,
-                *level,
-                LoadOptions {
-                    cache_dir: cache_dir.as_deref(),
+                SessionOptions {
+                    cache_dir: cache_dir.clone(),
                     dump: *dump,
                     // The report covers the compile `simulate` does.
                     deriv: *dump == Some(Stage::Deriv) || *emit == Emit::Report,
-                    sensitivity: false,
                     native: *dump == Some(Stage::Codegen),
                     frontend_threads: *frontend_threads,
+                    ..SessionOptions::new(*level)
                 },
             )?;
             if dump.is_some() {
@@ -768,11 +659,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 Emit::Network => model.network.display_equations(),
                 Emit::Odes => model.system.display(),
                 Emit::C => model.emit_native_c(),
-                Emit::Report => {
-                    let mut json = model.report.to_json();
-                    json.push('\n');
-                    json
-                }
+                Emit::Report => model.report.to_json() + "\n",
                 Emit::Conservation => {
                     let laws = rms_odegen::conservation_laws(&model.network);
                     let mut out = String::new();
@@ -843,13 +730,12 @@ pub fn run(command: &Command) -> Result<String, CliError> {
         } => {
             let (model, _) = load_model(
                 input,
-                *level,
-                LoadOptions {
-                    cache_dir: cache_dir.as_deref(),
+                SessionOptions {
+                    cache_dir: cache_dir.clone(),
                     deriv: *jacobian == JacobianMode::Analytic,
                     native: engine.wants_native(),
                     frontend_threads: *frontend_threads,
-                    ..LoadOptions::default()
+                    ..SessionOptions::new(*level)
                 },
             )?;
             let times: Vec<f64> = (1..=*steps)
@@ -914,7 +800,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             records,
             tend,
         } => {
-            let (model, _) = load_model(input, OptLevel::Full, LoadOptions::default())?;
+            let (model, _) = load_model(input, SessionOptions::new(OptLevel::Full))?;
             let weights = observable_or_all(&model, observe)?;
             let simulator = crate::TapeSimulator::from_artifact(model.artifact(), weights);
             let rates = model.system.rate_values.clone();
@@ -959,13 +845,12 @@ pub fn run(command: &Command) -> Result<String, CliError> {
         } => {
             let (model, _) = load_model(
                 input,
-                OptLevel::Full,
-                LoadOptions {
-                    cache_dir: cache_dir.as_deref(),
+                SessionOptions {
+                    cache_dir: cache_dir.clone(),
                     deriv: *jacobian == JacobianMode::Analytic,
                     sensitivity: *residual_jacobian == ResidualJacobianMode::Analytic,
                     frontend_threads: *frontend_threads,
-                    ..LoadOptions::default()
+                    ..SessionOptions::new(OptLevel::Full)
                 },
             )?;
             let weights = observable_or_all(&model, observe)?;
@@ -989,9 +874,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 .map(|p| ExperimentFile::read(p).map_err(|e| err(format!("{}: {e}", p.display()))))
                 .collect::<Result<_, _>>()?;
 
-            if *workers == 0 {
-                return Err(err("--workers must be at least 1"));
-            }
             let config = EstimatorConfig {
                 dynamic_lb: true,
                 retry: RetryPolicy::with_max_retries(*max_retries),
@@ -1039,31 +921,13 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             }
             let _ = writeln!(out, "final cost: {:.6e}", result.cost);
             // Statistical information (Fig. 2's dashed component).
-            struct Wrap<'a, S: crate::Simulator> {
-                estimator: &'a ParallelEstimator<'a, S>,
-                n: usize,
-                m: usize,
-            }
-            impl<S: crate::Simulator> rms_nlopt::Residual for Wrap<'_, S> {
-                fn n_params(&self) -> usize {
-                    self.n
-                }
-                fn n_residuals(&self) -> usize {
-                    self.m
-                }
-                fn eval(&self, p: &[f64], out: &mut [f64]) -> Result<(), String> {
-                    let o = self.estimator.objective(p).map_err(|e| e.to_string())?;
-                    out.copy_from_slice(&o.error_vector);
-                    Ok(())
-                }
-            }
-            let wrap = Wrap {
-                estimator: &estimator,
-                n: start.len(),
-                m: result.residuals.len(),
-            };
+            let residual = FnResidual::new(start.len(), result.residuals.len(), |p, out| {
+                let o = estimator.objective(p).map_err(|e| e.to_string())?;
+                out.copy_from_slice(&o.error_vector);
+                Ok(())
+            });
             if let Ok(stats) = FitStatistics::evaluate_bounded(
-                &wrap,
+                &residual,
                 &result.params,
                 None,
                 &lo,
@@ -1169,6 +1033,101 @@ mod tests {
         // A negative number is a value, whatever the subcommand then
         // makes of it.
         assert!(parse_args(&argv("simulate m.rdl --tend -1")).is_ok());
+    }
+
+    #[test]
+    fn stray_words_and_repeated_flags_are_usage_errors_in_every_subcommand() {
+        for (line, message) in [
+            ("compile m.rdl extra", "unexpected argument 'extra'"),
+            ("compile-report m.rdl extra", "unexpected argument 'extra'"),
+            (
+                "simulate models/quickstart.rdl 2 --steps 2 --observe PolyS_2",
+                "unexpected argument '2'",
+            ),
+            (
+                "synthesize m.rdl --out d extra",
+                "unexpected argument 'extra'",
+            ),
+            (
+                "estimate m.rdl extra --data d",
+                "unexpected argument 'extra'",
+            ),
+            ("serve extra", "unexpected argument 'extra'"),
+            (
+                "compile m.rdl --level full --level none",
+                "option '--level' is given twice",
+            ),
+            (
+                "compile-report m.rdl --level full --level full",
+                "option '--level' is given twice",
+            ),
+            (
+                "simulate m.rdl --steps 2 --steps 3",
+                "option '--steps' is given twice",
+            ),
+            (
+                "synthesize m.rdl --out d --out e",
+                "option '--out' is given twice",
+            ),
+            (
+                "estimate m.rdl --data d --data e",
+                "option '--data' is given twice",
+            ),
+            (
+                "serve --workers 2 --workers 3",
+                "option '--workers' is given twice",
+            ),
+        ] {
+            match parse_args(&argv(line)) {
+                Err(CliError::Usage(got)) => assert_eq!(got, message, "{line}"),
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+    }
+
+    /// README's flag table for one subcommand, as the declarations render it.
+    fn markdown_table(sub: &Subcommand) -> String {
+        let mut table = String::from("| flag | default | meaning |\n|---|---|---|\n");
+        for f in sub.flags {
+            let synopsis = f.synopsis().replace('|', "\\|");
+            table += &format!("| `{synopsis}` | {} | {} |\n", f.default, f.meaning);
+        }
+        table
+    }
+
+    #[test]
+    fn help_readme_and_parser_read_one_declaration_per_flag() {
+        let counts: Vec<usize> = SUBCOMMANDS.iter().map(|sub| sub.flags.len()).collect();
+        assert_eq!(counts, [5, 3, 9, 5, 12, 9]);
+        let help = usage();
+        let readme = include_str!("../../../README.md");
+        for sub in &SUBCOMMANDS {
+            for f in sub.flags {
+                assert!(
+                    help.lines()
+                        .any(|l| l.contains(&f.synopsis()) && l.contains(f.default)),
+                    "`rmsc help` lacks {} with its default",
+                    f.name
+                );
+            }
+            let table = markdown_table(sub);
+            assert!(
+                readme.contains(&format!("\n\n{table}\n")),
+                "README.md's `rmsc {}` flag table is not the declared one; expected:\n\n{table}",
+                sub.name
+            );
+        }
+        // Every default a flag is read with parses: the bare invocations.
+        for line in [
+            "compile m.rdl",
+            "compile-report m.rdl",
+            "simulate m.rdl",
+            "synthesize m.rdl --out d",
+            "estimate m.rdl --data d",
+            "serve",
+        ] {
+            assert!(parse_args(&argv(line)).is_ok(), "{line}");
+        }
     }
 
     const MODEL: &str = r#"
