@@ -1,6 +1,8 @@
 //! Table 1 reproduction: operation counts, compile success/failure of the
 //! commercial-compiler model, and execution times across optimization
-//! configurations, for the five vulcanization test cases.
+//! configurations, for the five vulcanization test cases — then the
+//! per-pass ablation (`[ablation]` rows: one 450-equation model at every
+//! optimization level).
 //!
 //! Usage:
 //!   table1 [--scale K] [--cases 1,2,3] [--iters N] [--budget BYTES]
@@ -13,13 +15,13 @@
 //! a 375 MHz POWER3), the *shape* is what reproduces.
 
 use rms_bench::{
-    compile_case, compile_case_cold, fmt_secs, parse_or_exit, run_bench, time_tape_eval,
+    compile_case, compile_case_cold, fmt_secs, parse_or_exit, run_bench, system_for, time_tape_eval,
 };
 use rms_core::{
-    compact_registers, forward_copies, generic_compile, lower, GenericOptions, OptLevel,
+    compact_registers, forward_copies, generic_compile, lower, optimize, GenericOptions, OptLevel,
     PAPER_MEMORY_BUDGET,
 };
-use rms_workload::{scaled_case, TABLE1};
+use rms_workload::{generate_model, scaled_case, VulcanizationSpec, TABLE1};
 
 const USAGE: &str = "\
 table1 — Table 1 reproduction (op counts, compile limits, eval times)
@@ -203,6 +205,17 @@ fn run(config: Config) -> Result<(), String> {
         );
         println!();
     }
+
+    // The per-pass ablation, from the raw (unmerged) system: §3.1 runs as
+    // part of the pipeline at every level above None.
+    let model = generate_model(VulcanizationSpec::for_equation_count(450));
+    let raw = system_for(&model, false);
+    for level in OptLevel::ALL {
+        let c = optimize(&raw, level).stages.after_cse;
+        let (level, mults, adds, total) = (level.to_string(), c.mults, c.adds, c.total());
+        println!("[ablation] level={level:<22} mults={mults:<7} adds={adds:<7} total={total}");
+    }
+    println!();
 
     println!("compiler-limit claim (§3.3): the admitted-model-size multiplier equals the");
     println!("optimizer's compression factor (paper: >=10x on their models; ~4x measured on");

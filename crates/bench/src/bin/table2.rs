@@ -74,7 +74,7 @@ fn run(config: Config) -> Result<(), String> {
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
     }
-    let simulator = TapeSimulator::from_artifact(suite.artifact(), observable);
+    let simulator = TapeSimulator::from_artifact(&suite, observable);
 
     // Heterogeneous horizons reproduce the load imbalance that limited
     // the paper to 12.78x at 16 nodes without the balancer.

@@ -1,36 +1,36 @@
-//! Shared helpers for the `table1`/`table2` binaries and the criterion
-//! benches reproducing the paper's tables. Everything else the repository
-//! measures comes from the standalone `benchmark/` package
-//! (`BENCHMARK.json`).
+//! Shared helpers for the `table1`/`table2` binaries reproducing the
+//! paper's tables. Everything else the repository measures comes from the
+//! standalone `benchmark/` package (`BENCHMARK.json`).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rms_core::{CompiledOde, OptLevel};
 use rms_odegen::OdeSystem;
-use rms_suite::{CacheMode, CompilerSession, SessionOptions, SuiteModel};
+use rms_suite::{CacheMode, CompiledArtifact, CompilerSession, SessionOptions};
 use rms_workload::VulcanizationModel;
 
 /// Run a workload model through the pass-managed pipeline session with
 /// explicit options. All bench compilations funnel through here; there
 /// is no ad-hoc stage chaining in the harnesses.
-fn compile_with(model: &VulcanizationModel, options: SessionOptions) -> SuiteModel {
+fn compile_with(model: &VulcanizationModel, options: SessionOptions) -> Arc<CompiledArtifact> {
     let compiled = CompilerSession::with_options(options)
         .compile_network("workload", model.network.clone(), model.rates.clone())
         .expect("workload models always compile");
-    SuiteModel::from_artifact(compiled.artifact)
+    compiled.artifact
 }
 
 /// Compile a workload model end to end through the process-cached
 /// pipeline. Repeated calls with the same model and level share one
 /// artifact; the model's report carries per-stage wall times and the
 /// Table 1 operation counts.
-pub fn compile_case(model: &VulcanizationModel, level: OptLevel) -> SuiteModel {
+pub fn compile_case(model: &VulcanizationModel, level: OptLevel) -> Arc<CompiledArtifact> {
     compile_with(model, SessionOptions::new(level))
 }
 
 /// [`compile_case`] with the cache bypassed: a guaranteed-cold compile
 /// whose report times reflect real pipeline work.
-pub fn compile_case_cold(model: &VulcanizationModel, level: OptLevel) -> SuiteModel {
+pub fn compile_case_cold(model: &VulcanizationModel, level: OptLevel) -> Arc<CompiledArtifact> {
     let mut options = SessionOptions::new(level);
     options.cache = CacheMode::Bypass;
     compile_with(model, options)

@@ -23,6 +23,7 @@ use rms_core::native::{self, KernelMeta, NativeError, NativeKernel};
 
 use crate::cache;
 use crate::serial;
+use crate::CompiledArtifact;
 
 /// What the Codegen stage produced, plus its instrumentation.
 #[derive(Debug, Default)]
@@ -90,6 +91,24 @@ pub fn render_kernel(
         },
         units,
     )
+}
+
+/// What `rmsc compile --emit c` prints: the artifact's whole kernel
+/// source, rendered by [`render_kernel`] (with the sensitivity tail
+/// compiled, the source the *Codegen* stage compiles), its translation
+/// units joined by [`UNIT_BREAK`].
+pub fn emit_native_c(artifact: &CompiledArtifact) -> String {
+    // All four entry points, whether or not the session compiled the
+    // derivative group with its tail.
+    let sensitivity = artifact.sensitivity.clone().unwrap_or_else(|| {
+        let (forest, cse) = (&artifact.compiled.forest, rms_core::CseOptions::default());
+        Arc::new(rms_core::compile_sensitivity(forest, Some(cse)))
+    });
+    let derivs = rms_core::DerivTapes::Sensitivity(sensitivity);
+    let tape = &artifact.compiled.tape;
+    render_kernel(&artifact.name, tape, Some(&derivs), artifact.key)
+        .units
+        .join(UNIT_BREAK)
 }
 
 /// Where the compiled object for `key` lives: beside the serialized

@@ -186,8 +186,11 @@ impl Parser<'_> {
                                 .input
                                 .get(self.at + 1..self.at + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                            // `from_str_radix` alone would take a sign too.
+                            let code = Some(hex)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or("bad \\u escape")?;
                             // Surrogates collapse to the replacement
                             // char; the protocol never emits them.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -238,6 +241,7 @@ mod tests {
             "1 2",
             "\"open",
             "{\"a\" 1}",
+            "\"\\u+041\"",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -6,6 +6,7 @@
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
 
+use crate::protocol::JobError;
 use crate::server::{Server, ServerConfig, ServerStats};
 
 /// Serve requests from `reader` until EOF, streaming events to
@@ -14,7 +15,9 @@ use crate::server::{Server, ServerConfig, ServerStats};
 ///
 /// Events from concurrent jobs interleave on the writer, but each line
 /// is written atomically and every job's `accepted` event precedes its
-/// terminal event.
+/// terminal event. A line that is not UTF-8 is answered with an `invalid`
+/// error, like any other malformed line; only the reader or the writer
+/// failing ends the session early.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     reader: R,
     writer: W,
@@ -33,8 +36,12 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
             Ok(writer)
         });
 
-        for line in reader.lines() {
-            let line = line?;
+        for line in reader.split(b'\n') {
+            let Ok(line) = String::from_utf8(line?) else {
+                let message = "request line is not UTF-8".to_string();
+                let _ = tx.send(JobError::Invalid { message }.event(""));
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }

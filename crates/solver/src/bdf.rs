@@ -42,7 +42,6 @@
 //! from one step. Lagrange weights sum to one, so linear invariants of
 //! the history hold through interpolation.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::coloring::{fd_jacobian_colored_into, ColoredPattern, SparsityPattern};
@@ -108,31 +107,22 @@ pub enum JacobianSource<'a> {
     /// Compiler-emitted analytic Jacobian: exact values on an exact
     /// sparsity, one provider evaluation per refresh, stored sparse.
     AnalyticTape(&'a dyn AnalyticJacobian),
-    /// Colored finite differences over a known sparsity pattern
-    /// (one RHS evaluation per color).
-    FdColored(SparsityPattern),
-    /// [`FdColored`](JacobianSource::FdColored) over a pattern its owner
-    /// already colored: nothing is cloned or colored per solve.
-    FdColoredShared(&'a ColoredPattern),
+    /// Colored finite differences over a pattern its owner colored once
+    /// (one RHS evaluation per color): nothing is cloned, colored or
+    /// analyzed per solve.
+    FdColored(&'a ColoredPattern),
     /// Dense finite differences: n RHS evaluations per refresh
     /// (the default).
     FdDense,
 }
 
-/// [`JacobianSource`] after setup (coloring precomputed once).
-enum JacSource<'a> {
-    Analytic(&'a dyn AnalyticJacobian),
-    Colored(Cow<'a, ColoredPattern>),
-    Dense,
-}
-
-impl JacSource<'_> {
+impl JacobianSource<'_> {
     /// The sparsity the source knows its Jacobian to have, if any.
     fn pattern(&self) -> Option<&SparsityPattern> {
         match self {
-            JacSource::Analytic(provider) => Some(provider.pattern()),
-            JacSource::Colored(colored) => Some(colored.pattern.pattern()),
-            JacSource::Dense => None,
+            JacobianSource::AnalyticTape(provider) => Some(provider.pattern()),
+            JacobianSource::FdColored(colored) => Some(colored.pattern.pattern()),
+            JacobianSource::FdDense => None,
         }
     }
 }
@@ -240,7 +230,7 @@ pub struct Bdf<'a, R: OdeRhs> {
     full_pattern: Option<SparsityPattern>,
     jac: Option<JacStore>,
     /// How Jacobians are produced: analytic tape, colored FD, or dense FD.
-    source: JacSource<'a>,
+    source: JacobianSource<'a>,
     /// Parameter coupling for forward sensitivity analysis; when set, the
     /// history vectors carry `n_params` extra sensitivity blocks.
     sens: Option<&'a dyn SensitivityRhs>,
@@ -276,7 +266,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             plan: None,
             full_pattern: None,
             jac: None,
-            source: JacSource::Dense,
+            source: JacobianSource::FdDense,
             sens: None,
             stats: SolveStats::default(),
             scratch: Scratch::default(),
@@ -292,27 +282,11 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         self.cancel = Some(token);
     }
 
-    /// Provide the Jacobian sparsity pattern; the solver colors its
-    /// columns once and uses compressed finite differences thereafter.
-    /// Shorthand for [`JacobianSource::FdColored`].
-    ///
-    /// [`JacobianSource::FdColored`]: JacobianSource::FdColored
-    pub fn set_sparsity(&mut self, pattern: SparsityPattern) {
-        self.set_jacobian_source(JacobianSource::FdColored(pattern));
-    }
-
     /// Choose how Jacobians are obtained (default: dense finite
     /// differences). Invalidates any cached Jacobian and iteration
     /// matrix.
     pub fn set_jacobian_source(&mut self, source: JacobianSource<'a>) {
-        self.source = match source {
-            JacobianSource::AnalyticTape(provider) => JacSource::Analytic(provider),
-            JacobianSource::FdColored(pattern) => {
-                JacSource::Colored(Cow::Owned(ColoredPattern::new(pattern)))
-            }
-            JacobianSource::FdColoredShared(colored) => JacSource::Colored(Cow::Borrowed(colored)),
-            JacobianSource::FdDense => JacSource::Dense,
-        };
+        self.source = source;
         self.decide_linear_solver();
         self.jac = None;
         // The sparsity may have changed with the source: drop the sparse
@@ -652,7 +626,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
     fn refresh_jacobian(&mut self, t: f64, y: &[f64], s: &mut Scratch) {
         let n = y.len();
         match &self.source {
-            JacSource::Analytic(provider) => {
+            JacobianSource::AnalyticTape(provider) => {
                 // Reuse the sparse store (the pattern never changes for a
                 // given source); build it on first refresh only.
                 if !matches!(self.jac, Some(JacStore::Sparse(_))) {
@@ -678,7 +652,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                 // comparability with the FD paths.
                 self.stats.fevals += 1;
             }
-            JacSource::Colored(colored) => {
+            JacobianSource::FdColored(colored) => {
                 s.f.clear();
                 s.f.resize(n, 0.0);
                 self.rhs.eval(t, y, &mut s.f);
@@ -686,7 +660,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                     pattern,
                     colors,
                     n_colors,
-                } = &**colored;
+                } = colored;
                 let pattern = pattern.pattern();
                 let jac = dense_store(&mut self.jac, pattern.n_rows(), n);
                 let jac_fevals = fd_jacobian_colored_into(
@@ -694,7 +668,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                 );
                 self.stats.fevals += 1 + jac_fevals;
             }
-            JacSource::Dense => {
+            JacobianSource::FdDense => {
                 s.f.clear();
                 s.f.resize(n, 0.0);
                 self.rhs.eval(t, y, &mut s.f);
@@ -717,9 +691,9 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         let solver = self.options.linear_solver;
         self.plan = match &self.source {
             _ if solver == LinearSolver::Dense => None,
-            JacSource::Analytic(provider) => provider.plan(),
-            JacSource::Colored(Cow::Borrowed(colored)) => colored.pattern.plan(),
-            JacSource::Colored(Cow::Owned(_)) | JacSource::Dense => None,
+            JacobianSource::AnalyticTape(provider) => provider.plan(),
+            JacobianSource::FdColored(colored) => colored.pattern.plan(),
+            JacobianSource::FdDense => None,
         };
         self.sparse = match solver {
             LinearSolver::Dense => false,
@@ -1562,16 +1536,10 @@ mod tests {
         };
         let mut dense = Bdf::new(&rhs, 0.0, &y0, options);
         dense.integrate_to(1.0).unwrap();
-        let mut sparse = Bdf::new(&rhs, 0.0, &y0, options);
-        sparse.set_sparsity(pattern.clone());
-        sparse.integrate_to(1.0).unwrap();
-        // A coloring the caller keeps is the one the solver would make.
         let colored = ColoredPattern::new(pattern);
-        let mut shared = Bdf::new(&rhs, 0.0, &y0, options);
-        shared.set_jacobian_source(JacobianSource::FdColoredShared(&colored));
-        shared.integrate_to(1.0).unwrap();
-        assert_eq!(shared.y(), sparse.y());
-        assert_eq!(shared.stats(), sparse.stats());
+        let mut sparse = Bdf::new(&rhs, 0.0, &y0, options);
+        sparse.set_jacobian_source(JacobianSource::FdColored(&colored));
+        sparse.integrate_to(1.0).unwrap();
         assert!(colored.pattern.built_plan().is_none(), "Dense never plans");
         for (a, b) in dense.y().iter().zip(sparse.y()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
@@ -1590,7 +1558,7 @@ mod tests {
     fn auto_decides_from_the_plan_beside_the_coloring() {
         // The chain refactors in 39 multiply-adds (the divisions of a
         // bidiagonal L) against 40³/3 densely: `Auto` takes it sparse, on
-        // the solve's own analysis and on the pattern owner's alike.
+        // the plan the pattern's owner builds once, beside the coloring.
         let n = 40;
         let (rhs, y0, pattern) = (chain_rhs(n), chain_start(n), chain_pattern(n));
         let options = SolverOptions {
@@ -1598,26 +1566,14 @@ mod tests {
             ..SolverOptions::default()
         };
         assert_eq!(options.linear_solver, LinearSolver::Auto);
-        let mut owned = Bdf::new(&rhs, 0.0, &y0, options);
-        owned.set_sparsity(pattern.clone());
-        owned.integrate_to(1.0).unwrap();
-        assert_eq!(owned.stats().symbolic_analyses, 1);
-        assert_eq!(owned.stats().fill_nnz, 2 * n - 1);
-
         let colored = ColoredPattern::new(pattern);
         assert!(colored.pattern.built_plan().is_none());
-        let mut shared = Bdf::new(&rhs, 0.0, &y0, options);
-        shared.set_jacobian_source(JacobianSource::FdColoredShared(&colored));
-        shared.integrate_to(1.0).unwrap();
+        let mut solver = Bdf::new(&rhs, 0.0, &y0, options);
+        solver.set_jacobian_source(JacobianSource::FdColored(&colored));
+        solver.integrate_to(1.0).unwrap();
         assert_eq!(colored.pattern.built_plan().unwrap().factor_macs(), 39);
-        assert_eq!(shared.y(), owned.y());
-        assert_eq!(
-            shared.stats(),
-            SolveStats {
-                symbolic_analyses: 0,
-                ..owned.stats()
-            }
-        );
+        assert_eq!(solver.stats().symbolic_analyses, 0, "the owner's plan");
+        assert_eq!(solver.stats().fill_nnz, 2 * n - 1);
 
         // A source with no sparsity has nothing to plan from.
         let mut fd_dense = Bdf::new(&rhs, 0.0, &y0, options);

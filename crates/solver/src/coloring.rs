@@ -98,7 +98,7 @@ impl SparsityPattern {
 /// sparse-Newton analysis of `I − γJ` over it. Colored once by whoever
 /// owns the pattern, analyzed on first request, and shared with every
 /// solve over it
-/// ([`JacobianSource::FdColoredShared`](crate::JacobianSource::FdColoredShared)).
+/// ([`JacobianSource::FdColored`](crate::JacobianSource::FdColored)).
 #[derive(Debug, Clone)]
 pub struct ColoredPattern {
     /// The Jacobian sparsity, and the plan over it once a solve asked.

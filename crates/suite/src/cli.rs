@@ -14,8 +14,9 @@ use rms_nlopt::{FitStatistics, FnResidual};
 use rms_parallel::{EstimatorConfig, ExperimentFile, FailurePolicy, RetryPolicy};
 
 use crate::{
-    CompilerSession, EngineMode, JacobianMode, LinearSolver, LmOptions, OptLevel,
-    ParallelEstimator, ResidualJacobianMode, SessionOptions, SolverOptions, Stage, SuiteModel,
+    Compiled, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, LinearSolver, LmOptions,
+    OptLevel, ParallelEstimator, ResidualJacobianMode, SessionOptions, SolverOptions, Stage,
+    TapeSimulator,
 };
 
 /// A parsed CLI invocation. A field holds its flag's value, or the
@@ -557,7 +558,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 /// Compile `path` through a [`CompilerSession`]. A missing or unreadable
 /// file is a runtime failure (exit 1); a model the compiler rejects is a
 /// rendered, span-annotated diagnostic (exit 2).
-fn load_model(path: &Path, opts: SessionOptions) -> Result<(SuiteModel, Option<String>), CliError> {
+fn load_model(path: &Path, opts: SessionOptions) -> Result<Compiled, CliError> {
     let source = std::fs::read_to_string(path)
         .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
     let filename = path.display().to_string();
@@ -569,20 +570,23 @@ fn load_model(path: &Path, opts: SessionOptions) -> Result<(SuiteModel, Option<S
     for warning in &compiled.artifact.warnings {
         eprintln!("{}", warning.render(&filename, &source));
     }
-    Ok((SuiteModel::from_artifact(compiled.artifact), compiled.dump))
+    Ok(compiled)
 }
 
-fn observable_or_all(model: &SuiteModel, observe: &[String]) -> Result<Vec<f64>, CliError> {
-    let mut weights = vec![0.0; model.system.len()];
+/// Concentration index of a named species.
+fn species_index(model: &CompiledArtifact, name: &str) -> Result<usize, CliError> {
+    let id = model.network.species_by_name(name);
+    id.map(|id| id.0 as usize)
+        .ok_or_else(|| err(format!("unknown species '{name}'")))
+}
+
+fn observable_or_all(model: &CompiledArtifact, observe: &[String]) -> Result<Vec<f64>, CliError> {
     if observe.is_empty() {
-        weights.iter_mut().for_each(|w| *w = 1.0);
-        return Ok(weights);
+        return Ok(vec![1.0; model.system.len()]);
     }
+    let mut weights = vec![0.0; model.system.len()];
     for name in observe {
-        let idx = model
-            .species_index(name)
-            .ok_or_else(|| err(format!("unknown species '{name}'")))?;
-        weights[idx] = 1.0;
+        weights[species_index(model, name)?] = 1.0;
     }
     Ok(weights)
 }
@@ -638,27 +642,26 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             frontend_threads,
             cache_dir,
         } => {
-            let (model, dumped) = load_model(
-                input,
-                SessionOptions {
-                    cache_dir: cache_dir.clone(),
-                    dump: *dump,
-                    // The report covers the compile `simulate` does.
-                    deriv: *dump == Some(Stage::Deriv) || *emit == Emit::Report,
-                    native: *dump == Some(Stage::Codegen),
-                    frontend_threads: *frontend_threads,
-                    ..SessionOptions::new(*level)
-                },
-            )?;
+            let options = SessionOptions {
+                cache_dir: cache_dir.clone(),
+                dump: *dump,
+                // The report covers the compile `simulate` does.
+                deriv: *dump == Some(Stage::Deriv) || *emit == Emit::Report,
+                native: *dump == Some(Stage::Codegen),
+                frontend_threads: *frontend_threads,
+                ..SessionOptions::new(*level)
+            };
+            let compiled = load_model(input, options)?;
             if dump.is_some() {
-                return Ok(dumped.unwrap_or_else(|| {
+                return Ok(compiled.dump.unwrap_or_else(|| {
                     format!("(stage {} did not run at level {level})\n", dump.unwrap())
                 }));
             }
+            let model = compiled.artifact;
             Ok(match emit {
                 Emit::Network => model.network.display_equations(),
                 Emit::Odes => model.system.display(),
-                Emit::C => model.emit_native_c(),
+                Emit::C => rms_driver::codegen::emit_native_c(&model),
                 Emit::Report => model.report.to_json() + "\n",
                 Emit::Conservation => {
                     let laws = rms_odegen::conservation_laws(&model.network);
@@ -728,38 +731,37 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             frontend_threads,
             cache_dir,
         } => {
-            let (model, _) = load_model(
-                input,
-                SessionOptions {
-                    cache_dir: cache_dir.clone(),
-                    deriv: *jacobian == JacobianMode::Analytic,
-                    native: engine.wants_native(),
-                    frontend_threads: *frontend_threads,
-                    ..SessionOptions::new(*level)
-                },
-            )?;
+            let options = SessionOptions {
+                cache_dir: cache_dir.clone(),
+                deriv: *jacobian == JacobianMode::Analytic,
+                native: engine.wants_native(),
+                frontend_threads: *frontend_threads,
+                ..SessionOptions::new(*level)
+            };
+            let model = load_model(input, options)?.artifact;
             let times: Vec<f64> = (1..=*steps)
                 .map(|i| tend * i as f64 / *steps as f64)
                 .collect();
-            let options = SolverOptions {
-                linear_solver: *linear_solver,
-                ..SolverOptions::default()
-            };
+            // The one solve path, observing nothing: states print whole.
+            let mut simulator = TapeSimulator::with_engine(&model, Vec::new(), *engine);
+            simulator.options = SolverOptions::default();
+            simulator.set_linear_solver(*linear_solver);
+            simulator.set_jacobian_mode(*jacobian);
             let mut out = String::new();
             // The engine that runs is the artifact's choice, not the flag.
             // A native request without a kernel says why and runs on the
             // stand-in anyway (exit 0 — degradation, not failure); `auto`
             // records what it picked, so the choice is auditable from the
             // output.
-            let choice = model.kernel(*engine);
+            let choice = simulator.engine_choice();
             if choice.degraded {
                 let _ = writeln!(out, "warning: {}", choice.reason);
                 let _ = writeln!(out, "warning: falling back to the {} engine", choice.engine);
             } else if choice.engine != *engine {
                 let _ = writeln!(out, "engine: {} ({})", choice.engine, choice.reason);
             }
-            let solution = model
-                .simulate_configured(&times, options, *jacobian, *engine)
+            let solution = simulator
+                .trajectory(&model.system.rate_values, 0, &times)
                 .map_err(|e| err(format!("solver: {e}")))?;
             let names: Vec<String> = if observe.is_empty() {
                 model
@@ -772,11 +774,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             };
             let indices: Vec<usize> = names
                 .iter()
-                .map(|n| {
-                    model
-                        .species_index(n)
-                        .ok_or_else(|| err(format!("unknown species '{n}'")))
-                })
+                .map(|n| species_index(&model, n))
                 .collect::<Result<_, _>>()?;
             let _ = write!(out, "{:>10}", "t");
             for n in &names {
@@ -800,9 +798,9 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             records,
             tend,
         } => {
-            let (model, _) = load_model(input, SessionOptions::new(OptLevel::Full))?;
+            let model = load_model(input, SessionOptions::new(OptLevel::Full))?.artifact;
             let weights = observable_or_all(&model, observe)?;
-            let simulator = crate::TapeSimulator::from_artifact(model.artifact(), weights);
+            let simulator = TapeSimulator::from_artifact(&model, weights);
             let rates = model.system.rate_values.clone();
             let data = crate::workload::synthesize(
                 &simulator,
@@ -843,20 +841,18 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             frontend_threads,
             cache_dir,
         } => {
-            let (model, _) = load_model(
-                input,
-                SessionOptions {
-                    cache_dir: cache_dir.clone(),
-                    deriv: *jacobian == JacobianMode::Analytic,
-                    sensitivity: *residual_jacobian == ResidualJacobianMode::Analytic,
-                    frontend_threads: *frontend_threads,
-                    ..SessionOptions::new(OptLevel::Full)
-                },
-            )?;
+            let options = SessionOptions {
+                cache_dir: cache_dir.clone(),
+                deriv: *jacobian == JacobianMode::Analytic,
+                sensitivity: *residual_jacobian == ResidualJacobianMode::Analytic,
+                frontend_threads: *frontend_threads,
+                ..SessionOptions::new(OptLevel::Full)
+            };
+            let model = load_model(input, options)?.artifact;
             let weights = observable_or_all(&model, observe)?;
             // `--jacobian analytic` compiled the Deriv stage, so the
             // artifact already carries the tapes the simulator attaches.
-            let mut simulator = crate::TapeSimulator::from_artifact(model.artifact(), weights);
+            let mut simulator = TapeSimulator::from_artifact(&model, weights);
             simulator.set_jacobian_mode(*jacobian);
             simulator.set_linear_solver(*linear_solver);
             // Load every .dat file, sorted by name for determinism.

@@ -3,10 +3,12 @@
 //! on both workload models, and the BDF trajectories must be independent
 //! of the Jacobian source.
 
+use std::sync::Arc;
+
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    fd_jacobian, fd_jacobian_colored, AnalyticJacobian, BoundKernel, CompilerSession, EngineMode,
-    JacobianMode, OdeRhs, OptLevel, SessionOptions, SolverOptions, SuiteModel,
+    fd_jacobian, fd_jacobian_colored, AnalyticJacobian, BoundKernel, CompiledArtifact,
+    CompilerSession, EngineMode, JacobianMode, OdeRhs, OptLevel, SessionOptions, TapeSimulator,
 };
 
 const LEVELS: [OptLevel; 4] = [
@@ -23,27 +25,23 @@ fn deriv_session(level: OptLevel) -> CompilerSession {
     CompilerSession::with_options(options)
 }
 
-fn rdl_model(level: OptLevel) -> SuiteModel {
-    SuiteModel::from_artifact(
-        deriv_session(level)
-            .compile_source("<rdl>", VULCANIZATION_RDL)
-            .expect("RDL workload model compiles")
-            .artifact,
-    )
+fn rdl_model(level: OptLevel) -> Arc<CompiledArtifact> {
+    deriv_session(level)
+        .compile_source("<rdl>", VULCANIZATION_RDL)
+        .expect("RDL workload model compiles")
+        .artifact
 }
 
-fn programmatic_model(level: OptLevel) -> SuiteModel {
+fn programmatic_model(level: OptLevel) -> Arc<CompiledArtifact> {
     let model = generate_model(VulcanizationSpec {
         sites: 3,
         max_chain: 3,
         neighbourhood: 1,
     });
-    SuiteModel::from_artifact(
-        deriv_session(level)
-            .compile_network("<network>", model.network, model.rates)
-            .expect("programmatic workload model compiles")
-            .artifact,
-    )
+    deriv_session(level)
+        .compile_network("<network>", model.network, model.rates)
+        .expect("programmatic workload model compiles")
+        .artifact
 }
 
 /// A generic strictly positive state so every structural entry is
@@ -54,7 +52,7 @@ fn probe_state(n: usize) -> Vec<f64> {
 
 /// Analytic tape values vs dense FD over the compiled RHS tape, and
 /// exactness of the extracted sparsity (off-pattern entries vanish).
-fn check_against_dense_fd(model: &SuiteModel, label: &str) {
+fn check_against_dense_fd(model: &CompiledArtifact, label: &str) {
     let n = model.system.len();
     // The interpreter kernel bound to the model's own rates: the RHS the
     // finite differences perturb and the analytic provider they check.
@@ -95,7 +93,7 @@ fn check_against_dense_fd(model: &SuiteModel, label: &str) {
 }
 
 /// Analytic tape values vs colored FD over the exact analytic pattern.
-fn check_against_colored_fd(model: &SuiteModel, label: &str) {
+fn check_against_colored_fd(model: &CompiledArtifact, label: &str) {
     let n = model.system.len();
     let choice = model.kernel(EngineMode::Interp);
     let provider = BoundKernel::new(&choice, &model.system.rate_values);
@@ -149,13 +147,16 @@ fn bdf_trajectories_agree_across_jacobian_sources() {
         (rdl_model(OptLevel::Full), "rdl"),
         (programmatic_model(OptLevel::Full), "programmatic"),
     ] {
-        let dense = model
-            .simulate_with_jacobian(&times, SolverOptions::default(), JacobianMode::FdDense)
-            .unwrap();
+        let trajectory = |mode| {
+            let mut simulator = TapeSimulator::from_artifact(&model, Vec::new());
+            simulator.set_jacobian_mode(mode);
+            simulator
+                .trajectory(&model.system.rate_values, 0, &times)
+                .unwrap()
+        };
+        let dense = trajectory(JacobianMode::FdDense);
         for mode in [JacobianMode::Analytic, JacobianMode::FdColored] {
-            let other = model
-                .simulate_with_jacobian(&times, SolverOptions::default(), mode)
-                .unwrap();
+            let other = trajectory(mode);
             for (row, (a_row, b_row)) in dense.iter().zip(&other).enumerate() {
                 for (a, b) in a_row.iter().zip(b_row) {
                     assert!(

@@ -3,10 +3,12 @@
 //! workload models, and decode + fusion must preserve the arithmetic
 //! operation totals the paper's Table 1 reports.
 
+use std::sync::Arc;
+
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    CompilerSession, EngineMode, ExecTape, JacobianMode, OptLevel, SessionOptions, SolverOptions,
-    SuiteModel, FMA_CONTRACTS,
+    CompiledArtifact, CompilerSession, EngineMode, ExecTape, JacobianMode, OptLevel,
+    SessionOptions, TapeSimulator, FMA_CONTRACTS,
 };
 
 /// A session whose artifacts carry the analytic Jacobian tapes, so
@@ -17,27 +19,37 @@ fn deriv_session() -> CompilerSession {
     CompilerSession::with_options(options)
 }
 
-fn rdl_model() -> SuiteModel {
-    SuiteModel::from_artifact(
-        deriv_session()
-            .compile_source("<rdl>", VULCANIZATION_RDL)
-            .expect("RDL workload model compiles")
-            .artifact,
-    )
+fn rdl_model() -> Arc<CompiledArtifact> {
+    deriv_session()
+        .compile_source("<rdl>", VULCANIZATION_RDL)
+        .expect("RDL workload model compiles")
+        .artifact
 }
 
-fn programmatic_model() -> SuiteModel {
+fn programmatic_model() -> Arc<CompiledArtifact> {
     let model = generate_model(VulcanizationSpec {
         sites: 3,
         max_chain: 3,
         neighbourhood: 1,
     });
-    SuiteModel::from_artifact(
-        deriv_session()
-            .compile_network("<network>", model.network, model.rates)
-            .expect("programmatic workload model compiles")
-            .artifact,
-    )
+    deriv_session()
+        .compile_network("<network>", model.network, model.rates)
+        .expect("programmatic workload model compiles")
+        .artifact
+}
+
+/// The states at `times` on one engine and Jacobian source.
+fn trajectory(
+    model: &CompiledArtifact,
+    mode: JacobianMode,
+    engine: EngineMode,
+    times: &[f64],
+) -> Vec<Vec<f64>> {
+    let mut simulator = TapeSimulator::with_engine(model, Vec::new(), engine);
+    simulator.set_jacobian_mode(mode);
+    simulator
+        .trajectory(&model.system.rate_values, 0, times)
+        .unwrap()
 }
 
 /// The interpreter and the execution engine must produce equivalent BDF
@@ -53,12 +65,8 @@ fn bdf_trajectories_agree_across_engines_on_both_models() {
             JacobianMode::FdColored,
             JacobianMode::Analytic,
         ] {
-            let interp = model
-                .simulate_configured(&times, SolverOptions::default(), mode, EngineMode::Interp)
-                .unwrap();
-            let exec = model
-                .simulate_configured(&times, SolverOptions::default(), mode, EngineMode::Exec)
-                .unwrap();
+            let interp = trajectory(&model, mode, EngineMode::Interp, &times);
+            let exec = trajectory(&model, mode, EngineMode::Exec, &times);
             for (row, (a_row, b_row)) in interp.iter().zip(&exec).enumerate() {
                 for (a, b) in a_row.iter().zip(b_row) {
                     assert!(

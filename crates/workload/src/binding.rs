@@ -53,7 +53,7 @@ impl<'a> BoundKernel<'a> {
             JacobianMode::Analytic if self.patterns.analytic().is_some() => {
                 JacobianSource::AnalyticTape(self)
             }
-            _ => JacobianSource::FdColoredShared(self.patterns.fd()),
+            _ => JacobianSource::FdColored(self.patterns.fd()),
         }
     }
 }

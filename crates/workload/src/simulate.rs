@@ -186,15 +186,25 @@ impl TapeSimulator {
         }
     }
 
-    /// Integrate with BDF under `options`, returning the observable at
-    /// each requested time.
-    fn integrate_bdf(
+    /// [`Simulator::simulate`], returning whole states instead of the observable.
+    pub fn trajectory(
+        &self,
+        rate_constants: &[f64],
+        file_index: usize,
+        times: &[f64],
+    ) -> Result<Vec<Vec<f64>>, String> {
+        self.solve(rate_constants, file_index, times, <[f64]>::to_vec)
+    }
+
+    /// Integrate with BDF under `options`, reading each output state with `read`.
+    fn integrate_bdf<T>(
         &self,
         rate_constants: &[f64],
         y0: &[f64],
         times: &[f64],
         options: SolverOptions,
-    ) -> Result<Vec<f64>, SolverError> {
+        read: impl Fn(&[f64]) -> T,
+    ) -> Result<Vec<T>, SolverError> {
         let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Bdf::new(&bound, 0.0, y0, options);
         if let Some(token) = &self.cancel {
@@ -204,7 +214,7 @@ impl TapeSimulator {
         let mut out = Vec::with_capacity(times.len());
         for &t in times {
             solver.integrate_to(t)?;
-            out.push(self.measure(solver.y()));
+            out.push(read(solver.y()));
         }
         Ok(out)
     }
@@ -243,13 +253,14 @@ impl TapeSimulator {
         Ok((values, sens_rows))
     }
 
-    /// Integrate with the explicit RK45 last resort.
-    fn integrate_rk45(
+    /// The explicit RK45 last resort, reading states like `integrate_bdf`.
+    fn integrate_rk45<T>(
         &self,
         rate_constants: &[f64],
         y0: &[f64],
         times: &[f64],
-    ) -> Result<Vec<f64>, SolverError> {
+        read: impl Fn(&[f64]) -> T,
+    ) -> Result<Vec<T>, SolverError> {
         let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Rk45::new(&bound, 0.0, y0, self.options);
         if let Some(token) = &self.cancel {
@@ -258,7 +269,7 @@ impl TapeSimulator {
         let mut out = Vec::with_capacity(times.len());
         for &t in times {
             solver.integrate_to(t)?;
-            out.push(self.measure(&solver.y));
+            out.push(read(&solver.y));
         }
         Ok(out)
     }
@@ -307,6 +318,33 @@ impl TapeSimulator {
             Err(tightened) => Err(BdfFailure::Numerical { primary, tightened }),
         }
     }
+
+    /// The BDF stages, then RK45, each reading states through `read`.
+    fn solve<T>(
+        &self,
+        rate_constants: &[f64],
+        file_index: usize,
+        times: &[f64],
+        read: impl Fn(&[f64]) -> T + Copy,
+    ) -> Result<Vec<T>, String> {
+        let y0 = &self.initials[file_index % self.initials.len()];
+        let bdf = |options| self.integrate_bdf(rate_constants, y0, times, options, read);
+        match self.bdf_chain(bdf) {
+            Ok(out) => Ok(out),
+            Err(BdfFailure::Cancelled(e)) => Err(e.to_string()),
+            Err(BdfFailure::Numerical { primary, tightened }) => {
+                match self.integrate_rk45(rate_constants, y0, times, read) {
+                    Ok(out) => {
+                        self.rk45_recoveries.fetch_add(1, Ordering::Relaxed);
+                        Ok(out)
+                    }
+                    Err(rk45) => Err(format!(
+                        "all solvers failed: BDF: {primary}; BDF (tightened): {tightened}; RK45: {rk45}"
+                    )),
+                }
+            }
+        }
+    }
 }
 
 impl Simulator for TapeSimulator {
@@ -318,22 +356,7 @@ impl Simulator for TapeSimulator {
         file_index: usize,
         times: &[f64],
     ) -> Result<Vec<f64>, String> {
-        let y0 = &self.initials[file_index % self.initials.len()];
-        match self.bdf_chain(|options| self.integrate_bdf(rate_constants, y0, times, options)) {
-            Ok(out) => Ok(out),
-            Err(BdfFailure::Cancelled(e)) => Err(e.to_string()),
-            Err(BdfFailure::Numerical { primary, tightened }) => {
-                match self.integrate_rk45(rate_constants, y0, times) {
-                    Ok(out) => {
-                        self.rk45_recoveries.fetch_add(1, Ordering::Relaxed);
-                        Ok(out)
-                    }
-                    Err(rk45) => Err(format!(
-                        "all solvers failed: BDF: {primary}; BDF (tightened): {tightened}; RK45: {rk45}"
-                    )),
-                }
-            }
-        }
+        self.solve(rate_constants, file_index, times, |y| self.measure(y))
     }
 
     fn sensitivity_params(&self) -> usize {
@@ -485,6 +508,22 @@ mod tests {
         sim.options.max_steps = 2_000_000;
         sim.simulate_with_sensitivities(&rates, 0, &[0.5]).unwrap();
         assert_eq!(sim.fallback_stats(), stats);
+    }
+
+    #[test]
+    fn trajectory_is_the_state_simulate_measures() {
+        let (mut sim, rates) = small_simulator();
+        let times = [0.2, 1.2];
+        let states = sim.trajectory(&rates, 0, &times).unwrap();
+        assert_eq!(states.len(), times.len());
+        assert!(states.iter().all(|y| y.len() == sim.observable.len()));
+        let measured: Vec<f64> = states.iter().map(|y| sim.measure(y)).collect();
+        assert_eq!(measured, sim.simulate(&rates, 0, &times).unwrap());
+        // A starved solve takes the whole chain, and says so.
+        sim.options.max_steps = 1;
+        let err = sim.trajectory(&rates, 0, &[2.0]).unwrap_err();
+        assert!(err.starts_with("all solvers failed: BDF: "), "{err}");
+        assert_eq!(sim.fallback_stats().bdf_failures, 1);
     }
 
     #[test]

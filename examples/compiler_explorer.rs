@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example compiler_explorer`.
 
 use rms_suite::workload::{generate_model, VulcanizationSpec};
-use rms_suite::{compile_model, generic_compile, GenericOptions, OptLevel, Passes};
+use rms_suite::{compile_model, emit_c, generic_compile, GenericOptions, OptLevel, Passes};
 
 fn main() {
     let model = generate_model(VulcanizationSpec::for_equation_count(450));
@@ -100,5 +100,5 @@ fn main() {
         neighbourhood: 1,
     });
     let tiny = compile_model(tiny.network, tiny.rates, OptLevel::Full).expect("compiles");
-    print!("{}", tiny.emit_c("vulcanization_rhs"));
+    print!("{}", emit_c(&tiny.compiled.forest, "vulcanization_rhs"));
 }

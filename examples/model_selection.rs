@@ -16,7 +16,10 @@
 
 use rms_nlopt::{FitStatistics, Residual};
 use rms_suite::workload::{synthesize, ExpDataSpec};
-use rms_suite::{compile_source, LmOptions, OptLevel, ParallelEstimator, Simulator};
+use rms_suite::{
+    compile_source, CompiledArtifact, LmOptions, OptLevel, ParallelEstimator, Simulator,
+    TapeSimulator,
+};
 
 const TRUE_MODEL: &str = r#"
     rate K_sc  = 3;
@@ -74,6 +77,17 @@ const CANDIDATE_NO_RECOMBINATION: &str = r#"
     forbid chain S > 4;
 "#;
 
+/// A simulator measuring the summed concentration of the named species.
+fn simulator_for(model: &CompiledArtifact, observed: &[&str]) -> TapeSimulator {
+    let mut observable = vec![0.0; model.system.len()];
+    for name in observed {
+        if let Some(id) = model.network.species_by_name(name) {
+            observable[id.0 as usize] = 1.0;
+        }
+    }
+    TapeSimulator::from_artifact(model, observable)
+}
+
 struct EstimatorResidual<'a, S: Simulator> {
     estimator: &'a ParallelEstimator<'a, S>,
     n_params: usize,
@@ -99,7 +113,7 @@ fn main() {
     //    total parent polysulfide concentration (what the rheometer sees).
     let truth = compile_source(TRUE_MODEL, OptLevel::Full).expect("truth compiles");
     let observed_species = ["PolyS_2", "PolyS_3", "PolyS_4"];
-    let lab = truth.simulator_for(&observed_species);
+    let lab = simulator_for(&truth, &observed_species);
     let files = synthesize(
         &lab,
         &truth.system.rate_values,
@@ -129,7 +143,7 @@ fn main() {
         ("B: scission only", CANDIDATE_NO_RECOMBINATION),
     ] {
         let model = compile_source(source, OptLevel::Full).expect("candidate compiles");
-        let simulator = model.simulator_for(&observed_species);
+        let simulator = simulator_for(&model, &observed_species);
         let estimator = ParallelEstimator::new(&simulator, files.clone(), 2, true);
         let start = model.system.rate_values.clone();
         let (lo, hi) = model.rates.bounds_vectors();

@@ -23,7 +23,7 @@ fn main() {
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
     }
-    let simulator = TapeSimulator::from_artifact(suite.artifact(), observable);
+    let simulator = TapeSimulator::from_artifact(&suite, observable);
 
     // 16 files with skewed horizons => heterogeneous per-file solve times,
     // the imbalance the dynamic load balancer exists for.

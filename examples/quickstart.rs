@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use rms_suite::{compile_source, OptLevel, SolverOptions};
+use rms_suite::{compile_source, emit_c, OptLevel, TapeSimulator};
 
 fn main() {
     // A disulfide that homolyzes and recombines — the smallest slice of
@@ -56,12 +56,13 @@ fn main() {
     );
 
     println!("\n=== generated C (backend output) ===");
-    print!("{}", model.emit_c("ode_rhs"));
+    print!("{}", emit_c(&model.compiled.forest, "ode_rhs"));
 
     println!("\n=== simulation (Gear/BDF stiff solver) ===");
     let times: Vec<f64> = (1..=5).map(|i| i as f64 * 0.2).collect();
-    let solution = model
-        .simulate(&times, SolverOptions::default())
+    let simulator = TapeSimulator::from_artifact(&model, Vec::new());
+    let solution = simulator
+        .trajectory(&model.system.rate_values, 0, &times)
         .expect("integration succeeds");
     print!("{:>8}", "t");
     let names: Vec<String> = model

@@ -48,7 +48,7 @@ fn main() {
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
     }
-    let simulator = TapeSimulator::from_artifact(suite.artifact(), observable);
+    let simulator = TapeSimulator::from_artifact(&suite, observable);
     let spec = ExpDataSpec {
         n_files: 16,
         records: 200, // the paper's files hold >3000; smaller for the demo

@@ -3,16 +3,18 @@
 //! higher `-O` levels, and "we can compile programs at least 10 times
 //! larger using our optimizations than when not using them".
 
+use std::sync::Arc;
+
 use rms_suite::workload::{generate_model, VulcanizationSpec};
 use rms_suite::{
-    compile_model, generic_compile, generic_compile_best_effort, GenericError, GenericOptions,
-    OptLevel, SuiteModel,
+    compile_model, generic_compile, generic_compile_best_effort, CompiledArtifact, GenericError,
+    GenericOptions, OptLevel,
 };
 
 /// Compile the `equations`-sized workload case through the pipeline
 /// session at a level. The process-wide cache dedupes repeat compiles of
 /// the same case across the tests in this binary.
-fn compiled_at(equations: usize, level: OptLevel) -> SuiteModel {
+fn compiled_at(equations: usize, level: OptLevel) -> Arc<CompiledArtifact> {
     let model = generate_model(VulcanizationSpec::for_equation_count(equations));
     compile_model(model.network, model.rates, level).expect("valid rates")
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use rms_suite::{
     CacheMode, Compiled, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, OptLevel,
-    SessionOptions, SolverOptions, Stage, SuiteModel, Tape,
+    SessionOptions, Stage, Tape, TapeSimulator,
 };
 use rms_workload::{scaled_case, FrontierSpec, VULCANIZATION_RDL};
 
@@ -95,13 +95,10 @@ fn assert_pinned(
     );
 
     let trajectory = |artifact: &Arc<CompiledArtifact>| -> Vec<u64> {
-        let states = SuiteModel::from_artifact(Arc::clone(artifact))
-            .simulate_configured(
-                &[0.02, 0.05],
-                SolverOptions::default(),
-                JacobianMode::Analytic,
-                EngineMode::Exec,
-            )
+        let mut simulator = TapeSimulator::with_engine(artifact, Vec::new(), EngineMode::Exec);
+        simulator.set_jacobian_mode(JacobianMode::Analytic);
+        let states = simulator
+            .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05])
             .expect("short solve succeeds");
         states.iter().flatten().map(|v| v.to_bits()).collect()
     };

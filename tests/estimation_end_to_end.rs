@@ -18,11 +18,7 @@ fn build_simulator() -> (TapeSimulator, Vec<f64>, Vec<f64>) {
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
     }
-    (
-        TapeSimulator::from_artifact(suite.artifact(), observable),
-        lo,
-        hi,
-    )
+    (TapeSimulator::from_artifact(&suite, observable), lo, hi)
 }
 
 #[test]

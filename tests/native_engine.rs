@@ -11,10 +11,11 @@
 use std::process::Command;
 use std::sync::{Arc, Mutex};
 
+use rms_driver::codegen::emit_native_c;
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, OptLevel,
-    SessionOptions, SolverOptions, SuiteModel,
+    SessionOptions, TapeSimulator,
 };
 
 /// The in-memory artifact cache is process-wide; serialize the tests in
@@ -64,13 +65,10 @@ fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc
 }
 
 fn trajectory(artifact: &Arc<CompiledArtifact>, engine: EngineMode) -> Vec<Vec<f64>> {
-    SuiteModel::from_artifact(Arc::clone(artifact))
-        .simulate_configured(
-            &[0.02, 0.05, 0.1],
-            SolverOptions::default(),
-            JacobianMode::FdColored,
-            engine,
-        )
+    let mut simulator = TapeSimulator::with_engine(artifact, Vec::new(), engine);
+    simulator.set_jacobian_mode(JacobianMode::FdColored);
+    simulator
+        .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05, 0.1])
         .expect("short solve succeeds")
 }
 
@@ -282,7 +280,7 @@ fn emit_c_prints_the_kernel_source() {
     let compiled = session
         .compile_source(&path.display().to_string(), VULCANIZATION_RDL)
         .expect("rdl model compiles");
-    let lib_source = SuiteModel::from_artifact(compiled.artifact).emit_native_c();
+    let lib_source = emit_native_c(&compiled.artifact);
     assert_eq!(source, lib_source);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -318,7 +316,7 @@ fn emit_native_c_is_the_source_the_codegen_stage_compiled() {
     let on_disk = std::fs::read_to_string(dir.join(format!("{:032x}.so.c", artifact.key)))
         .expect("the Codegen stage keeps its source beside the object");
     assert!(on_disk.contains("void ode_sens("));
-    assert_eq!(SuiteModel::from_artifact(artifact).emit_native_c(), on_disk);
+    assert_eq!(emit_native_c(&artifact), on_disk);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

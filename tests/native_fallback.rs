@@ -7,11 +7,10 @@
 //! must not race the differential tests that probe for a real toolchain.
 
 use std::process::Command;
-use std::sync::Arc;
 
 use rms_suite::workload::VULCANIZATION_RDL;
 use rms_suite::{
-    CompilerSession, EngineMode, JacobianMode, OptLevel, SessionOptions, SolverOptions, SuiteModel,
+    CompilerSession, EngineMode, JacobianMode, OptLevel, SessionOptions, TapeSimulator,
 };
 
 /// An environment in which the toolchain probe cannot succeed: `$CC`
@@ -92,21 +91,11 @@ fn library_native_request_degrades_to_exec_with_a_diagnostic() {
     );
 
     // EngineMode::Native still solves — on the exec engine.
-    let trajectory = SuiteModel::from_artifact(Arc::clone(&artifact))
-        .simulate_configured(
-            &[0.02, 0.05],
-            SolverOptions::default(),
-            JacobianMode::FdColored,
-            EngineMode::Native,
-        )
-        .expect("native request degrades to exec");
-    let exec = SuiteModel::from_artifact(artifact)
-        .simulate_configured(
-            &[0.02, 0.05],
-            SolverOptions::default(),
-            JacobianMode::FdColored,
-            EngineMode::Exec,
-        )
-        .expect("exec solve");
-    assert_eq!(trajectory, exec);
+    let trajectory = |engine| {
+        let mut simulator = TapeSimulator::with_engine(&artifact, Vec::new(), engine);
+        simulator.set_jacobian_mode(JacobianMode::FdColored);
+        simulator.trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05])
+    };
+    let native = trajectory(EngineMode::Native).expect("native request degrades to exec");
+    assert_eq!(native, trajectory(EngineMode::Exec).expect("exec solve"));
 }

@@ -9,32 +9,30 @@
 //! cut; and bit-equality of two solves, since the estimates are state of
 //! one `Bdf` value and nothing else.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use rand::{Rng, SeedableRng};
 use rms_suite::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel, CacheMode,
-    CompilerSession, EngineMode, JacobianMode, OptLevel, SessionOptions, SolveStats, SolverOptions,
-    SuiteModel,
+    CompiledArtifact, CompilerSession, EngineMode, JacobianMode, OptLevel, SessionOptions,
+    SolveStats, SolverOptions,
 };
 use rms_workload::{decay_chain, vulcanization_source};
 
 /// The 157-species model the `rdl_fit` benchmark fits, with the
 /// sensitivity tail, compiled once for this file.
-fn rdl_fit_model() -> &'static SuiteModel {
-    static MODEL: OnceLock<SuiteModel> = OnceLock::new();
+fn rdl_fit_model() -> &'static Arc<CompiledArtifact> {
+    static MODEL: OnceLock<Arc<CompiledArtifact>> = OnceLock::new();
     MODEL.get_or_init(|| {
         let source = vulcanization_source(16);
         let mut options = SessionOptions::new(OptLevel::Full);
         options.deriv = true;
         options.sensitivity = true;
         options.cache = CacheMode::Bypass;
-        let model = SuiteModel::from_artifact(
-            CompilerSession::with_options(options)
-                .compile_source("<rdl_fit>", &source)
-                .expect("scaled RDL model compiles")
-                .artifact,
-        );
+        let model = CompilerSession::with_options(options)
+            .compile_source("<rdl_fit>", &source)
+            .expect("scaled RDL model compiles")
+            .artifact;
         assert_eq!(model.system.len(), 157);
         model
     })

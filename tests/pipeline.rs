@@ -1,7 +1,7 @@
 //! End-to-end pipeline integration: RDL source → chemical compiler →
 //! RCIP → equation generator → optimizer → tape → solver.
 
-use rms_suite::{compile_source, OptLevel, SolverOptions};
+use rms_suite::{compile_source, emit_c, CompiledArtifact, OptLevel, TapeSimulator};
 
 const VULCANIZATION_RDL: &str = r#"
     # kinetics: scission fast, exchange derived, recombination slow
@@ -37,6 +37,14 @@ const VULCANIZATION_RDL: &str = r#"
     forbid chain S > 5;
 "#;
 
+/// The state at `times`, through the one solve path.
+fn trajectory(model: &CompiledArtifact, times: &[f64]) -> Vec<Vec<f64>> {
+    let simulator = TapeSimulator::from_artifact(model, Vec::new());
+    simulator
+        .trajectory(&model.system.rate_values, 0, times)
+        .expect("simulates")
+}
+
 #[test]
 fn full_pipeline_from_rdl_text() {
     let model = compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("compiles");
@@ -64,7 +72,7 @@ fn full_pipeline_from_rdl_text() {
     );
 
     // The C backend emits one assignment per equation.
-    let c_code = model.emit_c("rhs");
+    let c_code = emit_c(&model.compiled.forest, "rhs");
     assert_eq!(
         c_code.matches("ydot[").count(),
         model.system.len(),
@@ -76,9 +84,7 @@ fn full_pipeline_from_rdl_text() {
 fn simulation_conserves_seeded_atoms() {
     let model = compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("compiles");
     let times = [0.05, 0.2, 0.8];
-    let solution = model
-        .simulate(&times, SolverOptions::default())
-        .expect("simulates");
+    let solution = trajectory(&model, &times);
 
     // Sulfur atoms are conserved: weight each species by its sulfur count.
     let weights: Vec<f64> = model
@@ -117,9 +123,7 @@ fn optimization_levels_identical_dynamics() {
     let mut reference: Option<Vec<Vec<f64>>> = None;
     for level in OptLevel::ALL {
         let model = compile_source(VULCANIZATION_RDL, level).expect("compiles");
-        let solution = model
-            .simulate(&times, SolverOptions::default())
-            .expect("simulates");
+        let solution = trajectory(&model, &times);
         match &reference {
             None => reference = Some(solution),
             Some(expect) => {
@@ -139,8 +143,8 @@ fn deterministic_compilation() {
     let a = compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("compiles");
     let b = compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("compiles");
     assert_eq!(
-        a.emit_c("f"),
-        b.emit_c("f"),
+        emit_c(&a.compiled.forest, "f"),
+        emit_c(&b.compiled.forest, "f"),
         "compilation must be deterministic"
     );
     assert_eq!(a.compiled.tape.len(), b.compiled.tape.len());

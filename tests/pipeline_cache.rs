@@ -14,7 +14,7 @@ use rms_suite::{
     cache, generate, optimize, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel,
     CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, EngineMode,
     GenerateOptions, JacobianMode, OptLevel, SessionOptions, SolveStats, SolverOptions, Stage,
-    SuiteModel,
+    TapeSimulator,
 };
 
 /// The in-memory cache is process-wide and one test clears it; serialize
@@ -67,9 +67,10 @@ fn compile(model: Model, options: SessionOptions) -> Compiled {
 }
 
 /// Short BDF trajectory from the artifact's own initial state.
-fn trajectory(artifact: &Arc<CompiledArtifact>) -> Vec<Vec<f64>> {
-    SuiteModel::from_artifact(Arc::clone(artifact))
-        .simulate(&[0.02, 0.05], SolverOptions::default())
+fn trajectory(artifact: &CompiledArtifact) -> Vec<Vec<f64>> {
+    let simulator = TapeSimulator::from_artifact(artifact, Vec::new());
+    simulator
+        .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05])
         .expect("short solve succeeds")
 }
 

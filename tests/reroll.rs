@@ -27,7 +27,7 @@ use rms_core::{
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, OptLevel,
-    SessionOptions, SolverOptions, SuiteModel, FMA_CONTRACTS,
+    SessionOptions, TapeSimulator, FMA_CONTRACTS,
 };
 
 /// The in-memory artifact cache is process-wide; serialize the engine
@@ -84,13 +84,10 @@ fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc
 }
 
 fn trajectory(artifact: &Arc<CompiledArtifact>, engine: EngineMode) -> Vec<Vec<f64>> {
-    SuiteModel::from_artifact(Arc::clone(artifact))
-        .simulate_configured(
-            &[0.02, 0.05, 0.1],
-            SolverOptions::default(),
-            JacobianMode::FdColored,
-            engine,
-        )
+    let mut simulator = TapeSimulator::with_engine(artifact, Vec::new(), engine);
+    simulator.set_jacobian_mode(JacobianMode::FdColored);
+    simulator
+        .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05, 0.1])
         .expect("short solve succeeds")
 }
 

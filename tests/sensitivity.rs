@@ -8,8 +8,8 @@ use rms_suite::workload::{
     generate_model, synthesize, ExpDataSpec, VulcanizationSpec, TRUE_RATES, VULCANIZATION_RDL,
 };
 use rms_suite::{
-    CompilerSession, LmOptions, OptLevel, ParallelEstimator, ResidualJacobianMode, SessionOptions,
-    SuiteModel, TapeSimulator,
+    CompiledArtifact, CompilerSession, LmOptions, OptLevel, ParallelEstimator,
+    ResidualJacobianMode, SessionOptions, TapeSimulator,
 };
 
 /// A session whose artifacts carry the parameter-sensitivity tapes.
@@ -23,8 +23,8 @@ fn sensitivity_session() -> CompilerSession {
 /// with tolerances tight enough that central-difference references
 /// resolve the sensitivities rather than the adaptive solver's own noise
 /// floor.
-fn tight_simulator(model: &SuiteModel, observable: Vec<f64>) -> TapeSimulator {
-    let mut sim = TapeSimulator::from_artifact(model.artifact(), observable);
+fn tight_simulator(model: &CompiledArtifact, observable: Vec<f64>) -> TapeSimulator {
+    let mut sim = TapeSimulator::from_artifact(model, observable);
     sim.options.rtol = 1e-10;
     sim.options.atol = 1e-13;
     sim
@@ -69,7 +69,7 @@ fn central_difference_jacobian<S: rms_suite::Simulator>(
     jac
 }
 
-fn check_analytic_matches_fd(model: &SuiteModel, observable: Vec<f64>, label: &str) {
+fn check_analytic_matches_fd(model: &CompiledArtifact, observable: Vec<f64>, label: &str) {
     let simulator = tight_simulator(model, observable);
     let truth = model.system.rate_values.clone();
     let files = synthesize(
@@ -117,12 +117,10 @@ fn check_analytic_matches_fd(model: &SuiteModel, observable: Vec<f64>, label: &s
 
 #[test]
 fn analytic_residual_jacobian_matches_fd_on_rdl_model() {
-    let model = SuiteModel::from_artifact(
-        sensitivity_session()
-            .compile_source("<rdl>", VULCANIZATION_RDL)
-            .expect("RDL model compiles")
-            .artifact,
-    );
+    let model = sensitivity_session()
+        .compile_source("<rdl>", VULCANIZATION_RDL)
+        .expect("RDL model compiles")
+        .artifact;
     // A generic weighted observable exercising every species.
     let observable: Vec<f64> = (0..model.system.len())
         .map(|i| 0.5 + 0.1 * (i % 5) as f64)
@@ -139,12 +137,10 @@ fn analytic_residual_jacobian_matches_fd_on_programmatic_model() {
     };
     let generated = generate_model(spec);
     let crosslinks = generated.crosslink_species.clone();
-    let model = SuiteModel::from_artifact(
-        sensitivity_session()
-            .compile_network("<network>", generated.network, generated.rates)
-            .expect("programmatic model compiles")
-            .artifact,
-    );
+    let model = sensitivity_session()
+        .compile_network("<network>", generated.network, generated.rates)
+        .expect("programmatic model compiles")
+        .artifact;
     let mut observable = vec![0.0; model.system.len()];
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
@@ -161,17 +157,15 @@ fn estimate_round_trip_analytic_and_fd_modes_agree() {
     });
     let crosslinks = generated.crosslink_species.clone();
     let (lo_all, hi_all) = generated.rates.bounds_vectors();
-    let model = SuiteModel::from_artifact(
-        sensitivity_session()
-            .compile_network("<network>", generated.network, generated.rates)
-            .expect("programmatic model compiles")
-            .artifact,
-    );
+    let model = sensitivity_session()
+        .compile_network("<network>", generated.network, generated.rates)
+        .expect("programmatic model compiles")
+        .artifact;
     let mut observable = vec![0.0; model.system.len()];
     for x in &crosslinks {
         observable[x.0 as usize] = 1.0;
     }
-    let simulator = TapeSimulator::from_artifact(model.artifact(), observable);
+    let simulator = TapeSimulator::from_artifact(&model, observable);
     let files = synthesize(
         &simulator,
         &TRUE_RATES,

@@ -12,12 +12,12 @@
 
 use std::sync::{Arc, Barrier, Mutex};
 
-use rms_solver::orderings_computed_on_this_thread;
+use rms_solver::{orderings_computed_on_this_thread, ColoredPattern};
 use rms_suite::{
     cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
     CacheMode, CacheStatus, CompiledArtifact, CompilerSession, EngineMode, FnRhs, JacobianMode,
     JacobianSource, LinearSolver, NewtonPlan, OptLevel, SessionOptions, Simulator, SolveStats,
-    SolverOptions, SparsityPattern, Stage, SuiteModel, TapeSimulator, SPARSE_COST_PER_MAC,
+    SolverOptions, SparsityPattern, Stage, TapeSimulator, SPARSE_COST_PER_MAC,
 };
 use rms_workload::{scaled_case, vulcanization_source, VulcanizationModel, VULCANIZATION_RDL};
 
@@ -28,13 +28,11 @@ fn deriv_session() -> CompilerSession {
     CompilerSession::with_options(options)
 }
 
-fn compile_network(model: VulcanizationModel) -> SuiteModel {
-    SuiteModel::from_artifact(
-        deriv_session()
-            .compile_network("<network>", model.network, model.rates)
-            .expect("workload models always compile")
-            .artifact,
-    )
+fn compile_network(model: VulcanizationModel) -> Arc<CompiledArtifact> {
+    deriv_session()
+        .compile_network("<network>", model.network, model.rates)
+        .expect("workload models always compile")
+        .artifact
 }
 
 /// Short horizon, tight tolerances: at loose tolerances the step
@@ -69,26 +67,29 @@ fn rel_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// The exec engine's states at [`TIMES`] under `options`, taken by the
+/// first BDF stage: the fallback chain must not have engaged.
+fn trajectory(
+    model: &CompiledArtifact,
+    options: SolverOptions,
+    mode: JacobianMode,
+) -> Result<Vec<Vec<f64>>, String> {
+    let mut sim = TapeSimulator::with_engine(model, Vec::new(), EngineMode::Exec);
+    sim.options = options;
+    sim.set_jacobian_mode(mode);
+    let states = sim.trajectory(&model.system.rate_values, 0, &TIMES)?;
+    assert_eq!(sim.fallback_stats(), Default::default(), "{mode}");
+    Ok(states)
+}
+
 /// Sparse-vs-dense agreement for one model under both sparsity-aware
 /// Jacobian sources (analytic tapes and colored finite differences).
 /// The tolerance pair is per-model: as tight as its scaling admits.
-fn assert_solvers_agree(model: &SuiteModel, label: &str, rtol: f64, atol: f64) {
+fn assert_solvers_agree(model: &CompiledArtifact, label: &str, rtol: f64, atol: f64) {
     for mode in [JacobianMode::Analytic, JacobianMode::FdColored] {
-        let dense = model
-            .simulate_configured(
-                &TIMES,
-                tight(LinearSolver::Dense, rtol, atol),
-                mode,
-                EngineMode::Exec,
-            )
+        let dense = trajectory(model, tight(LinearSolver::Dense, rtol, atol), mode)
             .unwrap_or_else(|e| panic!("{label}/{mode:?}: dense solve failed: {e}"));
-        let sparse = model
-            .simulate_configured(
-                &TIMES,
-                tight(LinearSolver::Sparse, rtol, atol),
-                mode,
-                EngineMode::Exec,
-            )
+        let sparse = trajectory(model, tight(LinearSolver::Sparse, rtol, atol), mode)
             .unwrap_or_else(|e| panic!("{label}/{mode:?}: sparse solve failed: {e}"));
         let diff = rel_diff(&dense, &sparse);
         assert!(
@@ -123,25 +124,21 @@ fn sparse_matches_dense_on_programmatic_workload() {
 
 #[test]
 fn sparse_matches_dense_on_rdl_workload() {
-    let compiled = SuiteModel::from_artifact(
-        deriv_session()
-            .compile_source("<rdl>", VULCANIZATION_RDL)
-            .expect("bundled RDL model compiles")
-            .artifact,
-    );
+    let compiled = deriv_session()
+        .compile_source("<rdl>", VULCANIZATION_RDL)
+        .expect("bundled RDL model compiles")
+        .artifact;
     // The RDL model's scaling underflows the step size below rtol 1e-10.
     assert_solvers_agree(&compiled, "VULCANIZATION_RDL", 1e-10, 1e-13);
 }
 
 /// The 157-species model the `rdl_fit` benchmark fits, compiled as that
 /// workload compiles it: with the sensitivity tail, cold.
-fn rdl_fit_model() -> SuiteModel {
-    let model = SuiteModel::from_artifact(
-        private_session()
-            .compile_source("<rdl_fit>", &vulcanization_source(16))
-            .expect("scaled RDL model compiles")
-            .artifact,
-    );
+fn rdl_fit_model() -> Arc<CompiledArtifact> {
+    let model = private_session()
+        .compile_source("<rdl_fit>", &vulcanization_source(16))
+        .expect("scaled RDL model compiles")
+        .artifact;
     assert_eq!(model.system.len(), 157);
     model
 }
@@ -156,7 +153,7 @@ fn sparse_matches_dense_on_rdl_fit_model() {
     assert_solvers_agree(&model, "rdl_fit", 1e-9, 1e-12);
 
     let augmented = |linear_solver| {
-        let mut sim = TapeSimulator::from_artifact(model.artifact(), vec![1.0; model.system.len()]);
+        let mut sim = TapeSimulator::from_artifact(&model, vec![1.0; model.system.len()]);
         sim.options = tight(linear_solver, 1e-9, 1e-12);
         sim.simulate_with_sensitivities(&model.system.rate_values, 0, &TIMES)
             .unwrap_or_else(|e| panic!("{linear_solver}: augmented solve failed: {e}"))
@@ -530,12 +527,11 @@ fn dense_solves_never_build_a_plan() {
     let patterns = artifact.kernel(EngineMode::Exec).patterns;
     assert!(patterns.built_plan().is_some());
 
-    let model = rdl_fit_model();
-    let artifact = model.artifact();
+    let artifact = rdl_fit_model();
     let patterns = artifact.kernel(EngineMode::Exec).patterns;
     // The Deriv stage of the cold compile planned the Jacobian.
     let kept = patterns.built_plan().unwrap().clone();
-    let sim = TapeSimulator::from_artifact(artifact, vec![1.0; artifact.system.len()]);
+    let sim = TapeSimulator::from_artifact(&artifact, vec![1.0; artifact.system.len()]);
     assert_eq!(sim.linear_solver(), LinearSolver::Auto);
     let rates = &artifact.system.rate_values;
     sim.simulate(rates, 0, &TIMES).expect("auto solve");
@@ -544,7 +540,7 @@ fn dense_solves_never_build_a_plan() {
     assert_eq!((kept.fill_nnz(), kept.factor_macs()), (5_549, 79_833));
     for kind in KINDS {
         for _ in 0..2 {
-            let stats = solve_stats(artifact, kind, JacobianMode::Analytic, LinearSolver::Auto);
+            let stats = solve_stats(&artifact, kind, JacobianMode::Analytic, LinearSolver::Auto);
             assert_eq!(stats.fill_nnz, 5_549, "{kind:?}");
             assert_eq!(stats.symbolic_analyses, 0, "{kind:?}");
         }
@@ -617,23 +613,21 @@ fn artifact_backed_solves_never_analyze() {
 /// at twice the constant — and the solver does what the plan says.
 #[test]
 fn auto_decides_from_the_plans_multiply_adds() {
-    let jacobian_plan = |model: &SuiteModel| {
+    let jacobian_plan = |model: &CompiledArtifact| {
         let patterns = model.kernel(EngineMode::Exec).patterns;
         let plan = patterns.plan().expect("Deriv ran");
         let stats = solve_stats(
-            model.artifact(),
+            model,
             Kind::Plain,
             JacobianMode::Analytic,
             LinearSolver::Auto,
         );
         (plan, stats.fill_nnz)
     };
-    let rdl = SuiteModel::from_artifact(
-        deriv_session()
-            .compile_source("<rdl>", VULCANIZATION_RDL)
-            .expect("bundled RDL model compiles")
-            .artifact,
-    );
+    let rdl = deriv_session()
+        .compile_source("<rdl>", VULCANIZATION_RDL)
+        .expect("bundled RDL model compiles")
+        .artifact;
     assert_eq!(rdl.system.len(), 47);
 
     // A fully coupled system: the fill is n² whatever the order.
@@ -658,7 +652,7 @@ fn auto_decides_from_the_plans_multiply_adds() {
         &y0,
         &[1.0],
         SolverOptions::default(),
-        JacobianSource::FdColored(coupled),
+        JacobianSource::FdColored(&ColoredPattern::new(coupled)),
     )
     .expect("coupled solve");
 
