@@ -3,27 +3,29 @@
 //! The paper parallelizes the objective function with MPI processes on an
 //! IBM SP (one rank per node, constant process count, `MPI_AllReduce` on
 //! the error vectors). We reproduce the same SPMD structure with one OS
-//! thread per simulated node and shared-memory collectives.
+//! thread per simulated node and a shared-memory all-reduce — the one
+//! collective Fig. 9 calls.
 //!
 //! Unlike the original (and unlike real MPI on the IBM SP, where one dead
 //! rank hung or killed the whole job), this communicator is built to
 //! *contain* failures:
 //!
-//! * every collective returns `Result<_, CommError>` instead of
-//!   asserting or deadlocking;
+//! * [`Communicator::all_reduce_sum`] returns `Result<_, CommError>`
+//!   instead of asserting or deadlocking;
 //! * the rendezvous is **poison-aware**: when a rank panics, its peers
 //!   are woken immediately with [`CommError::RankPanicked`] instead of
 //!   parking forever on a barrier;
-//! * the rendezvous is **deadline-capable**: an optional per-collective
-//!   timeout ([`CommConfig::timeout`]) turns a silent deadlock into
-//!   [`CommError::Timeout`] on every waiting rank;
 //! * [`run_cluster`] catches panics per rank (`catch_unwind`) and returns
 //!   per-rank `Result`s, so a crash in one rank's objective evaluation is
 //!   an observable value, not a process abort.
+//!
+//! There is no deadline: [`run_cluster`] joins every rank, so a stalled
+//! rank holds up the cluster however its peers give up. A caller that
+//! needs to bound a region cancels the work inside it (`rms-serve` fires
+//! the solvers' cancel token).
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Failures a collective can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,16 +36,6 @@ pub enum CommError {
         /// The rank that panicked.
         rank: usize,
     },
-    /// The collective's deadline expired before all ranks arrived — a
-    /// deadlock (or a peer that stopped participating) detected at
-    /// runtime.
-    Timeout {
-        /// The first rank whose wait expired (it poisons the rendezvous,
-        /// so all ranks report the same origin).
-        rank: usize,
-        /// How long that rank waited before giving up.
-        waited: Duration,
-    },
     /// Ranks passed vectors of different lengths to a reduction.
     LengthMismatch {
         /// A rank whose vector length differs from this rank's.
@@ -53,13 +45,6 @@ pub enum CommError {
         /// The mismatching rank's vector length.
         got: usize,
     },
-    /// `broadcast` was asked for a root outside `0..size`.
-    InvalidRoot {
-        /// The requested root.
-        root: usize,
-        /// The cluster size.
-        size: usize,
-    },
 }
 
 impl std::fmt::Display for CommError {
@@ -68,10 +53,6 @@ impl std::fmt::Display for CommError {
             CommError::RankPanicked { rank } => {
                 write!(f, "rank {rank} panicked; collective poisoned")
             }
-            CommError::Timeout { rank, waited } => write!(
-                f,
-                "collective timed out after {waited:?} (first expired on rank {rank})"
-            ),
             CommError::LengthMismatch {
                 rank,
                 expected,
@@ -80,48 +61,11 @@ impl std::fmt::Display for CommError {
                 f,
                 "reduction length mismatch: rank {rank} deposited {got} elements, expected {expected}"
             ),
-            CommError::InvalidRoot { root, size } => {
-                write!(f, "broadcast root {root} out of range for {size} ranks")
-            }
         }
     }
 }
 
 impl std::error::Error for CommError {}
-
-/// Cluster-wide communicator configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CommConfig {
-    /// Per-collective deadline. `None` waits forever (the classic MPI
-    /// behavior); `Some(d)` turns a deadlock into [`CommError::Timeout`]
-    /// after `d`.
-    pub timeout: Option<Duration>,
-}
-
-impl CommConfig {
-    /// Config with the given per-collective deadline.
-    pub fn with_timeout(timeout: Duration) -> CommConfig {
-        CommConfig {
-            timeout: Some(timeout),
-        }
-    }
-}
-
-/// A rank failing in a way that kills the whole collective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Poison {
-    Panicked { rank: usize },
-    TimedOut { rank: usize, waited: Duration },
-}
-
-impl Poison {
-    fn as_error(self) -> CommError {
-        match self {
-            Poison::Panicked { rank } => CommError::RankPanicked { rank },
-            Poison::TimedOut { rank, waited } => CommError::Timeout { rank, waited },
-        }
-    }
-}
 
 /// Rendezvous guarded state.
 #[derive(Debug)]
@@ -132,12 +76,12 @@ struct RvState {
     /// advances (classic generation-counted barrier, reusable and immune
     /// to spurious wakeups).
     generation: u64,
-    /// Set once on the first fatal event; permanently fails every
+    /// The first rank that panicked; once set, permanently fails every
     /// subsequent wait so no rank can park on a dead cluster.
-    poison: Option<Poison>,
+    panicked: Option<usize>,
 }
 
-/// A reusable, poison-aware, deadline-capable barrier.
+/// A reusable, poison-aware barrier.
 #[derive(Debug)]
 struct Rendezvous {
     state: Mutex<RvState>,
@@ -151,7 +95,7 @@ impl Rendezvous {
             state: Mutex::new(RvState {
                 arrived: 0,
                 generation: 0,
-                poison: None,
+                panicked: None,
             }),
             cv: Condvar::new(),
             size,
@@ -165,11 +109,11 @@ impl Rendezvous {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Rendezvous of all ranks, honoring the deadline.
-    fn wait(&self, rank: usize, timeout: Option<Duration>) -> Result<(), CommError> {
+    /// Rendezvous of all ranks.
+    fn wait(&self) -> Result<(), CommError> {
         let mut state = self.lock();
-        if let Some(poison) = state.poison {
-            return Err(poison.as_error());
+        if let Some(rank) = state.panicked {
+            return Err(CommError::RankPanicked { rank });
         }
         let generation = state.generation;
         state.arrived += 1;
@@ -179,53 +123,33 @@ impl Rendezvous {
             self.cv.notify_all();
             return Ok(());
         }
-        let started = Instant::now();
-        loop {
-            state = match timeout {
-                None => self.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
-                Some(limit) => {
-                    let waited = started.elapsed();
-                    let Some(remaining) = limit.checked_sub(waited) else {
-                        // Deadline expired: poison so every peer stuck in
-                        // this or any later collective fails fast too.
-                        state.poison = Some(Poison::TimedOut { rank, waited });
-                        self.cv.notify_all();
-                        return Err(CommError::Timeout { rank, waited });
-                    };
-                    let (guard, _) = self
-                        .cv
-                        .wait_timeout(state, remaining)
-                        .unwrap_or_else(|e| e.into_inner());
-                    guard
-                }
-            };
-            if let Some(poison) = state.poison {
-                return Err(poison.as_error());
-            }
-            if state.generation != generation {
-                return Ok(());
-            }
+        let state = self
+            .cv
+            .wait_while(state, |s| {
+                s.panicked.is_none() && s.generation == generation
+            })
+            .unwrap_or_else(|e| e.into_inner());
+        match state.panicked {
+            Some(rank) => Err(CommError::RankPanicked { rank }),
+            None => Ok(()),
         }
     }
 
     /// Kill the cluster: wake every parked rank with an error.
-    fn poison(&self, poison: Poison) {
+    fn poison(&self, rank: usize) {
         let mut state = self.lock();
-        if state.poison.is_none() {
-            state.poison = Some(poison);
-        }
+        state.panicked.get_or_insert(rank);
         self.cv.notify_all();
     }
 }
 
 /// Shared collective state for one cluster.
 struct Shared {
-    /// Per-rank deposit slots for vector collectives.
+    /// Per-rank deposit slots for the reduction.
     slots: Mutex<Vec<Vec<f64>>>,
     /// Reusable poison-aware rendezvous.
     rendezvous: Rendezvous,
     size: usize,
-    config: CommConfig,
 }
 
 impl Shared {
@@ -251,55 +175,12 @@ impl Communicator<'_> {
         self.shared.size
     }
 
-    /// The per-collective deadline this cluster runs under.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.shared.config.timeout
-    }
-
-    fn wait(&self) -> Result<(), CommError> {
-        self.shared
-            .rendezvous
-            .wait(self.rank, self.shared.config.timeout)
-    }
-
-    /// Rendezvous of all ranks (`MPI_Barrier`).
-    pub fn barrier(&self) -> Result<(), CommError> {
-        self.wait()
-    }
-
     /// `MPI_Allreduce(…, MPI_SUM)`: element-wise sum of every rank's
-    /// vector, returned to all ranks. Vectors must share a length.
+    /// vector, in rank order, returned to all ranks. Vectors must share a
+    /// length.
     pub fn all_reduce_sum(&self, local: &[f64]) -> Result<Vec<f64>, CommError> {
-        self.reduce(local, |acc, slot| {
-            for (a, v) in acc.iter_mut().zip(slot) {
-                *a += v;
-            }
-        })
-    }
-
-    /// `MPI_Allreduce(…, MPI_MAX)`.
-    pub fn all_reduce_max(&self, local: &[f64]) -> Result<Vec<f64>, CommError> {
-        let mut first = true;
-        self.reduce(local, move |acc, slot| {
-            if first {
-                acc.fill(f64::NEG_INFINITY);
-                first = false;
-            }
-            for (a, v) in acc.iter_mut().zip(slot) {
-                *a = a.max(*v);
-            }
-        })
-    }
-
-    /// Shared skeleton of the element-wise reductions: deposit, check
-    /// lengths, fold every slot, rendezvous out.
-    fn reduce(
-        &self,
-        local: &[f64],
-        mut fold: impl FnMut(&mut [f64], &[f64]),
-    ) -> Result<Vec<f64>, CommError> {
-        self.deposit(local);
-        self.wait()?;
+        self.shared.slots()[self.rank] = local.to_vec();
+        self.shared.rendezvous.wait()?;
         let result = {
             let slots = self.shared.slots();
             // Every rank sees the same slot lengths, so if any two ranks
@@ -319,47 +200,16 @@ impl Communicator<'_> {
             }
             let mut acc = vec![0.0; local.len()];
             for slot in slots.iter() {
-                fold(&mut acc, slot);
+                for (a, v) in acc.iter_mut().zip(slot) {
+                    *a += v;
+                }
             }
             acc
         };
-        // Second rendezvous so nobody deposits into the next collective
+        // Second rendezvous so nobody deposits into the next reduction
         // while a slow rank is still reading this one.
-        self.wait()?;
+        self.shared.rendezvous.wait()?;
         Ok(result)
-    }
-
-    /// `MPI_Bcast`: every rank receives root's vector.
-    pub fn broadcast(&self, root: usize, data: &[f64]) -> Result<Vec<f64>, CommError> {
-        if root >= self.shared.size {
-            // Checked before any rendezvous: all ranks pass the same
-            // root, so all fail together without consuming a generation.
-            return Err(CommError::InvalidRoot {
-                root,
-                size: self.shared.size,
-            });
-        }
-        if self.rank == root {
-            self.deposit(data);
-        }
-        self.wait()?;
-        let result = self.shared.slots()[root].clone();
-        self.wait()?;
-        Ok(result)
-    }
-
-    /// `MPI_Allgather`: concatenation of every rank's vector, in rank
-    /// order, delivered to all ranks.
-    pub fn all_gather(&self, local: &[f64]) -> Result<Vec<Vec<f64>>, CommError> {
-        self.deposit(local);
-        self.wait()?;
-        let result = self.shared.slots().clone();
-        self.wait()?;
-        Ok(result)
-    }
-
-    fn deposit(&self, data: &[f64]) {
-        self.shared.slots()[self.rank] = data.to_vec();
     }
 }
 
@@ -398,7 +248,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `Err(`[`RankPanic`]`)` in its slot and **poisons the rendezvous**, so
 /// every peer parked in (or later entering) a collective is woken with
 /// [`CommError::RankPanicked`] instead of deadlocking.
-pub fn run_cluster_with<T, F>(size: usize, config: CommConfig, body: F) -> Vec<Result<T, RankPanic>>
+pub fn run_cluster<T, F>(size: usize, body: F) -> Vec<Result<T, RankPanic>>
 where
     T: Send,
     F: Fn(&Communicator<'_>) -> T + Sync,
@@ -408,7 +258,6 @@ where
         slots: Mutex::new(vec![Vec::new(); size]),
         rendezvous: Rendezvous::new(size),
         size,
-        config,
     };
     let mut results: Vec<Option<Result<T, RankPanic>>> = (0..size).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -421,7 +270,7 @@ where
                     match panic::catch_unwind(AssertUnwindSafe(|| body(&comm))) {
                         Ok(value) => Ok(value),
                         Err(payload) => {
-                            shared.rendezvous.poison(Poison::Panicked { rank });
+                            shared.rendezvous.poison(rank);
                             Err(RankPanic {
                                 rank,
                                 message: panic_message(payload),
@@ -438,18 +287,10 @@ where
         .collect()
 }
 
-/// [`run_cluster_with`] under the default config (no deadline — classic
-/// MPI semantics, but still panic-safe).
-pub fn run_cluster<T, F>(size: usize, body: F) -> Vec<Result<T, RankPanic>>
-where
-    T: Send,
-    F: Fn(&Communicator<'_>) -> T + Sync,
-{
-    run_cluster_with(size, CommConfig::default(), body)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     /// Unwrap every rank's outcome (for tests where nothing may panic).
@@ -496,41 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_max() {
-        let out = all_ok(run_cluster(3, |comm| {
-            comm.all_reduce_max(&[comm.rank() as f64, -1.0]).unwrap()
-        }));
-        for v in out {
-            assert_eq!(v, vec![2.0, -1.0]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let out = all_ok(run_cluster(3, |comm| {
-            let data = if comm.rank() == 1 {
-                vec![7.0, 8.0]
-            } else {
-                vec![]
-            };
-            comm.broadcast(1, &data).unwrap()
-        }));
-        for v in out {
-            assert_eq!(v, vec![7.0, 8.0]);
-        }
-    }
-
-    #[test]
-    fn all_gather_order() {
-        let out = all_ok(run_cluster(3, |comm| {
-            comm.all_gather(&[comm.rank() as f64]).unwrap()
-        }));
-        for v in out {
-            assert_eq!(v, vec![vec![0.0], vec![1.0], vec![2.0]]);
-        }
-    }
-
-    #[test]
     fn single_rank_cluster() {
         let out = all_ok(run_cluster(1, |comm| comm.all_reduce_sum(&[5.0]).unwrap()));
         assert_eq!(out, vec![vec![5.0]]);
@@ -538,10 +344,10 @@ mod tests {
 
     #[test]
     fn real_parallel_execution() {
-        // Ranks genuinely run concurrently: a barrier would deadlock
-        // otherwise.
+        // Ranks genuinely run concurrently: the reduction's rendezvous
+        // would deadlock otherwise.
         let out = all_ok(run_cluster(4, |comm| {
-            comm.barrier().unwrap();
+            comm.all_reduce_sum(&[1.0]).unwrap();
             comm.rank()
         }));
         assert_eq!(out.len(), 4);
@@ -552,7 +358,7 @@ mod tests {
         let started = Instant::now();
         let results = run_cluster(4, |comm| {
             if comm.rank() == 2 {
-                panic!("injected: rank 2 dies before the barrier");
+                panic!("injected: rank 2 dies before the reduction");
             }
             comm.all_reduce_sum(&[1.0])
         });
@@ -590,28 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn deserting_rank_times_out_peers() {
-        let deadline = Duration::from_millis(100);
-        let started = Instant::now();
-        let results = run_cluster_with(3, CommConfig::with_timeout(deadline), |comm| {
-            if comm.rank() == 0 {
-                return Ok(()); // deserts: never joins the barrier
-            }
-            comm.barrier()
-        });
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "timeout did not fire"
-        );
-        for rank in [1, 2] {
-            match results[rank].as_ref().expect("no panic") {
-                Err(CommError::Timeout { waited, .. }) => assert!(*waited >= deadline),
-                other => panic!("rank {rank}: expected Timeout, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn length_mismatch_reported_on_all_ranks_without_deadlock() {
         let results = all_ok(run_cluster(3, |comm| {
             let local = vec![0.0; if comm.rank() == 1 { 5 } else { 3 }];
@@ -627,26 +411,6 @@ mod tests {
                 "rank {rank}: {mismatch:?}"
             );
             assert_eq!(ok, &Ok(vec![3.0]));
-        }
-    }
-
-    #[test]
-    fn invalid_broadcast_root() {
-        let results = all_ok(run_cluster(2, |comm| comm.broadcast(7, &[1.0])));
-        for r in results {
-            assert_eq!(r, Err(CommError::InvalidRoot { root: 7, size: 2 }));
-        }
-    }
-
-    #[test]
-    fn timeout_not_triggered_by_healthy_cluster() {
-        let out = run_cluster_with(
-            4,
-            CommConfig::with_timeout(Duration::from_secs(30)),
-            |comm| comm.all_reduce_sum(&[comm.rank() as f64]).unwrap(),
-        );
-        for r in out {
-            assert_eq!(r.unwrap(), vec![6.0]);
         }
     }
 }

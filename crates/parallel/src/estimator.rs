@@ -12,16 +12,22 @@
 //! count. The per-file solve times are reduced the same way and feed the
 //! next call's schedule.
 //!
+//! The residual Jacobian is the same sweep over sensitivity-augmented
+//! solves: [`objective`](ParallelEstimator::objective) and
+//! [`objective_jacobian`](ParallelEstimator::objective_jacobian) share one
+//! schedule → solve each file once into its slot → one all-reduce →
+//! merge path.
+//!
 //! On top of the paper's design this estimator adds **graceful
 //! degradation**: generated ODE systems routinely hit stiffness
 //! pathologies at the extreme parameter values an optimizer probes, and a
 //! multi-hour estimation should not abort because one file's solve
-//! diverged. A failed [`Simulator::simulate`] call is retried under a
-//! configurable [`RetryPolicy`]; a file that keeps failing either aborts
-//! the objective ([`FailurePolicy::Abort`], the classic behavior) or
-//! contributes a bounded penalty residual and the run continues
+//! diverged. A solve is a pure function of its inputs, so a failed one is
+//! not retried: the file either aborts the objective
+//! ([`FailurePolicy::Abort`], the classic behavior) or contributes a
+//! bounded penalty residual and the run continues
 //! ([`FailurePolicy::Penalize`]). Every objective call attaches a
-//! [`HealthReport`] (per-file failures, retries, per-rank timings,
+//! [`HealthReport`] (per-file failures, per-rank timings,
 //! poisoned-collective events) to its [`ObjectiveOutput`], and the
 //! estimator accumulates a cumulative report across the whole fit.
 //!
@@ -29,11 +35,11 @@
 //! control flow: nothing on the success path knows it is there.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rms_nlopt::{fd_residual_jacobian, optimize, LmOptions, LmResult, NloptError, Residual};
 
-use crate::comm::{run_cluster_with, CommConfig, CommError, RankPanic};
+use crate::comm::{run_cluster, CommError, RankPanic};
 use crate::datafile::ExperimentFile;
 use crate::loadbalance::{block_schedule, lpt_schedule};
 
@@ -91,82 +97,9 @@ where
     }
 }
 
-/// How many times a failing simulation is re-attempted before the
-/// failure policy kicks in, and how long to wait between attempts.
-///
-/// The wait for retry `k` (1-based) is exponential — `base_delay ·
-/// 2^(k−1)`, capped at `max_delay` — plus deterministic jitter: a
-/// splitmix64 hash of `(jitter_seed, task key, attempt)` scales the
-/// delay by a factor in `[1.0, 1.5)`. Seeded jitter keeps concurrent
-/// retries from stampeding in lock-step while staying byte-for-byte
-/// reproducible across runs. The default `base_delay` of zero preserves
-/// the classic immediate-retry behavior exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first failure (0 = fail
-    /// immediately).
-    pub max_retries: usize,
-    /// Delay before the first retry (zero = retry immediately, no
-    /// sleeping anywhere — the classic behavior).
-    pub base_delay: Duration,
-    /// Upper bound on the exponential delay (before jitter).
-    pub max_delay: Duration,
-    /// Seed for the deterministic jitter hash.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 1,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::from_secs(5),
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Classic immediate-retry policy with a given budget.
-    pub fn with_max_retries(max_retries: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// How long to wait before retry `attempt` (1-based) of the task
-    /// identified by `key`. Zero when `base_delay` is zero.
-    pub fn delay_for(&self, attempt: usize, key: u64) -> Duration {
-        if self.base_delay.is_zero() || attempt == 0 {
-            return Duration::ZERO;
-        }
-        let shift = (attempt - 1).min(32) as u32;
-        let exp = self
-            .base_delay
-            .saturating_mul(1u32.checked_shl(shift).unwrap_or(u32::MAX))
-            .min(self.max_delay);
-        // Jitter in [1.0, 1.5): deterministic in (seed, key, attempt).
-        let h = splitmix64(
-            self.jitter_seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(key)
-                .wrapping_add((attempt as u64) << 32),
-        );
-        let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-        exp.mul_f64(1.0 + 0.5 * frac)
-    }
-}
-
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// What to do with a file whose simulation keeps failing.
+/// What [`objective`](ParallelEstimator::objective) does with a file
+/// whose simulation failed. A residual Jacobian sweep always fails with
+/// such a file, whatever the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
     /// Abort the objective call with an error (the classic behavior).
@@ -234,12 +167,8 @@ impl std::fmt::Display for ResidualJacobianMode {
 pub struct EstimatorConfig {
     /// Recompute the schedule from recorded times (LPT) after each call.
     pub dynamic_lb: bool,
-    /// Retry budget for failing simulations.
-    pub retry: RetryPolicy,
-    /// Abort or penalize files that exhaust their retries.
+    /// Abort or penalize files whose simulation failed.
     pub on_failure: FailurePolicy,
-    /// Deadline for each collective; `None` waits forever.
-    pub collective_timeout: Option<Duration>,
     /// Magnitude of the surrogate residual a penalized file contributes
     /// at each of its record indices. Bounded and finite by construction,
     /// so one sick file cannot poison the optimizer with NaNs.
@@ -250,24 +179,20 @@ impl Default for EstimatorConfig {
     fn default() -> EstimatorConfig {
         EstimatorConfig {
             dynamic_lb: false,
-            retry: RetryPolicy::default(),
             on_failure: FailurePolicy::default(),
-            collective_timeout: None,
             penalty: 1e3,
         }
     }
 }
 
-/// One file that exhausted its retry budget.
+/// One file whose simulation failed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileFailure {
     /// Index of the experiment file.
     pub file: usize,
     /// Its label.
     pub label: String,
-    /// Attempts made (1 + retries).
-    pub attempts: usize,
-    /// The final simulator error.
+    /// The simulator error.
     pub error: String,
     /// Whether a penalty residual was substituted (vs aborting).
     pub penalized: bool,
@@ -275,11 +200,7 @@ pub struct FileFailure {
 
 impl std::fmt::Display for FileFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "file '{}' failed after {} attempt(s): {}",
-            self.label, self.attempts, self.error
-        )
+        write!(f, "file '{}' failed: {}", self.label, self.error)
     }
 }
 
@@ -289,13 +210,13 @@ impl std::fmt::Display for FileFailure {
 pub struct HealthReport {
     /// Objective evaluations folded into this report.
     pub objective_calls: usize,
-    /// Files that exhausted their retries.
+    /// Files whose simulation failed, in the objective or in a residual
+    /// Jacobian sweep.
     pub file_failures: Vec<FileFailure>,
-    /// Simulation retry attempts performed.
+    /// Always 0: a failed solve is not retried. Kept for readers that
+    /// still report it.
     pub retries: usize,
-    /// Files that failed at least once but succeeded on a retry.
-    pub recovered: usize,
-    /// Per-rank wall-clock (seconds) of the latest call's parallel region.
+    /// Per-rank wall-clock (seconds) of the latest sweep's parallel region.
     pub per_rank_wall: Vec<f64>,
     /// Poisoned/failed collective events (`rank: error` strings).
     pub comm_errors: Vec<String>,
@@ -304,13 +225,9 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// True when nothing failed, nothing was retried, and no collective
-    /// was poisoned.
+    /// True when nothing failed and no collective was poisoned.
     pub fn is_healthy(&self) -> bool {
-        self.file_failures.is_empty()
-            && self.retries == 0
-            && self.comm_errors.is_empty()
-            && self.rank_panics.is_empty()
+        self.file_failures.is_empty() && self.comm_errors.is_empty() && self.rank_panics.is_empty()
     }
 
     /// Fold another report into this one (per-rank timings keep the most
@@ -319,8 +236,6 @@ impl HealthReport {
         self.objective_calls += other.objective_calls;
         self.file_failures
             .extend(other.file_failures.iter().cloned());
-        self.retries += other.retries;
-        self.recovered += other.recovered;
         if !other.per_rank_wall.is_empty() {
             self.per_rank_wall = other.per_rank_wall.clone();
         }
@@ -334,10 +249,8 @@ impl HealthReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "health: {} objective call(s), {} retry(ies), {} recovered, {} permanent failure(s)",
+            "health: {} objective call(s), {} file failure(s)",
             self.objective_calls,
-            self.retries,
-            self.recovered,
             self.file_failures.len()
         );
         for failure in &self.file_failures {
@@ -371,12 +284,13 @@ impl HealthReport {
 /// Why an objective evaluation failed as a whole.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EstimatorError {
-    /// One or more files failed under [`FailurePolicy::Abort`].
+    /// One or more files failed under [`FailurePolicy::Abort`], or in a
+    /// residual Jacobian sweep.
     Simulation {
-        /// The files that exhausted their retries.
+        /// The files whose simulation failed.
         failures: Vec<FileFailure>,
     },
-    /// A collective failed (peer panic, timeout, length mismatch).
+    /// A collective failed (peer panic, length mismatch).
     Comm(CommError),
     /// A rank's objective body panicked; caught by the runtime.
     RankPanic(RankPanic),
@@ -432,13 +346,24 @@ pub struct ObjectiveOutput {
     pub health: HealthReport,
 }
 
-/// What one rank hands back from the parallel region.
+/// What a sweep over the files solves for each one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    /// `simulate`: the file's `simulated − experimental` differences, one
+    /// per record. Failures follow [`EstimatorConfig::on_failure`].
+    Residual,
+    /// `simulate_with_sensitivities`: `∂(simulated − experimental)_r/∂p_k`,
+    /// row-major `records × n_params`. Any failure fails the sweep.
+    Jacobian { n_params: usize },
+}
+
+/// What one rank hands back from a sweep.
 struct RankOutput {
-    global_error: Vec<f64>,
-    global_time: Vec<f64>,
+    /// The file slots, all-reduced and summed in file order.
+    total: Vec<f64>,
+    /// The all-reduced per-file solve times.
+    file_times: Vec<f64>,
     failures: Vec<FileFailure>,
-    retries: usize,
-    recovered: usize,
     wall: f64,
 }
 
@@ -450,7 +375,7 @@ pub struct ParallelEstimator<'a, S: Simulator> {
     config: EstimatorConfig,
     /// Per-file solve times recorded by the previous objective call.
     timings: Mutex<Option<Vec<f64>>>,
-    /// Health accumulated over every objective call.
+    /// Health accumulated over every sweep.
     cumulative: Mutex<HealthReport>,
     /// Length of the global error vector (max record count).
     max_records: usize,
@@ -458,8 +383,7 @@ pub struct ParallelEstimator<'a, S: Simulator> {
 
 impl<'a, S: Simulator> ParallelEstimator<'a, S> {
     /// Create an estimator over replicated data files with default fault
-    /// handling (one retry, abort on permanent failure — the classic
-    /// semantics).
+    /// handling (abort on a failed file — the classic semantics).
     pub fn new(
         simulator: &'a S,
         files: Vec<ExperimentFile>,
@@ -527,7 +451,7 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
             .clone()
     }
 
-    /// Health accumulated across every objective call so far.
+    /// Health accumulated across every objective and Jacobian sweep so far.
     pub fn cumulative_health(&self) -> HealthReport {
         self.cumulative
             .lock()
@@ -535,110 +459,109 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
             .clone()
     }
 
-    /// Simulate one file with the retry policy applied.
-    fn simulate_with_retry(
+    /// Solve one file into its slot.
+    fn solve(
         &self,
+        sweep: Sweep,
         rate_constants: &[f64],
         file_idx: usize,
-        retries: &mut usize,
-    ) -> (usize, Result<Vec<f64>, String>) {
+        slot: &mut [f64],
+    ) -> Result<(), String> {
         let file = &self.files[file_idx];
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match self
-                .simulator
-                .simulate(rate_constants, file_idx, &file.times)
-            {
-                Ok(values) => return (attempts, Ok(values)),
-                Err(_) if attempts <= self.config.retry.max_retries => {
-                    *retries += 1;
-                    let delay = self.config.retry.delay_for(attempts, file_idx as u64);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
+        match sweep {
+            Sweep::Residual => {
+                let simulated = self
+                    .simulator
+                    .simulate(rate_constants, file_idx, &file.times)?;
+                for (j, (sim, exp)) in simulated.iter().zip(&file.values).enumerate() {
+                    slot[j] += sim - exp;
+                }
+            }
+            Sweep::Jacobian { n_params } => {
+                let (_values, sens) = self.simulator.simulate_with_sensitivities(
+                    rate_constants,
+                    file_idx,
+                    &file.times,
+                )?;
+                for (r, row) in sens.iter().take(file.len()).enumerate() {
+                    for (k, dv) in row.iter().take(n_params).enumerate() {
+                        slot[r * n_params + k] += dv;
                     }
                 }
-                Err(e) => return (attempts, Err(e)),
             }
         }
+        Ok(())
     }
 
-    /// The Fig. 9 objective function.
-    pub fn objective(&self, rate_constants: &[f64]) -> Result<ObjectiveOutput, EstimatorError> {
+    /// The one SPMD sweep (Fig. 9) behind both public evaluations: each
+    /// rank solves its scheduled files once, each into that file's own
+    /// slot; one all-reduce sums the slots and the per-file times; the
+    /// rank outcomes merge into a [`HealthReport`] that joins the
+    /// cumulative one. A rank panic is reported first, then a poisoned
+    /// collective, then the failed files (unless penalized). A Jacobian
+    /// sweep's `error_vector` is the Jacobian.
+    fn sweep(
+        &self,
+        sweep: Sweep,
+        rate_constants: &[f64],
+    ) -> Result<ObjectiveOutput, EstimatorError> {
+        let (slot_len, on_failure) = match sweep {
+            Sweep::Residual => (self.max_records, self.config.on_failure),
+            Sweep::Jacobian { n_params } => (self.max_records * n_params, FailurePolicy::Abort),
+        };
         let schedule = self.current_schedule();
         let n_files = self.files.len();
         let started = Instant::now();
-        let comm_config = CommConfig {
-            timeout: self.config.collective_timeout,
-        };
-        let per_rank = run_cluster_with(self.n_ranks, comm_config, |comm| {
+        let per_rank = run_cluster(self.n_ranks, |comm| {
             let rank_started = Instant::now();
-            let my_tasks = &schedule[comm.rank()];
             // One slot per file, written by the one rank the file is
-            // scheduled on: the reduction adds exact zeros to it, and the
-            // slots are summed in file order afterwards, so no bit of the
-            // result depends on the schedule or the rank count.
-            let mut slots = vec![0.0; n_files * self.max_records];
-            let mut local_time = vec![0.0; n_files];
+            // scheduled on, then one time per file: the reduction adds
+            // exact zeros to a slot, and the slots are summed in file
+            // order afterwards, so no bit of the result depends on the
+            // schedule or the rank count.
+            let mut local = vec![0.0; n_files * slot_len + n_files];
+            let (slots, times) = local.split_at_mut(n_files * slot_len);
             let mut failures: Vec<FileFailure> = Vec::new();
-            let mut retries = 0;
-            let mut recovered = 0;
-            for &file_idx in my_tasks {
+            for &file_idx in &schedule[comm.rank()] {
                 let file = &self.files[file_idx];
-                let error_vector = &mut slots[file_idx * self.max_records..][..self.max_records];
+                let slot = &mut slots[file_idx * slot_len..][..slot_len];
                 let t0 = Instant::now();
-                let (attempts, outcome) =
-                    self.simulate_with_retry(rate_constants, file_idx, &mut retries);
-                match outcome {
-                    Ok(simulated) => {
-                        if attempts > 1 {
-                            recovered += 1;
-                        }
-                        for (j, (sim, exp)) in simulated.iter().zip(&file.values).enumerate() {
-                            error_vector[j] += sim - exp;
+                if let Err(error) = self.solve(sweep, rate_constants, file_idx, slot) {
+                    let penalized = on_failure == FailurePolicy::Penalize;
+                    if penalized {
+                        // Bounded surrogate residual at every record the
+                        // file would have covered: finite, large enough to
+                        // push the optimizer away, and it keeps the fit
+                        // running.
+                        for value in slot.iter_mut().take(file.len()) {
+                            *value += self.config.penalty;
                         }
                     }
-                    Err(error) => {
-                        let penalized = self.config.on_failure == FailurePolicy::Penalize;
-                        if penalized {
-                            // Bounded surrogate residual at every record
-                            // the file would have covered: finite, large
-                            // enough to push the optimizer away, and it
-                            // keeps the fit running.
-                            for slot in error_vector.iter_mut().take(file.len()) {
-                                *slot += self.config.penalty;
-                            }
-                        }
-                        failures.push(FileFailure {
-                            file: file_idx,
-                            label: file.label.clone(),
-                            attempts,
-                            error,
-                            penalized,
-                        });
-                    }
+                    failures.push(FileFailure {
+                        file: file_idx,
+                        label: file.label.clone(),
+                        error,
+                        penalized,
+                    });
                 }
-                local_time[file_idx] = t0.elapsed().as_secs_f64();
+                times[file_idx] = t0.elapsed().as_secs_f64();
             }
-            // All ranks participate in the reductions even on failure, so
-            // the collective stays synchronized; a panicked peer poisons
-            // these reduces instead of deadlocking us.
-            let global_error = sum_slots(&comm.all_reduce_sum(&slots)?, self.max_records);
-            let global_time = comm.all_reduce_sum(&local_time)?;
+            // Every rank joins the reduction even after a failure, so the
+            // collective stays synchronized; a panicked peer poisons it
+            // instead of deadlocking us.
+            let global = comm.all_reduce_sum(&local)?;
+            let (slots, file_times) = global.split_at(n_files * slot_len);
             Ok::<RankOutput, CommError>(RankOutput {
-                global_error,
-                global_time,
+                total: sum_slots(slots, slot_len),
+                file_times: file_times.to_vec(),
                 failures,
-                retries,
-                recovered,
                 wall: rank_started.elapsed().as_secs_f64(),
             })
         });
         let wall_time = started.elapsed().as_secs_f64();
 
-        // Merge the per-rank outcomes into one call-level health report.
         let mut health = HealthReport {
-            objective_calls: 1,
+            objective_calls: usize::from(sweep == Sweep::Residual),
             per_rank_wall: vec![0.0; self.n_ranks],
             ..HealthReport::default()
         };
@@ -659,12 +582,8 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
                 }
                 Ok(Ok(output)) => {
                     health.per_rank_wall[rank] = output.wall;
-                    health.retries += output.retries;
-                    health.recovered += output.recovered;
                     health.file_failures.extend(output.failures);
-                    if global.is_none() {
-                        global = Some((output.global_error, output.global_time));
-                    }
+                    global.get_or_insert((output.total, output.file_times));
                 }
             }
         }
@@ -680,20 +599,26 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
         if let Some(comm_error) = first_comm_error {
             return Err(EstimatorError::Comm(comm_error));
         }
-        let (global_error, global_time) = global.expect("some rank succeeded");
-        if self.config.on_failure == FailurePolicy::Abort && !health.file_failures.is_empty() {
+        if on_failure == FailurePolicy::Abort && !health.file_failures.is_empty() {
             return Err(EstimatorError::Simulation {
                 failures: health.file_failures,
             });
         }
-        // Feed the dynamic load balancer for the next call.
-        *self.timings.lock().unwrap_or_else(|e| e.into_inner()) = Some(global_time.clone());
+        let (error_vector, file_times) = global.expect("some rank succeeded");
         Ok(ObjectiveOutput {
-            error_vector: global_error,
-            file_times: global_time,
+            error_vector,
+            file_times,
             wall_time,
             health,
         })
+    }
+
+    /// The Fig. 9 objective function.
+    pub fn objective(&self, rate_constants: &[f64]) -> Result<ObjectiveOutput, EstimatorError> {
+        let out = self.sweep(Sweep::Residual, rate_constants)?;
+        // Feed the dynamic load balancer for the next call.
+        *self.timings.lock().unwrap_or_else(|e| e.into_inner()) = Some(out.file_times.clone());
+        Ok(out)
     }
 
     /// The analytic counterpart of
@@ -703,110 +628,15 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
     /// assigned file and writes `∂(simulated − experimental)_r/∂p_k` into
     /// that file's row-major `max_records × n_params` slot; the slots are
     /// `MPI_Allreduce`-summed and then added up in file order, exactly
-    /// like the error vectors. A file that exhausts its retries aborts under
-    /// [`FailurePolicy::Abort`]; under [`FailurePolicy::Penalize`] it
-    /// contributes zeros — the exact derivative of its constant penalty
-    /// residual.
+    /// like the error vectors. A file whose augmented solve fails fails
+    /// the call under either [`FailurePolicy`]: a Jacobian with a zero
+    /// block where that file's rows belong would be wrong even where its
+    /// plain solve (and so its residual) succeeds, so the caller falls
+    /// back to finite differences instead.
     pub fn objective_jacobian(&self, rate_constants: &[f64]) -> Result<Vec<f64>, EstimatorError> {
         let n_params = rate_constants.len();
-        let schedule = self.current_schedule();
-        let comm_config = CommConfig {
-            timeout: self.config.collective_timeout,
-        };
-        let per_rank = run_cluster_with(self.n_ranks, comm_config, |comm| {
-            let my_tasks = &schedule[comm.rank()];
-            let slot_len = self.max_records * n_params;
-            let mut slots = vec![0.0; self.files.len() * slot_len];
-            let mut failures: Vec<FileFailure> = Vec::new();
-            let mut retries = 0;
-            for &file_idx in my_tasks {
-                let file = &self.files[file_idx];
-                let mut attempts = 0;
-                let outcome = loop {
-                    attempts += 1;
-                    match self.simulator.simulate_with_sensitivities(
-                        rate_constants,
-                        file_idx,
-                        &file.times,
-                    ) {
-                        Ok(out) => break Ok(out),
-                        Err(_) if attempts <= self.config.retry.max_retries => {
-                            retries += 1;
-                            let delay = self.config.retry.delay_for(attempts, file_idx as u64);
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                match outcome {
-                    Ok((_values, sens)) => {
-                        let jac = &mut slots[file_idx * slot_len..][..slot_len];
-                        for (r, row) in sens.iter().take(file.len()).enumerate() {
-                            for (k, dv) in row.iter().take(n_params).enumerate() {
-                                jac[r * n_params + k] += dv;
-                            }
-                        }
-                    }
-                    Err(error) => {
-                        failures.push(FileFailure {
-                            file: file_idx,
-                            label: file.label.clone(),
-                            attempts,
-                            error,
-                            penalized: self.config.on_failure == FailurePolicy::Penalize,
-                        });
-                    }
-                }
-            }
-            let global = sum_slots(&comm.all_reduce_sum(&slots)?, slot_len);
-            Ok::<(Vec<f64>, Vec<FileFailure>, usize), CommError>((global, failures, retries))
-        });
-
-        let mut health = HealthReport::default();
-        let mut global: Option<Vec<f64>> = None;
-        let mut first_comm_error: Option<CommError> = None;
-        let mut first_panic: Option<RankPanic> = None;
-        for (rank, outcome) in per_rank.into_iter().enumerate() {
-            match outcome {
-                Err(panic) => {
-                    health.rank_panics.push(panic.to_string());
-                    first_panic.get_or_insert(panic);
-                }
-                Ok(Err(comm_error)) => {
-                    health
-                        .comm_errors
-                        .push(format!("rank {rank}: {comm_error}"));
-                    first_comm_error.get_or_insert(comm_error);
-                }
-                Ok(Ok((jac, failures, retries))) => {
-                    health.retries += retries;
-                    health.file_failures.extend(failures);
-                    if global.is_none() {
-                        global = Some(jac);
-                    }
-                }
-            }
-        }
-        health.file_failures.sort_by_key(|f| f.file);
-        self.cumulative
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(&health);
-
-        if let Some(panic) = first_panic {
-            return Err(EstimatorError::RankPanic(panic));
-        }
-        if let Some(comm_error) = first_comm_error {
-            return Err(EstimatorError::Comm(comm_error));
-        }
-        if self.config.on_failure == FailurePolicy::Abort && !health.file_failures.is_empty() {
-            return Err(EstimatorError::Simulation {
-                failures: health.file_failures,
-            });
-        }
-        Ok(global.expect("some rank succeeded"))
+        let out = self.sweep(Sweep::Jacobian { n_params }, rate_constants)?;
+        Ok(out.error_vector)
     }
 
     /// Run the full bounded least-squares estimation (Fig. 8): optimize
@@ -897,55 +727,6 @@ impl<S: Simulator> Residual for ObjectiveResidual<'_, '_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_retry_policy_never_sleeps() {
-        let p = RetryPolicy::default();
-        for attempt in 0..6 {
-            for key in 0..4 {
-                assert_eq!(p.delay_for(attempt, key), Duration::ZERO);
-            }
-        }
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy {
-            max_retries: 8,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(80),
-            jitter_seed: 7,
-        };
-        let d1 = p.delay_for(1, 0);
-        let d2 = p.delay_for(2, 0);
-        let d3 = p.delay_for(3, 0);
-        // Exponential growth: each tier at least doubles the base, and
-        // jitter only inflates by < 50%.
-        assert!(d1 >= Duration::from_millis(10) && d1 < Duration::from_millis(15));
-        assert!(d2 >= Duration::from_millis(20) && d2 < Duration::from_millis(30));
-        assert!(d3 >= Duration::from_millis(40) && d3 < Duration::from_millis(60));
-        // Far past the cap: bounded by max_delay * 1.5.
-        let d9 = p.delay_for(9, 0);
-        assert!(d9 >= Duration::from_millis(80) && d9 < Duration::from_millis(120));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_key_dependent() {
-        let p = RetryPolicy {
-            max_retries: 4,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_secs(1),
-            jitter_seed: 42,
-        };
-        assert_eq!(p.delay_for(2, 3), p.delay_for(2, 3));
-        // Different keys/attempts de-synchronize (no lock-step stampede).
-        assert_ne!(p.delay_for(2, 3), p.delay_for(2, 4));
-        let reseeded = RetryPolicy {
-            jitter_seed: 43,
-            ..p
-        };
-        assert_ne!(p.delay_for(2, 3), reseeded.delay_for(2, 3));
-    }
 
     /// Synthetic "property": decaying exponential with rate p[0], offset
     /// p[1].
@@ -1217,6 +998,73 @@ mod tests {
         }
         for v in &out.error_vector[4..] {
             assert!((v - 0.05).abs() < 1e-9);
+        }
+    }
+
+    /// [`SensModel`] whose augmented solve fails on file 1 while every
+    /// plain solve succeeds.
+    struct SensFailsOnFile1;
+
+    impl Simulator for SensFailsOnFile1 {
+        fn simulate(&self, p: &[f64], file: usize, times: &[f64]) -> Result<Vec<f64>, String> {
+            model(p, file, times)
+        }
+
+        fn sensitivity_params(&self) -> usize {
+            2
+        }
+
+        fn simulate_with_sensitivities(
+            &self,
+            p: &[f64],
+            file: usize,
+            times: &[f64],
+        ) -> Result<(Vec<f64>, Vec<Vec<f64>>), String> {
+            if file == 1 {
+                return Err("injected: sensitivity solve diverged".to_string());
+            }
+            SensModel.simulate_with_sensitivities(p, file, times)
+        }
+    }
+
+    #[test]
+    fn a_failed_sensitivity_solve_fails_the_jacobian_under_both_policies() {
+        let files = make_files(3, 12, &[1.2, 0.3]);
+        let (start, lo, hi) = ([0.5, 0.0], [0.0, 0.0], [5.0, 1.0]);
+        for on_failure in [FailurePolicy::Abort, FailurePolicy::Penalize] {
+            let config = EstimatorConfig {
+                on_failure,
+                ..EstimatorConfig::default()
+            };
+            let est = ParallelEstimator::with_config(&SensFailsOnFile1, files.clone(), 2, config);
+            // Every plain solve succeeds, so the residual is healthy; a
+            // Jacobian without file 1's rows would be 2/3 of the truth.
+            assert!(est.objective(&start).unwrap().health.is_healthy());
+            match est.objective_jacobian(&start) {
+                Err(EstimatorError::Simulation { failures }) => {
+                    assert_eq!(failures.len(), 1, "{on_failure:?}");
+                    assert_eq!((failures[0].file, failures[0].penalized), (1, false));
+                }
+                other => panic!("{on_failure:?}: {other:?}"),
+            }
+            // So the analytic mode builds every Jacobian by finite
+            // differences — the ones the FD mode builds, to the bit.
+            let fit = |mode| {
+                est.estimate_with_jacobian(&start, &lo, &hi, LmOptions::default(), mode)
+                    .unwrap()
+            };
+            let (analytic, fd) = (
+                fit(ResidualJacobianMode::Analytic),
+                fit(ResidualJacobianMode::Fd),
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&analytic.params), bits(&fd.params), "{on_failure:?}");
+            assert_eq!(analytic.cost.to_bits(), fd.cost.to_bits(), "{on_failure:?}");
+            assert_eq!(
+                (analytic.iterations, analytic.fevals, analytic.jevals),
+                (fd.iterations, fd.fevals, fd.jevals),
+                "{on_failure:?}"
+            );
         }
     }
 }

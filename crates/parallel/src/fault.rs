@@ -12,30 +12,19 @@
 //!
 //! Three fault kinds cover the failure model in DESIGN.md:
 //!
-//! * **simulator errors** — `simulate` returns `Err`, either for the
-//!   first `n` attempts on a file (exercising retry/penalty paths) or
-//!   unconditionally;
+//! * **simulator errors** — `simulate` returns `Err` on every call for a
+//!   file (a real solve is a pure function of its inputs, so it fails the
+//!   same way every time), exercising the penalty and abort paths;
 //! * **rank panics** — `simulate` panics at a chosen global call index,
 //!   exercising `catch_unwind` containment and rendezvous poisoning;
 //! * **slowdowns** — `simulate` sleeps before delegating, exercising
-//!   collective deadlines and load-balance skew.
+//!   deadline supervision and load-balance skew.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::estimator::Simulator;
-
-/// One file's scripted failure behavior.
-#[derive(Debug, Clone)]
-struct FileFault {
-    /// Fail this many attempts before letting the real simulator run;
-    /// `usize::MAX` means fail every attempt.
-    fail_attempts: usize,
-    /// The error message to return.
-    message: String,
-}
 
 /// A deterministic script of faults to inject.
 ///
@@ -44,7 +33,7 @@ struct FileFault {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Per-file scripted simulator errors.
-    file_faults: HashMap<usize, FileFault>,
+    file_faults: HashMap<usize, String>,
     /// Global call indices (0-based, counted across all ranks) at which
     /// `simulate` panics.
     panic_calls: Vec<usize>,
@@ -66,22 +55,10 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Make `simulate` for `file` fail its first `attempts` attempts with
-    /// `message`, then succeed. Pass `usize::MAX` to fail permanently.
-    pub fn fail_file(mut self, file: usize, attempts: usize, message: &str) -> FaultPlan {
-        self.file_faults.insert(
-            file,
-            FileFault {
-                fail_attempts: attempts,
-                message: message.to_string(),
-            },
-        );
+    /// Make every `simulate` call for `file` fail with `message`.
+    pub fn fail_file(mut self, file: usize, message: &str) -> FaultPlan {
+        self.file_faults.insert(file, message.to_string());
         self
-    }
-
-    /// Make `simulate` for `file` fail every attempt with `message`.
-    pub fn fail_file_permanently(self, file: usize, message: &str) -> FaultPlan {
-        self.fail_file(file, usize::MAX, message)
     }
 
     /// Panic inside the `call`-th `simulate` invocation (0-based, counted
@@ -119,8 +96,6 @@ pub struct FaultySimulator<S> {
     plan: FaultPlan,
     /// Global `simulate` call counter (across all ranks).
     calls: AtomicUsize,
-    /// Per-file attempt counters, for `fail_file`'s attempt budgets.
-    attempts: Mutex<HashMap<usize, usize>>,
 }
 
 impl<S: Simulator> FaultySimulator<S> {
@@ -130,7 +105,6 @@ impl<S: Simulator> FaultySimulator<S> {
             inner,
             plan,
             calls: AtomicUsize::new(0),
-            attempts: Mutex::new(HashMap::new()),
         }
     }
 
@@ -144,16 +118,6 @@ impl<S: Simulator> FaultySimulator<S> {
     /// including failed and panicked ones).
     pub fn call_count(&self) -> usize {
         self.calls.load(Ordering::SeqCst)
-    }
-
-    /// Attempts observed for `file` so far.
-    pub fn attempts_for(&self, file: usize) -> usize {
-        self.attempts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&file)
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -177,16 +141,8 @@ impl<S: Simulator> Simulator for FaultySimulator<S> {
         if self.plan.panic_files.contains(&file_index) {
             panic!("injected panic for file {file_index}");
         }
-        let attempt = {
-            let mut attempts = self.attempts.lock().unwrap_or_else(|e| e.into_inner());
-            let slot = attempts.entry(file_index).or_insert(0);
-            *slot += 1;
-            *slot
-        };
-        if let Some(fault) = self.plan.file_faults.get(&file_index) {
-            if attempt <= fault.fail_attempts {
-                return Err(fault.message.clone());
-            }
+        if let Some(message) = self.plan.file_faults.get(&file_index) {
+            return Err(message.clone());
         }
         self.inner.simulate(rate_constants, file_index, times)
     }
@@ -209,24 +165,14 @@ mod tests {
     }
 
     #[test]
-    fn fail_file_respects_attempt_budget() {
-        let plan = FaultPlan::new().fail_file(3, 2, "transient");
-        let sim = FaultySimulator::new(ok_model, plan);
-        assert_eq!(sim.simulate(&[], 3, &[0.1]), Err("transient".to_string()));
-        assert_eq!(sim.simulate(&[], 3, &[0.1]), Err("transient".to_string()));
-        assert!(sim.simulate(&[], 3, &[0.1]).is_ok());
-        // Other files are untouched.
-        assert!(sim.simulate(&[], 0, &[0.1]).is_ok());
-        assert_eq!(sim.attempts_for(3), 3);
-    }
-
-    #[test]
     fn permanent_failure_never_recovers() {
-        let plan = FaultPlan::new().fail_file_permanently(0, "broken");
+        let plan = FaultPlan::new().fail_file(0, "broken");
         let sim = FaultySimulator::new(ok_model, plan);
         for _ in 0..10 {
-            assert!(sim.simulate(&[], 0, &[0.1]).is_err());
+            assert_eq!(sim.simulate(&[], 0, &[0.1]), Err("broken".to_string()));
         }
+        // Other files are untouched.
+        assert!(sim.simulate(&[], 1, &[0.1]).is_ok());
     }
 
     #[test]

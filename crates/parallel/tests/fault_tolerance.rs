@@ -11,11 +11,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rms_parallel::comm::CommError;
-use rms_parallel::estimator::{
-    EstimatorConfig, EstimatorError, FailurePolicy, ParallelEstimator, RetryPolicy,
-};
+use rms_parallel::estimator::{EstimatorConfig, EstimatorError, FailurePolicy, ParallelEstimator};
 use rms_parallel::fault::{FaultPlan, FaultySimulator};
-use rms_parallel::{run_cluster, run_cluster_with, CommConfig, ExperimentFile};
+use rms_parallel::{run_cluster, ExperimentFile};
 
 /// Run `body` on a helper thread; panic if it does not finish within
 /// `deadline`. A deadlocked cluster thereby fails the test in bounded
@@ -74,8 +72,8 @@ fn panicking_rank_fails_survivors_within_deadline() {
             if comm.rank() == 2 {
                 panic!("injected rank failure");
             }
-            comm.barrier()?;
-            comm.all_reduce_sum(&[1.0])
+            comm.all_reduce_sum(&[1.0])?;
+            comm.all_reduce_sum(&[2.0])
         });
         assert!(
             started.elapsed() < Duration::from_secs(5),
@@ -116,30 +114,6 @@ fn injected_simulator_panic_surfaces_as_estimator_error() {
     });
 }
 
-/// A rank that stops participating (simulated by an extreme slowdown)
-/// trips the collective deadline on its peers instead of hanging them.
-#[test]
-fn collective_timeout_detects_stalled_rank() {
-    with_deadline(Duration::from_secs(10), || {
-        let config = CommConfig::with_timeout(Duration::from_millis(200));
-        let results = run_cluster_with(3, config, |comm| {
-            if comm.rank() == 1 {
-                // Stall well past the collective deadline.
-                thread::sleep(Duration::from_millis(800));
-            }
-            comm.all_reduce_sum(&[comm.rank() as f64])
-        });
-        let timeouts = results
-            .iter()
-            .filter(|r| matches!(r, Ok(Err(CommError::Timeout { .. }))))
-            .count();
-        assert!(
-            timeouts >= 2,
-            "peers of the stalled rank must time out: {results:?}"
-        );
-    });
-}
-
 /// Graceful degradation: N files permanently failing under `Penalize`
 /// still yields a completed objective, with every fault itemized in the
 /// health report and penalty residuals on exactly the failed files.
@@ -148,8 +122,8 @@ fn estimation_completes_with_injected_failures_and_reports_them() {
     with_deadline(Duration::from_secs(30), || {
         let files = make_files(8, 10);
         let plan = FaultPlan::new()
-            .fail_file_permanently(1, "injected: solver diverged")
-            .fail_file_permanently(5, "injected: singular iteration matrix");
+            .fail_file(1, "injected: solver diverged")
+            .fail_file(5, "injected: singular iteration matrix");
         let sim = FaultySimulator::new(model, plan);
         let est = ParallelEstimator::with_config(
             &sim,
@@ -157,7 +131,6 @@ fn estimation_completes_with_injected_failures_and_reports_them() {
             4,
             EstimatorConfig {
                 on_failure: FailurePolicy::Penalize,
-                retry: RetryPolicy::with_max_retries(1),
                 penalty: 1e3,
                 ..EstimatorConfig::default()
             },
@@ -168,37 +141,15 @@ fn estimation_completes_with_injected_failures_and_reports_them() {
         assert_eq!(failed, vec![1, 5], "{}", out.health.summary());
         for failure in &out.health.file_failures {
             assert!(failure.penalized);
-            assert_eq!(failure.attempts, 2, "1 try + 1 retry");
             assert!(failure.error.contains("injected"));
         }
+        // Each file was solved once: 8 calls, the failed ones included.
+        assert_eq!(sim.call_count(), 8);
         // The 6 healthy files match experiment exactly (error 0), so each
         // record carries exactly the two files' penalties.
         for v in &out.error_vector {
             assert!((v - 2e3).abs() < 1e-9, "{v}");
         }
-    });
-}
-
-/// A transient failure (fails once, then succeeds) is absorbed by the
-/// retry policy: the objective output is bit-identical to the no-fault
-/// run and the health report records the recovery.
-#[test]
-fn transient_failure_recovered_by_retry() {
-    with_deadline(Duration::from_secs(30), || {
-        let files = make_files(5, 10);
-        let clean = ParallelEstimator::new(&model, files.clone(), 2, false)
-            .objective(&[1.3])
-            .unwrap();
-        let sim = FaultySimulator::new(model, FaultPlan::new().fail_file(2, 1, "transient blip"));
-        let est = ParallelEstimator::new(&sim, files, 2, false);
-        let out = est.objective(&[1.3]).unwrap();
-        assert_eq!(
-            out.error_vector, clean.error_vector,
-            "retry must be invisible"
-        );
-        assert_eq!(out.health.retries, 1);
-        assert_eq!(out.health.recovered, 1);
-        assert!(out.health.file_failures.is_empty());
     });
 }
 
@@ -223,7 +174,6 @@ fn no_fault_error_vectors_bit_identical_across_configs() {
                     ranks,
                     EstimatorConfig {
                         on_failure: policy,
-                        collective_timeout: Some(Duration::from_secs(5)),
                         ..EstimatorConfig::default()
                     },
                 );
@@ -247,7 +197,7 @@ fn abort_policy_names_failing_file() {
         let files = make_files(4, 6);
         let sim = FaultySimulator::new(
             model,
-            FaultPlan::new().fail_file_permanently(3, "injected: Newton divergence"),
+            FaultPlan::new().fail_file(3, "injected: Newton divergence"),
         );
         let est = ParallelEstimator::new(&sim, files, 2, false);
         let err = est.objective(&[1.0]).unwrap_err();

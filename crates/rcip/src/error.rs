@@ -27,6 +27,16 @@ pub enum RcipError {
     Redefined(String),
     /// Division by zero while evaluating a definition.
     DivisionByZero(String),
+    /// A definition evaluates to infinity or NaN.
+    NotFinite {
+        /// The constant.
+        name: String,
+        /// What it evaluated to.
+        value: f64,
+    },
+    /// Evaluating a definition nests deeper than the evaluator goes
+    /// (through its expression and the definitions it references).
+    TooDeep(String),
     /// A bound references an unknown constant.
     BoundForUnknown(String),
     /// Lower bound exceeds upper bound.
@@ -59,6 +69,15 @@ impl fmt::Display for RcipError {
             RcipError::Redefined(name) => write!(f, "constant '{name}' defined twice"),
             RcipError::DivisionByZero(name) => {
                 write!(f, "division by zero while evaluating '{name}'")
+            }
+            RcipError::NotFinite { name, value } => {
+                write!(
+                    f,
+                    "constant '{name}' evaluates to {value}, not a finite number"
+                )
+            }
+            RcipError::TooDeep(name) => {
+                write!(f, "evaluating '{name}' nests too deeply")
             }
             RcipError::BoundForUnknown(name) => {
                 write!(f, "bound given for unknown constant '{name}'")

@@ -250,16 +250,28 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Most factors (numbers, names, parenthesized groups, negations) one
+/// definition may hold. Far past any rate expression a chemist writes, it
+/// bounds the depth of the expression tree, and so the recursion that
+/// parses, evaluates and drops it.
+const MAX_FACTORS: usize = 128;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     current: Tok,
+    /// Factors parsed in the current definition.
+    factors: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Parser<'a>> {
         let mut lexer = Lexer::new(src);
         let current = lexer.next_token()?;
-        Ok(Parser { lexer, current })
+        Ok(Parser {
+            lexer,
+            current,
+            factors: 0,
+        })
     }
 
     fn bump(&mut self) -> Result<Tok> {
@@ -296,6 +308,7 @@ impl<'a> Parser<'a> {
                     return Err(self.lexer.error("expected constant name after 'rate'"));
                 };
                 self.expect(Tok::Equals, "'='")?;
+                self.factors = 0;
                 let expr = self.parse_expr()?;
                 self.expect(Tok::Semi, "';'")?;
                 Ok(Statement::Definition { name, expr })
@@ -376,6 +389,12 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_factor(&mut self) -> Result<RateExpr> {
+        self.factors += 1;
+        if self.factors > MAX_FACTORS {
+            return Err(self
+                .lexer
+                .error(format!("expression has more than {MAX_FACTORS} factors")));
+        }
         match self.bump()? {
             Tok::Number(v) => Ok(RateExpr::Number(v)),
             Tok::Ident(name) => Ok(RateExpr::Ref(name)),

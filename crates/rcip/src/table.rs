@@ -81,7 +81,7 @@ impl RateTable {
         let mut values: HashMap<&str, f64> = HashMap::new();
         for &name in &order {
             let mut path = Vec::new();
-            eval_name(name, &defs, &mut state, &mut values, &mut path)?;
+            eval_name(name, &defs, &mut state, &mut values, &mut path, 0)?;
         }
 
         // Assign canonical ids by value, first-definition-first. Values are
@@ -225,12 +225,18 @@ impl RateTable {
     }
 }
 
+/// Deepest recursion evaluating one definition may take, through its
+/// expression and the definitions it references: a chain of one-line
+/// definitions is otherwise as deep as the file is long.
+const MAX_EVAL_DEPTH: usize = 128;
+
 fn eval_name<'a>(
     name: &'a str,
     defs: &HashMap<&'a str, &'a RateExpr>,
     state: &mut HashMap<&'a str, u8>,
     values: &mut HashMap<&'a str, f64>,
     path: &mut Vec<&'a str>,
+    depth: usize,
 ) -> Result<f64> {
     if let Some(&v) = values.get(name) {
         return Ok(v);
@@ -249,7 +255,13 @@ fn eval_name<'a>(
         })?;
     state.insert(name, 1);
     path.push(name);
-    let v = eval_expr(name, expr, defs, state, values, path)?;
+    let v = eval_expr(name, expr, defs, state, values, path, depth)?;
+    if !v.is_finite() {
+        return Err(RcipError::NotFinite {
+            name: name.to_string(),
+            value: v,
+        });
+    }
     path.pop();
     state.insert(name, 2);
     values.insert(name, v);
@@ -263,30 +275,37 @@ fn eval_expr<'a>(
     state: &mut HashMap<&'a str, u8>,
     values: &mut HashMap<&'a str, f64>,
     path: &mut Vec<&'a str>,
+    depth: usize,
 ) -> Result<f64> {
+    if depth > MAX_EVAL_DEPTH {
+        return Err(RcipError::TooDeep(
+            path.first().unwrap_or(&owner).to_string(),
+        ));
+    }
+    let depth = depth + 1;
     Ok(match expr {
         RateExpr::Number(v) => *v,
-        RateExpr::Ref(name) => eval_name(name, defs, state, values, path)?,
+        RateExpr::Ref(name) => eval_name(name, defs, state, values, path, depth)?,
         RateExpr::Add(a, b) => {
-            eval_expr(owner, a, defs, state, values, path)?
-                + eval_expr(owner, b, defs, state, values, path)?
+            eval_expr(owner, a, defs, state, values, path, depth)?
+                + eval_expr(owner, b, defs, state, values, path, depth)?
         }
         RateExpr::Sub(a, b) => {
-            eval_expr(owner, a, defs, state, values, path)?
-                - eval_expr(owner, b, defs, state, values, path)?
+            eval_expr(owner, a, defs, state, values, path, depth)?
+                - eval_expr(owner, b, defs, state, values, path, depth)?
         }
         RateExpr::Mul(a, b) => {
-            eval_expr(owner, a, defs, state, values, path)?
-                * eval_expr(owner, b, defs, state, values, path)?
+            eval_expr(owner, a, defs, state, values, path, depth)?
+                * eval_expr(owner, b, defs, state, values, path, depth)?
         }
         RateExpr::Div(a, b) => {
-            let denom = eval_expr(owner, b, defs, state, values, path)?;
+            let denom = eval_expr(owner, b, defs, state, values, path, depth)?;
             if denom == 0.0 {
                 return Err(RcipError::DivisionByZero(owner.to_string()));
             }
-            eval_expr(owner, a, defs, state, values, path)? / denom
+            eval_expr(owner, a, defs, state, values, path, depth)? / denom
         }
-        RateExpr::Neg(a) => -eval_expr(owner, a, defs, state, values, path)?,
+        RateExpr::Neg(a) => -eval_expr(owner, a, defs, state, values, path, depth)?,
     })
 }
 

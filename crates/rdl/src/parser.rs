@@ -300,11 +300,18 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Deepest a site predicate may nest parentheses and `!`: far past any
+/// rule a chemist writes, and shallow enough that parsing, matching and
+/// dropping the predicate stay well inside a thread's stack.
+const MAX_PREDICATE_NESTING: usize = 64;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     current: Tok,
     current_start: usize,
     src: &'a str,
+    /// Parentheses and `!` open around the predicate being parsed.
+    nesting: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -316,6 +323,7 @@ impl<'a> Parser<'a> {
             current,
             current_start,
             src,
+            nesting: 0,
         })
     }
 
@@ -635,16 +643,29 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Run `parse` one predicate nesting level deeper.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T>) -> Result<T> {
+        if self.nesting == MAX_PREDICATE_NESTING {
+            return Err(self.lexer.error(format!(
+                "predicate nested deeper than {MAX_PREDICATE_NESTING} levels"
+            )));
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
     fn parse_pred_atom(&mut self) -> Result<AtomPredicate> {
         match self.bump()? {
             Tok::LParen => {
-                let inner = self.parse_predicate()?;
+                let inner = self.nested(Self::parse_predicate)?;
                 self.expect(Tok::RParen, "')'")?;
                 Ok(inner)
             }
             Tok::Bang => {
                 // Only negations we support directly: !radical, !bonded(E).
-                match self.parse_pred_atom()? {
+                match self.nested(Self::parse_pred_atom)? {
                     AtomPredicate::Radical => Ok(AtomPredicate::NotRadical),
                     AtomPredicate::BondedTo(e) => Ok(AtomPredicate::NotBondedTo(e)),
                     other => Err(self.lexer.error(format!(
@@ -931,5 +952,29 @@ mod tests {
     fn range_lexing_not_float() {
         let p = parse_rdl("molecule S8 = \"S{n}\" for n in 2..8;").unwrap();
         assert_eq!(p.molecules[0].variants, Some((2, 8)));
+    }
+
+    #[test]
+    fn predicate_nesting_is_bounded_not_overflowed() {
+        // 100,000 levels used to run the parser off the stack.
+        let rule = |predicate: String| {
+            format!(
+                "rule r {{ site bond {predicate} ~ S order single; action disconnect; rate K; }}"
+            )
+        };
+        let deep = 100_000;
+        for predicate in [
+            format!("{}S{}", "(".repeat(deep), ")".repeat(deep)),
+            format!("{}radical", "!".repeat(deep)),
+        ] {
+            match parse_rdl(&rule(predicate)) {
+                Err(RdlError::Syntax { message, .. }) => {
+                    assert_eq!(message, "predicate nested deeper than 64 levels")
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        let at_the_limit = format!("{}S | radical{}", "(".repeat(64), ")".repeat(64));
+        assert!(parse_rdl(&rule(at_the_limit)).is_ok());
     }
 }

@@ -13,7 +13,12 @@
 //! * **Deadlines** — each job may carry `deadline_ms`; a watcher thread
 //!   fires the job's [`CancelToken`](rms_solver::CancelToken), which
 //!   the BDF/RK45 solvers observe at step boundaries, so cancellation
-//!   is clean and prompt ([`JobError::Deadline`]).
+//!   is clean and prompt ([`JobError::Deadline`]). The deadline is the
+//!   only bound on a stalled solve.
+//! * **No retry** — a job solves once: a solve is a pure function of its
+//!   inputs, so a failed one would fail again, and it is answered as a
+//!   [`JobError::Solver`] event (an estimate job's files are penalized
+//!   instead, see `rms_parallel::FailurePolicy`).
 //! * **Admission control** — a bounded queue with per-tenant
 //!   round-robin fairness; a full queue rejects immediately with
 //!   [`JobError::Rejected`] instead of queueing without bound.

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use rms_driver::{cache, CompilerSession, SessionOptions};
 use rms_parallel::{
     EstimatorConfig, EstimatorError, FailurePolicy, FaultPlan, FaultySimulator, ParallelEstimator,
-    RetryPolicy, Simulator,
+    Simulator,
 };
 use rms_solver::CancelToken;
 use rms_workload::TapeSimulator;
@@ -44,9 +44,6 @@ pub struct ServerConfig {
     /// In-memory artifact cache budget in bytes (`None` = unlimited).
     /// Applied process-wide when the server starts.
     pub memory_budget: Option<u64>,
-    /// Retry policy for transient solver failures, shared with the
-    /// parallel estimator (`delay_for` gives backoff + seeded jitter).
-    pub retry: RetryPolicy,
     /// Deadline applied to jobs that do not carry their own.
     pub default_deadline_ms: Option<u64>,
     /// Chaos-injection plan: jobs are keyed by admission sequence
@@ -62,7 +59,6 @@ impl Default for ServerConfig {
             queue_capacity: 32,
             cache_dir: None,
             memory_budget: None,
-            retry: RetryPolicy::default(),
             default_deadline_ms: None,
             faults: None,
         }
@@ -138,7 +134,6 @@ struct Inner {
     seq: AtomicU64,
     stats: Mutex<ServerStats>,
     cache_dir: Option<PathBuf>,
-    retry: RetryPolicy,
     faults: Option<FaultPlan>,
 }
 
@@ -192,7 +187,6 @@ impl Server {
             seq: AtomicU64::new(0),
             stats: Mutex::new(ServerStats::default()),
             cache_dir: config.cache_dir.clone(),
-            retry: config.retry,
             faults: config.faults.clone(),
         });
         let workers = (0..config.workers.max(1))
@@ -491,11 +485,11 @@ fn run_job(inner: &Arc<Inner>, job: &Job) -> Result<Value, JobError> {
     match &inner.faults {
         Some(plan) => {
             let faulty = FaultySimulator::new(simulator, plan.clone());
-            let result = execute(inner, job, &faulty, rates)?;
+            let result = execute(job, &faulty, rates)?;
             finish(job, result, cache_status.name(), faulty.inner())
         }
         None => {
-            let result = execute(inner, job, &simulator, rates)?;
+            let result = execute(job, &simulator, rates)?;
             finish(job, result, cache_status.name(), &simulator)
         }
     }
@@ -505,7 +499,6 @@ fn run_job(inner: &Arc<Inner>, job: &Job) -> Result<Value, JobError> {
 enum Executed {
     Simulated {
         values: Vec<f64>,
-        retries: usize,
     },
     Estimated {
         objective: f64,
@@ -514,21 +507,20 @@ enum Executed {
     },
 }
 
-fn execute<S: Simulator>(
-    inner: &Arc<Inner>,
-    job: &Job,
-    simulator: &S,
-    rates: &[f64],
-) -> Result<Executed, JobError> {
+/// Run the job's solves. A solve is a pure function of its inputs, so a
+/// failed one is not retried; the job's deadline and the worker's
+/// `catch_unwind` bound the rest.
+fn execute<S: Simulator>(job: &Job, simulator: &S, rates: &[f64]) -> Result<Executed, JobError> {
     match &job.req.kind {
         JobKind::Simulate { times } => {
-            let (values, retries) = simulate_with_retry(inner, job, simulator, rates, times)?;
-            Ok(Executed::Simulated { values, retries })
+            let values = simulator
+                .simulate(rates, job.seq as usize, times)
+                .map_err(|message| JobError::Solver { message })?;
+            Ok(Executed::Simulated { values })
         }
         JobKind::Estimate { files, workers } => {
             let config = EstimatorConfig {
                 dynamic_lb: true,
-                retry: inner.retry,
                 on_failure: FailurePolicy::Penalize,
                 ..EstimatorConfig::default()
             };
@@ -561,35 +553,6 @@ fn execute<S: Simulator>(
     }
 }
 
-/// Retry transient solver failures under the server's [`RetryPolicy`]
-/// (exponential backoff, seeded jitter keyed by the job's sequence
-/// number). Cancellation aborts immediately — no retries past a blown
-/// deadline.
-fn simulate_with_retry<S: Simulator>(
-    inner: &Arc<Inner>,
-    job: &Job,
-    simulator: &S,
-    rates: &[f64],
-    times: &[f64],
-) -> Result<(Vec<f64>, usize), JobError> {
-    let mut attempt = 0usize;
-    loop {
-        match simulator.simulate(rates, job.seq as usize, times) {
-            Ok(values) => return Ok((values, attempt)),
-            Err(message) => {
-                if job.token.is_cancelled() || attempt >= inner.retry.max_retries {
-                    return Err(JobError::Solver { message });
-                }
-                attempt += 1;
-                let delay = inner.retry.delay_for(attempt, job.seq);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-    }
-}
-
 /// Assemble the terminal `result` event (sans `elapsed_ms`, which
 /// [`process`] stamps).
 fn finish(
@@ -600,7 +563,7 @@ fn finish(
 ) -> Result<Value, JobError> {
     let fallback = simulator.fallback_stats();
     Ok(match result {
-        Executed::Simulated { values, retries } => obj([
+        Executed::Simulated { values } => obj([
             ("event", "result".into()),
             ("id", job.req.id.as_str().into()),
             ("kind", "simulate".into()),
@@ -609,7 +572,6 @@ fn finish(
             (
                 "health",
                 obj([
-                    ("retries", retries.into()),
                     ("bdf_failures", fallback.bdf_failures.into()),
                     ("tightened_recoveries", fallback.tightened_recoveries.into()),
                     ("rk45_recoveries", fallback.rk45_recoveries.into()),
@@ -631,8 +593,6 @@ fn finish(
                 "health",
                 obj([
                     ("healthy", health.is_healthy().into()),
-                    ("retries", health.retries.into()),
-                    ("recovered", health.recovered.into()),
                     ("file_failures", health.file_failures.len().into()),
                     ("rank_panics", health.rank_panics.len().into()),
                     ("comm_errors", health.comm_errors.len().into()),

@@ -13,7 +13,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
 use rms_driver::OptLevel;
-use rms_parallel::{FaultPlan, RetryPolicy};
+use rms_parallel::FaultPlan;
 use rms_serve::json::{self, Value};
 use rms_serve::{serve_lines, JobKind, JobRequest, Server, ServerConfig};
 
@@ -268,7 +268,6 @@ fn graceful_drain_completes_every_admitted_job() {
     let source = model("drain");
     let server = Server::start(ServerConfig {
         workers: 2,
-        retry: RetryPolicy::with_max_retries(1),
         ..ServerConfig::default()
     });
     let (tx, rx) = channel();
@@ -327,6 +326,47 @@ fn estimate_jobs_report_objective_and_health() {
     assert_eq!(field(many, "objective").as_f64(), Some(objective));
     assert_eq!(error_kind(terminal(&evs, "descending")), "invalid");
     assert_eq!(stats.admitted, 2);
+}
+
+/// A model nested 100,000 deep — in a rate expression or a site
+/// predicate — used to run a worker off its stack, which aborted the
+/// whole server and every co-tenant job. Now it is a compile error.
+#[test]
+fn a_model_nested_past_the_stack_is_a_compile_error_and_serving_goes_on() {
+    let deep = 100_000;
+    let deep_rate = model("deep_rate").replace(
+        "rate K_deep_rate = 2;",
+        &format!(
+            "rate K_deep_rate = {}2{};",
+            "(".repeat(deep),
+            ")".repeat(deep)
+        ),
+    );
+    let deep_site = model("deep_site").replace(
+        "site bond S ~ S",
+        &format!("site bond {}S{} ~ S", "(".repeat(deep), ")".repeat(deep)),
+    );
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let (tx, rx) = channel();
+    for (id, source) in [
+        ("rate", deep_rate),
+        ("site", deep_site),
+        ("ok", model("deep_ok")),
+    ] {
+        server
+            .submit(simulate_request(id, "t", &source, None), tx.clone())
+            .unwrap();
+    }
+    let stats = server.drain();
+    let evs = events(&rx);
+    for id in ["rate", "site"] {
+        assert_eq!(error_kind(terminal(&evs, id)), "compile", "{id}");
+    }
+    assert_eq!(str_field(terminal(&evs, "ok"), "event"), "result");
+    assert_eq!((stats.succeeded, stats.failed), (1, 2));
 }
 
 #[test]

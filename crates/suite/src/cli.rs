@@ -11,7 +11,7 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use rms_nlopt::{FitStatistics, FnResidual};
-use rms_parallel::{EstimatorConfig, ExperimentFile, FailurePolicy, RetryPolicy};
+use rms_parallel::{EstimatorConfig, ExperimentFile, FailurePolicy};
 
 use crate::{
     Compiled, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, LinearSolver, LmOptions,
@@ -67,9 +67,6 @@ pub enum Command {
         data_dir: PathBuf,
         observe: Vec<String>,
         workers: usize,
-        /// Seconds; `None` waits forever.
-        collective_timeout: Option<f64>,
-        max_retries: usize,
         on_failure: FailurePolicy,
         jacobian: JacobianMode,
         residual_jacobian: ResidualJacobianMode,
@@ -86,8 +83,6 @@ pub enum Command {
         queue_capacity: usize,
         cache_dir: Option<PathBuf>,
         memory_budget_mb: Option<u64>,
-        max_retries: usize,
-        retry_base_ms: u64,
         deadline_ms: Option<u64>,
         chaos_panic: Vec<usize>,
         /// `(sequence, ms)` pairs.
@@ -268,8 +263,6 @@ static SUBCOMMANDS: [Subcommand; 6] = [
         flag("--data", "DIR", REQUIRED, "directory of .dat files"),
         flag("--observe", "A,B,...", "all", "species summed into the observable"),
         flag("--workers", "N", "2", "ranks of the thread-backed SPMD cluster"),
-        flag("--collective-timeout", "SECS", "none", "deadline per collective"),
-        flag("--max-retries", "N", "1", "re-attempts of a failing per-file simulation"),
         flag("--on-solver-failure", "penalize|abort", "penalize", "what a file that keeps failing does"),
         JACOBIAN,
         flag("--residual-jacobian", "analytic|fd", "analytic", "how the optimizer builds ∂r/∂p"),
@@ -283,8 +276,6 @@ static SUBCOMMANDS: [Subcommand; 6] = [
         flag("--queue-capacity", "N", "32", "admission-queue bound"),
         CACHE_DIR,
         flag("--memory-budget-mb", "N", "none", "in-memory artifact cache budget (LRU)"),
-        flag("--max-retries", "N", "1", "retries of a transient solver failure"),
-        flag("--retry-base-ms", "MS", "0", "base delay of the exponential retry backoff"),
         flag("--deadline-ms", "MS", "none", "deadline of a job that carries none"),
         flag("--chaos-panic", "SEQ,SEQ,...", "none", "admitted jobs that panic (testing)"),
         flag("--chaos-stall", "SEQ:MS,SEQ:MS,...", "none", "stalls injected into jobs (testing)"),
@@ -528,8 +519,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             data_dir: a.required("--data")?,
             observe: a.list("--observe")?,
             workers: a.workers()?,
-            collective_timeout: a.positive("--collective-timeout")?,
-            max_retries: a.get("--max-retries")?,
             on_failure: a.get("--on-solver-failure")?,
             jacobian: a.get("--jacobian")?,
             residual_jacobian: a.get("--residual-jacobian")?,
@@ -543,8 +532,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             queue_capacity: a.get("--queue-capacity")?,
             cache_dir: a.opt("--cache-dir")?,
             memory_budget_mb: a.opt("--memory-budget-mb")?,
-            max_retries: a.get("--max-retries")?,
-            retry_base_ms: a.get("--retry-base-ms")?,
             deadline_ms: a.opt("--deadline-ms")?,
             chaos_panic: a.list("--chaos-panic")?,
             chaos_stall: (a.list("--chaos-stall")?.into_iter())
@@ -603,8 +590,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             queue_capacity,
             cache_dir,
             memory_budget_mb,
-            max_retries,
-            retry_base_ms,
             deadline_ms,
             chaos_panic,
             chaos_stall,
@@ -622,11 +607,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 queue_capacity: *queue_capacity,
                 cache_dir: cache_dir.clone(),
                 memory_budget: memory_budget_mb.map(|mb| mb * 1024 * 1024),
-                retry: RetryPolicy {
-                    max_retries: *max_retries,
-                    base_delay: Duration::from_millis(*retry_base_ms),
-                    ..RetryPolicy::default()
-                },
                 default_deadline_ms: *deadline_ms,
                 faults,
             };
@@ -831,8 +811,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             data_dir,
             observe,
             workers,
-            collective_timeout,
-            max_retries,
             on_failure,
             jacobian,
             residual_jacobian,
@@ -872,9 +850,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
 
             let config = EstimatorConfig {
                 dynamic_lb: true,
-                retry: RetryPolicy::with_max_retries(*max_retries),
                 on_failure: *on_failure,
-                collective_timeout: collective_timeout.map(Duration::from_secs_f64),
                 ..EstimatorConfig::default()
             };
             let estimator = ParallelEstimator::with_config(&simulator, data, *workers, config);
@@ -965,8 +941,7 @@ mod tests {
     fn serve_args_parse_with_chaos_hooks() {
         let cmd = parse_args(&argv(
             "serve --workers 4 --queue-capacity 8 --deadline-ms 500 \
-             --max-retries 2 --retry-base-ms 10 --memory-budget-mb 64 \
-             --chaos-panic 1,3 --chaos-stall 0:200,2:50",
+             --memory-budget-mb 64 --chaos-panic 1,3 --chaos-stall 0:200,2:50",
         ))
         .unwrap();
         match cmd {
@@ -974,8 +949,6 @@ mod tests {
                 workers,
                 queue_capacity,
                 memory_budget_mb,
-                max_retries,
-                retry_base_ms,
                 deadline_ms,
                 chaos_panic,
                 chaos_stall,
@@ -984,8 +957,6 @@ mod tests {
                 assert_eq!(workers, 4);
                 assert_eq!(queue_capacity, 8);
                 assert_eq!(memory_budget_mb, Some(64));
-                assert_eq!(max_retries, 2);
-                assert_eq!(retry_base_ms, 10);
                 assert_eq!(deadline_ms, Some(500));
                 assert_eq!(chaos_panic, vec![1, 3]);
                 assert_eq!(chaos_stall, vec![(0, 200), (2, 50)]);
@@ -1094,7 +1065,7 @@ mod tests {
     #[test]
     fn help_readme_and_parser_read_one_declaration_per_flag() {
         let counts: Vec<usize> = SUBCOMMANDS.iter().map(|sub| sub.flags.len()).collect();
-        assert_eq!(counts, [5, 3, 9, 5, 12, 9]);
+        assert_eq!(counts, [5, 3, 9, 5, 10, 7]);
         let help = usage();
         let readme = include_str!("../../../README.md");
         for sub in &SUBCOMMANDS {
@@ -1331,8 +1302,7 @@ mod tests {
     #[test]
     fn estimate_flags_parse_and_validate() {
         let cmd = parse_args(&argv(
-            "estimate m.rdl --data d --workers 3 --collective-timeout 2.5 \
-             --max-retries 4 --on-solver-failure abort",
+            "estimate m.rdl --data d --workers 3 --on-solver-failure abort",
         ))
         .unwrap();
         assert_eq!(
@@ -1342,8 +1312,6 @@ mod tests {
                 data_dir: PathBuf::from("d"),
                 observe: vec![],
                 workers: 3,
-                collective_timeout: Some(2.5),
-                max_retries: 4,
                 on_failure: FailurePolicy::Abort,
                 jacobian: JacobianMode::Analytic,
                 linear_solver: LinearSolver::Auto,
@@ -1353,7 +1321,7 @@ mod tests {
                 fd_step: None,
             }
         );
-        // Defaults: 2 workers, no deadline, 1 retry, penalize, analytic.
+        // Defaults: 2 workers, penalize, analytic.
         let cmd = parse_args(&argv("estimate m.rdl --data d")).unwrap();
         assert_eq!(
             cmd,
@@ -1362,8 +1330,6 @@ mod tests {
                 data_dir: PathBuf::from("d"),
                 observe: vec![],
                 workers: 2,
-                collective_timeout: None,
-                max_retries: 1,
                 on_failure: FailurePolicy::Penalize,
                 jacobian: JacobianMode::Analytic,
                 linear_solver: LinearSolver::Auto,
@@ -1392,12 +1358,9 @@ mod tests {
         // Malformed invocations are usage errors (exit 2).
         for bad in [
             "estimate m.rdl --data d --workers 0",
-            "estimate m.rdl --data d --collective-timeout -3",
-            "estimate m.rdl --data d --collective-timeout soon",
             "estimate m.rdl --data d --on-solver-failure shrug",
-            "estimate m.rdl --data d --max-retries many",
             // Typo'd flags must not be silently ignored.
-            "estimate m.rdl --data d --collective-timeut 3",
+            "estimate m.rdl --data d --on-solver-falure abort",
             "simulate m.rdl --setps 5",
             "compile m.rdl --emti odes",
             // Bad --jacobian values are usage errors too.
@@ -1538,9 +1501,18 @@ mod tests {
         for bad in [
             "simulate m.rdl --opt reroll=off",
             "compile m.rdl --opt reroll=on",
+            // So did the retry and collective-deadline flags.
+            "estimate m.rdl --data d --collective-timeout 30",
+            "estimate m.rdl --data d --max-retries 2",
+            "serve --max-retries 2",
+            "serve --retry-base-ms 10",
         ] {
             let error = parse_args(&argv(bad)).unwrap_err();
             assert!(matches!(error, CliError::Usage(_)), "{bad}: {error:?}");
+            assert!(
+                error.message().starts_with("unknown option '--"),
+                "{bad}: {error}"
+            );
             assert_eq!(error.exit_code(), 2, "{bad}");
         }
     }

@@ -63,7 +63,7 @@ pub use rms_nlopt::{FitStatistics, LmOptions, Residual};
 pub use rms_odegen::{generate, GenerateOptions, OdeSystem};
 pub use rms_parallel::{
     block_schedule, lpt_schedule, makespan, EstimatorConfig, ExperimentFile, FailurePolicy,
-    FaultPlan, ParallelEstimator, ResidualJacobianMode, RetryPolicy, Simulator,
+    FaultPlan, ParallelEstimator, ResidualJacobianMode, Simulator,
 };
 pub use rms_rcip::RateTable;
 pub use rms_rdl::{

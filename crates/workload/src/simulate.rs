@@ -527,6 +527,38 @@ mod tests {
     }
 
     #[test]
+    fn a_solve_is_a_pure_function_so_the_estimator_runs_it_once() {
+        let (mut sim, rates) = small_simulator();
+        let times = [0.2, 1.2];
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let first = bits(sim.simulate(&rates, 0, &times).unwrap());
+        assert_eq!(bits(sim.simulate(&rates, 0, &times).unwrap()), first);
+        // Starved, it fails the same way every time: a second attempt
+        // could only repeat the first.
+        sim.options.max_steps = 1;
+        let error = sim.simulate(&rates, 0, &[2.0]).unwrap_err();
+        assert_eq!(sim.simulate(&rates, 0, &[2.0]).unwrap_err(), error);
+
+        // So an objective call runs the chain once for a failing file.
+        let (mut starved, rates) = small_simulator();
+        starved.options.max_steps = 1;
+        let file = rms_parallel::ExperimentFile {
+            label: "starved".to_string(),
+            times: vec![2.0],
+            values: vec![0.0],
+        };
+        let config = rms_parallel::EstimatorConfig {
+            on_failure: rms_parallel::FailurePolicy::Penalize,
+            ..Default::default()
+        };
+        let estimator =
+            rms_parallel::ParallelEstimator::with_config(&starved, vec![file], 1, config);
+        let out = estimator.objective(&rates).unwrap();
+        assert_eq!(out.health.file_failures[0].error, error);
+        assert_eq!(starved.fallback_stats().bdf_failures, 1);
+    }
+
+    #[test]
     fn healthy_solves_never_engage_fallback() {
         let (sim, rates) = small_simulator();
         sim.simulate(&rates, 0, &[0.5, 1.0]).unwrap();
