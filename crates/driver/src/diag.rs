@@ -161,7 +161,9 @@ impl From<RdlError> for Diagnostic {
             RdlError::DuplicateMolecule(_)
             | RdlError::DuplicateRule(_)
             | RdlError::InvalidRule { .. } => Diagnostic::new(Stage::Parse, e.to_string()),
-            RdlError::BadVariantRange { .. } => Diagnostic::new(Stage::Expand, e.to_string()),
+            RdlError::BadVariantRange { .. } | RdlError::SeedLimit { .. } => {
+                Diagnostic::new(Stage::Expand, e.to_string())
+            }
             RdlError::Rcip(inner) => inner.into(),
             RdlError::BadSmiles { .. }
             | RdlError::UnknownMolecule { .. }
@@ -192,6 +194,19 @@ mod tests {
         .into();
         assert_eq!(d.stage, Stage::Parse);
         assert_eq!(d.span, Some(Span { line: 3, column: 7 }));
+    }
+
+    #[test]
+    fn seed_limit_is_an_expand_diagnostic() {
+        let d: Diagnostic = RdlError::SeedLimit {
+            molecule: "PolyS".into(),
+            message: "variant range reaches n = 100000, past limit atoms 12".into(),
+        }
+        .into();
+        assert_eq!(
+            d.to_string(),
+            "error[expand]: molecule 'PolyS': variant range reaches n = 100000, past limit atoms 12"
+        );
     }
 
     #[test]

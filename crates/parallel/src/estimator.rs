@@ -124,44 +124,6 @@ impl std::str::FromStr for FailurePolicy {
     }
 }
 
-/// How the optimizer obtains the residual Jacobian `∂r_i/∂p_j` during a
-/// fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResidualJacobianMode {
-    /// Forward sensitivity analysis: one sensitivity-augmented ODE solve
-    /// per file per Jacobian, independent of the parameter count. Falls
-    /// back to finite differences when the simulator provides no
-    /// sensitivities (or errors on a particular point).
-    #[default]
-    Analytic,
-    /// Bound-aware forward finite differences: one full objective
-    /// evaluation (every file re-solved) per parameter per Jacobian.
-    Fd,
-}
-
-impl std::str::FromStr for ResidualJacobianMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ResidualJacobianMode, String> {
-        match s {
-            "analytic" => Ok(ResidualJacobianMode::Analytic),
-            "fd" => Ok(ResidualJacobianMode::Fd),
-            other => Err(format!(
-                "unknown residual-jacobian mode '{other}' (expected analytic or fd)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ResidualJacobianMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ResidualJacobianMode::Analytic => "analytic",
-            ResidualJacobianMode::Fd => "fd",
-        })
-    }
-}
-
 /// Fault-tolerance configuration for the estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct EstimatorConfig {
@@ -641,9 +603,9 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
 
     /// Run the full bounded least-squares estimation (Fig. 8): optimize
     /// the rate constants within the chemist's bounds so the simulation
-    /// best matches the experimental files. Uses the default
-    /// [`ResidualJacobianMode::Analytic`], which falls back to finite
-    /// differences when the simulator provides no sensitivities.
+    /// best matches the experimental files. The residual Jacobian comes
+    /// from forward sensitivities when the simulator has them for every
+    /// parameter, and from bound-aware finite differences otherwise.
     pub fn estimate(
         &self,
         initial: &[f64],
@@ -651,23 +613,9 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
         hi: &[f64],
         options: LmOptions,
     ) -> Result<LmResult, NloptError> {
-        self.estimate_with_jacobian(initial, lo, hi, options, ResidualJacobianMode::default())
-    }
-
-    /// [`estimate`](ParallelEstimator::estimate) with an explicit choice
-    /// of residual-Jacobian construction.
-    pub fn estimate_with_jacobian(
-        &self,
-        initial: &[f64],
-        lo: &[f64],
-        hi: &[f64],
-        options: LmOptions,
-        mode: ResidualJacobianMode,
-    ) -> Result<LmResult, NloptError> {
         let wrapper = ObjectiveResidual {
             estimator: self,
             n_params: initial.len(),
-            mode,
         };
         optimize(&wrapper, initial, lo, hi, options)
     }
@@ -676,7 +624,6 @@ impl<'a, S: Simulator> ParallelEstimator<'a, S> {
 struct ObjectiveResidual<'a, 'b, S: Simulator> {
     estimator: &'a ParallelEstimator<'b, S>,
     n_params: usize,
-    mode: ResidualJacobianMode,
 }
 
 impl<S: Simulator> Residual for ObjectiveResidual<'_, '_, S> {
@@ -697,12 +644,11 @@ impl<S: Simulator> Residual for ObjectiveResidual<'_, '_, S> {
         Ok(())
     }
 
-    /// Analytic mode spends one sensitivity-augmented sweep over the
-    /// files (reported as 1 residual-evaluation-equivalent) instead of
-    /// `n_params` full objective evaluations; it falls back to the
-    /// bound-aware finite-difference sweep when the simulator has no
-    /// sensitivities for this parameter count or the analytic sweep
-    /// fails at this point.
+    /// One sensitivity-augmented sweep over the files (reported as 1
+    /// residual-evaluation-equivalent) instead of `n_params` full
+    /// objective evaluations; the bound-aware finite-difference sweep
+    /// when the simulator has no sensitivities for this parameter count
+    /// or the augmented sweep fails at this point.
     fn jacobian(
         &self,
         params: &[f64],
@@ -712,9 +658,7 @@ impl<S: Simulator> Residual for ObjectiveResidual<'_, '_, S> {
         fd_step: f64,
         jac: &mut [f64],
     ) -> Result<usize, String> {
-        if self.mode == ResidualJacobianMode::Analytic
-            && self.estimator.simulator.sensitivity_params() == self.n_params
-        {
+        if self.estimator.simulator.sensitivity_params() == self.n_params {
             if let Ok(values) = self.estimator.objective_jacobian(params) {
                 jac.copy_from_slice(&values);
                 return Ok(1);
@@ -921,31 +865,20 @@ mod tests {
         }
     }
 
+    /// A default-options fit from `[0.5, 0.0]` inside `[0, 5] × [0, 1]`.
+    fn fit<S: Simulator>(sim: &S, files: &[ExperimentFile], config: EstimatorConfig) -> LmResult {
+        ParallelEstimator::with_config(sim, files.to_vec(), 2, config)
+            .estimate(&[0.5, 0.0], &[0.0, 0.0], &[5.0, 1.0], LmOptions::default())
+            .unwrap()
+    }
+
     #[test]
     fn analytic_estimate_matches_fd_and_spends_fewer_evals() {
         let truth = [1.3, 0.25];
         let files = make_files(4, 40, &truth);
-        let sim = SensModel;
-        let est = ParallelEstimator::new(&sim, files, 2, false);
-        let options = LmOptions::default();
-        let analytic = est
-            .estimate_with_jacobian(
-                &[0.5, 0.0],
-                &[0.0, 0.0],
-                &[5.0, 1.0],
-                options,
-                ResidualJacobianMode::Analytic,
-            )
-            .unwrap();
-        let fd = est
-            .estimate_with_jacobian(
-                &[0.5, 0.0],
-                &[0.0, 0.0],
-                &[5.0, 1.0],
-                options,
-                ResidualJacobianMode::Fd,
-            )
-            .unwrap();
+        let analytic = fit(&SensModel, &files, EstimatorConfig::default());
+        // The same model without its sensitivities: finite differences.
+        let fd = fit(&model, &files, EstimatorConfig::default());
         for (k, &truth_k) in truth.iter().enumerate() {
             assert!(
                 (analytic.params[k] - truth_k).abs() < 1e-5,
@@ -971,8 +904,8 @@ mod tests {
 
     #[test]
     fn closure_simulators_fall_back_to_fd() {
-        // A plain closure has no sensitivities; the default analytic mode
-        // must silently use finite differences and still converge.
+        // A plain closure has no sensitivities; the estimator must
+        // silently use finite differences and still converge.
         let truth = [1.1, 0.2];
         let files = make_files(3, 30, &truth);
         let est = ParallelEstimator::new(&model, files, 2, false);
@@ -1030,7 +963,7 @@ mod tests {
     #[test]
     fn a_failed_sensitivity_solve_fails_the_jacobian_under_both_policies() {
         let files = make_files(3, 12, &[1.2, 0.3]);
-        let (start, lo, hi) = ([0.5, 0.0], [0.0, 0.0], [5.0, 1.0]);
+        let start = [0.5, 0.0];
         for on_failure in [FailurePolicy::Abort, FailurePolicy::Penalize] {
             let config = EstimatorConfig {
                 on_failure,
@@ -1047,15 +980,11 @@ mod tests {
                 }
                 other => panic!("{on_failure:?}: {other:?}"),
             }
-            // So the analytic mode builds every Jacobian by finite
-            // differences — the ones the FD mode builds, to the bit.
-            let fit = |mode| {
-                est.estimate_with_jacobian(&start, &lo, &hi, LmOptions::default(), mode)
-                    .unwrap()
-            };
+            // So every Jacobian of the fit is built by finite differences —
+            // the ones a simulator without sensitivities gets, to the bit.
             let (analytic, fd) = (
-                fit(ResidualJacobianMode::Analytic),
-                fit(ResidualJacobianMode::Fd),
+                fit(&SensFailsOnFile1, &files, config),
+                fit(&model, &files, config),
             );
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&analytic.params), bits(&fd.params), "{on_failure:?}");

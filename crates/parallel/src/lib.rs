@@ -38,7 +38,7 @@ pub use comm::{run_cluster, CommError, Communicator, RankPanic};
 pub use datafile::{BadRecord, DataFileError, ExperimentFile};
 pub use estimator::{
     EstimatorConfig, EstimatorError, FailurePolicy, FileFailure, HealthReport, ObjectiveOutput,
-    ParallelEstimator, ResidualJacobianMode, Simulator,
+    ParallelEstimator, Simulator,
 };
 pub use fault::{FaultPlan, FaultySimulator};
 pub use loadbalance::{

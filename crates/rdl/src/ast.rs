@@ -124,10 +124,11 @@ pub struct RuleDecl {
 /// Generation limits (`limit atoms 40;` etc.).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Limits {
-    /// Maximum heavy atoms per generated molecule; larger products are
-    /// forbidden forms.
+    /// Maximum heavy atoms per molecule: larger products are forbidden
+    /// forms, and a larger seed (or variant range) is an error.
     pub max_atoms: usize,
-    /// Maximum number of distinct species; exceeding this is an error.
+    /// Maximum number of distinct species, seeds included; exceeding this
+    /// is an error.
     pub max_species: usize,
     /// Maximum closure iterations (generations of rule application).
     pub max_generations: usize,

@@ -232,6 +232,15 @@ fn close(
             smiles: variant.smiles.clone(),
             cause,
         })?;
+        // A seed is held to `limit atoms` like every product, literal or
+        // expanded: past it, rule matching over its sites never ends.
+        let (atoms, max) = (mol.atom_count(), program.limits.max_atoms);
+        if atoms > max {
+            return Err(RdlError::SeedLimit {
+                molecule: variant.name.clone(),
+                message: format!("{atoms} atoms, more than limit atoms {max}"),
+            });
+        }
         seeded.canonicalizations += 1;
         let ident = engine.work_ctx().identity(&mol, &mut seeded);
         let (id, _) = engine.admit(mol, ident, &variant.name, variant.initial);
@@ -974,7 +983,7 @@ mod tests {
         let program = parse_rdl(
             r#"
             rate K = 1;
-            molecule Sx = "CS{n}C" for n in 2..8 init 1.0;
+            molecule Sx = "CS{n}C" for n in 2..4 init 1.0;
             rule scission { site bond S ~ S; action disconnect; rate K; }
             limit species 5;
             "#,

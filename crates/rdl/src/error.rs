@@ -61,6 +61,15 @@ pub enum RdlError {
         /// Range end.
         hi: u32,
     },
+    /// A seed molecule the program's own `limit atoms` or `limit species`
+    /// rules out: a variant range reaching past either, or a seed with
+    /// more atoms than the limit.
+    SeedLimit {
+        /// The declared molecule (or variant).
+        molecule: String,
+        /// Which limit, and by how much.
+        message: String,
+    },
     /// Rate-constant sub-language error.
     Rcip(RcipError),
     /// Network generation hit the species limit.
@@ -104,6 +113,9 @@ impl fmt::Display for RdlError {
             RdlError::InvalidRule { rule, message } => write!(f, "rule '{rule}': {message}"),
             RdlError::BadVariantRange { molecule, lo, hi } => {
                 write!(f, "molecule '{molecule}': bad variant range {lo}..{hi}")
+            }
+            RdlError::SeedLimit { molecule, message } => {
+                write!(f, "molecule '{molecule}': {message}")
             }
             RdlError::Rcip(e) => write!(f, "rate constants: {e}"),
             RdlError::SpeciesLimitExceeded(n) => {

@@ -10,7 +10,7 @@
 //! `CSSSSC`: the single-atom symbol immediately before `{n}` is repeated
 //! `n` times.
 
-use crate::ast::MoleculeDecl;
+use crate::ast::{Limits, MoleculeDecl};
 use crate::error::{RdlError, Result};
 
 /// One expanded variant of a molecule declaration.
@@ -44,11 +44,11 @@ pub struct SeedVariant {
 }
 
 /// Expand every molecule declaration of a program into concrete seed
-/// variants, in declaration order.
+/// variants, in declaration order, within the program's limits.
 pub fn expand_program(program: &crate::ast::Program) -> Result<Vec<SeedVariant>> {
     let mut seeds = Vec::new();
     for decl in &program.molecules {
-        for variant in expand(decl)? {
+        for variant in expand(decl, &program.limits, seeds.len())? {
             seeds.push(SeedVariant {
                 family: decl.name.clone(),
                 name: variant.name,
@@ -62,7 +62,37 @@ pub fn expand_program(program: &crate::ast::Program) -> Result<Vec<SeedVariant>>
 
 /// Expand a declaration into its variants. Non-parameterized declarations
 /// yield exactly one variant with the declared name.
-pub fn expand(decl: &MoleculeDecl) -> Result<Vec<Variant>> {
+///
+/// Before any string is built, a declaration is refused when its range
+/// reaches `n` past `limits.max_atoms` (a variant holds at least `n`
+/// atoms) or its variants would take the `seeded` seeds declared before
+/// it past `limits.max_species`: both are sizes the program declares
+/// itself, and a range is as cheap to write as it is costly to expand.
+pub fn expand(decl: &MoleculeDecl, limits: &Limits, seeded: usize) -> Result<Vec<Variant>> {
+    let over = |message: String| RdlError::SeedLimit {
+        molecule: decl.name.clone(),
+        message,
+    };
+    let count = match decl.variants {
+        Some((lo, hi)) if lo > hi || lo == 0 => {
+            let molecule = decl.name.clone();
+            return Err(RdlError::BadVariantRange { molecule, lo, hi });
+        }
+        Some((_, hi)) if hi as usize > limits.max_atoms => {
+            let max = limits.max_atoms;
+            return Err(over(format!(
+                "variant range reaches n = {hi}, past limit atoms {max}"
+            )));
+        }
+        Some((lo, hi)) => (hi - lo) as usize + 1,
+        None => 1,
+    };
+    if seeded + count > limits.max_species {
+        let max = limits.max_species;
+        return Err(over(format!(
+            "{count} variant(s) take the seeds past limit species {max}"
+        )));
+    }
     match decl.variants {
         None => {
             if decl.template.contains("{n}") {
@@ -81,24 +111,15 @@ pub fn expand(decl: &MoleculeDecl) -> Result<Vec<Variant>> {
                 n: None,
             }])
         }
-        Some((lo, hi)) => {
-            if lo > hi || lo == 0 {
-                return Err(RdlError::BadVariantRange {
-                    molecule: decl.name.clone(),
-                    lo,
-                    hi,
-                });
-            }
-            (lo..=hi)
-                .map(|n| {
-                    Ok(Variant {
-                        name: format!("{}_{}", decl.name, n),
-                        smiles: substitute(&decl.template, n, &decl.name)?,
-                        n: Some(n),
-                    })
+        Some((lo, hi)) => (lo..=hi)
+            .map(|n| {
+                Ok(Variant {
+                    name: format!("{}_{}", decl.name, n),
+                    smiles: substitute(&decl.template, n, &decl.name)?,
+                    n: Some(n),
                 })
-                .collect()
-        }
+            })
+            .collect(),
     }
 }
 
@@ -167,9 +188,14 @@ mod tests {
         }
     }
 
+    /// `decl`'s variants under the default limits, as the first declaration.
+    fn variants(decl: &MoleculeDecl) -> Result<Vec<Variant>> {
+        expand(decl, &Limits::default(), 0)
+    }
+
     #[test]
     fn non_parameterized_single_variant() {
-        let vs = expand(&decl("Poly", "CC=CC", None)).unwrap();
+        let vs = variants(&decl("Poly", "CC=CC", None)).unwrap();
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].name, "Poly");
         assert_eq!(vs[0].smiles, "CC=CC");
@@ -178,7 +204,7 @@ mod tests {
 
     #[test]
     fn sulfur_chain_expansion() {
-        let vs = expand(&decl("Sx", "CS{n}C", Some((2, 4)))).unwrap();
+        let vs = variants(&decl("Sx", "CS{n}C", Some((2, 4)))).unwrap();
         assert_eq!(
             vs.iter().map(|v| v.smiles.as_str()).collect::<Vec<_>>(),
             vec!["CSSC", "CSSSC", "CSSSSC"]
@@ -189,42 +215,77 @@ mod tests {
 
     #[test]
     fn n_equals_one_keeps_single_atom() {
-        let vs = expand(&decl("S1", "CS{n}C", Some((1, 1)))).unwrap();
+        let vs = variants(&decl("S1", "CS{n}C", Some((1, 1)))).unwrap();
         assert_eq!(vs[0].smiles, "CSC");
     }
 
     #[test]
     fn two_letter_symbol_repetition() {
-        let vs = expand(&decl("X", "CCl{n}", Some((2, 2)))).unwrap();
+        let vs = variants(&decl("X", "CCl{n}", Some((2, 2)))).unwrap();
         assert_eq!(vs[0].smiles, "CClCl");
     }
 
     #[test]
     fn multiple_placeholders() {
-        let vs = expand(&decl("X", "S{n}CS{n}", Some((2, 2)))).unwrap();
+        let vs = variants(&decl("X", "S{n}CS{n}", Some((2, 2)))).unwrap();
         assert_eq!(vs[0].smiles, "SSCSS");
     }
 
     #[test]
     fn bad_range_rejected() {
         assert!(matches!(
-            expand(&decl("X", "S{n}", Some((3, 2)))),
+            variants(&decl("X", "S{n}", Some((3, 2)))),
             Err(RdlError::BadVariantRange { .. })
         ));
         assert!(matches!(
-            expand(&decl("X", "S{n}", Some((0, 2)))),
+            variants(&decl("X", "S{n}", Some((0, 2)))),
             Err(RdlError::BadVariantRange { .. })
         ));
     }
 
     #[test]
     fn placeholder_without_range_rejected() {
-        assert!(expand(&decl("X", "S{n}", None)).is_err());
+        assert!(variants(&decl("X", "S{n}", None)).is_err());
     }
 
     #[test]
     fn placeholder_without_symbol_rejected() {
-        assert!(expand(&decl("X", "{n}S", Some((1, 2)))).is_err());
-        assert!(expand(&decl("X", "(S){n}", Some((1, 2)))).is_err());
+        assert!(variants(&decl("X", "{n}S", Some((1, 2)))).is_err());
+        assert!(variants(&decl("X", "(S){n}", Some((1, 2)))).is_err());
+    }
+
+    #[test]
+    fn declared_limits_refuse_a_range_before_expanding_it() {
+        let limits = Limits {
+            max_atoms: 12,
+            max_species: 5,
+            ..Limits::default()
+        };
+        let refused = |decl: &MoleculeDecl, seeded| match expand(decl, &limits, seeded) {
+            Err(RdlError::SeedLimit { molecule, message }) => (molecule, message),
+            other => panic!("{other:?}"),
+        };
+        // n past `limit atoms`: even four billion is refused at once.
+        for hi in [13, 4_000_000_000] {
+            let (molecule, message) = refused(&decl("PolyS", "CS{n}C", Some((2, hi))), 0);
+            assert_eq!(molecule, "PolyS");
+            assert!(message.contains("limit atoms 12"), "{message}");
+        }
+        // Variants past `limit species`, counting the seeds before them.
+        let (_, message) = refused(&decl("PolyS", "CS{n}C", Some((2, 7))), 0);
+        assert!(message.contains("limit species 5"), "{message}");
+        refused(&decl("PolyS", "CS{n}C", Some((2, 4))), 3);
+        refused(&decl("Rubber", "CC=CC", None), 5);
+        assert_eq!(
+            expand(&decl("PolyS", "CS{n}C", Some((2, 4))), &limits, 2)
+                .unwrap()
+                .len(),
+            3
+        );
+        // An inverted range is still a bad range, whatever its bounds.
+        assert!(matches!(
+            expand(&decl("X", "S{n}", Some((u32::MAX, 2))), &limits, 0),
+            Err(RdlError::BadVariantRange { .. })
+        ));
     }
 }

@@ -196,7 +196,7 @@ fn species_limit_is_a_hard_error() {
     let program = parse_rdl(
         r#"
         rate K = 1;
-        molecule Sx = "CS{n}C" for n in 2..8 init 1.0;
+        molecule Sx = "CS{n}C" for n in 2..4 init 1.0;
         rule scission { site bond S ~ S; action disconnect; rate K; }
         limit species 4;
         "#,

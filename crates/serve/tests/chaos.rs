@@ -369,6 +369,34 @@ fn a_model_nested_past_the_stack_is_a_compile_error_and_serving_goes_on() {
     assert_eq!((stats.succeeded, stats.failed), (1, 2));
 }
 
+/// A variant range past the program's own `limit atoms` is refused before
+/// a string of it is built. Before the limits bounded seeds, this
+/// quickstart.rdl with `2..1000000` took the one worker and ran the
+/// process out of memory, and the co-tenant's job behind it was never
+/// answered (a deadline does not cover compilation).
+#[test]
+fn an_oversized_variant_range_is_a_compile_error_and_the_co_tenant_is_answered() {
+    let quickstart = include_str!("../../../models/quickstart.rdl");
+    let huge = quickstart.replace("for n in 2..4", "for n in 2..1000000");
+    assert_ne!(huge, quickstart);
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let (tx, rx) = channel();
+    for job in [
+        simulate_request("huge", "a", &huge, Some(1000)),
+        simulate_request("ok", "b", &model("co_tenant"), None),
+    ] {
+        server.submit(job, tx.clone()).unwrap();
+    }
+    let stats = server.drain();
+    let evs = events(&rx);
+    assert_eq!(error_kind(terminal(&evs, "huge")), "compile");
+    assert_eq!(str_field(terminal(&evs, "ok"), "event"), "result");
+    assert_eq!((stats.succeeded, stats.failed), (1, 1));
+}
+
 #[test]
 fn corrupt_disk_cache_entries_do_not_poison_jobs() {
     let dir = std::env::temp_dir().join(format!("rms-serve-corrupt-{}", std::process::id()));

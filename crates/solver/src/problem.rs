@@ -144,21 +144,6 @@ pub enum LinearSolver {
     Auto,
 }
 
-impl std::str::FromStr for LinearSolver {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<LinearSolver, String> {
-        match s {
-            "dense" => Ok(LinearSolver::Dense),
-            "sparse" => Ok(LinearSolver::Sparse),
-            "auto" => Ok(LinearSolver::Auto),
-            other => Err(format!(
-                "unknown linear solver '{other}' (expected dense, sparse, or auto)"
-            )),
-        }
-    }
-}
-
 impl std::fmt::Display for LinearSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -185,6 +170,9 @@ pub struct SolverOptions {
     /// Step budget per `solve` call.
     pub max_steps: usize,
     /// Direct method for the Newton iteration matrix (implicit solvers).
+    /// Every product solve keeps the default, [`LinearSolver::Auto`];
+    /// only tests set it, to hold the sparse and dense paths to each
+    /// other.
     pub linear_solver: LinearSolver,
     /// Include the forward-sensitivity blocks in the BDF step-error
     /// estimate. Off by default (the CVODES convention): the state alone

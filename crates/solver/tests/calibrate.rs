@@ -18,9 +18,7 @@ use rms_solver::{
     solve_bdf_with_jacobian, AnalyticJacobian, CsrMatrix, Lu, NewtonPlan, SolverOptions,
     SparseNewton, SparsityPattern, SPARSE_COST_PER_MAC,
 };
-use rms_workload::{
-    scaled_case, vulcanization_source, BoundKernel, JacobianMode, VULCANIZATION_RDL,
-};
+use rms_workload::{scaled_case, vulcanization_source, BoundKernel, VULCANIZATION_RDL};
 
 /// A model's plan and its Jacobian at a state from its trajectory.
 struct Case {
@@ -48,7 +46,7 @@ fn compiled(label: &'static str, artifact: &CompiledArtifact) -> Case {
         &artifact.system.initial,
         &[0.5],
         SolverOptions::default(),
-        bound.jacobian_source(JacobianMode::Analytic),
+        bound.jacobian_source(),
     )
     .expect("model integrates");
     let plan = bound.plan().expect("Deriv ran");

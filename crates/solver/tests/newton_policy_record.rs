@@ -14,7 +14,7 @@ use rms_solver::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, FnRhs, OdeRhs, SolveStats,
     SolverOptions,
 };
-use rms_workload::{decay_chain, scaled_case, BoundKernel, JacobianMode, VULCANIZATION_RDL};
+use rms_workload::{decay_chain, scaled_case, BoundKernel, VULCANIZATION_RDL};
 
 fn row(label: &str, stats: SolveStats) {
     println!(
@@ -43,13 +43,13 @@ fn compiled(label: &str, artifact: &CompiledArtifact) {
     let options = SolverOptions::default();
 
     let bound = BoundKernel::new(&choice, rates);
-    let source = bound.jacobian_source(JacobianMode::Analytic);
+    let source = bound.jacobian_source();
     let (_, stats) = solve_bdf_with_jacobian(&bound, 0.0, y0, &[1.0], options, source)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     row(label, stats);
 
     let bound = BoundKernel::new(&choice, rates);
-    let source = bound.jacobian_source(JacobianMode::Analytic);
+    let source = bound.jacobian_source();
     let (_, _, stats) = solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &[1.0], options, source)
         .unwrap_or_else(|e| panic!("{label}, augmented: {e}"));
     row(&format!("{label} + sens"), stats);

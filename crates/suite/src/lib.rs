@@ -63,7 +63,7 @@ pub use rms_nlopt::{FitStatistics, LmOptions, Residual};
 pub use rms_odegen::{generate, GenerateOptions, OdeSystem};
 pub use rms_parallel::{
     block_schedule, lpt_schedule, makespan, EstimatorConfig, ExperimentFile, FailurePolicy,
-    FaultPlan, ParallelEstimator, ResidualJacobianMode, Simulator,
+    FaultPlan, ParallelEstimator, Simulator,
 };
 pub use rms_rcip::RateTable;
 pub use rms_rdl::{
@@ -75,7 +75,7 @@ pub use rms_solver::{
     NewtonPlan, OdeRhs, SolveStats, SolverOptions, SparsityPattern, SPARSE_COST_PER_MAC,
 };
 pub use rms_workload as workload;
-pub use rms_workload::{BoundKernel, JacobianMode, TapeSimulator};
+pub use rms_workload::{BoundKernel, TapeSimulator};
 
 /// Any error from the end-to-end pipeline: a span-carrying diagnostic
 /// naming the [`Stage`] that rejected the model.
@@ -124,7 +124,7 @@ mod tests {
         forbid chain S > 4;
     "#;
 
-    /// The state at `times` on the default engine and Jacobian source.
+    /// The state at `times` on the default engine.
     fn trajectory(model: &CompiledArtifact, times: &[f64]) -> Vec<Vec<f64>> {
         let simulator = TapeSimulator::from_artifact(model, Vec::new());
         simulator

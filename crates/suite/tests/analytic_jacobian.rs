@@ -7,8 +7,9 @@ use std::sync::Arc;
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    fd_jacobian, fd_jacobian_colored, AnalyticJacobian, BoundKernel, CompiledArtifact,
-    CompilerSession, EngineMode, JacobianMode, OdeRhs, OptLevel, SessionOptions, TapeSimulator,
+    fd_jacobian, fd_jacobian_colored, solve_bdf_with_jacobian, AnalyticJacobian, BoundKernel,
+    CompiledArtifact, CompilerSession, EngineMode, JacobianSource, OdeRhs, OptLevel,
+    SessionOptions, TapeSimulator,
 };
 
 const LEVELS: [OptLevel; 4] = [
@@ -147,21 +148,27 @@ fn bdf_trajectories_agree_across_jacobian_sources() {
         (rdl_model(OptLevel::Full), "rdl"),
         (programmatic_model(OptLevel::Full), "programmatic"),
     ] {
-        let trajectory = |mode| {
-            let mut simulator = TapeSimulator::from_artifact(&model, Vec::new());
-            simulator.set_jacobian_mode(mode);
-            simulator
-                .trajectory(&model.system.rate_values, 0, &times)
+        // The simulator solves on the tapes; the finite-difference sources
+        // are reached through the solver over the same kernel.
+        let simulator = TapeSimulator::from_artifact(&model, Vec::new());
+        let rates = &model.system.rate_values;
+        let analytic = simulator.trajectory(rates, 0, &times).unwrap();
+        let choice = simulator.engine_choice();
+        let bound = BoundKernel::new(choice, rates);
+        let fd = |source| {
+            let y0 = &model.system.initial;
+            solve_bdf_with_jacobian(&bound, 0.0, y0, &times, simulator.options, source)
                 .unwrap()
+                .0
         };
-        let dense = trajectory(JacobianMode::FdDense);
-        for mode in [JacobianMode::Analytic, JacobianMode::FdColored] {
-            let other = trajectory(mode);
+        let dense = fd(JacobianSource::FdDense);
+        let colored = fd(JacobianSource::FdColored(choice.patterns.fd()));
+        for (source, other) in [("analytic", analytic), ("fd-colored", colored)] {
             for (row, (a_row, b_row)) in dense.iter().zip(&other).enumerate() {
                 for (a, b) in a_row.iter().zip(b_row) {
                     assert!(
                         (a - b).abs() <= 1e-4 * a.abs().max(1e-9),
-                        "{label}/{mode} t={}: {a} vs {b}",
+                        "{label}/{source} t={}: {a} vs {b}",
                         times[row]
                     );
                 }

@@ -7,12 +7,12 @@ use std::sync::Arc;
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    CompiledArtifact, CompilerSession, EngineMode, ExecTape, JacobianMode, OptLevel,
-    SessionOptions, TapeSimulator, FMA_CONTRACTS,
+    solve_bdf_with_jacobian, BoundKernel, CompiledArtifact, CompilerSession, EngineMode, ExecTape,
+    JacobianSource, OptLevel, SessionOptions, TapeSimulator, FMA_CONTRACTS,
 };
 
 /// A session whose artifacts carry the analytic Jacobian tapes, so
-/// `JacobianMode::Analytic` below really runs them.
+/// `Source::Analytic` below really runs them.
 fn deriv_session() -> CompilerSession {
     let mut options = SessionOptions::new(OptLevel::Full);
     options.deriv = true;
@@ -38,18 +38,34 @@ fn programmatic_model() -> Arc<CompiledArtifact> {
         .artifact
 }
 
+/// A Jacobian source of the BDF solver: the tapes the artifact carries,
+/// which the simulator selects, or finite differences through the solver.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Analytic,
+    FdColored,
+    FdDense,
+}
+
 /// The states at `times` on one engine and Jacobian source.
 fn trajectory(
     model: &CompiledArtifact,
-    mode: JacobianMode,
+    source: Source,
     engine: EngineMode,
     times: &[f64],
 ) -> Vec<Vec<f64>> {
-    let mut simulator = TapeSimulator::with_engine(model, Vec::new(), engine);
-    simulator.set_jacobian_mode(mode);
-    simulator
-        .trajectory(&model.system.rate_values, 0, times)
+    let simulator = TapeSimulator::with_engine(model, Vec::new(), engine);
+    let (rates, y0) = (&model.system.rate_values, &model.system.initial);
+    let choice = simulator.engine_choice();
+    let source = match source {
+        Source::Analytic => return simulator.trajectory(rates, 0, times).unwrap(),
+        Source::FdColored => JacobianSource::FdColored(choice.patterns.fd()),
+        Source::FdDense => JacobianSource::FdDense,
+    };
+    let bound = BoundKernel::new(choice, rates);
+    solve_bdf_with_jacobian(&bound, 0.0, y0, times, simulator.options, source)
         .unwrap()
+        .0
 }
 
 /// The interpreter and the execution engine must produce equivalent BDF
@@ -60,18 +76,14 @@ fn trajectory(
 fn bdf_trajectories_agree_across_engines_on_both_models() {
     let times = [0.1, 0.4, 1.0];
     for (model, label) in [(rdl_model(), "rdl"), (programmatic_model(), "programmatic")] {
-        for mode in [
-            JacobianMode::FdDense,
-            JacobianMode::FdColored,
-            JacobianMode::Analytic,
-        ] {
+        for mode in [Source::FdDense, Source::FdColored, Source::Analytic] {
             let interp = trajectory(&model, mode, EngineMode::Interp, &times);
             let exec = trajectory(&model, mode, EngineMode::Exec, &times);
             for (row, (a_row, b_row)) in interp.iter().zip(&exec).enumerate() {
                 for (a, b) in a_row.iter().zip(b_row) {
                     assert!(
                         (a - b).abs() <= 1e-6 * a.abs().max(1e-9),
-                        "{label}/{mode} t={}: interp {a} vs exec {b}",
+                        "{label}/{mode:?} t={}: interp {a} vs exec {b}",
                         times[row]
                     );
                 }
@@ -81,7 +93,7 @@ fn bdf_trajectories_agree_across_engines_on_both_models() {
             if !FMA_CONTRACTS {
                 assert_eq!(
                     interp, exec,
-                    "{label}/{mode}: engines should be bitwise equal"
+                    "{label}/{mode:?}: engines should be bitwise equal"
                 );
             }
         }

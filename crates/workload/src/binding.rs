@@ -10,8 +10,6 @@ use rms_solver::{
     AnalyticJacobian, JacobianSource, NewtonPlan, OdeRhs, SensitivityRhs, SparsityPattern,
 };
 
-use crate::simulate::JacobianMode;
-
 /// A [`Kernel`] bound to one rate-constant vector for the duration of a
 /// solve. It is the solver's [`OdeRhs`], its [`AnalyticJacobian`] and its
 /// [`SensitivityRhs`] at once, and owns every buffer those calls reuse —
@@ -44,16 +42,13 @@ impl<'a> BoundKernel<'a> {
         }
     }
 
-    /// The solver's Jacobian source under `mode`.
-    /// [`JacobianMode::Analytic`] falls back to colored finite differences
-    /// when the artifact was compiled without derivative tapes.
-    pub fn jacobian_source(&self, mode: JacobianMode) -> JacobianSource<'_> {
-        match mode {
-            JacobianMode::FdDense => JacobianSource::FdDense,
-            JacobianMode::Analytic if self.patterns.analytic().is_some() => {
-                JacobianSource::AnalyticTape(self)
-            }
-            _ => JacobianSource::FdColored(self.patterns.fd()),
+    /// The solver's Jacobian source: the compiled analytic tapes when the
+    /// artifact carries them (the *Deriv* stage ran), colored finite
+    /// differences over the structural sparsity otherwise.
+    pub fn jacobian_source(&self) -> JacobianSource<'_> {
+        match self.patterns.analytic() {
+            Some(_) => JacobianSource::AnalyticTape(self),
+            None => JacobianSource::FdColored(self.patterns.fd()),
         }
     }
 }

@@ -30,8 +30,7 @@ pub use binding::BoundKernel;
 pub use expdata::{synthesize, ExpDataSpec};
 pub use frontier::FrontierSpec;
 pub use rdl_model::{vulcanization_source, VULCANIZATION_RDL};
-pub use rms_solver::LinearSolver;
-pub use simulate::{FallbackStats, JacobianMode, TapeSimulator};
+pub use simulate::{FallbackStats, TapeSimulator};
 pub use testcases::{
     decay_chain, paper_case, scaled_case, Table1Reference, Table2Reference, TABLE1, TABLE2,
 };

@@ -1,54 +1,13 @@
 //! The chemistry simulation backend: compiled kernel + stiff solver +
 //! observable, plugged into the parallel estimator.
 
-use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rms_driver::{CompiledArtifact, EngineMode, KernelChoice};
 use rms_parallel::Simulator;
-use rms_solver::{
-    Bdf, CancelToken, JacobianSource, LinearSolver, Rk45, SolverError, SolverOptions,
-};
+use rms_solver::{Bdf, CancelToken, JacobianSource, Rk45, SolverError, SolverOptions};
 
 use crate::binding::BoundKernel;
-
-/// How the BDF solver obtains its Jacobian.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JacobianMode {
-    /// Compiler-emitted analytic sparse tapes (`rms_core::JacobianTapes`).
-    Analytic,
-    /// Colored finite differences over the structural sparsity.
-    #[default]
-    FdColored,
-    /// Dense finite differences (one RHS evaluation per state variable).
-    FdDense,
-}
-
-impl FromStr for JacobianMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<JacobianMode, String> {
-        match s {
-            "analytic" => Ok(JacobianMode::Analytic),
-            "fd-colored" => Ok(JacobianMode::FdColored),
-            "fd-dense" => Ok(JacobianMode::FdDense),
-            other => Err(format!(
-                "unknown jacobian mode '{other}' (expected analytic, fd-colored or fd-dense)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for JacobianMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            JacobianMode::Analytic => "analytic",
-            JacobianMode::FdColored => "fd-colored",
-            JacobianMode::FdDense => "fd-dense",
-        })
-    }
-}
 
 /// Simulates the measured property (a weighted sum of species
 /// concentrations — e.g. crosslink density) by integrating one of a
@@ -65,8 +24,6 @@ pub struct TapeSimulator {
     pub observable: Vec<f64>,
     /// Solver configuration.
     pub options: SolverOptions,
-    /// Which Jacobian source the BDF solver uses.
-    jacobian_mode: JacobianMode,
     /// Cooperative cancellation shared with every solver this simulator
     /// builds (deadline/shutdown supervision).
     cancel: Option<CancelToken>,
@@ -92,8 +49,10 @@ pub struct FallbackStats {
 impl TapeSimulator {
     /// Build a simulator over a compiled pipeline artifact on the default
     /// engine. The artifact's kernels and sparsity patterns are shared,
-    /// not copied; the Jacobian source starts analytic when the *Deriv*
-    /// stage ran.
+    /// not copied. Every BDF solve takes its Jacobian as
+    /// [`BoundKernel::jacobian_source`] finds it — the analytic tapes when
+    /// the *Deriv* stage ran — and factors it as
+    /// [`options`](TapeSimulator::options)' `linear_solver` (`Auto`) decides.
     pub fn from_artifact(artifact: &CompiledArtifact, observable: Vec<f64>) -> TapeSimulator {
         TapeSimulator::with_engine(artifact, observable, EngineMode::default())
     }
@@ -116,10 +75,6 @@ impl TapeSimulator {
                 max_steps: 2_000_000,
                 ..SolverOptions::default()
             },
-            jacobian_mode: match artifact.jacobian {
-                Some(_) => JacobianMode::Analytic,
-                None => JacobianMode::default(),
-            },
             cancel: None,
             bdf_failures: AtomicUsize::new(0),
             tightened_recoveries: AtomicUsize::new(0),
@@ -130,32 +85,10 @@ impl TapeSimulator {
     /// Whether the artifact carried parameter-sensitivity tapes. With
     /// them, [`Simulator::simulate_with_sensitivities`] integrates the
     /// forward sensitivity system alongside the state (sharing the Newton
-    /// factorization), and the parallel estimator's analytic
-    /// residual-Jacobian path becomes available.
+    /// factorization), and the parallel estimator builds its residual
+    /// Jacobian from them.
     pub fn has_sensitivities(&self) -> bool {
         self.choice.kernel.dfdp_entries().is_some()
-    }
-
-    /// Select the Jacobian source. [`JacobianMode::Analytic`] falls back
-    /// to colored finite differences if the artifact carried no tapes.
-    pub fn set_jacobian_mode(&mut self, mode: JacobianMode) {
-        self.jacobian_mode = mode;
-    }
-
-    /// The currently selected Jacobian source.
-    pub fn jacobian_mode(&self) -> JacobianMode {
-        self.jacobian_mode
-    }
-
-    /// Select the direct method for the Newton iteration matrix
-    /// (shorthand for setting it on [`options`](TapeSimulator::options)).
-    pub fn set_linear_solver(&mut self, solver: LinearSolver) {
-        self.options.linear_solver = solver;
-    }
-
-    /// The currently selected iteration-matrix solver.
-    pub fn linear_solver(&self) -> LinearSolver {
-        self.options.linear_solver
     }
 
     /// The kernel every solve runs, the engine it belongs to and why it
@@ -210,7 +143,7 @@ impl TapeSimulator {
         if let Some(token) = &self.cancel {
             solver.set_cancel(token.clone());
         }
-        solver.set_jacobian_source(bound.jacobian_source(self.jacobian_mode));
+        solver.set_jacobian_source(bound.jacobian_source());
         let mut out = Vec::with_capacity(times.len());
         for &t in times {
             solver.integrate_to(t)?;
@@ -399,6 +332,7 @@ mod tests {
 
     use rms_core::OptLevel;
     use rms_driver::{CompilerSession, SessionOptions, Stage};
+    use rms_solver::solve_bdf_with_jacobian;
 
     use crate::vulcanization::{generate_model, VulcanizationSpec};
 
@@ -569,17 +503,37 @@ mod tests {
         simulator_with(|options| options.deriv = true)
     }
 
+    /// The observable at `times` from one BDF solve over `sim`'s kernel
+    /// per Jacobian source: the one the artifact selects, then colored and
+    /// dense finite differences.
+    fn observable_per_source(sim: &TapeSimulator, rates: &[f64], times: &[f64]) -> Vec<Vec<f64>> {
+        let choice = sim.engine_choice();
+        let bound = BoundKernel::new(choice, rates);
+        let sources = [
+            bound.jacobian_source(),
+            JacobianSource::FdColored(choice.patterns.fd()),
+            JacobianSource::FdDense,
+        ];
+        sources
+            .into_iter()
+            .map(|source| {
+                let y0 = &sim.initials[0];
+                let (states, _) =
+                    solve_bdf_with_jacobian(&bound, 0.0, y0, times, sim.options, source).unwrap();
+                states.iter().map(|y| sim.measure(y)).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn analytic_jacobian_matches_fd_trajectories() {
+        // An artifact with tapes solves on them, one without on colored
+        // finite differences; dense finite differences only through `Bdf`.
         let (sim, rates) = small_simulator_with_jacobian();
-        assert_eq!(sim.jacobian_mode(), JacobianMode::Analytic);
         let times = [0.2, 0.6, 1.2, 2.4];
         let analytic = sim.simulate(&rates, 0, &times).unwrap();
-        let mut sim = sim;
-        sim.set_jacobian_mode(JacobianMode::FdColored);
-        let colored = sim.simulate(&rates, 0, &times).unwrap();
-        sim.set_jacobian_mode(JacobianMode::FdDense);
-        let dense = sim.simulate(&rates, 0, &times).unwrap();
+        let colored = small_simulator().0.simulate(&rates, 0, &times).unwrap();
+        let dense = observable_per_source(&sim, &rates, &times).remove(2);
         for i in 0..times.len() {
             let scale = analytic[i].abs().max(1e-12);
             assert!(
@@ -601,40 +555,29 @@ mod tests {
 
     #[test]
     fn analytic_mode_without_tapes_falls_back() {
-        let (mut sim, rates) = small_simulator();
-        sim.set_jacobian_mode(JacobianMode::Analytic);
+        let (sim, rates) = small_simulator();
+        let bound = BoundKernel::new(sim.engine_choice(), &rates);
+        assert!(matches!(
+            bound.jacobian_source(),
+            JacobianSource::FdColored(_)
+        ));
         let out = sim.simulate(&rates, 0, &[1.0]).unwrap();
         assert!(out[0].is_finite());
     }
 
     #[test]
     fn exec_engine_runs_every_jacobian_mode() {
-        let (mut sim, rates) = small_simulator_with_jacobian();
+        let (sim, rates) = small_simulator_with_jacobian();
         let times = [0.5, 1.0];
         let analytic = sim.simulate(&rates, 0, &times).unwrap();
-        for mode in [JacobianMode::FdColored, JacobianMode::FdDense] {
-            sim.set_jacobian_mode(mode);
-            let other = sim.simulate(&rates, 0, &times).unwrap();
-            for (a, b) in analytic.iter().zip(&other) {
-                assert!(
-                    (a - b).abs() <= 1e-4 * a.abs().max(1e-12),
-                    "{mode}: {a} vs {b}"
-                );
+        let per_source = observable_per_source(&sim, &rates, &times);
+        // The simulator's solve is the selected source's, to the bit.
+        assert_eq!(per_source[0], analytic);
+        for other in &per_source[1..] {
+            for (a, b) in analytic.iter().zip(other) {
+                assert!((a - b).abs() <= 1e-4 * a.abs().max(1e-12), "{a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn jacobian_mode_parses_round_trip() {
-        for mode in [
-            JacobianMode::Analytic,
-            JacobianMode::FdColored,
-            JacobianMode::FdDense,
-        ] {
-            assert_eq!(mode.to_string().parse::<JacobianMode>().unwrap(), mode);
-        }
-        assert!("newton".parse::<JacobianMode>().is_err());
-        assert_eq!(JacobianMode::default(), JacobianMode::FdColored);
     }
 
     #[test]
@@ -642,10 +585,14 @@ mod tests {
         let (artifact, observable) = small_artifact(|options| options.deriv = true);
         let kernels_before = Arc::strong_count(artifact.exec.as_ref().expect("decoded"));
         let sim = TapeSimulator::from_artifact(&artifact, observable);
-        // The artifact carried Jacobian tapes, so the simulator starts
-        // analytic; it holds the artifact's own kernel and patterns, and
+        // The artifact carried Jacobian tapes, so the simulator solves on
+        // them; it holds the artifact's own kernel and patterns, and
         // building it copied or re-referenced no instruction stream.
-        assert_eq!(sim.jacobian_mode(), JacobianMode::Analytic);
+        let bound = BoundKernel::new(sim.engine_choice(), &artifact.system.rate_values);
+        assert!(matches!(
+            bound.jacobian_source(),
+            JacobianSource::AnalyticTape(_)
+        ));
         let choice = artifact.kernel(EngineMode::default());
         assert!(Arc::ptr_eq(&sim.engine_choice().kernel, &choice.kernel));
         assert!(Arc::ptr_eq(&sim.engine_choice().patterns, &choice.patterns));

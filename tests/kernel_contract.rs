@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, Kernel,
-    KernelScratch, OptLevel, SessionOptions, Simulator, TapeSimulator, FMA_CONTRACTS,
+    probe_toolchain, solve_bdf_with_jacobian, BoundKernel, CompiledArtifact, CompilerSession,
+    EngineMode, JacobianSource, Kernel, KernelScratch, OptLevel, SessionOptions, Simulator,
+    TapeSimulator, FMA_CONTRACTS,
 };
 
 const MODES: [EngineMode; 4] = [
@@ -213,8 +214,9 @@ fn every_kernel_matches_the_interpreter() {
 /// Every engine integrates to the interpreter's numbers: a plain solve
 /// under each Jacobian source and the sensitivity-augmented one. Read
 /// whole (`trajectory`, what `rmsc simulate` prints) or measured
-/// (`simulate`, what a fit or a served job sees), a plain solve is the
-/// same solve, to the bit.
+/// (`simulate`, what a fit or a served job sees), the simulator's plain
+/// solve is the same solve, to the bit; the finite-difference sources,
+/// which no artifact with tapes selects, run through the solver.
 #[test]
 fn every_engine_integrates_like_the_interpreter() {
     let dir = temp_dir("select");
@@ -228,24 +230,28 @@ fn every_engine_integrates_like_the_interpreter() {
         // sensitivity-augmented solve: every other engine must land there.
         let mut oracle = Vec::new();
         for mode in MODES {
-            let mut sim = TapeSimulator::with_engine(&artifact, observable.clone(), mode);
+            let sim = TapeSimulator::with_engine(&artifact, observable.clone(), mode);
             let engine = sim.engine_choice().engine;
             assert_ne!(engine, EngineMode::Auto, "{label}/{mode}");
             if engine != mode {
                 continue; // auto and degraded requests run one of the above
             }
-            let mut got = Vec::new();
-            for jacobian in [
-                JacobianMode::Analytic,
-                JacobianMode::FdColored,
-                JacobianMode::FdDense,
+            let observed = sim.simulate(rates, 0, &times).expect("measured solve");
+            let states = sim.trajectory(rates, 0, &times).expect("whole-state solve");
+            let measured: Vec<f64> = states.iter().map(|y| sim.measure(y)).collect();
+            assert_eq!(observed, measured, "{label}/{mode}");
+            let mut got = vec![observed];
+            let choice = sim.engine_choice();
+            let bound = BoundKernel::new(choice, rates);
+            for source in [
+                JacobianSource::FdColored(choice.patterns.fd()),
+                JacobianSource::FdDense,
             ] {
-                sim.set_jacobian_mode(jacobian);
-                let observed = sim.simulate(rates, 0, &times).expect("measured solve");
-                let states = sim.trajectory(rates, 0, &times).expect("whole-state solve");
-                let measured: Vec<f64> = states.iter().map(|y| sim.measure(y)).collect();
-                assert_eq!(observed, measured, "{label}/{mode}/{jacobian}");
-                got.push(observed);
+                let y0 = &artifact.system.initial;
+                let (states, _) =
+                    solve_bdf_with_jacobian(&bound, 0.0, y0, &times, sim.options, source)
+                        .expect("finite-difference solve");
+                got.push(states.iter().map(|y| sim.measure(y)).collect());
             }
             let (values, sens) = sim
                 .simulate_with_sensitivities(rates, 0, &times)

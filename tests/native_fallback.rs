@@ -9,9 +9,7 @@
 use std::process::Command;
 
 use rms_suite::workload::VULCANIZATION_RDL;
-use rms_suite::{
-    CompilerSession, EngineMode, JacobianMode, OptLevel, SessionOptions, TapeSimulator,
-};
+use rms_suite::{CompilerSession, EngineMode, OptLevel, SessionOptions, TapeSimulator};
 
 /// An environment in which the toolchain probe cannot succeed: `$CC`
 /// points at a path that does not exist, and an explicit `$CC` is tried
@@ -92,8 +90,7 @@ fn library_native_request_degrades_to_exec_with_a_diagnostic() {
 
     // EngineMode::Native still solves — on the exec engine.
     let trajectory = |engine| {
-        let mut simulator = TapeSimulator::with_engine(&artifact, Vec::new(), engine);
-        simulator.set_jacobian_mode(JacobianMode::FdColored);
+        let simulator = TapeSimulator::with_engine(&artifact, Vec::new(), engine);
         simulator.trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05])
     };
     let native = trajectory(EngineMode::Native).expect("native request degrades to exec");

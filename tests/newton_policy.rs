@@ -14,8 +14,8 @@ use std::sync::{Arc, OnceLock};
 use rand::{Rng, SeedableRng};
 use rms_suite::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel, CacheMode,
-    CompiledArtifact, CompilerSession, EngineMode, JacobianMode, OptLevel, SessionOptions,
-    SolveStats, SolverOptions,
+    CompiledArtifact, CompilerSession, EngineMode, OptLevel, SessionOptions, SolveStats,
+    SolverOptions,
 };
 use rms_workload::{decay_chain, vulcanization_source};
 
@@ -70,7 +70,7 @@ fn solve(kind: Kind, rtol: f64) -> Solve {
         atol: rtol * 1e-3,
         ..SolverOptions::default()
     };
-    let source = bound.jacobian_source(JacobianMode::Analytic);
+    let source = bound.jacobian_source();
     let (y0, times) = (&model.system.initial, times());
     let (states, sens, stats) = match kind {
         Kind::Plain => {

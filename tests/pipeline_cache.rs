@@ -13,8 +13,7 @@ use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     cache, generate, optimize, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel,
     CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, EngineMode,
-    GenerateOptions, JacobianMode, OptLevel, SessionOptions, SolveStats, SolverOptions, Stage,
-    TapeSimulator,
+    GenerateOptions, OptLevel, SessionOptions, SolveStats, SolverOptions, Stage, TapeSimulator,
 };
 
 /// The in-memory cache is process-wide and one test clears it; serialize
@@ -81,10 +80,7 @@ fn solve(artifact: &CompiledArtifact, augmented: bool) -> (Vec<u64>, SolveStats)
     let choice = artifact.kernel(EngineMode::Exec);
     let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let (y0, times) = (&artifact.system.initial, [0.02, 0.05]);
-    let (options, source) = (
-        SolverOptions::default(),
-        bound.jacobian_source(JacobianMode::Analytic),
-    );
+    let (options, source) = (SolverOptions::default(), bound.jacobian_source());
     let (rows, stats) = if augmented {
         let (states, sens, stats) =
             solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &times, options, source)

@@ -26,8 +26,8 @@ use rms_core::{
 };
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, JacobianMode, OptLevel,
-    SessionOptions, TapeSimulator, FMA_CONTRACTS,
+    probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, OptLevel, SessionOptions,
+    TapeSimulator, FMA_CONTRACTS,
 };
 
 /// The in-memory artifact cache is process-wide; serialize the engine
@@ -84,8 +84,7 @@ fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc
 }
 
 fn trajectory(artifact: &Arc<CompiledArtifact>, engine: EngineMode) -> Vec<Vec<f64>> {
-    let mut simulator = TapeSimulator::with_engine(artifact, Vec::new(), engine);
-    simulator.set_jacobian_mode(JacobianMode::FdColored);
+    let simulator = TapeSimulator::with_engine(artifact, Vec::new(), engine);
     simulator
         .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05, 0.1])
         .expect("short solve succeeds")

@@ -1,15 +1,16 @@
 //! Analytic parameter sensitivities at the suite level: the estimator's
 //! analytic residual Jacobian must agree with careful central
 //! differences on both workload models (RDL-sourced and programmatic),
-//! and a fixed-seed estimate must converge to the same parameters under
-//! the analytic and finite-difference residual-Jacobian modes.
+//! and a fixed-seed estimate must converge to the same parameters from
+//! sensitivities as from finite differences (the same simulator with its
+//! sensitivities hidden).
 
 use rms_suite::workload::{
     generate_model, synthesize, ExpDataSpec, VulcanizationSpec, TRUE_RATES, VULCANIZATION_RDL,
 };
 use rms_suite::{
-    CompiledArtifact, CompilerSession, LmOptions, OptLevel, ParallelEstimator,
-    ResidualJacobianMode, SessionOptions, TapeSimulator,
+    CompiledArtifact, CompilerSession, LmOptions, OptLevel, ParallelEstimator, SessionOptions,
+    Simulator, TapeSimulator,
 };
 
 /// A session whose artifacts carry the parameter-sensitivity tapes.
@@ -32,8 +33,8 @@ fn tight_simulator(model: &CompiledArtifact, observable: Vec<f64>) -> TapeSimula
 
 /// Central-difference reference for the estimator's residual Jacobian,
 /// differencing the full objective (simulated − experimental stacked
-/// over files) exactly as the FD mode would, but second-order.
-fn central_difference_jacobian<S: rms_suite::Simulator>(
+/// over files) exactly as the FD fallback would, but second-order.
+fn central_difference_jacobian<S: Simulator>(
     estimator: &ParallelEstimator<S>,
     rates: &[f64],
     m: usize,
@@ -179,7 +180,11 @@ fn estimate_round_trip_analytic_and_fd_modes_agree() {
         },
     )
     .expect("synthesis succeeds");
-    let estimator = ParallelEstimator::new(&simulator, files, 2, false);
+    let estimator = ParallelEstimator::new(&simulator, files.clone(), 2, false);
+    // The same solves as a closure, which carries no sensitivities: the
+    // estimator builds its Jacobians by finite differences.
+    let plain = |p: &[f64], file: usize, times: &[f64]| simulator.simulate(p, file, times);
+    let fd_estimator = ParallelEstimator::new(&plain, files, 2, false);
 
     // Perturb two influential parameters; pin the rest at truth (the
     // paper's chemists constrain most rates tightly).
@@ -198,24 +203,24 @@ fn estimate_round_trip_analytic_and_fd_modes_agree() {
         ..LmOptions::default()
     };
     let analytic = estimator
-        .estimate_with_jacobian(&start, &lo, &hi, options, ResidualJacobianMode::Analytic)
+        .estimate(&start, &lo, &hi, options)
         .expect("analytic estimate runs");
-    let fd = estimator
-        .estimate_with_jacobian(&start, &lo, &hi, options, ResidualJacobianMode::Fd)
+    let fd = fd_estimator
+        .estimate(&start, &lo, &hi, options)
         .expect("FD estimate runs");
 
     for k in [1usize, 8] {
         let rel_truth = (analytic.params[k] - TRUE_RATES[k]).abs() / TRUE_RATES[k];
         assert!(
             rel_truth < 1e-2,
-            "analytic mode missed truth for p[{k}]: {} vs {}",
+            "analytic fit missed truth for p[{k}]: {} vs {}",
             analytic.params[k],
             TRUE_RATES[k]
         );
         let rel_modes = (analytic.params[k] - fd.params[k]).abs() / TRUE_RATES[k];
         assert!(
             rel_modes < 1e-4,
-            "modes disagree on p[{k}]: analytic {} vs FD {}",
+            "fits disagree on p[{k}]: analytic {} vs FD {}",
             analytic.params[k],
             fd.params[k]
         );

@@ -1,9 +1,11 @@
 //! Pinned digests of what `rmsc simulate` prints: both bundled models
-//! under every engine × `--jacobian` × `--linear-solver` combination,
-//! 72 tables at the default `--tend` and `--steps`. The digests were
-//! recorded while `rmsc simulate` still ran its own BDF solve beside the
-//! `TapeSimulator` every other path uses, so "the command solves through
-//! the one simulator and prints the same tables" is a test, not a claim.
+//! under every engine, 8 tables at the default `--tend` and `--steps`.
+//! The digests were recorded while `rmsc simulate` still ran its own BDF
+//! solve beside the `TapeSimulator` every other path uses, and while it
+//! still took a Jacobian source and a linear solver on the command line —
+//! every one of which printed these tables — so "the command solves
+//! through the one simulator and configures the solve itself" is a test,
+//! not a claim.
 //!
 //! Rows that need a C toolchain (`native`, and `auto`, which picks native
 //! when it can) are skipped — visibly, on stderr — without one. Where the
@@ -36,20 +38,17 @@ fn fnv(text: &str) -> u64 {
 }
 
 const ENGINES: [&str; 4] = ["interp", "exec", "native", "auto"];
-const JACOBIANS: [&str; 3] = ["analytic", "fd-colored", "fd-dense"];
-const SOLVERS: [&str; 3] = ["dense", "sparse", "auto"];
 
-/// One model's digests, indexed `[engine][jacobian][linear solver]` in
-/// the order of the arrays above.
-type Pins = [[[u64; 3]; 3]; 4];
+/// One model's digests, one per engine in the order of `ENGINES`.
+type Pins = [u64; 4];
 
-/// Run `rmsc simulate` on `model` in every combination and compare each
+/// Run `rmsc simulate` on `model` on every engine and compare each
 /// table's digest with its pin. On a mismatch the message carries every
 /// digest this build printed, laid out as the pin table.
 fn assert_pinned(model: &str, pins: &Pins) {
     let path = format!("{}/../../models/{model}", env!("CARGO_MANIFEST_DIR"));
     let toolchain = probe_toolchain().map_err(|e| e.to_string());
-    let mut got = [[[0u64; 3]; 3]; 4];
+    let mut got = [0u64; 4];
     let mut mismatches = Vec::new();
     for (e, engine) in ENGINES.iter().enumerate() {
         let skip = match (*engine, &toolchain) {
@@ -61,27 +60,14 @@ fn assert_pinned(model: &str, pins: &Pins) {
             eprintln!("SKIP: {model} --engine {engine}: {why}");
             continue;
         }
-        for (j, jacobian) in JACOBIANS.iter().enumerate() {
-            for (s, solver) in SOLVERS.iter().enumerate() {
-                let args: Vec<String> = [
-                    "simulate",
-                    &path,
-                    "--engine",
-                    engine,
-                    "--jacobian",
-                    jacobian,
-                    "--linear-solver",
-                    solver,
-                ]
-                .map(String::from)
-                .into();
-                let command = parse_args(&args).expect("a declared invocation");
-                let table = run(&command).unwrap_or_else(|e| panic!("{args:?}: {e}"));
-                got[e][j][s] = fnv(&table);
-                if got[e][j][s] != pins[e][j][s] {
-                    mismatches.push(format!("{engine}/{jacobian}/{solver}"));
-                }
-            }
+        let args: Vec<String> = ["simulate", &path, "--engine", engine]
+            .map(String::from)
+            .into();
+        let command = parse_args(&args).expect("a declared invocation");
+        let table = run(&command).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        got[e] = fnv(&table);
+        if got[e] != pins[e] {
+            mismatches.push(engine);
         }
     }
     assert!(
@@ -90,29 +76,21 @@ fn assert_pinned(model: &str, pins: &Pins) {
     );
 }
 
-// On both models every Jacobian source and linear solver agrees to the
-// printed precision, and interp, exec and native print one table. `auto`
-// prints it under a line naming its pick, whose reason counts the loop
-// regions of the kernel the compile asked for — on vulcanization.rdl,
-// `--jacobian analytic` compiles the Jacobian into it.
+// On both models interp, exec and native print one table. `auto` prints
+// it under a line naming its pick, whose reason counts the loop regions
+// of the kernel the compile built — on vulcanization.rdl the Jacobian,
+// which `rmsc simulate` always compiles, is in it.
 
 #[test]
 fn vulcanization_tables_are_pinned() {
-    const TABLE: [[u64; 3]; 3] = [[15_936_071_455_610_601_300; 3]; 3];
-    const AUTO: [u64; 3] = [
-        13_011_395_361_108_600_092,
-        16_831_022_200_689_816_745,
-        16_831_022_200_689_816_745,
-    ];
-    assert_pinned(
-        "vulcanization.rdl",
-        &[TABLE, TABLE, TABLE, AUTO.map(|d| [d; 3])],
-    );
+    const TABLE: u64 = 15_936_071_455_610_601_300;
+    const AUTO: u64 = 13_011_395_361_108_600_092;
+    assert_pinned("vulcanization.rdl", &[TABLE, TABLE, TABLE, AUTO]);
 }
 
 #[test]
 fn quickstart_tables_are_pinned() {
-    const TABLE: [[u64; 3]; 3] = [[14_514_943_634_184_189_247; 3]; 3];
-    const AUTO: [[u64; 3]; 3] = [[6_585_346_466_659_616_214; 3]; 3];
+    const TABLE: u64 = 14_514_943_634_184_189_247;
+    const AUTO: u64 = 6_585_346_466_659_616_214;
     assert_pinned("quickstart.rdl", &[TABLE, TABLE, TABLE, AUTO]);
 }

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests for the sparse Newton path: BDF
-//! trajectories under `--linear-solver sparse` match the dense baseline
+//! trajectories under `LinearSolver::Sparse` match the dense baseline
 //! on both workload model families and both sparsity-aware Jacobian
 //! sources, the factorization actually is sparse (nnz(L+U) ≪ n²), and
 //! the analysis behind it runs once per compiled model: every solve over
@@ -12,12 +12,13 @@
 
 use std::sync::{Arc, Barrier, Mutex};
 
+use rms_driver::KernelChoice;
 use rms_solver::{orderings_computed_on_this_thread, ColoredPattern};
 use rms_suite::{
     cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
-    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, EngineMode, FnRhs, JacobianMode,
-    JacobianSource, LinearSolver, NewtonPlan, OptLevel, SessionOptions, Simulator, SolveStats,
-    SolverOptions, SparsityPattern, Stage, TapeSimulator, SPARSE_COST_PER_MAC,
+    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, EngineMode, FnRhs, JacobianSource,
+    LinearSolver, NewtonPlan, OptLevel, SessionOptions, Simulator, SolveStats, SolverOptions,
+    SparsityPattern, Stage, TapeSimulator, SPARSE_COST_PER_MAC,
 };
 use rms_workload::{scaled_case, vulcanization_source, VulcanizationModel, VULCANIZATION_RDL};
 
@@ -67,26 +68,44 @@ fn rel_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The exec engine's states at [`TIMES`] under `options`, taken by the
-/// first BDF stage: the fallback chain must not have engaged.
+/// A sparsity-aware Jacobian source: the tapes the artifact carries,
+/// which every solve over it selects, or colored finite differences over
+/// the artifact's structural pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Analytic,
+    FdColored,
+}
+
+impl Source {
+    fn of<'a>(self, choice: &'a KernelChoice, bound: &'a BoundKernel<'a>) -> JacobianSource<'a> {
+        match self {
+            Source::Analytic => bound.jacobian_source(),
+            Source::FdColored => JacobianSource::FdColored(choice.patterns.fd()),
+        }
+    }
+}
+
+/// The exec engine's states at [`TIMES`] under `options`, taken by one
+/// BDF solve (no fallback chain).
 fn trajectory(
     model: &CompiledArtifact,
     options: SolverOptions,
-    mode: JacobianMode,
+    source: Source,
 ) -> Result<Vec<Vec<f64>>, String> {
-    let mut sim = TapeSimulator::with_engine(model, Vec::new(), EngineMode::Exec);
-    sim.options = options;
-    sim.set_jacobian_mode(mode);
-    let states = sim.trajectory(&model.system.rate_values, 0, &TIMES)?;
-    assert_eq!(sim.fallback_stats(), Default::default(), "{mode}");
-    Ok(states)
+    let choice = model.kernel(EngineMode::Exec);
+    let bound = BoundKernel::new(&choice, &model.system.rate_values);
+    let y0 = &model.system.initial;
+    let solve =
+        solve_bdf_with_jacobian(&bound, 0.0, y0, &TIMES, options, source.of(&choice, &bound));
+    solve.map(|(states, _)| states).map_err(|e| e.to_string())
 }
 
 /// Sparse-vs-dense agreement for one model under both sparsity-aware
 /// Jacobian sources (analytic tapes and colored finite differences).
 /// The tolerance pair is per-model: as tight as its scaling admits.
 fn assert_solvers_agree(model: &CompiledArtifact, label: &str, rtol: f64, atol: f64) {
-    for mode in [JacobianMode::Analytic, JacobianMode::FdColored] {
+    for mode in [Source::Analytic, Source::FdColored] {
         let dense = trajectory(model, tight(LinearSolver::Dense, rtol, atol), mode)
             .unwrap_or_else(|e| panic!("{label}/{mode:?}: dense solve failed: {e}"));
         let sparse = trajectory(model, tight(LinearSolver::Sparse, rtol, atol), mode)
@@ -195,7 +214,7 @@ fn solver_stats_report_sparse_fill() {
         &compiled.system.initial,
         &[0.01],
         options,
-        bound.jacobian_source(JacobianMode::Analytic),
+        bound.jacobian_source(),
     )
     .expect("sparse BDF solve succeeds");
 
@@ -220,7 +239,7 @@ fn solver_stats_report_sparse_fill() {
         &compiled.system.initial,
         &[0.01],
         options,
-        bound.jacobian_source(JacobianMode::Analytic),
+        bound.jacobian_source(),
     )
     .expect("dense BDF solve succeeds");
     assert_eq!(dense_stats.fill_nnz, n * n);
@@ -344,12 +363,12 @@ fn solve_sparse(
     solve_with(artifact, bound, source, sparse_options(), kind)
 }
 
-/// The counters of a solve of `kind` with the Jacobian source `mode`
-/// selects, at the simulator's tolerances.
+/// The counters of a solve of `kind` through `source`, at the
+/// simulator's tolerances.
 fn solve_stats(
     artifact: &CompiledArtifact,
     kind: Kind,
-    mode: JacobianMode,
+    source: Source,
     linear_solver: LinearSolver,
 ) -> SolveStats {
     let choice = artifact.kernel(EngineMode::Exec);
@@ -358,7 +377,7 @@ fn solve_stats(
         linear_solver,
         ..SolverOptions::default()
     };
-    solve_with(artifact, &bound, bound.jacobian_source(mode), options, kind).1
+    solve_with(artifact, &bound, source.of(&choice, &bound), options, kind).1
 }
 
 /// The shared plan is the analysis a solve would have run: plain and
@@ -468,7 +487,7 @@ fn tightened_stage_reuses_the_primary_stages_plan() {
     // Through the chain itself: starved of steps, every stage fails, and
     // what the first one analyzed is still the artifact's plan.
     let mut sim = TapeSimulator::from_artifact(&artifact, observable);
-    sim.set_linear_solver(LinearSolver::Sparse);
+    sim.options.linear_solver = LinearSolver::Sparse;
     sim.options.max_steps = 1;
     sim.simulate(rates, 0, &[2.0]).unwrap_err();
     assert_eq!(sim.fallback_stats().bdf_failures, 1);
@@ -491,7 +510,7 @@ fn tightened_stage_reuses_the_primary_stages_plan() {
     let outcomes = [primary, tightened].map(|options| {
         let bound = BoundKernel::new(&choice, rates);
         let mut solver = Bdf::new(&bound, 0.0, &artifact.system.initial, options);
-        solver.set_jacobian_source(bound.jacobian_source(JacobianMode::Analytic));
+        solver.set_jacobian_source(bound.jacobian_source());
         let outcome = solver.integrate_to(0.05);
         assert!(solver.stats().factorizations > 0);
         assert_eq!(solver.stats().symbolic_analyses, 0);
@@ -515,14 +534,14 @@ fn dense_solves_never_build_a_plan() {
 
     let artifact = revived("dense", scaled_case(2, 40));
     let mut sim = TapeSimulator::from_artifact(&artifact, vec![1.0; artifact.system.len()]);
-    sim.set_linear_solver(LinearSolver::Dense);
+    sim.options.linear_solver = LinearSolver::Dense;
     let rates = &artifact.system.rate_values;
     sim.simulate(rates, 0, &TIMES).expect("dense solve");
     sim.simulate_with_sensitivities(rates, 0, &TIMES)
         .expect("dense augmented solve");
     no_plan(&artifact, "LinearSolver::Dense");
     // The same model does plan once it may: `Auto` takes it sparse.
-    sim.set_linear_solver(LinearSolver::Auto);
+    sim.options.linear_solver = LinearSolver::Auto;
     sim.simulate(rates, 0, &TIMES).expect("auto solve");
     let patterns = artifact.kernel(EngineMode::Exec).patterns;
     assert!(patterns.built_plan().is_some());
@@ -532,7 +551,7 @@ fn dense_solves_never_build_a_plan() {
     // The Deriv stage of the cold compile planned the Jacobian.
     let kept = patterns.built_plan().unwrap().clone();
     let sim = TapeSimulator::from_artifact(&artifact, vec![1.0; artifact.system.len()]);
-    assert_eq!(sim.linear_solver(), LinearSolver::Auto);
+    assert_eq!(sim.options.linear_solver, LinearSolver::Auto);
     let rates = &artifact.system.rate_values;
     sim.simulate(rates, 0, &TIMES).expect("auto solve");
     sim.simulate_with_sensitivities(rates, 0, &TIMES)
@@ -540,7 +559,7 @@ fn dense_solves_never_build_a_plan() {
     assert_eq!((kept.fill_nnz(), kept.factor_macs()), (5_549, 79_833));
     for kind in KINDS {
         for _ in 0..2 {
-            let stats = solve_stats(&artifact, kind, JacobianMode::Analytic, LinearSolver::Auto);
+            let stats = solve_stats(&artifact, kind, Source::Analytic, LinearSolver::Auto);
             assert_eq!(stats.fill_nnz, 5_549, "{kind:?}");
             assert_eq!(stats.symbolic_analyses, 0, "{kind:?}");
         }
@@ -581,20 +600,20 @@ fn artifact_backed_solves_never_analyze() {
             LinearSolver::Sparse,
         ] {
             for (kind, mode) in [
-                (Kind::Plain, JacobianMode::Analytic),
-                (Kind::Plain, JacobianMode::FdColored),
-                (Kind::Augmented, JacobianMode::Analytic),
+                (Kind::Plain, Source::Analytic),
+                (Kind::Plain, Source::FdColored),
+                (Kind::Augmented, Source::Analytic),
             ] {
                 let ordered = orderings_computed_on_this_thread();
                 let stats = solve_stats(artifact, kind, mode, solver);
-                if mode == JacobianMode::Analytic {
+                if mode == Source::Analytic {
                     let ran = orderings_computed_on_this_thread() - ordered;
                     assert_eq!(ran, 0, "{label}/{solver}/{kind:?}: minimum-degree passes");
                 }
                 assert!(stats.factorizations > 0);
                 assert_eq!(
                     stats.symbolic_analyses, 0,
-                    "{label}/{solver}/{kind:?}/{mode}"
+                    "{label}/{solver}/{kind:?}/{mode:?}"
                 );
             }
             if solver == LinearSolver::Dense && label == "revived" {
@@ -616,12 +635,7 @@ fn auto_decides_from_the_plans_multiply_adds() {
     let jacobian_plan = |model: &CompiledArtifact| {
         let patterns = model.kernel(EngineMode::Exec).patterns;
         let plan = patterns.plan().expect("Deriv ran");
-        let stats = solve_stats(
-            model,
-            Kind::Plain,
-            JacobianMode::Analytic,
-            LinearSolver::Auto,
-        );
+        let stats = solve_stats(model, Kind::Plain, Source::Analytic, LinearSolver::Auto);
         (plan, stats.fill_nnz)
     };
     let rdl = deriv_session()
