@@ -10,15 +10,14 @@
 //!   the optimizer's output.
 //! * [`emit_kernel`] is the one kernel emitter: it renders a complete
 //!   native *kernel source* from the lowered register [`Tape`]s — the
-//!   scalar RHS, a `LANES`-wide batched entry point mirroring
-//!   [`ExecTape::eval_batch`](crate::exec::ExecTape), and — when the
-//!   corresponding tape groups are supplied — the analytic Jacobian and
-//!   `∂f/∂p` sensitivity functions. Rerolling is a pass of this emitter,
-//!   not a mode: each tape is rerolled on the way in and rendered in one
-//!   form, chunk functions over a register array with C `for` loops where
+//!   RHS and, when the corresponding tape groups are supplied, the
+//!   analytic Jacobian and `∂f/∂p` sensitivity functions: what a solve
+//!   calls, nothing else. Rerolling is a pass of this emitter, not a
+//!   mode: each tape is rerolled on the way in and rendered in one form,
+//!   chunk functions over a register array with C `for` loops where
 //!   stanzas repeat. The source is handed to the platform C compiler
 //!   (`cc -O2 -fPIC -shared -ffp-contract=off`) and `dlopen`ed back as
-//!   `EngineMode::Native`.
+//!   the artifact's native kernel.
 //!
 //! Because the kernel replays the exact instruction sequence of the tape
 //! interpreter — same association order, contraction disabled — its results
@@ -196,18 +195,15 @@ pub struct KernelSpec<'a> {
     pub key: u128,
 }
 
-/// Number of states the emitted batched entry point processes per
-/// vectorized block. Matches [`crate::exec::LANES`].
-pub const KERNEL_LANES: usize = crate::exec::LANES;
-
 /// ABI version stamped into every emitted kernel (`rms_abi_version`).
 /// Bump when the exported symbol set or signatures change.
 ///
 /// Version 2 added the `rms_loop_count` / `rms_rolled_instrs` metadata
 /// exports; version 3 dropped `rms_sens_jac_nnz` (`ode_sens` writes the
-/// Jacobian `ode_jac` writes). Objects of another version fail the check
-/// on load and are quarantined and rebuilt.
-pub const KERNEL_ABI_VERSION: i32 = 3;
+/// Jacobian `ode_jac` writes); version 4 dropped the batched entry points
+/// (`ode_rhs_batch`, `ode_rhs_lanes`) and `rms_lanes`. Objects of another
+/// version fail the check on load and are quarantined and rebuilt.
+pub const KERNEL_ABI_VERSION: i32 = 4;
 
 /// Statements per chunk function. C compilers have superlinear
 /// per-function passes (register allocation in particular), so a
@@ -222,7 +218,7 @@ pub struct EmittedKernel {
     /// Translation units; unit 0 holds metadata, pools and entry points.
     /// Compile each to an object and link them into one shared object.
     pub units: Vec<String>,
-    /// Loop regions rendered across all scalar tape groups.
+    /// Loop regions rendered across all tape groups.
     pub loop_count: usize,
     /// Flat instructions absorbed into rendered loops.
     pub rolled_instrs: usize,
@@ -234,9 +230,9 @@ pub struct EmittedKernel {
     pub pooled_consts: usize,
 }
 
-/// Kernel-wide constant pools, deduplicated across every chunk, loop,
-/// and scalar/lane variant: index runs land in `rms_tab`, float runs
-/// (and pooled scalar constants) in `rms_cpool`, each emitted once.
+/// Kernel-wide constant pools, deduplicated across every chunk and loop:
+/// index runs land in `rms_tab`, float runs (and pooled scalar
+/// constants) in `rms_cpool`, each emitted once.
 #[derive(Default)]
 struct Pools {
     tab: Vec<u32>,
@@ -274,8 +270,6 @@ struct CFn {
     proto: String,
     /// Full definition text.
     text: String,
-    /// Wrapped in the GNU-C lane guard.
-    lanes: bool,
     /// Entry points must stay in unit 0; chunk functions may be
     /// distributed across units.
     entry: bool,
@@ -285,11 +279,10 @@ struct CFn {
 
 impl CFn {
     /// An entry point: `body` between the braces of `proto`.
-    fn entry(proto: &str, body: &str, lanes: bool) -> CFn {
+    fn entry(proto: &str, body: &str) -> CFn {
         CFn {
             proto: proto.to_string(),
             text: format!("{proto} {{\n{body}}}\n\n"),
-            lanes,
             entry: true,
             weight: 1,
         }
@@ -311,14 +304,8 @@ fn slot_expr(base: u64, pat: &SlotPattern, pools: &mut Pools) -> String {
 
 /// Render one operand of a statement. `pat` is `None` for straight-line
 /// statements (every slot fixed). Constants always go through the shared
-/// pool so identical values across chunks, loops and the scalar/lane
-/// variants are emitted once.
-fn rolled_operand(
-    op: &Operand,
-    pat: Option<&SlotPattern>,
-    lanes: bool,
-    pools: &mut Pools,
-) -> String {
+/// pool so identical values across chunks and loops are emitted once.
+fn rolled_operand(op: &Operand, pat: Option<&SlotPattern>, pools: &mut Pools) -> String {
     let fixed = SlotPattern::Fixed;
     let pat = pat.unwrap_or(&fixed);
     match op {
@@ -330,32 +317,15 @@ fn rolled_operand(
                 }
                 _ => format!("{}", pools.intern_consts(&[*v])),
             };
-            if lanes {
-                format!("rms_splat(rms_cpool[{idx}])")
-            } else {
-                format!("rms_cpool[{idx}]")
-            }
+            format!("rms_cpool[{idx}]")
         }
         Operand::Reg(r) => format!("r[{}]", slot_expr(*r as u64, pat, pools)),
-        Operand::Species(i) => {
-            if lanes {
-                format!("yt[{}]", slot_expr(*i as u64, pat, pools))
-            } else {
-                format!("y[{}]", slot_expr(*i as u64, pat, pools))
-            }
-        }
-        Operand::Rate(i) => {
-            if lanes {
-                format!("rms_splat(k[{}])", slot_expr(*i as u64, pat, pools))
-            } else {
-                format!("k[{}]", slot_expr(*i as u64, pat, pools))
-            }
-        }
+        Operand::Species(i) => format!("y[{}]", slot_expr(*i as u64, pat, pools)),
+        Operand::Rate(i) => format!("k[{}]", slot_expr(*i as u64, pat, pools)),
     }
 }
 
-/// Render one statement (scalar or lane form) over the register array
-/// `r`. `pats` carries the per-slot patterns of a loop body instruction
+/// Render one statement over the register array `r`. `pats` carries the per-slot patterns of a loop body instruction
 /// (slot 0 = destination); `None` means a straight-line statement. The
 /// statement order is exactly the interpreter's, so the rounding sequence
 /// is identical.
@@ -364,7 +334,6 @@ fn rolled_stmt(
     instr: &Instr,
     pats: Option<&[SlotPattern]>,
     indent: &str,
-    lanes: bool,
     pools: &mut Pools,
 ) {
     let dst_pat = pats.map(|p| &p[0]);
@@ -378,32 +347,24 @@ fn rolled_stmt(
                 _ => "*",
             };
             let d = slot_expr(*dst as u64, dst_pat.unwrap_or(&fixed), pools);
-            let ea = rolled_operand(a, op_pat(0), lanes, pools);
-            let eb = rolled_operand(b, op_pat(1), lanes, pools);
+            let ea = rolled_operand(a, op_pat(0), pools);
+            let eb = rolled_operand(b, op_pat(1), pools);
             let _ = writeln!(out, "{indent}r[{d}] = {ea}{sym}{eb};");
         }
         Instr::Neg { dst, a } => {
             let d = slot_expr(*dst as u64, dst_pat.unwrap_or(&fixed), pools);
-            let ea = rolled_operand(a, op_pat(0), lanes, pools);
+            let ea = rolled_operand(a, op_pat(0), pools);
             let _ = writeln!(out, "{indent}r[{d}] = -{ea};");
         }
         Instr::Copy { dst, a } => {
             let d = slot_expr(*dst as u64, dst_pat.unwrap_or(&fixed), pools);
-            let ea = rolled_operand(a, op_pat(0), lanes, pools);
+            let ea = rolled_operand(a, op_pat(0), pools);
             let _ = writeln!(out, "{indent}r[{d}] = {ea};");
         }
         Instr::Store { idx, a } => {
             let d = slot_expr(*idx as u64, dst_pat.unwrap_or(&fixed), pools);
-            let ea = rolled_operand(a, op_pat(0), lanes, pools);
-            if lanes {
-                let _ = writeln!(
-                    out,
-                    "{indent}{{ const rms_v8 s_ = {ea}; const long i_ = {d}; \
-                     for (int l_ = 0; l_ < RMS_LANES; ++l_) o[l_*RMS_N_SPECIES + i_] = s_[l_]; }}"
-                );
-            } else {
-                let _ = writeln!(out, "{indent}o[{d}] = {ea};");
-            }
+            let ea = rolled_operand(a, op_pat(0), pools);
+            let _ = writeln!(out, "{indent}o[{d}] = {ea};");
         }
     }
 }
@@ -444,17 +405,11 @@ fn rolled_items(view: &RolledTape) -> Vec<RolledItem> {
 }
 
 /// Emit one item (straight run or loop) of a member tape.
-fn emit_rolled_item(
-    out: &mut String,
-    tape: &Tape,
-    item: &RolledItem,
-    lanes: bool,
-    pools: &mut Pools,
-) {
+fn emit_rolled_item(out: &mut String, tape: &Tape, item: &RolledItem, pools: &mut Pools) {
     match item {
         RolledItem::Straight(range) => {
             for instr in &tape.instrs[range.clone()] {
-                rolled_stmt(out, instr, None, "    ", lanes, pools);
+                rolled_stmt(out, instr, None, "    ", pools);
             }
         }
         RolledItem::Loop(lp) => {
@@ -466,7 +421,6 @@ fn emit_rolled_item(
                     &tape.instrs[lp.start + p],
                     Some(pats),
                     "        ",
-                    lanes,
                     pools,
                 );
             }
@@ -479,16 +433,13 @@ fn emit_rolled_item(
 /// `g` counting on from the group's earlier members, and return their
 /// names in call order. Registers live in a caller-provided array (`r`),
 /// so chunk boundaries need no liveness planning and loops can index
-/// registers dynamically. The lane form (`lanes`) runs the same
-/// statements over `rms_v8` registers and reads species from the
-/// transposed lane-major array the entry point fills.
+/// registers dynamically.
 fn emit_chunks(
     fns: &mut Vec<CFn>,
     stem: &str,
     g: &mut usize,
     tape: &Tape,
     view: &RolledTape,
-    lanes: bool,
     pools: &mut Pools,
 ) -> Vec<String> {
     let mut names = Vec::new();
@@ -501,27 +452,19 @@ fn emit_chunks(
         pending.push(item);
         if weight >= CHUNK || i + 1 == n {
             let fn_name = format!("{stem}{g}");
-            let proto = if lanes {
-                format!(
-                    "void {fn_name}(const double* restrict k, const rms_v8* restrict yt,\n\
-                     \x20       double* restrict o, rms_v8* restrict r)"
-                )
-            } else {
-                format!(
-                    "void {fn_name}(const double* restrict k, const double* restrict y,\n\
-                     \x20       double* restrict o, double* restrict r)"
-                )
-            };
+            let proto = format!(
+                "void {fn_name}(const double* restrict k, const double* restrict y,\n\
+                 \x20       double* restrict o, double* restrict r)"
+            );
             let mut text = proto.clone();
             text.push_str(" {\n");
             for item in pending.drain(..) {
-                emit_rolled_item(&mut text, tape, &item, lanes, pools);
+                emit_rolled_item(&mut text, tape, &item, pools);
             }
             text.push_str("}\n\n");
             fns.push(CFn {
                 proto,
                 text,
-                lanes,
                 entry: false,
                 weight,
             });
@@ -533,8 +476,8 @@ fn emit_chunks(
     names
 }
 
-/// One tape of a scalar function group, rerolled, and the output array
-/// its stores write.
+/// One tape of a function group, rerolled, and the output array its
+/// stores write.
 struct Member<'a> {
     tape: &'a Tape,
     view: RolledTape,
@@ -560,15 +503,11 @@ struct Member<'a> {
 /// Exported symbols:
 ///
 /// * `rms_key[2]`, `rms_abi_version`, `rms_n_species`, `rms_n_rates`,
-///   `rms_lanes`, `rms_jac_nnz`, `rms_dfdp_nnz`, `rms_loop_count`,
-///   `rms_rolled_instrs` — metadata the loader validates before trusting
-///   the object (`-1` marks an absent function's nnz).
+///   `rms_jac_nnz`, `rms_dfdp_nnz`, `rms_loop_count`, `rms_rolled_instrs`
+///   — metadata the loader validates before trusting the object (`-1`
+///   marks an absent function's nnz).
 /// * `void ode_rhs(const double* restrict k, const double* restrict y,
-///   double* restrict ydot)` — scalar RHS.
-/// * `void ode_rhs_batch(const double* restrict k, const double* restrict
-///   ys, double* restrict ydots, long n_states)` — row-major batched RHS;
-///   full blocks of [`KERNEL_LANES`] states run through a vectorized
-///   kernel (GNU C vector extensions), the remainder through `ode_rhs`.
+///   double* restrict ydot)` — the RHS.
 /// * `void ode_jac(k, y, ydot, jac)` — RHS + analytic Jacobian values in
 ///   tape entry order (when [`KernelSpec::derivs`] is given).
 /// * `void ode_sens(k, y, ydot, jac, dfdp)` — `ode_jac`'s chunk calls,
@@ -583,14 +522,13 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
         view: reroll(tape, &RerollOptions::default()),
         arr,
     };
-    let rhs = member(spec.rhs, "ydot");
 
     let mut pools = Pools::default();
     let mut fns: Vec<CFn> = Vec::new();
     let mut loop_count = 0usize;
     let mut rolled_instrs = 0usize;
-    let mut scalar_regs = 1usize;
-    // One scalar entry point: render `members` as chunk functions and run
+    let mut n_regs = 1usize;
+    // One entry point: render `members` as chunk functions and run
     // them after the calls already in `body`, adding their output arrays
     // to `args`. Every member tape is rendered exactly once; an entry
     // point that continues another (`ode_sens` after `ode_jac`, over the
@@ -602,18 +540,18 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
             let _ = write!(args, ",\n        double* restrict {arr}");
             loop_count += view.loop_count();
             rolled_instrs += view.rerolled_instrs();
-            scalar_regs = scalar_regs.max(tape.n_regs);
-            for chunk in emit_chunks(&mut fns, &stem, &mut g, tape, view, false, &mut pools) {
+            n_regs = n_regs.max(tape.n_regs);
+            for chunk in emit_chunks(&mut fns, &stem, &mut g, tape, view, &mut pools) {
                 let _ = writeln!(body, "    {chunk}(k, y, {arr}, rms_regs);");
             }
         }
         let proto =
             format!("void {name}(const double* restrict k, const double* restrict y{args})");
-        fns.push(CFn::entry(&proto, body, false));
+        fns.push(CFn::entry(&proto, body));
     };
     entry(
         "ode_rhs",
-        std::slice::from_ref(&rhs),
+        &[member(spec.rhs, "ydot")],
         &mut String::new(),
         &mut String::new(),
     );
@@ -631,47 +569,6 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
             );
         }
     }
-
-    // Lane kernel for the RHS tape: transpose the eight states into a
-    // shared lane-major array once, so the chunk functions read whole
-    // vectors with unit stride.
-    let mut body = "    /* Eight consecutive row-major states in, eight out. */\n\
-                    \x20   for (int j = 0; j < RMS_N_SPECIES; ++j)\n\
-                    \x20       for (int l = 0; l < RMS_LANES; ++l)\n\
-                    \x20           rms_y_t[j][l] = y[l * RMS_N_SPECIES + j];\n"
-        .to_string();
-    let lane_chunks = emit_chunks(
-        &mut fns,
-        "rms_ode_rhs_l",
-        &mut 0,
-        spec.rhs,
-        &rhs.view,
-        true,
-        &mut pools,
-    );
-    for chunk in lane_chunks {
-        let _ = writeln!(body, "    {chunk}(k, rms_y_t, ydot, rms_regs_v);");
-    }
-    fns.push(CFn::entry(
-        "void ode_rhs_lanes(const double* restrict k, const double* restrict y,\n\
-         \x20                  double* restrict ydot)",
-        &body,
-        true,
-    ));
-
-    // Batched entry point.
-    fns.push(CFn::entry(
-        "void ode_rhs_batch(const double* restrict k, const double* restrict ys,\n\
-         \x20                  double* restrict ydots, long n_states)",
-        "    long s = 0;\n\
-         #ifdef RMS_HAVE_LANES\n\
-         \x20   for (; s + RMS_LANES <= n_states; s += RMS_LANES)\n\
-         \x20       ode_rhs_lanes(k, ys + s * RMS_N_SPECIES, ydots + s * RMS_N_SPECIES);\n\
-         #endif\n\
-         \x20   for (; s < n_states; ++s)\n\
-         \x20       ode_rhs(k, ys + s * RMS_N_SPECIES, ydots + s * RMS_N_SPECIES);\n",
-        false,
-    ));
 
     // --- distribute chunk functions over units ---------------------------
     let n_units = max_units.clamp(1, fns.iter().filter(|f| !f.entry).count().max(1));
@@ -717,26 +614,12 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
         );
         let _ = writeln!(out, "#define RMS_N_SPECIES {n_species}");
         let _ = writeln!(out, "#define RMS_N_RATES {n_rates}");
-        let _ = writeln!(out, "#define RMS_LANES {KERNEL_LANES}");
         out.push_str(
             "#if defined(__GNUC__)\n\
              #define RMS_TLS __thread\n\
              #else\n\
              #define RMS_TLS _Thread_local\n\
-             #endif\n\
-             #if defined(__GNUC__)\n\
-             #define RMS_HAVE_LANES 1\n",
-        );
-        let _ = writeln!(
-            out,
-            "typedef double rms_v8 __attribute__((vector_size({})));",
-            KERNEL_LANES * 8
-        );
-        out.push_str(
-            "static inline rms_v8 rms_splat(double x) {\n\
-             \x20   return (rms_v8){x, x, x, x, x, x, x, x};\n\
-             }\n\
-             #endif /* __GNUC__ */\n\n",
+             #endif\n\n",
         );
         if u == 0 {
             let _ = writeln!(
@@ -748,7 +631,6 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
             let _ = writeln!(out, "const int rms_abi_version = {KERNEL_ABI_VERSION};");
             let _ = writeln!(out, "const int rms_n_species = RMS_N_SPECIES;");
             let _ = writeln!(out, "const int rms_n_rates = RMS_N_RATES;");
-            let _ = writeln!(out, "const int rms_lanes = RMS_LANES;");
             let _ = writeln!(out, "const long long rms_jac_nnz = {jac_nnz}ll;");
             let _ = writeln!(out, "const long long rms_dfdp_nnz = {dfdp_nnz}ll;");
             let _ = writeln!(out, "const long long rms_loop_count = {loop_count}ll;");
@@ -777,15 +659,7 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
                 }
                 out.push_str("\n};\n");
             }
-            let _ = writeln!(out, "static RMS_TLS double rms_regs[{scalar_regs}];");
-            let _ = writeln!(
-                out,
-                "#ifdef RMS_HAVE_LANES\n\
-                 static RMS_TLS rms_v8 rms_regs_v[{}];\n\
-                 static RMS_TLS rms_v8 rms_y_t[RMS_N_SPECIES];\n\
-                 #endif\n",
-                spec.rhs.n_regs.max(1)
-            );
+            let _ = writeln!(out, "static RMS_TLS double rms_regs[{n_regs}];\n");
         } else {
             if !pools.tab.is_empty() {
                 let _ = writeln!(out, "extern const {tab_ty} rms_tab[];");
@@ -802,24 +676,13 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
                 if f.entry || assignment[i] == 0 {
                     continue;
                 }
-                if f.lanes {
-                    let _ = writeln!(out, "#ifdef RMS_HAVE_LANES\n{};\n#endif", f.proto);
-                } else {
-                    let _ = writeln!(out, "{};", f.proto);
-                }
+                let _ = writeln!(out, "{};", f.proto);
             }
             out.push('\n');
         }
         for (i, f) in fns.iter().enumerate() {
             let here = if f.entry { u == 0 } else { assignment[i] == u };
-            if !here {
-                continue;
-            }
-            if f.lanes {
-                out.push_str("#ifdef RMS_HAVE_LANES\n");
-                out.push_str(&f.text);
-                out.push_str("#endif /* RMS_HAVE_LANES */\n\n");
-            } else {
+            if here {
                 out.push_str(&f.text);
             }
         }
@@ -1050,14 +913,11 @@ mod tests {
             "void ode_rhs(const double* restrict k",
             "void ode_jac(",
             "void ode_sens(",
-            "void ode_rhs_batch(",
-            "ode_rhs_lanes",
             "rms_key[2]",
             "0x000000000000cafeull",
             "0xdeadbeef00000000ull",
             "const int rms_n_species = RMS_N_SPECIES;",
             "#define RMS_N_SPECIES 2",
-            "vector_size(64)",
         ] {
             assert!(src.contains(needle), "missing {needle:?} in:\n{src}");
         }
@@ -1131,7 +991,6 @@ mod tests {
             "const double rms_cpool[",
             "rms_regs",
             "void ode_rhs(",
-            "void ode_rhs_batch(",
         ] {
             assert!(src.contains(needle), "missing {needle:?} in:\n{src}");
         }

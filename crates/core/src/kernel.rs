@@ -192,7 +192,7 @@ impl Kernel for TapeKernel<ExecTape> {
 /// validated on load against) the group its artifact compiled, so what
 /// exists is exported. Its registers live in the object — there is
 /// nothing to resume over, and every `∂f/∂p` request runs all of
-/// `ode_sens`.
+/// `ode_sens`. A batch is the provided loop over `ode_rhs`.
 impl Kernel for TapeKernel<NativeKernel> {
     fn n_species(&self) -> usize {
         self.rhs.n_species()
@@ -204,10 +204,6 @@ impl Kernel for TapeKernel<NativeKernel> {
 
     fn rhs(&self, rates: &[f64], y: &[f64], ydot: &mut [f64], _: &mut KernelScratch) {
         self.rhs.eval(rates, y, ydot);
-    }
-
-    fn rhs_batch(&self, rates: &[f64], ys: &[f64], ydots: &mut [f64], _: &mut KernelScratch) {
-        self.rhs.eval_batch(rates, ys, ydots);
     }
 
     fn derivs(&self) -> Option<&DerivTapes> {

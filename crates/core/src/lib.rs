@@ -41,9 +41,7 @@ pub use deriv::{
     SensitivityTapes,
 };
 pub use distopt::{distribute_expr, distribute_forest};
-pub use emit_c::{
-    c_f64, emit_c, emit_kernel, EmittedKernel, KernelSpec, KERNEL_ABI_VERSION, KERNEL_LANES,
-};
+pub use emit_c::{c_f64, emit_c, emit_kernel, EmittedKernel, KernelSpec, KERNEL_ABI_VERSION};
 pub use exec::{ExecFrame, ExecInstr, ExecTape, FMA_CONTRACTS, LANES};
 pub use expr::{Coeff, Expr, ExprForest, TempId};
 pub use generic::{

@@ -119,9 +119,9 @@ pub struct CompileTiming {
 /// Invoke the C compiler once, retrying without `-march=native` for
 /// compilers that reject it.
 ///
-/// `-march=native` lets the lane kernel's 512-bit vectors map onto the
-/// host's widest SIMD instead of being split into baseline-SSE2 halves
-/// (the cache directory is per-machine, so host-tuned objects are safe).
+/// `-march=native` lets the compiler use the host's widest SIMD for the
+/// rerolled loops (the cache directory is per-machine, so host-tuned
+/// objects are safe).
 /// `-ffp-contract=off` keeps the op-for-op rounding identical to the
 /// interpreter either way.
 fn run_cc(toolchain: &Toolchain, args: &[&std::ffi::OsStr]) -> Result<(), NativeError> {
@@ -271,13 +271,12 @@ pub struct KernelMeta {
 }
 
 type RhsFn = unsafe extern "C" fn(*const f64, *const f64, *mut f64);
-type BatchFn = unsafe extern "C" fn(*const f64, *const f64, *mut f64, std::os::raw::c_long);
 type JacFn = unsafe extern "C" fn(*const f64, *const f64, *mut f64, *mut f64);
 type SensFn = unsafe extern "C" fn(*const f64, *const f64, *mut f64, *mut f64, *mut f64);
 
 /// A loaded native kernel: a `dlopen`ed shared object whose exported
-/// functions evaluate the RHS (scalar and batched), and optionally the
-/// analytic Jacobian and sensitivity tails, of one compiled model.
+/// functions evaluate the RHS, and optionally the analytic Jacobian and
+/// sensitivity tails, of one compiled model.
 ///
 /// All entry points take slices and assert dimensions, so no unsafety
 /// leaks to callers. The underlying handle is closed on drop.
@@ -285,7 +284,6 @@ pub struct NativeKernel {
     #[cfg(unix)]
     handle: *mut std::os::raw::c_void,
     rhs: RhsFn,
-    rhs_batch: BatchFn,
     jac: Option<JacFn>,
     sens: Option<SensFn>,
     meta: KernelMeta,
@@ -409,7 +407,6 @@ impl NativeKernel {
             let rolled_instrs = read_i64("rms_rolled_instrs")?.max(0) as usize;
 
             let rhs: RhsFn = unsafe { std::mem::transmute(sym("ode_rhs")?) };
-            let rhs_batch: BatchFn = unsafe { std::mem::transmute(sym("ode_rhs_batch")?) };
             let jac = match expect.jac_nnz {
                 None => None,
                 Some(n) => {
@@ -439,7 +436,6 @@ impl NativeKernel {
             Ok(NativeKernel {
                 handle,
                 rhs,
-                rhs_batch,
                 jac,
                 sens,
                 meta: *expect,
@@ -500,17 +496,6 @@ impl NativeKernel {
         assert_eq!(y.len(), self.meta.n_species);
         assert_eq!(ydot.len(), self.meta.n_species);
         unsafe { (self.rhs)(rates.as_ptr(), y.as_ptr(), ydot.as_mut_ptr()) }
-    }
-
-    /// Evaluate the RHS for `ys.len() / n_species` row-major states at
-    /// once through the batched entry point.
-    pub fn eval_batch(&self, rates: &[f64], ys: &[f64], ydots: &mut [f64]) {
-        let n = self.meta.n_species;
-        assert_eq!(rates.len(), self.meta.n_rates);
-        assert_eq!(ys.len() % n, 0, "ys must hold whole states");
-        assert_eq!(ydots.len(), ys.len());
-        let n_states = (ys.len() / n) as std::os::raw::c_long;
-        unsafe { (self.rhs_batch)(rates.as_ptr(), ys.as_ptr(), ydots.as_mut_ptr(), n_states) }
     }
 
     /// Evaluate RHS + analytic Jacobian values (tape entry order).
@@ -665,35 +650,22 @@ mod tests {
         }
 
         /// Every entry point of `kernel` against the interpreted tapes,
-        /// bit for bit; the batched one at each of `batch_sizes` states.
-        fn assert_matches_interpreter(&self, kernel: &NativeKernel, batch_sizes: &[usize]) {
+        /// bit for bit, at a few states.
+        fn assert_matches_interpreter(&self, kernel: &NativeKernel) {
             let (tape, jt) = (&self.tape, self.derivs.state());
             let st = self.derivs.sensitivity().expect("compiled with the tail");
             let n = tape.n_species;
             let rates: Vec<f64> = (0..tape.n_rates).map(|i| 0.3 + 0.17 * i as f64).collect();
             let y: Vec<f64> = (0..n).map(|i| 0.05 + 0.011 * i as f64).collect();
             let mut regs = Vec::new();
-            let mut want = vec![0.0; n];
-            tape.eval_with_scratch(&rates, &y, &mut want, &mut regs);
-            let mut got = vec![0.0; n];
-            kernel.eval(&rates, &y, &mut got);
-            assert_eq!(want, got, "scalar rhs must be bit-identical");
-
-            // Batched: whole lane blocks and the scalar tail.
-            for &n_states in batch_sizes {
-                let ys: Vec<f64> = (0..n_states * n)
-                    .map(|i| 0.02 + 0.003 * (i % 37) as f64)
+            let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
+            for s in 0..3 {
+                let y: Vec<f64> = (0..n)
+                    .map(|i| 0.02 + 0.003 * ((i + 5 * s) % 37) as f64)
                     .collect();
-                let mut ydots = vec![0.0; ys.len()];
-                kernel.eval_batch(&rates, &ys, &mut ydots);
-                for s in 0..n_states {
-                    tape.eval_with_scratch(&rates, &ys[s * n..(s + 1) * n], &mut want, &mut regs);
-                    assert_eq!(
-                        &ydots[s * n..(s + 1) * n],
-                        &want[..],
-                        "state {s} of {n_states}"
-                    );
-                }
+                tape.eval_with_scratch(&rates, &y, &mut want, &mut regs);
+                kernel.eval(&rates, &y, &mut got);
+                assert_eq!(want, got, "rhs at state {s} must be bit-identical");
             }
 
             // Jacobian and sensitivity groups.
@@ -730,8 +702,7 @@ mod tests {
         let so = dir.join("toy.so");
         let (kernel, _) =
             compile_and_load(&emitted.units, &so, &model.meta(key)).expect("compile+load");
-        // 11 states: one vector block + scalar tail.
-        model.assert_matches_interpreter(&kernel, &[11]);
+        model.assert_matches_interpreter(&kernel);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -832,8 +803,7 @@ mod tests {
         assert_eq!(kernel.loop_count(), emitted.loop_count);
         assert_eq!(kernel.rolled_instrs(), emitted.rolled_instrs);
         assert!(kernel.loop_count() > 0, "stanza forest must reroll");
-        // 13 states: the rolled lane kernel + scalar tail.
-        model.assert_matches_interpreter(&kernel, &[13]);
+        model.assert_matches_interpreter(&kernel);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -899,7 +869,7 @@ mod tests {
             let (kernel, _) =
                 compile_and_load(&emitted.units, &so, &model.meta(key)).expect("compile+load");
             assert_eq!(kernel.loop_count(), emitted.loop_count);
-            model.assert_matches_interpreter(&kernel, &[1, 7, 8, 9]);
+            model.assert_matches_interpreter(&kernel);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,12 +1,13 @@
-//! Engine selection: which of an artifact's [`Kernel`]s a solve runs.
+//! Which of an artifact's [`Kernel`]s a solve runs.
 //!
-//! [`CompiledArtifact::kernel`] is the one place an [`EngineMode`] is
-//! interpreted. Everything downstream — the simulator, the estimator, the
+//! The artifact decides: [`CompiledArtifact::kernel`] is its native
+//! kernel when the *Codegen* stage loaded one and the exec engine
+//! otherwise. Everything downstream — the simulator, the estimator, the
 //! server — holds the `Arc<dyn Kernel>` it returns and never names an
-//! engine.
+//! engine. [`CompiledArtifact::evaluators`] hands tests every evaluator
+//! the artifact carries, the tape interpreter among them: the oracle the
+//! others are held to, which no solve ever runs.
 
-use std::fmt;
-use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 use rms_core::{
@@ -17,125 +18,16 @@ use rms_solver::{ColoredPattern, NewtonPlan, PlannedPattern, SparsityPattern};
 
 use crate::session::CompiledArtifact;
 
-/// Which evaluator a solve asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// The tape interpreter (`Tape::eval_with_scratch`): one operand
-    /// `match` per instruction. The oracle the other engines are tested
-    /// against.
-    Interp,
-    /// The pre-decoded execution engine ([`ExecTape`]): operands resolved
-    /// to absolute frame indices at decode time, Mul+Add fused, and
-    /// Jacobian color sweeps evaluated in SIMD-batched lanes.
-    #[default]
-    Exec,
-    /// The `dlopen`ed native kernel (the *Codegen* stage output): the
-    /// tape compiled to machine code by the system C compiler. Degrades
-    /// to [`EngineMode::Exec`] when the artifact carries no kernel (e.g.
-    /// no C toolchain on this machine).
-    Native,
-    /// Size-aware selection between [`EngineMode::Native`] and
-    /// [`EngineMode::Exec`]: native when a kernel is attached and its
-    /// code is compact enough to stay in the instruction cache (always
-    /// true for a kernel with loop regions), batched exec otherwise. See
-    /// [`resolve_auto`].
-    Auto,
-}
-
-impl EngineMode {
-    /// Whether a compile meant to run at this mode should include the
-    /// *Codegen* stage (`SessionOptions::native`).
-    pub fn wants_native(self) -> bool {
-        self == EngineMode::Native || self == EngineMode::Auto
-    }
-}
-
-impl FromStr for EngineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EngineMode, String> {
-        match s {
-            "interp" => Ok(EngineMode::Interp),
-            "exec" => Ok(EngineMode::Exec),
-            "native" => Ok(EngineMode::Native),
-            "auto" => Ok(EngineMode::Auto),
-            other => Err(format!(
-                "unknown engine '{other}' (expected interp, exec, native or auto)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EngineMode::Interp => "interp",
-            EngineMode::Exec => "exec",
-            EngineMode::Native => "native",
-            EngineMode::Auto => "auto",
-        })
-    }
-}
-
-/// The instruction-count crossover for [`EngineMode::Auto`]: above this
-/// many emitted statements, a native kernel *without loop regions* is
-/// straight-line code that overruns the instruction cache, and the
-/// SIMD-batched exec engine wins (measured on the scaled vulcanization
-/// family before the emitter rerolled). A kernel whose tapes rerolled
-/// compresses the code stream by one to two orders of magnitude, so the
-/// crossover only applies when `rms_loop_count` is 0. The last
-/// native-against-exec table (Table 1 cases 1–5 at 1/24: 5.6× scalar and
-/// 3.9× batched exec at 258k instructions in 40 loops) is in
-/// EXPERIMENTS.md, "Codegen: one kernel emitter, one exec decode
-/// (PR 17)"; no benchmark workload runs the native engine.
-pub const NATIVE_CROSSOVER_INSTRS: usize = 32_768;
-
-/// Resolve [`EngineMode::Auto`] for a tape of `instrs` flat instructions
-/// and an optionally attached native kernel. Returns the concrete engine
-/// plus a human-readable reason (surfaced by the CLI and reports).
-pub fn resolve_auto(instrs: usize, kernel: Option<&NativeKernel>) -> (EngineMode, String) {
-    match kernel {
-        None => (
-            EngineMode::Exec,
-            format!("auto: no native kernel attached; batched exec engine over {instrs} instructions"),
-        ),
-        Some(k) if k.loop_count() > 0 => (
-            EngineMode::Native,
-            format!(
-                "auto: native kernel rerolled into {} loops ({} instructions absorbed), compact enough for the I-cache",
-                k.loop_count(),
-                k.rolled_instrs()
-            ),
-        ),
-        Some(_) if instrs <= NATIVE_CROSSOVER_INSTRS => (
-            EngineMode::Native,
-            format!(
-                "auto: kernel without loop regions ({instrs} instructions) under the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover"
-            ),
-        ),
-        Some(_) => (
-            EngineMode::Exec,
-            format!(
-                "auto: kernel without loop regions ({instrs} instructions) past the {NATIVE_CROSSOVER_INSTRS}-instruction I-cache crossover; batched exec engine"
-            ),
-        ),
-    }
-}
-
-/// What [`CompiledArtifact::kernel`] selected.
+/// One of an artifact's kernels and the patterns it fills.
 #[derive(Debug, Clone)]
 pub struct KernelChoice {
     /// The kernel every solve of this run evaluates.
     pub kernel: Arc<dyn Kernel>,
     /// The Jacobian sparsity patterns that kernel fills.
     pub patterns: Arc<Patterns>,
-    /// The engine that kernel belongs to (never [`EngineMode::Auto`]).
-    pub engine: EngineMode,
-    /// Why: an explicit request, the `auto` heuristic's verdict, or what
-    /// made the requested engine unavailable.
-    pub reason: String,
-    /// The requested engine could not run and `engine` stands in for it.
-    pub degraded: bool,
+    /// The evaluator behind `kernel`: `"native"` or `"exec"`, or — only
+    /// among [`CompiledArtifact::evaluators`] — `"interp"`.
+    pub engine: &'static str,
 }
 
 /// The Jacobian sparsity patterns of one compiled model and what the
@@ -267,76 +159,35 @@ impl Kernels {
     pub(crate) fn patterns(&self) -> &Patterns {
         &self.patterns
     }
+
+    fn choice(&self, engine: &'static str, kernel: &Arc<dyn Kernel>) -> KernelChoice {
+        KernelChoice {
+            kernel: kernel.clone(),
+            patterns: self.patterns.clone(),
+            engine,
+        }
+    }
 }
 
 impl CompiledArtifact {
-    /// The kernel a run at `mode` evaluates, the engine it belongs to and
-    /// why. Explicit modes select their own kernel; a native request on
-    /// an artifact without one degrades to exec (never an error);
-    /// [`EngineMode::Auto`] resolves through [`resolve_auto`].
-    pub fn kernel(&self, mode: EngineMode) -> KernelChoice {
-        let explicit = |kernel: &Arc<dyn Kernel>| KernelChoice {
-            kernel: kernel.clone(),
-            patterns: self.kernels.patterns.clone(),
-            engine: mode,
-            reason: format!("{mode} engine explicitly selected"),
-            degraded: false,
-        };
-        match (mode, &self.kernels.native) {
-            (EngineMode::Interp, _) => explicit(&self.kernels.interp),
-            (EngineMode::Exec, _) => explicit(&self.kernels.exec),
-            (EngineMode::Native, Some(native)) => explicit(native),
-            (EngineMode::Native, None) => KernelChoice {
-                engine: EngineMode::Exec,
-                reason: format!(
-                    "native engine unavailable: {}",
-                    self.native_diag
-                        .as_deref()
-                        .unwrap_or("no compiled kernel on this artifact")
-                ),
-                degraded: true,
-                ..explicit(&self.kernels.exec)
-            },
-            (EngineMode::Auto, _) => {
-                let instrs = self.exec.as_ref().map_or(0, |e| e.len());
-                let (engine, reason) = resolve_auto(instrs, self.native.as_deref());
-                KernelChoice {
-                    reason,
-                    ..self.kernel(engine)
-                }
-            }
+    /// The kernel every solve over this artifact runs: the native object
+    /// when the *Codegen* stage loaded one, the exec engine otherwise.
+    pub fn kernel(&self) -> KernelChoice {
+        let k = &self.kernels;
+        match &k.native {
+            Some(native) => k.choice("native", native),
+            None => k.choice("exec", &k.exec),
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_mode_parses_round_trip() {
-        for mode in [
-            EngineMode::Interp,
-            EngineMode::Exec,
-            EngineMode::Native,
-            EngineMode::Auto,
-        ] {
-            assert_eq!(mode.to_string().parse::<EngineMode>().unwrap(), mode);
-        }
-        assert!("jit".parse::<EngineMode>().is_err());
-        assert_eq!(EngineMode::default(), EngineMode::Exec);
-    }
-
-    #[test]
-    fn resolve_auto_applies_the_icache_crossover() {
-        let (small, r) = resolve_auto(100, None);
-        assert_eq!(small, EngineMode::Exec);
-        assert!(r.starts_with("auto:"), "{r}");
-        // Without a kernel the crossover is moot — even a huge model
-        // resolves to exec; kernel-bearing cases are covered end-to-end
-        // in tests/native_engine.rs (they need a C toolchain).
-        let (huge, r) = resolve_auto(NATIVE_CROSSOVER_INSTRS * 10, None);
-        assert_eq!(huge, EngineMode::Exec);
-        assert!(r.starts_with("auto:"), "{r}");
+    /// Every evaluator the artifact carries, over one set of patterns:
+    /// the tape interpreter, exec, and the native kernel when one loaded.
+    /// Tests hold the others to the interpreter through this; a solve
+    /// runs [`kernel`](CompiledArtifact::kernel).
+    pub fn evaluators(&self) -> Vec<KernelChoice> {
+        let k = &self.kernels;
+        let mut all = vec![k.choice("interp", &k.interp), k.choice("exec", &k.exec)];
+        all.extend(k.native.as_ref().map(|native| k.choice("native", native)));
+        all
     }
 }

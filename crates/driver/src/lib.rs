@@ -52,7 +52,7 @@ pub mod stage;
 
 pub use cache::{CacheMode, CacheStats, CacheStatus};
 pub use diag::{Diagnostic, Diagnostics, Severity, Span};
-pub use engine::{resolve_auto, EngineMode, KernelChoice, Patterns, NATIVE_CROSSOVER_INSTRS};
+pub use engine::{KernelChoice, Patterns};
 pub use report::{PipelineReport, StageRecord};
 pub use session::{Compiled, CompiledArtifact, CompilerSession, SessionOptions};
 pub use stage::Stage;

@@ -51,9 +51,9 @@ pub struct SessionOptions {
     /// [`deriv`](SessionOptions::deriv).
     pub sensitivity: bool,
     /// Emit C for the tape(s), compile it with the system C compiler, and
-    /// `dlopen` the result (the *Codegen* stage). Codegen failures never
-    /// fail the compile: the artifact carries a diagnostic instead of a
-    /// kernel and callers fall back to the exec engine.
+    /// `dlopen` the result (the *Codegen* stage); the artifact's solves
+    /// then run it. Codegen failures never fail the compile: the artifact
+    /// carries a diagnostic instead of a kernel and solves run exec.
     pub native: bool,
     /// Worker threads for the frontend's network-closure stage (match /
     /// edit / canonicalize fan-out). `0` means one per available core;
@@ -143,9 +143,10 @@ pub struct CompiledArtifact {
     /// Jacobian.
     pub sensitivity: Option<Arc<SensitivityTapes>>,
     /// Pre-decoded execution tape (the *ExecDecode* stage output). Every
-    /// artifact carries one: the execution engine is the runtime default.
+    /// artifact carries one: a solve runs it unless a native kernel loaded.
     pub exec: Option<Arc<ExecTape>>,
-    /// Loaded native kernel, when the *Codegen* stage ran and succeeded.
+    /// Loaded native kernel, when the *Codegen* stage ran and succeeded:
+    /// then every solve over the artifact runs it.
     pub native: Option<Arc<rms_core::NativeKernel>>,
     /// Why there is no native kernel although one was requested (missing
     /// toolchain, compile failure, …); drives the engine-fallback
@@ -163,7 +164,7 @@ pub struct CompiledArtifact {
     /// regenerate the system identically when reviving from disk).
     pub gen_simplify: bool,
     /// The tapes and the native object above as [`rms_core::Kernel`]s,
-    /// selected through [`CompiledArtifact::kernel`], with the sparsity
+    /// reached through [`CompiledArtifact::kernel`], with the sparsity
     /// patterns they fill and the sparse-Newton plan over them (a disk
     /// entry persists the plan's elimination order, not the plan).
     pub(crate) kernels: Kernels,

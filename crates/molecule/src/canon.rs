@@ -235,11 +235,16 @@ pub fn canonical_ranks(mol: &Molecule) -> Vec<u32> {
 }
 
 /// Make an equitable partition discrete. A discrete one is returned as it
-/// is; otherwise individualize-and-refine depth first and keep the leaf
-/// with the smallest certificate.
+/// is; a disconnected molecule is completed component by component;
+/// otherwise individualize-and-refine depth first and keep the leaf with
+/// the smallest certificate.
 pub(crate) fn complete(mol: &Molecule, ranks: Vec<u32>, classes: usize) -> Vec<u32> {
     if classes == ranks.len() {
         return ranks;
+    }
+    let components = mol.components();
+    if components.len() > 1 {
+        return by_component(mol, &components);
     }
     let mut search = Search {
         mol,
@@ -249,6 +254,40 @@ pub(crate) fn complete(mol: &Molecule, ranks: Vec<u32>, classes: usize) -> Vec<u
     };
     search.visit(ranks, classes);
     search.best.expect("the search reaches a leaf").1
+}
+
+/// Canonical ranks of a disconnected molecule: each component ranked on
+/// its own, the components laid out in the order of their certificates.
+/// Components with equal certificates are isomorphic, so their order
+/// among themselves does not change the labelled graph. A search over
+/// the whole molecule would have to find that out by individualizing: on
+/// k identical fragments it grows about as k⁷.
+fn by_component(mol: &Molecule, components: &[Vec<usize>]) -> Vec<u32> {
+    let parts = mol.clone().split_components();
+    let mut ranked: Vec<(Vec<u64>, &[usize], Vec<u32>)> = parts
+        .iter()
+        .zip(components)
+        .map(|(part, atoms)| {
+            let ranks = canonical_ranks(part);
+            let mut cert = vec![0u64; atoms.len()];
+            for (atom, invariant) in initial_invariants(part).into_iter().enumerate() {
+                cert[ranks[atom] as usize] = invariant;
+            }
+            cert.extend(certificate(part, &ranks));
+            (cert, atoms.as_slice(), ranks)
+        })
+        .collect();
+    ranked.sort_by(|a, b| (a.1.len(), &a.0).cmp(&(b.1.len(), &b.0)));
+    let mut out = vec![0u32; mol.atom_count()];
+    let mut offset = 0;
+    for (_, atoms, ranks) in ranked {
+        // `split_components` keeps each component's atoms in ascending order.
+        for (&atom, &r) in atoms.iter().zip(&ranks) {
+            out[atom] = offset + r;
+        }
+        offset += atoms.len() as u32;
+    }
+    out
 }
 
 /// Individualization-refinement search. Two leaves with equal certificates
@@ -501,8 +540,49 @@ mod tests {
         })
     }
 
+    /// The disjoint union of `parts`, in order.
+    fn disjoint_union<'a>(parts: impl IntoIterator<Item = &'a Molecule>) -> Molecule {
+        let mut out = Molecule::new();
+        for part in parts {
+            let base = out.atom_count();
+            for (_, atom) in part.atoms() {
+                out.add_atom(*atom);
+            }
+            for b in part.bonds() {
+                out.add_bond(base + b.a, base + b.b, b.order).unwrap();
+            }
+        }
+        out
+    }
+
+    /// Up to three random graphs, each repeated up to three times: a
+    /// disconnected molecule whose identical fragments leave the
+    /// refinement partition symmetric.
+    fn arb_fragments() -> impl Strategy<Value = Molecule> {
+        prop::collection::vec((arb_graph(), 1usize..4), 1..4).prop_map(|kinds| {
+            let parts: Vec<&Molecule> = kinds
+                .iter()
+                .flat_map(|(m, copies)| std::iter::repeat_n(m, *copies))
+                .collect();
+            disjoint_union(parts)
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn identity_is_invariant_under_relabeling_of_disconnected_graphs(
+            m in arb_fragments(),
+            seed in any::<u64>(),
+        ) {
+            let (a, b) = (crate::identify(&m), crate::identify(&relabel(&m, seed)));
+            prop_assert_eq!(&a.cert, &b.cert);
+            prop_assert_eq!(a.hash, b.hash);
+            prop_assert_eq!(a.slow_path, b.slow_path);
+            let key = crate::canonical_key(&m);
+            prop_assert_eq!(&key, &crate::canonical_key(&relabel(&m, seed)));
+        }
 
         #[test]
         fn worklist_partition_equals_round_synchronous_oracle(m in arb_graph()) {
@@ -605,6 +685,44 @@ mod tests {
             ranks.sort_unstable();
             assert_eq!(ranks, (0..m.atom_count() as u32).collect::<Vec<_>>());
         }
+    }
+
+    /// Identical fragments are a partition the refinement cannot split,
+    /// and a search over the whole molecule grows about as k⁷ on k of
+    /// them. Ranked a component at a time, the work is linear in k.
+    #[test]
+    fn identical_fragments_canonicalize_in_linear_work() {
+        for fragment in ["S", "CSSC"] {
+            let mut visits = Vec::new();
+            for k in [16, 64] {
+                let m = parse_smiles(&vec![fragment; k].join(".")).unwrap();
+                let started = Instant::now();
+                ADJ_VISITS.with(|c| c.set(0));
+                let id = crate::identify(&m);
+                visits.push(ADJ_VISITS.with(|c| c.get()));
+                assert!(id.slow_path, "{k} × {fragment}");
+                assert_eq!(
+                    id,
+                    crate::identify(&relabel(&m, k as u64)),
+                    "{k} × {fragment}"
+                );
+                assert!(
+                    started.elapsed() < Duration::from_secs(2),
+                    "{k} × {fragment} took {:?}",
+                    started.elapsed()
+                );
+            }
+            assert!(
+                visits[1] <= 5 * visits[0],
+                "{fragment}: adjacency visits at 16 and 64 fragments {visits:?}"
+            );
+        }
+        // The fragments still count: a different multiset of them is a
+        // different molecule, and their order is not.
+        let id = |smiles: &str| crate::identify(&parse_smiles(smiles).unwrap()).cert;
+        assert_eq!(id("CSSC.S.CSSC"), id("S.CSSC.CSSC"));
+        assert_ne!(id("CSSC.S.S"), id("S.CSSC.CSSC"));
+        assert_ne!(id("CSSC.CSSC"), id("CSSSSC"));
     }
 
     #[test]

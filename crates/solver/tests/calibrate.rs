@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rms_core::OptLevel;
-use rms_driver::{CacheMode, CompiledArtifact, CompilerSession, EngineMode, SessionOptions};
+use rms_driver::{CacheMode, CompiledArtifact, CompilerSession, SessionOptions};
 use rms_solver::{
     solve_bdf_with_jacobian, AnalyticJacobian, CsrMatrix, Lu, NewtonPlan, SolverOptions,
     SparseNewton, SparsityPattern, SPARSE_COST_PER_MAC,
@@ -38,7 +38,7 @@ fn session() -> CompilerSession {
 /// populated (at `t = 0` most entries are numerically zero and the sparse
 /// kernel skips their updates).
 fn compiled(label: &'static str, artifact: &CompiledArtifact) -> Case {
-    let choice = artifact.kernel(EngineMode::Exec);
+    let choice = artifact.kernel();
     let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let (states, _) = solve_bdf_with_jacobian(
         &bound,

@@ -9,7 +9,7 @@
 //! ```
 
 use rms_core::OptLevel;
-use rms_driver::{CacheMode, CompiledArtifact, CompilerSession, EngineMode, SessionOptions};
+use rms_driver::{CacheMode, CompiledArtifact, CompilerSession, SessionOptions};
 use rms_solver::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, FnRhs, OdeRhs, SolveStats,
     SolverOptions,
@@ -38,7 +38,7 @@ fn closure(label: &str, rhs: &impl OdeRhs, y0: &[f64], tend: f64) {
 /// A compiled model to `t = 1` as the simulator solves it: plain, then
 /// sensitivity-augmented.
 fn compiled(label: &str, artifact: &CompiledArtifact) {
-    let choice = artifact.kernel(EngineMode::Exec);
+    let choice = artifact.kernel();
     let (y0, rates) = (&artifact.system.initial, &artifact.system.rate_values);
     let options = SolverOptions::default();
 

@@ -14,8 +14,8 @@ use rms_nlopt::{FitStatistics, FnResidual};
 use rms_parallel::{EstimatorConfig, ExperimentFile, FailurePolicy};
 
 use crate::{
-    Compiled, CompiledArtifact, CompilerSession, EngineMode, LmOptions, OptLevel,
-    ParallelEstimator, SessionOptions, SolverOptions, Stage, TapeSimulator,
+    Compiled, CompiledArtifact, CompilerSession, LmOptions, OptLevel, ParallelEstimator,
+    SessionOptions, SolverOptions, Stage, TapeSimulator,
 };
 
 /// A parsed CLI invocation. A field holds its flag's value, or the
@@ -43,7 +43,8 @@ pub enum Command {
         tend: f64,
         steps: usize,
         observe: Vec<String>,
-        engine: EngineMode,
+        /// `--engine native`: compile the kernel to machine code too.
+        native: bool,
         frontend_threads: usize,
         cache_dir: Option<PathBuf>,
     },
@@ -91,8 +92,8 @@ pub enum Emit {
     Network,
     /// The ODE system in Fig. 5 form.
     Odes,
-    /// The generated native kernel source (scalar + batched RHS,
-    /// analytic Jacobian, sensitivity tail).
+    /// The generated native kernel source (RHS, analytic Jacobian,
+    /// sensitivity tail).
     C,
     /// Optimizer stage statistics.
     Stats,
@@ -234,7 +235,7 @@ static SUBCOMMANDS: [Subcommand; 6] = [
         flag("--steps", "N", "10", "output rows, equally spaced"),
         flag("--observe", "A,B,...", "all", "species to print"),
         LEVEL,
-        flag("--engine", "interp|exec|native|auto", "exec", "right-hand-side evaluator"),
+        flag("--engine", "exec|native", "exec", "kernel the solve runs"),
         FRONTEND_THREADS,
         CACHE_DIR,
     ] },
@@ -311,11 +312,10 @@ sparse_newton). 'estimate' builds ∂r/∂p from the forward sensitivities
 it compiles too, by finite differences at a step of √rtol where a
 sensitivity solve fails.
 
---engine: 'exec' runs the pre-decoded fused engine, 'interp' the tape
-interpreter, 'native' C built with the system compiler ($CC), cached in
---cache-dir and dlopened — without a toolchain it warns and runs
-'exec'. 'auto' picks native for a kernel with loop regions or under the
-~32k-instruction I-cache crossover, else exec, and prints its choice.
+--engine: 'exec' runs the pre-decoded fused engine; 'native' also
+compiles the kernel with the system C compiler ($CC), caches it in
+--cache-dir, dlopens it and runs that — without a toolchain it warns and
+runs 'exec'.
 ";
 
 /// An argument vector checked against one subcommand's declaration:
@@ -404,6 +404,17 @@ impl<'a> Args<'a> {
             n => Ok(n),
         }
     }
+
+    /// `--engine`: whether the compile builds the native kernel.
+    fn native(&self) -> Result<bool, CliError> {
+        match self.get::<String>("--engine")?.as_str() {
+            "exec" => Ok(false),
+            "native" => Ok(true),
+            other => Err(usage_err(format!(
+                "unknown engine '{other}' (expected exec or native)"
+            ))),
+        }
+    }
 }
 
 /// Parse one flag value. The workspace's enums say what they accept in
@@ -464,7 +475,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             tend: a.get("--tend")?,
             steps: a.get("--steps")?,
             observe: a.list("--observe")?,
-            engine: a.get("--engine")?,
+            native: a.native()?,
             frontend_threads: a.get("--frontend-threads")?,
             cache_dir: a.opt("--cache-dir")?,
         },
@@ -663,14 +674,14 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             tend,
             steps,
             observe,
-            engine,
+            native,
             frontend_threads,
             cache_dir,
         } => {
             let options = SessionOptions {
                 cache_dir: cache_dir.clone(),
                 deriv: true,
-                native: engine.wants_native(),
+                native: *native,
                 frontend_threads: *frontend_threads,
                 ..SessionOptions::new(*level)
             };
@@ -679,20 +690,15 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 .map(|i| tend * i as f64 / *steps as f64)
                 .collect();
             // The one solve path, observing nothing: states print whole.
-            let mut simulator = TapeSimulator::with_engine(&model, Vec::new(), *engine);
+            let mut simulator = TapeSimulator::from_artifact(&model, Vec::new());
             simulator.options = SolverOptions::default();
             let mut out = String::new();
-            // The engine that runs is the artifact's choice, not the flag.
-            // A native request without a kernel says why and runs on the
-            // stand-in anyway (exit 0 — degradation, not failure); `auto`
-            // records what it picked, so the choice is auditable from the
-            // output.
-            let choice = simulator.engine_choice();
-            if choice.degraded {
-                let _ = writeln!(out, "warning: {}", choice.reason);
-                let _ = writeln!(out, "warning: falling back to the {} engine", choice.engine);
-            } else if choice.engine != *engine {
-                let _ = writeln!(out, "engine: {} ({})", choice.engine, choice.reason);
+            // The artifact runs its native kernel when one loaded. A native
+            // request without one says why and runs exec anyway (exit 0 —
+            // degradation, not failure).
+            if let Some(why) = &model.native_diag {
+                let _ = writeln!(out, "warning: native engine unavailable: {why}");
+                let _ = writeln!(out, "warning: falling back to the exec engine");
             }
             let solution = simulator
                 .trajectory(&model.system.rate_values, 0, &times)
@@ -1299,21 +1305,24 @@ mod tests {
 
     #[test]
     fn engine_flag_parses_with_exec_default() {
-        match parse_args(&argv("simulate m.rdl")).unwrap() {
-            Command::Simulate { engine, .. } => assert_eq!(engine, EngineMode::Exec),
-            other => panic!("{other:?}"),
+        for (line, want) in [
+            ("simulate m.rdl", false),
+            ("simulate m.rdl --engine exec", false),
+            ("simulate m.rdl --engine native", true),
+        ] {
+            match parse_args(&argv(line)).unwrap() {
+                Command::Simulate { native, .. } => assert_eq!(native, want, "{line}"),
+                other => panic!("{other:?}"),
+            }
         }
-        match parse_args(&argv("simulate m.rdl --engine interp")).unwrap() {
-            Command::Simulate { engine, .. } => assert_eq!(engine, EngineMode::Interp),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("simulate m.rdl --engine exec")).unwrap() {
-            Command::Simulate { engine, .. } => assert_eq!(engine, EngineMode::Exec),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("simulate m.rdl --engine auto")).unwrap() {
-            Command::Simulate { engine, .. } => assert_eq!(engine, EngineMode::Auto),
-            other => panic!("{other:?}"),
+        // The interpreter is the tests' oracle, and the artifact decides
+        // what runs: neither is a value.
+        for gone in ["interp", "auto"] {
+            let error = parse_args(&argv(&format!("simulate m.rdl --engine {gone}"))).unwrap_err();
+            assert_eq!(
+                error,
+                CliError::Usage(format!("unknown engine '{gone}' (expected exec or native)"))
+            );
         }
     }
 
@@ -1412,37 +1421,26 @@ mod tests {
 
     #[test]
     fn simulate_engines_print_identical_tables() {
+        if let Err(e) = crate::probe_toolchain() {
+            eprintln!("SKIP: native table: {e}");
+            return;
+        }
         let dir = std::env::temp_dir().join("rmsc_cli_engine");
         let model = write_model(&dir);
         let model_arg = model.display().to_string();
+        let cache = dir.join("cache").display().to_string();
         let base = format!("simulate {model_arg} --tend 0.5 --steps 4 --observe DiS");
         let exec = run(&parse_args(&argv(&base)).unwrap()).unwrap();
-        let interp = run(&parse_args(&argv(&format!("{base} --engine interp"))).unwrap()).unwrap();
-        // Without FMA contraction the engines are bitwise identical;
-        // with it, step-size decisions could in principle drift, so only
-        // the table shape is checked.
+        let native = format!("{base} --engine native --cache-dir {cache}");
+        let native = run(&parse_args(&argv(&native)).unwrap()).unwrap();
+        // The native kernel replays the tape's rounding sequence, compiled
+        // without contraction; exec fuses multiply-adds on FMA builds, so
+        // there only the table shape is checked.
         if crate::FMA_CONTRACTS {
-            assert_eq!(exec.lines().count(), interp.lines().count());
+            assert_eq!(exec.lines().count(), native.lines().count());
         } else {
-            assert_eq!(exec, interp);
+            assert_eq!(exec, native);
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn simulate_engine_auto_reports_its_choice() {
-        let dir = std::env::temp_dir().join("rmsc_cli_engine_auto");
-        let model = write_model(&dir);
-        let model_arg = model.display().to_string();
-        let base = format!("simulate {model_arg} --tend 0.5 --steps 4 --observe DiS");
-        let auto = run(&parse_args(&argv(&format!("{base} --engine auto"))).unwrap()).unwrap();
-        // The first line states which engine auto picked and why; the
-        // table below it has the same shape as an explicit-engine run.
-        let first = auto.lines().next().unwrap();
-        assert!(first.starts_with("engine: "), "{first}");
-        assert!(first.contains("auto"), "{first}");
-        let exec = run(&parse_args(&argv(&base)).unwrap()).unwrap();
-        assert_eq!(auto.lines().count(), exec.lines().count() + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -56,7 +56,7 @@ pub use rms_core::{
 };
 pub use rms_driver::{
     cache, CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, Diagnostic,
-    EngineMode, SessionOptions, Stage,
+    KernelChoice, SessionOptions, Stage,
 };
 pub use rms_molecule as molecule;
 pub use rms_nlopt::{FitStatistics, LmOptions, Residual};
@@ -124,7 +124,7 @@ mod tests {
         forbid chain S > 4;
     "#;
 
-    /// The state at `times` on the default engine.
+    /// The state at `times` on the artifact's kernel.
     fn trajectory(model: &CompiledArtifact, times: &[f64]) -> Vec<Vec<f64>> {
         let simulator = TapeSimulator::from_artifact(model, Vec::new());
         simulator

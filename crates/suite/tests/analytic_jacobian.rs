@@ -8,8 +8,8 @@ use std::sync::Arc;
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     fd_jacobian, fd_jacobian_colored, solve_bdf_with_jacobian, AnalyticJacobian, BoundKernel,
-    CompiledArtifact, CompilerSession, EngineMode, JacobianSource, OdeRhs, OptLevel,
-    SessionOptions, TapeSimulator,
+    CompiledArtifact, CompilerSession, JacobianSource, OdeRhs, OptLevel, SessionOptions,
+    TapeSimulator,
 };
 
 const LEVELS: [OptLevel; 4] = [
@@ -55,9 +55,11 @@ fn probe_state(n: usize) -> Vec<f64> {
 /// exactness of the extracted sparsity (off-pattern entries vanish).
 fn check_against_dense_fd(model: &CompiledArtifact, label: &str) {
     let n = model.system.len();
-    // The interpreter kernel bound to the model's own rates: the RHS the
-    // finite differences perturb and the analytic provider they check.
-    let choice = model.kernel(EngineMode::Interp);
+    // The interpreter kernel (the first evaluator) bound to the model's
+    // own rates: the RHS the finite differences perturb and the analytic
+    // provider they check.
+    let choice = model.evaluators().remove(0);
+    assert_eq!(choice.engine, "interp");
     let provider = BoundKernel::new(&choice, &model.system.rate_values);
     let rhs = &provider;
 
@@ -96,7 +98,7 @@ fn check_against_dense_fd(model: &CompiledArtifact, label: &str) {
 /// Analytic tape values vs colored FD over the exact analytic pattern.
 fn check_against_colored_fd(model: &CompiledArtifact, label: &str) {
     let n = model.system.len();
-    let choice = model.kernel(EngineMode::Interp);
+    let choice = model.evaluators().remove(0);
     let provider = BoundKernel::new(&choice, &model.system.rate_values);
     let rhs = &provider;
 

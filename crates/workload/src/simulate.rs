@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rms_driver::{CompiledArtifact, EngineMode, KernelChoice};
+use rms_driver::{CompiledArtifact, KernelChoice};
 use rms_parallel::Simulator;
 use rms_solver::{Bdf, CancelToken, JacobianSource, Rk45, SolverError, SolverOptions};
 
@@ -13,9 +13,9 @@ use crate::binding::BoundKernel;
 /// concentrations — e.g. crosslink density) by integrating one of a
 /// compiled artifact's kernels with the Gear/BDF stiff solver.
 pub struct TapeSimulator {
-    /// The kernel every solve evaluates, with the engine it belongs to
-    /// and why it was selected, and the Jacobian sparsity patterns it
-    /// fills. Shared with the artifact, never copied.
+    /// The kernel every solve evaluates, the engine it belongs to, and
+    /// the Jacobian sparsity patterns it fills. Shared with the artifact,
+    /// never copied.
     choice: KernelChoice,
     /// Per-formulation initial concentration vectors; experiment file `i`
     /// uses `initials[i % initials.len()]`.
@@ -47,27 +47,28 @@ pub struct FallbackStats {
 }
 
 impl TapeSimulator {
-    /// Build a simulator over a compiled pipeline artifact on the default
-    /// engine. The artifact's kernels and sparsity patterns are shared,
-    /// not copied. Every BDF solve takes its Jacobian as
+    /// Build a simulator over a compiled pipeline artifact, solving on
+    /// the kernel the artifact runs ([`CompiledArtifact::kernel`]). The
+    /// artifact's kernels and sparsity patterns are shared, not copied.
+    /// Every BDF solve takes its Jacobian as
     /// [`BoundKernel::jacobian_source`] finds it — the analytic tapes when
     /// the *Deriv* stage ran — and factors it as
     /// [`options`](TapeSimulator::options)' `linear_solver` (`Auto`) decides.
     pub fn from_artifact(artifact: &CompiledArtifact, observable: Vec<f64>) -> TapeSimulator {
-        TapeSimulator::with_engine(artifact, observable, EngineMode::default())
+        TapeSimulator::new(
+            artifact.kernel(),
+            artifact.system.initial.clone(),
+            observable,
+        )
     }
 
-    /// [`from_artifact`](TapeSimulator::from_artifact) at a requested
-    /// engine; what actually runs is
-    /// [`engine_choice`](TapeSimulator::engine_choice).
-    pub fn with_engine(
-        artifact: &CompiledArtifact,
-        observable: Vec<f64>,
-        engine: EngineMode,
-    ) -> TapeSimulator {
+    /// A simulator over one kernel, starting from `initial`. Tests pass
+    /// each of [`CompiledArtifact::evaluators`] to hold them to one
+    /// trajectory.
+    pub fn new(choice: KernelChoice, initial: Vec<f64>, observable: Vec<f64>) -> TapeSimulator {
         TapeSimulator {
-            choice: artifact.kernel(engine),
-            initials: vec![artifact.system.initial.clone()],
+            choice,
+            initials: vec![initial],
             observable,
             options: SolverOptions {
                 rtol: 1e-6,
@@ -91,8 +92,7 @@ impl TapeSimulator {
         self.choice.kernel.dfdp_entries().is_some()
     }
 
-    /// The kernel every solve runs, the engine it belongs to and why it
-    /// was selected.
+    /// The kernel every solve runs and the engine it belongs to.
     pub fn engine_choice(&self) -> &KernelChoice {
         &self.choice
     }
@@ -593,7 +593,7 @@ mod tests {
             bound.jacobian_source(),
             JacobianSource::AnalyticTape(_)
         ));
-        let choice = artifact.kernel(EngineMode::default());
+        let choice = artifact.kernel();
         assert!(Arc::ptr_eq(&sim.engine_choice().kernel, &choice.kernel));
         assert!(Arc::ptr_eq(&sim.engine_choice().patterns, &choice.patterns));
         assert_eq!(

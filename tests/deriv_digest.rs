@@ -19,8 +19,8 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 use rms_suite::{
-    CacheMode, Compiled, CompiledArtifact, CompilerSession, EngineMode, OptLevel, SessionOptions,
-    Stage, Tape, TapeSimulator,
+    CacheMode, Compiled, CompiledArtifact, CompilerSession, OptLevel, SessionOptions, Stage, Tape,
+    TapeSimulator,
 };
 use rms_workload::{scaled_case, FrontierSpec, VULCANIZATION_RDL};
 
@@ -95,7 +95,7 @@ fn assert_pinned(
     );
 
     let trajectory = |artifact: &Arc<CompiledArtifact>| -> Vec<u64> {
-        let simulator = TapeSimulator::with_engine(artifact, Vec::new(), EngineMode::Exec);
+        let simulator = TapeSimulator::from_artifact(artifact, Vec::new());
         let states = simulator
             .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05])
             .expect("short solve succeeds");

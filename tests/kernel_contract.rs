@@ -1,29 +1,22 @@
-//! The `Kernel` contract, checked on every implementation against the
-//! tape interpreter: right-hand side (scalar and batched), the Jacobian,
-//! and `∂f/∂p` on its resume path and off it — and, through the one
-//! `TapeSimulator` every solve path shares, the trajectories each engine
-//! integrates to.
+//! The `Kernel` contract, checked on every evaluator an artifact carries
+//! against the tape interpreter: right-hand side (scalar and batched),
+//! the Jacobian, and `∂f/∂p` on its resume path and off it — and, through
+//! the one `TapeSimulator` every solve path shares, the trajectories each
+//! evaluator integrates to. Which evaluator a solve runs is the
+//! artifact's to say.
 
 use std::sync::Arc;
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     probe_toolchain, solve_bdf_with_jacobian, BoundKernel, CompiledArtifact, CompilerSession,
-    EngineMode, JacobianSource, Kernel, KernelScratch, OptLevel, SessionOptions, Simulator,
-    TapeSimulator, FMA_CONTRACTS,
+    JacobianSource, Kernel, KernelScratch, OptLevel, SessionOptions, Simulator, TapeSimulator,
+    FMA_CONTRACTS,
 };
-
-const MODES: [EngineMode; 4] = [
-    EngineMode::Interp,
-    EngineMode::Exec,
-    EngineMode::Native,
-    EngineMode::Auto,
-];
 
 /// Both workload families with the derivative group and its tail — and
 /// a native kernel when this machine has a C toolchain (without one the
-/// native contract is skipped, as in `tests/native_engine.rs`, and the
-/// selection contract covers the degradation instead).
+/// native contract is skipped, as in `tests/native_engine.rs`).
 fn artifacts(dir: &std::path::Path) -> Vec<(&'static str, Arc<CompiledArtifact>)> {
     let mut options = SessionOptions::new(OptLevel::Full);
     options.deriv = true;
@@ -92,7 +85,7 @@ fn assert_same(got: &[f64], want: &[f64], what: &str) {
 struct Outputs {
     rhs: Vec<Vec<f64>>,
     /// `rhs_batch` over 1, 7, 8 and 9 stacked states (below, at and past
-    /// the exec engine's lane count).
+    /// the exec engine's lane count; the others loop over `rhs`).
     batches: Vec<Vec<f64>>,
     /// `(ydot, values)` of `rhs_jac`.
     jac: (Vec<f64>, Vec<f64>),
@@ -153,7 +146,10 @@ fn every_kernel_matches_the_interpreter() {
     for (label, artifact) in artifacts(&dir) {
         let rates = &artifact.system.rate_values;
         let n = artifact.system.len();
-        let oracle = evaluate(&*artifact.kernel(EngineMode::Interp).kernel, rates);
+        let mut evaluators = artifact.evaluators().into_iter();
+        let interp = evaluators.next().expect("the interpreter comes first");
+        assert_eq!(interp.engine, "interp", "{label}");
+        let oracle = evaluate(&*interp.kernel, rates);
         // The oracle itself: batches are the scalar RHS stacked, and the
         // resumed `∂f/∂p` is the cold one.
         for (batch, count) in oracle.batches.iter().zip([1, 7, 8, 9]) {
@@ -171,11 +167,8 @@ fn every_kernel_matches_the_interpreter() {
             "{label}: vacuous"
         );
 
-        for mode in [EngineMode::Exec, EngineMode::Native] {
-            let choice = artifact.kernel(mode);
-            if choice.degraded {
-                continue;
-            }
+        for choice in evaluators {
+            let mode = choice.engine;
             assert_eq!(
                 (choice.kernel.n_species(), choice.kernel.n_rates()),
                 (n, rates.len())
@@ -211,7 +204,7 @@ fn every_kernel_matches_the_interpreter() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every engine integrates to the interpreter's numbers: a plain solve
+/// Every evaluator integrates to the interpreter's numbers: a plain solve
 /// under each Jacobian source and the sensitivity-augmented one. Read
 /// whole (`trajectory`, what `rmsc simulate` prints) or measured
 /// (`simulate`, what a fit or a served job sees), the simulator's plain
@@ -229,13 +222,10 @@ fn every_engine_integrates_like_the_interpreter() {
         // What the interpreter integrates to, per Jacobian source, and its
         // sensitivity-augmented solve: every other engine must land there.
         let mut oracle = Vec::new();
-        for mode in MODES {
-            let sim = TapeSimulator::with_engine(&artifact, observable.clone(), mode);
-            let engine = sim.engine_choice().engine;
-            assert_ne!(engine, EngineMode::Auto, "{label}/{mode}");
-            if engine != mode {
-                continue; // auto and degraded requests run one of the above
-            }
+        for choice in artifact.evaluators() {
+            let mode = choice.engine;
+            let initial = artifact.system.initial.clone();
+            let sim = TapeSimulator::new(choice, initial, observable.clone());
             let observed = sim.simulate(rates, 0, &times).expect("measured solve");
             let states = sim.trajectory(rates, 0, &times).expect("whole-state solve");
             let measured: Vec<f64> = states.iter().map(|y| sim.measure(y)).collect();
@@ -271,45 +261,42 @@ fn every_engine_integrates_like_the_interpreter() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `auto` on an artifact compiled without the Codegen stage is the exec
-/// engine — selected, not degraded — and runs as such.
+/// The artifact decides what runs: the native kernel when one loaded,
+/// exec otherwise — the last of its evaluators either way — and
+/// `TapeSimulator::from_artifact` solves on exactly that kernel.
 #[test]
-fn auto_without_a_kernel_is_the_exec_engine() {
+fn the_artifact_runs_native_when_a_kernel_loaded_and_exec_otherwise() {
     let m = generate_model(VulcanizationSpec {
         sites: 3,
         max_chain: 3,
         neighbourhood: 1,
     });
-    let artifact = CompilerSession::new(OptLevel::Full)
+    let plain = CompilerSession::new(OptLevel::Full)
         .compile_network("vulcanization-small", m.network, m.rates)
         .expect("network model compiles")
         .artifact;
-    let choice = artifact.kernel(EngineMode::Auto);
-    assert_eq!(choice.engine, EngineMode::Exec);
-    assert!(
-        choice.reason.contains("no native kernel"),
-        "{}",
-        choice.reason
-    );
-    assert!(!choice.degraded);
-    assert!(Arc::ptr_eq(
-        &choice.kernel,
-        &artifact.kernel(EngineMode::Exec).kernel
-    ));
-    let native = artifact.kernel(EngineMode::Native);
-    assert!(native.degraded && native.engine == EngineMode::Exec);
-    assert!(
-        native.reason.starts_with("native engine unavailable"),
-        "{}",
-        native.reason
-    );
-    // Auto must dispatch (to exec) rather than panic.
-    let weights = vec![1.0; artifact.system.len()];
-    let rates = &artifact.system.rate_values;
-    let auto = TapeSimulator::with_engine(&artifact, weights.clone(), EngineMode::Auto);
-    let exec = TapeSimulator::from_artifact(&artifact, weights);
-    assert_eq!(
-        auto.simulate(rates, 0, &[0.5]).expect("auto solve"),
-        exec.simulate(rates, 0, &[0.5]).expect("exec solve")
-    );
+    let engines: Vec<_> = plain.evaluators().iter().map(|c| c.engine).collect();
+    assert_eq!(engines, ["interp", "exec"]);
+    let dir = temp_dir("decides");
+    for (label, artifact) in [("plain", plain)].into_iter().chain(artifacts(&dir)) {
+        let runs = artifact.kernel();
+        let want = if artifact.native.is_some() {
+            "native"
+        } else {
+            "exec"
+        };
+        assert_eq!(runs.engine, want, "{label}");
+        let last = artifact.evaluators().pop().expect("exec at least");
+        assert!(Arc::ptr_eq(&runs.kernel, &last.kernel), "{label}");
+        let sim = TapeSimulator::from_artifact(&artifact, vec![1.0; artifact.system.len()]);
+        assert!(
+            Arc::ptr_eq(&sim.engine_choice().kernel, &runs.kernel),
+            "{label}"
+        );
+        assert!(
+            Arc::ptr_eq(&sim.engine_choice().patterns, &runs.patterns),
+            "{label}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rms_suite::workload::{scaled_case, vulcanization_source, FrontierSpec};
 use rms_suite::{
-    probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, KernelScratch, OptLevel,
+    probe_toolchain, CompiledArtifact, CompilerSession, KernelChoice, KernelScratch, OptLevel,
     RateTable, ReactionNetwork, SessionOptions,
 };
 
@@ -103,18 +103,19 @@ fn models(dir: &std::path::Path) -> Vec<(&'static str, Arc<CompiledArtifact>)> {
     ]
 }
 
-/// Every engine this machine can run over `artifact`.
-fn engines(artifact: &CompiledArtifact) -> Vec<EngineMode> {
-    let mut engines = vec![EngineMode::Interp, EngineMode::Exec];
+/// Every evaluator `artifact` carries: interp and exec, and native where
+/// this machine has a C toolchain.
+fn evaluators(artifact: &CompiledArtifact) -> Vec<KernelChoice> {
+    let evaluators = artifact.evaluators();
     match probe_toolchain() {
-        Ok(_) => {
-            let native = artifact.kernel(EngineMode::Native);
-            assert!(!native.degraded, "{}", native.reason);
-            engines.push(EngineMode::Native);
-        }
+        Ok(_) => assert!(
+            evaluators.iter().any(|choice| choice.engine == "native"),
+            "{:?}",
+            artifact.native_diag
+        ),
         Err(e) => eprintln!("SKIP: native engine against mass action: {e}"),
     }
-    engines
+    evaluators
 }
 
 /// Seeded strictly positive states, away from the zero-concentration case.
@@ -139,8 +140,8 @@ fn every_engine_evaluates_mass_action() {
         let rates = &artifact.system.rate_values;
         let n = artifact.system.len();
         let (mut want, mut scale) = (vec![0.0; n], vec![0.0; n]);
-        for engine in engines(&artifact) {
-            let choice = artifact.kernel(engine);
+        for choice in evaluators(&artifact) {
+            let engine = choice.engine;
             let mut scratch = KernelScratch::default();
             for (k, y) in states(n).iter().enumerate() {
                 oracle.eval(rates, y, &mut want, &mut scale);
@@ -176,8 +177,8 @@ fn every_engines_analytic_jacobian_is_the_central_difference_of_mass_action() {
         let oracle = MassAction::new(&artifact.network, &artifact.rates);
         let rates = &artifact.system.rate_values;
         let n = artifact.system.len();
-        for engine in engines(&artifact) {
-            let choice = artifact.kernel(engine);
+        for choice in evaluators(&artifact) {
+            let engine = choice.engine;
             let entries = choice.kernel.jac_entries().expect("Deriv ran");
             let mut scratch = KernelScratch::default();
             for (k, y) in states(n).iter().enumerate() {

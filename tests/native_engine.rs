@@ -14,8 +14,7 @@ use std::sync::{Arc, Mutex};
 use rms_driver::codegen::emit_native_c;
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, OptLevel, SessionOptions,
-    TapeSimulator,
+    probe_toolchain, CompiledArtifact, CompilerSession, OptLevel, SessionOptions, TapeSimulator,
 };
 
 /// The in-memory artifact cache is process-wide; serialize the tests in
@@ -64,8 +63,14 @@ fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc
     compiled.artifact
 }
 
-fn trajectory(artifact: &Arc<CompiledArtifact>, engine: EngineMode) -> Vec<Vec<f64>> {
-    let simulator = TapeSimulator::with_engine(artifact, Vec::new(), engine);
+/// The trajectory on one of `artifact`'s evaluators.
+fn trajectory(artifact: &Arc<CompiledArtifact>, engine: &str) -> Vec<Vec<f64>> {
+    let choice = artifact
+        .evaluators()
+        .into_iter()
+        .find(|c| c.engine == engine);
+    let choice = choice.unwrap_or_else(|| panic!("no {engine} evaluator"));
+    let simulator = TapeSimulator::new(choice, artifact.system.initial.clone(), Vec::new());
     simulator
         .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05, 0.1])
         .expect("short solve succeeds")
@@ -100,9 +105,11 @@ fn native_trajectories_match_exec_and_interp_at_every_level() {
                 "{level}: codegen produced no kernel: {:?}",
                 artifact.native_diag
             );
-            let native = trajectory(&artifact, EngineMode::Native);
-            let exec = trajectory(&artifact, EngineMode::Exec);
-            let interp = trajectory(&artifact, EngineMode::Interp);
+            // A loaded kernel is what the artifact runs.
+            assert_eq!(artifact.kernel().engine, "native", "{level}");
+            let native = trajectory(&artifact, "native");
+            let exec = trajectory(&artifact, "exec");
+            let interp = trajectory(&artifact, "interp");
             // The kernel replays the tape's exact rounding sequence and is
             // compiled with -ffp-contract=off, so agreement is bitwise on
             // contract-honoring toolchains; the bound only allows slack
@@ -111,12 +118,6 @@ fn native_trajectories_match_exec_and_interp_at_every_level() {
             assert!(d <= 1e-12, "{level}: native vs exec deviates by {d:e}");
             let d = deviation(&native, &interp);
             assert!(d <= 1e-12, "{level}: native vs interp deviates by {d:e}");
-            // Auto resolves to one of the engines above (a kernel is
-            // attached, so exec or native depending on size/shape) and
-            // must land inside the same envelope.
-            let auto = trajectory(&artifact, EngineMode::Auto);
-            let d = deviation(&auto, &exec);
-            assert!(d <= 1e-12, "{level}: auto vs exec deviates by {d:e}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -220,6 +221,28 @@ fn corrupt_and_stale_kernels_quarantine_and_rebuild() {
         std::fs::read(&other).expect("other kernel readable")
     );
 
+    // An object of an earlier ABI: this very model's kernel source, built
+    // as version 3 (which exported the batched entry points this one no
+    // longer has), fails the version check and is rebuilt the same way.
+    let source = std::fs::read_to_string(format!("{}.c", so.display())).expect("kernel source");
+    let current = format!("rms_abi_version = {};", rms_core::KERNEL_ABI_VERSION);
+    assert!(source.contains(&current), "{current} in the kernel source");
+    let old_c = dir.join("abi3.c");
+    std::fs::write(&old_c, source.replace(&current, "rms_abi_version = 3;")).expect("abi-3 source");
+    let cc = probe_toolchain().expect("probed above").cc;
+    let built = Command::new(&cc)
+        .args(["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-o"])
+        .arg(&so)
+        .arg(&old_c)
+        .status()
+        .expect("cc runs");
+    assert!(built.success(), "{cc} built the abi-3 object");
+    let abi3 = std::fs::read(&so).expect("abi-3 object");
+    let fourth = simulate(&rdl);
+    assert_eq!(first, fourth, "abi-3 kernel was rejected and rebuilt");
+    let quarantined = std::fs::read(format!("{}.corrupt", so.display())).expect("abi-3 image");
+    assert_eq!(quarantined, abi3);
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -243,7 +266,7 @@ fn emit_c_prints_the_kernel_source() {
     let source = String::from_utf8(out.stdout).expect("stdout is utf-8");
 
     // Golden structure of the rendered kernel: identity header, ABI
-    // metadata, the scalar/Jacobian/sensitivity/batched entry points, and
+    // metadata, the RHS/Jacobian/sensitivity entry points, and
     // round-trippable hex float literals.
     assert!(
         source.starts_with("/* generated by the Reaction Modeling Suite chemical compiler */\n")
@@ -259,9 +282,6 @@ fn emit_c_prints_the_kernel_source() {
         "void ode_rhs(const double* restrict k, const double* restrict y",
         "void ode_jac(const double* restrict k, const double* restrict y",
         "void ode_sens(const double* restrict k, const double* restrict y",
-        "void ode_rhs_batch(const double* restrict k, const double* restrict ys",
-        "ode_rhs_lanes",
-        "vector_size(64)",
     ] {
         assert!(
             source.contains(needle),

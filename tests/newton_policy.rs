@@ -14,8 +14,7 @@ use std::sync::{Arc, OnceLock};
 use rand::{Rng, SeedableRng};
 use rms_suite::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel, CacheMode,
-    CompiledArtifact, CompilerSession, EngineMode, OptLevel, SessionOptions, SolveStats,
-    SolverOptions,
+    CompiledArtifact, CompilerSession, OptLevel, SessionOptions, SolveStats, SolverOptions,
 };
 use rms_workload::{decay_chain, vulcanization_source};
 
@@ -63,7 +62,7 @@ enum Kind {
 /// (the simulator's pair at `rtol = 10⁻⁶`).
 fn solve(kind: Kind, rtol: f64) -> Solve {
     let model = rdl_fit_model();
-    let choice = model.kernel(EngineMode::Exec);
+    let choice = model.kernel();
     let bound = BoundKernel::new(&choice, &model.system.rate_values);
     let options = SolverOptions {
         rtol,

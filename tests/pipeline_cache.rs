@@ -12,8 +12,8 @@ use rms_solver::orderings_computed_on_this_thread;
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
     cache, generate, optimize, solve_bdf_sensitivities, solve_bdf_with_jacobian, BoundKernel,
-    CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, EngineMode,
-    GenerateOptions, OptLevel, SessionOptions, SolveStats, SolverOptions, Stage, TapeSimulator,
+    CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, GenerateOptions, OptLevel,
+    SessionOptions, SolveStats, SolverOptions, Stage, TapeSimulator,
 };
 
 /// The in-memory cache is process-wide and one test clears it; serialize
@@ -77,7 +77,7 @@ fn trajectory(artifact: &CompiledArtifact) -> Vec<Vec<f64>> {
 /// Jacobian), plain or sensitivity-`augmented`. The bits of everything it
 /// returned, and its counters.
 fn solve(artifact: &CompiledArtifact, augmented: bool) -> (Vec<u64>, SolveStats) {
-    let choice = artifact.kernel(EngineMode::Exec);
+    let choice = artifact.kernel();
     let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let (y0, times) = (&artifact.system.initial, [0.02, 0.05]);
     let (options, source) = (SolverOptions::default(), bound.jacobian_source());
@@ -140,7 +140,7 @@ fn assert_identical(cold: &Arc<CompiledArtifact>, hit: &Arc<CompiledArtifact>, l
     if cold.jacobian.is_some() {
         assert_eq!(orderings_computed_on_this_thread(), ordered, "{label}");
         let plans = [cold, hit].map(|a| {
-            let patterns = a.kernel(EngineMode::Exec).patterns;
+            let patterns = a.kernel().patterns;
             patterns.plan().expect("Deriv ran")
         });
         let shape = |p: &rms_suite::NewtonPlan| (p.fill_nnz(), p.factor_macs(), p.order().to_vec());

@@ -26,8 +26,8 @@ use rms_core::{
 };
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    probe_toolchain, CompiledArtifact, CompilerSession, EngineMode, OptLevel, SessionOptions,
-    TapeSimulator, FMA_CONTRACTS,
+    probe_toolchain, CompiledArtifact, CompilerSession, OptLevel, SessionOptions, TapeSimulator,
+    FMA_CONTRACTS,
 };
 
 /// The in-memory artifact cache is process-wide; serialize the engine
@@ -83,8 +83,14 @@ fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc
     compiled.artifact
 }
 
-fn trajectory(artifact: &Arc<CompiledArtifact>, engine: EngineMode) -> Vec<Vec<f64>> {
-    let simulator = TapeSimulator::with_engine(artifact, Vec::new(), engine);
+/// The trajectory on one of `artifact`'s evaluators.
+fn trajectory(artifact: &Arc<CompiledArtifact>, engine: &str) -> Vec<Vec<f64>> {
+    let choice = artifact
+        .evaluators()
+        .into_iter()
+        .find(|c| c.engine == engine);
+    let choice = choice.unwrap_or_else(|| panic!("no {engine} evaluator"));
+    let simulator = TapeSimulator::new(choice, artifact.system.initial.clone(), Vec::new());
     simulator
         .trajectory(&artifact.system.rate_values, 0, &[0.02, 0.05, 0.1])
         .expect("short solve succeeds")
@@ -140,9 +146,9 @@ fn interp_exec_and_native_trajectories_of_one_artifact_agree_exactly() {
             // through whatever loops the emitter found, compiled with
             // -ffp-contract=off: the same rounding sequence, so not a
             // bit of the trajectory may move.
-            let interp = trajectory(&artifact, EngineMode::Interp);
-            let native = trajectory(&artifact, EngineMode::Native);
-            let exec = trajectory(&artifact, EngineMode::Exec);
+            let interp = trajectory(&artifact, "interp");
+            let native = trajectory(&artifact, "native");
+            let exec = trajectory(&artifact, "exec");
             let d = deviation(&native, &interp);
             assert!(
                 d == 0.0,

@@ -1,17 +1,18 @@
 //! Pinned digests of what `rmsc simulate` prints: both bundled models
-//! under every engine, 8 tables at the default `--tend` and `--steps`.
-//! The digests were recorded while `rmsc simulate` still ran its own BDF
-//! solve beside the `TapeSimulator` every other path uses, and while it
-//! still took a Jacobian source and a linear solver on the command line —
-//! every one of which printed these tables — so "the command solves
-//! through the one simulator and configures the solve itself" is a test,
-//! not a claim.
+//! under `--engine exec` and `--engine native`, 4 tables at the default
+//! `--tend` and `--steps`. The digests were recorded while `rmsc
+//! simulate` still ran its own BDF solve beside the `TapeSimulator` every
+//! other path uses, while it still took a Jacobian source and a linear
+//! solver on the command line, and while `--engine` still offered the
+//! interpreter and an `auto` pick — every one of which printed these
+//! tables — so "the command solves through the one simulator, configures
+//! the solve itself and runs the artifact's kernel" is a test, not a
+//! claim.
 //!
-//! Rows that need a C toolchain (`native`, and `auto`, which picks native
-//! when it can) are skipped — visibly, on stderr — without one. Where the
-//! build contracts multiply-adds (`FMA_CONTRACTS`), the exec engine may
-//! round differently from the interpreter the digests agree with, so its
-//! rows (and `auto`'s) are skipped too.
+//! The `native` rows are skipped — visibly, on stderr — without a C
+//! toolchain. Where the build contracts multiply-adds (`FMA_CONTRACTS`),
+//! the exec engine may round differently from the interpreter the digests
+//! agree with, so its rows are skipped too.
 
 use std::fmt::Write;
 
@@ -37,10 +38,10 @@ fn fnv(text: &str) -> u64 {
     h.0
 }
 
-const ENGINES: [&str; 4] = ["interp", "exec", "native", "auto"];
+const ENGINES: [&str; 2] = ["exec", "native"];
 
 /// One model's digests, one per engine in the order of `ENGINES`.
-type Pins = [u64; 4];
+type Pins = [u64; 2];
 
 /// Run `rmsc simulate` on `model` on every engine and compare each
 /// table's digest with its pin. On a mismatch the message carries every
@@ -48,12 +49,12 @@ type Pins = [u64; 4];
 fn assert_pinned(model: &str, pins: &Pins) {
     let path = format!("{}/../../models/{model}", env!("CARGO_MANIFEST_DIR"));
     let toolchain = probe_toolchain().map_err(|e| e.to_string());
-    let mut got = [0u64; 4];
+    let mut got = [0u64; 2];
     let mut mismatches = Vec::new();
     for (e, engine) in ENGINES.iter().enumerate() {
         let skip = match (*engine, &toolchain) {
-            ("native" | "auto", Err(why)) => Some(format!("no C toolchain: {why}")),
-            ("exec" | "auto", _) if FMA_CONTRACTS => Some("the build contracts FMAs".into()),
+            ("native", Err(why)) => Some(format!("no C toolchain: {why}")),
+            ("exec", _) if FMA_CONTRACTS => Some("the build contracts FMAs".into()),
             _ => None,
         };
         if let Some(why) = skip {
@@ -76,21 +77,16 @@ fn assert_pinned(model: &str, pins: &Pins) {
     );
 }
 
-// On both models interp, exec and native print one table. `auto` prints
-// it under a line naming its pick, whose reason counts the loop regions
-// of the kernel the compile built — on vulcanization.rdl the Jacobian,
-// which `rmsc simulate` always compiles, is in it.
+// On both models exec and native print one table.
 
 #[test]
 fn vulcanization_tables_are_pinned() {
     const TABLE: u64 = 15_936_071_455_610_601_300;
-    const AUTO: u64 = 13_011_395_361_108_600_092;
-    assert_pinned("vulcanization.rdl", &[TABLE, TABLE, TABLE, AUTO]);
+    assert_pinned("vulcanization.rdl", &[TABLE, TABLE]);
 }
 
 #[test]
 fn quickstart_tables_are_pinned() {
     const TABLE: u64 = 14_514_943_634_184_189_247;
-    const AUTO: u64 = 6_585_346_466_659_616_214;
-    assert_pinned("quickstart.rdl", &[TABLE, TABLE, TABLE, AUTO]);
+    assert_pinned("quickstart.rdl", &[TABLE, TABLE]);
 }

@@ -16,9 +16,9 @@ use rms_driver::KernelChoice;
 use rms_solver::{orderings_computed_on_this_thread, ColoredPattern};
 use rms_suite::{
     cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
-    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, EngineMode, FnRhs, JacobianSource,
-    LinearSolver, NewtonPlan, OptLevel, SessionOptions, Simulator, SolveStats, SolverOptions,
-    SparsityPattern, Stage, TapeSimulator, SPARSE_COST_PER_MAC,
+    CacheMode, CacheStatus, CompiledArtifact, CompilerSession, FnRhs, JacobianSource, LinearSolver,
+    NewtonPlan, OptLevel, SessionOptions, Simulator, SolveStats, SolverOptions, SparsityPattern,
+    Stage, TapeSimulator, SPARSE_COST_PER_MAC,
 };
 use rms_workload::{scaled_case, vulcanization_source, VulcanizationModel, VULCANIZATION_RDL};
 
@@ -93,7 +93,7 @@ fn trajectory(
     options: SolverOptions,
     source: Source,
 ) -> Result<Vec<Vec<f64>>, String> {
-    let choice = model.kernel(EngineMode::Exec);
+    let choice = model.kernel();
     let bound = BoundKernel::new(&choice, &model.system.rate_values);
     let y0 = &model.system.initial;
     let solve =
@@ -201,7 +201,7 @@ fn solver_stats_report_sparse_fill() {
         "scale-25 case 2 should be a few hundred equations"
     );
 
-    let choice = compiled.kernel(EngineMode::Exec);
+    let choice = compiled.kernel();
     let bound = BoundKernel::new(&choice, &compiled.system.rate_values);
 
     let options = SolverOptions {
@@ -286,7 +286,7 @@ fn revived(tag: &str, model: VulcanizationModel) -> Arc<CompiledArtifact> {
         .expect("revival");
     assert_eq!(again.status, CacheStatus::Disk);
     let _ = std::fs::remove_dir_all(&dir);
-    let patterns = again.artifact.kernel(EngineMode::Exec).patterns;
+    let patterns = again.artifact.kernel().patterns;
     assert!(patterns.built_plan().is_none(), "a plan on revival");
     again.artifact
 }
@@ -371,7 +371,7 @@ fn solve_stats(
     source: Source,
     linear_solver: LinearSolver,
 ) -> SolveStats {
-    let choice = artifact.kernel(EngineMode::Exec);
+    let choice = artifact.kernel();
     let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let options = SolverOptions {
         linear_solver,
@@ -384,7 +384,7 @@ fn solve_stats(
 /// sensitivity-augmented trajectories agree bit for bit with solves that
 /// analyze for themselves, and so do all counters but the new one.
 fn assert_plan_changes_no_bit(artifact: &CompiledArtifact, label: &str) {
-    let choice = artifact.kernel(EngineMode::Exec);
+    let choice = artifact.kernel();
     for kind in KINDS {
         let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
         let (shared, shared_stats) = solve_sparse(artifact, &bound, &bound, kind);
@@ -413,7 +413,7 @@ fn shared_plan_changes_no_bit_of_a_trajectory() {
         .expect("workload models always compile");
     // What the cold compile's Deriv stage analyzed is the plan the solves
     // run on, and the report says what it cost.
-    let patterns = programmatic.artifact.kernel(EngineMode::Exec).patterns;
+    let patterns = programmatic.artifact.kernel().patterns;
     let kept = patterns
         .built_plan()
         .expect("the Deriv stage keeps its analysis")
@@ -438,7 +438,7 @@ fn shared_plan_changes_no_bit_of_a_trajectory() {
 #[test]
 fn concurrent_solves_share_one_plan_built_once() {
     let artifact = revived("concurrent", scaled_case(2, 30));
-    let choice = artifact.kernel(EngineMode::Exec);
+    let choice = artifact.kernel();
     let rates = &artifact.system.rate_values;
     let start = Barrier::new(8);
     let solves: Vec<_> = std::thread::scope(|scope| {
@@ -480,7 +480,7 @@ fn concurrent_solves_share_one_plan_built_once() {
 #[test]
 fn tightened_stage_reuses_the_primary_stages_plan() {
     let artifact = revived("chain", scaled_case(2, 20));
-    let choice = artifact.kernel(EngineMode::Exec);
+    let choice = artifact.kernel();
     let observable = vec![1.0; artifact.system.len()];
     let rates = &artifact.system.rate_values;
 
@@ -528,7 +528,7 @@ fn tightened_stage_reuses_the_primary_stages_plan() {
 #[test]
 fn dense_solves_never_build_a_plan() {
     let no_plan = |artifact: &CompiledArtifact, label: &str| {
-        let patterns = artifact.kernel(EngineMode::Exec).patterns;
+        let patterns = artifact.kernel().patterns;
         assert!(patterns.built_plan().is_none(), "{label}");
     };
 
@@ -543,11 +543,11 @@ fn dense_solves_never_build_a_plan() {
     // The same model does plan once it may: `Auto` takes it sparse.
     sim.options.linear_solver = LinearSolver::Auto;
     sim.simulate(rates, 0, &TIMES).expect("auto solve");
-    let patterns = artifact.kernel(EngineMode::Exec).patterns;
+    let patterns = artifact.kernel().patterns;
     assert!(patterns.built_plan().is_some());
 
     let artifact = rdl_fit_model();
-    let patterns = artifact.kernel(EngineMode::Exec).patterns;
+    let patterns = artifact.kernel().patterns;
     // The Deriv stage of the cold compile planned the Jacobian.
     let kept = patterns.built_plan().unwrap().clone();
     let sim = TapeSimulator::from_artifact(&artifact, vec![1.0; artifact.system.len()]);
@@ -617,7 +617,7 @@ fn artifact_backed_solves_never_analyze() {
                 );
             }
             if solver == LinearSolver::Dense && label == "revived" {
-                let patterns = artifact.kernel(EngineMode::Exec).patterns;
+                let patterns = artifact.kernel().patterns;
                 assert!(patterns.built_plan().is_none());
                 assert!(patterns.fd().pattern.built_plan().is_none());
             }
@@ -633,7 +633,7 @@ fn artifact_backed_solves_never_analyze() {
 #[test]
 fn auto_decides_from_the_plans_multiply_adds() {
     let jacobian_plan = |model: &CompiledArtifact| {
-        let patterns = model.kernel(EngineMode::Exec).patterns;
+        let patterns = model.kernel().patterns;
         let plan = patterns.plan().expect("Deriv ran");
         let stats = solve_stats(model, Kind::Plain, Source::Analytic, LinearSolver::Auto);
         (plan, stats.fill_nnz)
