@@ -32,9 +32,9 @@ pub enum MoleculeError {
         message: String,
     },
     /// SMILES references a ring-closure digit that never closes.
-    UnclosedRing(u8),
+    UnclosedRing(u32),
     /// Two ring-closure bonds disagree about the bond order.
-    RingBondMismatch(u8),
+    RingBondMismatch(u32),
 }
 
 impl fmt::Display for MoleculeError {

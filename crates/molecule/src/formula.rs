@@ -1,84 +1,70 @@
 //! Molecular formulas (Hill order) and weights.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::element::Element;
 use crate::graph::Molecule;
 
-/// A molecular formula: element → count, displayed in Hill order (C first,
-/// H second, the rest alphabetically).
+/// A molecular formula: each element with its count, in Hill order (C
+/// first, H second, the rest alphabetically).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Formula {
-    counts: BTreeMap<Element, u32>,
+    counts: Vec<(Element, u32)>,
 }
 
 impl Formula {
     /// Compute the formula of a molecule, counting implicit hydrogens.
     pub fn of(mol: &Molecule) -> Formula {
-        let mut counts: BTreeMap<Element, u32> = BTreeMap::new();
+        let mut counts = [0u32; Element::ALL.len()];
         for (_, atom) in mol.atoms() {
-            *counts.entry(atom.element).or_insert(0) += 1;
-            if atom.hydrogens > 0 {
-                *counts.entry(Element::H).or_insert(0) += atom.hydrogens as u32;
-            }
+            counts[atom.element as usize] += 1;
+            counts[Element::H as usize] += u32::from(atom.hydrogens);
         }
-        counts.retain(|_, &mut c| c > 0);
+        let mut counts: Vec<(Element, u32)> = (Element::ALL.iter())
+            .map(|&e| (e, counts[e as usize]))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        counts.sort_by_key(|&(e, _)| hill_key(e));
         Formula { counts }
     }
 
     /// Count of a specific element (implicit H included).
     pub fn count(&self, element: Element) -> u32 {
-        self.counts.get(&element).copied().unwrap_or(0)
+        let entry = self.counts.iter().find(|&&(e, _)| e == element);
+        entry.map_or(0, |&(_, c)| c)
     }
 
-    /// Total number of atoms including implicit hydrogens.
-    pub fn total_atoms(&self) -> u32 {
-        self.counts.values().sum()
+    /// Each element with its count, in Hill order.
+    pub fn elements(&self) -> &[(Element, u32)] {
+        &self.counts
     }
 
     /// Molecular weight in g/mol.
     pub fn weight(&self) -> f64 {
         self.counts
             .iter()
-            .map(|(e, &c)| e.atomic_weight() * c as f64)
+            .map(|&(e, c)| e.atomic_weight() * c as f64)
             .sum()
     }
+}
 
-    /// Element-wise sum of two formulas (for checking conservation across
-    /// a reaction: reactants' total formula must equal products').
-    pub fn plus(&self, other: &Formula) -> Formula {
-        let mut counts = self.counts.clone();
-        for (&e, &c) in &other.counts {
-            *counts.entry(e).or_insert(0) += c;
-        }
-        Formula { counts }
-    }
+/// Sort key for Hill order: C, H, then alphabetical by symbol.
+pub fn hill_key(e: Element) -> (u8, &'static str) {
+    let rank = match e {
+        Element::C => 0,
+        Element::H => 1,
+        _ => 2,
+    };
+    (rank, e.symbol())
 }
 
 impl fmt::Display for Formula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut write_one = |e: Element, c: u32| -> fmt::Result {
-            if c == 0 {
-                Ok(())
-            } else if c == 1 {
-                write!(f, "{}", e.symbol())
-            } else {
-                write!(f, "{}{}", e.symbol(), c)
+        for &(e, c) in &self.counts {
+            match c {
+                1 => write!(f, "{}", e.symbol())?,
+                c => write!(f, "{}{c}", e.symbol())?,
             }
-        };
-        // Hill order: C, H, then alphabetical by symbol.
-        write_one(Element::C, self.count(Element::C))?;
-        write_one(Element::H, self.count(Element::H))?;
-        let mut rest: Vec<(Element, u32)> = self
-            .counts
-            .iter()
-            .filter(|(e, _)| !matches!(e, Element::C | Element::H))
-            .map(|(&e, &c)| (e, c))
-            .collect();
-        rest.sort_by_key(|(e, _)| e.symbol());
-        for (e, c) in rest {
-            write_one(e, c)?;
         }
         Ok(())
     }
@@ -102,6 +88,8 @@ mod tests {
         let m = parse_smiles("CS(=O)O").unwrap();
         let f = Formula::of(&m);
         assert_eq!(f.to_string(), "CH4O2S");
+        let order: Vec<Element> = f.elements().iter().map(|&(e, _)| e).collect();
+        assert_eq!(order, [Element::C, Element::H, Element::O, Element::S]);
     }
 
     #[test]
@@ -119,14 +107,21 @@ mod tests {
         broken.disconnect(1, 2).unwrap();
         let frags = broken.split_components();
         assert_eq!(frags.len(), 2);
-        let sum = Formula::of(&frags[0]).plus(&Formula::of(&frags[1]));
-        assert_eq!(sum, Formula::of(&whole));
+        let mut sum = [0; Element::ALL.len()];
+        for frag in &frags {
+            for &(e, c) in Formula::of(frag).elements() {
+                sum[e as usize] += c;
+            }
+        }
+        for &(e, c) in Formula::of(&whole).elements() {
+            assert_eq!(sum[e as usize], c, "{e:?}");
+        }
     }
 
     #[test]
     fn empty_molecule_formula() {
         let f = Formula::of(&Molecule::new());
-        assert_eq!(f.total_atoms(), 0);
+        assert!(f.elements().is_empty());
         assert_eq!(f.to_string(), "");
     }
 }

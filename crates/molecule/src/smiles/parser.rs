@@ -64,7 +64,7 @@ pub fn parse_smiles(input: &str) -> Result<Molecule> {
     let mut prev: Option<usize> = None;
     let mut branch_stack: Vec<Option<usize>> = Vec::new();
     let mut pending_bond: Option<BondOrder> = None;
-    let mut rings: HashMap<u8, RingOpen> = HashMap::new();
+    let mut rings: HashMap<u32, RingOpen> = HashMap::new();
 
     while let Some(b) = cur.peek() {
         match b {
@@ -106,20 +106,12 @@ pub fn parse_smiles(input: &str) -> Result<Molecule> {
             }
             b'0'..=b'9' => {
                 cur.bump();
-                let digit = b - b'0';
+                let digit = u32::from(b - b'0');
                 handle_ring(&mut mol, &mut rings, prev, &mut pending_bond, digit, &cur)?;
             }
             b'%' => {
                 cur.bump();
-                let d1 = cur
-                    .bump()
-                    .filter(u8::is_ascii_digit)
-                    .ok_or_else(|| cur.error("expected two digits after %"))?;
-                let d2 = cur
-                    .bump()
-                    .filter(u8::is_ascii_digit)
-                    .ok_or_else(|| cur.error("expected two digits after %"))?;
-                let digit = (d1 - b'0') * 10 + (d2 - b'0');
+                let digit = parse_ring_number(&mut cur)?;
                 handle_ring(&mut mol, &mut rings, prev, &mut pending_bond, digit, &cur)?;
             }
             b'[' => {
@@ -147,12 +139,29 @@ pub fn parse_smiles(input: &str) -> Result<Molecule> {
     Ok(mol)
 }
 
+/// The ring number after a `%`: two digits (`%12`), or up to five in
+/// parentheses (`%(123)`, OpenSMILES, which sets no bound).
+fn parse_ring_number(cur: &mut Cursor<'_>) -> Result<u32> {
+    let parenthesized = cur.eat(b'(');
+    let limit = if parenthesized { 5 } else { 2 };
+    let (mut number, mut digits) = (0u32, 0);
+    while let Some(d) = cur.peek().filter(|d| d.is_ascii_digit() && digits < limit) {
+        cur.bump();
+        (number, digits) = (number * 10 + u32::from(d - b'0'), digits + 1);
+    }
+    match parenthesized {
+        false if digits == 2 => Ok(number),
+        true if digits > 0 && cur.eat(b')') => Ok(number),
+        _ => Err(cur.error("expected two digits after %, or up to five in parentheses")),
+    }
+}
+
 fn handle_ring(
     mol: &mut Molecule,
-    rings: &mut HashMap<u8, RingOpen>,
+    rings: &mut HashMap<u32, RingOpen>,
     prev: Option<usize>,
     pending_bond: &mut Option<BondOrder>,
-    digit: u8,
+    digit: u32,
     cur: &Cursor<'_>,
 ) -> Result<()> {
     let here = prev.ok_or_else(|| cur.error("ring closure before any atom"))?;
@@ -424,6 +433,18 @@ mod tests {
         let a = parse_smiles("C%12CCCCC%12").unwrap();
         let b = parse_smiles("C1CCCCC1").unwrap();
         assert_eq!(a.bond_count(), b.bond_count());
+    }
+
+    #[test]
+    fn parenthesized_ring_numbers() {
+        let a = parse_smiles("C%(123)CCC%(123)").unwrap();
+        assert_eq!(a.bond_count(), 4);
+        for bad in ["C%(1CC%(1", "C%()CC", "C%(123456)CC%(123456)", "C%1CC%1"] {
+            assert!(
+                matches!(parse_smiles(bad), Err(MoleculeError::SmilesSyntax { .. })),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

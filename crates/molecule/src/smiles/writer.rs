@@ -19,6 +19,22 @@ pub fn write_smiles_canonical(mol: &Molecule) -> String {
     write_with_ranks(mol, &ranks)
 }
 
+/// One step of the depth-first emission walk, which keeps its own stack:
+/// a chain of any length is written in constant native stack.
+enum Step {
+    /// Write the bond from `parent` (none for a component's first atom),
+    /// the atom, its ring digits, and schedule its children — unless a
+    /// ring reached the atom while an earlier sibling was written.
+    /// `branch` wraps the subtree in parentheses.
+    Enter {
+        at: usize,
+        parent: usize,
+        branch: bool,
+    },
+    /// Close a branch.
+    Close,
+}
+
 fn write_with_ranks(mol: &Molecule, ranks: &[u32]) -> String {
     let n = mol.atom_count();
     if n == 0 {
@@ -26,30 +42,32 @@ fn write_with_ranks(mol: &Molecule, ranks: &[u32]) -> String {
     }
     let mut out = String::new();
     let mut visited = vec![false; n];
-    // Ring-closure bookkeeping: per atom, list of (digit, bond symbol) to emit.
-    let mut ring_digits: HashMap<usize, Vec<(u8, &'static str)>> = HashMap::new();
-    let mut next_digit = 1u8;
+    // Ring bonds found by the pre-pass, and per atom the ring bonds
+    // (indices into `ring_bonds`) it writes a digit for.
+    let mut ring_bonds: Vec<(usize, usize, &'static str)> = Vec::new();
+    let mut ring_at: HashMap<usize, Vec<usize>> = HashMap::new();
+    // Per ring bond, the digit it opened with (0 until it opens); per
+    // digit, whether a ring holds it (0 is never written).
+    let mut digit_of: Vec<usize> = Vec::new();
+    let mut in_use = vec![true];
+    let mut in_tree = vec![false; n];
+    let mut tree_parent = vec![usize::MAX; n];
 
     // Process each connected component, smallest-rank atom first.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| ranks[i]);
 
-    let mut first_component = true;
     for &start in &order {
         if visited[start] {
             continue;
         }
-        if !first_component {
+        if !out.is_empty() {
             out.push('.');
         }
-        first_component = false;
 
-        // Pre-pass: find back edges (ring bonds) in DFS-by-rank order and
-        // assign digits.
-        let mut in_tree = vec![false; n];
+        // Pre-pass: find back edges (ring bonds) in DFS-by-rank order.
+        let first_ring = ring_bonds.len();
         let mut stack = vec![(start, usize::MAX)];
-        let mut tree_parent = vec![usize::MAX; n];
-        let mut ring_bonds: Vec<(usize, usize, BondOrder)> = Vec::new();
         while let Some((at, parent)) = stack.pop() {
             if in_tree[at] {
                 continue;
@@ -63,11 +81,12 @@ fn write_with_ranks(mol: &Molecule, ranks: &[u32]) -> String {
                     if tree_parent[at] != nb {
                         let bond = mol.bond_between(at, nb).expect("neighbor bond");
                         // Record only once per ring bond.
-                        if !ring_bonds
+                        if !ring_bonds[first_ring..]
                             .iter()
                             .any(|&(a, b, _)| (a, b) == (nb, at) || (a, b) == (at, nb))
                         {
-                            ring_bonds.push((at, nb, bond.order));
+                            let symbol = bond_symbol(mol, at, nb, bond.order);
+                            ring_bonds.push((at, nb, symbol));
                         }
                     }
                 } else {
@@ -75,73 +94,80 @@ fn write_with_ranks(mol: &Molecule, ranks: &[u32]) -> String {
                 }
             }
         }
-        for (a, b, ord) in ring_bonds {
-            let digit = next_digit;
-            next_digit = next_digit.wrapping_add(1);
-            let symbol = bond_symbol(mol, a, b, ord);
-            ring_digits.entry(a).or_default().push((digit, symbol));
-            ring_digits.entry(b).or_default().push((digit, symbol));
+        for (i, &(a, b, _)) in ring_bonds.iter().enumerate().skip(first_ring) {
+            ring_at.entry(a).or_default().push(i);
+            ring_at.entry(b).or_default().push(i);
         }
+        digit_of.resize(ring_bonds.len(), 0);
 
-        emit_atom(
-            mol,
-            ranks,
-            start,
-            usize::MAX,
-            &mut visited,
-            &ring_digits,
-            &mut out,
-        );
+        let mut steps = vec![Step::Enter {
+            at: start,
+            parent: usize::MAX,
+            branch: false,
+        }];
+        while let Some(step) = steps.pop() {
+            match step {
+                Step::Enter { at, .. } if visited[at] => {}
+                Step::Enter { at, parent, branch } => {
+                    if branch {
+                        out.push('(');
+                        steps.push(Step::Close);
+                    }
+                    if let Some(bond) = mol.bond_between(parent, at) {
+                        out.push_str(bond_symbol(mol, parent, at, bond.order));
+                    }
+                    visited[at] = true;
+                    out.push_str(&atom_token(mol, at));
+                    let rings = ring_at.get(&at).map_or(&[][..], Vec::as_slice);
+                    // A ring opens on the lowest free digit and frees it
+                    // when it closes — after this atom's digits are
+                    // written, so one atom never closes and reopens a digit.
+                    let mut closed = Vec::new();
+                    for &ring in rings {
+                        if digit_of[ring] == 0 {
+                            let digit = in_use.iter().position(|&used| !used);
+                            let digit = digit.unwrap_or(in_use.len());
+                            in_use.resize(in_use.len().max(digit + 1), true);
+                            in_use[digit] = true;
+                            digit_of[ring] = digit;
+                        } else {
+                            closed.push(digit_of[ring]);
+                        }
+                        out.push_str(ring_bonds[ring].2);
+                        push_ring_digit(&mut out, digit_of[ring]);
+                    }
+                    for digit in closed {
+                        in_use[digit] = false;
+                    }
+                    let mut children: Vec<usize> = mol
+                        .neighbors(at)
+                        .filter(|&x| x != parent && !visited[x])
+                        .collect();
+                    children.sort_by_key(|&x| ranks[x]);
+                    let last = children.len().saturating_sub(1);
+                    for (i, &child) in children.iter().enumerate().rev() {
+                        steps.push(Step::Enter {
+                            at: child,
+                            parent: at,
+                            branch: i != last,
+                        });
+                    }
+                }
+                Step::Close => out.push(')'),
+            }
+        }
     }
     out
 }
 
-fn emit_atom(
-    mol: &Molecule,
-    ranks: &[u32],
-    at: usize,
-    parent: usize,
-    visited: &mut [bool],
-    ring_digits: &HashMap<usize, Vec<(u8, &'static str)>>,
-    out: &mut String,
-) {
-    visited[at] = true;
-    out.push_str(&atom_token(mol, at));
-    if let Some(digits) = ring_digits.get(&at) {
-        for &(digit, symbol) in digits {
-            out.push_str(symbol);
-            if digit < 10 {
-                out.push(char::from(b'0' + digit));
-            } else {
-                out.push('%');
-                out.push(char::from(b'0' + digit / 10));
-                out.push(char::from(b'0' + digit % 10));
-            }
-        }
-    }
-    let mut children: Vec<usize> = mol
-        .neighbors(at)
-        .filter(|&x| x != parent && !visited[x])
-        .collect();
-    children.sort_by_key(|&x| ranks[x]);
-    let last = children.len().saturating_sub(1);
-    for (i, child) in children.into_iter().enumerate() {
-        // A child may have been visited through a ring while emitting an
-        // earlier sibling branch.
-        if visited[child] {
-            continue;
-        }
-        let bond = mol.bond_between(at, child).expect("child bond");
-        let branch = i != last;
-        if branch {
-            out.push('(');
-        }
-        out.push_str(bond_symbol(mol, at, child, bond.order));
-        emit_atom(mol, ranks, child, at, visited, ring_digits, out);
-        if branch {
-            out.push(')');
-        }
-    }
+/// A ring-closure digit: `1`–`9`, `%10`–`%99`, then `%(100)` onwards.
+fn push_ring_digit(out: &mut String, digit: usize) {
+    use std::fmt::Write;
+    let _ = match digit {
+        0..=9 => write!(out, "{digit}"),
+        10..=99 => write!(out, "%{digit}"),
+        _ => write!(out, "%({digit})"),
+    };
 }
 
 /// The symbol to write for a bond. Between two aromatic atoms a parser
@@ -265,6 +291,62 @@ mod tests {
         assert!(s.contains('.'), "{s}");
         let m2 = parse_smiles(&s).unwrap();
         assert_eq!(m2.components().len(), 2);
+    }
+
+    /// A 100,002-atom chain is written in constant stack: the walk keeps
+    /// its own (the recursive writer ran a thread off its stack).
+    #[test]
+    fn a_long_chain_is_written_in_constant_stack() {
+        let smiles = format!("C{}C", "S".repeat(100_000));
+        let m = parse_smiles(&smiles).unwrap();
+        let written = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || (write_smiles(&m), write_smiles_canonical(&m)))
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(written.0, smiles);
+        assert_eq!(written.1, smiles);
+    }
+
+    /// Digits are reused once their ring closes: 100 cyclopropanes need
+    /// one digit, not 100 (past 99 the old writer wrote `%:0`).
+    #[test]
+    fn closed_ring_digits_are_reused() {
+        let smiles = vec!["C1CC1"; 100].join(".");
+        let m = parse_smiles(&smiles).unwrap();
+        let s = write_smiles_canonical(&m);
+        let one = write_smiles_canonical(&parse_smiles("C1CC1").unwrap());
+        assert_eq!(s, vec![one.as_str(); 100].join("."));
+        assert!(!s.contains('2') && !s.contains('%'), "{s}");
+        let m2 = parse_smiles(&s).unwrap();
+        assert_eq!(m2.components().len(), 100);
+        assert_eq!(m2.bond_count(), 300);
+    }
+
+    #[test]
+    fn open_rings_past_99_write_parenthesized_numbers() {
+        // A ladder of 120 rungs: the walk runs down one rail, opening a
+        // ring at every rung, and closes them all on the way back.
+        let n = 120;
+        let mut m = Molecule::new();
+        for _ in 0..2 * n {
+            m.add_atom(crate::atom::Atom::new(crate::element::Element::C));
+        }
+        m.infer_all_hydrogens().unwrap();
+        for i in 0..n {
+            m.connect(i, n + i, BondOrder::Single).unwrap();
+            if i + 1 < n {
+                m.connect(i, i + 1, BondOrder::Single).unwrap();
+                m.connect(n + i, n + i + 1, BondOrder::Single).unwrap();
+            }
+        }
+        let s = write_smiles(&m);
+        assert!(s.contains("%(100)"), "{s}");
+        let m2 = parse_smiles(&s).unwrap();
+        assert_eq!(m2.atom_count(), m.atom_count());
+        assert_eq!(m2.bond_count(), m.bond_count());
+        assert_eq!(write_smiles_canonical(&m2), write_smiles_canonical(&m));
     }
 
     #[test]

@@ -12,13 +12,11 @@
 
 #![warn(missing_docs)]
 
-pub mod conservation;
 pub mod equation;
 pub mod generate;
 pub mod system;
 pub mod term;
 
-pub use conservation::{conservation_laws, max_violation, stoichiometry_matrix};
 pub use equation::{EquationTable, OdeEquation};
 pub use generate::{generate, GenerateOptions, OdegenError};
 pub use system::{OdeSystem, OpCounts};

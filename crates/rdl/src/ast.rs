@@ -96,6 +96,17 @@ pub enum Site {
     },
 }
 
+impl Site {
+    /// The keyword that introduces this kind of site in RDL source.
+    pub fn keyword(&self) -> &'static str {
+        match self {
+            Site::Bond { .. } => "bond",
+            Site::Atom(_) => "atom",
+            Site::Pair { .. } => "pair",
+        }
+    }
+}
+
 /// Which molecules a rule scans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Scope {

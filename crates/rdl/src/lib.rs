@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod balance;
 pub mod engine;
 pub mod error;
 pub mod expand;
@@ -33,6 +34,7 @@ pub mod network;
 pub mod parser;
 
 pub use ast::{Action, Forbid, Limits, MoleculeDecl, Program, RuleDecl, Scope, Site};
+pub use balance::ElementRow;
 pub use engine::{compile, compile_with_options, CompiledModel, EngineOptions, NetworkStats};
 #[cfg(feature = "oracle")]
 pub use engine::{compile_with_oracle, Oracle};

@@ -779,9 +779,9 @@ fn validate_site_action(rule: &str, site: &Site, action: Action) -> Result<()> {
         Err(RdlError::InvalidRule {
             rule: rule.to_string(),
             message: format!(
-                "action '{}' incompatible with site kind {:?}",
+                "action '{}' incompatible with site kind '{}'",
                 action.keyword(),
-                std::mem::discriminant(site)
+                site.keyword()
             ),
         })
     }

@@ -10,11 +10,13 @@
 //!   supervised worker; a panicking job becomes a structured
 //!   [`JobError::Panicked`] event and never takes down the server or a
 //!   co-tenant's job.
-//! * **Deadlines** — each job may carry `deadline_ms`; a watcher thread
-//!   fires the job's [`CancelToken`](rms_solver::CancelToken), which
-//!   the BDF/RK45 solvers observe at step boundaries, so cancellation
-//!   is clean and prompt ([`JobError::Deadline`]). The deadline is the
-//!   only bound on a stalled solve.
+//! * **Deadlines** — each job may carry `deadline_ms`; its
+//!   [`CancelToken`](rms_solver::CancelToken) carries the instant it
+//!   expires, which the BDF/RK45 solvers read at step boundaries, so
+//!   cancellation is clean and prompt ([`JobError::Deadline`]) and no
+//!   thread watches the clock. The deadline is the only bound on a
+//!   stalled solve; it starts at the job's start but is not read during
+//!   compilation, so a slow compile runs past it.
 //! * **No retry** — a job solves once: a solve is a pure function of its
 //!   inputs, so a failed one would fail again, and it is answered as a
 //!   [`JobError::Solver`] event (an estimate job's files are penalized

@@ -4,17 +4,17 @@
 //! Every admitted job runs inside `catch_unwind` on a worker thread, so
 //! a panicking job — a poisoned model, an injected chaos fault —
 //! terminates as a structured [`JobError::Panicked`] while the worker
-//! and every co-tenant job keep running. Deadlines are supervised by a
-//! dedicated watcher thread that fires the job's [`CancelToken`]; the
-//! solvers observe it at step boundaries and unwind cleanly, so a
-//! blown deadline costs at most one integration step, not a stuck
-//! worker. Compiles go through the process-wide artifact cache in
+//! and every co-tenant job keep running. A job's deadline is an instant
+//! on its [`CancelToken`]: the solvers read it at step boundaries and
+//! unwind cleanly once it has passed, so a blown deadline costs at most
+//! one integration step, not a stuck worker, and no thread watches the
+//! clock. Compiles go through the process-wide artifact cache in
 //! `rms-driver`, so concurrent tenants submitting the same model at the
 //! same options compile it exactly once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -104,9 +104,6 @@ struct Job {
     req: JobRequest,
     /// Admission sequence number; doubles as the fault-plan file index.
     seq: u64,
-    /// Cancellation shared with the solvers; fired by the deadline
-    /// watcher.
-    token: CancelToken,
     /// Effective deadline (request's, else the server default).
     deadline_ms: Option<u64>,
     /// Where this job's events go.
@@ -119,31 +116,21 @@ struct QueueState {
     closed: bool,
 }
 
-/// A deadline the watcher is supervising.
-struct DeadlineEntry {
-    at: Instant,
-    token: CancelToken,
-    seq: u64,
-}
-
 struct Inner {
     state: Mutex<QueueState>,
     work_ready: Condvar,
-    deadlines: Mutex<Vec<DeadlineEntry>>,
-    watcher_stop: AtomicBool,
     seq: AtomicU64,
     stats: Mutex<ServerStats>,
     cache_dir: Option<PathBuf>,
     faults: Option<FaultPlan>,
 }
 
-/// A running server: worker pool + deadline watcher around a fair
-/// admission queue. Submit with [`Server::submit`] (parsed requests) or
+/// A running server: a worker pool around a fair admission queue.
+/// Submit with [`Server::submit`] (parsed requests) or
 /// [`Server::submit_line`] (wire lines); stop with [`Server::drain`].
 pub struct Server {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    watcher: Option<JoinHandle<()>>,
     queue_capacity: usize,
     default_deadline_ms: Option<u64>,
 }
@@ -170,7 +157,7 @@ fn install_quiet_panic_hook() {
 }
 
 impl Server {
-    /// Start the worker pool and deadline watcher.
+    /// Start the worker pool.
     pub fn start(config: ServerConfig) -> Server {
         install_quiet_panic_hook();
         if config.memory_budget.is_some() {
@@ -182,8 +169,6 @@ impl Server {
                 closed: false,
             }),
             work_ready: Condvar::new(),
-            deadlines: Mutex::new(Vec::new()),
-            watcher_stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             stats: Mutex::new(ServerStats::default()),
             cache_dir: config.cache_dir.clone(),
@@ -198,17 +183,9 @@ impl Server {
                     .expect("spawn worker thread")
             })
             .collect();
-        let watcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("rms-serve-deadline".to_string())
-                .spawn(move || watcher_loop(&inner))
-                .expect("spawn watcher thread")
-        };
         Server {
             inner,
             workers,
-            watcher: Some(watcher),
             queue_capacity: config.queue_capacity.max(1),
             default_deadline_ms: config.default_deadline_ms,
         }
@@ -229,7 +206,6 @@ impl Server {
         }
         let job = Job {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-            token: CancelToken::new(),
             deadline_ms: req.deadline_ms.or(self.default_deadline_ms),
             reply,
             req,
@@ -311,11 +287,6 @@ impl Server {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        self.inner.watcher_stop.store(true, Ordering::Relaxed);
-        if let Some(watcher) = self.watcher.take() {
-            watcher.thread().unpark();
-            let _ = watcher.join();
-        }
     }
 }
 
@@ -354,37 +325,16 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Poll-and-fire deadline supervision. Polling (2 ms) keeps the watcher
-/// free of per-job wakeup bookkeeping; deadline precision is bounded by
-/// solver step granularity anyway.
-fn watcher_loop(inner: &Arc<Inner>) {
-    while !inner.watcher_stop.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        lock(&inner.deadlines).retain(|entry| {
-            if now >= entry.at {
-                entry.token.cancel();
-                false
-            } else {
-                true
-            }
-        });
-        std::thread::park_timeout(Duration::from_millis(2));
-    }
-}
-
-/// Run one job start to finish: supervise its deadline, contain its
+/// Run one job start to finish: start its deadline's clock, contain its
 /// panics, classify its outcome, and send the terminal event.
 fn process(inner: &Arc<Inner>, job: Job) {
     let started = Instant::now();
-    if let Some(ms) = job.deadline_ms {
-        lock(&inner.deadlines).push(DeadlineEntry {
-            at: started + Duration::from_millis(ms),
-            token: job.token.clone(),
-            seq: job.seq,
-        });
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(inner, &job)));
-    lock(&inner.deadlines).retain(|entry| entry.seq != job.seq);
+    // A deadline too far off to represent is none.
+    let token = job
+        .deadline_ms
+        .and_then(|ms| started.checked_add(Duration::from_millis(ms)))
+        .map(CancelToken::with_deadline);
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(inner, &job, token)));
 
     let outcome = match outcome {
         Ok(done) => done,
@@ -393,13 +343,13 @@ fn process(inner: &Arc<Inner>, job: Job) {
             message: panic_message(&*payload),
         }),
     };
-    // A fired deadline surfaces as whatever error the cancelled solve
+    // A passed deadline surfaces as whatever error the cancelled solve
     // happened to produce (a solver error, an estimator abort, even a
     // panic racing the cancel). Classify all of those as the deadline —
     // pre-queue failures (invalid, compile diagnostics) keep their kind.
     let outcome = match outcome {
         Err(e)
-            if job.token.is_cancelled()
+            if token.is_some_and(|t| t.is_cancelled())
                 && matches!(e, JobError::Solver { .. } | JobError::Panicked { .. }) =>
         {
             Err(JobError::Deadline {
@@ -448,7 +398,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Compile and execute one job. Every failure returns a structured
 /// [`JobError`]; deadline/panic classification happens in [`process`].
-fn run_job(inner: &Arc<Inner>, job: &Job) -> Result<Value, JobError> {
+fn run_job(inner: &Arc<Inner>, job: &Job, token: Option<CancelToken>) -> Result<Value, JobError> {
     let mut options = SessionOptions::new(job.req.level);
     options.deriv = true;
     options.cache_dir = inner.cache_dir.clone();
@@ -479,17 +429,19 @@ fn run_job(inner: &Arc<Inner>, job: &Job) -> Result<Value, JobError> {
         }
     }
     let mut simulator = TapeSimulator::from_artifact(&artifact, observable);
-    simulator.set_cancel_token(job.token.clone());
+    if let Some(token) = token {
+        simulator.set_cancel_token(token);
+    }
     let rates = &artifact.system.rate_values;
 
     match &inner.faults {
         Some(plan) => {
             let faulty = FaultySimulator::new(simulator, plan.clone());
-            let result = execute(job, &faulty, rates)?;
+            let result = execute(job, &faulty, rates, token)?;
             finish(job, result, cache_status.name(), faulty.inner())
         }
         None => {
-            let result = execute(job, &simulator, rates)?;
+            let result = execute(job, &simulator, rates, token)?;
             finish(job, result, cache_status.name(), &simulator)
         }
     }
@@ -510,7 +462,12 @@ enum Executed {
 /// Run the job's solves. A solve is a pure function of its inputs, so a
 /// failed one is not retried; the job's deadline and the worker's
 /// `catch_unwind` bound the rest.
-fn execute<S: Simulator>(job: &Job, simulator: &S, rates: &[f64]) -> Result<Executed, JobError> {
+fn execute<S: Simulator>(
+    job: &Job,
+    simulator: &S,
+    rates: &[f64],
+    token: Option<CancelToken>,
+) -> Result<Executed, JobError> {
     match &job.req.kind {
         JobKind::Simulate { times } => {
             let values = simulator
@@ -539,7 +496,7 @@ fn execute<S: Simulator>(job: &Job, simulator: &S, rates: &[f64]) -> Result<Exec
             // Under `Penalize` a deadline-cancelled file contributes a
             // penalty residual instead of aborting; do not let that pass
             // as a success.
-            if job.token.is_cancelled() {
+            if token.is_some_and(|t| t.is_cancelled()) {
                 return Err(JobError::Solver {
                     message: "objective evaluation cancelled".to_string(),
                 });

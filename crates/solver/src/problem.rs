@@ -1,32 +1,25 @@
 //! The ODE problem interface and solver configuration.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
-/// Cooperative cancellation flag shared between an integrator and an
-/// external supervisor (e.g. a deadline watcher). Cloning shares the
-/// flag; once [`cancel`](CancelToken::cancel) fires, every solver the
-/// token is attached to returns [`SolverError::Cancelled`] at its next
-/// step boundary.
-#[derive(Debug, Clone, Default)]
+/// Cooperative cancellation by deadline: once the deadline passes, every
+/// solver the token is attached to returns [`SolverError::Cancelled`] at
+/// its next step boundary. No thread fires it: whoever asks
+/// [`is_cancelled`](CancelToken::is_cancelled) reads the clock.
+#[derive(Debug, Clone, Copy)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    deadline: Instant,
 }
 
 impl CancelToken {
-    /// Fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
+    /// Token that counts as cancelled from `deadline` on.
+    pub fn with_deadline(deadline: Instant) -> CancelToken {
+        CancelToken { deadline }
     }
 
-    /// Request cancellation. Idempotent; visible to all clones.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Has cancellation been requested?
+    /// Has the deadline passed?
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        Instant::now() >= self.deadline
     }
 }
 
@@ -328,6 +321,16 @@ mod tests {
         let err = [atol + rtol * 1.0, atol + rtol * 10.0];
         let norm = error_norm(&err, &y, rtol, atol);
         assert!((norm - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_token_is_cancelled_once_its_deadline_passes() {
+        use std::time::Duration;
+        let now = Instant::now();
+        let past = CancelToken::with_deadline(now - Duration::from_millis(1));
+        assert!(past.is_cancelled());
+        let future = CancelToken::with_deadline(now + Duration::from_secs(3600));
+        assert!(!future.is_cancelled());
     }
 
     #[test]

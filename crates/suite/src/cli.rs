@@ -14,7 +14,7 @@ use rms_nlopt::{FitStatistics, FnResidual};
 use rms_parallel::{EstimatorConfig, ExperimentFile, FailurePolicy};
 
 use crate::{
-    Compiled, CompiledArtifact, CompilerSession, LmOptions, OptLevel, ParallelEstimator,
+    CacheMode, Compiled, CompiledArtifact, CompilerSession, LmOptions, OptLevel, ParallelEstimator,
     SessionOptions, SolverOptions, Stage, TapeSimulator,
 };
 
@@ -97,7 +97,8 @@ pub enum Emit {
     C,
     /// Optimizer stage statistics.
     Stats,
-    /// Linear conservation laws of the network.
+    /// Per element, its count in every species, or the rules that change
+    /// its total.
     Conservation,
     /// The staged pipeline report as JSON.
     Report,
@@ -304,6 +305,12 @@ operation counts (Table 1), for the compile 'simulate' does. 'compile
 
 --dump-ir STAGE is one of parse, expand, rcip, network, odegen,
 simplify, distribute, cse, deriv, lower, exec-decode, codegen.
+
+'compile --emit conservation' prints one line per element, in Hill
+order: the atoms of it in each species, when every reaction conserves
+it, or else the rules whose reactions change it. It counts species
+structures, which a cache entry does not keep, so like --dump-ir it
+compiles cold.
 
 'simulate' and 'estimate' configure the solve themselves: BDF runs on
 the compiled analytic Jacobian, and factors I − hβJ by a sparse LU when
@@ -598,6 +605,12 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 deriv: *dump == Some(Stage::Deriv) || *emit == Emit::Report,
                 native: *dump == Some(Stage::Codegen),
                 frontend_threads: *frontend_threads,
+                // A disk entry carries no species structures to count.
+                cache: if *emit == Emit::Conservation {
+                    CacheMode::Bypass
+                } else {
+                    CacheMode::ReadWrite
+                },
                 ..SessionOptions::new(*level)
             };
             let compiled = load_model(input, options)?;
@@ -613,32 +626,28 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 Emit::C => rms_driver::codegen::emit_native_c(&model),
                 Emit::Report => model.report.to_json() + "\n",
                 Emit::Conservation => {
-                    let laws = rms_odegen::conservation_laws(&model.network);
                     let mut out = String::new();
-                    let _ = writeln!(out, "{} conservation law(s) (w . y = const):", laws.len());
-                    for (i, w) in laws.iter().enumerate() {
-                        let _ = write!(out, "  law {i}: ");
-                        let mut first = true;
-                        for (j, &coeff) in w.iter().enumerate() {
-                            if coeff == 0.0 {
-                                continue;
+                    for row in model.network.element_balance() {
+                        let symbol = row.element.symbol();
+                        if row.is_conserved() {
+                            let _ = write!(out, "{symbol} conserved:");
+                            let species = model.network.species_iter().zip(&row.counts);
+                            for (k, ((_, sp), &c)) in species.filter(|(_, &c)| c > 0).enumerate() {
+                                let sep = if k == 0 { " " } else { " + " };
+                                let _ = match c {
+                                    1 => write!(out, "{sep}[{}]", sp.name),
+                                    c => write!(out, "{sep}{c}*[{}]", sp.name),
+                                };
                             }
-                            let name = model
-                                .network
-                                .species(rms_rdl::SpeciesId(j as u32))
-                                .name
-                                .clone();
-                            if !first {
-                                let _ = write!(out, " + ");
+                        } else {
+                            let _ = write!(out, "{symbol} not conserved:");
+                            for (k, (rule, n)) in row.broken_by.iter().enumerate() {
+                                let sep = if k == 0 { " " } else { ", " };
+                                let plural = if *n == 1 { "" } else { "s" };
+                                let _ = write!(out, "{sep}{rule} ({n} reaction{plural})");
                             }
-                            if (coeff - 1.0).abs() < 1e-9 {
-                                let _ = write!(out, "[{name}]");
-                            } else {
-                                let _ = write!(out, "{coeff:.3}*[{name}]");
-                            }
-                            first = false;
                         }
-                        let _ = writeln!(out);
+                        out.push('\n');
                     }
                     out
                 }

@@ -140,8 +140,8 @@ impl TapeSimulator {
     ) -> Result<Vec<T>, SolverError> {
         let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Bdf::new(&bound, 0.0, y0, options);
-        if let Some(token) = &self.cancel {
-            solver.set_cancel(token.clone());
+        if let Some(token) = self.cancel {
+            solver.set_cancel(token);
         }
         solver.set_jacobian_source(bound.jacobian_source());
         let mut out = Vec::with_capacity(times.len());
@@ -165,8 +165,8 @@ impl TapeSimulator {
     ) -> Result<(Vec<f64>, Vec<Vec<f64>>), SolverError> {
         let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Bdf::new(&bound, 0.0, y0, options);
-        if let Some(token) = &self.cancel {
-            solver.set_cancel(token.clone());
+        if let Some(token) = self.cancel {
+            solver.set_cancel(token);
         }
         solver.set_jacobian_source(JacobianSource::AnalyticTape(&bound));
         solver.set_sensitivities(&bound);
@@ -196,8 +196,8 @@ impl TapeSimulator {
     ) -> Result<Vec<T>, SolverError> {
         let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = Rk45::new(&bound, 0.0, y0, self.options);
-        if let Some(token) = &self.cancel {
-            solver.set_cancel(token.clone());
+        if let Some(token) = self.cancel {
+            solver.set_cancel(token);
         }
         let mut out = Vec::with_capacity(times.len());
         for &t in times {

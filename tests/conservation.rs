@@ -1,82 +1,67 @@
 //! An oracle the solver did not write: what each species holds of every
-//! element, counted atom by atom from its own structure (rubber sites on
-//! the programmatic network, whose species have none). A quantity that
-//! every reaction conserves must stay constant along a trajectory,
-//! whatever the equation generator, the optimizer, the kernel or BDF do.
-//! (The benchmark keeps its own copy of the counting in
-//! `benchmark/src/refs.rs`; it is a separate package.)
+//! element, counted atom by atom from its own structure
+//! (`ReactionNetwork::element_balance`, which reads nothing the equation
+//! generator, the optimizer, a kernel or BDF produce). A quantity that
+//! every reaction conserves must stay constant along a trajectory and be
+//! orthogonal to the right-hand side at every state. The programmatic
+//! network has no structures; it is counted in rubber sites here.
 //!
 //! Trajectories are held to the benchmark's bound: ten times the relative
 //! tolerance they are integrated at, because the BDF start-up moves
 //! element totals by a few 10⁻⁶ at `rtol = 10⁻⁶` (ROADMAP item 1).
 
+use std::path::Path;
+use std::process::Command;
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use rms_rdl::Action;
 use rms_suite::workload::{scaled_case, vulcanization_source, FrontierSpec};
-use rms_suite::{CompilerSession, OptLevel, ReactionNetwork, SessionOptions, TapeSimulator};
+use rms_suite::{
+    probe_toolchain, CompilerSession, KernelScratch, OptLevel, ReactionNetwork, SessionOptions,
+    TapeSimulator,
+};
 
-/// Per countable quantity, how much of it one unit of each species holds.
-///
-/// Species with a structure are counted atom by atom (implicit hydrogens
-/// included), one row per element. The programmatic vulcanization network
-/// has no structures; its names are its formulas, and what it can be
-/// counted in is rubber sites (`R_f` and `RS_f_n` hold one, a crosslink
-/// `X_f_g` holds two).
-fn species_contents(network: &ReactionNetwork) -> Vec<(String, Vec<f64>)> {
-    let n = network.species_count();
-    if network.species_iter().all(|(_, s)| s.structure.is_some()) {
-        let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
-        for (id, species) in network.species_iter() {
-            let mol = species.structure.as_ref().expect("checked above");
-            let mut add = |symbol: &str, count: f64| {
-                let row = match rows.iter().position(|(name, _)| name == symbol) {
-                    Some(i) => i,
-                    None => {
-                        rows.push((symbol.to_string(), vec![0.0; n]));
-                        rows.len() - 1
-                    }
-                };
-                rows[row].1[id.0 as usize] += count;
-            };
-            for (_, atom) in mol.atoms() {
-                add(atom.element.symbol(), 1.0);
-                if atom.hydrogens > 0 {
-                    add("H", atom.hydrogens as f64);
-                }
-            }
-        }
-        rows
-    } else {
-        let sites = network
-            .species_iter()
-            .map(|(_, s)| match s.name.split('_').next() {
-                Some("R" | "RS") => 1.0,
-                Some("X") => 2.0,
-                _ => 0.0,
-            })
-            .collect();
-        vec![("rubber_sites".to_string(), sites)]
+/// The quantities every reaction of the network conserves, each with what
+/// one unit of every species holds of it, and the names of those some
+/// reaction does not.
+fn conserved_quantities(network: &ReactionNetwork) -> (Vec<(String, Vec<f64>)>, Vec<String>) {
+    let balance = network.element_balance();
+    if balance.is_empty() {
+        return (
+            vec![("rubber sites".to_string(), rubber_sites(network))],
+            Vec::new(),
+        );
     }
-}
-
-/// Split `contents` into the quantities every reaction of the network
-/// conserves exactly and the names of those some reaction does not.
-fn conserved_quantities(
-    network: &ReactionNetwork,
-    contents: Vec<(String, Vec<f64>)>,
-) -> (Vec<(String, Vec<f64>)>, Vec<String>) {
-    let (kept, dropped): (Vec<_>, Vec<_>) = contents
+    let (kept, dropped): (Vec<_>, Vec<_>) = balance.into_iter().partition(|row| row.is_conserved());
+    let kept = kept.into_iter().map(|row| {
+        let counts = row.counts.iter().map(|&c| f64::from(c)).collect();
+        (row.element.symbol().to_string(), counts)
+    });
+    let dropped = dropped
         .into_iter()
-        .partition(|(_, row)| reactions_conserve(network, row));
-    (kept, dropped.into_iter().map(|(name, _)| name).collect())
+        .map(|row| row.element.symbol().to_string());
+    (kept.collect(), dropped.collect())
 }
 
-/// Whether every reaction of the network conserves `quantity` exactly.
-fn reactions_conserve(network: &ReactionNetwork, quantity: &[f64]) -> bool {
-    network.reactions().iter().all(|r| {
-        let total = |side: &[rms_rdl::SpeciesId]| -> f64 {
-            side.iter().map(|s| quantity[s.0 as usize]).sum()
-        };
-        total(&r.reactants) == total(&r.products)
-    })
+/// The programmatic vulcanization network's names are its formulas: `R_f`
+/// and `RS_f_n` hold one rubber site, a crosslink `X_f_g` two. Every
+/// reaction must conserve them.
+fn rubber_sites(network: &ReactionNetwork) -> Vec<f64> {
+    let sites: Vec<f64> = network
+        .species_iter()
+        .map(|(_, s)| match s.name.split('_').next() {
+            Some("R" | "RS") => 1.0,
+            Some("X") => 2.0,
+            _ => 0.0,
+        })
+        .collect();
+    for r in network.reactions() {
+        let total =
+            |side: &[rms_rdl::SpeciesId]| -> f64 { side.iter().map(|s| sites[s.0 as usize]).sum() };
+        assert_eq!(total(&r.reactants), total(&r.products), "{r:?}");
+    }
+    sites
 }
 
 /// Compile `label` as `rmsc simulate` does (with the analytic Jacobian),
@@ -90,8 +75,7 @@ fn check(
     let mut options = SessionOptions::new(OptLevel::Full);
     options.deriv = true;
     let artifact = compile(&CompilerSession::with_options(options)).artifact;
-    let network = &artifact.network;
-    let (conserved, dropped) = conserved_quantities(network, species_contents(network));
+    let (conserved, dropped) = conserved_quantities(&artifact.network);
     assert!(!conserved.is_empty(), "{label}: nothing is conserved");
 
     let simulator = TapeSimulator::from_artifact(&artifact, Vec::new());
@@ -171,4 +155,154 @@ fn the_programmatic_network_conserves_rubber_sites() {
             .expect("generated network compiles")
     });
     assert!(dropped.is_empty(), "{dropped:?}");
+}
+
+/// Solver-free: every evaluator's right-hand side lies in the
+/// stoichiometric subspace, so each conserved element row `w` has
+/// `w·f(y) = 0` up to the rounding of its terms, at any state.
+#[test]
+fn every_evaluator_keeps_the_rhs_orthogonal_to_each_conserved_element() {
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.native = probe_toolchain().is_ok();
+    let session = CompilerSession::with_options(options);
+    for (label, text) in [
+        (
+            "quickstart.rdl",
+            include_str!("../models/quickstart.rdl").to_string(),
+        ),
+        ("vulcanization_source(8)", vulcanization_source(8)),
+        (
+            "FrontierSpec { arms: 5 }",
+            FrontierSpec { arms: 5 }.rdl_source(),
+        ),
+    ] {
+        let artifact = session
+            .compile_source(label, &text)
+            .expect("compiles")
+            .artifact;
+        let (conserved, _) = conserved_quantities(&artifact.network);
+        let rates = &artifact.system.rate_values;
+        let n = artifact.system.len();
+        let mut rng = SmallRng::seed_from_u64(2007);
+        let states: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..n).map(|_| rng.gen_range(0.0..2.0)).collect())
+            .collect();
+        let evaluators = artifact.evaluators();
+        match probe_toolchain() {
+            Ok(_) => assert!(evaluators.iter().any(|choice| choice.engine == "native")),
+            Err(e) => eprintln!("SKIP: native evaluator on {label}: {e}"),
+        }
+        for choice in evaluators {
+            let mut scratch = KernelScratch::default();
+            for (k, y) in states.iter().enumerate() {
+                let mut f = vec![0.0; n];
+                choice.kernel.rhs(rates, y, &mut f, &mut scratch);
+                assert!(f.iter().any(|&v| v != 0.0), "{label}: f = 0");
+                for (name, w) in &conserved {
+                    let terms = w.iter().zip(&f).map(|(w, f)| w * f);
+                    let (dot, scale) = terms.fold((0.0, 0.0), |(d, s), t| (d + t, s + t.abs()));
+                    assert!(
+                        dot.abs() <= 1e-12 * scale,
+                        "{label}/{} state {k}: {name}·f = {dot:e} (terms sum to {scale:e})",
+                        choice.engine
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn rmsc(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_rmsc"))
+        .args(args)
+        .output()
+        .expect("rmsc runs");
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf-8")
+}
+
+fn model(name: &str) -> String {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../models")
+        .join(name)
+        .display()
+        .to_string()
+}
+
+#[test]
+fn emit_conservation_prints_each_elements_row_on_quickstart() {
+    let out = rmsc(&[
+        "compile",
+        &model("quickstart.rdl"),
+        "--emit",
+        "conservation",
+    ]);
+    assert_eq!(
+        out,
+        "C conserved: 2*[PolyS_2] + 2*[PolyS_3] + 2*[PolyS_4] + [CH3S] + [CH3S2] + [CH3S3] + [CH3S4]\n\
+         H conserved: 6*[PolyS_2] + 6*[PolyS_3] + 6*[PolyS_4] + 3*[CH3S] + 3*[CH3S2] + 3*[CH3S3] + 3*[CH3S4]\n\
+         S conserved: 2*[PolyS_2] + 3*[PolyS_3] + 4*[PolyS_4] + [CH3S] + 2*[CH3S2] + 3*[CH3S3] + [S] \
+         + 2*[S2] + 4*[CH3S4] + 3*[S3] + 4*[S4]\n"
+    );
+}
+
+/// The rules whose action adds or removes a hydrogen are the ones that
+/// change H's total, each in every one of its reactions; nothing else
+/// leaks.
+#[test]
+fn emit_conservation_names_the_rules_that_change_hydrogen_on_vulcanization() {
+    let text = include_str!("../models/vulcanization.rdl");
+    let program = rms_rdl::parse_rdl(text).unwrap();
+    let network = rms_rdl::compile(&program).unwrap().network;
+    let changes_h = |rule: &&rms_rdl::RuleDecl| {
+        matches!(rule.action, Action::RemoveHydrogen | Action::AddHydrogen)
+    };
+    let leaks: Vec<String> = (program.rules.iter().filter(changes_h))
+        .map(|rule| {
+            let n = network
+                .reactions()
+                .iter()
+                .filter(|r| r.rule == rule.name)
+                .count();
+            let plural = if n == 1 { "" } else { "s" };
+            format!("{} ({n} reaction{plural})", rule.name)
+        })
+        .collect();
+    assert_eq!(leaks.len(), 2, "{leaks:?}");
+
+    let out = rmsc(&[
+        "compile",
+        &model("vulcanization.rdl"),
+        "--emit",
+        "conservation",
+    ]);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "{out}");
+    assert!(lines[0].starts_with("C conserved: 5*[Rubber] + "), "{out}");
+    assert_eq!(lines[1], format!("H not conserved: {}", leaks.join(", ")));
+    assert!(lines[2].starts_with("S conserved: "), "{out}");
+}
+
+/// The count needs species structures, which a disk entry drops: the
+/// emit compiles cold whatever `--cache-dir` holds.
+#[test]
+fn emit_conservation_prints_the_same_bytes_against_a_cache_dir() {
+    let cache = std::env::temp_dir().join(format!("rms-conservation-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    let cache_arg = cache.display().to_string();
+    let m = model("vulcanization.rdl");
+    // A cache entry for the model exists before the first run.
+    rmsc(&["compile", &m, "--emit", "stats", "--cache-dir", &cache_arg]);
+    let args = [
+        "compile",
+        &m,
+        "--emit",
+        "conservation",
+        "--cache-dir",
+        &cache_arg,
+    ];
+    let (first, second) = (rmsc(&args), rmsc(&args));
+    assert_eq!(first, second);
+    assert_eq!(first, rmsc(&["compile", &m, "--emit", "conservation"]));
+    let _ = std::fs::remove_dir_all(&cache);
 }

@@ -71,6 +71,20 @@ fn network_error_reports_bad_smiles() {
 }
 
 #[test]
+fn an_action_the_site_cannot_take_names_the_site_kind() {
+    let path = fixture(
+        "atom_disconnect.rdl",
+        "rate K = 1;\nmolecule M = \"CO\" init 1.0;\nrule r { site atom O & radical; action disconnect; rate K; }\n",
+    );
+    let out = rmsc(&["compile", &path.display().to_string()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        stderr(&out),
+        "error[parse]: rule 'r': action 'disconnect' incompatible with site kind 'atom'\n"
+    );
+}
+
+#[test]
 fn diagnostics_are_consistent_across_subcommands() {
     // `compile-report` goes through the same session and renderer, so a
     // broken model produces the identical diagnostic and exit code.
