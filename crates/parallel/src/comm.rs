@@ -129,9 +129,11 @@ impl Rendezvous {
                 s.panicked.is_none() && s.generation == generation
             })
             .unwrap_or_else(|e| e.into_inner());
+        // A completed generation is a finished rendezvous, even when a
+        // rank panicked after it and before this waiter re-took the lock.
         match state.panicked {
-            Some(rank) => Err(CommError::RankPanicked { rank }),
-            None => Ok(()),
+            Some(rank) if state.generation == generation => Err(CommError::RankPanicked { rank }),
+            _ => Ok(()),
         }
     }
 
@@ -393,6 +395,30 @@ mod tests {
             assert_eq!(first, &Ok(vec![3.0]));
             assert_eq!(second, &Err(CommError::RankPanicked { rank: 0 }));
         }
+    }
+
+    #[test]
+    fn a_waiter_whose_generation_completed_ignores_a_later_panic() {
+        let rendezvous = Rendezvous::new(2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| rendezvous.wait());
+            // The waiter holds the lock from its arrival until it parks.
+            while rendezvous.lock().arrived == 0 {
+                std::thread::yield_now();
+            }
+            // The last rank arrives, returns and panics, all before the
+            // waiter re-takes the lock.
+            {
+                let mut state = rendezvous.lock();
+                state.arrived = 0;
+                state.generation += 1;
+                state.panicked = Some(1);
+                rendezvous.cv.notify_all();
+            }
+            assert_eq!(waiter.join().unwrap(), Ok(()));
+        });
+        // A rendezvous entered after the panic still fails.
+        assert_eq!(rendezvous.wait(), Err(CommError::RankPanicked { rank: 1 }));
     }
 
     #[test]

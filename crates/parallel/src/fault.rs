@@ -108,12 +108,6 @@ impl<S: Simulator> FaultySimulator<S> {
         }
     }
 
-    /// The wrapped simulator (e.g. to read its fallback statistics
-    /// after a faulted run).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     /// Total `simulate` calls observed so far (across all ranks,
     /// including failed and panicked ones).
     pub fn call_count(&self) -> usize {

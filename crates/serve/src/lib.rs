@@ -12,7 +12,7 @@
 //!   co-tenant's job.
 //! * **Deadlines** — each job may carry `deadline_ms`; its
 //!   [`CancelToken`](rms_solver::CancelToken) carries the instant it
-//!   expires, which the BDF/RK45 solvers read at step boundaries, so
+//!   expires, which the BDF solver reads at step boundaries, so
 //!   cancellation is clean and prompt ([`JobError::Deadline`]) and no
 //!   thread watches the clock. The deadline is the only bound on a
 //!   stalled solve; it starts at the job's start but is not read during

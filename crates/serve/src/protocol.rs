@@ -223,9 +223,9 @@ pub enum JobError {
         /// The compiler diagnostic.
         message: String,
     },
-    /// Every solver in the fallback chain failed on a numerical ground.
+    /// The solve failed on a numerical ground.
     Solver {
-        /// The combined fallback-chain error.
+        /// The solver's error.
         message: String,
     },
     /// The per-job deadline fired; the solve was cancelled at a step

@@ -434,17 +434,16 @@ fn run_job(inner: &Arc<Inner>, job: &Job, token: Option<CancelToken>) -> Result<
     }
     let rates = &artifact.system.rate_values;
 
-    match &inner.faults {
-        Some(plan) => {
-            let faulty = FaultySimulator::new(simulator, plan.clone());
-            let result = execute(job, &faulty, rates, token)?;
-            finish(job, result, cache_status.name(), faulty.inner())
-        }
-        None => {
-            let result = execute(job, &simulator, rates, token)?;
-            finish(job, result, cache_status.name(), &simulator)
-        }
-    }
+    let result = match &inner.faults {
+        Some(plan) => execute(
+            job,
+            &FaultySimulator::new(simulator, plan.clone()),
+            rates,
+            token,
+        ),
+        None => execute(job, &simulator, rates, token),
+    }?;
+    Ok(finish(job, result, cache_status.name()))
 }
 
 /// Kind-independent execution result, before the event is assembled.
@@ -512,28 +511,14 @@ fn execute<S: Simulator>(
 
 /// Assemble the terminal `result` event (sans `elapsed_ms`, which
 /// [`process`] stamps).
-fn finish(
-    job: &Job,
-    result: Executed,
-    cache_status: &str,
-    simulator: &TapeSimulator,
-) -> Result<Value, JobError> {
-    let fallback = simulator.fallback_stats();
-    Ok(match result {
+fn finish(job: &Job, result: Executed, cache_status: &str) -> Value {
+    match result {
         Executed::Simulated { values } => obj([
             ("event", "result".into()),
             ("id", job.req.id.as_str().into()),
             ("kind", "simulate".into()),
             ("cache", cache_status.into()),
             ("values", values.into()),
-            (
-                "health",
-                obj([
-                    ("bdf_failures", fallback.bdf_failures.into()),
-                    ("tightened_recoveries", fallback.tightened_recoveries.into()),
-                    ("rk45_recoveries", fallback.rk45_recoveries.into()),
-                ]),
-            ),
         ]),
         Executed::Estimated {
             objective,
@@ -553,11 +538,8 @@ fn finish(
                     ("file_failures", health.file_failures.len().into()),
                     ("rank_panics", health.rank_panics.len().into()),
                     ("comm_errors", health.comm_errors.len().into()),
-                    ("bdf_failures", fallback.bdf_failures.into()),
-                    ("tightened_recoveries", fallback.tightened_recoveries.into()),
-                    ("rk45_recoveries", fallback.rk45_recoveries.into()),
                 ]),
             ),
         ]),
-    })
+    }
 }

@@ -86,6 +86,14 @@ fn error_kind(ev: &Value) -> &str {
     str_field(field(ev, "error"), "kind")
 }
 
+/// An object's keys, in the sorted order they print in.
+fn keys(v: &Value) -> Vec<&str> {
+    match v {
+        Value::Obj(map) => map.keys().map(String::as_str).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
 fn values_of(ev: &Value) -> Vec<f64> {
     field(ev, "values")
         .as_arr()
@@ -139,6 +147,11 @@ fn panicking_job_is_contained_and_co_tenants_are_unaffected() {
     for id in ["j0", "j2", "late"] {
         let ev = terminal(&evs, id);
         assert_eq!(str_field(ev, "event"), "result", "{id}");
+        assert_eq!(
+            keys(ev),
+            ["cache", "elapsed_ms", "event", "id", "kind", "values"],
+            "{id}"
+        );
         // Zero cross-job contamination: bit-identical to the
         // fault-free run.
         assert_eq!(values_of(ev), reference, "{id}");
@@ -155,8 +168,8 @@ fn blown_deadline_cancels_cleanly_as_a_structured_error() {
     let server = Server::start(ServerConfig {
         workers: 1,
         // Sequence 0 stalls well past its deadline before the solve
-        // starts; the watcher fires the cancel token during the stall
-        // and the solver unwinds at its first step boundary.
+        // starts; the solver reads the token's passed deadline at its
+        // first step boundary and unwinds.
         faults: Some(FaultPlan::new().stall_file(0, Duration::from_millis(120))),
         ..ServerConfig::default()
     });
@@ -317,7 +330,24 @@ fn estimate_jobs_report_objective_and_health() {
     assert_eq!(str_field(ev, "kind"), "estimate");
     let objective = field(ev, "objective").as_f64().unwrap();
     assert!(objective.is_finite() && objective > 0.0);
+    assert_eq!(
+        keys(ev),
+        [
+            "cache",
+            "elapsed_ms",
+            "event",
+            "health",
+            "id",
+            "kind",
+            "objective",
+            "records"
+        ]
+    );
     let health = field(ev, "health");
+    assert_eq!(
+        keys(health),
+        ["comm_errors", "file_failures", "healthy", "rank_panics"]
+    );
     assert_eq!(health.get("healthy").and_then(Value::as_bool), Some(true));
     assert_eq!(health.get("file_failures").and_then(Value::as_u64), Some(0));
 

@@ -250,15 +250,6 @@ pub enum SolverError {
     Cancelled { t: f64 },
 }
 
-impl SolverError {
-    /// Was this failure an external cancellation (deadline/shutdown)
-    /// rather than a numerical breakdown? Fallback chains must not retry
-    /// a cancelled solve with a different method.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, SolverError::Cancelled { .. })
-    }
-}
-
 impl std::fmt::Display for SolverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -15,7 +15,7 @@ use rms_parallel::{EstimatorConfig, ExperimentFile, FailurePolicy};
 
 use crate::{
     CacheMode, Compiled, CompiledArtifact, CompilerSession, LmOptions, OptLevel, ParallelEstimator,
-    SessionOptions, SolverOptions, Stage, TapeSimulator,
+    SessionOptions, Stage, TapeSimulator,
 };
 
 /// A parsed CLI invocation. A field holds its flag's value, or the
@@ -251,7 +251,7 @@ static SUBCOMMANDS: [Subcommand; 6] = [
         flag("--data", "DIR", REQUIRED, "directory of .dat files"),
         flag("--observe", "A,B,...", "all", "species summed into the observable"),
         flag("--workers", "N", "2", "ranks of the thread-backed SPMD cluster"),
-        flag("--on-solver-failure", "penalize|abort", "penalize", "what a file that keeps failing does"),
+        flag("--on-solver-failure", "penalize|abort", "penalize", "what a file whose solve failed does"),
         FRONTEND_THREADS,
         CACHE_DIR,
     ] },
@@ -699,8 +699,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 .map(|i| tend * i as f64 / *steps as f64)
                 .collect();
             // The one solve path, observing nothing: states print whole.
-            let mut simulator = TapeSimulator::from_artifact(&model, Vec::new());
-            simulator.options = SolverOptions::default();
+            let simulator = TapeSimulator::from_artifact(&model, Vec::new());
             let mut out = String::new();
             // The artifact runs its native kernel when one loaded. A native
             // request without one says why and runs exec anyway (exit 0 —
@@ -875,16 +874,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             let health = estimator.cumulative_health();
             if !health.is_healthy() {
                 let _ = write!(out, "{}", health.summary());
-            }
-            let fallback = simulator.fallback_stats();
-            if fallback.bdf_failures > 0 {
-                let _ = writeln!(
-                    out,
-                    "solver fallback: {} BDF failure(s), {} recovered by tightened tolerances, {} by RK45",
-                    fallback.bdf_failures,
-                    fallback.tightened_recoveries,
-                    fallback.rk45_recoveries
-                );
             }
             Ok(out)
         }

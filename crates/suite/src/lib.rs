@@ -18,9 +18,8 @@
 //! process.
 //!
 //! There is one solve path from an artifact to a trajectory: a
-//! [`TapeSimulator`] over it, whose BDF → tightened BDF → RK45 fallback
-//! chain `rmsc simulate`, `rmsc estimate`, `rms-serve` and the benchmark
-//! all run.
+//! [`TapeSimulator`] over it, whose one BDF integration per solve `rmsc
+//! simulate`, `rmsc estimate`, `rms-serve` and the benchmark all run.
 //!
 //! ```
 //! use rms_suite::{compile_source, emit_c, OptLevel, TapeSimulator};

@@ -1,17 +1,17 @@
 //! The chemistry simulation backend: compiled kernel + stiff solver +
 //! observable, plugged into the parallel estimator.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rms_driver::{CompiledArtifact, KernelChoice};
 use rms_parallel::Simulator;
-use rms_solver::{Bdf, CancelToken, JacobianSource, Rk45, SolverError, SolverOptions};
+use rms_solver::{Bdf, CancelToken, JacobianSource, OdeRhs, SolverOptions};
 
 use crate::binding::BoundKernel;
 
 /// Simulates the measured property (a weighted sum of species
 /// concentrations — e.g. crosslink density) by integrating one of a
-/// compiled artifact's kernels with the Gear/BDF stiff solver.
+/// compiled artifact's kernels with the Gear/BDF stiff solver, once per
+/// solve: a failure is the solver's error, not a cue to try another
+/// method.
 pub struct TapeSimulator {
     /// The kernel every solve evaluates, the engine it belongs to, and
     /// the Jacobian sparsity patterns it fills. Shared with the artifact,
@@ -24,18 +24,12 @@ pub struct TapeSimulator {
     pub observable: Vec<f64>,
     /// Solver configuration.
     pub options: SolverOptions,
-    /// Cooperative cancellation shared with every solver this simulator
-    /// builds (deadline/shutdown supervision).
+    /// Deadline read by every solver this simulator builds.
     cancel: Option<CancelToken>,
-    /// Primary BDF attempts that failed (fallback chain engaged).
-    bdf_failures: AtomicUsize,
-    /// Failures recovered by re-running BDF with tightened tolerances.
-    tightened_recoveries: AtomicUsize,
-    /// Failures recovered by the explicit RK45 last resort.
-    rk45_recoveries: AtomicUsize,
 }
 
-/// Counters describing how often the solver fallback chain engaged.
+/// Solver fallback counters, always zero: see
+/// [`TapeSimulator::fallback_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FallbackStats {
     /// Primary BDF attempts that failed.
@@ -70,16 +64,8 @@ impl TapeSimulator {
             choice,
             initials: vec![initial],
             observable,
-            options: SolverOptions {
-                rtol: 1e-6,
-                atol: 1e-9,
-                max_steps: 2_000_000,
-                ..SolverOptions::default()
-            },
+            options: SolverOptions::default(),
             cancel: None,
-            bdf_failures: AtomicUsize::new(0),
-            tightened_recoveries: AtomicUsize::new(0),
-            rk45_recoveries: AtomicUsize::new(0),
         }
     }
 
@@ -98,9 +84,8 @@ impl TapeSimulator {
     }
 
     /// Attach a [`CancelToken`]: every solver built by subsequent
-    /// `simulate` calls checks it at each step boundary, and the fallback
-    /// chain aborts immediately on cancellation instead of retrying with
-    /// a different method.
+    /// `simulate` calls checks it at each step boundary and fails with
+    /// [`SolverError::Cancelled`](rms_solver::SolverError::Cancelled) once its deadline has passed.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -110,13 +95,11 @@ impl TapeSimulator {
         self.observable.iter().zip(y).map(|(w, v)| w * v).sum()
     }
 
-    /// How often the solver fallback chain has engaged on this simulator.
+    /// Always zero: a solve is one BDF integration, with no fallback to
+    /// count. Kept only because the benchmark still reads it for
+    /// `workload.fallback_hops`; it goes when that metric does.
     pub fn fallback_stats(&self) -> FallbackStats {
-        FallbackStats {
-            bdf_failures: self.bdf_failures.load(Ordering::Relaxed),
-            tightened_recoveries: self.tightened_recoveries.load(Ordering::Relaxed),
-            rk45_recoveries: self.rk45_recoveries.load(Ordering::Relaxed),
-        }
+        FallbackStats::default()
     }
 
     /// [`Simulator::simulate`], returning whole states instead of the observable.
@@ -129,160 +112,43 @@ impl TapeSimulator {
         self.solve(rate_constants, file_index, times, <[f64]>::to_vec)
     }
 
-    /// Integrate with BDF under `options`, reading each output state with `read`.
-    fn integrate_bdf<T>(
-        &self,
-        rate_constants: &[f64],
-        y0: &[f64],
-        times: &[f64],
-        options: SolverOptions,
-        read: impl Fn(&[f64]) -> T,
-    ) -> Result<Vec<T>, SolverError> {
-        let bound = BoundKernel::new(&self.choice, rate_constants);
-        let mut solver = Bdf::new(&bound, 0.0, y0, options);
+    /// The BDF solver for one integration from the initial state of file
+    /// `file_index`, with the cancel token attached.
+    fn bdf<'a>(
+        &'a self,
+        bound: &'a BoundKernel<'a>,
+        file_index: usize,
+    ) -> Bdf<'a, BoundKernel<'a>> {
+        let y0 = &self.initials[file_index % self.initials.len()];
+        let mut solver = Bdf::new(bound, 0.0, y0, self.options);
         if let Some(token) = self.cancel {
             solver.set_cancel(token);
         }
-        solver.set_jacobian_source(bound.jacobian_source());
-        let mut out = Vec::with_capacity(times.len());
-        for &t in times {
-            solver.integrate_to(t)?;
-            out.push(read(solver.y()));
-        }
-        Ok(out)
+        solver
     }
 
-    /// Sensitivity-augmented BDF solve: the state and every sensitivity
-    /// column `s_k = ∂y/∂p_k` advance together, reusing the shared
-    /// `I − hβJ` factorization, and the observable's derivative at each
-    /// output time is the weighted sum `Σ w_i s_k[i]`.
-    fn integrate_bdf_sens(
-        &self,
-        rate_constants: &[f64],
-        y0: &[f64],
-        times: &[f64],
-        options: SolverOptions,
-    ) -> Result<(Vec<f64>, Vec<Vec<f64>>), SolverError> {
-        let bound = BoundKernel::new(&self.choice, rate_constants);
-        let mut solver = Bdf::new(&bound, 0.0, y0, options);
-        if let Some(token) = self.cancel {
-            solver.set_cancel(token);
-        }
-        solver.set_jacobian_source(JacobianSource::AnalyticTape(&bound));
-        solver.set_sensitivities(&bound);
-        let n = y0.len();
-        let mut values = Vec::with_capacity(times.len());
-        let mut sens_rows = Vec::with_capacity(times.len());
-        for &t in times {
-            solver.integrate_to(t)?;
-            values.push(self.measure(&solver.y()[..n]));
-            let row: Vec<f64> = solver
-                .sensitivities()
-                .chunks(n.max(1))
-                .map(|s_k| self.measure(s_k))
-                .collect();
-            sens_rows.push(row);
-        }
-        Ok((values, sens_rows))
-    }
-
-    /// The explicit RK45 last resort, reading states like `integrate_bdf`.
-    fn integrate_rk45<T>(
-        &self,
-        rate_constants: &[f64],
-        y0: &[f64],
-        times: &[f64],
-        read: impl Fn(&[f64]) -> T,
-    ) -> Result<Vec<T>, SolverError> {
-        let bound = BoundKernel::new(&self.choice, rate_constants);
-        let mut solver = Rk45::new(&bound, 0.0, y0, self.options);
-        if let Some(token) = self.cancel {
-            solver.set_cancel(token);
-        }
-        let mut out = Vec::with_capacity(times.len());
-        for &t in times {
-            solver.integrate_to(t)?;
-            out.push(read(&solver.y));
-        }
-        Ok(out)
-    }
-}
-
-/// How the BDF stages of the fallback chain ended without a solution.
-enum BdfFailure {
-    /// A deadline/shutdown cancellation is not a numerical failure:
-    /// retrying with tighter tolerances or RK45 would just burn wall
-    /// clock past the deadline, so it surfaces directly.
-    Cancelled(SolverError),
-    /// Both stages failed numerically.
-    Numerical {
-        primary: SolverError,
-        tightened: SolverError,
-    },
-}
-
-impl TapeSimulator {
-    /// The BDF stages every kind of solve shares, counted in
-    /// [`fallback_stats`](TapeSimulator::fallback_stats): the configured
-    /// tolerances, then 100× tighter error control (stiff-step rejection
-    /// cascades often pass under stricter control). The success path of
-    /// the first stage is byte-for-byte the chain-less behavior.
-    fn bdf_chain<T>(
-        &self,
-        solve: impl Fn(SolverOptions) -> Result<T, SolverError>,
-    ) -> Result<T, BdfFailure> {
-        let primary = match solve(self.options) {
-            Ok(out) => return Ok(out),
-            Err(e) if e.is_cancelled() => return Err(BdfFailure::Cancelled(e)),
-            Err(e) => e,
-        };
-        self.bdf_failures.fetch_add(1, Ordering::Relaxed);
-        let tightened = SolverOptions {
-            rtol: self.options.rtol * 1e-2,
-            atol: self.options.atol * 1e-2,
-            ..self.options
-        };
-        match solve(tightened) {
-            Ok(out) => {
-                self.tightened_recoveries.fetch_add(1, Ordering::Relaxed);
-                Ok(out)
-            }
-            Err(e) if e.is_cancelled() => Err(BdfFailure::Cancelled(e)),
-            Err(tightened) => Err(BdfFailure::Numerical { primary, tightened }),
-        }
-    }
-
-    /// The BDF stages, then RK45, each reading states through `read`.
+    /// One BDF integration, reading each output state with `read`.
     fn solve<T>(
         &self,
         rate_constants: &[f64],
         file_index: usize,
         times: &[f64],
-        read: impl Fn(&[f64]) -> T + Copy,
+        read: impl Fn(&[f64]) -> T,
     ) -> Result<Vec<T>, String> {
-        let y0 = &self.initials[file_index % self.initials.len()];
-        let bdf = |options| self.integrate_bdf(rate_constants, y0, times, options, read);
-        match self.bdf_chain(bdf) {
-            Ok(out) => Ok(out),
-            Err(BdfFailure::Cancelled(e)) => Err(e.to_string()),
-            Err(BdfFailure::Numerical { primary, tightened }) => {
-                match self.integrate_rk45(rate_constants, y0, times, read) {
-                    Ok(out) => {
-                        self.rk45_recoveries.fetch_add(1, Ordering::Relaxed);
-                        Ok(out)
-                    }
-                    Err(rk45) => Err(format!(
-                        "all solvers failed: BDF: {primary}; BDF (tightened): {tightened}; RK45: {rk45}"
-                    )),
-                }
-            }
+        let bound = BoundKernel::new(&self.choice, rate_constants);
+        let mut solver = self.bdf(&bound, file_index);
+        solver.set_jacobian_source(bound.jacobian_source());
+        let mut out = Vec::with_capacity(times.len());
+        for &t in times {
+            solver.integrate_to(t).map_err(|e| e.to_string())?;
+            out.push(read(solver.y()));
         }
+        Ok(out)
     }
 }
 
 impl Simulator for TapeSimulator {
-    /// Integrate with a three-stage fallback chain: the two BDF stages
-    /// (configured tolerances, then 100× tighter), then explicit RK45.
+    /// One BDF integration; a failure is the solver's error text, unchanged.
     fn simulate(
         &self,
         rate_constants: &[f64],
@@ -300,11 +166,13 @@ impl Simulator for TapeSimulator {
         }
     }
 
-    /// One forward-sensitivity-augmented solve per call, independent of
-    /// the parameter count. The chain stops after its BDF stages: RK45
-    /// integrates no sensitivity system, so a total failure surfaces as
-    /// an error and the estimator falls back to finite differences for
-    /// this point.
+    /// One sensitivity-augmented BDF integration per call, independent of
+    /// the parameter count: the state and every sensitivity column
+    /// `s_k = ∂y/∂p_k` advance together, reusing the shared `I − hβJ`
+    /// factorization, and the observable's derivative at each output time
+    /// is the weighted sum `Σ w_i s_k[i]`. A failure is the solver's error;
+    /// the estimator then builds this point's Jacobian by finite
+    /// differences.
     fn simulate_with_sensitivities(
         &self,
         rate_constants: &[f64],
@@ -314,14 +182,24 @@ impl Simulator for TapeSimulator {
         if !self.has_sensitivities() {
             return Err("no parameter-sensitivity tapes compiled".to_string());
         }
-        let y0 = &self.initials[file_index % self.initials.len()];
-        self.bdf_chain(|options| self.integrate_bdf_sens(rate_constants, y0, times, options))
-            .map_err(|failure| match failure {
-                BdfFailure::Cancelled(e) => e.to_string(),
-                BdfFailure::Numerical { primary, tightened } => format!(
-                    "sensitivity solves failed: BDF: {primary}; BDF (tightened): {tightened}"
-                ),
-            })
+        let bound = BoundKernel::new(&self.choice, rate_constants);
+        let mut solver = self.bdf(&bound, file_index);
+        solver.set_jacobian_source(JacobianSource::AnalyticTape(&bound));
+        solver.set_sensitivities(&bound);
+        let n = bound.dim();
+        let mut values = Vec::with_capacity(times.len());
+        let mut sens_rows = Vec::with_capacity(times.len());
+        for &t in times {
+            solver.integrate_to(t).map_err(|e| e.to_string())?;
+            values.push(self.measure(&solver.y()[..n]));
+            let row: Vec<f64> = solver
+                .sensitivities()
+                .chunks(n.max(1))
+                .map(|s_k| self.measure(s_k))
+                .collect();
+            sens_rows.push(row);
+        }
+        Ok((values, sens_rows))
     }
 }
 
@@ -411,40 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn fallback_chain_reports_every_stage_on_total_failure() {
-        let (mut sim, rates) = small_simulator();
-        // Starve every solver: one step is never enough to reach t = 2.
-        sim.options.max_steps = 1;
-        let err = sim.simulate(&rates, 0, &[2.0]).unwrap_err();
-        assert!(err.contains("all solvers failed"), "{err}");
-        assert!(err.contains("BDF (tightened)"), "{err}");
-        assert!(err.contains("RK45"), "{err}");
-        let stats = sim.fallback_stats();
-        assert_eq!(stats.bdf_failures, 1);
-        assert_eq!(stats.tightened_recoveries, 0);
-        assert_eq!(stats.rk45_recoveries, 0);
-    }
-
-    #[test]
-    fn sensitivity_fallback_chain_counts_its_failures() {
-        let (mut sim, rates) = small_simulator_with_sensitivities();
-        sim.options.max_steps = 1;
-        let err = sim
-            .simulate_with_sensitivities(&rates, 0, &[2.0])
-            .unwrap_err();
-        assert!(err.contains("sensitivity solves failed"), "{err}");
-        assert!(err.contains("BDF (tightened)"), "{err}");
-        let stats = sim.fallback_stats();
-        assert_eq!(stats.bdf_failures, 1);
-        assert_eq!(stats.tightened_recoveries, 0);
-        assert_eq!(stats.rk45_recoveries, 0);
-        // A healthy augmented solve leaves the counters alone.
-        sim.options.max_steps = 2_000_000;
-        sim.simulate_with_sensitivities(&rates, 0, &[0.5]).unwrap();
-        assert_eq!(sim.fallback_stats(), stats);
-    }
-
-    #[test]
     fn trajectory_is_the_state_simulate_measures() {
         let (mut sim, rates) = small_simulator();
         let times = [0.2, 1.2];
@@ -453,11 +297,17 @@ mod tests {
         assert!(states.iter().all(|y| y.len() == sim.observable.len()));
         let measured: Vec<f64> = states.iter().map(|y| sim.measure(y)).collect();
         assert_eq!(measured, sim.simulate(&rates, 0, &times).unwrap());
-        // A starved solve takes the whole chain, and says so.
+        // A starved solve fails with the BDF error itself, on every path.
         sim.options.max_steps = 1;
         let err = sim.trajectory(&rates, 0, &[2.0]).unwrap_err();
-        assert!(err.starts_with("all solvers failed: BDF: "), "{err}");
-        assert_eq!(sim.fallback_stats().bdf_failures, 1);
+        assert!(err.starts_with("exceeded 1 steps at t="), "{err}");
+        assert_eq!(sim.simulate(&rates, 0, &[2.0]).unwrap_err(), err);
+        let (mut sens, rates) = small_simulator_with_sensitivities();
+        sens.options.max_steps = 1;
+        let err = sens
+            .simulate_with_sensitivities(&rates, 0, &[2.0])
+            .unwrap_err();
+        assert!(err.starts_with("exceeded 1 steps at t="), "{err}");
     }
 
     #[test]
@@ -471,11 +321,10 @@ mod tests {
         // could only repeat the first.
         sim.options.max_steps = 1;
         let error = sim.simulate(&rates, 0, &[2.0]).unwrap_err();
+        assert!(error.starts_with("exceeded 1 steps at t="), "{error}");
         assert_eq!(sim.simulate(&rates, 0, &[2.0]).unwrap_err(), error);
 
-        // So an objective call runs the chain once for a failing file.
-        let (mut starved, rates) = small_simulator();
-        starved.options.max_steps = 1;
+        // So an objective call reports that one error for a failing file.
         let file = rms_parallel::ExperimentFile {
             label: "starved".to_string(),
             times: vec![2.0],
@@ -485,18 +334,9 @@ mod tests {
             on_failure: rms_parallel::FailurePolicy::Penalize,
             ..Default::default()
         };
-        let estimator =
-            rms_parallel::ParallelEstimator::with_config(&starved, vec![file], 1, config);
+        let estimator = rms_parallel::ParallelEstimator::with_config(&sim, vec![file], 1, config);
         let out = estimator.objective(&rates).unwrap();
         assert_eq!(out.health.file_failures[0].error, error);
-        assert_eq!(starved.fallback_stats().bdf_failures, 1);
-    }
-
-    #[test]
-    fn healthy_solves_never_engage_fallback() {
-        let (sim, rates) = small_simulator();
-        sim.simulate(&rates, 0, &[0.5, 1.0]).unwrap();
-        assert_eq!(sim.fallback_stats(), FallbackStats::default());
     }
 
     fn small_simulator_with_jacobian() -> (TapeSimulator, Vec<f64>) {
