@@ -200,8 +200,8 @@ pub struct KernelSpec<'a> {
 ///
 /// Version 2 added the `rms_loop_count` / `rms_rolled_instrs` metadata
 /// exports; version 3 dropped `rms_sens_jac_nnz` (`ode_sens` writes the
-/// Jacobian `ode_jac` writes); version 4 dropped the batched entry points
-/// (`ode_rhs_batch`, `ode_rhs_lanes`) and `rms_lanes`. Objects of another
+/// Jacobian `ode_jac` writes); version 4 dropped the batched and
+/// lane-wise RHS entry points and `rms_lanes`. Objects of another
 /// version fail the check on load and are quarantined and rebuilt.
 pub const KERNEL_ABI_VERSION: i32 = 4;
 

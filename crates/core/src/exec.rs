@@ -21,9 +21,9 @@
 //! * **Batched evaluation.** [`ExecTape::eval_batch`] runs up to
 //!   [`LANES`] states per instruction dispatch in structure-of-arrays
 //!   layout (lane-major frame, fixed-width inner loops the
-//!   autovectorizer turns into SIMD). The colored finite-difference
-//!   Jacobian evaluates all color-perturbed states in one batched pass
-//!   this way.
+//!   autovectorizer turns into SIMD). No solve calls it: every solve
+//!   over an artifact runs the compiled Jacobian, one state at a time.
+//!   Only the benchmark's per-layer probe of batched evaluation does.
 //!
 //! [`ExecTape::op_counts`] reports the same totals as the source tape
 //! (each fused multiply-add counts as one multiply plus one add, a fused
@@ -243,7 +243,8 @@ impl ExecTape {
     /// receives the outputs in the same layout. States are processed
     /// [`LANES`] at a time in a lane-major structure-of-arrays frame; a
     /// trailing partial chunk pads with copies of its first state (the
-    /// padded lanes' outputs are discarded).
+    /// padded lanes' outputs are discarded). Only the benchmark's
+    /// per-layer probe calls this.
     pub fn eval_batch(&self, rates: &[f64], ys: &[f64], ydots: &mut [f64], frame: &mut ExecFrame) {
         let n = self.n_species;
         assert_eq!(rates.len(), self.n_rates, "rates length mismatch");

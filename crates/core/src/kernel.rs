@@ -2,11 +2,11 @@
 //!
 //! Whatever evaluates a compiled model — the tape interpreter, the
 //! pre-decoded execution engine or a `dlopen`ed native object — meets the
-//! solvers as a [`Kernel`]: the right-hand side (scalar and batched), the
-//! analytic Jacobian and the parameter gradient `∂f/∂p`. The derivatives
-//! are always the Deriv stage's one tape group ([`DerivTapes`]): it defines
-//! the entry order, and a kernel that carries machine code for it
-//! evaluates it natively instead of interpreting it.
+//! solvers as a [`Kernel`]: the right-hand side, the analytic Jacobian and
+//! the parameter gradient `∂f/∂p`. The derivatives are always the Deriv
+//! stage's one tape group ([`DerivTapes`]): it defines the entry order,
+//! and a kernel that carries machine code for it evaluates it natively
+//! instead of interpreting it.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -49,14 +49,6 @@ pub trait Kernel: Send + Sync + fmt::Debug {
 
     /// `ydot = f(y)`.
     fn rhs(&self, rates: &[f64], y: &[f64], ydot: &mut [f64], scratch: &mut KernelScratch);
-
-    /// [`rhs`](Kernel::rhs) for several states stacked row-major in `ys`.
-    fn rhs_batch(&self, rates: &[f64], ys: &[f64], ydots: &mut [f64], scratch: &mut KernelScratch) {
-        let n = self.n_species().max(1);
-        for (y, ydot) in ys.chunks(n).zip(ydots.chunks_mut(n)) {
-            self.rhs(rates, y, ydot, scratch);
-        }
-    }
 
     /// The derivative tape group this kernel was built from; `None` when
     /// the Deriv stage did not run. It fixes the entry orders below, and
@@ -158,8 +150,8 @@ impl Kernel for TapeKernel<Tape> {
 thread_local! {
     /// One execution frame per thread. The parallel estimator runs one
     /// scoped thread per rank inside each objective evaluation, so a
-    /// rank's frame is bound once and then reused by every solver step,
-    /// Newton iteration and colored-FD sweep of that rank's solves.
+    /// rank's frame is bound once and then reused by every solver step
+    /// and Newton iteration of that rank's solves.
     /// Frames carry nothing from one call to the next (they rebind by
     /// tape identity), so sharing one between kernels is safe.
     static EXEC_FRAME: RefCell<ExecFrame> = RefCell::new(ExecFrame::new());
@@ -178,11 +170,6 @@ impl Kernel for TapeKernel<ExecTape> {
         EXEC_FRAME.with(|f| self.rhs.eval(rates, y, ydot, &mut f.borrow_mut()));
     }
 
-    /// All states of a colored-FD sweep stay in structure-of-arrays lanes.
-    fn rhs_batch(&self, rates: &[f64], ys: &[f64], ydots: &mut [f64], _: &mut KernelScratch) {
-        EXEC_FRAME.with(|f| self.rhs.eval_batch(rates, ys, ydots, &mut f.borrow_mut()));
-    }
-
     fn derivs(&self) -> Option<&DerivTapes> {
         self.derivs.as_ref()
     }
@@ -192,7 +179,7 @@ impl Kernel for TapeKernel<ExecTape> {
 /// validated on load against) the group its artifact compiled, so what
 /// exists is exported. Its registers live in the object — there is
 /// nothing to resume over, and every `∂f/∂p` request runs all of
-/// `ode_sens`. A batch is the provided loop over `ode_rhs`.
+/// `ode_sens`.
 impl Kernel for TapeKernel<NativeKernel> {
     fn n_species(&self) -> usize {
         self.rhs.n_species()

@@ -60,6 +60,6 @@ pub use pipeline::{
 pub use simplify::{simplify_expr, simplify_forest};
 pub use tape::{
     compact_registers, compact_registers_multi, forward_copies, loop_slot_patterns, lower,
-    lower_split_multi, reroll, resolve_instr, species_dependencies, validate_program, Instr,
-    Operand, RerollOptions, RolledSegment, RolledTape, SlotPattern, Tape, TapeLoop,
+    lower_split_multi, reroll, resolve_instr, validate_program, Instr, Operand, RerollOptions,
+    RolledSegment, RolledTape, SlotPattern, Tape, TapeLoop,
 };

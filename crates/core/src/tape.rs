@@ -486,65 +486,6 @@ pub fn compact_registers(tape: &Tape) -> Tape {
     out
 }
 
-/// Species dependency pattern of a tape: for each output (derivative)
-/// index, the sorted list of species whose concentrations influence it.
-///
-/// This is the Jacobian sparsity structure `∂ydot_i/∂y_j ≠ 0 ⇒ j ∈
-/// pattern[i]`, extracted by forward dataflow over the registers. Large
-/// chemistry systems are extremely sparse (a species interacts with a
-/// handful of others), which the colored finite-difference Jacobian in
-/// `rms-solver` exploits.
-pub fn species_dependencies(tape: &Tape) -> Vec<Vec<u32>> {
-    // Per-register dependency sets, shared via Rc to avoid quadratic
-    // copying along sum chains.
-    use std::collections::BTreeSet;
-    use std::rc::Rc;
-    let mut reg_deps: Vec<Option<Rc<BTreeSet<u32>>>> = vec![None; tape.n_regs];
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); tape.n_species];
-    let deps_of =
-        |reg_deps: &[Option<Rc<BTreeSet<u32>>>], op: Operand| -> Option<Rc<BTreeSet<u32>>> {
-            match op {
-                Operand::Reg(r) => reg_deps[r as usize].clone(),
-                Operand::Species(i) => {
-                    let mut s = BTreeSet::new();
-                    s.insert(i);
-                    Some(Rc::new(s))
-                }
-                Operand::Rate(_) | Operand::Const(_) => None,
-            }
-        };
-    let union = |a: Option<Rc<BTreeSet<u32>>>, b: Option<Rc<BTreeSet<u32>>>| match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(x), Some(y)) => {
-            if x.is_superset(&y) {
-                Some(x)
-            } else if y.is_superset(&x) {
-                Some(y)
-            } else {
-                let mut merged: BTreeSet<u32> = (*x).clone();
-                merged.extend(y.iter().copied());
-                Some(Rc::new(merged))
-            }
-        }
-    };
-    for instr in &tape.instrs {
-        match *instr {
-            Instr::Add { dst, a, b } | Instr::Sub { dst, a, b } | Instr::Mul { dst, a, b } => {
-                reg_deps[dst as usize] = union(deps_of(&reg_deps, a), deps_of(&reg_deps, b));
-            }
-            Instr::Neg { dst, a } | Instr::Copy { dst, a } => {
-                reg_deps[dst as usize] = deps_of(&reg_deps, a);
-            }
-            Instr::Store { idx, a } => {
-                if let Some(deps) = deps_of(&reg_deps, a) {
-                    out[idx as usize] = deps.iter().copied().collect();
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Forward `Copy` chains and drop the copies: reads of a copied register
 /// go straight to the source.
 ///
@@ -1886,37 +1827,6 @@ mod tests {
         // 2 muls for t0, 1 mul for the 2* scaling; the dead temp's 2 muls
         // must not appear.
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn species_dependencies_tracked_through_temps() {
-        // eq0 = k0*y0*y1 ; eq1 = k1*y2 ; shared temp does not leak deps.
-        let f = ExprForest {
-            temps: vec![Expr::prod(
-                1.0,
-                vec![Expr::Rate(0), Expr::Species(0), Expr::Species(1)],
-            )],
-            rhs: vec![
-                Expr::Temp(crate::expr::TempId(0)),
-                Expr::prod(1.0, vec![Expr::Rate(1), Expr::Species(2)]),
-            ],
-            n_species: 3,
-            n_rates: 2,
-        };
-        let tape = lower(&f);
-        let deps = species_dependencies(&tape);
-        assert_eq!(deps[0], vec![0, 1]);
-        assert_eq!(deps[1], vec![2]);
-        // Compaction must not change the answer.
-        let deps2 = species_dependencies(&compact_registers(&tape));
-        assert_eq!(deps, deps2);
-    }
-
-    #[test]
-    fn species_dependencies_constant_rhs_empty() {
-        let f = forest(vec![Expr::constant(0.0)]);
-        let deps = species_dependencies(&lower(&f));
-        assert!(deps[0].is_empty());
     }
 
     #[test]

@@ -10,37 +10,30 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rms_core::{
-    species_dependencies, DerivTapes, ExecTape, JacobianTapes, Kernel, NativeKernel, Tape,
-    TapeKernel,
-};
-use rms_solver::{ColoredPattern, NewtonPlan, PlannedPattern, SparsityPattern};
+use rms_core::{DerivTapes, ExecTape, JacobianTapes, Kernel, NativeKernel, Tape, TapeKernel};
+use rms_solver::{NewtonPlan, PlannedPattern, SparsityPattern};
 
 use crate::session::CompiledArtifact;
 
-/// One of an artifact's kernels and the patterns it fills.
+/// One of an artifact's kernels and the pattern it fills.
 #[derive(Debug, Clone)]
 pub struct KernelChoice {
     /// The kernel every solve of this run evaluates.
     pub kernel: Arc<dyn Kernel>,
-    /// The Jacobian sparsity patterns that kernel fills.
+    /// The Jacobian sparsity pattern that kernel fills.
     pub patterns: Arc<Patterns>,
     /// The evaluator behind `kernel`: `"native"` or `"exec"`, or — only
     /// among [`CompiledArtifact::evaluators`] — `"interp"`.
     pub engine: &'static str,
 }
 
-/// The Jacobian sparsity patterns of one compiled model and what the
-/// solver derives from sparsity alone (the finite-difference coloring,
-/// the sparse-Newton plan of the analytic pattern, which
-/// `LinearSolver::Auto` decides from), each built on first use and then
-/// shared by every solve over the artifact.
+/// The analytic Jacobian's sparsity pattern of one compiled model and
+/// its sparse-Newton plan, which `LinearSolver::Auto` decides from, each
+/// built on first use and then shared by every solve over the artifact.
 #[derive(Debug)]
 pub struct Patterns {
-    tape: Arc<Tape>,
     /// The analytic Jacobian's tapes, when the *Deriv* stage ran.
     jacobian: Option<Arc<JacobianTapes>>,
-    fd: OnceLock<ColoredPattern>,
     analytic: OnceLock<PlannedPattern>,
     /// The elimination order a disk entry carried for the analytic plan.
     stored_order: Option<Vec<u32>>,
@@ -59,18 +52,6 @@ pub(crate) enum Planned {
 }
 
 impl Patterns {
-    /// The species each right-hand side reads, from a dataflow walk of
-    /// the tape — the pattern colored finite differences perturb over —
-    /// with its coloring and, on request, its plan.
-    pub fn fd(&self) -> &ColoredPattern {
-        self.fd.get_or_init(|| {
-            ColoredPattern::new(SparsityPattern::new(
-                species_dependencies(&self.tape),
-                self.tape.n_species,
-            ))
-        })
-    }
-
     fn planned(&self) -> Option<&PlannedPattern> {
         let tapes = self.jacobian.as_ref()?;
         Some(self.analytic.get_or_init(|| {
@@ -139,9 +120,7 @@ impl Kernels {
             Planned::Order(order) => (OnceLock::new(), Some(order)),
         };
         let patterns = Patterns {
-            tape: tape.clone(),
             jacobian: derivs.as_ref().map(|d| d.state().clone()),
-            fd: OnceLock::new(),
             analytic,
             stored_order,
         };

@@ -39,6 +39,8 @@ pub enum DataFileError {
         /// 1-based line number.
         line: usize,
     },
+    /// Not one record: nothing to fit.
+    NoRecords,
 }
 
 impl std::fmt::Display for DataFileError {
@@ -51,6 +53,7 @@ impl std::fmt::Display for DataFileError {
             DataFileError::NonMonotonicTime { line } => {
                 write!(f, "non-monotonic time at line {line}")
             }
+            DataFileError::NoRecords => f.write_str("no records"),
         }
     }
 }
@@ -115,7 +118,7 @@ impl ExperimentFile {
         Ok(())
     }
 
-    /// Parse the text format.
+    /// Parse the text format. A file must hold at least one record.
     pub fn parse(label: &str, text: &str) -> Result<ExperimentFile, DataFileError> {
         let mut file = ExperimentFile {
             label: label.to_string(),
@@ -154,6 +157,9 @@ impl ExperimentFile {
                     message: format!("{bad}, found '{line}'"),
                 },
             })?;
+        }
+        if file.is_empty() {
+            return Err(DataFileError::NoRecords);
         }
         Ok(file)
     }
@@ -234,6 +240,12 @@ mod tests {
             ExperimentFile::parse("x", "abc 1\n"),
             Err(DataFileError::Parse { .. })
         ));
+        for empty in ["", "# experiment: x\n# records: 0\n\n"] {
+            assert!(matches!(
+                ExperimentFile::parse("x", empty),
+                Err(DataFileError::NoRecords)
+            ));
+        }
         // `"nan".parse::<f64>()` succeeds, and NaN passes any ordering test.
         for bad in ["nan 1.0", "inf 1.0", "-1 1.0", "0.5 nan"] {
             assert!(

@@ -87,6 +87,11 @@ fn check(bytes: &[u8]) -> bool {
             );
             false
         }
+        Err(DataFileError::NoRecords) => {
+            let record = |l: &str| !l.split('#').next().unwrap_or("").trim().is_empty();
+            assert!(!text.lines().any(record), "{text:?}");
+            false
+        }
         Err(DataFileError::Io(e)) => panic!("parsing text did I/O: {e}"),
     }
 }

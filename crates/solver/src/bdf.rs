@@ -44,7 +44,7 @@
 
 use std::sync::Arc;
 
-use crate::coloring::{fd_jacobian_colored_into, ColoredPattern, SparsityPattern};
+use crate::coloring::SparsityPattern;
 use crate::jacobian::{fd_jacobian_into, AnalyticJacobian, FdWorkspace};
 use crate::linalg::{CsrMatrix, LinalgError, Lu, Matrix};
 use crate::problem::{
@@ -107,12 +107,9 @@ pub enum JacobianSource<'a> {
     /// Compiler-emitted analytic Jacobian: exact values on an exact
     /// sparsity, one provider evaluation per refresh, stored sparse.
     AnalyticTape(&'a dyn AnalyticJacobian),
-    /// Colored finite differences over a pattern its owner colored once
-    /// (one RHS evaluation per color): nothing is cloned, colored or
-    /// analyzed per solve.
-    FdColored(&'a ColoredPattern),
-    /// Dense finite differences: n RHS evaluations per refresh
-    /// (the default).
+    /// Dense finite differences: n RHS evaluations per refresh, stored
+    /// dense (the default for a plain [`OdeRhs`], and the oracle the
+    /// analytic source is tested against).
     FdDense,
 }
 
@@ -121,13 +118,13 @@ impl JacobianSource<'_> {
     fn pattern(&self) -> Option<&SparsityPattern> {
         match self {
             JacobianSource::AnalyticTape(provider) => Some(provider.pattern()),
-            JacobianSource::FdColored(colored) => Some(colored.pattern.pattern()),
             JacobianSource::FdDense => None,
         }
     }
 }
 
-/// The cached Jacobian, in whichever storage its source produces.
+/// The cached Jacobian, in whichever storage its source produces: dense
+/// finite differences write `Dense`, the analytic source `Sparse`.
 enum JacStore {
     Dense(Matrix),
     Sparse(CsrMatrix),
@@ -225,11 +222,8 @@ pub struct Bdf<'a, R: OdeRhs> {
     /// The analysis the sparse path factors under: the pattern owner's,
     /// asked for once when the source is set, or this solve's own.
     plan: Option<Arc<NewtonPlan>>,
-    /// All-columns pattern synthesized when the sparse path is forced on
-    /// a dense-FD Jacobian source (built once).
-    full_pattern: Option<SparsityPattern>,
     jac: Option<JacStore>,
-    /// How Jacobians are produced: analytic tape, colored FD, or dense FD.
+    /// How Jacobians are produced: analytic tape or dense FD.
     source: JacobianSource<'a>,
     /// Parameter coupling for forward sensitivity analysis; when set, the
     /// history vectors carry `n_params` extra sensitivity blocks.
@@ -264,7 +258,6 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
             jac_current: false,
             sparse: false,
             plan: None,
-            full_pattern: None,
             jac: None,
             source: JacobianSource::FdDense,
             sens: None,
@@ -293,7 +286,6 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         // kernel (and its symbolic analysis) along with the numeric factor.
         self.factor = Factor::None;
         self.gamma_built = None;
-        self.full_pattern = None;
     }
 
     /// Attach a parameter-sensitivity source: the state is augmented with
@@ -344,7 +336,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
     /// there: the end of the last step when it lands on `tend`, the
     /// history polynomial evaluated at `tend` otherwise. A `tend` the
     /// internal time has already passed costs no step; one behind the
-    /// previous request is [`SolverError::BadInput`].
+    /// previous request, or not finite, is [`SolverError::BadInput`].
     pub fn integrate_to(&mut self, tend: f64) -> Result<(), SolverError> {
         // Detach the scratch so helper methods can borrow `self` freely;
         // reattached before returning (buffers survive across calls).
@@ -355,6 +347,9 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
     }
 
     fn integrate_to_inner(&mut self, tend: f64, s: &mut Scratch) -> Result<(), SolverError> {
+        if !tend.is_finite() {
+            return Err(SolverError::BadInput(format!("tend {tend} is not finite")));
+        }
         if tend < self.t_out {
             return Err(SolverError::BadInput(format!(
                 "tend {tend} before the last requested t {}",
@@ -652,22 +647,6 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
                 // comparability with the FD paths.
                 self.stats.fevals += 1;
             }
-            JacobianSource::FdColored(colored) => {
-                s.f.clear();
-                s.f.resize(n, 0.0);
-                self.rhs.eval(t, y, &mut s.f);
-                let ColoredPattern {
-                    pattern,
-                    colors,
-                    n_colors,
-                } = colored;
-                let pattern = pattern.pattern();
-                let jac = dense_store(&mut self.jac, pattern.n_rows(), n);
-                let jac_fevals = fd_jacobian_colored_into(
-                    self.rhs, t, y, &s.f, pattern, colors, *n_colors, jac, &mut s.fd,
-                );
-                self.stats.fevals += 1 + jac_fevals;
-            }
             JacobianSource::FdDense => {
                 s.f.clear();
                 s.f.resize(n, 0.0);
@@ -686,18 +665,18 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
     /// once. `Auto` decides from the plan ([`NewtonPlan::prefers_sparse`])
     /// and so analyzes here when the owner keeps none; it goes dense when
     /// the fill is not worth it, when the analysis refuses the pattern and
-    /// when there is no pattern to analyze (dense finite differences).
+    /// when there is no pattern to analyze (dense finite differences),
+    /// where `Sparse` goes dense too.
     fn decide_linear_solver(&mut self) {
         let solver = self.options.linear_solver;
         self.plan = match &self.source {
             _ if solver == LinearSolver::Dense => None,
             JacobianSource::AnalyticTape(provider) => provider.plan(),
-            JacobianSource::FdColored(colored) => colored.pattern.plan(),
             JacobianSource::FdDense => None,
         };
         self.sparse = match solver {
             LinearSolver::Dense => false,
-            LinearSolver::Sparse => true,
+            LinearSolver::Sparse => self.source.pattern().is_some(),
             LinearSolver::Auto => {
                 if let (None, Some(pattern)) = (&self.plan, self.source.pattern()) {
                     self.plan = analyze_here(pattern, &mut self.stats).ok();
@@ -758,28 +737,17 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
     }
 
     /// Refactor `I − scale·J` on the sparse path, creating the persistent
-    /// kernel over the plan on first use.
+    /// kernel over the plan on first use. Only a source with a pattern
+    /// takes this path, and it stores its Jacobian as CSR.
     fn build_sparse(&mut self, scale: f64) -> Result<(), LinalgError> {
-        // The pattern the Jacobian store is gathered through.
-        let pattern: &SparsityPattern = match self.source.pattern() {
-            Some(pattern) => pattern,
-            None => {
-                // Forced sparse on a dense-FD source: treat every entry as
-                // structural. No fill advantage, but uniform semantics.
-                let n = self.rhs.dim();
-                let fits = matches!(&self.full_pattern, Some(p) if p.n_rows() == n);
-                if !fits {
-                    let rows = vec![(0..n as u32).collect::<Vec<u32>>(); n];
-                    self.full_pattern = Some(SparsityPattern::new(rows, n));
-                }
-                self.full_pattern.as_ref().expect("just stored")
-            }
-        };
         if !matches!(self.factor, Factor::Sparse(_)) {
             let plan = match &self.plan {
                 Some(plan) => plan.clone(),
                 // Explicit `Sparse` over a pattern nobody keeps a plan for.
-                None => analyze_here(pattern, &mut self.stats)?,
+                None => {
+                    let pattern = self.source.pattern().expect("sparse path has a pattern");
+                    analyze_here(pattern, &mut self.stats)?
+                }
             };
             self.factor = Factor::Sparse(SparseNewton::from_plan(plan));
         }
@@ -789,7 +757,7 @@ impl<'a, R: OdeRhs> Bdf<'a, R> {
         };
         match self.jac.as_ref().expect("jacobian refreshed") {
             JacStore::Sparse(csr) => kernel.factor_from_csr(csr, scale)?,
-            JacStore::Dense(jac) => kernel.factor_from_dense(jac, pattern, scale)?,
+            JacStore::Dense(_) => unreachable!("a source with a pattern stores CSR"),
         }
         self.stats.fill_nnz = kernel.fill_nnz();
         Ok(())
@@ -1182,6 +1150,7 @@ mod tests {
     use super::*;
     use crate::problem::FnRhs;
     use crate::rk45::solve_rk45;
+    use crate::sparse::PlannedPattern;
 
     #[test]
     fn exponential_decay() {
@@ -1516,18 +1485,46 @@ mod tests {
         y0
     }
 
-    /// The chain's Jacobian sparsity.
-    fn chain_pattern(n: usize) -> SparsityPattern {
-        let rows = (0..n as u32)
-            .map(|i| if i == 0 { vec![0] } else { vec![i - 1, i] })
-            .collect();
-        SparsityPattern::new(rows, n)
+    /// The chain's exact Jacobian, with its sparse-Newton plan kept
+    /// beside the pattern the way a compiled model's owner keeps it.
+    struct ChainJac {
+        pattern: PlannedPattern,
+    }
+
+    impl ChainJac {
+        fn new(n: usize) -> ChainJac {
+            let rows = (0..n as u32)
+                .map(|i| if i == 0 { vec![0] } else { vec![i - 1, i] })
+                .collect();
+            ChainJac {
+                pattern: PlannedPattern::new(SparsityPattern::new(rows, n)),
+            }
+        }
+    }
+
+    impl AnalyticJacobian for ChainJac {
+        fn pattern(&self) -> &SparsityPattern {
+            self.pattern.pattern()
+        }
+
+        fn eval_values(&self, _t: f64, _y: &[f64], vals: &mut [f64]) {
+            // Row 0: ∂f0/∂y0 = -1e3; row i: [1e3, -(1+i)].
+            vals[0] = -1e3;
+            for i in 1..self.pattern.pattern().n_rows() {
+                vals[2 * i - 1] = 1e3;
+                vals[2 * i] = -(1.0 + i as f64);
+            }
+        }
+
+        fn plan(&self) -> Option<Arc<NewtonPlan>> {
+            self.pattern.plan()
+        }
     }
 
     #[test]
     fn sparse_jacobian_matches_dense_solution_with_fewer_fevals() {
         let n = 40;
-        let (rhs, y0, pattern) = (chain_rhs(n), chain_start(n), chain_pattern(n));
+        let (rhs, y0, jac) = (chain_rhs(n), chain_start(n), ChainJac::new(n));
         // One linear solver throughout: this compares Jacobian sources.
         let options = SolverOptions {
             max_steps: 100_000,
@@ -1536,16 +1533,15 @@ mod tests {
         };
         let mut dense = Bdf::new(&rhs, 0.0, &y0, options);
         dense.integrate_to(1.0).unwrap();
-        let colored = ColoredPattern::new(pattern);
         let mut sparse = Bdf::new(&rhs, 0.0, &y0, options);
-        sparse.set_jacobian_source(JacobianSource::FdColored(&colored));
+        sparse.set_jacobian_source(JacobianSource::AnalyticTape(&jac));
         sparse.integrate_to(1.0).unwrap();
-        assert!(colored.pattern.built_plan().is_none(), "Dense never plans");
+        assert!(jac.pattern.built_plan().is_none(), "Dense never plans");
         for (a, b) in dense.y().iter().zip(sparse.y()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+            assert!((a - b).abs() < 1e-5 * a.abs().max(1.0), "{a} vs {b}");
         }
-        // Newton iterations dominate total fevals; the colored Jacobian
-        // saves (n - n_colors) evaluations per refresh.
+        // Newton iterations dominate total fevals; the sparse Jacobian
+        // saves n evaluations per refresh.
         let saved = dense.stats().fevals - sparse.stats().fevals;
         assert!(
             saved >= sparse.stats().jevals * (n / 2),
@@ -1555,31 +1551,37 @@ mod tests {
     }
 
     #[test]
-    fn auto_decides_from_the_plan_beside_the_coloring() {
+    fn auto_decides_from_the_plan_the_pattern_owner_keeps() {
         // The chain refactors in 39 multiply-adds (the divisions of a
         // bidiagonal L) against 40³/3 densely: `Auto` takes it sparse, on
-        // the plan the pattern's owner builds once, beside the coloring.
+        // the plan the pattern's owner builds once.
         let n = 40;
-        let (rhs, y0, pattern) = (chain_rhs(n), chain_start(n), chain_pattern(n));
+        let (rhs, y0, jac) = (chain_rhs(n), chain_start(n), ChainJac::new(n));
         let options = SolverOptions {
             max_steps: 100_000,
             ..SolverOptions::default()
         };
         assert_eq!(options.linear_solver, LinearSolver::Auto);
-        let colored = ColoredPattern::new(pattern);
-        assert!(colored.pattern.built_plan().is_none());
+        assert!(jac.pattern.built_plan().is_none());
         let mut solver = Bdf::new(&rhs, 0.0, &y0, options);
-        solver.set_jacobian_source(JacobianSource::FdColored(&colored));
+        solver.set_jacobian_source(JacobianSource::AnalyticTape(&jac));
         solver.integrate_to(1.0).unwrap();
-        assert_eq!(colored.pattern.built_plan().unwrap().factor_macs(), 39);
+        assert_eq!(jac.pattern.built_plan().unwrap().factor_macs(), 39);
         assert_eq!(solver.stats().symbolic_analyses, 0, "the owner's plan");
         assert_eq!(solver.stats().fill_nnz, 2 * n - 1);
 
-        // A source with no sparsity has nothing to plan from.
-        let mut fd_dense = Bdf::new(&rhs, 0.0, &y0, options);
-        fd_dense.integrate_to(1.0).unwrap();
-        assert_eq!(fd_dense.stats().symbolic_analyses, 0);
-        assert_eq!(fd_dense.stats().fill_nnz, n * n);
+        // A source with no sparsity has nothing to plan from, and a
+        // forced `Sparse` over it factors densely too.
+        for linear_solver in [LinearSolver::Auto, LinearSolver::Sparse] {
+            let options = SolverOptions {
+                linear_solver,
+                ..options
+            };
+            let mut fd_dense = Bdf::new(&rhs, 0.0, &y0, options);
+            fd_dense.integrate_to(1.0).unwrap();
+            assert_eq!(fd_dense.stats().symbolic_analyses, 0);
+            assert_eq!(fd_dense.stats().fill_nnz, n * n);
+        }
     }
 
     /// `y' = Jy` whose first iteration matrix has a zero leading pivot
@@ -1677,34 +1679,13 @@ mod tests {
     fn analytic_jacobian_matches_fd_with_fewer_fevals() {
         // The same stiff chain, but with the exact Jacobian supplied
         // through the AnalyticTape source.
-        struct ChainJac {
-            pattern: SparsityPattern,
-        }
-        impl crate::jacobian::AnalyticJacobian for ChainJac {
-            fn pattern(&self) -> &SparsityPattern {
-                &self.pattern
-            }
-            fn eval_values(&self, _t: f64, _y: &[f64], vals: &mut [f64]) {
-                // Row 0: ∂f0/∂y0 = -1e3; row i: [1e3, -(1+i)].
-                vals[0] = -1e3;
-                let mut k = 1;
-                let n = self.pattern.n_rows();
-                for i in 1..n {
-                    vals[k] = 1e3;
-                    vals[k + 1] = -(1.0 + i as f64);
-                    k += 2;
-                }
-            }
-        }
         let n = 40;
         let (rhs, y0) = (chain_rhs(n), chain_start(n));
         let options = SolverOptions {
             max_steps: 100_000,
             ..SolverOptions::default()
         };
-        let provider = ChainJac {
-            pattern: chain_pattern(n),
-        };
+        let provider = ChainJac::new(n);
         let times = [1.0];
         let (fd, fd_stats) = solve_bdf(&rhs, 0.0, &y0, &times, options).unwrap();
         let (analytic, an_stats) = solve_bdf_with_jacobian(
@@ -1872,10 +1853,18 @@ mod tests {
     fn sensitivity_with_sparse_factorization() {
         // Force the sparse Newton kernel and make sure the shared
         // factorization also serves the sensitivity solves.
-        let k = 2.5;
-        let rhs = FnRhs::new(1, move |_t, y: &[f64], ydot: &mut [f64]| {
-            ydot[0] = -k * y[0]
-        });
+        const K: f64 = 2.5;
+        let rhs = FnRhs::new(1, |_t, y: &[f64], ydot: &mut [f64]| ydot[0] = -K * y[0]);
+        struct Decay(SparsityPattern);
+        impl AnalyticJacobian for Decay {
+            fn pattern(&self) -> &SparsityPattern {
+                &self.0
+            }
+            fn eval_values(&self, _t: f64, _y: &[f64], vals: &mut [f64]) {
+                vals[0] = -K;
+            }
+        }
+        let jac = Decay(SparsityPattern::new(vec![vec![0]], 1));
         let sens = FnSens {
             n_params: 1,
             f: |_t, y: &[f64], out: &mut [f64]| out[0] = -y[0],
@@ -1886,23 +1875,39 @@ mod tests {
             linear_solver: LinearSolver::Sparse,
             ..SolverOptions::default()
         };
-        let (_, sensitivities, _) = solve_bdf_sensitivities(
+        let (_, sensitivities, stats) = solve_bdf_sensitivities(
             &rhs,
             &sens,
             0.0,
             &[1.0],
             &[1.0],
             options,
-            JacobianSource::FdDense,
+            JacobianSource::AnalyticTape(&jac),
         )
         .unwrap();
+        // No plan was shared, so the sparse path analyzed for itself.
+        assert_eq!(stats.symbolic_analyses, 1);
         // ∂/∂k of y(t) = e^{−kt} at t = 1 is −t·e^{−kt} = −e^{−k}.
-        let s_exact = -((-k * 1.0f64).exp());
+        let s_exact = -((-K).exp());
         assert!(
             (sensitivities[0][0] - s_exact).abs() < 1e-5,
             "{} vs {s_exact}",
             sensitivities[0][0]
         );
+    }
+
+    #[test]
+    fn a_non_finite_horizon_is_bad_input_before_any_step() {
+        let rhs = FnRhs::new(1, |_t, y: &[f64], ydot: &mut [f64]| ydot[0] = -y[0]);
+        for tend in [f64::NAN, f64::INFINITY] {
+            let mut solver = Bdf::new(&rhs, 0.0, &[1.0], SolverOptions::default());
+            assert!(
+                matches!(solver.integrate_to(tend), Err(SolverError::BadInput(_))),
+                "tend {tend}"
+            );
+            assert_eq!(solver.stats().steps + solver.stats().rejected, 0);
+            assert_eq!(solver.y(), &[1.0]);
+        }
     }
 
     #[test]

@@ -78,9 +78,8 @@ pub fn fd_jacobian<R: OdeRhs>(rhs: &R, t: f64, y: &[f64], f_at_y: &[f64]) -> (Ma
 
 /// [`fd_jacobian`] into caller-owned storage: `jac` (an `n × n` matrix)
 /// is overwritten, `ws` provides the scratch. All `n` perturbed states
-/// are evaluated in one [`OdeRhs::eval_batch`] call so batched evaluators
-/// amortize instruction dispatch across columns. Returns the number of
-/// RHS evaluations.
+/// are evaluated in one [`OdeRhs::eval_batch`] call. Returns the number
+/// of RHS evaluations.
 pub fn fd_jacobian_into<R: OdeRhs>(
     rhs: &R,
     t: f64,
@@ -210,28 +209,6 @@ mod tests {
         assert!(
             err_new <= 10.0 * sqrt_eps,
             "new step: error {err_new} should be O(√ε)"
-        );
-    }
-
-    /// Same state through the colored path: both FD variants share
-    /// `fd_step`, so the colored Jacobian is fixed too.
-    #[test]
-    fn colored_fd_zero_concentration_regression() {
-        use crate::coloring::fd_jacobian_colored;
-        let rhs = FnRhs::new(2, |_t, y: &[f64], ydot: &mut [f64]| {
-            ydot[0] = y[0] + y[1];
-            ydot[1] = -y[1];
-        });
-        let y = [0.77, 0.0];
-        let mut f = vec![0.0; 2];
-        rhs.eval(0.0, &y, &mut f);
-        let pattern = SparsityPattern::new(vec![vec![0, 1], vec![1]], 2);
-        let (colors, n_colors) = pattern.color_columns();
-        let (jac, _) = fd_jacobian_colored(&rhs, 0.0, &y, &f, &pattern, &colors, n_colors);
-        let err = (jac[(0, 1)] - 1.0).abs();
-        assert!(
-            err <= 10.0 * f64::EPSILON.sqrt(),
-            "colored entry error {err} should be O(√ε)"
         );
     }
 }

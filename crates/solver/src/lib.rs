@@ -11,7 +11,10 @@
 //!   Runge–Kutta–Verner 5(6) (`imsl_f_ode_runge_kutta`);
 //! * [`linalg`]: dense LU with partial pivoting for the Newton iteration
 //!   matrices;
-//! * [`jacobian`]: forward-difference dense Jacobians.
+//! * [`jacobian`]: forward-difference dense Jacobians (the default for a
+//!   plain [`OdeRhs`], and the oracle the compiled Jacobian is held to);
+//! * [`sparse`]: the sparse Newton factorization planned over the
+//!   compiled Jacobian's [`SparsityPattern`].
 
 #![warn(missing_docs)]
 // The numerical kernels index several parallel arrays per loop (stencil
@@ -32,9 +35,7 @@ pub use adams::{solve_adams, Adams};
 pub use bdf::{
     solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian, Bdf, JacobianSource, MAX_ORDER,
 };
-pub use coloring::{
-    fd_jacobian_colored, fd_jacobian_colored_into, ColoredPattern, SparsityPattern,
-};
+pub use coloring::SparsityPattern;
 pub use jacobian::{fd_jacobian, fd_jacobian_into, fd_step, AnalyticJacobian, FdWorkspace};
 pub use linalg::{CsrMatrix, LinalgError, Lu, Matrix};
 pub use problem::{

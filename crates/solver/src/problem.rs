@@ -36,11 +36,11 @@ pub trait OdeRhs {
 
     /// Evaluate `f(t, ·)` for several states at once: `ys` stacks the
     /// states row-major (`k * dim()` long) and `ydots` receives the
-    /// derivatives in the same layout. The colored finite-difference
-    /// Jacobian calls this with all perturbed states of a sweep so
-    /// batched evaluators (e.g. an `ExecTape` in structure-of-arrays
-    /// mode) can amortize instruction dispatch across states. The
-    /// default loops the scalar [`eval`](OdeRhs::eval).
+    /// derivatives in the same layout. The dense finite-difference
+    /// Jacobian calls this with all its perturbed states. The default
+    /// loops the scalar [`eval`](OdeRhs::eval). No product evaluator
+    /// overrides it; the benchmark's per-layer probe does, to time
+    /// `ExecTape::eval_batch`.
     fn eval_batch(&self, t: f64, ys: &[f64], ydots: &mut [f64]) {
         let n = self.dim().max(1);
         for (y, ydot) in ys.chunks(n).zip(ydots.chunks_mut(n)) {
@@ -122,7 +122,8 @@ pub enum LinearSolver {
     Dense,
     /// Fill-reducing sparse LU (see `sparse`): symbolic analysis once on
     /// the static sparsity, numeric refactorizations touch only
-    /// nnz(L+U) entries.
+    /// nnz(L+U) entries. A Jacobian source with no sparsity (dense finite
+    /// differences) has nothing to plan over and factors densely.
     Sparse,
     /// Decide from the symbolic factorization of the Jacobian source's
     /// sparsity: sparse when one refactorization over its fill costs
@@ -224,8 +225,7 @@ pub struct SolveStats {
     /// Sparse-Newton analyses (ordering + symbolic fill) this solve ran
     /// itself: 0 when the pattern's owner shared its
     /// [`NewtonPlan`](crate::NewtonPlan), under [`LinearSolver::Dense`],
-    /// and under [`LinearSolver::Auto`] on dense finite differences; 1
-    /// otherwise.
+    /// and on dense finite differences; 1 otherwise.
     pub symbolic_analyses: usize,
 }
 

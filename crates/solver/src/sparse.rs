@@ -25,8 +25,7 @@
 //! * [`PlannedPattern`]: a pattern with its plan, built on first request;
 //! * [`SparseNewton`]: the solver-facing bundle, one solve's value arrays
 //!   over a plan, that assembles `I − scale·J` directly into CSC slots
-//!   from either a CSR Jacobian (analytic tapes) or a dense store
-//!   (colored finite differences).
+//!   from the CSR Jacobian the analytic tapes fill.
 //!
 //! Pivoting is *structural*: elimination proceeds along the diagonal of
 //! the symmetrically permuted matrix `PAPᵀ`. The iteration matrix always
@@ -940,34 +939,6 @@ impl SparseNewton {
         self.lu.refactor(&self.iter)
     }
 
-    /// Assemble `I − scale·J` by gathering the pattern's entries from a
-    /// dense Jacobian store (the colored finite-difference path writes
-    /// dense) and refactor.
-    pub fn factor_from_dense(
-        &mut self,
-        jac: &Matrix,
-        pattern: &SparsityPattern,
-        scale: f64,
-    ) -> Result<(), LinalgError> {
-        let plan = &self.plan;
-        if pattern.nnz() != plan.jac_slots.len() || jac.rows() != self.n() {
-            return Err(LinalgError::DimensionMismatch);
-        }
-        let vals = self.iter.vals_mut();
-        vals.fill(0.0);
-        let mut k = 0;
-        for i in 0..pattern.n_rows() {
-            for &j in pattern.row(i) {
-                vals[plan.jac_slots[k] as usize] = -scale * jac[(i, j as usize)];
-                k += 1;
-            }
-        }
-        for &slot in &plan.diag_slots {
-            vals[slot as usize] += 1.0;
-        }
-        self.lu.refactor(&self.iter)
-    }
-
     /// Solve with the last successful factorization.
     pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), LinalgError> {
         self.lu.solve_in_place(b)
@@ -1168,16 +1139,6 @@ mod tests {
         let x_dense = Lu::factor(&dense_iter).unwrap().solve(&b).unwrap();
         for (d, s) in x_dense.iter().zip(&x_sparse) {
             assert!((d - s).abs() < 1e-13, "{d} vs {s}");
-        }
-        // The dense-store path produces the same factorization.
-        let mut newton2 = SparseNewton::new(&pattern).unwrap();
-        newton2
-            .factor_from_dense(&csr.to_dense(), &pattern, scale)
-            .unwrap();
-        let mut x2 = b.to_vec();
-        newton2.solve_in_place(&mut x2).unwrap();
-        for (a, b) in x_sparse.iter().zip(&x2) {
-            assert_eq!(a, b, "CSR and dense assembly must agree bitwise");
         }
         assert!(newton.fill_nnz() <= n * n);
     }

@@ -46,7 +46,7 @@ fn compiled(label: &'static str, artifact: &CompiledArtifact) -> Case {
         &artifact.system.initial,
         &[0.5],
         SolverOptions::default(),
-        bound.jacobian_source(),
+        bound.jacobian_source().expect("Deriv ran"),
     )
     .expect("model integrates");
     let plan = bound.plan().expect("Deriv ran");

@@ -43,13 +43,13 @@ fn compiled(label: &str, artifact: &CompiledArtifact) {
     let options = SolverOptions::default();
 
     let bound = BoundKernel::new(&choice, rates);
-    let source = bound.jacobian_source();
+    let source = bound.jacobian_source().expect("Deriv ran");
     let (_, stats) = solve_bdf_with_jacobian(&bound, 0.0, y0, &[1.0], options, source)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     row(label, stats);
 
     let bound = BoundKernel::new(&choice, rates);
-    let source = bound.jacobian_source();
+    let source = bound.jacobian_source().expect("Deriv ran");
     let (_, _, stats) = solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &[1.0], options, source)
         .unwrap_or_else(|e| panic!("{label}, augmented: {e}"));
     row(&format!("{label} + sens"), stats);

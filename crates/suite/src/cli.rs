@@ -405,9 +405,10 @@ impl<'a> Args<'a> {
         items.iter().map(|item| parse(flag, item.trim())).collect()
     }
 
-    fn workers(&self) -> Result<usize, CliError> {
-        match self.get("--workers")? {
-            0 => Err(usage_err("--workers must be at least 1")),
+    /// A count flag that must be at least 1.
+    fn at_least_one(&self, name: &str) -> Result<usize, CliError> {
+        match self.get(name)? {
+            0 => Err(usage_err(format!("{name} must be at least 1"))),
             n => Ok(n),
         }
     }
@@ -490,21 +491,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             input: a.operand.into(),
             observe: a.list("--observe")?,
             out_dir: a.required("--out")?,
-            files: a.get("--files")?,
-            records: a.get("--records")?,
+            files: a.at_least_one("--files")?,
+            records: a.at_least_one("--records")?,
             tend: a.get("--tend")?,
         },
         "estimate" => Command::Estimate {
             input: a.operand.into(),
             data_dir: a.required("--data")?,
             observe: a.list("--observe")?,
-            workers: a.workers()?,
+            workers: a.at_least_one("--workers")?,
             on_failure: a.get("--on-solver-failure")?,
             frontend_threads: a.get("--frontend-threads")?,
             cache_dir: a.opt("--cache-dir")?,
         },
         "serve" => Command::Serve {
-            workers: a.workers()?,
+            workers: a.at_least_one("--workers")?,
             queue_capacity: a.get("--queue-capacity")?,
             cache_dir: a.opt("--cache-dir")?,
             memory_budget_mb: a.opt("--memory-budget-mb")?,
@@ -746,7 +747,11 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             records,
             tend,
         } => {
-            let model = load_model(input, SessionOptions::new(OptLevel::Full))?.artifact;
+            let options = SessionOptions {
+                deriv: true,
+                ..SessionOptions::new(OptLevel::Full)
+            };
+            let model = load_model(input, options)?.artifact;
             let weights = observable_or_all(&model, observe)?;
             let simulator = TapeSimulator::from_artifact(&model, weights);
             let rates = model.system.rate_values.clone();
@@ -1163,6 +1168,33 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_horizon_and_an_empty_data_file_are_refused() {
+        let dir = std::env::temp_dir().join("rmsc_cli_refusals");
+        std::fs::remove_dir_all(&dir).ok();
+        let model = write_model(&dir).display().to_string();
+        let data = dir.join("data");
+        let fails = |line: String| {
+            let error = run(&parse_args(&argv(&line)).unwrap()).unwrap_err();
+            assert_eq!(error.exit_code(), 1, "{line}: {error}");
+            error.message().to_string()
+        };
+        for tend in ["nan", "inf"] {
+            let error = fails(format!("simulate {model} --steps 2 --tend {tend}"));
+            assert!(error.contains("is not finite"), "{error}");
+            let out = data.display();
+            let error = fails(format!("synthesize {model} --out {out} --tend {tend}"));
+            assert!(error.contains("is not finite"), "{error}");
+            assert!(!data.exists(), "a refused synthesis wrote {out}");
+        }
+        // A file with a header and no records has nothing to fit.
+        std::fs::create_dir_all(&data).unwrap();
+        std::fs::write(data.join("empty.dat"), "# records: 0\n").unwrap();
+        let error = fails(format!("estimate {model} --data {}", data.display()));
+        assert!(error.ends_with("empty.dat: no records"), "{error}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn missing_file_reported() {
         let cmd = parse_args(&argv("compile /definitely/not/here.rdl")).unwrap();
         let result = run(&cmd);
@@ -1285,6 +1317,8 @@ mod tests {
         // Malformed invocations are usage errors (exit 2).
         for bad in [
             "estimate m.rdl --data d --workers 0",
+            "synthesize m.rdl --out d --files 0",
+            "synthesize m.rdl --out d --records 0",
             "estimate m.rdl --data d --on-solver-failure shrug",
             // Typo'd flags must not be silently ignored.
             "estimate m.rdl --data d --on-solver-falure abort",

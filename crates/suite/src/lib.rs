@@ -69,9 +69,9 @@ pub use rms_rdl::{
     compile as compile_network, expand_program, parse_rdl, EngineOptions, ReactionNetwork,
 };
 pub use rms_solver::{
-    fd_jacobian, fd_jacobian_colored, fd_step, solve_bdf, solve_bdf_sensitivities,
-    solve_bdf_with_jacobian, AnalyticJacobian, Bdf, FnRhs, JacobianSource, LinearSolver,
-    NewtonPlan, OdeRhs, SolveStats, SolverOptions, SparsityPattern, SPARSE_COST_PER_MAC,
+    fd_jacobian, fd_step, solve_bdf, solve_bdf_sensitivities, solve_bdf_with_jacobian,
+    AnalyticJacobian, Bdf, FnRhs, JacobianSource, LinearSolver, NewtonPlan, OdeRhs, SolveStats,
+    SolverOptions, SparsityPattern, SPARSE_COST_PER_MAC,
 };
 pub use rms_workload as workload;
 pub use rms_workload::{BoundKernel, TapeSimulator};
@@ -80,25 +80,33 @@ pub use rms_workload::{BoundKernel, TapeSimulator};
 /// naming the [`Stage`] that rejected the model.
 pub type SuiteError = Diagnostic;
 
-/// Compile RDL source text all the way to an optimized, executable
-/// model. Cached: recompiling identical source at the same level shares
-/// one artifact per process.
+/// Compile RDL source text all the way to an optimized model a solve
+/// can run: the *Deriv* stage emits the Jacobian every solve takes.
+/// Cached: recompiling identical source at the same level shares one
+/// artifact per process.
 pub fn compile_source(source: &str, level: OptLevel) -> Result<Arc<CompiledArtifact>, SuiteError> {
-    Ok(CompilerSession::new(level)
-        .compile_source("<rdl>", source)?
-        .artifact)
+    Ok(solvable(level).compile_source("<rdl>", source)?.artifact)
 }
 
-/// Compile an already-built network (programmatic workloads). Cached by
-/// the network's structural fingerprint.
+/// Compile an already-built network (programmatic workloads), with the
+/// *Deriv* stage as [`compile_source`]. Cached by the network's
+/// structural fingerprint.
 pub fn compile_model(
     network: ReactionNetwork,
     rates: RateTable,
     level: OptLevel,
 ) -> Result<Arc<CompiledArtifact>, SuiteError> {
-    Ok(CompilerSession::new(level)
+    Ok(solvable(level)
         .compile_network("<network>", network, rates)?
         .artifact)
+}
+
+/// A session at `level` that compiles the *Deriv* stage.
+fn solvable(level: OptLevel) -> CompilerSession {
+    CompilerSession::with_options(SessionOptions {
+        deriv: true,
+        ..SessionOptions::new(level)
+    })
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@ use std::sync::Arc;
 
 use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
 use rms_suite::{
-    fd_jacobian, fd_jacobian_colored, solve_bdf_with_jacobian, AnalyticJacobian, BoundKernel,
-    CompiledArtifact, CompilerSession, JacobianSource, OdeRhs, OptLevel, SessionOptions,
-    TapeSimulator,
+    fd_jacobian, solve_bdf_with_jacobian, AnalyticJacobian, BoundKernel, CompiledArtifact,
+    CompilerSession, JacobianSource, OdeRhs, OptLevel, SessionOptions, TapeSimulator,
 };
 
 const LEVELS: [OptLevel; 4] = [
@@ -95,34 +94,6 @@ fn check_against_dense_fd(model: &CompiledArtifact, label: &str) {
     }
 }
 
-/// Analytic tape values vs colored FD over the exact analytic pattern.
-fn check_against_colored_fd(model: &CompiledArtifact, label: &str) {
-    let n = model.system.len();
-    let choice = model.evaluators().remove(0);
-    let provider = BoundKernel::new(&choice, &model.system.rate_values);
-    let rhs = &provider;
-
-    let entries = choice.kernel.jac_entries().unwrap();
-    let y = probe_state(n);
-    let mut vals = vec![0.0; entries.len()];
-    provider.eval_values(0.0, &y, &mut vals);
-
-    let pattern = provider.pattern();
-    let (colors, n_colors) = pattern.color_columns();
-    let mut f = vec![0.0; n];
-    rhs.eval(0.0, &y, &mut f);
-    let (colored, evals) = fd_jacobian_colored(rhs, 0.0, &y, &f, pattern, &colors, n_colors);
-    assert!(evals <= n, "{label}: coloring should not exceed n");
-
-    for (&(i, j), &a) in entries.iter().zip(&vals) {
-        let b = colored[(i as usize, j as usize)];
-        assert!(
-            (a - b).abs() <= 1e-6 * a.abs().max(1.0),
-            "{label}: entry ({i},{j}): analytic {a} vs colored FD {b}"
-        );
-    }
-}
-
 #[test]
 fn analytic_matches_dense_fd_at_every_level_rdl_model() {
     for level in LEVELS {
@@ -138,42 +109,35 @@ fn analytic_matches_dense_fd_at_every_level_programmatic_model() {
 }
 
 #[test]
-fn analytic_matches_colored_fd_on_both_models() {
-    check_against_colored_fd(&rdl_model(OptLevel::Full), "rdl/full");
-    check_against_colored_fd(&programmatic_model(OptLevel::Full), "programmatic/full");
-}
-
-#[test]
 fn bdf_trajectories_agree_across_jacobian_sources() {
     let times = [0.1, 0.4, 1.0];
     for (model, label) in [
         (rdl_model(OptLevel::Full), "rdl"),
         (programmatic_model(OptLevel::Full), "programmatic"),
     ] {
-        // The simulator solves on the tapes; the finite-difference sources
-        // are reached through the solver over the same kernel.
+        // The simulator solves on the tapes; dense finite differences are
+        // reached through the solver over the same kernel.
         let simulator = TapeSimulator::from_artifact(&model, Vec::new());
         let rates = &model.system.rate_values;
         let analytic = simulator.trajectory(rates, 0, &times).unwrap();
-        let choice = simulator.engine_choice();
-        let bound = BoundKernel::new(choice, rates);
-        let fd = |source| {
-            let y0 = &model.system.initial;
-            solve_bdf_with_jacobian(&bound, 0.0, y0, &times, simulator.options, source)
-                .unwrap()
-                .0
-        };
-        let dense = fd(JacobianSource::FdDense);
-        let colored = fd(JacobianSource::FdColored(choice.patterns.fd()));
-        for (source, other) in [("analytic", analytic), ("fd-colored", colored)] {
-            for (row, (a_row, b_row)) in dense.iter().zip(&other).enumerate() {
-                for (a, b) in a_row.iter().zip(b_row) {
-                    assert!(
-                        (a - b).abs() <= 1e-4 * a.abs().max(1e-9),
-                        "{label}/{source} t={}: {a} vs {b}",
-                        times[row]
-                    );
-                }
+        let bound = BoundKernel::new(simulator.engine_choice(), rates);
+        let y0 = &model.system.initial;
+        let (dense, _) = solve_bdf_with_jacobian(
+            &bound,
+            0.0,
+            y0,
+            &times,
+            simulator.options,
+            JacobianSource::FdDense,
+        )
+        .unwrap();
+        for (row, (a_row, b_row)) in dense.iter().zip(&analytic).enumerate() {
+            for (a, b) in a_row.iter().zip(b_row) {
+                assert!(
+                    (a - b).abs() <= 1e-4 * a.abs().max(1e-9),
+                    "{label} t={}: {a} vs {b}",
+                    times[row]
+                );
             }
         }
     }

@@ -42,7 +42,6 @@ fn programmatic_model() -> Arc<CompiledArtifact> {
 #[derive(Debug, Clone, Copy)]
 enum Source {
     Analytic,
-    FdColored,
     FdDense,
 }
 
@@ -58,13 +57,11 @@ fn trajectory(
     let choice = choice.expect("every artifact carries interp and exec");
     let (rates, y0) = (&model.system.rate_values, &model.system.initial);
     let simulator = TapeSimulator::new(choice, y0.clone(), Vec::new());
-    let choice = simulator.engine_choice();
-    let source = match source {
-        Source::Analytic => return simulator.trajectory(rates, 0, times).unwrap(),
-        Source::FdColored => JacobianSource::FdColored(choice.patterns.fd()),
-        Source::FdDense => JacobianSource::FdDense,
-    };
-    let bound = BoundKernel::new(choice, rates);
+    if let Source::Analytic = source {
+        return simulator.trajectory(rates, 0, times).unwrap();
+    }
+    let bound = BoundKernel::new(simulator.engine_choice(), rates);
+    let source = JacobianSource::FdDense;
     solve_bdf_with_jacobian(&bound, 0.0, y0, times, simulator.options, source)
         .unwrap()
         .0
@@ -78,7 +75,7 @@ fn trajectory(
 fn bdf_trajectories_agree_across_engines_on_both_models() {
     let times = [0.1, 0.4, 1.0];
     for (model, label) in [(rdl_model(), "rdl"), (programmatic_model(), "programmatic")] {
-        for mode in [Source::FdDense, Source::FdColored, Source::Analytic] {
+        for mode in [Source::FdDense, Source::Analytic] {
             let interp = trajectory(&model, mode, "interp", &times);
             let exec = trajectory(&model, mode, "exec", &times);
             for (row, (a_row, b_row)) in interp.iter().zip(&exec).enumerate() {

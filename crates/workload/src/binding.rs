@@ -42,13 +42,16 @@ impl<'a> BoundKernel<'a> {
         }
     }
 
-    /// The solver's Jacobian source: the compiled analytic tapes when the
-    /// artifact carries them (the *Deriv* stage ran), colored finite
-    /// differences over the structural sparsity otherwise.
-    pub fn jacobian_source(&self) -> JacobianSource<'_> {
+    /// The solver's Jacobian source: the compiled analytic tapes. An
+    /// artifact compiled without the *Deriv* stage carries none, and a
+    /// solve over it is this error rather than another Jacobian.
+    pub fn jacobian_source(&self) -> Result<JacobianSource<'_>, String> {
         match self.patterns.analytic() {
-            Some(_) => JacobianSource::AnalyticTape(self),
-            None => JacobianSource::FdColored(self.patterns.fd()),
+            Some(_) => Ok(JacobianSource::AnalyticTape(self)),
+            None => Err(
+                "no analytic Jacobian: the artifact was compiled without the Deriv stage"
+                    .to_string(),
+            ),
         }
     }
 }
@@ -62,18 +65,13 @@ impl OdeRhs for BoundKernel<'_> {
         let mut s = self.scratch.borrow_mut();
         self.kernel.rhs(self.rates, y, ydot, &mut s.kernel);
     }
-
-    fn eval_batch(&self, _t: f64, ys: &[f64], ydots: &mut [f64]) {
-        let mut s = self.scratch.borrow_mut();
-        self.kernel.rhs_batch(self.rates, ys, ydots, &mut s.kernel);
-    }
 }
 
 impl AnalyticJacobian for BoundKernel<'_> {
     fn pattern(&self) -> &SparsityPattern {
         self.patterns
             .analytic()
-            .expect("analytic source only offered when the tapes are compiled")
+            .expect("analytic source only offered when the Deriv stage ran")
     }
 
     fn eval_values(&self, _t: f64, y: &[f64], vals: &mut [f64]) {

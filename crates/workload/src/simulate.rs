@@ -44,10 +44,11 @@ impl TapeSimulator {
     /// Build a simulator over a compiled pipeline artifact, solving on
     /// the kernel the artifact runs ([`CompiledArtifact::kernel`]). The
     /// artifact's kernels and sparsity patterns are shared, not copied.
-    /// Every BDF solve takes its Jacobian as
-    /// [`BoundKernel::jacobian_source`] finds it — the analytic tapes when
-    /// the *Deriv* stage ran — and factors it as
-    /// [`options`](TapeSimulator::options)' `linear_solver` (`Auto`) decides.
+    /// Every BDF solve runs the analytic Jacobian tapes
+    /// ([`BoundKernel::jacobian_source`]) and factors it as
+    /// [`options`](TapeSimulator::options)' `linear_solver` (`Auto`)
+    /// decides; over an artifact compiled without the *Deriv* stage a
+    /// solve returns an error that names the stage.
     pub fn from_artifact(artifact: &CompiledArtifact, observable: Vec<f64>) -> TapeSimulator {
         TapeSimulator::new(
             artifact.kernel(),
@@ -137,7 +138,7 @@ impl TapeSimulator {
     ) -> Result<Vec<T>, String> {
         let bound = BoundKernel::new(&self.choice, rate_constants);
         let mut solver = self.bdf(&bound, file_index);
-        solver.set_jacobian_source(bound.jacobian_source());
+        solver.set_jacobian_source(bound.jacobian_source()?);
         let mut out = Vec::with_capacity(times.len());
         for &t in times {
             solver.integrate_to(t).map_err(|e| e.to_string())?;
@@ -247,7 +248,7 @@ mod tests {
     }
 
     fn small_simulator() -> (TapeSimulator, Vec<f64>) {
-        simulator_with(|_| {})
+        simulator_with(|options| options.deriv = true)
     }
 
     #[test]
@@ -339,21 +340,12 @@ mod tests {
         assert_eq!(out.health.file_failures[0].error, error);
     }
 
-    fn small_simulator_with_jacobian() -> (TapeSimulator, Vec<f64>) {
-        simulator_with(|options| options.deriv = true)
-    }
-
     /// The observable at `times` from one BDF solve over `sim`'s kernel
-    /// per Jacobian source: the one the artifact selects, then colored and
-    /// dense finite differences.
+    /// per Jacobian source: the analytic tapes, then dense finite
+    /// differences.
     fn observable_per_source(sim: &TapeSimulator, rates: &[f64], times: &[f64]) -> Vec<Vec<f64>> {
-        let choice = sim.engine_choice();
-        let bound = BoundKernel::new(choice, rates);
-        let sources = [
-            bound.jacobian_source(),
-            JacobianSource::FdColored(choice.patterns.fd()),
-            JacobianSource::FdDense,
-        ];
+        let bound = BoundKernel::new(sim.engine_choice(), rates);
+        let sources = [bound.jacobian_source().unwrap(), JacobianSource::FdDense];
         sources
             .into_iter()
             .map(|source| {
@@ -367,22 +359,14 @@ mod tests {
 
     #[test]
     fn analytic_jacobian_matches_fd_trajectories() {
-        // An artifact with tapes solves on them, one without on colored
-        // finite differences; dense finite differences only through `Bdf`.
-        let (sim, rates) = small_simulator_with_jacobian();
+        // The simulator solves on the tapes; dense finite differences
+        // only through `Bdf`.
+        let (sim, rates) = small_simulator();
         let times = [0.2, 0.6, 1.2, 2.4];
         let analytic = sim.simulate(&rates, 0, &times).unwrap();
-        let colored = small_simulator().0.simulate(&rates, 0, &times).unwrap();
-        let dense = observable_per_source(&sim, &rates, &times).remove(2);
+        let dense = observable_per_source(&sim, &rates, &times).remove(1);
         for i in 0..times.len() {
             let scale = analytic[i].abs().max(1e-12);
-            assert!(
-                (analytic[i] - colored[i]).abs() < 1e-4 * scale,
-                "t={}: analytic {} vs colored {}",
-                times[i],
-                analytic[i],
-                colored[i]
-            );
             assert!(
                 (analytic[i] - dense[i]).abs() < 1e-4 * scale,
                 "t={}: analytic {} vs dense {}",
@@ -394,20 +378,19 @@ mod tests {
     }
 
     #[test]
-    fn analytic_mode_without_tapes_falls_back() {
-        let (sim, rates) = small_simulator();
+    fn a_solve_without_the_deriv_stage_is_an_error() {
+        let (sim, rates) = simulator_with(|_| {});
         let bound = BoundKernel::new(sim.engine_choice(), &rates);
-        assert!(matches!(
-            bound.jacobian_source(),
-            JacobianSource::FdColored(_)
-        ));
-        let out = sim.simulate(&rates, 0, &[1.0]).unwrap();
-        assert!(out[0].is_finite());
+        let err = bound.jacobian_source().err().expect("no tapes, no source");
+        assert!(err.contains("Deriv stage"), "{err}");
+        // Every solve path says so, and none switches to another Jacobian.
+        assert_eq!(sim.simulate(&rates, 0, &[1.0]).unwrap_err(), err);
+        assert_eq!(sim.trajectory(&rates, 0, &[1.0]).unwrap_err(), err);
     }
 
     #[test]
     fn exec_engine_runs_every_jacobian_mode() {
-        let (sim, rates) = small_simulator_with_jacobian();
+        let (sim, rates) = small_simulator();
         let times = [0.5, 1.0];
         let analytic = sim.simulate(&rates, 0, &times).unwrap();
         let per_source = observable_per_source(&sim, &rates, &times);
@@ -431,7 +414,7 @@ mod tests {
         let bound = BoundKernel::new(sim.engine_choice(), &artifact.system.rate_values);
         assert!(matches!(
             bound.jacobian_source(),
-            JacobianSource::AnalyticTape(_)
+            Ok(JacobianSource::AnalyticTape(_))
         ));
         let choice = artifact.kernel();
         assert!(Arc::ptr_eq(&sim.engine_choice().kernel, &choice.kernel));

@@ -4,8 +4,21 @@
 //!
 //! Run with `cargo run --release --example compiler_explorer`.
 
-use rms_suite::workload::{generate_model, VulcanizationSpec};
-use rms_suite::{compile_model, emit_c, generic_compile, GenericOptions, OptLevel, Passes};
+use std::sync::Arc;
+
+use rms_suite::workload::{generate_model, VulcanizationModel, VulcanizationSpec};
+use rms_suite::{
+    emit_c, generic_compile, CompiledArtifact, CompilerSession, GenericOptions, OptLevel, Passes,
+};
+
+/// Compile `model` at `level` for inspection: nothing here solves, so the
+/// session skips the *Deriv* stage `rms_suite::compile_model` runs.
+fn compile(model: &VulcanizationModel, level: OptLevel) -> Arc<CompiledArtifact> {
+    CompilerSession::new(level)
+        .compile_network("<network>", model.network.clone(), model.rates.clone())
+        .expect("compiles")
+        .artifact
+}
 
 fn main() {
     let model = generate_model(VulcanizationSpec::for_equation_count(450));
@@ -24,8 +37,7 @@ fn main() {
     );
     let mut baseline_total = 0usize;
     for level in OptLevel::ALL {
-        let suite =
-            compile_model(model.network.clone(), model.rates.clone(), level).expect("compiles");
+        let suite = compile(&model, level);
         let counts = suite.compiled.stages.after_cse;
         if level == OptLevel::None {
             baseline_total = counts.total();
@@ -41,8 +53,7 @@ fn main() {
     }
 
     // --- ablation: CSE without the distributive pass ------------------
-    let suite = compile_model(model.network.clone(), model.rates.clone(), OptLevel::None)
-        .expect("compiles");
+    let suite = compile(&model, OptLevel::None);
     let cse_only = rms_suite::optimize_with_passes(
         &suite.system,
         Passes {
@@ -62,8 +73,7 @@ fn main() {
 
     // --- the commercial compiler model --------------------------------
     println!("\n=== generic 'commercial' compiler (Table 1's xlc model) ===");
-    let unopt = compile_model(model.network.clone(), model.rates.clone(), OptLevel::None)
-        .expect("compiles");
+    let unopt = compile(&model, OptLevel::None);
     // Feed the SSA lowering (the shape of the emitted C), not the
     // register-compacted execution tape.
     let ssa = rms_suite::lower(&unopt.compiled.forest);
@@ -99,6 +109,6 @@ fn main() {
         max_chain: 2,
         neighbourhood: 1,
     });
-    let tiny = compile_model(tiny.network, tiny.rates, OptLevel::Full).expect("compiles");
+    let tiny = compile(&tiny, OptLevel::Full);
     print!("{}", emit_c(&tiny.compiled.forest, "vulcanization_rhs"));
 }

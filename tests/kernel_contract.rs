@@ -1,6 +1,5 @@
 //! The `Kernel` contract, checked on every evaluator an artifact carries
-//! against the tape interpreter: right-hand side (scalar and batched),
-//! the Jacobian, and `∂f/∂p` on its resume path and off it — and, through
+//! against the tape interpreter: right-hand side, the Jacobian, and `∂f/∂p` on its resume path and off it — and, through
 //! the one `TapeSimulator` every solve path shares, the trajectories each
 //! evaluator integrates to. Which evaluator a solve runs is the
 //! artifact's to say.
@@ -84,9 +83,6 @@ fn assert_same(got: &[f64], want: &[f64], what: &str) {
 #[derive(Default)]
 struct Outputs {
     rhs: Vec<Vec<f64>>,
-    /// `rhs_batch` over 1, 7, 8 and 9 stacked states (below, at and past
-    /// the exec engine's lane count; the others loop over `rhs`).
-    batches: Vec<Vec<f64>>,
     /// `(ydot, values)` of `rhs_jac`.
     jac: (Vec<f64>, Vec<f64>),
     dfdp_resumed: Vec<f64>,
@@ -103,12 +99,6 @@ fn evaluate(kernel: &dyn Kernel, rates: &[f64]) -> Outputs {
         let mut ydot = vec![0.0; n];
         kernel.rhs(rates, &state(n, seed), &mut ydot, &mut scratch);
         out.rhs.push(ydot);
-    }
-    for count in [1, 7, 8, 9] {
-        let ys: Vec<f64> = (0..count).flat_map(|s| state(n, s)).collect();
-        let mut ydots = vec![0.0; ys.len()];
-        kernel.rhs_batch(rates, &ys, &mut ydots, &mut scratch);
-        out.batches.push(ydots);
     }
     let (here, there) = (state(n, 1), state(n, 2));
     let nnz_jac = kernel.jac_entries().expect("group compiled").len();
@@ -150,13 +140,7 @@ fn every_kernel_matches_the_interpreter() {
         let interp = evaluators.next().expect("the interpreter comes first");
         assert_eq!(interp.engine, "interp", "{label}");
         let oracle = evaluate(&*interp.kernel, rates);
-        // The oracle itself: batches are the scalar RHS stacked, and the
-        // resumed `∂f/∂p` is the cold one.
-        for (batch, count) in oracle.batches.iter().zip([1, 7, 8, 9]) {
-            for s in 0..count.min(3) {
-                assert_same(&batch[s * n..(s + 1) * n], &oracle.rhs[s], label);
-            }
-        }
+        // The oracle itself: the resumed `∂f/∂p` is the cold one.
         assert_eq!(oracle.dfdp_resumed, oracle.dfdp_cold, "{label}: resume");
         assert_eq!(
             oracle.dfdp_resumed_elsewhere, oracle.dfdp_elsewhere,
@@ -177,9 +161,6 @@ fn every_kernel_matches_the_interpreter() {
             let what = |part: &str| format!("{label}/{mode}: {part}");
             for (g, w) in got.rhs.iter().zip(&oracle.rhs) {
                 assert_same(g, w, &what("rhs"));
-            }
-            for (g, w) in got.batches.iter().zip(&oracle.batches) {
-                assert_same(g, w, &what("rhs_batch"));
             }
             assert_same(&got.jac.0, &oracle.jac.0, &what("rhs_jac ydot"));
             assert_same(&got.jac.1, &oracle.jac.1, &what("rhs_jac values"));
@@ -208,8 +189,8 @@ fn every_kernel_matches_the_interpreter() {
 /// under each Jacobian source and the sensitivity-augmented one. Read
 /// whole (`trajectory`, what `rmsc simulate` prints) or measured
 /// (`simulate`, what a fit or a served job sees), the simulator's plain
-/// solve is the same solve, to the bit; the finite-difference sources,
-/// which no artifact with tapes selects, run through the solver.
+/// solve is the same solve, to the bit; dense finite differences, which
+/// no solve over an artifact selects, run through the solver.
 #[test]
 fn every_engine_integrates_like_the_interpreter() {
     let dir = temp_dir("select");
@@ -233,16 +214,11 @@ fn every_engine_integrates_like_the_interpreter() {
             let mut got = vec![observed];
             let choice = sim.engine_choice();
             let bound = BoundKernel::new(choice, rates);
-            for source in [
-                JacobianSource::FdColored(choice.patterns.fd()),
-                JacobianSource::FdDense,
-            ] {
-                let y0 = &artifact.system.initial;
-                let (states, _) =
-                    solve_bdf_with_jacobian(&bound, 0.0, y0, &times, sim.options, source)
-                        .expect("finite-difference solve");
-                got.push(states.iter().map(|y| sim.measure(y)).collect());
-            }
+            let y0 = &artifact.system.initial;
+            let source = JacobianSource::FdDense;
+            let (states, _) = solve_bdf_with_jacobian(&bound, 0.0, y0, &times, sim.options, source)
+                .expect("finite-difference solve");
+            got.push(states.iter().map(|y| sim.measure(y)).collect());
             let (values, sens) = sim
                 .simulate_with_sensitivities(rates, 0, &times)
                 .expect("augmented solve");

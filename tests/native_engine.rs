@@ -42,6 +42,7 @@ enum Family {
 /// into `dir` so the test controls (and cleans up) the `.so` location.
 fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc<CompiledArtifact> {
     let mut options = SessionOptions::new(level);
+    options.deriv = true;
     options.native = true;
     options.cache_dir = Some(dir.to_path_buf());
     let session = CompilerSession::with_options(options);

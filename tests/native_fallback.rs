@@ -73,6 +73,7 @@ fn library_native_request_degrades_to_exec_with_a_diagnostic() {
     std::env::set_var("CC", BROKEN_CC);
 
     let mut options = SessionOptions::new(OptLevel::Full);
+    options.deriv = true;
     options.native = true;
     let compiled = CompilerSession::with_options(options)
         .compile_source("vulcanization.rdl", VULCANIZATION_RDL)

@@ -69,7 +69,7 @@ fn solve(kind: Kind, rtol: f64) -> Solve {
         atol: rtol * 1e-3,
         ..SolverOptions::default()
     };
-    let source = bound.jacobian_source();
+    let source = bound.jacobian_source().expect("Deriv ran");
     let (y0, times) = (&model.system.initial, times());
     let (states, sens, stats) = match kind {
         Kind::Plain => {

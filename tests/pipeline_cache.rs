@@ -65,6 +65,14 @@ fn compile(model: Model, options: SessionOptions) -> Compiled {
     }
 }
 
+/// Options at `level` with the *Deriv* stage every solve needs.
+fn solvable(level: OptLevel) -> SessionOptions {
+    SessionOptions {
+        deriv: true,
+        ..SessionOptions::new(level)
+    }
+}
+
 /// Short BDF trajectory from the artifact's own initial state.
 fn trajectory(artifact: &CompiledArtifact) -> Vec<Vec<f64>> {
     let simulator = TapeSimulator::from_artifact(artifact, Vec::new());
@@ -80,7 +88,8 @@ fn solve(artifact: &CompiledArtifact, augmented: bool) -> (Vec<u64>, SolveStats)
     let choice = artifact.kernel();
     let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let (y0, times) = (&artifact.system.initial, [0.02, 0.05]);
-    let (options, source) = (SolverOptions::default(), bound.jacobian_source());
+    let options = SolverOptions::default();
+    let source = bound.jacobian_source().expect("Deriv ran");
     let (rows, stats) = if augmented {
         let (states, sens, stats) =
             solve_bdf_sensitivities(&bound, &bound, 0.0, y0, &times, options, source)
@@ -145,11 +154,12 @@ fn assert_identical(cold: &Arc<CompiledArtifact>, hit: &Arc<CompiledArtifact>, l
         });
         let shape = |p: &rms_suite::NewtonPlan| (p.fill_nnz(), p.factor_macs(), p.order().to_vec());
         assert!(shape(&plans[0]) == shape(&plans[1]), "{label}: plans");
+        // Same dynamics through the simulator front door: the BDF
+        // trajectories are bit-identical because the solver runs the
+        // same instructions on the same initial state. (A plain artifact
+        // carries no Jacobian, and no solve runs it.)
+        assert_eq!(trajectory(cold), trajectory(hit), "{label}: trajectories");
     }
-    // Same dynamics through the simulator front door: the BDF
-    // trajectories are bit-identical because the solver runs the same
-    // instructions on the same initial state.
-    assert_eq!(trajectory(cold), trajectory(hit), "{label}: trajectories");
 }
 
 #[test]
@@ -159,15 +169,15 @@ fn cache_hits_reproduce_cold_compiles_at_every_level() {
         for level in LEVELS {
             let label = format!("{level}");
             // Guaranteed-cold reference compile.
-            let mut bypass = SessionOptions::new(level);
+            let mut bypass = solvable(level);
             bypass.cache = CacheMode::Bypass;
             let cold = compile(model, bypass);
             assert_eq!(cold.status, CacheStatus::Cold);
 
             // Cached compile twice: the second must be a memory hit that
             // shares the first's allocation.
-            let warm = compile(model, SessionOptions::new(level));
-            let hit = compile(model, SessionOptions::new(level));
+            let warm = compile(model, solvable(level));
+            let hit = compile(model, solvable(level));
             assert_eq!(hit.status, CacheStatus::Memory, "{label}");
             assert!(Arc::ptr_eq(&warm.artifact, &hit.artifact), "{label}");
 
@@ -293,10 +303,10 @@ fn memory_hit_persists_into_a_cache_dir_that_lacks_the_entry() {
     let dir = std::env::temp_dir().join(format!("rms-pipeline-memhit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     // Someone without a cache directory compiles the model first …
-    let first = compile(Model::Network, SessionOptions::new(OptLevel::Full));
+    let first = compile(Model::Network, solvable(OptLevel::Full));
     // … so a session with one is served from memory, and must still
     // leave its entry behind for the next process.
-    let mut options = SessionOptions::new(OptLevel::Full);
+    let mut options = solvable(OptLevel::Full);
     options.cache_dir = Some(dir.clone());
     let hit = compile(Model::Network, options.clone());
     assert_eq!(hit.status, CacheStatus::Memory);
@@ -335,7 +345,7 @@ fn corrupt_disk_entries_quarantine_and_fall_back_to_cold() {
     let _guard = lock();
     let dir = std::env::temp_dir().join(format!("rms-cache-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut options = SessionOptions::new(OptLevel::Full);
+    let mut options = solvable(OptLevel::Full);
     options.cache_dir = Some(dir.clone());
 
     cache::clear_memory();

@@ -59,6 +59,7 @@ enum Family {
 /// Compile one workload family with the Codegen stage enabled.
 fn compile_native(family: Family, level: OptLevel, dir: &std::path::Path) -> Arc<CompiledArtifact> {
     let mut options = SessionOptions::new(level);
+    options.deriv = true;
     options.native = true;
     options.cache_dir = Some(dir.to_path_buf());
     let session = CompilerSession::with_options(options);
@@ -129,8 +130,8 @@ fn interp_exec_and_native_trajectories_of_one_artifact_agree_exactly() {
                     artifact.native_diag
                 )
             });
-            // These compiles carry no derivative groups, so the counter
-            // describes the one scalar group the solves below run. The
+            // The counter covers every group the object renders: the
+            // right-hand side and the Jacobian the solves below run. The
             // two vulcanization families repeat reaction stanzas at every
             // level, even at this toy scale: a kernel of theirs without
             // loop regions means the emitter's loop side went away.

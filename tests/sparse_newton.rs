@@ -1,7 +1,6 @@
 //! Cross-crate integration tests for the sparse Newton path: BDF
 //! trajectories under `LinearSolver::Sparse` match the dense baseline
-//! on both workload model families and both sparsity-aware Jacobian
-//! sources, the factorization actually is sparse (nnz(L+U) ≪ n²), and
+//! on both workload model families, the factorization actually is sparse (nnz(L+U) ≪ n²), and
 //! the analysis behind it runs once per compiled model: every solve over
 //! an artifact shares the artifact's `NewtonPlan`, bit for bit the one a
 //! solve would have analyzed for itself — and that plan's multiply-add
@@ -12,8 +11,7 @@
 
 use std::sync::{Arc, Barrier, Mutex};
 
-use rms_driver::KernelChoice;
-use rms_solver::{orderings_computed_on_this_thread, ColoredPattern};
+use rms_solver::orderings_computed_on_this_thread;
 use rms_suite::{
     cache, solve_bdf_sensitivities, solve_bdf_with_jacobian, AnalyticJacobian, Bdf, BoundKernel,
     CacheMode, CacheStatus, CompiledArtifact, CompilerSession, FnRhs, JacobianSource, LinearSolver,
@@ -68,70 +66,42 @@ fn rel_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// A sparsity-aware Jacobian source: the tapes the artifact carries,
-/// which every solve over it selects, or colored finite differences over
-/// the artifact's structural pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Analytic,
-    FdColored,
-}
-
-impl Source {
-    fn of<'a>(self, choice: &'a KernelChoice, bound: &'a BoundKernel<'a>) -> JacobianSource<'a> {
-        match self {
-            Source::Analytic => bound.jacobian_source(),
-            Source::FdColored => JacobianSource::FdColored(choice.patterns.fd()),
-        }
-    }
-}
-
 /// The exec engine's states at [`TIMES`] under `options`, taken by one
 /// BDF solve.
-fn trajectory(
-    model: &CompiledArtifact,
-    options: SolverOptions,
-    source: Source,
-) -> Result<Vec<Vec<f64>>, String> {
+fn trajectory(model: &CompiledArtifact, options: SolverOptions) -> Result<Vec<Vec<f64>>, String> {
     let choice = model.kernel();
     let bound = BoundKernel::new(&choice, &model.system.rate_values);
     let y0 = &model.system.initial;
-    let solve =
-        solve_bdf_with_jacobian(&bound, 0.0, y0, &TIMES, options, source.of(&choice, &bound));
+    let source = bound.jacobian_source()?;
+    let solve = solve_bdf_with_jacobian(&bound, 0.0, y0, &TIMES, options, source);
     solve.map(|(states, _)| states).map_err(|e| e.to_string())
 }
 
-/// Sparse-vs-dense agreement for one model under both sparsity-aware
-/// Jacobian sources (analytic tapes and colored finite differences).
+/// Sparse-vs-dense agreement for one model over its analytic Jacobian.
 /// The tolerance pair is per-model: as tight as its scaling admits.
 fn assert_solvers_agree(model: &CompiledArtifact, label: &str, rtol: f64, atol: f64) {
-    for mode in [Source::Analytic, Source::FdColored] {
-        let dense = trajectory(model, tight(LinearSolver::Dense, rtol, atol), mode)
-            .unwrap_or_else(|e| panic!("{label}/{mode:?}: dense solve failed: {e}"));
-        let sparse = trajectory(model, tight(LinearSolver::Sparse, rtol, atol), mode)
-            .unwrap_or_else(|e| panic!("{label}/{mode:?}: sparse solve failed: {e}"));
-        let diff = rel_diff(&dense, &sparse);
-        assert!(
-            diff <= 1e-12,
-            "{label}/{mode:?}: sparse trajectory deviates from dense by {diff:.3e}"
-        );
-        assert!(
-            sparse.iter().flatten().all(|v| v.is_finite()),
-            "{label}/{mode:?}: non-finite state"
-        );
-        // Non-vacuity: the system genuinely evolved over the horizon —
-        // a trajectory frozen at y0 would agree trivially.
-        let moved = sparse
-            .last()
-            .unwrap()
-            .iter()
-            .zip(&model.system.initial)
-            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-        assert!(
-            moved > 1e-6,
-            "{label}/{mode:?}: state never moved ({moved:e})"
-        );
-    }
+    let dense = trajectory(model, tight(LinearSolver::Dense, rtol, atol))
+        .unwrap_or_else(|e| panic!("{label}: dense solve failed: {e}"));
+    let sparse = trajectory(model, tight(LinearSolver::Sparse, rtol, atol))
+        .unwrap_or_else(|e| panic!("{label}: sparse solve failed: {e}"));
+    let diff = rel_diff(&dense, &sparse);
+    assert!(
+        diff <= 1e-12,
+        "{label}: sparse trajectory deviates from dense by {diff:.3e}"
+    );
+    assert!(
+        sparse.iter().flatten().all(|v| v.is_finite()),
+        "{label}: non-finite state"
+    );
+    // Non-vacuity: the system genuinely evolved over the horizon — a
+    // trajectory frozen at y0 would agree trivially.
+    let moved = sparse
+        .last()
+        .unwrap()
+        .iter()
+        .zip(&model.system.initial)
+        .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+    assert!(moved > 1e-6, "{label}: state never moved ({moved:e})");
 }
 
 #[test]
@@ -214,7 +184,7 @@ fn solver_stats_report_sparse_fill() {
         &compiled.system.initial,
         &[0.01],
         options,
-        bound.jacobian_source(),
+        bound.jacobian_source().expect("Deriv ran"),
     )
     .expect("sparse BDF solve succeeds");
 
@@ -239,7 +209,7 @@ fn solver_stats_report_sparse_fill() {
         &compiled.system.initial,
         &[0.01],
         options,
-        bound.jacobian_source(),
+        bound.jacobian_source().expect("Deriv ran"),
     )
     .expect("dense BDF solve succeeds");
     assert_eq!(dense_stats.fill_nnz, n * n);
@@ -363,21 +333,17 @@ fn solve_sparse(
     solve_with(artifact, bound, source, sparse_options(), kind)
 }
 
-/// The counters of a solve of `kind` through `source`, at the
-/// simulator's tolerances.
-fn solve_stats(
-    artifact: &CompiledArtifact,
-    kind: Kind,
-    source: Source,
-    linear_solver: LinearSolver,
-) -> SolveStats {
+/// The counters of a solve of `kind` over the artifact's Jacobian, at
+/// the simulator's tolerances.
+fn solve_stats(artifact: &CompiledArtifact, kind: Kind, linear_solver: LinearSolver) -> SolveStats {
     let choice = artifact.kernel();
     let bound = BoundKernel::new(&choice, &artifact.system.rate_values);
     let options = SolverOptions {
         linear_solver,
         ..SolverOptions::default()
     };
-    solve_with(artifact, &bound, source.of(&choice, &bound), options, kind).1
+    let source = bound.jacobian_source().expect("Deriv ran");
+    solve_with(artifact, &bound, source, options, kind).1
 }
 
 /// The shared plan is the analysis a solve would have run: plain and
@@ -505,7 +471,7 @@ fn a_solve_after_a_failed_one_reuses_its_plan() {
         };
         let bound = BoundKernel::new(&choice, rates);
         let mut solver = Bdf::new(&bound, 0.0, &artifact.system.initial, options);
-        solver.set_jacobian_source(bound.jacobian_source());
+        solver.set_jacobian_source(bound.jacobian_source().expect("Deriv ran"));
         let outcome = solver.integrate_to(0.05);
         assert!(solver.stats().factorizations > 0);
         assert_eq!(solver.stats().symbolic_analyses, 0);
@@ -554,7 +520,7 @@ fn dense_solves_never_build_a_plan() {
     assert_eq!((kept.fill_nnz(), kept.factor_macs()), (5_549, 79_833));
     for kind in KINDS {
         for _ in 0..2 {
-            let stats = solve_stats(&artifact, kind, Source::Analytic, LinearSolver::Auto);
+            let stats = solve_stats(&artifact, kind, LinearSolver::Auto);
             assert_eq!(stats.fill_nnz, 5_549, "{kind:?}");
             assert_eq!(stats.symbolic_analyses, 0, "{kind:?}");
         }
@@ -565,10 +531,9 @@ fn dense_solves_never_build_a_plan() {
 
 /// No solve over an artifact analyzes for itself, whichever way the
 /// linear solver is chosen or chooses, whatever the artifact's history:
-/// the plans belong to the artifact's patterns (one for the analytic
-/// Jacobian, one beside the finite-difference coloring). And no solve
-/// through the analytic pattern orders it either: the cold compile did,
-/// and a revived artifact carries that order.
+/// the plan belongs to the artifact's analytic pattern. And no solve
+/// orders it either: the cold compile did, and a revived artifact carries
+/// that order.
 #[test]
 fn artifact_backed_solves_never_analyze() {
     let model = scaled_case(2, 125);
@@ -594,27 +559,16 @@ fn artifact_backed_solves_never_analyze() {
             LinearSolver::Auto,
             LinearSolver::Sparse,
         ] {
-            for (kind, mode) in [
-                (Kind::Plain, Source::Analytic),
-                (Kind::Plain, Source::FdColored),
-                (Kind::Augmented, Source::Analytic),
-            ] {
+            for kind in KINDS {
                 let ordered = orderings_computed_on_this_thread();
-                let stats = solve_stats(artifact, kind, mode, solver);
-                if mode == Source::Analytic {
-                    let ran = orderings_computed_on_this_thread() - ordered;
-                    assert_eq!(ran, 0, "{label}/{solver}/{kind:?}: minimum-degree passes");
-                }
+                let stats = solve_stats(artifact, kind, solver);
+                let ran = orderings_computed_on_this_thread() - ordered;
+                assert_eq!(ran, 0, "{label}/{solver}/{kind:?}: minimum-degree passes");
                 assert!(stats.factorizations > 0);
-                assert_eq!(
-                    stats.symbolic_analyses, 0,
-                    "{label}/{solver}/{kind:?}/{mode:?}"
-                );
+                assert_eq!(stats.symbolic_analyses, 0, "{label}/{solver}/{kind:?}");
             }
             if solver == LinearSolver::Dense && label == "revived" {
-                let patterns = artifact.kernel().patterns;
-                assert!(patterns.built_plan().is_none());
-                assert!(patterns.fd().pattern.built_plan().is_none());
+                assert!(artifact.kernel().patterns.built_plan().is_none());
             }
         }
     }
@@ -630,7 +584,7 @@ fn auto_decides_from_the_plans_multiply_adds() {
     let jacobian_plan = |model: &CompiledArtifact| {
         let patterns = model.kernel().patterns;
         let plan = patterns.plan().expect("Deriv ran");
-        let stats = solve_stats(model, Kind::Plain, Source::Analytic, LinearSolver::Auto);
+        let stats = solve_stats(model, Kind::Plain, LinearSolver::Auto);
         (plan, stats.fill_nnz)
     };
     let rdl = deriv_session()
@@ -654,6 +608,22 @@ fn auto_decides_from_the_plans_multiply_adds() {
             *d = mean - v;
         }
     });
+    /// `∂(mean − y_i)/∂y_j = 1/n − δ_ij`, with the plan its owner keeps.
+    struct Mixing(SparsityPattern, Arc<NewtonPlan>);
+    impl AnalyticJacobian for Mixing {
+        fn pattern(&self) -> &SparsityPattern {
+            &self.0
+        }
+        fn eval_values(&self, _t: f64, y: &[f64], vals: &mut [f64]) {
+            let n = y.len();
+            for (k, v) in vals.iter_mut().enumerate() {
+                *v = 1.0 / n as f64 - if k / n == k % n { 1.0 } else { 0.0 };
+            }
+        }
+        fn plan(&self) -> Option<Arc<NewtonPlan>> {
+            Some(self.1.clone())
+        }
+    }
     let y0: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let (_, coupled_stats) = solve_bdf_with_jacobian(
         &mixing,
@@ -661,9 +631,10 @@ fn auto_decides_from_the_plans_multiply_adds() {
         &y0,
         &[1.0],
         SolverOptions::default(),
-        JacobianSource::FdColored(&ColoredPattern::new(coupled)),
+        JacobianSource::AnalyticTape(&Mixing(coupled, coupled_plan.clone())),
     )
     .expect("coupled solve");
+    assert_eq!(coupled_stats.symbolic_analyses, 0, "the owner's plan");
 
     let table = [
         ("vulcanization.rdl", jacobian_plan(&rdl), true),
