@@ -25,6 +25,16 @@
 //!   over an artifact runs the compiled Jacobian, one state at a time.
 //!   Only the benchmark's per-layer probe of batched evaluation does.
 //!
+//! * **Derivative groups.** [`ExecGroup`] decodes the tapes of one
+//!   derivative group (RHS → `∂f/∂y` → optional `∂f/∂p`, one register
+//!   file) into one instruction stream over one frame — one constant
+//!   pool, one layout, one identity — with one segment per tape. Fusion
+//!   counts reads across the whole group, so a register one tape defines
+//!   and a later one reads is never fused away, and it never pairs
+//!   instructions of two tapes, so each segment can run on its own:
+//!   [`ExecGroup::resume`] runs the `∂f/∂p` segment over the frame an
+//!   earlier [`ExecGroup::eval`] of the head filled.
+//!
 //! [`ExecTape::op_counts`] reports the same totals as the source tape
 //! (each fused multiply-add counts as one multiply plus one add, a fused
 //! negating store as one add), so Table 1 reproduction numbers are
@@ -127,8 +137,17 @@ impl ExecTape {
     /// Decode a tape whose `Store` indices address `0..n_outputs`
     /// (e.g. the secondary tape of a Jacobian pair).
     pub fn compile_with_outputs(tape: &Tape, n_outputs: usize) -> ExecTape {
-        let decoded = decode(tape, n_outputs);
-        fuse(decoded)
+        let decoded = decode(&[tape]);
+        let (instrs, _) = fuse(&decoded.instrs, &decoded.ends, decoded.frame_len);
+        ExecTape {
+            instrs,
+            consts: decoded.consts,
+            frame_len: decoded.frame_len,
+            n_species: tape.n_species,
+            n_rates: tape.n_rates,
+            n_outputs,
+            id: NEXT_TAPE_ID.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// Instructions executed per evaluation. Fusion shrinks this below
@@ -172,37 +191,15 @@ impl ExecTape {
     /// a fused negating store as one add (`Neg` is add-class), and
     /// `Copy`/`Store` are free.
     pub fn op_counts(&self) -> OpCounts {
-        let mut counts = OpCounts::default();
-        for instr in &self.instrs {
-            match instr {
-                ExecInstr::Mul { .. } => counts.mults += 1,
-                ExecInstr::Add { .. } | ExecInstr::Sub { .. } | ExecInstr::Neg { .. } => {
-                    counts.adds += 1
-                }
-                ExecInstr::MulAdd { .. } | ExecInstr::MulSub { .. } | ExecInstr::SubMul { .. } => {
-                    counts.mults += 1;
-                    counts.adds += 1;
-                }
-                ExecInstr::StoreNeg { .. } => counts.adds += 1,
-                ExecInstr::Copy { .. } | ExecInstr::Store { .. } => {}
-            }
-        }
-        counts
+        count_ops(&self.instrs)
     }
 
     /// Prepare `frame` for this tape: size the scalar buffer and write
     /// the constant pool into its slots. Cheap when the frame is already
     /// bound to this tape.
     fn bind(&self, frame: &mut ExecFrame) {
-        if frame.tape_id == self.id && frame.data.len() == self.frame_len {
-            return;
-        }
-        frame.data.clear();
-        frame.data.resize(self.frame_len, 0.0);
         let const_base = self.n_rates + self.n_species;
-        frame.data[const_base..const_base + self.consts.len()].copy_from_slice(&self.consts);
-        frame.tape_id = self.id;
-        frame.batch_bound = false;
+        frame.bind(self.id, self.frame_len, const_base, &self.consts);
     }
 
     /// Prepare the batched (lane-major) buffers of `frame`.
@@ -296,6 +293,122 @@ impl ExecTape {
             step_lanes(*instr, batch, out);
         }
     }
+}
+
+/// The tapes of one derivative group decoded for execution: RHS →
+/// `∂f/∂y` → optional `∂f/∂p`, which run back to back on one register
+/// file, as one fused instruction stream over one frame with one segment
+/// per tape. Segment `k` stores into its own output (the tape's arity:
+/// species, Jacobian nonzeros, `∂f/∂p` nonzeros).
+#[derive(Debug, Clone)]
+pub struct ExecGroup {
+    instrs: Vec<ExecInstr>,
+    /// End of each segment in `instrs`; segment `k` starts where `k - 1`
+    /// ends.
+    ends: Vec<usize>,
+    /// Output arity of each segment.
+    n_outputs: Vec<usize>,
+    consts: Vec<f64>,
+    frame_len: usize,
+    n_species: usize,
+    n_rates: usize,
+    id: u64,
+}
+
+impl ExecGroup {
+    /// Decode tapes that run in order on one register file, each paired
+    /// with its output arity (the [`validate_program`] contract). Fusion
+    /// counts reads across the whole group and never pairs instructions
+    /// of two tapes.
+    ///
+    /// [`validate_program`]: crate::tape::validate_program
+    pub fn compile(tapes: &[(&Tape, usize)]) -> ExecGroup {
+        let (first, _) = tapes.first().expect("a group has at least one tape");
+        let decoded = decode(&tapes.iter().map(|&(t, _)| t).collect::<Vec<_>>());
+        let (instrs, ends) = fuse(&decoded.instrs, &decoded.ends, decoded.frame_len);
+        ExecGroup {
+            instrs,
+            ends,
+            n_outputs: tapes.iter().map(|&(_, n)| n).collect(),
+            consts: decoded.consts,
+            frame_len: decoded.frame_len,
+            n_species: first.n_species,
+            n_rates: first.n_rates,
+            id: NEXT_TAPE_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// The decoded instructions of segment `k`.
+    pub fn segment(&self, k: usize) -> &[ExecInstr] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.instrs[start..self.ends[k]]
+    }
+
+    /// Number of distinct pooled constants, across all segments.
+    pub fn n_consts(&self) -> usize {
+        self.consts.len()
+    }
+
+    /// Arithmetic operation counts of segment `k`, matching its source
+    /// tape's as [`ExecTape::op_counts`] does.
+    pub fn op_counts(&self, k: usize) -> OpCounts {
+        count_ops(self.segment(k))
+    }
+
+    /// Load `rates` and `y` into `frame` and run the first `outs.len()`
+    /// segments in order, segment `k` writing `outs[k]`.
+    pub fn eval(&self, rates: &[f64], y: &[f64], outs: &mut [&mut [f64]], frame: &mut ExecFrame) {
+        assert_eq!(y.len(), self.n_species, "state length mismatch");
+        assert_eq!(rates.len(), self.n_rates, "rates length mismatch");
+        let const_base = self.n_rates + self.n_species;
+        frame.bind(self.id, self.frame_len, const_base, &self.consts);
+        let f = &mut frame.data[..];
+        f[..self.n_rates].copy_from_slice(rates);
+        f[self.n_rates..const_base].copy_from_slice(y);
+        for (k, out) in outs.iter_mut().enumerate() {
+            self.run(k, f, out);
+        }
+    }
+
+    /// Run segment `k` alone over `frame`, which an [`eval`](ExecGroup::eval)
+    /// at the same `(rates, y)` filled through segment `k - 1`: the
+    /// segment reads registers the earlier ones wrote.
+    pub fn resume(&self, k: usize, out: &mut [f64], frame: &mut ExecFrame) {
+        assert!(
+            frame.tape_id == self.id && frame.data.len() == self.frame_len,
+            "resumed over a frame this group did not fill"
+        );
+        self.run(k, &mut frame.data, out);
+    }
+
+    fn run(&self, k: usize, f: &mut [f64], out: &mut [f64]) {
+        assert_eq!(out.len(), self.n_outputs[k], "output length mismatch");
+        for instr in self.segment(k) {
+            step_scalar(*instr, f, out);
+        }
+    }
+}
+
+/// Arithmetic operation counts of a decoded stream, as the source
+/// [`Tape`] counts them: each fused multiply-add/sub is one multiply
+/// plus one add, a fused negating store one add.
+fn count_ops(instrs: &[ExecInstr]) -> OpCounts {
+    let mut counts = OpCounts::default();
+    for instr in instrs {
+        match instr {
+            ExecInstr::Mul { .. } => counts.mults += 1,
+            ExecInstr::Add { .. } | ExecInstr::Sub { .. } | ExecInstr::Neg { .. } => {
+                counts.adds += 1
+            }
+            ExecInstr::MulAdd { .. } | ExecInstr::MulSub { .. } | ExecInstr::SubMul { .. } => {
+                counts.mults += 1;
+                counts.adds += 1;
+            }
+            ExecInstr::StoreNeg { .. } => counts.adds += 1,
+            ExecInstr::Copy { .. } | ExecInstr::Store { .. } => {}
+        }
+    }
+    counts
 }
 
 /// Execute one instruction against the scalar frame.
@@ -432,11 +545,44 @@ impl ExecFrame {
     pub fn new() -> ExecFrame {
         ExecFrame::default()
     }
+
+    /// Bind the scalar buffer to the program with identity `id`: size it
+    /// and write the constant pool into its slots. Cheap when the frame
+    /// is already bound to that program.
+    fn bind(&mut self, id: u64, frame_len: usize, const_base: usize, consts: &[f64]) {
+        if self.tape_id == id && self.data.len() == frame_len {
+            return;
+        }
+        self.data.clear();
+        self.data.resize(frame_len, 0.0);
+        self.data[const_base..const_base + consts.len()].copy_from_slice(consts);
+        self.tape_id = id;
+        self.batch_bound = false;
+    }
 }
 
-/// Decode pass: resolve every operand to an absolute frame index,
-/// pooling literal constants (deduplicated by bit pattern).
-fn decode(tape: &Tape, n_outputs: usize) -> ExecTape {
+/// Tapes decoded into one instruction stream over one frame.
+struct Decoded {
+    instrs: Vec<ExecInstr>,
+    /// End of each tape's instructions in `instrs`.
+    ends: Vec<usize>,
+    consts: Vec<f64>,
+    frame_len: usize,
+}
+
+/// Decode pass over tapes that run in order on one register file (one
+/// tape, or a derivative group): resolve every operand to an absolute
+/// frame index, pooling the literal constants of all of them
+/// (deduplicated by bit pattern).
+fn decode(tapes: &[&Tape]) -> Decoded {
+    let tape = tapes[0];
+    assert!(
+        tapes
+            .iter()
+            .all(|t| (t.n_species, t.n_rates, t.n_regs)
+                == (tape.n_species, tape.n_rates, tape.n_regs)),
+        "the tapes of one program share one register file"
+    );
     let rate_base = 0u32;
     let species_base = tape.n_rates as u32;
     let const_base = species_base + tape.n_species as u32;
@@ -445,7 +591,7 @@ fn decode(tape: &Tape, n_outputs: usize) -> ExecTape {
     // The register section starts after the constants; constants are
     // interned first so register indices can be assigned in one pass.
     // Two sweeps: intern constants, then resolve.
-    for instr in &tape.instrs {
+    for instr in tapes.iter().flat_map(|t| &t.instrs) {
         let mut intern = |op: Operand| {
             if let Operand::Const(v) = op {
                 const_index.entry(v.to_bits()).or_insert_with(|| {
@@ -471,44 +617,43 @@ fn decode(tape: &Tape, n_outputs: usize) -> ExecTape {
             Operand::Const(v) => const_base + const_index[&v.to_bits()],
         }
     };
-    let instrs: Vec<ExecInstr> = tape
-        .instrs
-        .iter()
-        .map(|instr| match *instr {
-            Instr::Add { dst, a, b } => ExecInstr::Add {
-                dst: reg_base + dst,
-                a: resolve(a),
-                b: resolve(b),
-            },
-            Instr::Sub { dst, a, b } => ExecInstr::Sub {
-                dst: reg_base + dst,
-                a: resolve(a),
-                b: resolve(b),
-            },
-            Instr::Mul { dst, a, b } => ExecInstr::Mul {
-                dst: reg_base + dst,
-                a: resolve(a),
-                b: resolve(b),
-            },
-            Instr::Neg { dst, a } => ExecInstr::Neg {
-                dst: reg_base + dst,
-                a: resolve(a),
-            },
-            Instr::Copy { dst, a } => ExecInstr::Copy {
-                dst: reg_base + dst,
-                a: resolve(a),
-            },
-            Instr::Store { idx, a } => ExecInstr::Store { idx, a: resolve(a) },
-        })
-        .collect();
-    ExecTape {
+    let lower = |instr: &Instr| match *instr {
+        Instr::Add { dst, a, b } => ExecInstr::Add {
+            dst: reg_base + dst,
+            a: resolve(a),
+            b: resolve(b),
+        },
+        Instr::Sub { dst, a, b } => ExecInstr::Sub {
+            dst: reg_base + dst,
+            a: resolve(a),
+            b: resolve(b),
+        },
+        Instr::Mul { dst, a, b } => ExecInstr::Mul {
+            dst: reg_base + dst,
+            a: resolve(a),
+            b: resolve(b),
+        },
+        Instr::Neg { dst, a } => ExecInstr::Neg {
+            dst: reg_base + dst,
+            a: resolve(a),
+        },
+        Instr::Copy { dst, a } => ExecInstr::Copy {
+            dst: reg_base + dst,
+            a: resolve(a),
+        },
+        Instr::Store { idx, a } => ExecInstr::Store { idx, a: resolve(a) },
+    };
+    let mut instrs = Vec::with_capacity(tapes.iter().map(|t| t.instrs.len()).sum());
+    let mut ends = Vec::with_capacity(tapes.len());
+    for t in tapes {
+        instrs.extend(t.instrs.iter().map(lower));
+        ends.push(instrs.len());
+    }
+    Decoded {
         instrs,
+        ends,
         frame_len: reg_base as usize + tape.n_regs,
         consts,
-        n_species: tape.n_species,
-        n_rates: tape.n_rates,
-        n_outputs,
-        id: NEXT_TAPE_ID.fetch_add(1, Ordering::Relaxed),
     }
 }
 
@@ -549,22 +694,24 @@ fn srcs_of(i: &ExecInstr, out: &mut Vec<u32>) {
     }
 }
 
-/// Peephole fusion over the decoded stream. A `Mul` at position `p`
-/// fuses into the instruction at `p + 1` when that instruction is the
-/// *only* reader of the `Mul`'s destination (before any redefinition) and
+/// Peephole fusion over a decoded stream of segments (`ends[k]` is the
+/// end of segment `k`). A `Mul` at position `p` fuses into the
+/// instruction at `p + 1` when that instruction is the *only* reader of
+/// the `Mul`'s destination (before any redefinition, in any segment) and
 /// reads it exactly once — so the fused pair is observationally identical
 /// to the sequence. `Neg` folds into an adjacent sole-consumer `Store`
-/// the same way.
-fn fuse(tape: ExecTape) -> ExecTape {
-    let n = tape.instrs.len();
+/// the same way. A pair never spans two segments, so each can run on its
+/// own. Returns the fused stream and its segment ends.
+fn fuse(instrs: &[ExecInstr], ends: &[usize], frame_len: usize) -> (Vec<ExecInstr>, Vec<usize>) {
+    let n = instrs.len();
     // For each defining instruction position: how many times its value is
     // read before the destination is redefined, and whether any of those
     // reads happen beyond the immediately following instruction.
     let mut reads = vec![0u32; n];
     let mut far_read = vec![false; n];
-    let mut last_def: Vec<usize> = vec![usize::MAX; tape.frame_len];
+    let mut last_def: Vec<usize> = vec![usize::MAX; frame_len];
     let mut srcs = Vec::with_capacity(3);
-    for (q, instr) in tape.instrs.iter().enumerate() {
+    for (q, instr) in instrs.iter().enumerate() {
         srcs_of(instr, &mut srcs);
         for &s in &srcs {
             let p = last_def[s as usize];
@@ -580,49 +727,56 @@ fn fuse(tape: ExecTape) -> ExecTape {
         }
     }
     let mut out = Vec::with_capacity(n);
+    let mut fused_ends = Vec::with_capacity(ends.len());
     let mut p = 0;
-    while p < n {
-        let sole_adjacent_use = reads[p] == 1 && !far_read[p];
-        let fused = if sole_adjacent_use && p + 1 < n {
-            match (tape.instrs[p], tape.instrs[p + 1]) {
-                (ExecInstr::Mul { dst: t, a, b }, ExecInstr::Add { dst, a: x, b: y })
-                    if (x == t) != (y == t) =>
-                {
-                    let c = if x == t { y } else { x };
-                    Some(ExecInstr::MulAdd { dst, a, b, c })
+    for &end in ends {
+        while p < end {
+            let sole_adjacent_use = reads[p] == 1 && !far_read[p];
+            let fused = if sole_adjacent_use && p + 1 < end {
+                fuse_pair(instrs[p], instrs[p + 1])
+            } else {
+                None
+            };
+            match fused {
+                Some(instr) => {
+                    out.push(instr);
+                    p += 2;
                 }
-                (ExecInstr::Mul { dst: t, a, b }, ExecInstr::Sub { dst, a: x, b: y })
-                    if x == t && y != t =>
-                {
-                    Some(ExecInstr::MulSub { dst, a, b, c: y })
+                None => {
+                    out.push(instrs[p]);
+                    p += 1;
                 }
-                (ExecInstr::Mul { dst: t, a, b }, ExecInstr::Sub { dst, a: x, b: y })
-                    if y == t && x != t =>
-                {
-                    Some(ExecInstr::SubMul { dst, a, b, c: x })
-                }
-                (ExecInstr::Neg { dst: t, a }, ExecInstr::Store { idx, a: x }) if x == t => {
-                    Some(ExecInstr::StoreNeg { idx, a })
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        match fused {
-            Some(instr) => {
-                out.push(instr);
-                p += 2;
-            }
-            None => {
-                out.push(tape.instrs[p]);
-                p += 1;
             }
         }
+        fused_ends.push(out.len());
     }
-    ExecTape {
-        instrs: out,
-        ..tape
+    (out, fused_ends)
+}
+
+/// The superinstruction for `first` followed by `second`, when `second`
+/// consumes `first`'s result in a shape one instruction can express.
+fn fuse_pair(first: ExecInstr, second: ExecInstr) -> Option<ExecInstr> {
+    match (first, second) {
+        (ExecInstr::Mul { dst: t, a, b }, ExecInstr::Add { dst, a: x, b: y })
+            if (x == t) != (y == t) =>
+        {
+            let c = if x == t { y } else { x };
+            Some(ExecInstr::MulAdd { dst, a, b, c })
+        }
+        (ExecInstr::Mul { dst: t, a, b }, ExecInstr::Sub { dst, a: x, b: y })
+            if x == t && y != t =>
+        {
+            Some(ExecInstr::MulSub { dst, a, b, c: y })
+        }
+        (ExecInstr::Mul { dst: t, a, b }, ExecInstr::Sub { dst, a: x, b: y })
+            if y == t && x != t =>
+        {
+            Some(ExecInstr::SubMul { dst, a, b, c: x })
+        }
+        (ExecInstr::Neg { dst: t, a }, ExecInstr::Store { idx, a: x }) if x == t => {
+            Some(ExecInstr::StoreNeg { idx, a })
+        }
+        _ => None,
     }
 }
 
@@ -968,5 +1122,230 @@ mod tests {
                 "op_counts diverged after {name}"
             );
         }
+    }
+
+    fn mul(dst: u32, a: Operand, b: Operand) -> Instr {
+        Instr::Mul { dst, a, b }
+    }
+
+    fn store(idx: u32, a: Operand) -> Instr {
+        Instr::Store { idx, a }
+    }
+
+    /// Tapes over one two-species, two-rate, `n_regs`-register file.
+    fn file(n_regs: usize, instrs: Vec<Instr>) -> Tape {
+        Tape {
+            instrs,
+            n_regs,
+            n_species: 2,
+            n_rates: 2,
+        }
+    }
+
+    fn fused(instrs: &[ExecInstr]) -> bool {
+        instrs.iter().any(|i| {
+            matches!(
+                i,
+                ExecInstr::MulAdd { .. }
+                    | ExecInstr::MulSub { .. }
+                    | ExecInstr::SubMul { .. }
+                    | ExecInstr::StoreNeg { .. }
+            )
+        })
+    }
+
+    #[test]
+    fn group_fusion_never_spans_a_tape_boundary() {
+        use Operand::{Rate, Reg, Species};
+        // r0 = y0*k0 ends tape 0; tape 1's first instruction is the only
+        // reader. As one tape the pair fuses; as two it must not, or
+        // tape 1 could not run on its own.
+        let head = vec![store(0, Species(0)), mul(0, Species(0), Rate(0))];
+        let tail = vec![
+            Instr::Add {
+                dst: 1,
+                a: Reg(0),
+                b: Species(1),
+            },
+            store(0, Reg(1)),
+        ];
+        let whole = file(2, head.iter().chain(&tail).copied().collect());
+        assert!(fused(ExecTape::compile(&whole).instrs()), "vacuous");
+        let (t0, t1) = (file(2, head), file(2, tail));
+        let group = ExecGroup::compile(&[(&t0, 2), (&t1, 1)]);
+        assert_eq!(group.segment(0), ExecGroup::compile(&[(&t0, 2)]).segment(0));
+        assert!(matches!(
+            group.segment(0).last(),
+            Some(ExecInstr::Mul { .. })
+        ));
+        assert!(matches!(group.segment(1)[0], ExecInstr::Add { .. }));
+        assert!(!fused(group.segment(1)));
+    }
+
+    #[test]
+    fn group_fusion_counts_reads_in_later_tapes() {
+        use Operand::{Rate, Reg, Species};
+        // Tape 0 alone fuses r0 = y0*k0 into the Add; tape 1 also reads
+        // r0, so in the group it must stay written.
+        let t0 = file(
+            2,
+            vec![
+                mul(0, Species(0), Rate(0)),
+                Instr::Add {
+                    dst: 1,
+                    a: Reg(0),
+                    b: Species(1),
+                },
+                store(0, Reg(1)),
+                store(1, Reg(1)),
+            ],
+        );
+        let t1 = file(2, vec![store(0, Reg(0))]);
+        assert!(fused(ExecTape::compile(&t0).instrs()), "vacuous");
+        let group = ExecGroup::compile(&[(&t0, 2), (&t1, 1)]);
+        assert!(!fused(group.segment(0)));
+        let (rates, y) = ([3.0, 0.0], [2.0, 5.0]);
+        let (mut ydot, mut out) = ([0.0; 2], [0.0; 1]);
+        group.eval(
+            &rates,
+            &y,
+            &mut [&mut ydot, &mut out],
+            &mut ExecFrame::new(),
+        );
+        assert_eq!((ydot, out), ([11.0, 11.0], [6.0]));
+    }
+
+    #[test]
+    fn a_constant_two_tapes_use_takes_one_pool_slot() {
+        use Operand::{Const, Reg, Species};
+        let t0 = file(1, vec![mul(0, Species(0), Const(2.5)), store(0, Reg(0))]);
+        let t1 = file(1, vec![mul(0, Species(1), Const(2.5)), store(0, Reg(0))]);
+        let group = ExecGroup::compile(&[(&t0, 2), (&t1, 1)]);
+        assert_eq!(group.n_consts(), 1);
+        let (mut ydot, mut out) = ([0.0; 2], [0.0; 1]);
+        group.eval(
+            &[0.0; 2],
+            &[2.0, 4.0],
+            &mut [&mut ydot, &mut out],
+            &mut ExecFrame::new(),
+        );
+        assert_eq!((ydot, out), ([5.0, 0.0], [10.0]));
+    }
+
+    #[test]
+    fn each_segment_counts_the_ops_of_its_tape() {
+        use crate::deriv::compile_sensitivity;
+        let f = forest(vec![
+            Expr::sum(vec![term(2.0, 0, &[0, 1]), term(-1.0, 1, &[2])]),
+            Expr::sum(vec![term(-2.0, 0, &[0, 1]), term(1.0, 2, &[2, 2])]),
+            term(-3.0, 2, &[1, 1]),
+        ]);
+        for cse in [None, Some(crate::cse::CseOptions::default())] {
+            let sens = compile_sensitivity(&f, cse);
+            let state = &sens.state;
+            let tapes = [&state.rhs, &state.jac, &sens.dfdp];
+            let group = ExecGroup::compile(&[
+                (tapes[0], state.n_species),
+                (tapes[1], state.nnz()),
+                (tapes[2], sens.dfdp_nnz()),
+            ]);
+            for (k, tape) in tapes.iter().enumerate() {
+                assert_eq!(group.op_counts(k), tape.op_counts(), "segment {k}");
+            }
+        }
+    }
+
+    /// A hand-built sensitivity group whose `∂f/∂p` tape reads `r0`,
+    /// which only the RHS tape writes.
+    fn three_tape_group() -> crate::deriv::SensitivityTapes {
+        use crate::deriv::{JacobianTapes, SensitivityTapes};
+        use Operand::{Const, Rate, Reg, Species};
+        let rhs = file(
+            3,
+            vec![
+                mul(0, Species(0), Rate(0)),
+                mul(1, Species(1), Rate(1)),
+                Instr::Sub {
+                    dst: 2,
+                    a: Reg(0),
+                    b: Reg(1),
+                },
+                store(0, Reg(2)),
+                Instr::Neg { dst: 1, a: Reg(2) },
+                store(1, Reg(1)),
+            ],
+        );
+        let jac = file(
+            3,
+            vec![
+                mul(1, Rate(0), Const(2.0)),
+                store(0, Reg(1)),
+                store(1, Rate(1)),
+            ],
+        );
+        let dfdp = file(
+            3,
+            vec![
+                mul(2, Reg(0), Const(3.0)),
+                store(0, Reg(2)),
+                Instr::Add {
+                    dst: 1,
+                    a: Reg(0),
+                    b: Species(1),
+                },
+                store(1, Reg(1)),
+            ],
+        );
+        crate::tape::validate_program(&[(&rhs, 2), (&jac, 2), (&dfdp, 2)]).unwrap();
+        SensitivityTapes {
+            state: std::sync::Arc::new(JacobianTapes {
+                rhs,
+                jac,
+                entries: vec![(0, 0), (1, 1)],
+                n_species: 2,
+            }),
+            dfdp,
+            dfdp_entries: vec![(0, 0), (1, 1)],
+            n_rates: 2,
+        }
+    }
+
+    #[test]
+    fn a_decoded_group_runs_like_the_interpreter_cold_and_resumed() {
+        let sens = three_tape_group();
+        let state = &sens.state;
+        let group = ExecGroup::compile(&[(&state.rhs, 2), (&state.jac, 2), (&sens.dfdp, 2)]);
+        assert!(fused(group.segment(0)), "vacuous: nothing fused");
+        // Integer-valued inputs keep every product and sum exact, so the
+        // comparison is bitwise with and without contracted multiply-adds.
+        let (rates, y) = ([3.0, 2.0], [5.0, 7.0]);
+        let mut want = ([0.0; 2], [0.0; 2], [0.0; 2]);
+        sens.eval_all(
+            &rates,
+            &y,
+            &mut want.0,
+            &mut want.1,
+            &mut want.2,
+            &mut Vec::new(),
+        );
+        assert_eq!(want.2, [45.0, 22.0]);
+
+        let mut frame = ExecFrame::new();
+        let mut cold = ([0.0; 2], [0.0; 2], [0.0; 2]);
+        group.eval(
+            &rates,
+            &y,
+            &mut [&mut cold.0, &mut cold.1, &mut cold.2],
+            &mut frame,
+        );
+        assert_eq!(cold, want);
+
+        // Head only on a fresh frame, then the tail resumed over it.
+        let mut frame = ExecFrame::new();
+        let mut head = ([0.0; 2], [0.0; 2]);
+        group.eval(&rates, &y, &mut [&mut head.0, &mut head.1], &mut frame);
+        let mut resumed = [0.0; 2];
+        group.resume(2, &mut resumed, &mut frame);
+        assert_eq!((head.0, head.1, resumed), want);
     }
 }

@@ -5,15 +5,16 @@
 //! solvers as a [`Kernel`]: the right-hand side, the analytic Jacobian and
 //! the parameter gradient `∂f/∂p`. The derivatives are always the Deriv
 //! stage's one tape group ([`DerivTapes`]): it defines the entry order,
-//! and a kernel that carries machine code for it evaluates it natively
-//! instead of interpreting it.
+//! and every engine evaluates it its own way — the interpreter (the
+//! oracle) runs its tapes, the exec engine the group decoded into one
+//! [`ExecGroup`], a native kernel the machine code emitted from it.
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::deriv::{DerivTapes, SensitivityTapes};
-use crate::exec::{ExecFrame, ExecTape};
+use crate::exec::{ExecFrame, ExecGroup, ExecTape};
 use crate::native::NativeKernel;
 use crate::tape::Tape;
 
@@ -24,17 +25,41 @@ use crate::tape::Tape;
 pub struct KernelScratch {
     /// Register file of the interpreted RHS tape.
     regs: Vec<f64>,
-    /// Register file shared by the tapes of the derivative group. Apart
-    /// from `regs`: the RHS calls between a Jacobian refresh and the
-    /// `∂f/∂p` that resumes over it must not disturb it.
+    /// Register file shared by the interpreted tapes of the derivative
+    /// group. Apart from `regs`: the RHS calls between a Jacobian refresh
+    /// and the `∂f/∂p` that resumes over it must not disturb it.
     group_regs: Vec<f64>,
-    /// The state at which `group_regs` holds the group's RHS and Jacobian
-    /// registers; empty when it holds none.
+    /// The exec engine's frame of the decoded derivative group, kept
+    /// apart for the same reason (the exec RHS runs on a per-thread
+    /// frame).
+    group_frame: ExecFrame,
+    /// The state at which the group's registers (`group_regs` or
+    /// `group_frame`) hold its RHS and Jacobian; empty when they hold
+    /// none.
     filled_at: Vec<f64>,
     /// Outputs a call had to compute but was not asked for: the RHS and
     /// Jacobian of a `∂f/∂p` request that ran its whole group.
     ydot: Vec<f64>,
     spare: Vec<f64>,
+}
+
+impl KernelScratch {
+    /// Whether the group's registers hold its RHS and Jacobian at `y`, so
+    /// a `∂f/∂p` at `y` can resume over them.
+    fn resumable_at(&self, y: &[f64]) -> bool {
+        self.filled_at.as_slice() == y
+    }
+
+    fn fill(&mut self, y: &[f64]) {
+        self.filled_at.clear();
+        self.filled_at.extend_from_slice(y);
+    }
+
+    /// Size the outputs a cold `∂f/∂p` computes on the way and discards.
+    fn size_spares(&mut self, n_species: usize, jac_nnz: usize) {
+        self.ydot.resize(n_species, 0.0);
+        self.spare.resize(jac_nnz, 0.0);
+    }
 }
 
 /// A compiled model as the solvers see it. `rates` is the rate-constant
@@ -51,8 +76,7 @@ pub trait Kernel: Send + Sync + fmt::Debug {
     fn rhs(&self, rates: &[f64], y: &[f64], ydot: &mut [f64], scratch: &mut KernelScratch);
 
     /// The derivative tape group this kernel was built from; `None` when
-    /// the Deriv stage did not run. It fixes the entry orders below, and
-    /// the provided `rhs_jac`/`dfdp` interpret it.
+    /// the Deriv stage did not run. It fixes the entry orders below.
     fn derivs(&self) -> Option<&DerivTapes>;
 
     /// `(row, column)` of each value [`rhs_jac`](Kernel::rhs_jac) writes,
@@ -77,30 +101,18 @@ pub trait Kernel: Send + Sync + fmt::Debug {
         ydot: &mut [f64],
         vals: &mut [f64],
         s: &mut KernelScratch,
-    ) {
-        self.derivs()
-            .expect("no analytic Jacobian tapes compiled")
-            .state()
-            .eval_with_scratch(rates, y, ydot, vals, &mut s.group_regs);
-        s.filled_at.clear();
-        s.filled_at.extend_from_slice(y);
-    }
+    );
 
     /// The `∂f/∂p` nonzeros at `y` into `vals`. Asked at the state the
-    /// last [`rhs_jac`](Kernel::rhs_jac) ran on, only the `∂f/∂p` tape
-    /// runs, over the registers that call filled; anywhere else the whole
-    /// group does. Panics when the tail was not compiled.
-    fn dfdp(&self, rates: &[f64], y: &[f64], vals: &mut [f64], s: &mut KernelScratch) {
-        let tapes = sensitivity(self.derivs());
-        if s.filled_at.as_slice() == y {
-            return tapes.eval_dfdp_resumed(rates, y, vals, &mut s.group_regs);
-        }
-        s.ydot.resize(y.len(), 0.0);
-        s.spare.resize(tapes.jac_nnz(), 0.0);
-        tapes.eval_all(rates, y, &mut s.ydot, &mut s.spare, vals, &mut s.group_regs);
-        s.filled_at.clear();
-        s.filled_at.extend_from_slice(y);
-    }
+    /// last [`rhs_jac`](Kernel::rhs_jac) ran on, a kernel may run only
+    /// the `∂f/∂p` tape, over the registers that call filled; anywhere
+    /// else it runs the whole group. Panics when the tail was not
+    /// compiled.
+    fn dfdp(&self, rates: &[f64], y: &[f64], vals: &mut [f64], s: &mut KernelScratch);
+}
+
+fn compiled(derivs: Option<&DerivTapes>) -> &DerivTapes {
+    derivs.expect("no analytic Jacobian tapes compiled")
 }
 
 fn sensitivity(derivs: Option<&DerivTapes>) -> &SensitivityTapes {
@@ -109,22 +121,30 @@ fn sensitivity(derivs: Option<&DerivTapes>) -> &SensitivityTapes {
         .expect("no parameter-sensitivity tapes compiled")
 }
 
-/// A [`Kernel`] whose right-hand side is evaluated by `R` — the tape
-/// interpreter ([`Tape`], the oracle every other engine is tested
-/// against), the pre-decoded execution engine ([`ExecTape`]) or a
-/// `dlopen`ed object ([`NativeKernel`]) — over one artifact's derivative
-/// tapes.
+/// A [`Kernel`] evaluated by `R` — the tape interpreter ([`Tape`], the
+/// oracle every other engine is tested against), the pre-decoded
+/// execution engine ([`ExecTape`]) or a `dlopen`ed object
+/// ([`NativeKernel`]) — over one artifact's derivative tapes, which each
+/// engine runs its own way.
 #[derive(Debug)]
 pub struct TapeKernel<R> {
     rhs: Arc<R>,
     derivs: Option<DerivTapes>,
+    /// `derivs` decoded for the exec engine, on its first `rhs_jac` or
+    /// `dfdp`: a compile or a revival that runs no solve decodes nothing.
+    /// The other engines never fill it.
+    group: OnceLock<ExecGroup>,
 }
 
 impl<R> TapeKernel<R> {
     /// Pair a right-hand-side evaluator with the derivative group
     /// compiled from the same forest.
     pub fn new(rhs: Arc<R>, derivs: Option<DerivTapes>) -> TapeKernel<R> {
-        TapeKernel { rhs, derivs }
+        TapeKernel {
+            rhs,
+            derivs,
+            group: OnceLock::new(),
+        }
     }
 }
 
@@ -145,6 +165,30 @@ impl Kernel for TapeKernel<Tape> {
     fn derivs(&self) -> Option<&DerivTapes> {
         self.derivs.as_ref()
     }
+
+    fn rhs_jac(
+        &self,
+        rates: &[f64],
+        y: &[f64],
+        ydot: &mut [f64],
+        vals: &mut [f64],
+        s: &mut KernelScratch,
+    ) {
+        compiled(self.derivs())
+            .state()
+            .eval_with_scratch(rates, y, ydot, vals, &mut s.group_regs);
+        s.fill(y);
+    }
+
+    fn dfdp(&self, rates: &[f64], y: &[f64], vals: &mut [f64], s: &mut KernelScratch) {
+        let tapes = sensitivity(self.derivs());
+        if s.resumable_at(y) {
+            return tapes.eval_dfdp_resumed(rates, y, vals, &mut s.group_regs);
+        }
+        s.size_spares(y.len(), tapes.jac_nnz());
+        tapes.eval_all(rates, y, &mut s.ydot, &mut s.spare, vals, &mut s.group_regs);
+        s.fill(y);
+    }
 }
 
 thread_local! {
@@ -157,6 +201,24 @@ thread_local! {
     static EXEC_FRAME: RefCell<ExecFrame> = RefCell::new(ExecFrame::new());
 }
 
+impl TapeKernel<ExecTape> {
+    /// The derivative group decoded into one [`ExecGroup`] — RHS,
+    /// `∂f/∂y` and, when compiled, `∂f/∂p` segments — on first use.
+    fn group(&self) -> &ExecGroup {
+        self.group.get_or_init(|| {
+            let derivs = compiled(self.derivs());
+            let state = derivs.state();
+            let mut tapes = vec![(&state.rhs, state.n_species), (&state.jac, state.nnz())];
+            tapes.extend(derivs.sensitivity().map(|s| (&s.dfdp, s.dfdp_nnz())));
+            ExecGroup::compile(&tapes)
+        })
+    }
+}
+
+/// The RHS runs the decoded RHS tape on the thread's frame; the
+/// derivatives run the decoded group on the solve's own frame
+/// ([`KernelScratch`]), which the RHS calls between a Jacobian refresh
+/// and the `∂f/∂p` that resumes over it never touch.
 impl Kernel for TapeKernel<ExecTape> {
     fn n_species(&self) -> usize {
         self.rhs.n_species()
@@ -172,6 +234,31 @@ impl Kernel for TapeKernel<ExecTape> {
 
     fn derivs(&self) -> Option<&DerivTapes> {
         self.derivs.as_ref()
+    }
+
+    fn rhs_jac(
+        &self,
+        rates: &[f64],
+        y: &[f64],
+        ydot: &mut [f64],
+        vals: &mut [f64],
+        s: &mut KernelScratch,
+    ) {
+        self.group()
+            .eval(rates, y, &mut [ydot, vals], &mut s.group_frame);
+        s.fill(y);
+    }
+
+    fn dfdp(&self, rates: &[f64], y: &[f64], vals: &mut [f64], s: &mut KernelScratch) {
+        let jac_nnz = sensitivity(self.derivs()).jac_nnz();
+        let group = self.group();
+        if s.resumable_at(y) {
+            return group.resume(2, vals, &mut s.group_frame);
+        }
+        s.size_spares(y.len(), jac_nnz);
+        let outs: &mut [&mut [f64]] = &mut [&mut s.ydot, &mut s.spare, vals];
+        group.eval(rates, y, outs, &mut s.group_frame);
+        s.fill(y);
     }
 }
 
@@ -209,9 +296,7 @@ impl Kernel for TapeKernel<NativeKernel> {
     }
 
     fn dfdp(&self, rates: &[f64], y: &[f64], vals: &mut [f64], s: &mut KernelScratch) {
-        s.ydot.resize(y.len(), 0.0);
-        s.spare
-            .resize(sensitivity(self.derivs.as_ref()).jac_nnz(), 0.0);
+        s.size_spares(y.len(), sensitivity(self.derivs()).jac_nnz());
         self.rhs.eval_all(rates, y, &mut s.ydot, &mut s.spare, vals);
     }
 }

@@ -42,7 +42,7 @@ pub use deriv::{
 };
 pub use distopt::{distribute_expr, distribute_forest};
 pub use emit_c::{c_f64, emit_c, emit_kernel, EmittedKernel, KernelSpec, KERNEL_ABI_VERSION};
-pub use exec::{ExecFrame, ExecInstr, ExecTape, FMA_CONTRACTS, LANES};
+pub use exec::{ExecFrame, ExecGroup, ExecInstr, ExecTape, FMA_CONTRACTS, LANES};
 pub use expr::{Coeff, Expr, ExprForest, TempId};
 pub use generic::{
     generic_compile, generic_compile_best_effort, GenericError, GenericOptions, GenericResult,

@@ -413,6 +413,14 @@ impl<'a> Args<'a> {
         }
     }
 
+    /// A time horizon: finite and past zero.
+    fn horizon(&self, name: &str) -> Result<f64, CliError> {
+        match self.get(name)? {
+            t if f64::is_finite(t) && t > 0.0 => Ok(t),
+            t => Err(usage_err(format!("{name} must be finite and > 0, got {t}"))),
+        }
+    }
+
     /// `--engine`: whether the compile builds the native kernel.
     fn native(&self) -> Result<bool, CliError> {
         match self.get::<String>("--engine")?.as_str() {
@@ -480,8 +488,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "simulate" => Command::Simulate {
             input: a.operand.into(),
             level: a.get("--level")?,
-            tend: a.get("--tend")?,
-            steps: a.get("--steps")?,
+            tend: a.horizon("--tend")?,
+            steps: a.at_least_one("--steps")?,
             observe: a.list("--observe")?,
             native: a.native()?,
             frontend_threads: a.get("--frontend-threads")?,
@@ -493,7 +501,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             out_dir: a.required("--out")?,
             files: a.at_least_one("--files")?,
             records: a.at_least_one("--records")?,
-            tend: a.get("--tend")?,
+            tend: a.horizon("--tend")?,
         },
         "estimate" => Command::Estimate {
             input: a.operand.into(),
@@ -955,7 +963,12 @@ mod tests {
         }
         // A negative number is a value, whatever the subcommand then
         // makes of it.
-        assert!(parse_args(&argv("simulate m.rdl --tend -1")).is_ok());
+        match parse_args(&argv("simulate m.rdl --tend -1")) {
+            Err(CliError::Usage(message)) => {
+                assert_eq!(message, "--tend must be finite and > 0, got -1")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1173,19 +1186,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let model = write_model(&dir).display().to_string();
         let data = dir.join("data");
+        // A horizon that is not finite and past zero, or no output rows,
+        // is a usage error: nothing is compiled, solved or written.
+        let out = data.display();
+        let horizon = |got: &str| format!("--tend must be finite and > 0, got {got}");
+        for (line, message) in [
+            (
+                format!("simulate {model} --steps 2 --tend nan"),
+                horizon("NaN"),
+            ),
+            (format!("simulate {model} --tend inf"), horizon("inf")),
+            (format!("simulate {model} --tend 0"), horizon("0")),
+            (format!("simulate {model} --tend -1"), horizon("-1")),
+            (
+                format!("simulate {model} --steps 0"),
+                "--steps must be at least 1".into(),
+            ),
+            (
+                format!("synthesize {model} --out {out} --tend nan"),
+                horizon("NaN"),
+            ),
+            (
+                format!("synthesize {model} --out {out} --tend inf"),
+                horizon("inf"),
+            ),
+            (
+                format!("synthesize {model} --out {out} --tend 0"),
+                horizon("0"),
+            ),
+            (
+                format!("synthesize {model} --out {out} --tend -1"),
+                horizon("-1"),
+            ),
+        ] {
+            let error = parse_args(&argv(&line)).unwrap_err();
+            assert_eq!(error.exit_code(), 2, "{line}: {error}");
+            assert_eq!(error.message(), message, "{line}");
+        }
         let fails = |line: String| {
             let error = run(&parse_args(&argv(&line)).unwrap()).unwrap_err();
             assert_eq!(error.exit_code(), 1, "{line}: {error}");
             error.message().to_string()
         };
-        for tend in ["nan", "inf"] {
-            let error = fails(format!("simulate {model} --steps 2 --tend {tend}"));
-            assert!(error.contains("is not finite"), "{error}");
-            let out = data.display();
-            let error = fails(format!("synthesize {model} --out {out} --tend {tend}"));
-            assert!(error.contains("is not finite"), "{error}");
-            assert!(!data.exists(), "a refused synthesis wrote {out}");
-        }
         // A file with a header and no records has nothing to fit.
         std::fs::create_dir_all(&data).unwrap();
         std::fs::write(data.join("empty.dat"), "# records: 0\n").unwrap();

@@ -3,11 +3,14 @@
 //! operation totals the paper's Table 1 reports.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use rms_suite::workload::{generate_model, VulcanizationSpec, VULCANIZATION_RDL};
+use rms_suite::workload::{
+    generate_model, scaled_case, vulcanization_source, VulcanizationSpec, VULCANIZATION_RDL,
+};
 use rms_suite::{
     solve_bdf_with_jacobian, BoundKernel, CompiledArtifact, CompilerSession, ExecTape,
-    JacobianSource, OptLevel, SessionOptions, TapeSimulator, FMA_CONTRACTS,
+    JacobianSource, Kernel, KernelScratch, OptLevel, SessionOptions, TapeSimulator, FMA_CONTRACTS,
 };
 
 /// A session whose artifacts carry the analytic Jacobian tapes, so
@@ -121,5 +124,71 @@ fn exec_op_counts_match_tape_on_both_models() {
             exec.len(),
             tape.len()
         );
+    }
+}
+
+/// Mean microseconds per call of `f`, over calls until `budget_s` passed.
+fn per_call_us(budget_s: f64, mut f: impl FnMut()) -> f64 {
+    let (start, mut calls) = (Instant::now(), 0u32);
+    while calls < 10 || start.elapsed().as_secs_f64() < budget_s {
+        f();
+        calls += 1;
+    }
+    start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+}
+
+/// What the derivative group costs per call on the interpreter and on
+/// the exec engine, on the benchmark's `rdl_fit` model (chains 2..16)
+/// and on Table 1 case 4 at 1/25 (`vulc5k`): exec's first `rhs_jac`
+/// (which decodes the group), a steady `rhs_jac`, and the `∂f/∂p` that
+/// resumes over it. A record, not a gate: it asserts nothing about time.
+///
+/// `cargo test --release -p rms-suite --test exec_engine -- --ignored derivative_group_cost_record --nocapture`
+#[test]
+#[ignore]
+fn derivative_group_cost_record() {
+    let mut options = SessionOptions::new(OptLevel::Full);
+    options.sensitivity = true;
+    let session = CompilerSession::with_options(options);
+    let rdl_fit = (session.compile_source("<rdl_fit>", &vulcanization_source(16)))
+        .expect("rdl_fit's model compiles")
+        .artifact;
+    let case = scaled_case(4, 25);
+    let vulc5k = (session.compile_network("<vulc5k>", case.network, case.rates))
+        .expect("case 4 at 1/25 compiles")
+        .artifact;
+    println!("model    species   jac_nnz engine  first_rhs_jac_us  rhs_jac_us  dfdp_resumed_us");
+    for (label, artifact) in [("rdl_fit", rdl_fit), ("vulc5k", vulc5k)] {
+        let rates = &artifact.system.rate_values;
+        let n = artifact.system.len();
+        let states: Vec<Vec<f64>> = (0..2)
+            .map(|s| {
+                (0..n)
+                    .map(|i| 0.1 + 0.01 * ((i + 7 * s) % 13) as f64)
+                    .collect()
+            })
+            .collect();
+        for choice in artifact.evaluators() {
+            let kernel: &dyn Kernel = &*choice.kernel;
+            let nnz = kernel.jac_entries().expect("group compiled").len();
+            let dfdp_nnz = kernel.dfdp_entries().expect("tail compiled").len();
+            let (mut ydot, mut vals, mut dfdp) =
+                (vec![0.0; n], vec![0.0; nnz], vec![0.0; dfdp_nnz]);
+            let mut scratch = KernelScratch::default();
+            let start = Instant::now();
+            kernel.rhs_jac(rates, &states[0], &mut ydot, &mut vals, &mut scratch);
+            let first_us = start.elapsed().as_secs_f64() * 1e6;
+            let mut turn = 0;
+            let rhs_jac_us = per_call_us(0.5, || {
+                turn = (turn + 1) % states.len();
+                kernel.rhs_jac(rates, &states[turn], &mut ydot, &mut vals, &mut scratch);
+            });
+            let y = &states[turn];
+            let dfdp_us = per_call_us(0.5, || kernel.dfdp(rates, y, &mut dfdp, &mut scratch));
+            println!(
+                "{label:8} {n:8} {nnz:9} {:7} {first_us:16.1} {rhs_jac_us:11.2} {dfdp_us:16.2}",
+                choice.engine
+            );
+        }
     }
 }
