@@ -55,10 +55,6 @@ pub struct SessionOptions {
     /// then run it. Codegen failures never fail the compile: the artifact
     /// carries a diagnostic instead of a kernel and solves run exec.
     pub native: bool,
-    /// Worker threads for the frontend's network-closure stage (match /
-    /// edit / canonicalize fan-out). `0` means one per available core;
-    /// `1` runs the serial path.
-    pub frontend_threads: usize,
     /// Cache participation.
     pub cache: CacheMode,
     /// On-disk cache directory (e.g. `.rms-cache/`); `None` keeps the
@@ -80,7 +76,6 @@ impl SessionOptions {
             deriv: false,
             sensitivity: false,
             native: false,
-            frontend_threads: 0,
             cache: CacheMode::default(),
             cache_dir: None,
             dump: None,
@@ -113,11 +108,11 @@ impl SessionOptions {
         self.deriv.hash(h);
         self.sensitivity.hash(h);
         self.native.hash(h);
-        // The thread count cannot change the produced network (the engine
-        // is bit-identical across thread counts), but it changes the
-        // *reported* compile — stage metrics — so two configurations must
-        // not share a cached artifact.
-        self.frontend_threads.hash(h);
+        // Where the frontend thread count used to be (always 0, one worker
+        // per core, for a default session): hashing the constant keeps
+        // every key computed before that option went, and so every disk
+        // cache entry.
+        0usize.hash(h);
     }
 }
 
@@ -375,14 +370,11 @@ impl CompilerSession {
         dump.offer(Stage::Rcip, || render_rates(&rates));
 
         let clock = Instant::now();
-        let engine_options = EngineOptions {
-            threads: self.options.frontend_threads,
-        };
         let CompiledModel {
             network,
             rates,
             stats,
-        } = compile_with_options(&program, rates, &seeds, &engine_options)?;
+        } = compile_with_options(&program, rates, &seeds, &EngineOptions::default())?;
         records.push(
             StageRecord::new(Stage::Network, clock.elapsed().as_secs_f64())
                 .metric("species", network.species_count() as f64)

@@ -157,10 +157,6 @@ pub struct SolverOptions {
     pub atol: f64,
     /// Initial step size (`None` = choose automatically).
     pub h_init: Option<f64>,
-    /// Smallest permitted step.
-    pub h_min: f64,
-    /// Largest permitted step (`INFINITY` = unbounded).
-    pub h_max: f64,
     /// Step budget per `solve` call.
     pub max_steps: usize,
     /// Direct method for the Newton iteration matrix (implicit solvers).
@@ -183,8 +179,6 @@ impl Default for SolverOptions {
             rtol: 1e-6,
             atol: 1e-9,
             h_init: None,
-            h_min: 1e-14,
-            h_max: f64::INFINITY,
             max_steps: 1_000_000,
             linear_solver: LinearSolver::default(),
             sens_error_control: false,
@@ -233,7 +227,8 @@ pub struct SolveStats {
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // `t` is always "the time the failure occurred"
 pub enum SolverError {
-    /// Step size underflowed `h_min` at time `t`.
+    /// A rejection would have cut the step below the BDF's smallest step
+    /// (10⁻¹⁴) at time `t`.
     StepSizeUnderflow { t: f64 },
     /// `max_steps` exhausted before reaching the end time.
     TooManySteps { t: f64, max_steps: usize },

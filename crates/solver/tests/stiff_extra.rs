@@ -1,8 +1,8 @@
 //! Harder solver validation: Van der Pol relaxation oscillation, linear
-//! systems with known matrix exponentials, fixed-step convergence order,
-//! and work-statistics sanity.
+//! systems with known matrix exponentials, the error's proportionality to
+//! the tolerance, and work-statistics sanity.
 
-use rms_solver::{solve_adams, solve_bdf, solve_rk45, Bdf, FnRhs, SolverOptions};
+use rms_solver::{solve_bdf, Bdf, FnRhs, SolverOptions};
 
 #[test]
 fn van_der_pol_relaxation_oscillation() {
@@ -61,45 +61,87 @@ fn linear_system_matches_matrix_exponential() {
         atol: 1e-13,
         ..SolverOptions::default()
     };
-    for (name, result) in [
-        ("rk45", solve_rk45(&rhs, 0.0, &[1.0, 1.0], &[t], tight)),
-        ("adams", solve_adams(&rhs, 0.0, &[1.0, 1.0], &[t], tight)),
-        ("bdf", solve_bdf(&rhs, 0.0, &[1.0, 1.0], &[t], tight)),
-    ] {
-        let (sol, _) = result.unwrap_or_else(|e| panic!("{name}: {e}"));
-        let tol = if name == "bdf" { 1e-6 } else { 1e-8 };
-        assert!(
-            (sol[0][0] - exact0).abs() < tol,
-            "{name}: {} vs {exact0}",
-            sol[0][0]
-        );
-        assert!(
-            (sol[0][1] - exact1).abs() < tol,
-            "{name}: {} vs {exact1}",
-            sol[0][1]
-        );
-    }
+    let (sol, _) = solve_bdf(&rhs, 0.0, &[1.0, 1.0], &[t], tight).unwrap();
+    assert!(
+        (sol[0][0] - exact0).abs() < 1e-6,
+        "{} vs {exact0}",
+        sol[0][0]
+    );
+    assert!(
+        (sol[0][1] - exact1).abs() < 1e-6,
+        "{} vs {exact1}",
+        sol[0][1]
+    );
 }
 
 #[test]
-fn rk45_error_scales_with_tolerance() {
-    // Halving the tolerance by 10^2 should cut the achieved error by
-    // roughly 10^2 (asymptotically, for a smooth problem).
-    let rhs = FnRhs::new(1, |_t, y: &[f64], ydot: &mut [f64]| ydot[0] = -y[0]);
-    let exact = (-3.0f64).exp();
-    let mut errors = Vec::new();
-    for rtol in [1e-4, 1e-6, 1e-8] {
-        let options = SolverOptions {
-            rtol,
-            atol: rtol * 1e-3,
-            ..SolverOptions::default()
-        };
-        let (sol, _) = solve_rk45(&rhs, 0.0, &[1.0], &[3.0], options).unwrap();
-        errors.push((sol[0][0] - exact).abs().max(1e-16));
+fn bdf_error_scales_with_tolerance() {
+    // Tightening the tolerance two decades must cut the achieved error
+    // (max-norm, relative to the exact state's) at least tenfold, and the
+    // error must stay within ten tolerances. A single decade is not
+    // monotone: on the decay the error at 1e-10 is above the one at 1e-9.
+    fn errors<F: Fn(f64, &[f64], &mut [f64])>(
+        rhs: &FnRhs<F>,
+        y0: &[f64],
+        t: f64,
+        exact: &[f64],
+    ) -> Vec<(f64, f64)> {
+        let scale = exact.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        (3..=10)
+            .map(|decade| {
+                let rtol = 10f64.powi(-decade);
+                let options = SolverOptions {
+                    rtol,
+                    atol: rtol * 1e-3,
+                    ..SolverOptions::default()
+                };
+                let (sol, _) = solve_bdf(rhs, 0.0, y0, &[t], options)
+                    .unwrap_or_else(|e| panic!("rtol {rtol:e}: {e}"));
+                let error = sol[0]
+                    .iter()
+                    .zip(exact)
+                    .fold(0.0f64, |m, (y, e)| m.max((y - e).abs()));
+                (rtol, error / scale)
+            })
+            .collect()
     }
-    assert!(errors[0] > errors[1] && errors[1] > errors[2], "{errors:?}");
-    // At least ~10x improvement per 100x tolerance tightening.
-    assert!(errors[0] / errors[2] > 1e2, "{errors:?}");
+    let decay = FnRhs::new(1, |_t, y: &[f64], ydot: &mut [f64]| ydot[0] = -y[0]);
+    let mut cases = vec![(
+        "y' = -y".to_string(),
+        errors(&decay, &[1.0], 3.0, &[(-3.0f64).exp()]),
+    )];
+    // y' = [[−1, 1], [0, −k]]·y from [1, 1]: y₁ = e^{−kt} and
+    // y₀ = e^{−t} + (e^{−t} − e^{−kt})/(k − 1).
+    for k in [2.0, 1000.0] {
+        let rhs = FnRhs::new(2, move |_t, y: &[f64], ydot: &mut [f64]| {
+            ydot[0] = -y[0] + y[1];
+            ydot[1] = -k * y[1];
+        });
+        let t: f64 = 1.3;
+        let exact = [
+            (-t).exp() + ((-t).exp() - (-k * t).exp()) / (k - 1.0),
+            (-k * t).exp(),
+        ];
+        cases.push((format!("k = {k}"), errors(&rhs, &[1.0, 1.0], t, &exact)));
+    }
+    for (name, errors) in &cases {
+        for &(rtol, error) in errors {
+            assert!(
+                error <= 10.0 * rtol,
+                "{name}: error {error:e} at rtol {rtol:e}: {errors:?}"
+            );
+        }
+        for pair in errors.windows(3) {
+            let (loose, tight) = (pair[0], pair[2]);
+            assert!(
+                loose.1 >= 10.0 * tight.1,
+                "{name}: rtol {:e} → {:e} cut the error only {:.1}×: {errors:?}",
+                loose.0,
+                tight.0,
+                loose.1 / tight.1
+            );
+        }
+    }
 }
 
 #[test]
@@ -144,24 +186,5 @@ fn mass_action_nonnegativity_with_tolerances() {
     for y in &sol {
         assert!(y[0] > -1e-7, "{y:?}");
         assert!((y[0] + y[1] - 1.0).abs() < 1e-6, "{y:?}");
-    }
-}
-
-#[test]
-fn adams_and_rk_agree_on_nonlinear_system() {
-    // Lotka-Volterra-ish: compare two independent integrators.
-    let rhs = FnRhs::new(2, |_t, y: &[f64], ydot: &mut [f64]| {
-        ydot[0] = y[0] * (1.0 - y[1]);
-        ydot[1] = y[1] * (y[0] - 1.0);
-    });
-    let tight = SolverOptions {
-        rtol: 1e-9,
-        atol: 1e-12,
-        ..SolverOptions::default()
-    };
-    let (a, _) = solve_rk45(&rhs, 0.0, &[1.2, 0.8], &[5.0], tight).unwrap();
-    let (b, _) = solve_adams(&rhs, 0.0, &[1.2, 0.8], &[5.0], tight).unwrap();
-    for (x, y) in a[0].iter().zip(&b[0]) {
-        assert!((x - y).abs() < 1e-6, "{x} vs {y}");
     }
 }

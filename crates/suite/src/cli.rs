@@ -32,7 +32,6 @@ pub enum Command {
         emit: Emit,
         /// `--dump-ir`: print this stage's IR instead of `emit`.
         dump: Option<Stage>,
-        frontend_threads: usize,
         cache_dir: Option<PathBuf>,
     },
     /// `rmsc simulate`: integrate the model and print a concentration
@@ -45,7 +44,6 @@ pub enum Command {
         observe: Vec<String>,
         /// `--engine native`: compile the kernel to machine code too.
         native: bool,
-        frontend_threads: usize,
         cache_dir: Option<PathBuf>,
     },
     /// `rmsc synthesize`: write experiment files from the model's nominal
@@ -66,7 +64,6 @@ pub enum Command {
         observe: Vec<String>,
         workers: usize,
         on_failure: FailurePolicy,
-        frontend_threads: usize,
         cache_dir: Option<PathBuf>,
     },
     /// `rmsc serve`: run the line-delimited JSON job server on
@@ -211,8 +208,6 @@ struct Subcommand {
 const MODEL: Option<&str> = Some("<model.rdl>");
 #[rustfmt::skip]
 const LEVEL: Flag = flag("--level", "none|simplify|algebraic|full", "full", "optimization level");
-#[rustfmt::skip]
-const FRONTEND_THREADS: Flag = flag("--frontend-threads", "N", "0", "network-closure threads; 0: one per core");
 const CACHE_DIR: Flag = flag("--cache-dir", "DIR", "none", "on-disk artifact cache");
 
 /// Every subcommand but `help`: what [`parse_args`] accepts, what
@@ -223,12 +218,10 @@ static SUBCOMMANDS: [Subcommand; 6] = [
         LEVEL,
         flag("--emit", "network|odes|c|stats|conservation|report", "stats", "what to print"),
         flag("--dump-ir", "STAGE", "none", "print this stage's IR instead, and exit"),
-        FRONTEND_THREADS,
         CACHE_DIR,
     ] },
     Subcommand { name: "compile-report", operand: MODEL, flags: &[
         LEVEL,
-        FRONTEND_THREADS,
         CACHE_DIR,
     ] },
     Subcommand { name: "simulate", operand: MODEL, flags: &[
@@ -237,7 +230,6 @@ static SUBCOMMANDS: [Subcommand; 6] = [
         flag("--observe", "A,B,...", "all", "species to print"),
         LEVEL,
         flag("--engine", "exec|native", "exec", "kernel the solve runs"),
-        FRONTEND_THREADS,
         CACHE_DIR,
     ] },
     Subcommand { name: "synthesize", operand: MODEL, flags: &[
@@ -252,7 +244,6 @@ static SUBCOMMANDS: [Subcommand; 6] = [
         flag("--observe", "A,B,...", "all", "species summed into the observable"),
         flag("--workers", "N", "2", "ranks of the thread-backed SPMD cluster"),
         flag("--on-solver-failure", "penalize|abort", "penalize", "what a file whose solve failed does"),
-        FRONTEND_THREADS,
         CACHE_DIR,
     ] },
     Subcommand { name: "serve", operand: None, flags: &[
@@ -413,6 +404,22 @@ impl<'a> Args<'a> {
         }
     }
 
+    /// A count flag that must be at least 1 and small enough that its
+    /// buffers, `item` bytes for each unit, can be allocated. They are
+    /// built after the compile; refusing here keeps a count no host can
+    /// hold from aborting the process there.
+    fn count(&self, name: &str, item: usize) -> Result<usize, CliError> {
+        let n = self.at_least_one(name)?;
+        // Reserved and released at once: no page is touched.
+        let fits = |bytes| Vec::<u8>::new().try_reserve_exact(bytes).is_ok();
+        match n.checked_mul(item) {
+            Some(bytes) if fits(bytes) => Ok(n),
+            _ => Err(usage_err(format!(
+                "{name} {n} needs more memory than can be allocated"
+            ))),
+        }
+    }
+
     /// A time horizon: finite and past zero.
     fn horizon(&self, name: &str) -> Result<f64, CliError> {
         match self.get(name)? {
@@ -474,7 +481,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             level: a.get("--level")?,
             emit: a.get("--emit")?,
             dump: a.opt("--dump-ir")?,
-            frontend_threads: a.get("--frontend-threads")?,
             cache_dir: a.opt("--cache-dir")?,
         },
         "compile-report" => Command::Compile {
@@ -482,25 +488,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             level: a.get("--level")?,
             emit: Emit::Report,
             dump: None,
-            frontend_threads: a.get("--frontend-threads")?,
             cache_dir: a.opt("--cache-dir")?,
         },
         "simulate" => Command::Simulate {
             input: a.operand.into(),
             level: a.get("--level")?,
             tend: a.horizon("--tend")?,
-            steps: a.at_least_one("--steps")?,
+            // An output time and a state row per step.
+            steps: a.count("--steps", size_of::<f64>() + size_of::<Vec<f64>>())?,
             observe: a.list("--observe")?,
             native: a.native()?,
-            frontend_threads: a.get("--frontend-threads")?,
             cache_dir: a.opt("--cache-dir")?,
         },
         "synthesize" => Command::Synthesize {
             input: a.operand.into(),
             observe: a.list("--observe")?,
             out_dir: a.required("--out")?,
-            files: a.at_least_one("--files")?,
-            records: a.at_least_one("--records")?,
+            files: a.count("--files", size_of::<ExperimentFile>())?,
+            // A time, a solved and a noisy value per record.
+            records: a.count("--records", 3 * size_of::<f64>())?,
             tend: a.horizon("--tend")?,
         },
         "estimate" => Command::Estimate {
@@ -509,7 +515,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             observe: a.list("--observe")?,
             workers: a.at_least_one("--workers")?,
             on_failure: a.get("--on-solver-failure")?,
-            frontend_threads: a.get("--frontend-threads")?,
             cache_dir: a.opt("--cache-dir")?,
         },
         "serve" => Command::Serve {
@@ -604,7 +609,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             level,
             emit,
             dump,
-            frontend_threads,
             cache_dir,
         } => {
             let options = SessionOptions {
@@ -613,7 +617,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 // The report covers the compile `simulate` does.
                 deriv: *dump == Some(Stage::Deriv) || *emit == Emit::Report,
                 native: *dump == Some(Stage::Codegen),
-                frontend_threads: *frontend_threads,
                 // A disk entry carries no species structures to count.
                 cache: if *emit == Emit::Conservation {
                     CacheMode::Bypass
@@ -693,14 +696,12 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             steps,
             observe,
             native,
-            frontend_threads,
             cache_dir,
         } => {
             let options = SessionOptions {
                 cache_dir: cache_dir.clone(),
                 deriv: true,
                 native: *native,
-                frontend_threads: *frontend_threads,
                 ..SessionOptions::new(*level)
             };
             let model = load_model(input, options)?.artifact;
@@ -793,14 +794,12 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             observe,
             workers,
             on_failure,
-            frontend_threads,
             cache_dir,
         } => {
             let options = SessionOptions {
                 cache_dir: cache_dir.clone(),
                 deriv: true,
                 sensitivity: true,
-                frontend_threads: *frontend_threads,
                 ..SessionOptions::new(OptLevel::Full)
             };
             let model = load_model(input, options)?.artifact;
@@ -1034,7 +1033,7 @@ mod tests {
     #[test]
     fn help_readme_and_parser_read_one_declaration_per_flag() {
         let counts: Vec<usize> = SUBCOMMANDS.iter().map(|sub| sub.flags.len()).collect();
-        assert_eq!(counts, [5, 3, 7, 5, 6, 7]);
+        assert_eq!(counts, [4, 2, 6, 5, 5, 7]);
         let help = usage();
         let readme = include_str!("../../../README.md");
         for sub in &SUBCOMMANDS {
@@ -1093,7 +1092,6 @@ mod tests {
                 level: OptLevel::Algebraic,
                 emit: Emit::C,
                 dump: None,
-                frontend_threads: 0,
                 cache_dir: None,
             }
         );
@@ -1106,7 +1104,6 @@ mod tests {
                 level: OptLevel::Full,
                 emit: Emit::Report,
                 dump: None,
-                frontend_threads: 0,
                 cache_dir: Some(PathBuf::from(".rms-cache")),
             }
         );
@@ -1186,10 +1183,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let model = write_model(&dir).display().to_string();
         let data = dir.join("data");
-        // A horizon that is not finite and past zero, or no output rows,
-        // is a usage error: nothing is compiled, solved or written.
+        // A horizon that is not finite and past zero, no output rows, or
+        // more than can be allocated is a usage error: nothing is
+        // compiled, solved or written.
         let out = data.display();
         let horizon = |got: &str| format!("--tend must be finite and > 0, got {got}");
+        let too_many = |flag: &str| {
+            format!(
+                "{flag} {} needs more memory than can be allocated",
+                i64::MAX
+            )
+        };
         for (line, message) in [
             (
                 format!("simulate {model} --steps 2 --tend nan"),
@@ -1205,6 +1209,19 @@ mod tests {
             (
                 format!("synthesize {model} --out {out} --tend nan"),
                 horizon("NaN"),
+            ),
+            // A count whose buffers exceed isize::MAX bytes, on any host.
+            (
+                format!("simulate {model} --steps {}", i64::MAX),
+                too_many("--steps"),
+            ),
+            (
+                format!("synthesize {model} --out {out} --records {}", i64::MAX),
+                too_many("--records"),
+            ),
+            (
+                format!("synthesize {model} --out {out} --files {}", i64::MAX),
+                too_many("--files"),
             ),
             (
                 format!("synthesize {model} --out {out} --tend inf"),
@@ -1338,7 +1355,6 @@ mod tests {
                 observe: vec![],
                 workers: 3,
                 on_failure: FailurePolicy::Abort,
-                frontend_threads: 0,
                 cache_dir: None,
             }
         );
@@ -1352,7 +1368,6 @@ mod tests {
                 observe: vec![],
                 workers: 2,
                 on_failure: FailurePolicy::Penalize,
-                frontend_threads: 0,
                 cache_dir: None,
             }
         );
@@ -1400,44 +1415,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frontend_threads_flag_parses_everywhere() {
-        // Defaults to 0 (one thread per core) on every subcommand.
-        match parse_args(&argv("compile m.rdl")).unwrap() {
-            Command::Compile {
-                frontend_threads, ..
-            } => assert_eq!(frontend_threads, 0),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("compile m.rdl --frontend-threads 4")).unwrap() {
-            Command::Compile {
-                frontend_threads, ..
-            } => assert_eq!(frontend_threads, 4),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("compile-report m.rdl --frontend-threads 2")).unwrap() {
-            Command::Compile {
-                frontend_threads, ..
-            } => assert_eq!(frontend_threads, 2),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("simulate m.rdl --frontend-threads 8")).unwrap() {
-            Command::Simulate {
-                frontend_threads, ..
-            } => assert_eq!(frontend_threads, 8),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("estimate m.rdl --data d --frontend-threads 1")).unwrap() {
-            Command::Estimate {
-                frontend_threads, ..
-            } => assert_eq!(frontend_threads, 1),
-            other => panic!("{other:?}"),
-        }
-        // Non-numeric values are usage errors (exit 2).
-        let error = parse_args(&argv("compile m.rdl --frontend-threads lots")).unwrap_err();
-        assert_eq!(error.exit_code(), 2);
-    }
-
     fn assert_unknown_options(cases: &[&str]) {
         for bad in cases {
             let error = parse_args(&argv(bad)).unwrap_err();
@@ -1458,6 +1435,17 @@ mod tests {
             "estimate m.rdl --data d --jacobian analytic",
             "estimate m.rdl --data d --residual-jacobian fd",
             "estimate m.rdl --data d --fd-step 1e-4",
+        ]);
+    }
+
+    #[test]
+    fn frontend_threads_flag_is_an_unknown_option_everywhere() {
+        // The Network stage runs one worker per core.
+        assert_unknown_options(&[
+            "compile m.rdl --frontend-threads 4",
+            "compile-report m.rdl --frontend-threads 2",
+            "simulate m.rdl --frontend-threads 8",
+            "estimate m.rdl --data d --frontend-threads 1",
         ]);
     }
 

@@ -12,10 +12,7 @@
 use proptest::prelude::*;
 
 use rms_rdl::{compile_with_oracle, Oracle};
-use rms_suite::{
-    expand_program, parse_rdl, CompilerSession, EngineOptions, OptLevel, RateTable,
-    ReactionNetwork, SessionOptions,
-};
+use rms_suite::{expand_program, parse_rdl, EngineOptions, RateTable, ReactionNetwork};
 use rms_workload::{scaled_case, FrontierSpec, TABLE1};
 
 /// Full byte-level serialization of a network: species (id, name,
@@ -184,32 +181,6 @@ proptest! {
             );
         }
     }
-}
-
-#[test]
-fn session_artifacts_agree_across_frontend_threads() {
-    let source = FrontierSpec { arms: 6 }.rdl_source();
-    let compile_at = |threads: usize| {
-        let mut options = SessionOptions::new(OptLevel::Full);
-        options.frontend_threads = threads;
-        CompilerSession::with_options(options)
-            .compile_source("frontier.rdl", &source)
-            .expect("frontier workload compiles")
-    };
-    // Different thread counts hash to different cache keys, so both are
-    // cold compiles — and must still agree on everything downstream.
-    let serial = compile_at(1);
-    let threaded = compile_at(2);
-    assert_eq!(
-        render(&serial.artifact.network),
-        render(&threaded.artifact.network),
-        "networks diverge across frontend thread counts"
-    );
-    assert_eq!(
-        serial.artifact.compiled.tape.to_string(),
-        threaded.artifact.compiled.tape.to_string(),
-        "lowered tapes diverge across frontend thread counts"
-    );
 }
 
 /// Table 1 case 5 is the paper's largest model — the 250 000-ODE wall
