@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rms_core::{CompiledOde, OptLevel};
-use rms_odegen::OdeSystem;
+use rms_odegen::{generate, GenerateOptions, OdeSystem};
 use rms_suite::{CacheMode, CompiledArtifact, CompilerSession, SessionOptions};
 use rms_workload::VulcanizationModel;
 
@@ -36,13 +36,11 @@ pub fn compile_case_cold(model: &VulcanizationModel, level: OptLevel) -> Arc<Com
     compile_with(model, options)
 }
 
-/// Build the (un)merged ODE system for a model through the session: a
-/// passes-off pipeline (equation generation plus bare lowering) with the
-/// generator's §3.1 merging switched explicitly.
+/// Build the (un)merged ODE system for a model: the equation generator
+/// with its §3.1 merging switched explicitly.
 pub fn system_for(model: &VulcanizationModel, simplify: bool) -> OdeSystem {
-    let mut options = SessionOptions::new(OptLevel::None);
-    options.gen_simplify = Some(simplify);
-    compile_with(model, options).system.clone()
+    generate(&model.network, &model.rates, GenerateOptions { simplify })
+        .expect("workload models always generate")
 }
 
 /// Time `iters` evaluations of a tape over a fixed state (the solver's

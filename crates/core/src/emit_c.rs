@@ -1,23 +1,16 @@
 //! C code emission.
 //!
 //! The paper's domain-specific language "produces as output a program in
-//! another relatively high-level language (C, in our case)". This module
-//! renders C for two readers:
-//!
-//! * [`emit_c`] renders the optimized *expression forest* as a readable C
-//!   function — temporaries first (assignments before any read), then one
-//!   assignment per ODE right-hand side. This is the human-facing view of
-//!   the optimizer's output.
-//! * [`emit_kernel`] is the one kernel emitter: it renders a complete
-//!   native *kernel source* from the lowered register [`Tape`]s — the
-//!   RHS and, when the corresponding tape groups are supplied, the
-//!   analytic Jacobian and `∂f/∂p` sensitivity functions: what a solve
-//!   calls, nothing else. Rerolling is a pass of this emitter, not a
-//!   mode: each tape is rerolled on the way in and rendered in one form,
-//!   chunk functions over a register array with C `for` loops where
-//!   stanzas repeat. The source is handed to the platform C compiler
-//!   (`cc -O2 -fPIC -shared -ffp-contract=off`) and `dlopen`ed back as
-//!   the artifact's native kernel.
+//! another relatively high-level language (C, in our case)". Here that
+//! program is one native *kernel source*: [`emit_kernel`] renders it from
+//! the lowered register [`Tape`]s — the RHS and, when the corresponding
+//! tape groups are supplied, the analytic Jacobian and `∂f/∂p`
+//! sensitivity functions: what a solve calls, nothing else. Rerolling is
+//! a pass of this emitter, not a mode: each tape is rerolled on the way
+//! in and rendered in one form, chunk functions over a register array
+//! with C `for` loops where stanzas repeat. The source is handed to the
+//! platform C compiler (`cc -O2 -fPIC -shared -ffp-contract=off`) and
+//! `dlopen`ed back as the artifact's native kernel.
 //!
 //! Because the kernel replays the exact instruction sequence of the tape
 //! interpreter — same association order, contraction disabled — its results
@@ -30,115 +23,10 @@ use std::collections::HashMap;
 use std::fmt::Write;
 
 use crate::deriv::DerivTapes;
-use crate::expr::{Coeff, Expr, ExprForest};
 use crate::tape::{
     loop_slot_patterns, reroll, Instr, Operand, RerollOptions, RolledSegment, RolledTape,
     SlotPattern, Tape, TapeLoop,
 };
-
-/// Emit a complete C function `void <name>(const double* k, const double*
-/// y, double* ydot)` evaluating the forest.
-pub fn emit_c(forest: &ExprForest, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "/* generated by the Reaction Modeling Suite chemical compiler */"
-    );
-    let _ = writeln!(
-        out,
-        "void {name}(const double* k, const double* y, double* ydot) {{"
-    );
-    for (i, temp) in forest.temps.iter().enumerate() {
-        let _ = writeln!(out, "    const double t{i} = {};", render(temp));
-    }
-    for (i, rhs) in forest.rhs.iter().enumerate() {
-        let _ = writeln!(out, "    ydot[{i}] = {};", render(rhs));
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Render one expression as a C expression.
-pub fn render(expr: &Expr) -> String {
-    let mut s = String::new();
-    render_into(expr, &mut s, false);
-    s
-}
-
-fn render_into(expr: &Expr, out: &mut String, parenthesize_sum: bool) {
-    match expr {
-        Expr::Const(Coeff(v)) => {
-            if v.is_sign_negative() {
-                let _ = write!(out, "({v:?})");
-            } else {
-                let _ = write!(out, "{v:?}");
-            }
-        }
-        Expr::Rate(i) => {
-            let _ = write!(out, "k[{i}]");
-        }
-        Expr::Species(i) => {
-            let _ = write!(out, "y[{i}]");
-        }
-        Expr::Temp(t) => {
-            let _ = write!(out, "t{}", t.0);
-        }
-        Expr::Prod(Coeff(c), factors) => {
-            let mut first = true;
-            if *c == -1.0 {
-                out.push('-');
-            } else if *c != 1.0 {
-                let _ = write!(out, "{c:?}");
-                first = false;
-            }
-            for f in factors {
-                if !first {
-                    out.push('*');
-                }
-                first = false;
-                render_into(f, out, true);
-            }
-        }
-        Expr::Sum(children) => {
-            if parenthesize_sum {
-                out.push('(');
-            }
-            for (i, ch) in children.iter().enumerate() {
-                // Fold leading negative signs into subtraction. Negative
-                // zero keeps its sign inline (subtracting 0.0 would also be
-                // value-correct, but rendering the stored constant keeps the
-                // literal bit-exact on read-back).
-                let (neg, body): (bool, &Expr) = match ch {
-                    Expr::Prod(Coeff(c), _) if *c < 0.0 => (true, ch),
-                    Expr::Const(Coeff(v)) if *v < 0.0 => (true, ch),
-                    other => (false, other),
-                };
-                if i > 0 {
-                    out.push_str(if neg { " - " } else { " + " });
-                } else if neg {
-                    // leading term keeps its sign inline
-                }
-                if i > 0 && neg {
-                    // Render the magnitude.
-                    match body {
-                        Expr::Prod(Coeff(c), factors) => {
-                            render_into(&Expr::Prod(Coeff(-c), factors.clone()), out, true)
-                        }
-                        Expr::Const(Coeff(v)) => {
-                            let _ = write!(out, "{:?}", -v);
-                        }
-                        _ => unreachable!(),
-                    }
-                } else {
-                    render_into(body, out, true);
-                }
-            }
-            if parenthesize_sum {
-                out.push(')');
-            }
-        }
-    }
-}
 
 /// Render an `f64` as a C literal that parses back to the identical bit
 /// pattern under any conforming C99 compiler.
@@ -701,97 +589,13 @@ pub fn emit_kernel(spec: &KernelSpec, max_units: usize) -> EmittedKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::TempId;
+    use crate::expr::{Expr, ExprForest};
     use crate::tape::lower;
 
     fn term(c: f64, rate: u32, species: &[u32]) -> Expr {
         let mut f = vec![Expr::Rate(rate)];
         f.extend(species.iter().map(|&s| Expr::Species(s)));
         Expr::prod(c, f)
-    }
-
-    #[test]
-    fn renders_products_and_sums() {
-        let e = Expr::sum(vec![term(1.0, 0, &[0]), term(-2.0, 1, &[1, 2])]);
-        assert_eq!(render(&e), "k[0]*y[0] - 2.0*k[1]*y[1]*y[2]");
-    }
-
-    #[test]
-    fn nested_sum_parenthesized() {
-        let e = Expr::prod(
-            1.0,
-            vec![
-                Expr::Rate(0),
-                Expr::sum(vec![Expr::Species(1), Expr::Species(2)]),
-            ],
-        );
-        assert_eq!(render(&e), "k[0]*(y[1] + y[2])");
-    }
-
-    #[test]
-    fn unary_minus() {
-        assert_eq!(render(&term(-1.0, 0, &[0])), "-k[0]*y[0]");
-    }
-
-    #[test]
-    fn function_shape() {
-        let forest = ExprForest {
-            temps: vec![Expr::sum(vec![Expr::Species(0), Expr::Species(1)])],
-            rhs: vec![
-                Expr::prod(1.0, vec![Expr::Rate(0), Expr::Temp(TempId(0))]),
-                Expr::constant(0.0),
-            ],
-            n_species: 2,
-            n_rates: 1,
-        };
-        let code = emit_c(&forest, "ode_rhs");
-        assert!(code.contains("void ode_rhs(const double* k, const double* y, double* ydot) {"));
-        assert!(code.contains("const double t0 = y[0] + y[1];"), "{code}");
-        assert!(code.contains("ydot[0] = k[0]*t0;"), "{code}");
-        assert!(code.contains("ydot[1] = 0.0;"), "{code}");
-        // temp defined before use
-        assert!(code.find("t0 =").unwrap() < code.find("ydot[0]").unwrap());
-    }
-
-    #[test]
-    fn negative_constant_parenthesized() {
-        let e = Expr::prod(
-            1.0,
-            vec![
-                Expr::Rate(0),
-                Expr::sum(vec![Expr::Species(0), Expr::constant(-2.0)]),
-            ],
-        );
-        let s = render(&e);
-        assert_eq!(s, "k[0]*((-2.0) + y[0])");
-    }
-
-    #[test]
-    fn negative_zero_parenthesized() {
-        // `*v < 0.0` is false for -0.0; the sign-bit check must still
-        // parenthesize so `k[0]*(-0.0)` stays well-formed and exact.
-        let e = Expr::Prod(Coeff(1.0), vec![Expr::Rate(0), Expr::Const(Coeff(-0.0))]);
-        assert_eq!(render(&e), "k[0]*(-0.0)");
-    }
-
-    #[test]
-    fn debug_rendering_round_trips_exactly() {
-        // The forest printer uses `{:?}` (shortest round-trip decimal);
-        // verify the guarantee holds for the values we care about.
-        for v in [
-            0.0,
-            -0.0,
-            1.0 / 3.0,
-            -2.5e-17,
-            f64::MIN_POSITIVE,
-            f64::MIN_POSITIVE / 4096.0, // subnormal
-            5e-324,                     // smallest subnormal
-            f64::MAX,
-            -1.2345678987654321e300,
-        ] {
-            let parsed: f64 = format!("{v:?}").parse().unwrap();
-            assert_eq!(parsed.to_bits(), v.to_bits(), "{v:?}");
-        }
     }
 
     /// Parse a C99 float literal as produced by [`c_f64`], independently of

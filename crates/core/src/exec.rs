@@ -17,14 +17,7 @@
 //!   that consumes it. Fused multiply-adds use the hardware FMA only when
 //!   the build enables it (`target_feature = "fma"`); otherwise they
 //!   compute `a * b + c` with two roundings, bit-identical to the
-//!   interpreter. See [`fma`].
-//! * **Batched evaluation.** [`ExecTape::eval_batch`] runs up to
-//!   [`LANES`] states per instruction dispatch in structure-of-arrays
-//!   layout (lane-major frame, fixed-width inner loops the
-//!   autovectorizer turns into SIMD). No solve calls it: every solve
-//!   over an artifact runs the compiled Jacobian, one state at a time.
-//!   Only the benchmark's per-layer probe of batched evaluation does.
-//!
+//!   interpreter. See [`FMA_CONTRACTS`].
 //! * **Derivative groups.** [`ExecGroup`] decodes the tapes of one
 //!   derivative group (RHS → `∂f/∂y` → optional `∂f/∂p`, one register
 //!   file) into one instruction stream over one frame — one constant
@@ -33,7 +26,8 @@
 //!   and a later one reads is never fused away, and it never pairs
 //!   instructions of two tapes, so each segment can run on its own:
 //!   [`ExecGroup::resume`] runs the `∂f/∂p` segment over the frame an
-//!   earlier [`ExecGroup::eval`] of the head filled.
+//!   earlier [`ExecGroup::eval`] of the head filled. An [`ExecTape`] is
+//!   a group of one segment: the RHS tape alone.
 //!
 //! [`ExecTape::op_counts`] reports the same totals as the source tape
 //! (each fused multiply-add counts as one multiply plus one add, a fused
@@ -45,12 +39,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rms_odegen::OpCounts;
 
 use crate::tape::{Instr, Operand, Tape};
-
-/// Batch width of [`ExecTape::eval_batch`]: states evaluated per
-/// instruction dispatch. Eight `f64` lanes fill an AVX-512 register and
-/// two AVX2 registers; the inner loops are fixed-length so the
-/// autovectorizer can emit packed arithmetic either way.
-pub const LANES: usize = 8;
 
 /// A decoded instruction. All operands are absolute frame indices; the
 /// frame layout is `[rates | species | constants | registers]`.
@@ -107,83 +95,51 @@ pub const FMA_CONTRACTS: bool = cfg!(target_feature = "fma");
 
 static NEXT_TAPE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A [`Tape`] decoded for execution: branch-free operand fetch, fused
-/// superinstructions, and a batched structure-of-arrays evaluator.
+/// A [`Tape`] decoded for execution: an [`ExecGroup`] of one segment,
+/// the tape with its output arity `n_species`.
 #[derive(Debug, Clone)]
 pub struct ExecTape {
-    /// The decoded, fused instruction stream.
-    instrs: Vec<ExecInstr>,
-    /// Pooled literal constants, in frame order.
-    consts: Vec<f64>,
-    /// Total frame length: `n_rates + n_species + consts.len() + n_regs`.
-    frame_len: usize,
-    n_species: usize,
-    n_rates: usize,
-    n_outputs: usize,
-    /// Identity for frame reuse: a frame initialized for one tape must
-    /// not be reused verbatim for another (different constant pool).
-    id: u64,
+    group: ExecGroup,
 }
 
 impl ExecTape {
     /// Decode `tape` (with superinstruction fusion). The tape's `Store`
-    /// indices must address `0..tape.n_species`; use
-    /// [`compile_with_outputs`](ExecTape::compile_with_outputs) for tapes
-    /// with a different output arity.
+    /// indices must address `0..tape.n_species`.
     pub fn compile(tape: &Tape) -> ExecTape {
-        ExecTape::compile_with_outputs(tape, tape.n_species)
-    }
-
-    /// Decode a tape whose `Store` indices address `0..n_outputs`
-    /// (e.g. the secondary tape of a Jacobian pair).
-    pub fn compile_with_outputs(tape: &Tape, n_outputs: usize) -> ExecTape {
-        let decoded = decode(&[tape]);
-        let (instrs, _) = fuse(&decoded.instrs, &decoded.ends, decoded.frame_len);
         ExecTape {
-            instrs,
-            consts: decoded.consts,
-            frame_len: decoded.frame_len,
-            n_species: tape.n_species,
-            n_rates: tape.n_rates,
-            n_outputs,
-            id: NEXT_TAPE_ID.fetch_add(1, Ordering::Relaxed),
+            group: ExecGroup::compile(&[(tape, tape.n_species)]),
         }
     }
 
     /// Instructions executed per evaluation. Fusion shrinks this below
     /// the source tape's length.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.instrs().len()
     }
 
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.instrs().is_empty()
     }
 
     /// The decoded instruction stream.
     pub fn instrs(&self) -> &[ExecInstr] {
-        &self.instrs
+        self.group.segment(0)
     }
 
     /// Number of distinct pooled constants.
     pub fn n_consts(&self) -> usize {
-        self.consts.len()
+        self.group.n_consts()
     }
 
     /// Number of species (state variables read as inputs).
     pub fn n_species(&self) -> usize {
-        self.n_species
+        self.group.n_species
     }
 
     /// Number of rate constants.
     pub fn n_rates(&self) -> usize {
-        self.n_rates
-    }
-
-    /// Number of outputs written by `Store`/`StoreNeg`.
-    pub fn n_outputs(&self) -> usize {
-        self.n_outputs
+        self.group.n_rates
     }
 
     /// Arithmetic operation counts, matching the source [`Tape`]:
@@ -191,106 +147,24 @@ impl ExecTape {
     /// a fused negating store as one add (`Neg` is add-class), and
     /// `Copy`/`Store` are free.
     pub fn op_counts(&self) -> OpCounts {
-        count_ops(&self.instrs)
-    }
-
-    /// Prepare `frame` for this tape: size the scalar buffer and write
-    /// the constant pool into its slots. Cheap when the frame is already
-    /// bound to this tape.
-    fn bind(&self, frame: &mut ExecFrame) {
-        let const_base = self.n_rates + self.n_species;
-        frame.bind(self.id, self.frame_len, const_base, &self.consts);
-    }
-
-    /// Prepare the batched (lane-major) buffers of `frame`.
-    fn bind_batch(&self, frame: &mut ExecFrame) {
-        self.bind(frame);
-        if frame.batch_bound && frame.batch.len() == self.frame_len * LANES {
-            return;
-        }
-        frame.batch.clear();
-        frame.batch.resize(self.frame_len * LANES, 0.0);
-        let const_base = self.n_rates + self.n_species;
-        for (k, &c) in self.consts.iter().enumerate() {
-            let o = (const_base + k) * LANES;
-            frame.batch[o..o + LANES].fill(c);
-        }
-        frame.out.clear();
-        frame.out.resize(self.n_outputs * LANES, 0.0);
-        frame.batch_bound = true;
+        self.group.op_counts(0)
     }
 
     /// Evaluate one state: reads `rates` and `y`, writes `ydot`. The
     /// frame is bound on first use and reused allocation-free after.
     pub fn eval(&self, rates: &[f64], y: &[f64], ydot: &mut [f64], frame: &mut ExecFrame) {
-        assert_eq!(y.len(), self.n_species, "state length mismatch");
-        assert_eq!(rates.len(), self.n_rates, "rates length mismatch");
-        assert_eq!(ydot.len(), self.n_outputs, "output length mismatch");
-        self.bind(frame);
-        let f = &mut frame.data[..];
-        f[..self.n_rates].copy_from_slice(rates);
-        f[self.n_rates..self.n_rates + self.n_species].copy_from_slice(y);
-        for instr in &self.instrs {
-            step_scalar(*instr, f, ydot);
-        }
+        self.group.eval(rates, y, &mut [ydot], frame);
     }
 
-    /// Evaluate `n_states` stacked states in one pass: `ys` holds the
-    /// states row-major (`n_states * n_species` long) and `ydots`
-    /// receives the outputs in the same layout. States are processed
-    /// [`LANES`] at a time in a lane-major structure-of-arrays frame; a
-    /// trailing partial chunk pads with copies of its first state (the
-    /// padded lanes' outputs are discarded). Only the benchmark's
-    /// per-layer probe calls this.
+    /// [`eval`](ExecTape::eval) over stacked states: `ys` holds them
+    /// row-major (`n_states * n_species` long) and `ydots` receives the
+    /// outputs in the same layout. Only the benchmark's per-layer probe
+    /// calls this.
     pub fn eval_batch(&self, rates: &[f64], ys: &[f64], ydots: &mut [f64], frame: &mut ExecFrame) {
-        let n = self.n_species;
-        assert_eq!(rates.len(), self.n_rates, "rates length mismatch");
-        assert!(n > 0, "batched evaluation needs at least one species");
-        assert_eq!(ys.len() % n, 0, "ys length must be a multiple of n_species");
-        let n_states = ys.len() / n;
-        assert_eq!(
-            ydots.len(),
-            n_states * self.n_outputs,
-            "ydots length mismatch"
-        );
-        self.bind_batch(frame);
-        // Broadcast the rate constants once; they are shared by every
-        // state in the batch.
-        for (i, &k) in rates.iter().enumerate() {
-            let o = i * LANES;
-            frame.batch[o..o + LANES].fill(k);
-        }
-        let species_base = self.n_rates;
-        let mut s0 = 0;
-        while s0 < n_states {
-            let lanes_used = LANES.min(n_states - s0);
-            // Transpose the chunk's states into lane-major layout,
-            // padding short chunks with the first state of the chunk.
-            for i in 0..n {
-                let o = (species_base + i) * LANES;
-                let row = &mut frame.batch[o..o + LANES];
-                for (l, slot) in row.iter_mut().enumerate() {
-                    let s = if l < lanes_used { s0 + l } else { s0 };
-                    *slot = ys[s * n + i];
-                }
-            }
-            self.run_lanes(&mut frame.batch, &mut frame.out);
-            for i in 0..self.n_outputs {
-                let o = i * LANES;
-                for l in 0..lanes_used {
-                    ydots[(s0 + l) * self.n_outputs + i] = frame.out[o + l];
-                }
-            }
-            s0 += lanes_used;
-        }
-    }
-
-    /// Execute the instruction stream over all [`LANES`] lanes of a bound
-    /// batch frame. The fixed-width inner loops are the autovectorization
-    /// target: every operation is a straight-line map over `[f64; LANES]`.
-    fn run_lanes(&self, batch: &mut [f64], out: &mut [f64]) {
-        for instr in &self.instrs {
-            step_lanes(*instr, batch, out);
+        assert_eq!(ys.len(), ydots.len(), "ydots length mismatch");
+        let n = self.n_species();
+        for (y, ydot) in ys.chunks(n).zip(ydots.chunks_mut(n)) {
+            self.eval(rates, y, ydot, frame);
         }
     }
 }
@@ -434,110 +308,15 @@ fn step_scalar(instr: ExecInstr, f: &mut [f64], ydot: &mut [f64]) {
     }
 }
 
-/// Execute one instruction over all [`LANES`] lanes of a batch frame.
-#[inline(always)]
-fn step_lanes(instr: ExecInstr, batch: &mut [f64], out: &mut [f64]) {
-    #[inline(always)]
-    fn load(buf: &[f64], slot: u32) -> [f64; LANES] {
-        let o = slot as usize * LANES;
-        let mut v = [0.0; LANES];
-        v.copy_from_slice(&buf[o..o + LANES]);
-        v
-    }
-    #[inline(always)]
-    fn store(buf: &mut [f64], slot: u32, v: [f64; LANES]) {
-        let o = slot as usize * LANES;
-        buf[o..o + LANES].copy_from_slice(&v);
-    }
-    match instr {
-        ExecInstr::Add { dst, a, b } => {
-            let (va, vb) = (load(batch, a), load(batch, b));
-            let mut r = [0.0; LANES];
-            for l in 0..LANES {
-                r[l] = va[l] + vb[l];
-            }
-            store(batch, dst, r);
-        }
-        ExecInstr::Sub { dst, a, b } => {
-            let (va, vb) = (load(batch, a), load(batch, b));
-            let mut r = [0.0; LANES];
-            for l in 0..LANES {
-                r[l] = va[l] - vb[l];
-            }
-            store(batch, dst, r);
-        }
-        ExecInstr::Mul { dst, a, b } => {
-            let (va, vb) = (load(batch, a), load(batch, b));
-            let mut r = [0.0; LANES];
-            for l in 0..LANES {
-                r[l] = va[l] * vb[l];
-            }
-            store(batch, dst, r);
-        }
-        ExecInstr::MulAdd { dst, a, b, c } => {
-            let (va, vb, vc) = (load(batch, a), load(batch, b), load(batch, c));
-            let mut r = [0.0; LANES];
-            for l in 0..LANES {
-                r[l] = fma(va[l], vb[l], vc[l]);
-            }
-            store(batch, dst, r);
-        }
-        ExecInstr::MulSub { dst, a, b, c } => {
-            let (va, vb, vc) = (load(batch, a), load(batch, b), load(batch, c));
-            let mut r = [0.0; LANES];
-            for l in 0..LANES {
-                r[l] = fma(va[l], vb[l], -vc[l]);
-            }
-            store(batch, dst, r);
-        }
-        ExecInstr::SubMul { dst, a, b, c } => {
-            let (va, vb, vc) = (load(batch, a), load(batch, b), load(batch, c));
-            let mut r = [0.0; LANES];
-            for l in 0..LANES {
-                r[l] = vc[l] - va[l] * vb[l];
-            }
-            store(batch, dst, r);
-        }
-        ExecInstr::Neg { dst, a } => {
-            let va = load(batch, a);
-            let mut r = [0.0; LANES];
-            for l in 0..LANES {
-                r[l] = -va[l];
-            }
-            store(batch, dst, r);
-        }
-        ExecInstr::Copy { dst, a } => {
-            let va = load(batch, a);
-            store(batch, dst, va);
-        }
-        ExecInstr::Store { idx, a } => {
-            let va = load(batch, a);
-            let o = idx as usize * LANES;
-            out[o..o + LANES].copy_from_slice(&va);
-        }
-        ExecInstr::StoreNeg { idx, a } => {
-            let va = load(batch, a);
-            let o = idx as usize * LANES;
-            let row = &mut out[o..o + LANES];
-            for l in 0..LANES {
-                row[l] = -va[l];
-            }
-        }
-    }
-}
-
-/// Reusable evaluation scratch for an [`ExecTape`]: the unified scalar
-/// frame, the lane-major batch frame, and the batched output staging
-/// buffer. Binding is lazy and keyed by tape identity, so one frame can
-/// serve different tapes over its lifetime (rebinding reinitializes it)
-/// while repeated evaluation of one tape allocates nothing.
+/// Reusable evaluation scratch for an [`ExecTape`] or [`ExecGroup`]: the
+/// unified scalar frame. Binding is lazy and keyed by program identity,
+/// so one frame can serve different programs over its lifetime
+/// (rebinding reinitializes it) while repeated evaluation of one program
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct ExecFrame {
     tape_id: u64,
     data: Vec<f64>,
-    batch: Vec<f64>,
-    out: Vec<f64>,
-    batch_bound: bool,
 }
 
 impl ExecFrame {
@@ -557,7 +336,6 @@ impl ExecFrame {
         self.data.resize(frame_len, 0.0);
         self.data[const_base..const_base + consts.len()].copy_from_slice(consts);
         self.tape_id = id;
-        self.batch_bound = false;
     }
 }
 
@@ -810,9 +588,8 @@ mod tests {
         let mut got = vec![0.0; tape.n_species];
         exec.eval(rates, y, &mut got, &mut frame);
         assert_eq!(want, got, "scalar exec diverged");
-        // Batched: replicate the state across more than LANES states so
-        // both full and partial chunks are exercised.
-        let n_states = LANES + 3;
+        // Batched: every stacked state evaluates like the single one.
+        let n_states = 11;
         let ys: Vec<f64> = (0..n_states).flat_map(|_| y.iter().copied()).collect();
         let mut ydots = vec![0.0; n_states * tape.n_species];
         exec.eval_batch(rates, &ys, &mut ydots, &mut frame);
@@ -1075,7 +852,7 @@ mod tests {
         let exec = ExecTape::compile(&tape);
         let rates = [2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let mut frame = ExecFrame::new();
-        for n_states in [1usize, 2, LANES - 1, LANES, LANES + 1, 3 * LANES + 5] {
+        for n_states in [1usize, 2, 7, 8, 9, 29] {
             let ys: Vec<f64> = (0..n_states).map(|s| 0.1 + s as f64).collect();
             let mut ydots = vec![0.0; n_states];
             exec.eval_batch(&rates, &ys, &mut ydots, &mut frame);

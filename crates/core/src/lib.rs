@@ -13,8 +13,8 @@
 //!    length-indexed exact and prefix matching with temporaries emitted
 //!    write-before-read.
 //!
-//! The optimized forest lowers to an executable [`tape::Tape`] (our analog
-//! of the generated C function) or to actual C text ([`emit_c`]). The
+//! The optimized forest lowers to an executable [`tape::Tape`], which
+//! [`emit_c::emit_kernel`] renders as the generated C function. The
 //! [`generic`] module models the *commercial* compiler of Table 1 — a
 //! syntactic value-numbering optimizer with a memory budget that fails
 //! with "lack of space" on exactly the paper's failure pattern.
@@ -41,8 +41,8 @@ pub use deriv::{
     SensitivityTapes,
 };
 pub use distopt::{distribute_expr, distribute_forest};
-pub use emit_c::{c_f64, emit_c, emit_kernel, EmittedKernel, KernelSpec, KERNEL_ABI_VERSION};
-pub use exec::{ExecFrame, ExecGroup, ExecInstr, ExecTape, FMA_CONTRACTS, LANES};
+pub use emit_c::{c_f64, emit_kernel, EmittedKernel, KernelSpec, KERNEL_ABI_VERSION};
+pub use exec::{ExecFrame, ExecGroup, ExecInstr, ExecTape, FMA_CONTRACTS};
 pub use expr::{Coeff, Expr, ExprForest, TempId};
 pub use generic::{
     generic_compile, generic_compile_best_effort, GenericError, GenericOptions, GenericResult,

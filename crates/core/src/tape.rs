@@ -3,8 +3,12 @@
 //!
 //! This is our analog of the C function the paper's backend emits — the
 //! form in which the system is actually executed by the ODE solver. The
-//! tape's operation counts are the numbers reported in Table 1, and its
-//! interpreter is the hot path of the whole runtime.
+//! tape's operation counts are the numbers reported in Table 1. One
+//! lowering builds every tape: [`lower_split_multi`] lowers a forest into
+//! back-to-back tapes over one register file, and [`lower`] is its case
+//! of one tape. Solves run a tape decoded by [`crate::exec`] or rendered
+//! by [`crate::emit_c::emit_kernel`]; the interpreter here is the
+//! reference both are tested against.
 
 use rms_odegen::OpCounts;
 
@@ -544,39 +548,15 @@ pub fn forward_copies(tape: &Tape) -> Tape {
     out
 }
 
-/// Lower an expression forest to a tape.
+/// Lower an expression forest to a tape: [`lower_split_multi`] with every
+/// output in one group.
 ///
 /// Sign-aware sum lowering keeps the cost model of the symbolic layers:
 /// negative-coefficient terms combine with `Sub` instead of paying a
 /// multiply by −1, and ±1 coefficients never multiply.
 pub fn lower(forest: &ExprForest) -> Tape {
-    let mut b = Builder {
-        tape: Tape {
-            instrs: Vec::new(),
-            n_regs: 0,
-            n_species: forest.n_species,
-            n_rates: forest.n_rates,
-        },
-        temp_slots: Vec::with_capacity(forest.temps.len()),
-    };
-    for t in &forest.temps {
-        let op = b.lower_expr(t);
-        b.temp_slots.push(op);
-    }
-    for (i, rhs) in forest.rhs.iter().enumerate() {
-        let op = b.lower_expr(rhs);
-        b.tape.instrs.push(Instr::Store {
-            idx: i as u32,
-            a: op,
-        });
-    }
-    // `lower` is also used on combined forests whose rhs count exceeds
-    // n_species, so validate against the actual output arity.
-    #[cfg(debug_assertions)]
-    if let Err(e) = validate_program(&[(&b.tape, forest.rhs.len().max(b.tape.n_species))]) {
-        panic!("lower produced an invalid tape: {e}");
-    }
-    b.tape
+    let mut tapes = lower_split_multi(forest, &[forest.rhs.len()]);
+    tapes.pop().expect("one group lowers to one tape")
 }
 
 /// Lower a combined forest into back-to-back tapes over one register
@@ -646,25 +626,7 @@ pub fn lower_split_multi(forest: &ExprForest, counts: &[usize]) -> Vec<Tape> {
         }
         boundaries.push(b.tape.instrs.len());
     }
-    let n_regs = b.tape.n_regs;
-    let mut instrs = b.tape.instrs;
-    let mut tapes: Vec<Tape> = Vec::with_capacity(counts.len());
-    for g in (1..counts.len()).rev() {
-        let tail = instrs.split_off(boundaries[g - 1]);
-        tapes.push(Tape {
-            instrs: tail,
-            n_regs,
-            n_species: forest.n_species,
-            n_rates: forest.n_rates,
-        });
-    }
-    tapes.push(Tape {
-        instrs,
-        n_regs,
-        n_species: forest.n_species,
-        n_rates: forest.n_rates,
-    });
-    tapes.reverse();
+    let tapes = split_at_ends(b.tape, &boundaries);
     #[cfg(debug_assertions)]
     {
         let program: Vec<(&Tape, usize)> = tapes.iter().zip(counts.iter().copied()).collect();
@@ -713,28 +675,31 @@ pub fn compact_registers_multi(tapes: &[&Tape]) -> Vec<Tape> {
     for t in &tapes[1..] {
         merged.instrs.extend_from_slice(&t.instrs);
     }
-    let compacted = compact_registers(&merged);
-    let n_regs = compacted.n_regs;
-    let mut instrs = compacted.instrs;
-    let mut out: Vec<Tape> = Vec::with_capacity(tapes.len());
-    for (g, t) in tapes.iter().enumerate().skip(1).rev() {
-        let boundary: usize = tapes[..g].iter().map(|t| t.instrs.len()).sum();
-        let tail = instrs.split_off(boundary);
-        out.push(Tape {
-            instrs: tail,
-            n_regs,
-            n_species: t.n_species,
-            n_rates: t.n_rates,
-        });
-    }
-    out.push(Tape {
-        instrs,
-        n_regs,
-        n_species: first.n_species,
-        n_rates: first.n_rates,
-    });
-    out.reverse();
-    out
+    let ends: Vec<usize> = tapes
+        .iter()
+        .scan(0, |end, t| {
+            *end += t.instrs.len();
+            Some(*end)
+        })
+        .collect();
+    split_at_ends(compact_registers(&merged), &ends)
+}
+
+/// Split `tape` into back-to-back tapes over its register file, the `g`-th
+/// ending at instruction `ends[g]`.
+fn split_at_ends(tape: Tape, ends: &[usize]) -> Vec<Tape> {
+    let mut instrs = tape.instrs.into_iter();
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let part = instrs.by_ref().take(end - start).collect();
+            start = end;
+            Tape {
+                instrs: part,
+                ..tape
+            }
+        })
+        .collect()
 }
 
 struct Builder {

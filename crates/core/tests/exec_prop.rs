@@ -4,7 +4,7 @@
 //! Random expression forests are pushed through every optimization level
 //! (none / simplify / +distribute / +CSE), lowered, and evaluated three
 //! ways: the legacy interpreter, the decoded `ExecTape` scalar path, and
-//! the SIMD-batched path (every lane checked).
+//! `ExecTape::eval_batch` over stacked states (every state checked).
 //!
 //! ## Tolerance
 //!
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use rms_core::{
     compact_registers, cse_forest, distribute_forest, lower, simplify_forest, ExecFrame, ExecTape,
-    Expr, ExprForest, OptLevel, FMA_CONTRACTS, LANES,
+    Expr, ExprForest, OptLevel, FMA_CONTRACTS,
 };
 
 /// A uniform draw from `[lo, hi)`.
@@ -111,7 +111,7 @@ fn check_agree(a: f64, b: f64, what: &str) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Interpreter, ExecTape scalar, and every batched lane agree on
+    /// Interpreter, ExecTape scalar, and every batched state agree on
     /// random forests at all four optimization levels.
     #[test]
     fn engines_agree_on_random_forests(
@@ -122,9 +122,8 @@ proptest! {
         let mut rng = TestRng::new(seed);
         let forest = random_forest(&mut rng, n_species, n_rates);
         let rates: Vec<f64> = (0..n_rates).map(|_| f64_in(&mut rng, 0.1, 3.0)).collect();
-        // A full batch plus a ragged tail, so both the SIMD chunks and
-        // the padded trailing chunk are exercised.
-        let n_states = LANES + 3;
+        // Eleven stacked states, each checked against its own evaluation.
+        let n_states = 11;
         let ys: Vec<f64> = (0..n_states * n_species)
             .map(|_| f64_in(&mut rng, 0.05, 1.5))
             .collect();

@@ -142,11 +142,16 @@ impl std::error::Error for Diagnostic {}
 
 impl From<RcipError> for Diagnostic {
     fn from(e: RcipError) -> Diagnostic {
-        // Rcip spans are relative to the extracted rate sub-source, not
-        // the enclosing RDL file, so only the position-free message is
-        // kept; the message itself still carries the line:column of the
-        // sub-source for standalone rate files.
-        Diagnostic::new(Stage::Rcip, e.to_string())
+        // An RDL file's rate sub-source keeps every statement at its
+        // place in the file, so RCIP positions are file positions.
+        match e {
+            RcipError::Syntax {
+                line,
+                column,
+                message,
+            } => Diagnostic::new(Stage::Rcip, message).with_span(line, column),
+            other => Diagnostic::new(Stage::Rcip, other.to_string()),
+        }
     }
 }
 

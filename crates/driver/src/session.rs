@@ -38,10 +38,6 @@ use crate::stage::Stage;
 pub struct SessionOptions {
     /// Named optimization level.
     pub level: OptLevel,
-    /// Override the equation generator's on-the-fly §3.1 merging. The
-    /// default follows the level's simplify pass switch (off only at
-    /// [`OptLevel::None`], Table 1's baseline).
-    pub gen_simplify: Option<bool>,
     /// Also compile the analytic sparse Jacobian tapes (the *Deriv*
     /// stage).
     pub deriv: bool,
@@ -72,7 +68,6 @@ impl SessionOptions {
     pub fn new(level: OptLevel) -> SessionOptions {
         SessionOptions {
             level,
-            gen_simplify: None,
             deriv: false,
             sensitivity: false,
             native: false,
@@ -80,12 +75,6 @@ impl SessionOptions {
             cache_dir: None,
             dump: None,
         }
-    }
-
-    /// The equation generator's simplify switch actually used.
-    pub fn effective_gen_simplify(&self) -> bool {
-        self.gen_simplify
-            .unwrap_or_else(|| self.level.passes().simplify)
     }
 
     /// Hash every compilation-relevant option into `h`.
@@ -104,7 +93,10 @@ impl SessionOptions {
                 prefix_matching.hash(h);
             }
         }
-        self.effective_gen_simplify().hash(h);
+        // Where the equation generator's §3.1 switch was: it follows the
+        // simplify pass, and hashing it here keeps every key, and so every
+        // disk cache entry.
+        passes.simplify.hash(h);
         self.deriv.hash(h);
         self.sensitivity.hash(h);
         self.native.hash(h);
@@ -434,7 +426,7 @@ impl CompilerSession {
             rates,
             warnings,
         } = frontend;
-        let gen_simplify = self.options.effective_gen_simplify();
+        let gen_simplify = self.options.level.passes().simplify;
         let clock = Instant::now();
         let system = generate(
             &network,
@@ -676,7 +668,7 @@ impl CompilerSession {
             gen_simplify,
         } = partial;
         let tail = derivs.as_ref().and_then(DerivTapes::sensitivity);
-        let as_requested = gen_simplify == self.options.effective_gen_simplify()
+        let as_requested = gen_simplify == self.options.level.passes().simplify
             && derivs.is_some() == (self.options.deriv || self.options.sensitivity)
             && tail.is_some() == self.options.sensitivity;
         let simplify = gen_simplify;

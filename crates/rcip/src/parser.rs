@@ -85,11 +85,24 @@ pub enum Statement {
     },
 }
 
+/// A 1-based (line, column) position.
+type Pos = (usize, usize);
+
+fn syntax_error((line, column): Pos, message: impl Into<String>) -> RcipError {
+    RcipError::Syntax {
+        line,
+        column,
+        message: message.into(),
+    }
+}
+
 struct Lexer<'a> {
     src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
+    /// Where the token [`next_token`](Lexer::next_token) last read starts.
+    token_start: Pos,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -117,14 +130,7 @@ impl<'a> Lexer<'a> {
             pos: 0,
             line: 1,
             col: 1,
-        }
-    }
-
-    fn error(&self, message: impl Into<String>) -> RcipError {
-        RcipError::Syntax {
-            line: self.line,
-            column: self.col,
-            message: message.into(),
+            token_start: (1, 1),
         }
     }
 
@@ -164,6 +170,7 @@ impl<'a> Lexer<'a> {
 
     fn next_token(&mut self) -> Result<Tok> {
         self.skip_trivia();
+        self.token_start = (self.line, self.col);
         let Some(c) = self.peek_char() else {
             return Ok(Tok::Eof);
         };
@@ -233,7 +240,7 @@ impl<'a> Lexer<'a> {
                 let text = &self.src[start..self.pos];
                 text.parse::<f64>()
                     .map(Tok::Number)
-                    .map_err(|_| self.error(format!("bad number '{text}'")))
+                    .map_err(|_| syntax_error(self.token_start, format!("bad number '{text}'")))
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = self.pos;
@@ -245,7 +252,10 @@ impl<'a> Lexer<'a> {
                 }
                 Ok(Tok::Ident(self.src[start..self.pos].to_string()))
             }
-            other => Err(self.error(format!("unexpected character '{other}'"))),
+            other => Err(syntax_error(
+                self.token_start,
+                format!("unexpected character '{other}'"),
+            )),
         }
     }
 }
@@ -259,6 +269,9 @@ const MAX_FACTORS: usize = 128;
 struct Parser<'a> {
     lexer: Lexer<'a>,
     current: Tok,
+    /// Where `current` starts: errors point at the offending token, not
+    /// at the lexer, which has already read past it.
+    current_start: Pos,
     /// Factors parsed in the current definition.
     factors: usize,
 }
@@ -268,15 +281,18 @@ impl<'a> Parser<'a> {
         let mut lexer = Lexer::new(src);
         let current = lexer.next_token()?;
         Ok(Parser {
+            current_start: lexer.token_start,
             lexer,
             current,
             factors: 0,
         })
     }
 
-    fn bump(&mut self) -> Result<Tok> {
+    /// Advance, returning the token that was current and where it starts.
+    fn bump(&mut self) -> Result<(Tok, Pos)> {
         let next = self.lexer.next_token()?;
-        Ok(std::mem::replace(&mut self.current, next))
+        let start = std::mem::replace(&mut self.current_start, self.lexer.token_start);
+        Ok((std::mem::replace(&mut self.current, next), start))
     }
 
     fn expect(&mut self, tok: Tok, what: &str) -> Result<()> {
@@ -284,9 +300,10 @@ impl<'a> Parser<'a> {
             self.bump()?;
             Ok(())
         } else {
-            Err(self
-                .lexer
-                .error(format!("expected {what}, found {:?}", self.current)))
+            Err(syntax_error(
+                self.current_start,
+                format!("expected {what}, found {:?}", self.current),
+            ))
         }
     }
 
@@ -299,14 +316,13 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_statement(&mut self) -> Result<Statement> {
-        let Tok::Ident(keyword) = self.bump()? else {
-            return Err(self.lexer.error("expected 'rate' or 'bound'"));
+        let (tok, start) = self.bump()?;
+        let Tok::Ident(keyword) = tok else {
+            return Err(syntax_error(start, "expected 'rate' or 'bound'"));
         };
         match keyword.as_str() {
             "rate" => {
-                let Tok::Ident(name) = self.bump()? else {
-                    return Err(self.lexer.error("expected constant name after 'rate'"));
-                };
+                let name = self.expect_name("rate")?;
                 self.expect(Tok::Equals, "'='")?;
                 self.factors = 0;
                 let expr = self.parse_expr()?;
@@ -314,12 +330,10 @@ impl<'a> Parser<'a> {
                 Ok(Statement::Definition { name, expr })
             }
             "bound" => {
-                let Tok::Ident(name) = self.bump()? else {
-                    return Err(self.lexer.error("expected constant name after 'bound'"));
-                };
+                let name = self.expect_name("bound")?;
                 match self.bump()? {
-                    Tok::Ident(kw) if kw == "in" => {}
-                    _ => return Err(self.lexer.error("expected 'in'")),
+                    (Tok::Ident(kw), _) if kw == "in" => {}
+                    (_, start) => return Err(syntax_error(start, "expected 'in'")),
                 }
                 self.expect(Tok::LBracket, "'['")?;
                 let lo = self.parse_signed_number()?;
@@ -329,9 +343,21 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::Semi, "';'")?;
                 Ok(Statement::Bound { name, lo, hi })
             }
-            other => Err(self
-                .lexer
-                .error(format!("expected 'rate' or 'bound', found '{other}'"))),
+            other => Err(syntax_error(
+                start,
+                format!("expected 'rate' or 'bound', found '{other}'"),
+            )),
+        }
+    }
+
+    /// The constant name after `keyword`.
+    fn expect_name(&mut self, keyword: &str) -> Result<String> {
+        match self.bump()? {
+            (Tok::Ident(name), _) => Ok(name),
+            (_, start) => Err(syntax_error(
+                start,
+                format!("expected constant name after '{keyword}'"),
+            )),
         }
     }
 
@@ -343,10 +369,11 @@ impl<'a> Parser<'a> {
             false
         };
         match self.bump()? {
-            Tok::Number(v) => Ok(if neg { -v } else { v }),
-            other => Err(self
-                .lexer
-                .error(format!("expected number, found {other:?}"))),
+            (Tok::Number(v), _) => Ok(if neg { -v } else { v }),
+            (other, start) => Err(syntax_error(
+                start,
+                format!("expected number, found {other:?}"),
+            )),
         }
     }
 
@@ -391,22 +418,24 @@ impl<'a> Parser<'a> {
     fn parse_factor(&mut self) -> Result<RateExpr> {
         self.factors += 1;
         if self.factors > MAX_FACTORS {
-            return Err(self
-                .lexer
-                .error(format!("expression has more than {MAX_FACTORS} factors")));
+            return Err(syntax_error(
+                self.current_start,
+                format!("expression has more than {MAX_FACTORS} factors"),
+            ));
         }
         match self.bump()? {
-            Tok::Number(v) => Ok(RateExpr::Number(v)),
-            Tok::Ident(name) => Ok(RateExpr::Ref(name)),
-            Tok::LParen => {
+            (Tok::Number(v), _) => Ok(RateExpr::Number(v)),
+            (Tok::Ident(name), _) => Ok(RateExpr::Ref(name)),
+            (Tok::LParen, _) => {
                 let inner = self.parse_expr()?;
                 self.expect(Tok::RParen, "')'")?;
                 Ok(inner)
             }
-            Tok::Minus => Ok(RateExpr::Neg(Box::new(self.parse_factor()?))),
-            other => Err(self
-                .lexer
-                .error(format!("expected expression, found {other:?}"))),
+            (Tok::Minus, _) => Ok(RateExpr::Neg(Box::new(self.parse_factor()?))),
+            (other, start) => Err(syntax_error(
+                start,
+                format!("expected expression, found {other:?}"),
+            )),
         }
     }
 }
@@ -492,12 +521,26 @@ mod tests {
 
     #[test]
     fn syntax_errors_have_positions() {
-        let err = parse_rcip("rate = 2;").unwrap_err();
-        assert!(matches!(err, RcipError::Syntax { line: 1, .. }));
-        let err = parse_rcip("rate K = 2").unwrap_err();
-        assert!(matches!(err, RcipError::Syntax { .. }));
-        let err = parse_rcip("frob K = 2;").unwrap_err();
-        assert!(matches!(err, RcipError::Syntax { .. }));
+        // Each error points at the first character of the offending
+        // token, not at the lexer's lookahead past it.
+        for (src, line, column) in [
+            ("rate = 2;", 1, 6),
+            ("rate K = 2", 1, 11),
+            ("frob K = 2;", 1, 1),
+            ("bound K on [1, 2];", 1, 9),
+            ("bound K in [1, x];", 1, 16),
+            ("rate A = 1;\nrate K = A / ;", 2, 14),
+            ("rate K = (1 + 2;", 1, 16),
+            ("rate K = 2 $;", 1, 12),
+            ("rate K = 1.2.3;", 1, 10),
+        ] {
+            match parse_rcip(src).unwrap_err() {
+                RcipError::Syntax {
+                    line: l, column: c, ..
+                } => assert_eq!((l, c), (line, column), "{src:?}"),
+                other => panic!("{src:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

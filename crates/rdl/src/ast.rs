@@ -23,7 +23,9 @@ pub struct Program {
     /// discarded together with the producing reaction.
     pub forbids: Vec<Forbid>,
     /// Rate-constant definitions and bounds, in RCIP surface syntax
-    /// (collected verbatim and handed to `rms-rcip`).
+    /// (collected verbatim and handed to `rms-rcip`): the source file up
+    /// to the last of them, with every other character blanked and
+    /// newlines kept, so RCIP positions are file positions.
     pub rate_source: String,
 }
 

@@ -310,6 +310,9 @@ struct Parser<'a> {
     current: Tok,
     current_start: usize,
     src: &'a str,
+    /// End of the last rate statement copied into the program's
+    /// `rate_source`: the file up to here is in it.
+    rate_end: usize,
     /// Parentheses and `!` open around the predicate being parsed.
     nesting: usize,
 }
@@ -323,6 +326,7 @@ impl<'a> Parser<'a> {
             current,
             current_start,
             src,
+            rate_end: 0,
             nesting: 0,
         })
     }
@@ -411,7 +415,9 @@ impl<'a> Parser<'a> {
     }
 
     /// Copy a `rate`/`bound` statement verbatim (through the `;`) into the
-    /// program's RCIP source buffer.
+    /// program's RCIP source buffer, at its place in the file: everything
+    /// since the previous statement goes in blanked, newlines kept, so
+    /// RCIP's line:column positions are positions in the file.
     fn pass_through_rate_statement(&mut self, program: &mut Program) -> Result<()> {
         let start = self.current_start;
         loop {
@@ -430,8 +436,11 @@ impl<'a> Parser<'a> {
             .find(';')
             .map(|i| start + i + 1)
             .unwrap_or(self.current_start);
+        let gap = self.src[self.rate_end..start].chars();
+        let blanked = gap.map(|c| if c == '\n' { c } else { ' ' });
+        program.rate_source.extend(blanked);
         program.rate_source.push_str(&self.src[start..end]);
-        program.rate_source.push('\n');
+        self.rate_end = end;
         Ok(())
     }
 

@@ -22,7 +22,7 @@
 //! simulate`, `rmsc estimate`, `rms-serve` and the benchmark all run.
 //!
 //! ```
-//! use rms_suite::{compile_source, emit_c, OptLevel, TapeSimulator};
+//! use rms_suite::{compile_source, emit_native_c, OptLevel, TapeSimulator};
 //!
 //! let model = compile_source(r#"
 //!     rate K_sc = 2;
@@ -34,8 +34,8 @@
 //!     }
 //! "#, OptLevel::Full).unwrap();
 //! assert_eq!(model.system.len(), 2);
-//! let c_code = emit_c(&model.compiled.forest, "ode_rhs");
-//! assert!(c_code.contains("void ode_rhs"));
+//! let c_code = emit_native_c(&model);
+//! assert!(c_code.contains("void ode_rhs("));
 //! let simulator = TapeSimulator::from_artifact(&model, vec![1.0; 2]);
 //! let states = simulator.trajectory(&model.system.rate_values, 0, &[0.5]).unwrap();
 //! assert_eq!(states[0].len(), 2);
@@ -48,11 +48,12 @@ use std::sync::Arc;
 pub mod cli;
 
 pub use rms_core::{
-    compact_registers, emit_c, generic_compile, generic_compile_best_effort, lower, optimize,
+    compact_registers, generic_compile, generic_compile_best_effort, lower, optimize,
     optimize_with_passes, probe_toolchain, CompiledOde, CseOptions, ExecTape, Expr, ExprForest,
     GenericError, GenericOptions, Kernel, KernelScratch, OptLevel, Passes, Tape, FMA_CONTRACTS,
     IR_BYTES_PER_OP,
 };
+pub use rms_driver::codegen::emit_native_c;
 pub use rms_driver::{
     cache, CacheMode, CacheStatus, Compiled, CompiledArtifact, CompilerSession, Diagnostic,
     KernelChoice, SessionOptions, Stage,
@@ -144,8 +145,8 @@ mod tests {
         let model = compile_source(SRC, OptLevel::Full).unwrap();
         assert!(model.system.len() >= 3);
         assert!(model.compiled.tape.op_counts().total() > 0);
-        let c = emit_c(&model.compiled.forest, "rubber_rhs");
-        assert!(c.contains("void rubber_rhs"));
+        let c = emit_native_c(&model);
+        assert!(c.contains("void ode_rhs("), "{c}");
         // The session attached a staged report to the artifact.
         assert!(model.report.stage(Stage::Parse).is_some());
         assert!(model.report.stage(Stage::Lower).is_some());

@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use rms_suite::workload::{generate_model, VulcanizationModel, VulcanizationSpec};
 use rms_suite::{
-    emit_c, generic_compile, CompiledArtifact, CompilerSession, GenericOptions, OptLevel, Passes,
+    emit_native_c, generic_compile, CompiledArtifact, CompilerSession, GenericOptions, OptLevel,
+    Passes,
 };
 
 /// Compile `model` at `level` for inspection: nothing here solves, so the
@@ -102,13 +103,15 @@ fn main() {
         }
     }
 
-    // --- generated C for a tiny slice ---------------------------------
-    println!("\n=== generated C (3-site slice) ===");
+    // --- optimizer output and generated C for a tiny slice -----------
+    println!("\n=== optimized expressions (3-site slice) ===");
     let tiny = generate_model(VulcanizationSpec {
         sites: 2,
         max_chain: 2,
         neighbourhood: 1,
     });
     let tiny = compile(&tiny, OptLevel::Full);
-    print!("{}", emit_c(&tiny.compiled.forest, "vulcanization_rhs"));
+    print!("{}", tiny.compiled.forest);
+    println!("\n=== generated C (3-site slice) ===");
+    print!("{}", emit_native_c(&tiny));
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use rms_suite::{compile_source, emit_c, OptLevel, TapeSimulator};
+use rms_suite::{compile_source, emit_native_c, OptLevel, TapeSimulator};
 
 fn main() {
     // A disulfide that homolyzes and recombines — the smallest slice of
@@ -55,8 +55,11 @@ fn main() {
         100.0 * model.compiled.remaining_fraction()
     );
 
-    println!("\n=== generated C (backend output) ===");
-    print!("{}", emit_c(&model.compiled.forest, "ode_rhs"));
+    println!("\n=== optimized expressions (optimizer output, `--dump-ir cse`) ===");
+    print!("{}", model.compiled.forest);
+
+    println!("\n=== generated C (backend output, `--emit c`) ===");
+    print!("{}", emit_native_c(&model));
 
     println!("\n=== simulation (Gear/BDF stiff solver) ===");
     let times: Vec<f64> = (1..=5).map(|i| i as f64 * 0.2).collect();

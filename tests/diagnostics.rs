@@ -45,6 +45,29 @@ fn parse_error_renders_span_and_caret() {
 }
 
 #[test]
+fn rcip_syntax_error_renders_its_file_span_and_caret() {
+    let path = fixture(
+        "rcip_syntax.rdl",
+        "rate K_sc = 2;\n\
+         molecule DiS = \"CSSC\" init 1.0;\n\
+         rule scission { site bond S ~ S order single; action disconnect; rate K_sc; }\n\
+         \n\
+         rate K_rec = K_sc / ;\n",
+    );
+    let path = path.display();
+    let out = rmsc(&["compile", &path.to_string()]);
+    assert_eq!(out.status.code(), Some(2));
+    let expected = format!(
+        "error[rcip]: expected expression, found Semi\n \
+         --> {path}:5:21\n  \
+         |\n\
+         5 | rate K_rec = K_sc / ;\n  \
+         |                     ^\n"
+    );
+    assert_eq!(stderr(&out), expected);
+}
+
+#[test]
 fn rcip_error_names_the_undefined_constant() {
     let path = fixture(
         "undefined_constant.rdl",

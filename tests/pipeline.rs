@@ -1,7 +1,12 @@
 //! End-to-end pipeline integration: RDL source → chemical compiler →
 //! RCIP → equation generator → optimizer → tape → solver.
 
-use rms_suite::{compile_source, emit_c, CompiledArtifact, OptLevel, TapeSimulator};
+use std::sync::Arc;
+
+use rms_suite::{
+    compile_source, emit_native_c, CacheMode, CompiledArtifact, CompilerSession, OptLevel,
+    SessionOptions, TapeSimulator,
+};
 
 const VULCANIZATION_RDL: &str = r#"
     # kinetics: scission fast, exchange derived, recombination slow
@@ -71,11 +76,11 @@ fn full_pipeline_from_rdl_text() {
         model.compiled.stages
     );
 
-    // The C backend emits one assignment per equation.
-    let c_code = emit_c(&model.compiled.forest, "rhs");
-    assert_eq!(
-        c_code.matches("ydot[").count(),
-        model.system.len(),
+    // The C backend emits a kernel with one derivative per species.
+    let c_code = emit_native_c(&model);
+    assert!(c_code.contains("void ode_rhs("), "{c_code}");
+    assert!(
+        c_code.contains(&format!("#define RMS_N_SPECIES {}\n", model.system.len())),
         "every species needs an emitted derivative"
     );
 }
@@ -140,11 +145,22 @@ fn optimization_levels_identical_dynamics() {
 
 #[test]
 fn deterministic_compilation() {
-    let a = compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("compiles");
-    let b = compile_source(VULCANIZATION_RDL, OptLevel::Full).expect("compiles");
+    let cold = || {
+        let options = SessionOptions {
+            deriv: true,
+            cache: CacheMode::Bypass,
+            ..SessionOptions::new(OptLevel::Full)
+        };
+        CompilerSession::with_options(options)
+            .compile_source("pipeline", VULCANIZATION_RDL)
+            .expect("compiles")
+            .artifact
+    };
+    let (a, b) = (cold(), cold());
+    assert!(!Arc::ptr_eq(&a, &b), "two cold compiles share no artifact");
     assert_eq!(
-        emit_c(&a.compiled.forest, "f"),
-        emit_c(&b.compiled.forest, "f"),
+        emit_native_c(&a),
+        emit_native_c(&b),
         "compilation must be deterministic"
     );
     assert_eq!(a.compiled.tape.len(), b.compiled.tape.len());
